@@ -5,15 +5,21 @@
 //! This substantiates the paper's §2.1 design choice — features must be
 //! much cheaper than the DAG, which "can sometimes dominate the overall
 //! running time of the scheduling algorithm".
+//!
+//! The `dag` and `schedule` rows time the warm path production runs: a
+//! reused `GraphBuilder::build_into` and a reused `SchedScratch` with
+//! `schedule_block_into`. `schedule_cold` keeps the one-shot
+//! `schedule_block` (a fresh scratch per call) so the first-touch cost a
+//! warm scratch avoids stays visible.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use wts_deps::DepGraph;
+use wts_deps::{DepGraph, GraphBuilder};
 use wts_features::FeatureVector;
 use wts_ir::BasicBlock;
 use wts_jit::Suite;
 use wts_machine::MachineConfig;
-use wts_sched::ListScheduler;
+use wts_sched::{ListScheduler, SchedScratch, ScheduleOutcome};
 
 /// Picks one representative block of roughly each size from the corpus.
 fn blocks_by_size() -> Vec<(usize, BasicBlock)> {
@@ -47,9 +53,22 @@ fn components(c: &mut Criterion) {
             b.iter(|| black_box(FeatureVector::extract(black_box(blk))));
         });
         group.bench_with_input(BenchmarkId::new("dag", size), &block, |b, blk| {
-            b.iter(|| black_box(DepGraph::build(black_box(blk.insts()))));
+            let mut builder = GraphBuilder::new();
+            let mut graph = DepGraph::empty();
+            b.iter(|| {
+                builder.build_into(black_box(blk.insts()), false, &mut graph);
+                black_box(graph.edge_count())
+            });
         });
         group.bench_with_input(BenchmarkId::new("schedule", size), &block, |b, blk| {
+            let mut scratch = SchedScratch::new(&machine);
+            let mut outcome = ScheduleOutcome::default();
+            b.iter(|| {
+                scheduler.schedule_block_into(black_box(blk), &mut scratch, &mut outcome);
+                black_box(outcome.cycles_after)
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("schedule_cold", size), &block, |b, blk| {
             b.iter(|| black_box(scheduler.schedule_block(black_box(blk))));
         });
     }

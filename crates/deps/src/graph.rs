@@ -3,11 +3,13 @@
 //! Storage is compressed sparse row (CSR): one flat edge array plus an
 //! offset table per direction, so a node's adjacency is a contiguous
 //! slice and traversal touches no per-node heap allocations. Graphs are
-//! produced by a reusable [`GraphBuilder`] whose scratch state — dense
-//! per-register last-def/reader tables and a sort-and-dedup edge pass —
-//! is allocated once and reused across the blocks of a method.
+//! produced by a reusable [`GraphBuilder`] whose scratch state — one
+//! dense, epoch-stamped per-register table and an edge list deduplicated
+//! as it is recorded — is allocated once and reused across blocks. The
+//! scan already emits edges grouped by target, so the predecessor array
+//! needs no sort and the successor array one counting sort.
 
-use wts_ir::{Inst, Reg};
+use wts_ir::{Inst, Reg, RegTable};
 
 /// Why one instruction must stay ordered after another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -146,27 +148,40 @@ impl DepGraph {
     }
 }
 
-/// Sentinel for "no entry" in the dense per-register tables.
+/// Sentinel for "none" in the scan's `u32` index fields.
 const NONE: u32 = u32::MAX;
 
-/// One recorded (possibly-duplicate) dependence edge; `seq` is the
-/// global record order, used to keep the first kind when deduplicating
-/// and to preserve predecessor discovery order.
-#[derive(Clone, Copy)]
-struct RawEdge {
-    from: u32,
-    to: u32,
-    seq: u32,
-    kind: DepKind,
+/// Per-register scan state: the last instruction that defined the
+/// register and the head/tail (in `reader_pool`) of the list of its uses
+/// since that def, in use order.
+#[derive(Clone, Copy, Default)]
+struct RegScan {
+    def: u32,
+    head: u32,
+    tail: u32,
+}
+
+impl RegScan {
+    /// A register the current block has not touched yet.
+    const UNTOUCHED: RegScan = RegScan { def: NONE, head: NONE, tail: NONE };
 }
 
 /// Reusable dependence-scan state.
 ///
-/// All scratch — the raw edge list, the dense per-register last-def and
-/// reader tables (indexed by [`Reg::dense_key`], validated by an epoch
-/// counter so clearing a block is O(1)), the store/load/barrier work
-/// lists — is allocated once and reused, so building the graphs of a
-/// whole method performs no steady-state heap allocation.
+/// The scan visits one instruction at a time and records every edge
+/// *into* that instruction, so edges arrive grouped by target in
+/// discovery order — which is already the CSR predecessor array.
+/// Parallel edges are dropped as they are recorded: a per-source "last
+/// target" mark, cleared per block, keeps the first (strongest) kind of
+/// each `(from, to)` pair. At the end of the block the successor array
+/// is laid out by one stable counting sort on the source, so no pass
+/// sorts by comparison or hashes.
+///
+/// All scratch — the edge list and marks, the per-register last-def and
+/// reader table (a [`RegTable`], cleared per block by an epoch bump), the
+/// store/load/barrier work lists — is allocated once and reused, so
+/// building the graphs of a whole method performs no steady-state heap
+/// allocation.
 ///
 /// # Examples
 ///
@@ -182,48 +197,41 @@ struct RawEdge {
 /// assert_eq!(builder.last_edge_count(), graph.edge_count());
 /// ```
 pub struct GraphBuilder {
-    edges: Vec<RawEdge>,
-    /// Current block's epoch; table entries from other epochs are stale.
-    epoch: u64,
-    /// Per-register index of the last defining instruction.
-    last_def: Vec<(u64, u32)>,
-    /// Per-register head/tail into `reader_pool` for uses since the last
-    /// def, in use order.
-    readers: Vec<(u64, u32, u32)>,
+    /// The current block's deduplicated edges as `(from, kind)`, grouped
+    /// by target in discovery order; swapped into the graph as its
+    /// predecessor array.
+    preds: Vec<(u32, DepKind)>,
+    /// Per-source last target recorded this block (`NONE` if none).
+    marks: Vec<u32>,
+    /// Per-register last def and reader list.
+    regs: RegTable<RegScan>,
     /// Linked-list pool backing the per-register reader lists:
     /// `(reader index, next pool slot)`.
     reader_pool: Vec<(u32, u32)>,
     stores: Vec<u32>,
     loads_since_store: Vec<u32>,
     since_barrier: Vec<u32>,
+    /// Per-source write cursors of the successor counting sort.
+    cursor: Vec<u32>,
     last_edges: usize,
 }
 
 impl GraphBuilder {
-    /// A fresh builder. The dense register tables grow on demand up to
-    /// [`Reg::dense_limit`] entries and are then reused across blocks,
-    /// so construction is cheap and steady-state builds allocate nothing.
+    /// A fresh builder. Its buffers grow on demand (the register table
+    /// up to [`Reg::dense_limit`] entries) and are then reused across
+    /// blocks, so construction is cheap and steady-state builds allocate
+    /// nothing.
     pub fn new() -> GraphBuilder {
         GraphBuilder {
-            edges: Vec::new(),
-            epoch: 0,
-            last_def: Vec::new(),
-            readers: Vec::new(),
+            preds: Vec::new(),
+            marks: Vec::new(),
+            regs: RegTable::new(),
             reader_pool: Vec::new(),
             stores: Vec::new(),
             loads_since_store: Vec::new(),
             since_barrier: Vec::new(),
+            cursor: Vec::new(),
             last_edges: 0,
-        }
-    }
-
-    /// Grows the dense register tables to cover `key`. Stale (previous
-    /// epoch) fill values are fine: the epoch check treats them as absent.
-    fn ensure_key(&mut self, key: usize) {
-        debug_assert!(key < Reg::dense_limit());
-        if key >= self.last_def.len() {
-            self.last_def.resize(key + 1, (0, NONE));
-            self.readers.resize(key + 1, (0, NONE, NONE));
         }
     }
 
@@ -246,12 +254,16 @@ impl GraphBuilder {
     /// `out`'s contents. `out`'s allocations are reused.
     pub fn build_into(&mut self, insts: &[Inst], speculative: bool, out: &mut DepGraph) {
         let n = insts.len();
-        self.epoch += 1;
-        self.edges.clear();
+        self.regs.clear();
+        self.preds.clear();
+        self.marks.clear();
+        self.marks.resize(n, NONE);
         self.reader_pool.clear();
         self.stores.clear();
         self.loads_since_store.clear();
         self.since_barrier.clear();
+        out.pred_off.clear();
+        out.pred_off.push(0);
         // Control transfers and hazardous instructions are reorder
         // barriers: chain everything between consecutive barriers. In
         // speculative mode, plain branches only order against
@@ -264,26 +276,21 @@ impl GraphBuilder {
             let i = u32::try_from(idx).expect("blocks are far below u32::MAX insts");
             let op = inst.opcode();
 
-            for u in inst.uses() {
-                let key = u.dense_key();
-                self.ensure_key(key);
-                if let Some(d) = self.lookup_def(key) {
-                    self.edge(d, i, DepKind::True);
+            for &u in inst.uses() {
+                let scan = self.regs.get(u).unwrap_or(RegScan::UNTOUCHED);
+                if scan.def != NONE {
+                    self.edge(scan.def, i, DepKind::True);
                 }
-                self.push_reader(key, i);
+                self.push_reader(u, scan, i);
             }
-            for d in inst.defs() {
-                let key = d.dense_key();
-                self.ensure_key(key);
-                if let Some(p) = self.lookup_def(key) {
-                    self.edge(p, i, DepKind::Output);
+            for &d in inst.defs() {
+                let scan = self.regs.get(d).unwrap_or(RegScan::UNTOUCHED);
+                if scan.def != NONE {
+                    self.edge(scan.def, i, DepKind::Output);
                 }
                 // Walk the reader list in use order; no clone needed since
                 // the pool and the edge list are disjoint.
-                let (epoch, mut cursor, _) = self.readers[key];
-                if epoch != self.epoch {
-                    cursor = NONE;
-                }
+                let mut cursor = scan.head;
                 while cursor != NONE {
                     let (r, next) = self.reader_pool[cursor as usize];
                     if r != i {
@@ -357,10 +364,8 @@ impl GraphBuilder {
                 self.since_barrier.push(i);
             }
 
-            for d in inst.defs() {
-                let key = d.dense_key();
-                self.last_def[key] = (self.epoch, i);
-                self.readers[key] = (self.epoch, NONE, NONE);
+            for &d in inst.defs() {
+                self.regs.set(d, RegScan { def: i, head: NONE, tail: NONE });
             }
             if op.is_store() {
                 self.stores.push(i);
@@ -368,75 +373,65 @@ impl GraphBuilder {
             } else if op.is_load() {
                 self.loads_since_store.push(i);
             }
+            out.pred_off.push(u32::try_from(self.preds.len()).expect("edge list outgrew u32 offsets"));
         }
         self.finish(n, out);
     }
 
-    fn lookup_def(&self, key: usize) -> Option<u32> {
-        let (epoch, d) = self.last_def[key];
-        (epoch == self.epoch && d != NONE).then_some(d)
-    }
-
-    fn push_reader(&mut self, key: usize, i: u32) {
+    /// Appends `i` to `reg`'s reader list, whose current state is `scan`.
+    fn push_reader(&mut self, reg: Reg, scan: RegScan, i: u32) {
         let slot = u32::try_from(self.reader_pool.len()).expect("reader pool outgrew u32 indices");
         self.reader_pool.push((i, NONE));
-        let entry = &mut self.readers[key];
-        if entry.0 != self.epoch || entry.1 == NONE {
-            *entry = (self.epoch, slot, slot);
+        let scan = if scan.head == NONE {
+            RegScan { head: slot, tail: slot, ..scan }
         } else {
-            self.reader_pool[entry.2 as usize].1 = slot;
-            entry.2 = slot;
+            self.reader_pool[scan.tail as usize].1 = slot;
+            RegScan { tail: slot, ..scan }
+        };
+        self.regs.set(reg, scan);
+    }
+
+    /// Records `from -> to`, where `to` is the instruction being scanned,
+    /// unless that pair already has an edge (the first kind recorded
+    /// wins).
+    fn edge(&mut self, from: u32, to: u32, kind: DepKind) {
+        debug_assert!(from < to, "dependence edges must follow program order");
+        let mark = &mut self.marks[from as usize];
+        if *mark != to {
+            *mark = to;
+            self.preds.push((from, kind));
         }
     }
 
-    fn edge(&mut self, from: u32, to: u32, kind: DepKind) {
-        debug_assert!(from < to, "dependence edges must follow program order");
-        let seq = u32::try_from(self.edges.len()).expect("edge list outgrew u32 sequence numbers");
-        self.edges.push(RawEdge { from, to, seq, kind });
-    }
-
-    /// Deduplicates the raw edge list (first kind recorded per pair wins)
-    /// and lays it out as CSR adjacency: successors sorted by target,
-    /// predecessors in discovery order — exactly the orders the old
+    /// Lays the recorded edges out as CSR adjacency: the edge list *is*
+    /// the predecessor array (grouped by target, discovery order within a
+    /// target), and a stable counting sort on the source yields successor
+    /// slices in ascending target order — exactly the orders the old
     /// nested-Vec representation produced by chronological pushes.
     fn finish(&mut self, n: usize, out: &mut DepGraph) {
-        // Chronologically, a fixed source's successors were recorded in
-        // ascending target order (the target is always the instruction
-        // being scanned), so sorting by (from, to, seq) and keeping the
-        // lowest seq per pair reproduces both the successor slice order
-        // and the first-kind-wins dedup of the old hash-set path.
-        self.edges.sort_unstable_by_key(|e| (e.from, e.to, e.seq));
-        self.edges.dedup_by(|b, a| a.from == b.from && a.to == b.to);
-
         out.n = n;
-        out.succ_off.clear();
-        out.succs.clear();
-        out.pred_off.clear();
-        out.preds.clear();
-        out.succ_off.resize(n + 1, 0);
-        out.pred_off.resize(n + 1, 0);
+        std::mem::swap(&mut self.preds, &mut out.preds);
 
-        out.succs.reserve(self.edges.len());
-        for e in &self.edges {
-            out.succ_off[e.from as usize + 1] += 1;
-            out.succs.push((e.to, e.kind));
+        out.succ_off.clear();
+        out.succ_off.resize(n + 1, 0);
+        for &(from, _) in &out.preds {
+            out.succ_off[from as usize + 1] += 1;
         }
         for i in 0..n {
             out.succ_off[i + 1] += out.succ_off[i];
         }
-
-        // Predecessor slices preserve the order the scan discovered the
-        // edges (not ascending source), matching the old push order.
-        self.edges.sort_unstable_by_key(|e| (e.to, e.seq));
-        out.preds.reserve(self.edges.len());
-        for e in &self.edges {
-            out.pred_off[e.to as usize + 1] += 1;
-            out.preds.push((e.from, e.kind));
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&out.succ_off[..n]);
+        out.succs.clear();
+        out.succs.resize(out.preds.len(), (0, DepKind::True));
+        for (to, range) in (0u32..).zip(out.pred_off.windows(2)) {
+            for &(from, kind) in &out.preds[range[0] as usize..range[1] as usize] {
+                let at = &mut self.cursor[from as usize];
+                out.succs[*at as usize] = (to, kind);
+                *at += 1;
+            }
         }
-        for i in 0..n {
-            out.pred_off[i + 1] += out.pred_off[i];
-        }
-        self.last_edges = self.edges.len();
+        self.last_edges = out.preds.len();
     }
 }
 

@@ -3,13 +3,20 @@
 //!
 //! The dependence graph moved from per-node `Vec<Vec<(u32, DepKind)>>`
 //! adjacency (hash-set dedup, `readers.clone()` in the scan) to flat CSR
-//! arrays built by a reusable sort-and-dedup [`GraphBuilder`]. Every
-//! consumer — most critically the list scheduler's ready-queue insertion
-//! under [`SchedulePolicy::Random`](wts_sched::SchedulePolicy) — relies
-//! on the *slice orders* being unchanged, not just the edge sets. This
-//! suite keeps a faithful reimplementation of the old builder and checks
-//! the new graph against it edge for edge, slice for slice, on random
-//! blocks, in both normal and speculative mode.
+//! arrays built by a reusable [`GraphBuilder`]. The builder drops
+//! parallel edges as it records them (a per-source "last target" mark,
+//! cleared per block, keeps the first kind), uses its recorded edge list
+//! as the predecessor array as is, and lays out successors by a stable
+//! counting sort on the source. Every consumer — most critically the list
+//! scheduler's ready-queue insertion under
+//! [`SchedulePolicy::Random`](wts_sched::SchedulePolicy) — relies on the
+//! *slice orders* being unchanged, not just the edge sets. This suite
+//! keeps a faithful reimplementation of the old builder and checks the
+//! new graph against it edge for edge, slice for slice, on random blocks,
+//! in both normal and speculative mode: blocks that stack several
+//! dependence kinds on one pair (which kind survives the dedup), and one
+//! builder reused across blocks of shrinking length (where stale marks
+//! or register entries from a longer block would show).
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -177,8 +184,76 @@ fn arb_insts(max: usize) -> impl Strategy<Value = Vec<Inst>> {
     )
 }
 
+/// Blocks that put several dependence kinds on one `(from, to)` pair:
+/// loads and stores of a few slots whose registers feed hazardous
+/// (barrier) memory ops, calls and returns that read computed registers,
+/// and link-register writes ahead of calls — register, memory and
+/// barrier edges all land on the same pairs, so only the first kind
+/// recorded may survive.
+fn arb_stacked(max: usize) -> impl Strategy<Value = Vec<Inst>> {
+    prop::collection::vec(
+        (0u8..9, 0u16..3, 0u16..3, 0u32..2).prop_map(|(kind, a, b, slot)| {
+            let heap = MemRef::slot(MemSpace::Heap, slot);
+            match kind {
+                0 => Inst::new(Opcode::Lwz).def(Reg::gpr(a + 8)).use_(Reg::gpr(b + 8)).mem(heap),
+                1 => Inst::new(Opcode::Stw).use_(Reg::gpr(a + 8)).use_(Reg::gpr(b + 8)).mem(heap),
+                2 => Inst::new(Opcode::Stw).use_(Reg::gpr(a + 8)).use_(Reg::gpr(b)).mem(heap).hazard(Hazards::PEI),
+                3 => Inst::new(Opcode::Lwz).def(Reg::gpr(a + 8)).use_(Reg::gpr(b + 8)).mem(heap).hazard(Hazards::PEI),
+                4 => Inst::new(Opcode::Bl).def(Reg::lr()).use_(Reg::gpr(a + 8)),
+                5 => Inst::new(Opcode::Mtspr).def(Reg::lr()).use_(Reg::gpr(a + 8)),
+                6 => Inst::new(Opcode::Cmp).def(Reg::cr(0)).use_(Reg::gpr(a + 8)).use_(Reg::gpr(b + 8)),
+                7 => Inst::new(Opcode::Bc).use_(Reg::cr(0)),
+                _ => Inst::new(Opcode::Add).def(Reg::gpr(a + 8)).use_(Reg::gpr(b + 8)).use_(Reg::lr()),
+            }
+        }),
+        0..max,
+    )
+}
+
+/// Asserts that `g` equals the oracle's graph for `insts`, slice for
+/// slice, and that the builder reported its edge count.
+fn assert_matches_oracle(g: &DepGraph, insts: &[Inst], speculative: bool) -> proptest::test_runner::TestCaseResult {
+    let old = OracleBuilder::new(insts.len(), speculative).run(insts);
+    prop_assert_eq!(g.edge_count(), old.succs.iter().map(Vec::len).sum::<usize>());
+    for i in 0..insts.len() {
+        prop_assert_eq!(g.succs(i), &old.succs[i][..], "succs slice of {} must match in order and kind", i);
+        prop_assert_eq!(g.preds(i), &old.preds[i][..], "preds slice of {} must match in order and kind", i);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Stacked dependence kinds: the first kind recorded for each pair
+    /// survives, in the oracle's slice orders.
+    #[test]
+    fn stacked_kinds_match_nested_oracle_exactly(insts in arb_stacked(20), spec_bit in 0u8..2) {
+        let speculative = spec_bit == 1;
+        let g = if speculative { DepGraph::build_speculative(&insts) } else { DepGraph::build(&insts) };
+        assert_matches_oracle(&g, &insts, speculative)?;
+    }
+
+    /// One builder over blocks of shrinking length, both generators and
+    /// both modes: every mark and register entry a longer block left
+    /// behind sits at an index the next block reuses.
+    #[test]
+    fn reused_builder_on_shrinking_blocks_matches_nested_oracle(
+        stacked in prop::collection::vec(arb_stacked(24), 1..5),
+        plain in prop::collection::vec(arb_insts(24), 1..5),
+    ) {
+        let mut blocks: Vec<Vec<Inst>> = stacked.into_iter().chain(plain).collect();
+        blocks.sort_by_key(|b| std::cmp::Reverse(b.len()));
+        let mut builder = GraphBuilder::new();
+        let mut g = DepGraph::empty();
+        for insts in &blocks {
+            for &speculative in &[false, true] {
+                builder.build_into(insts, speculative, &mut g);
+                assert_matches_oracle(&g, insts, speculative)?;
+                prop_assert_eq!(builder.last_edge_count(), g.edge_count());
+            }
+        }
+    }
 
     /// The tentpole invariant: CSR adjacency equals the old nested
     /// adjacency *slice for slice* — same targets, same kinds, same

@@ -43,6 +43,6 @@ pub use category::{Category, CategorySet};
 pub use inst::{Hazards, Inst, MemRef, MemSpace, RegList};
 pub use method::{Method, MethodId, Program};
 pub use opcode::{Opcode, UnitClass};
-pub use reg::{Reg, RegClass};
+pub use reg::{Reg, RegClass, RegTable};
 pub use superblock::{form_superblocks, ScopeKind, Superblock};
 pub use validate::ValidateError;

@@ -105,20 +105,93 @@ impl Reg {
 
     /// A dense key usable for array-indexed register maps.
     ///
-    /// Keys are unique across classes; see [`Reg::dense_limit`].
+    /// Keys are unique across classes and interleave them
+    /// (`index * 4 + class`), so the low registers that code actually
+    /// uses in every class share the first few slots of a table such as
+    /// [`RegTable`]; see [`Reg::dense_limit`].
     pub fn dense_key(self) -> usize {
-        let base = match self.class {
+        let class = match self.class {
             RegClass::Gpr => 0,
-            RegClass::Fpr => 1024,
-            RegClass::Cr => 2048,
-            RegClass::Spr => 3072,
+            RegClass::Fpr => 1,
+            RegClass::Cr => 2,
+            RegClass::Spr => 3,
         };
-        base + self.index as usize
+        self.index as usize * 4 + class
     }
 
-    /// Exclusive upper bound on [`Reg::dense_key`] values.
+    /// Exclusive upper bound on [`Reg::dense_key`] values (register
+    /// indices stay below 1024 in every class).
     pub fn dense_limit() -> usize {
         4096
+    }
+}
+
+/// A register-keyed map stored densely by [`Reg::dense_key`] and cleared
+/// in O(1).
+///
+/// Every slot remembers the epoch it was written in, and
+/// [`clear`](RegTable::clear) bumps the table's epoch, so all earlier
+/// entries read as absent without touching memory. The backing array
+/// grows on the first write to a key and is then reused, so a long-lived
+/// table (one per dependence-graph builder or issue state) performs no
+/// steady-state allocation and no hashing.
+///
+/// # Examples
+///
+/// ```
+/// use wts_ir::{Reg, RegTable};
+///
+/// let mut ready = RegTable::new();
+/// ready.set(Reg::fpr(28), 7u64);
+/// assert_eq!(ready.get(Reg::fpr(28)), Some(7));
+/// assert_eq!(ready.get(Reg::gpr(28)), None);
+/// ready.clear();
+/// assert_eq!(ready.get(Reg::fpr(28)), None, "a cleared entry never leaks");
+/// ```
+#[derive(Debug, Clone)]
+pub struct RegTable<T> {
+    /// The current epoch; slots stamped with any other epoch are absent.
+    /// Slots start at epoch 0, the table at 1.
+    epoch: u64,
+    slots: Vec<(u64, T)>,
+}
+
+impl<T: Copy + Default> RegTable<T> {
+    /// An empty table; nothing is allocated until the first write.
+    pub fn new() -> RegTable<T> {
+        RegTable { epoch: 1, slots: Vec::new() }
+    }
+
+    /// Forgets every entry in O(1), keeping the backing array.
+    pub fn clear(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// The entry for `reg`, if written since the last
+    /// [`clear`](RegTable::clear).
+    #[inline]
+    pub fn get(&self, reg: Reg) -> Option<T> {
+        match self.slots.get(reg.dense_key()) {
+            Some(&(epoch, value)) if epoch == self.epoch => Some(value),
+            _ => None,
+        }
+    }
+
+    /// Sets the entry for `reg`, growing the table to cover its key.
+    #[inline]
+    pub fn set(&mut self, reg: Reg, value: T) {
+        let key = reg.dense_key();
+        debug_assert!(key < Reg::dense_limit(), "register index {} out of the dense range", reg.index);
+        if key >= self.slots.len() {
+            self.slots.resize(key + 1, (0, T::default()));
+        }
+        self.slots[key] = (self.epoch, value);
+    }
+}
+
+impl<T: Copy + Default> Default for RegTable<T> {
+    fn default() -> RegTable<T> {
+        RegTable::new()
     }
 }
 
@@ -165,6 +238,28 @@ mod tests {
         for r in regs {
             assert!(r.dense_key() < Reg::dense_limit());
         }
+    }
+
+    #[test]
+    fn low_registers_of_every_class_get_low_keys() {
+        for class in RegClass::ALL {
+            assert!(Reg::new(class, 31).dense_key() < 128, "{class}31 must sit in the first 128 slots");
+        }
+        assert_eq!(Reg::new(RegClass::Spr, 1023).dense_key(), Reg::dense_limit() - 1);
+    }
+
+    #[test]
+    fn reg_table_clear_forgets_and_overwrite_wins() {
+        let mut t: RegTable<u32> = RegTable::default();
+        assert_eq!(t.get(Reg::cr(7)), None, "reads past the grown range are absent");
+        t.set(Reg::cr(7), 1);
+        t.set(Reg::cr(7), 2);
+        t.set(Reg::spr(0), 3);
+        assert_eq!((t.get(Reg::cr(7)), t.get(Reg::spr(0)), t.get(Reg::gpr(7))), (Some(2), Some(3), None));
+        t.clear();
+        assert_eq!((t.get(Reg::cr(7)), t.get(Reg::spr(0))), (None, None));
+        t.set(Reg::gpr(0), 4);
+        assert_eq!((t.get(Reg::gpr(0)), t.get(Reg::cr(7))), (Some(4), None));
     }
 
     #[test]

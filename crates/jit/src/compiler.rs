@@ -13,7 +13,8 @@
 //! session weighs each block's calibrated probability and hotness
 //! against the compile spend instead.
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 use wts_core::{
     CompiledFilter, DecisionPolicy, Filter, FilterKey, FilterSnapshot, FilterStore, LearnedFilter, UnitEconomics,
@@ -58,12 +59,44 @@ impl CompileStats {
 /// A JIT compile session: holds the machine, scheduling policy and a
 /// [`FilterStore`], and compiles programs under a given filter — passed
 /// explicitly, or deployed (and hot-swappable) in the store.
-#[derive(Debug, Clone)]
+///
+/// The session keeps its scheduler scratch warm between compiles: each
+/// shard of a compile takes a [`SchedScratch`] from the session's pool
+/// (creating one only when the pool is empty) and returns it when the
+/// shard finishes. The pool therefore never holds more scratches than
+/// the most shards that ever ran at once, and a session compiling one
+/// method per call schedules on warm buffers from the second call on.
+/// A cloned session starts with an empty pool of its own.
 pub struct CompileSession<'m> {
     machine: &'m MachineConfig,
     policy: SchedulePolicy,
     decision: DecisionPolicy,
     store: Arc<FilterStore>,
+    scratch_pool: Mutex<Vec<SchedScratch<'m>>>,
+}
+
+impl Clone for CompileSession<'_> {
+    fn clone(&self) -> Self {
+        CompileSession {
+            machine: self.machine,
+            policy: self.policy,
+            decision: self.decision,
+            store: Arc::clone(&self.store),
+            scratch_pool: Mutex::default(),
+        }
+    }
+}
+
+impl fmt::Debug for CompileSession<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CompileSession")
+            .field("machine", &self.machine)
+            .field("policy", &self.policy)
+            .field("decision", &self.decision)
+            .field("store", &self.store)
+            .field("pooled_scratches", &self.pooled_scratches())
+            .finish()
+    }
 }
 
 impl<'m> CompileSession<'m> {
@@ -76,7 +109,13 @@ impl<'m> CompileSession<'m> {
 
     /// A session with an explicit scheduling policy.
     pub fn with_policy(machine: &'m MachineConfig, policy: SchedulePolicy) -> CompileSession<'m> {
-        CompileSession { machine, policy, decision: DecisionPolicy::HardThreshold, store: FilterStore::shared() }
+        CompileSession {
+            machine,
+            policy,
+            decision: DecisionPolicy::HardThreshold,
+            store: FilterStore::shared(),
+            scratch_pool: Mutex::default(),
+        }
     }
 
     /// Selects how the session turns filter scores into schedule/skip
@@ -152,9 +191,9 @@ impl<'m> CompileSession<'m> {
     }
 
     /// Compiles one (cloned) method in place, accumulating stats. The
-    /// scratch state (scheduler buffers, outcome, permute buffer) is
-    /// reused across every block of the shard, so the steady-state pass
-    /// allocates nothing per block.
+    /// scratch state (the session's pooled scheduler scratch, the
+    /// shard's outcome and permute buffer) is reused across every block,
+    /// so the steady-state pass allocates nothing per block.
     #[allow(clippy::too_many_arguments)]
     fn compile_method(
         &self,
@@ -253,6 +292,9 @@ impl<'m> CompileSession<'m> {
         self.compile_engine(program, &engine, optimize_method, threads)
     }
 
+    /// The compile body every entry point joins, with the filter already
+    /// lowered. Each shard schedules on a scratch borrowed from the
+    /// session's pool, so back-to-back compiles run on warm buffers.
     fn compile_engine(
         &self,
         program: &Program,
@@ -263,9 +305,12 @@ impl<'m> CompileSession<'m> {
         // Methods shard into contiguous chunks; each worker clones and
         // compiles its chunk, and the chunks are reassembled in method
         // order, so the result is identical whatever the thread count.
+        // Each shard borrows a warm scratch from the session's pool and
+        // returns it at the end; scratch state never affects output.
         let shards = wts_core::parallel::shard_map(program.methods(), threads, |slice| {
             let scheduler = ListScheduler::with_policy(self.machine, self.policy);
-            let mut scratch = SchedScratch::new(self.machine);
+            let pooled = self.pool().pop();
+            let mut scratch = pooled.unwrap_or_else(|| SchedScratch::new(self.machine));
             let mut outcome = ScheduleOutcome::default();
             let mut permute_buf = Vec::new();
             let mut stats = CompileStats::default();
@@ -283,6 +328,7 @@ impl<'m> CompileSession<'m> {
                     &mut stats,
                 );
             }
+            self.pool().push(scratch);
             (compiled, stats)
         });
 
@@ -295,6 +341,17 @@ impl<'m> CompileSession<'m> {
             stats.merge(shard_stats);
         }
         (out, stats)
+    }
+
+    /// The scratch pool. Only pushes and pops run under the lock, so a
+    /// compile that panicked elsewhere cannot leave it inconsistent.
+    fn pool(&self) -> std::sync::MutexGuard<'_, Vec<SchedScratch<'m>>> {
+        self.scratch_pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Number of warm scratches the session holds between compiles.
+    fn pooled_scratches(&self) -> usize {
+        self.pool().len()
     }
 }
 
@@ -482,6 +539,136 @@ mod tests {
         let b = CompileSession::new(&m).with_store(Arc::clone(&store));
         assert!(Arc::ptr_eq(a.store(), b.store()));
         assert!(!Arc::ptr_eq(CompileSession::new(&m).store(), a.store()), "default store is private");
+    }
+
+    /// A trained filter deployed in a fresh session, plus one-method
+    /// programs with different register sets: generated jvm98 and FP
+    /// methods interleaved with a hand-built method whose blocks touch
+    /// high FPRs and condition and special registers, the second block
+    /// reading registers only the first one defines.
+    fn pool_fixture(m: &MachineConfig) -> (CompileSession<'_>, FilterKey, Vec<Program>) {
+        use wts_ir::{BasicBlock, Inst, MemRef, MemSpace, Method, Opcode, Reg};
+        let jvm = Suite::specjvm98(0.02);
+        let fp = Suite::fp(0.02);
+        let run = wts_core::Experiment::new(m.clone())
+            .with_timing(wts_core::TimingMode::Deterministic)
+            .run(vec![jvm.benchmarks()[0].program().clone()]);
+        let key = run.filter_key(0, run.learner());
+        let session = CompileSession::new(m);
+        session.deploy(key.clone(), wts_core::train_filter(run.all_traces(), &run.train_config(0)));
+
+        let slot = |k| MemRef::slot(MemSpace::Heap, k);
+        let mut shapes = Method::new(900, "register_shapes");
+        shapes.push_block(BasicBlock::from_insts(
+            0,
+            vec![
+                Inst::new(Opcode::Lfd).def(Reg::fpr(28)).use_(Reg::gpr(1)).mem(slot(0)),
+                Inst::new(Opcode::Fmul).def(Reg::fpr(27)).use_(Reg::fpr(28)).use_(Reg::fpr(28)),
+                Inst::new(Opcode::Cmp).def(Reg::cr(7)).use_(Reg::gpr(3)).use_(Reg::gpr(4)),
+                Inst::new(Opcode::Mtspr).def(Reg::spr(5)).use_(Reg::gpr(3)),
+                Inst::new(Opcode::Add).def(Reg::gpr(5)).use_(Reg::gpr(6)).use_(Reg::gpr(7)),
+                Inst::new(Opcode::Bc).use_(Reg::cr(7)),
+            ],
+        ));
+        shapes.push_block(BasicBlock::from_insts(
+            1,
+            vec![
+                Inst::new(Opcode::Fadd).def(Reg::fpr(1)).use_(Reg::fpr(28)).use_(Reg::fpr(2)),
+                Inst::new(Opcode::Mfspr).def(Reg::gpr(8)).use_(Reg::spr(5)),
+                Inst::new(Opcode::Add).def(Reg::gpr(9)).use_(Reg::gpr(8)).use_(Reg::gpr(8)),
+                Inst::new(Opcode::Lwz).def(Reg::gpr(10)).use_(Reg::gpr(1)).mem(slot(8)),
+                Inst::new(Opcode::Bc).use_(Reg::cr(7)),
+            ],
+        ));
+        let one = |name: &str, method: &Method| {
+            let mut p = Program::new(name);
+            p.push_method(method.clone());
+            p
+        };
+        let mut programs = vec![one("shapes", &shapes)];
+        let (jp, fpp) = (jvm.benchmarks()[0].program(), fp.benchmarks()[0].program());
+        for (a, b) in jp.methods().iter().zip(fpp.methods()).take(12) {
+            programs.push(one(jp.name(), a));
+            programs.push(one("shapes", &shapes));
+            programs.push(one(fpp.name(), b));
+        }
+        (session, key, programs)
+    }
+
+    /// The output of a session that has never compiled before.
+    fn fresh_stored(session: &CompileSession<'_>, p: &Program, key: &FilterKey) -> (Program, usize) {
+        let fresh = CompileSession::new(session.machine).with_store(Arc::clone(session.store()));
+        let (out, stats, _) = fresh.compile_stored(p, key, 1).expect("deployed");
+        (out, stats.scheduled_blocks)
+    }
+
+    #[test]
+    fn pooled_scratch_compiles_back_to_back_like_a_fresh_session() {
+        let m = machine();
+        let (session, key, programs) = pool_fixture(&m);
+        for p in programs.iter().chain(&programs) {
+            let (out, stats, _) = session.compile_stored(p, &key, 1).expect("deployed");
+            assert_eq!((out, stats.scheduled_blocks), fresh_stored(&session, p, &key), "{}", p.name());
+            // Every compile path draws on the same pool; always-schedule
+            // puts every block of every shape through the warm scratch.
+            let fresh = CompileSession::new(&m).compile(p, &AlwaysSchedule).0;
+            assert_eq!(session.compile(p, &AlwaysSchedule).0, fresh, "{}", p.name());
+        }
+        assert_eq!(session.pooled_scratches(), 1, "serial compiles reuse one scratch");
+    }
+
+    #[test]
+    fn pooled_scratch_is_shared_safely_across_threads() {
+        let m = machine();
+        let (session, key, programs) = pool_fixture(&m);
+        let expected: Vec<(Program, usize)> = programs.iter().map(|p| fresh_stored(&session, p, &key)).collect();
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|t| {
+                    let (session, key, programs) = (&session, &key, &programs);
+                    s.spawn(move || {
+                        (0..programs.len())
+                            .cycle()
+                            .skip(t)
+                            .take(2 * programs.len())
+                            .map(|k| {
+                                let (out, stats, _) = session.compile_stored(&programs[k], key, 1).expect("deployed");
+                                (k, (out, stats.scheduled_blocks))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for w in workers {
+                for (k, got) in w.join().expect("worker") {
+                    assert_eq!(got, expected[k], "{}", programs[k].name());
+                }
+            }
+        });
+        assert!((1..=2).contains(&session.pooled_scratches()), "at most one scratch per concurrent caller");
+        let whole = programs.iter().fold(Program::new("all"), |mut all, p| {
+            all.push_method(p.methods()[0].clone());
+            all
+        });
+        let (serial, _) = CompileSession::new(&m).compile(&whole, &AlwaysSchedule);
+        assert_eq!(session.compile_sharded(&whole, &AlwaysSchedule, 3).0, serial);
+        assert!(session.pooled_scratches() <= 3, "the pool never outgrows the widest compile");
+    }
+
+    #[test]
+    fn a_cloned_session_starts_with_its_own_empty_pool() {
+        let m = machine();
+        let (session, key, programs) = pool_fixture(&m);
+        session.compile_stored(&programs[1], &key, 1).expect("deployed");
+        assert_eq!(session.pooled_scratches(), 1);
+        let twin = session.clone();
+        assert!(Arc::ptr_eq(twin.store(), session.store()), "clones share the store");
+        assert_eq!(twin.pooled_scratches(), 0, "clones do not share scratch");
+        assert!(format!("{twin:?}").contains("pooled_scratches: 0"));
+        for p in &programs {
+            assert_eq!(twin.compile_stored(p, &key, 1).map(|r| r.0), session.compile_stored(p, &key, 1).map(|r| r.0));
+        }
+        assert_eq!((session.pooled_scratches(), twin.pooled_scratches()), (1, 1));
     }
 
     #[test]

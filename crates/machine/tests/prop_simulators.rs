@@ -1,9 +1,10 @@
-//! Property-based tests for the two simulators: bounds, monotonicity and
-//! order sensitivity.
+//! Property-based tests for the two simulators: bounds, monotonicity,
+//! order sensitivity, and a long-lived issue state that must never leak
+//! one block's state into the next.
 
 use proptest::prelude::*;
 use wts_ir::{Inst, MemRef, MemSpace, Opcode, Reg};
-use wts_machine::{CostModel, MachineConfig, PipelineSim};
+use wts_machine::{CostModel, IssueState, MachineConfig, PipelineSim};
 
 /// Straight-line instruction generator: ALU ops, loads, stores over a
 /// small register/slot pool (no control flow, so any order is legal
@@ -22,8 +23,73 @@ fn arb_body(max: usize) -> impl Strategy<Value = Vec<Inst>> {
     )
 }
 
+/// Blocks over a wider register file than [`arb_body`]: high FPRs,
+/// condition and special registers, so that consecutive blocks touch
+/// different slots of the issue state's register table.
+fn arb_reg_body(max: usize) -> impl Strategy<Value = Vec<Inst>> {
+    prop::collection::vec(
+        (0u8..7, 0u16..4, 0u16..4, 0u32..3).prop_map(|(kind, a, b, slot)| match kind {
+            0 => Inst::new(Opcode::Fadd).def(Reg::fpr(28 - a)).use_(Reg::fpr(28 - b)).use_(Reg::fpr(a)),
+            1 => Inst::new(Opcode::Cmp).def(Reg::cr(a)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
+            2 => Inst::new(Opcode::Mtspr).def(Reg::spr(a)).use_(Reg::gpr(b)),
+            3 => Inst::new(Opcode::Mfspr).def(Reg::gpr(a + 10)).use_(Reg::spr(b)),
+            4 => {
+                Inst::new(Opcode::Lfd).def(Reg::fpr(28 - a)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Stack, slot))
+            }
+            5 => Inst::new(Opcode::Stw).use_(Reg::gpr(a)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Heap, slot)),
+            _ => Inst::new(Opcode::Divw).def(Reg::gpr(a + 10)).use_(Reg::gpr(b)).use_(Reg::gpr(a + 10)),
+        }),
+        0..max,
+    )
+}
+
+/// Fixed blocks that lead every replay sequence: a store, a long FP def
+/// and a sync whose state must not survive into the next block, and the
+/// epoch-leak case — block A defines `f28`, block B reads it without
+/// defining it, so B must see `f28` as ready at cycle 0.
+fn leak_probes() -> Vec<Vec<Inst>> {
+    let heap = MemRef::slot(MemSpace::Heap, 0);
+    vec![
+        vec![
+            Inst::new(Opcode::Stw).use_(Reg::gpr(1)).use_(Reg::gpr(2)).mem(heap),
+            Inst::new(Opcode::Fadd).def(Reg::fpr(1)).use_(Reg::fpr(0)).use_(Reg::fpr(0)),
+            Inst::new(Opcode::Sync),
+        ],
+        vec![
+            Inst::new(Opcode::Lwz).def(Reg::gpr(3)).use_(Reg::gpr(4)).mem(heap),
+            Inst::new(Opcode::Add).def(Reg::gpr(1)).use_(Reg::gpr(3)).use_(Reg::gpr(3)),
+        ],
+        vec![
+            Inst::new(Opcode::Lfd).def(Reg::fpr(28)).use_(Reg::gpr(1)).mem(MemRef::slot(MemSpace::Stack, 0)),
+            Inst::new(Opcode::Fdiv).def(Reg::fpr(28)).use_(Reg::fpr(28)).use_(Reg::fpr(28)),
+        ],
+        vec![Inst::new(Opcode::Fadd).def(Reg::fpr(1)).use_(Reg::fpr(28)).use_(Reg::fpr(2))],
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// One long-lived issue state replays block after block and must
+    /// agree with a fresh cost model every time, both through `replay`
+    /// and through `reset` plus issue-by-issue commits, where every
+    /// `earliest_issue` query must equal the cycle `issue` then commits.
+    #[test]
+    fn reset_state_replays_like_fresh(blocks in prop::collection::vec(arb_reg_body(12), 1..6)) {
+        let m = MachineConfig::ppc7410();
+        let cm = CostModel::new(&m);
+        let mut st = IssueState::new(&m);
+        for insts in leak_probes().iter().chain(&blocks) {
+            let fresh = cm.sequence_cycles(insts);
+            prop_assert_eq!(st.replay(insts), fresh, "no state may leak through reset");
+            st.reset();
+            for inst in insts {
+                let e = st.earliest_issue(inst);
+                prop_assert_eq!(st.issue(inst), e);
+            }
+            prop_assert_eq!(st.completion_time(), fresh);
+        }
+    }
 
     #[test]
     fn cost_is_at_least_dependence_height(insts in arb_body(16)) {

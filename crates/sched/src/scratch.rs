@@ -5,12 +5,15 @@ use wts_machine::{IssueState, MachineConfig};
 
 /// Scratch state for the list scheduler's hot loop.
 ///
-/// One instance per worker (or per compile session), passed to the
+/// One instance per thread that schedules, passed to the
 /// [`ListScheduler`](crate::ListScheduler) `*_into` entry points and
 /// reused across every block it schedules: the dependence-graph builder,
 /// the graph storage, the critical-path / ready / in-degree buffers and
 /// both machine-state simulators are all allocated once, so steady-state
-/// scheduling performs no heap allocation.
+/// scheduling performs no heap allocation. Long-lived owners keep one
+/// warm across calls: a compile session pools one per concurrent shard
+/// and hands it to each compile, trace collection holds one per shard,
+/// and the serving path one per worker.
 ///
 /// A scratch is tied to the machine it was created for (it embeds
 /// machine-state simulators); the scheduler debug-asserts that it is
