@@ -4,9 +4,10 @@
 //! One ppc7410 factory filter (t=0) classifies the FP corpus four ways:
 //!
 //! * **decide_serial** — the legacy boolean path: `decide` per record;
-//! * **score_hard_serial** — `score_counted` + `DecisionPolicy::
-//!   HardThreshold` per record (decisions asserted identical first);
-//! * **score_eb_serial** — `score_counted` + a calibrated
+//! * **score_hard_serial** — `DecisionPolicy::decide_unit` (score,
+//!   price, decide) under `HardThreshold` per record (decisions asserted
+//!   identical first);
+//! * **score_eb_serial** — `decide_unit` under a calibrated
 //!   `ExpectedBenefit` policy, the fully graded deployment;
 //! * **decide_batch / score_batch** — the SoA batch pair, serial
 //!   sharding, over the same records.
@@ -17,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wts_core::{DecisionPolicy, Experiment, FeatureBatch, Filter, TimingMode, UnitEconomics};
+use wts_core::{DecisionPolicy, Experiment, FeatureBatch, Filter, TimingMode};
 use wts_ir::Program;
 
 fn decision_policy(c: &mut Criterion) {
@@ -59,14 +60,7 @@ fn decision_policy(c: &mut Criterion) {
                 let mut ls = 0usize;
                 for r in records {
                     let insts = r.features.bb_len() as u64;
-                    let (score, conditions) = compiled.score_counted(black_box(r.features.as_slice()));
-                    let unit = UnitEconomics {
-                        insts,
-                        exec_count: r.exec_count,
-                        filter_work: conditions,
-                        extraction_work: compiled.extraction_work(insts),
-                    };
-                    if policy.decide(score, &unit) {
+                    if policy.decide_unit(&compiled, black_box(&r.features), insts, r.exec_count).0 {
                         ls += 1;
                     }
                 }

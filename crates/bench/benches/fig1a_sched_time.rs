@@ -25,14 +25,14 @@ fn fig1a(c: &mut Criterion) {
         group.bench_function(format!("{name}/LS"), |b| {
             b.iter(|| {
                 let (out, stats) = session.compile(black_box(bench.program()), &AlwaysSchedule);
-                black_box((out.block_count(), stats.pass_ns()))
+                black_box((out.block_count(), stats.pass_ns))
             });
         });
         let filter = setup.filter_for(&name).clone();
         group.bench_function(format!("{name}/LN_t0"), |b| {
             b.iter(|| {
                 let (out, stats) = session.compile(black_box(bench.program()), &filter);
-                black_box((out.block_count(), stats.pass_ns()))
+                black_box((out.block_count(), stats.pass_ns))
             });
         });
     }

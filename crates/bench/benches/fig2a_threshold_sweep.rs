@@ -14,7 +14,7 @@ fn compile_suite(session: &CompileSession<'_>, suite: &Suite, filter: &dyn Filte
     let mut total = 0;
     for b in suite.benchmarks() {
         let (_, stats) = session.compile(b.program(), filter);
-        total += stats.pass_ns();
+        total += stats.pass_ns;
     }
     total
 }

@@ -21,7 +21,7 @@ fn fig3a(c: &mut Criterion) {
         group.bench_function(format!("{name}/LS"), |b| {
             b.iter(|| {
                 let (_, stats) = session.compile(black_box(bench.program()), &AlwaysSchedule);
-                black_box(stats.pass_ns())
+                black_box(stats.pass_ns)
             });
         });
         for (t, setup) in [(0u32, &setup0), (20u32, &setup20)] {
@@ -29,7 +29,7 @@ fn fig3a(c: &mut Criterion) {
             group.bench_function(format!("{name}/LN_t{t}"), |b| {
                 b.iter(|| {
                     let (_, stats) = session.compile(black_box(bench.program()), &filter);
-                    black_box(stats.pass_ns())
+                    black_box(stats.pass_ns)
                 });
             });
         }

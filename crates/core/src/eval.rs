@@ -7,7 +7,7 @@
 //! work accounting is honest: per-condition (short-circuit aware) filter
 //! cost plus demand-masked extraction cost, instead of flat constants.
 
-use crate::policy::{DecisionPolicy, UnitEconomics};
+use crate::policy::DecisionPolicy;
 use crate::{Filter, LabelConfig, TraceRecord};
 use std::time::Instant;
 use wts_ripper::ConfusionMatrix;
@@ -234,21 +234,16 @@ pub fn sched_time_policy(traces: &[TraceRecord], filter: &dyn Filter, policy: &D
     let compiled = filter.compile();
     let mut out = EvalTimes { total_blocks: traces.len(), ..EvalTimes::default() };
     for r in traces {
-        let insts = r.features.bb_len() as u64;
-        let feature_work = compiled.extraction_work(insts);
         let t0 = Instant::now();
-        let (score, conditions) = compiled.score_counted(r.features.as_slice());
-        let unit =
-            UnitEconomics { insts, exec_count: r.exec_count, filter_work: conditions, extraction_work: feature_work };
-        let decision = policy.decide(score, &unit);
+        let (decision, unit) = policy.decide_unit(&compiled, &r.features, r.features.bb_len() as u64, r.exec_count);
         let filter_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
         out.always_ns += r.sched_ns;
         out.always_work += r.sched_work;
         out.filtered_ns += r.feature_ns + filter_ns;
-        out.filter_work += conditions;
-        out.feature_work += feature_work;
-        out.filtered_work += feature_work + conditions;
+        out.filter_work += unit.filter_work;
+        out.feature_work += unit.extraction_work;
+        out.filtered_work += unit.extraction_work + unit.filter_work;
         if decision {
             out.scheduled_blocks += 1;
             out.filtered_ns += r.sched_ns;

@@ -92,9 +92,8 @@ pub use matrix::{CalibrationRow, ExperimentMatrix, MachinePortfolio, MatrixRun, 
 pub use policy::{BenefitModel, DecisionPolicy, UnitEconomics};
 pub use store::{FilterKey, FilterSnapshot, FilterStore};
 pub use trace::{
-    collect_method_trace, collect_trace, collect_trace_with, collect_trace_with_policy, collect_trace_with_providers,
-    filtered_schedule_pass, filtered_schedule_pass_with, FilteredPass, ServedUnit, TimingMode, TraceOptions,
-    TraceRecord, UnitServer,
+    collect_method_trace, collect_trace, collect_trace_with, filtered_schedule_pass, filtered_schedule_pass_with,
+    for_each_scope_unit, FilteredPass, ScopeUnit, ServedUnit, TimingMode, TraceOptions, TraceRecord, UnitServer,
 };
 pub use train::{train_filter, train_loocv, train_loocv_sharded, TrainConfig};
 // The scope axis: formation lives in `wts_ir`, the pipeline threads it.

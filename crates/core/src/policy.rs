@@ -24,9 +24,10 @@
 //! deploy-time tunable operating point
 //! [`BenefitModel::cycles_per_work`].
 
-use crate::engine::FilterScore;
+use crate::engine::{CompiledFilter, FilterScore};
 use crate::trace::TraceRecord;
 use std::fmt;
+use wts_features::FeatureVector;
 
 /// The calibrated cycle economics of scheduling on one machine: how
 /// many estimator cycles one execution of one scheduled instruction
@@ -90,7 +91,7 @@ impl BenefitModel {
 
 /// What a deployed pass knows about one unit at decision time — all of
 /// it available *before* the scheduler runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UnitEconomics {
     /// Instructions in the unit (the `bbLen` feature; total trace length
     /// at superblock scope).
@@ -141,6 +142,29 @@ impl DecisionPolicy {
             DecisionPolicy::HardThreshold => score.decision(),
             DecisionPolicy::ExpectedBenefit(model) => model.expected_net(score.probability, unit) > 0.0,
         }
+    }
+
+    /// Scores one unit's features through `filter`'s short-circuit walk,
+    /// prices the unit, and decides: the score → economics → decide
+    /// sequence every deployed pass and every trace replay runs. Returns
+    /// the call and the economics it was made on (conditions evaluated,
+    /// demand-masked extraction work).
+    #[inline]
+    pub fn decide_unit(
+        &self,
+        filter: &CompiledFilter,
+        features: &FeatureVector,
+        insts: u64,
+        exec_count: u64,
+    ) -> (bool, UnitEconomics) {
+        let (score, conditions) = filter.score_counted(features.as_slice());
+        let unit = UnitEconomics {
+            insts,
+            exec_count,
+            filter_work: conditions,
+            extraction_work: filter.extraction_work(insts),
+        };
+        (self.decide(score, &unit), unit)
     }
 }
 

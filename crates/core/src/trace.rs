@@ -1,19 +1,28 @@
-//! Trace collection: the instrumented scheduling pass.
+//! The per-unit pipeline: one scope dispatch, one per-unit body.
 //!
-//! The collector runs the paper's §2.2 instrumentation over every
-//! *scope unit* of a program — every basic block at
-//! [`ScopeKind::Block`], every formed superblock trace at
-//! [`ScopeKind::Superblock`] — extracting features, list-scheduling
-//! (speculatively for multi-block traces), and recording estimated
-//! ("simplified simulator") and measured ("hardware") cycles for both
-//! orders. Which simulator plays which role is configurable via
-//! [`CostProvider`]s; the collection can be sharded across methods with
-//! scoped threads and stays bit-for-bit identical to the serial path.
+//! [`for_each_scope_unit`] visits every *scope unit* of a method — every
+//! basic block at [`ScopeKind::Block`], every formed superblock trace at
+//! [`ScopeKind::Superblock`] — and [`UnitServer`] runs each unit through
+//! the paper's one decision: extract the features, apply the filter and
+//! policy, and list-schedule (speculatively for multi-block traces) only
+//! when they say to. Everything that schedules units joins these two:
+//!
+//! * trace collection ([`collect_trace_with`]) runs the body with a
+//!   record sink — every feature, every unit scheduled — and records
+//!   estimated ("simplified simulator") and measured ("hardware") cycles
+//!   for both orders, with configurable [`CostProvider`]s;
+//! * the deployed pass ([`filtered_schedule_pass_with`]), the `wts-serve`
+//!   workers and the `wts-jit` compile session run it without one and
+//!   tally [`FilteredPass`] totals.
+//!
+//! Both shard across methods with scoped threads and stay bit-for-bit
+//! identical to the serial path.
 
 use crate::engine::CompiledFilter;
+use crate::policy::{DecisionPolicy, UnitEconomics};
 use std::time::Instant;
 use wts_features::{FeatureMask, FeatureVector, TraceShape};
-use wts_ir::{form_superblocks, BlockId, Inst, Method, MethodId, Program, ScopeKind};
+use wts_ir::{form_superblocks, BasicBlock, BlockId, Inst, Method, MethodId, Program, ScopeKind, Superblock};
 use wts_machine::{CostProvider, EstimatorKind, MachineConfig};
 use wts_sched::{ListScheduler, SchedScratch, ScheduleOutcome, SchedulePolicy};
 
@@ -138,31 +147,23 @@ pub fn collect_trace(program: &Program, machine: &MachineConfig) -> Vec<TraceRec
     collect_trace_with(program, machine, &TraceOptions::default())
 }
 
-/// Runs the instrumented scheduling pass with an explicit policy (used by
-/// the scheduler-independence ablation).
-pub fn collect_trace_with_policy(
-    program: &Program,
-    machine: &MachineConfig,
-    policy: SchedulePolicy,
-) -> Vec<TraceRecord> {
-    collect_trace_with(program, machine, &TraceOptions { policy, ..TraceOptions::default() })
-}
-
 /// Runs the instrumented pass under full [`TraceOptions`] control,
 /// building the estimated/measured providers from their configured kinds.
+///
+/// With `options.threads != 1` the program's methods are sharded across
+/// scoped threads. Each method is traced independently and the shards are
+/// reassembled in method order, so the output is *identical* to the
+/// serial path — bit-for-bit under [`TimingMode::Deterministic`], and up
+/// to wall-clock jitter in the `*_ns` channels otherwise.
 pub fn collect_trace_with(program: &Program, machine: &MachineConfig, options: &TraceOptions) -> Vec<TraceRecord> {
-    // The scheduler's own cost model *is* the cheap estimator (§2.2,
-    // footnote 3), so with the default kind the est_* channels can reuse
-    // the cycle counts scheduling already computed instead of running
-    // two more cost-model passes per block.
-    let measured = options.measured.provider(machine);
-    match options.estimated {
-        EstimatorKind::Cheap => collect_with(program, machine, options, EstSource::Scheduler, measured.as_ref()),
-        kind => {
-            let estimated = kind.provider(machine);
-            collect_with(program, machine, options, EstSource::Provider(estimated.as_ref()), measured.as_ref())
-        }
+    let shards = crate::parallel::shard_map(program.methods(), options.threads, |slice| {
+        trace_methods(program.name(), slice, machine, options)
+    });
+    let mut out = Vec::with_capacity(program.block_count());
+    for shard in shards {
+        out.extend(shard);
     }
+    out
 }
 
 /// Traces a single method — the machines×methods sharding unit of the
@@ -178,157 +179,93 @@ pub fn collect_method_trace(
     machine: &MachineConfig,
     options: &TraceOptions,
 ) -> Vec<TraceRecord> {
-    let scheduler = ListScheduler::with_policy(machine, options.policy);
-    let mut ctx = SchedCtx::new(machine);
-    let measured = options.measured.provider(machine);
-    let mut out = Vec::new();
-    match options.estimated {
-        EstimatorKind::Cheap => trace_method(
-            benchmark,
-            method,
-            &scheduler,
-            &mut ctx,
-            EstSource::Scheduler,
-            measured.as_ref(),
-            options,
-            &mut out,
-        ),
-        kind => {
-            let estimated = kind.provider(machine);
-            trace_method(
-                benchmark,
-                method,
-                &scheduler,
-                &mut ctx,
-                EstSource::Provider(estimated.as_ref()),
-                measured.as_ref(),
-                options,
-                &mut out,
-            );
-        }
-    }
-    out
+    trace_methods(benchmark, std::slice::from_ref(method), machine, options)
 }
 
-/// Per-worker reusable scheduling state: the scheduler's scratch buffers,
-/// the outcome it fills, and the permuted-instruction buffer. One of
-/// these per shard keeps the collection hot loop allocation-free in
-/// steady state.
-struct SchedCtx<'m> {
-    scratch: SchedScratch<'m>,
-    outcome: ScheduleOutcome,
-    scheduled: Vec<Inst>,
-}
-
-impl<'m> SchedCtx<'m> {
-    fn new(machine: &'m MachineConfig) -> SchedCtx<'m> {
-        SchedCtx { scratch: SchedScratch::new(machine), outcome: ScheduleOutcome::default(), scheduled: Vec::new() }
-    }
-}
-
-/// Which source fills the `est_*` channels.
-#[derive(Clone, Copy)]
-enum EstSource<'a> {
-    /// Reuse the scheduler's own cost-model output (valid only when the
-    /// estimated provider is the cheap model the scheduler runs on).
-    Scheduler,
-    /// Query an explicit provider.
-    Provider(&'a dyn CostProvider),
-}
-
-/// The fully general collector: explicit [`CostProvider`]s for the
-/// estimated and measured channels (`options.estimated` / `.measured`
-/// are ignored on this path).
-///
-/// With `options.threads != 1` the program's methods are sharded across
-/// scoped threads. Each method is traced independently and the shards are
-/// reassembled in method order, so the output is *identical* to the
-/// serial path — bit-for-bit under [`TimingMode::Deterministic`], and up
-/// to wall-clock jitter in the `*_ns` channels otherwise.
-pub fn collect_trace_with_providers(
-    program: &Program,
-    machine: &MachineConfig,
-    options: &TraceOptions,
-    estimated: &dyn CostProvider,
-    measured: &dyn CostProvider,
-) -> Vec<TraceRecord> {
-    collect_with(program, machine, options, EstSource::Provider(estimated), measured)
-}
-
-fn collect_with(
-    program: &Program,
-    machine: &MachineConfig,
-    options: &TraceOptions,
-    estimated: EstSource<'_>,
-    measured: &dyn CostProvider,
-) -> Vec<TraceRecord> {
-    let name = program.name();
-    let shards = crate::parallel::shard_map(program.methods(), options.threads, |slice| {
-        let scheduler = ListScheduler::with_policy(machine, options.policy);
-        let mut ctx = SchedCtx::new(machine);
-        let mut out = Vec::new();
-        for method in slice {
-            trace_method(name, method, &scheduler, &mut ctx, estimated, measured, options, &mut out);
-        }
-        out
-    });
-    let mut out = Vec::with_capacity(program.block_count());
-    for shard in shards {
-        out.extend(shard);
-    }
-    out
-}
-
-/// Traces one method's scope units into `out` (the per-shard worker):
-/// its blocks at block scope, its formed superblock traces otherwise.
-#[allow(clippy::too_many_arguments)]
-fn trace_method<'m>(
+/// The per-shard collector: one warm [`UnitServer`] runs every scope unit
+/// of `methods`, in order, into one [`RecordSink`].
+fn trace_methods(
     benchmark: &str,
-    method: &Method,
-    scheduler: &ListScheduler<'m>,
-    ctx: &mut SchedCtx<'m>,
-    estimated: EstSource<'_>,
-    measured: &dyn CostProvider,
+    methods: &[Method],
+    machine: &MachineConfig,
     options: &TraceOptions,
-    out: &mut Vec<TraceRecord>,
-) {
-    match options.scope {
-        ScopeKind::Block => {
-            for block in method.blocks() {
-                let unit = ScopeUnit {
-                    insts: block.insts(),
-                    shape: TraceShape::block(),
-                    block: block.id(),
-                    exec_count: block.exec_count(),
-                };
-                trace_unit(benchmark, method.id(), &unit, scheduler, ctx, estimated, measured, options.timing, out);
-            }
-        }
-        ScopeKind::Superblock(ratio) => {
-            for sb in form_superblocks(method, ratio) {
-                let unit = ScopeUnit {
-                    insts: &sb.insts,
-                    shape: TraceShape::of_trace(&sb.insts, u32::try_from(sb.width()).expect("trace widths fit u32")),
-                    block: BlockId(sb.entry_id()),
-                    exec_count: sb.exec_count,
-                };
-                trace_unit(benchmark, method.id(), &unit, scheduler, ctx, estimated, measured, options.timing, out);
-            }
+) -> Vec<TraceRecord> {
+    // The scheduler's own cost model *is* the cheap estimator (§2.2,
+    // footnote 3), so with the default kind the est_* channels reuse the
+    // cycle counts scheduling already computed instead of running two
+    // more cost-model passes per unit.
+    let estimated = match options.estimated {
+        EstimatorKind::Cheap => None,
+        kind => Some(kind.provider(machine)),
+    };
+    let measured = options.measured.provider(machine);
+    let mut sink = RecordSink {
+        benchmark,
+        method: MethodId(0),
+        estimated: estimated.as_deref(),
+        measured: measured.as_ref(),
+        timing: options.timing,
+        out: Vec::new(),
+    };
+    let mut server = UnitServer::new(machine, options.policy);
+    for method in methods {
+        sink.method = method.id();
+        for_each_scope_unit(method, options.scope, |unit| {
+            server.body(&unit, UnitMode::Record(&mut sink));
+        });
+    }
+    sink.out
+}
+
+/// Where trace collection's records go, and how their cycle and timing
+/// channels are filled.
+struct RecordSink<'a> {
+    benchmark: &'a str,
+    method: MethodId,
+    /// Provider of the `est_*` channels; `None` reuses the scheduler's
+    /// own cost-model output (the cheap estimator).
+    estimated: Option<&'a dyn CostProvider>,
+    measured: &'a dyn CostProvider,
+    timing: TimingMode,
+    out: Vec<TraceRecord>,
+}
+
+/// One scope unit: a basic block's instructions with the degenerate
+/// shape, or a formed superblock trace's concatenation with its real
+/// shape.
+#[derive(Debug, Clone, Copy)]
+pub struct ScopeUnit<'a> {
+    /// The instructions to decide on and (maybe) schedule.
+    pub insts: &'a [Inst],
+    /// The unit's shape ([`TraceShape::block`] for a basic block).
+    pub shape: TraceShape,
+    /// The block, or the trace's entry block.
+    pub block: BlockId,
+    /// Profile execution count (the trace weight at superblock scope).
+    pub exec_count: u64,
+}
+
+impl<'a> ScopeUnit<'a> {
+    /// A basic block as a unit.
+    pub fn of_block(block: &'a BasicBlock) -> ScopeUnit<'a> {
+        ScopeUnit {
+            insts: block.insts(),
+            shape: TraceShape::block(),
+            block: block.id(),
+            exec_count: block.exec_count(),
         }
     }
-}
 
-/// One scope unit about to be traced: a block's instructions with the
-/// degenerate shape, or a formed trace's concatenation with its real
-/// shape.
-struct ScopeUnit<'a> {
-    insts: &'a [Inst],
-    shape: TraceShape,
-    block: BlockId,
-    exec_count: u64,
-}
+    /// A formed superblock trace as a unit.
+    pub fn of_superblock(sb: &'a Superblock) -> ScopeUnit<'a> {
+        ScopeUnit {
+            insts: &sb.insts,
+            shape: TraceShape::of_trace(&sb.insts, u32::try_from(sb.width()).expect("trace widths fit u32")),
+            block: BlockId(sb.entry_id()),
+            exec_count: sb.exec_count,
+        }
+    }
 
-impl ScopeUnit<'_> {
     /// True when the unit merged more than one block, which turns on the
     /// speculative dependence graph.
     fn speculative(&self) -> bool {
@@ -336,78 +273,17 @@ impl ScopeUnit<'_> {
     }
 }
 
-/// Runs the instrumented pass over one scope unit. A width-1 unit takes
-/// *exactly* the block path — same scheduler entry point, same graph,
-/// same proxies — which is what pins degenerate superblock formation
-/// bit-identical to block-scope collection.
-#[allow(clippy::too_many_arguments)]
-fn trace_unit<'m>(
-    benchmark: &str,
-    method: MethodId,
-    unit: &ScopeUnit<'_>,
-    scheduler: &ListScheduler<'m>,
-    ctx: &mut SchedCtx<'m>,
-    estimated: EstSource<'_>,
-    measured: &dyn CostProvider,
-    timing: TimingMode,
-    out: &mut Vec<TraceRecord>,
-) {
-    let t0 = Instant::now();
-    let features = FeatureVector::from_insts_shaped(unit.insts, unit.shape, FeatureMask::ALL);
-    let feature_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-
-    let t1 = Instant::now();
-    if unit.speculative() {
-        scheduler.schedule_superblock_into(unit.insts, &mut ctx.scratch, &mut ctx.outcome);
-    } else {
-        scheduler.schedule_insts_into(unit.insts, &mut ctx.scratch, &mut ctx.outcome);
+/// Visits every scope unit of `method` in order: its blocks at
+/// [`ScopeKind::Block`], its [`form_superblocks`] traces at
+/// [`ScopeKind::Superblock`]. A visitor rather than an iterator because
+/// superblock units borrow traces formed inside the call.
+pub fn for_each_scope_unit(method: &Method, scope: ScopeKind, mut visit: impl FnMut(ScopeUnit<'_>)) {
+    match scope {
+        ScopeKind::Block => method.blocks().iter().for_each(|b| visit(ScopeUnit::of_block(b))),
+        ScopeKind::Superblock(ratio) => {
+            form_superblocks(method, ratio).iter().for_each(|sb| visit(ScopeUnit::of_superblock(sb)));
+        }
     }
-    let sched_ns = u64::try_from(t1.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let outcome = &ctx.outcome;
-
-    // With the `verify` feature, every unit this pass schedules is
-    // checked by the independent wts-verify analyses (debug builds only;
-    // a release build with the feature on pays nothing).
-    #[cfg(all(feature = "verify", debug_assertions))]
-    {
-        let diags = wts_verify::verify_unit(scheduler.machine(), unit.insts, unit.speculative(), outcome);
-        assert!(
-            diags.is_empty(),
-            "trace collection produced an unverifiable schedule:\n{}",
-            wts_verify::render(&diags)
-        );
-    }
-
-    outcome.permute_into(unit.insts, &mut ctx.scheduled);
-    let (est_unsched, est_sched) = match estimated {
-        EstSource::Scheduler => (outcome.cycles_before, outcome.cycles_after),
-        EstSource::Provider(p) => (p.sequence_cycles(unit.insts), p.sequence_cycles(&ctx.scheduled)),
-    };
-    let hw_unsched = measured.sequence_cycles(unit.insts);
-    let hw_sched = measured.sequence_cycles(&ctx.scheduled);
-
-    let sched_work = sched_work_proxy(unit.insts.len(), ctx.scratch.last_edge_count());
-    let feature_work = unit.insts.len() as u64;
-    let (sched_ns, feature_ns) = match timing {
-        TimingMode::WallClock => (sched_ns, feature_ns),
-        TimingMode::Deterministic => (sched_work, feature_work),
-    };
-
-    out.push(TraceRecord {
-        benchmark: benchmark.to_string(),
-        method,
-        block: unit.block,
-        exec_count: unit.exec_count,
-        features,
-        est_unsched,
-        est_sched,
-        hw_unsched,
-        hw_sched,
-        sched_ns,
-        feature_ns,
-        sched_work,
-        feature_work,
-    });
 }
 
 /// Deterministic scheduling-work proxy for one scope unit: per-unit
@@ -456,7 +332,7 @@ pub struct FilteredPass {
 
 impl FilteredPass {
     /// Accumulates a shard's totals.
-    fn merge(&mut self, other: &FilteredPass) {
+    pub fn merge(&mut self, other: &FilteredPass) {
         self.total_blocks += other.total_blocks;
         self.scheduled_blocks += other.scheduled_blocks;
         self.conditions_evaluated += other.conditions_evaluated;
@@ -504,49 +380,31 @@ pub fn filtered_schedule_pass(
     filter: &CompiledFilter,
     options: &TraceOptions,
 ) -> FilteredPass {
-    filtered_schedule_pass_with(program, machine, filter, &crate::DecisionPolicy::HardThreshold, options)
+    filtered_schedule_pass_with(program, machine, filter, &DecisionPolicy::HardThreshold, options)
 }
 
 /// [`filtered_schedule_pass`] with the schedule/skip call delegated to
-/// an explicit [`DecisionPolicy`](crate::DecisionPolicy): the deployed
+/// an explicit [`DecisionPolicy`]: the deployed
 /// loop scores each unit through the same short-circuit walk the
 /// boolean path uses and hands the calibrated score plus the unit's
 /// economics (size, profile weight, work already spent deciding) to the
 /// policy. Under
-/// [`HardThreshold`](crate::DecisionPolicy::HardThreshold) the pass is
+/// [`HardThreshold`](DecisionPolicy::HardThreshold) the pass is
 /// bit-identical to [`filtered_schedule_pass`] on every work channel.
 pub fn filtered_schedule_pass_with(
     program: &Program,
     machine: &MachineConfig,
     filter: &CompiledFilter,
-    policy: &crate::DecisionPolicy,
+    policy: &DecisionPolicy,
     options: &TraceOptions,
 ) -> FilteredPass {
     let shards = crate::parallel::shard_map(program.methods(), options.threads, |slice| {
-        let scheduler = ListScheduler::with_policy(machine, options.policy);
-        let mut ctx = SchedCtx::new(machine);
+        let mut server = UnitServer::new(machine, options.policy);
         let mut totals = FilteredPass::default();
         for method in slice {
-            match options.scope {
-                ScopeKind::Block => {
-                    for block in method.blocks() {
-                        let unit = PassUnit {
-                            insts: block.insts(),
-                            shape: TraceShape::block(),
-                            exec_count: block.exec_count(),
-                        };
-                        filtered_unit(&unit, &scheduler, &mut ctx, filter, policy, &mut totals);
-                    }
-                }
-                ScopeKind::Superblock(ratio) => {
-                    for sb in form_superblocks(method, ratio) {
-                        let shape =
-                            TraceShape::of_trace(&sb.insts, u32::try_from(sb.width()).expect("trace widths fit u32"));
-                        let unit = PassUnit { insts: &sb.insts, shape, exec_count: sb.exec_count };
-                        filtered_unit(&unit, &scheduler, &mut ctx, filter, policy, &mut totals);
-                    }
-                }
-            }
+            for_each_scope_unit(method, options.scope, |unit| {
+                server.run(&unit, filter, policy, &mut totals);
+            });
         }
         totals
     });
@@ -555,13 +413,6 @@ pub fn filtered_schedule_pass_with(
         totals.merge(shard);
     }
     totals
-}
-
-/// One scope unit of the deployed pass, as handed to [`filtered_unit`].
-struct PassUnit<'a> {
-    insts: &'a [Inst],
-    shape: TraceShape,
-    exec_count: u64,
 }
 
 /// What serving one scope unit through [`UnitServer`] produced: the
@@ -580,13 +431,15 @@ pub struct ServedUnit {
     pub cycles_after: u64,
 }
 
-/// The deployed per-unit fast path, packaged for an external serving
-/// loop: one of these per worker thread reuses the scheduler scratch
-/// state across every unit it serves (nothing allocated per unit except
-/// the returned permutation), and the [`FilteredPass`] totals it
-/// accumulates are **bit-identical** to [`filtered_schedule_pass_with`]
-/// over the same units — both run the same timed
-/// extract → score → decide → schedule body.
+/// The one per-unit body — extract → score → decide → schedule — with
+/// its warm per-worker state: the scheduler, its scratch buffers, the
+/// outcome it fills and the permuted-instruction buffer. Trace
+/// collection, [`filtered_schedule_pass_with`], the `wts-serve` workers
+/// and the `wts-jit` compile session all run their units through it, so
+/// served ≡ direct pass ≡ JIT on every work channel by construction.
+/// One of these per worker thread keeps the hot loop allocation-free in
+/// steady state (nothing is allocated per unit except a served unit's
+/// returned permutation).
 ///
 /// # Examples
 ///
@@ -606,19 +459,35 @@ pub struct ServedUnit {
 /// }
 ///
 /// let direct = filtered_schedule_pass(program, &machine, &filter, &TraceOptions { threads: 1, ..Default::default() });
-/// assert_eq!(totals.scheduled_blocks, direct.scheduled_blocks);
-/// assert_eq!(totals.sched_work, direct.sched_work);
+/// assert_eq!(totals, FilteredPass { pass_ns: totals.pass_ns, ..direct });
 /// ```
 pub struct UnitServer<'m> {
     scheduler: ListScheduler<'m>,
-    ctx: SchedCtx<'m>,
+    scratch: SchedScratch<'m>,
+    outcome: ScheduleOutcome,
+    scheduled: Vec<Inst>,
+}
+
+/// What the per-unit body does besides extracting and scheduling.
+enum UnitMode<'a, 's> {
+    /// The deployed path: extract what `filter` reads, let `policy`
+    /// decide, tally the work into `totals`.
+    Deploy { filter: &'a CompiledFilter, policy: &'a DecisionPolicy, totals: &'a mut FilteredPass },
+    /// Trace collection: extract every feature, schedule every unit and
+    /// push its record.
+    Record(&'a mut RecordSink<'s>),
 }
 
 impl<'m> UnitServer<'m> {
     /// A per-worker server over `machine` with the given scheduler
     /// policy.
     pub fn new(machine: &'m MachineConfig, policy: SchedulePolicy) -> UnitServer<'m> {
-        UnitServer { scheduler: ListScheduler::with_policy(machine, policy), ctx: SchedCtx::new(machine) }
+        UnitServer {
+            scheduler: ListScheduler::with_policy(machine, policy),
+            scratch: SchedScratch::new(machine),
+            outcome: ScheduleOutcome::default(),
+            scheduled: Vec::new(),
+        }
     }
 
     /// Serves one basic-block unit: runs the deployed fast path,
@@ -628,10 +497,11 @@ impl<'m> UnitServer<'m> {
         insts: &[Inst],
         exec_count: u64,
         filter: &CompiledFilter,
-        policy: &crate::DecisionPolicy,
+        policy: &DecisionPolicy,
         totals: &mut FilteredPass,
     ) -> ServedUnit {
-        let unit = PassUnit { insts, shape: TraceShape::block(), exec_count };
+        // The block id only labels trace records; serving records none.
+        let unit = ScopeUnit { insts, shape: TraceShape::block(), block: BlockId(0), exec_count };
         self.serve(&unit, filter, policy, totals)
     }
 
@@ -639,93 +509,139 @@ impl<'m> UnitServer<'m> {
     /// handles multi-block units exactly as the filtered pass does).
     pub fn serve_superblock(
         &mut self,
-        sb: &wts_ir::Superblock,
+        sb: &Superblock,
         filter: &CompiledFilter,
-        policy: &crate::DecisionPolicy,
+        policy: &DecisionPolicy,
         totals: &mut FilteredPass,
     ) -> ServedUnit {
-        let shape = TraceShape::of_trace(&sb.insts, u32::try_from(sb.width()).expect("trace widths fit u32"));
-        let unit = PassUnit { insts: &sb.insts, shape, exec_count: sb.exec_count };
-        self.serve(&unit, filter, policy, totals)
+        self.serve(&ScopeUnit::of_superblock(sb), filter, policy, totals)
     }
 
-    fn serve(
+    /// Serves one scope unit: [`run`](UnitServer::run), then the
+    /// permutation and cycle estimates when it was scheduled.
+    pub fn serve(
         &mut self,
-        unit: &PassUnit<'_>,
+        unit: &ScopeUnit<'_>,
         filter: &CompiledFilter,
-        policy: &crate::DecisionPolicy,
+        policy: &DecisionPolicy,
         totals: &mut FilteredPass,
     ) -> ServedUnit {
-        let decision = filtered_unit(unit, &self.scheduler, &mut self.ctx, filter, policy, totals);
-        if !decision {
+        if !self.run(unit, filter, policy, totals) {
             return ServedUnit::default();
         }
-        let outcome = &self.ctx.outcome;
+        let outcome = &self.outcome;
         let order = outcome.order.iter().map(|&i| u32::try_from(i).expect("unit length fits u32")).collect();
-        ServedUnit { decision, order, cycles_before: outcome.cycles_before, cycles_after: outcome.cycles_after }
+        ServedUnit { decision: true, order, cycles_before: outcome.cycles_before, cycles_after: outcome.cycles_after }
     }
-}
 
-/// One scope unit of the deployed pass: timed extraction + decision +
-/// (maybe) scheduling, then untimed work bookkeeping. Returns the
-/// schedule/skip call (the caller may read the outcome out of `ctx`).
-fn filtered_unit<'m>(
-    unit: &PassUnit<'_>,
-    scheduler: &ListScheduler<'m>,
-    ctx: &mut SchedCtx<'m>,
-    filter: &CompiledFilter,
-    policy: &crate::DecisionPolicy,
-    totals: &mut FilteredPass,
-) -> bool {
-    let insts = unit.insts;
-    let speculative = unit.shape.width > 1;
-    let extraction_work = filter.extraction_work(insts.len() as u64);
-    // Time only what the deployed pass would run: masked extraction,
-    // the condition table, the policy call and the scheduler.
-    let t0 = Instant::now();
-    let features = FeatureVector::from_insts_shaped(insts, unit.shape, filter.demand());
-    let (score, conditions) = filter.score_counted(features.as_slice());
-    let economics = crate::UnitEconomics {
-        insts: insts.len() as u64,
-        exec_count: unit.exec_count,
-        filter_work: conditions,
-        extraction_work,
-    };
-    let decision = policy.decide(score, &economics);
-    if decision {
-        if speculative {
-            scheduler.schedule_superblock_into(insts, &mut ctx.scratch, &mut ctx.outcome);
-        } else {
-            scheduler.schedule_insts_into(insts, &mut ctx.scratch, &mut ctx.outcome);
+    /// Runs the deployed fast path over one unit and tallies `totals`.
+    /// Returns the schedule/skip call; when it is `true` the schedule
+    /// stays held for [`apply_in_place`](UnitServer::apply_in_place)
+    /// until the next unit.
+    pub fn run(
+        &mut self,
+        unit: &ScopeUnit<'_>,
+        filter: &CompiledFilter,
+        policy: &DecisionPolicy,
+        totals: &mut FilteredPass,
+    ) -> bool {
+        self.body(unit, UnitMode::Deploy { filter, policy, totals })
+    }
+
+    /// Reorders `block` by the schedule the last [`run`](UnitServer::run)
+    /// produced for it.
+    pub fn apply_in_place(&mut self, block: &mut BasicBlock) {
+        self.outcome.apply_in_place(block, &mut self.scheduled);
+    }
+
+    /// The per-unit body. Timed: extraction and the decision (`t0..t1`),
+    /// then scheduling (`t1..t2`) — exactly what a deployed pass runs.
+    /// Verification, the work proxies and the record's cost-provider
+    /// queries stay outside the window. A width-1 unit takes *exactly*
+    /// the block path — same scheduler entry point, same graph, same
+    /// proxies — which is what pins degenerate superblock formation
+    /// bit-identical to block scope.
+    fn body(&mut self, unit: &ScopeUnit<'_>, mode: UnitMode<'_, '_>) -> bool {
+        let insts = unit.insts;
+        let mask = match &mode {
+            UnitMode::Deploy { filter, .. } => filter.demand(),
+            UnitMode::Record(_) => FeatureMask::ALL,
+        };
+        let t0 = Instant::now();
+        let features = FeatureVector::from_insts_shaped(insts, unit.shape, mask);
+        let (decision, economics) = match &mode {
+            UnitMode::Deploy { filter, policy, .. } => {
+                policy.decide_unit(filter, &features, insts.len() as u64, unit.exec_count)
+            }
+            UnitMode::Record(_) => (true, UnitEconomics::default()),
+        };
+        let t1 = Instant::now();
+        if decision {
+            if unit.speculative() {
+                self.scheduler.schedule_superblock_into(insts, &mut self.scratch, &mut self.outcome);
+            } else {
+                self.scheduler.schedule_insts_into(insts, &mut self.scratch, &mut self.outcome);
+            }
+            std::hint::black_box(&self.outcome);
         }
-        std::hint::black_box(&ctx.outcome);
-    }
-    totals.pass_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let t2 = Instant::now();
 
-    // Verify outside the timed window so the feature doesn't skew the
-    // deployment-cost accounting it is checking.
-    #[cfg(all(feature = "verify", debug_assertions))]
-    if decision {
-        let diags = wts_verify::verify_unit(scheduler.machine(), insts, speculative, &ctx.outcome);
-        assert!(
-            diags.is_empty(),
-            "the filtered pass produced an unverifiable schedule:\n{}",
-            wts_verify::render(&diags)
-        );
-    }
+        // With the `verify` feature, every unit scheduled here is checked
+        // by the independent wts-verify analyses (debug builds only; a
+        // release build with the feature on pays nothing).
+        #[cfg(all(feature = "verify", debug_assertions))]
+        if decision {
+            let diags = wts_verify::verify_unit(self.scheduler.machine(), insts, unit.speculative(), &self.outcome);
+            assert!(diags.is_empty(), "an unverifiable schedule:\n{}", wts_verify::render(&diags));
+        }
 
-    // Bookkeeping stays outside the timed window; the work proxy reads
-    // the edge count off the graph the scheduler just built.
-    totals.total_blocks += 1;
-    totals.conditions_evaluated += conditions;
-    totals.extraction_work += extraction_work;
-    if decision {
-        totals.scheduled_blocks += 1;
-        totals.sched_work += sched_work_proxy(insts.len(), ctx.scratch.last_edge_count());
+        // The work proxy reads the edge count off the graph the scheduler
+        // just built.
+        let sched_work = if decision { sched_work_proxy(insts.len(), self.scratch.last_edge_count()) } else { 0 };
+        match mode {
+            UnitMode::Deploy { totals, .. } => {
+                totals.pass_ns += nanos(t2 - t0);
+                totals.total_blocks += 1;
+                totals.conditions_evaluated += economics.filter_work;
+                totals.extraction_work += economics.extraction_work;
+                totals.scheduled_blocks += usize::from(decision);
+                totals.sched_work += sched_work;
+            }
+            UnitMode::Record(sink) => {
+                self.outcome.permute_into(insts, &mut self.scheduled);
+                let (est_unsched, est_sched) = match sink.estimated {
+                    None => (self.outcome.cycles_before, self.outcome.cycles_after),
+                    Some(p) => (p.sequence_cycles(insts), p.sequence_cycles(&self.scheduled)),
+                };
+                let feature_work = insts.len() as u64;
+                let (sched_ns, feature_ns) = match sink.timing {
+                    TimingMode::WallClock => (nanos(t2 - t1), nanos(t1 - t0)),
+                    TimingMode::Deterministic => (sched_work, feature_work),
+                };
+                sink.out.push(TraceRecord {
+                    benchmark: sink.benchmark.to_string(),
+                    method: sink.method,
+                    block: unit.block,
+                    exec_count: unit.exec_count,
+                    features,
+                    est_unsched,
+                    est_sched,
+                    hw_unsched: sink.measured.sequence_cycles(insts),
+                    hw_sched: sink.measured.sequence_cycles(&self.scheduled),
+                    sched_ns,
+                    feature_ns,
+                    sched_work,
+                    feature_work,
+                });
+            }
+        }
+        decision
     }
-    decision
 }
 
+fn nanos(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
 #[cfg(test)]
 mod tests {
     use super::*;

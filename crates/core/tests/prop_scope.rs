@@ -6,14 +6,18 @@
 //! Formation at ratio 100% merges only exactly-equal execution counts,
 //! so programs with strictly distinct consecutive counts are the
 //! degenerate case by construction.
+//!
+//! Underneath both pipelines is one scope dispatch,
+//! [`for_each_scope_unit`]; the second property pins what it yields at
+//! each scope on programs whose blocks do merge.
 
 use proptest::prelude::*;
 use wts_core::{
-    build_dataset, filtered_schedule_pass, AlwaysSchedule, Experiment, Filter, LabelConfig, ScopeKind,
-    SizeThresholdFilter, TimingMode, TraceOptions,
+    build_dataset, filtered_schedule_pass, for_each_scope_unit, AlwaysSchedule, Experiment, Filter, LabelConfig,
+    ScopeKind, SizeThresholdFilter, TimingMode, TraceOptions,
 };
-use wts_features::FeatureKind;
-use wts_ir::{form_superblocks, BasicBlock, Inst, MemRef, MemSpace, Method, Opcode, Program, Reg};
+use wts_features::{FeatureKind, TraceShape};
+use wts_ir::{form_superblocks, BasicBlock, BlockId, Inst, MemRef, MemSpace, Method, Opcode, Program, Reg};
 
 /// One generated block body: a few instructions from a small pool, with
 /// an optional terminator.
@@ -67,8 +71,70 @@ fn arb_degenerate_program() -> impl Strategy<Value = Program> {
         })
 }
 
+/// A program whose exec counts come from a few coarse levels, so
+/// consecutive blocks often tie or sit within a hot-path window and
+/// formation merges at most ratios.
+fn arb_program() -> impl Strategy<Value = Program> {
+    prop::collection::vec(prop::collection::vec((arb_block(0..5), 1u64..5), 1..7), 1..4).prop_map(|methods| {
+        let mut p = Program::new("p0");
+        let mut block_id = 0u32;
+        for (mi, blocks) in methods.into_iter().enumerate() {
+            let mut m = Method::new(u32::try_from(mi).expect("method counts fit u32"), format!("m{mi}"));
+            for ((body, term), level) in blocks {
+                m.push_block(build_block(block_id, level * 10, &body, term));
+                block_id += 1;
+            }
+            p.push_method(m);
+        }
+        p
+    })
+}
+
+/// What the scope visitor yields for one unit, owned.
+type Unit = (Vec<Inst>, TraceShape, BlockId, u64);
+
+fn visit(method: &Method, scope: ScopeKind) -> Vec<Unit> {
+    let mut units = Vec::new();
+    for_each_scope_unit(method, scope, |u| units.push((u.insts.to_vec(), u.shape, u.block, u.exec_count)));
+    units
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn scope_visitor_yields_blocks_and_formed_traces(
+        p in arb_program(),
+        degenerate in arb_degenerate_program(),
+        ratio in 1u32..=100,
+    ) {
+        for method in p.methods() {
+            // Block scope: every block, in order, with the degenerate shape.
+            let blocks: Vec<Unit> = method
+                .blocks()
+                .iter()
+                .map(|b| (b.insts().to_vec(), TraceShape::block(), b.id(), b.exec_count()))
+                .collect();
+            prop_assert_eq!(visit(method, ScopeKind::Block), blocks);
+
+            // Superblock scope: exactly the formed traces, in order.
+            let traces = form_superblocks(method, ratio);
+            let units = visit(method, ScopeKind::Superblock(ratio));
+            prop_assert_eq!(units.len(), traces.len());
+            for ((insts, shape, block, exec_count), sb) in units.iter().zip(&traces) {
+                prop_assert_eq!(insts, &sb.insts);
+                prop_assert_eq!(*block, BlockId(sb.entry_id()));
+                prop_assert_eq!(*exec_count, sb.exec_count);
+                let width = u32::try_from(sb.width()).expect("trace widths fit u32");
+                prop_assert_eq!(*shape, TraceShape::of_trace(&sb.insts, width));
+            }
+        }
+        // Where ratio-100% formation merges nothing, every unit is the
+        // block unit, shape included.
+        for method in degenerate.methods() {
+            prop_assert_eq!(visit(method, ScopeKind::Superblock(100)), visit(method, ScopeKind::Block));
+        }
+    }
 
     #[test]
     fn degenerate_superblock_pipeline_is_bit_identical_to_block_pipeline(p in arb_degenerate_program()) {

@@ -204,7 +204,7 @@ impl Experiments {
                     session.compile(program, f)
                 };
                 scheduled += stats.scheduled_blocks;
-                pass_ns += stats.pass_ns();
+                pass_ns += stats.pass_ns;
                 base += app_cycles(program, self.machine());
                 cycles += app_cycles(&compiled, self.machine());
             }

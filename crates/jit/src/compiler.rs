@@ -1,78 +1,51 @@
-//! The JIT scheduling pass: features → filter → decision policy →
-//! (maybe) schedule.
+//! The JIT compile session: the deployed per-unit body applied in
+//! place.
 //!
-//! The filter is lowered once per compile ([`Filter::compile`]) and every
-//! block then runs the deployed fast path: one demand-masked feature
-//! pass over exactly the features the compiled rules read, then the flat
-//! condition table, which now yields a calibrated
-//! [`FilterScore`](wts_core::FilterScore). The schedule/skip call is
-//! made by the session's [`DecisionPolicy`] — under the default
-//! [`HardThreshold`](DecisionPolicy::HardThreshold) it is bit-identical
-//! to the interpreted boolean filter, so the output program is
-//! unchanged; an [`ExpectedBenefit`](DecisionPolicy::ExpectedBenefit)
-//! session weighs each block's calibrated probability and hotness
-//! against the compile spend instead.
+//! The filter is lowered once per compile ([`Filter::compile`]), and
+//! every block of every optimized method then runs through
+//! [`UnitServer::run`] — the same extract → score → decide → schedule
+//! body as trace collection, [`filtered_schedule_pass_with`] and the
+//! `wts-serve` workers. When the session's [`DecisionPolicy`] says
+//! schedule, the session reorders the block in place by the schedule
+//! the body just produced. So a compile's [`FilteredPass`] equals the
+//! direct pass over the same program on every work channel, and the
+//! output program holds exactly the served orders, by construction.
+//! Under the default [`HardThreshold`](DecisionPolicy::HardThreshold)
+//! the decisions are bit-identical to the interpreted boolean filter;
+//! an [`ExpectedBenefit`](DecisionPolicy::ExpectedBenefit) session
+//! weighs each block's calibrated probability and hotness against the
+//! compile spend instead. The session compiles at block scope.
+//!
+//! [`filtered_schedule_pass_with`]: wts_core::filtered_schedule_pass_with
 
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 use wts_core::{
-    CompiledFilter, DecisionPolicy, Filter, FilterKey, FilterSnapshot, FilterStore, LearnedFilter, UnitEconomics,
+    CompiledFilter, DecisionPolicy, Filter, FilterKey, FilterSnapshot, FilterStore, FilteredPass, LearnedFilter,
+    ScopeUnit, UnitServer,
 };
-use wts_features::FeatureVector;
 use wts_ir::Program;
 use wts_machine::{CostModel, MachineConfig, PipelineSim};
-use wts_sched::{ListScheduler, SchedScratch, ScheduleOutcome, SchedulePolicy};
-
-/// Timing and counts for one compile of a program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CompileStats {
-    /// Blocks seen.
-    pub total_blocks: usize,
-    /// Blocks the filter sent to the scheduler.
-    pub scheduled_blocks: usize,
-    /// Nanoseconds extracting features.
-    pub feature_ns: u64,
-    /// Nanoseconds evaluating the filter.
-    pub filter_ns: u64,
-    /// Nanoseconds scheduling.
-    pub sched_ns: u64,
-}
-
-impl CompileStats {
-    /// Total time attributed to the scheduling pass (the paper charges
-    /// feature and filter time to scheduling, §3.1).
-    pub fn pass_ns(&self) -> u64 {
-        self.feature_ns + self.filter_ns + self.sched_ns
-    }
-
-    /// Accumulates another shard's stats into this one.
-    fn merge(&mut self, other: CompileStats) {
-        self.total_blocks += other.total_blocks;
-        self.scheduled_blocks += other.scheduled_blocks;
-        self.feature_ns += other.feature_ns;
-        self.filter_ns += other.filter_ns;
-        self.sched_ns += other.sched_ns;
-    }
-}
+use wts_sched::SchedulePolicy;
 
 /// A JIT compile session: holds the machine, scheduling policy and a
 /// [`FilterStore`], and compiles programs under a given filter — passed
 /// explicitly, or deployed (and hot-swappable) in the store.
 ///
-/// The session keeps its scheduler scratch warm between compiles: each
-/// shard of a compile takes a [`SchedScratch`] from the session's pool
-/// (creating one only when the pool is empty) and returns it when the
-/// shard finishes. The pool therefore never holds more scratches than
-/// the most shards that ever ran at once, and a session compiling one
-/// method per call schedules on warm buffers from the second call on.
-/// A cloned session starts with an empty pool of its own.
+/// The session keeps its per-unit state warm between compiles: each
+/// shard of a compile takes a [`UnitServer`] (scheduler scratch, outcome
+/// and permute buffer) from the session's pool, creating one only when
+/// the pool is empty, and returns it when the shard finishes. The pool
+/// therefore never holds more servers than the most shards that ever
+/// ran at once, and a session compiling one method per call schedules
+/// on warm buffers from the second call on. A cloned session starts
+/// with an empty pool of its own.
 pub struct CompileSession<'m> {
     machine: &'m MachineConfig,
     policy: SchedulePolicy,
     decision: DecisionPolicy,
     store: Arc<FilterStore>,
-    scratch_pool: Mutex<Vec<SchedScratch<'m>>>,
+    server_pool: Mutex<Vec<UnitServer<'m>>>,
 }
 
 impl Clone for CompileSession<'_> {
@@ -82,7 +55,7 @@ impl Clone for CompileSession<'_> {
             policy: self.policy,
             decision: self.decision,
             store: Arc::clone(&self.store),
-            scratch_pool: Mutex::default(),
+            server_pool: Mutex::default(),
         }
     }
 }
@@ -94,7 +67,7 @@ impl fmt::Debug for CompileSession<'_> {
             .field("policy", &self.policy)
             .field("decision", &self.decision)
             .field("store", &self.store)
-            .field("pooled_scratches", &self.pooled_scratches())
+            .field("pooled_servers", &self.pooled_servers())
             .finish()
     }
 }
@@ -114,7 +87,7 @@ impl<'m> CompileSession<'m> {
             policy,
             decision: DecisionPolicy::HardThreshold,
             store: FilterStore::shared(),
-            scratch_pool: Mutex::default(),
+            server_pool: Mutex::default(),
         }
     }
 
@@ -162,8 +135,9 @@ impl<'m> CompileSession<'m> {
 
     /// Compiles `program` under `filter`: every block gets features
     /// extracted and the filter consulted; selected blocks are list
-    /// scheduled. Returns the (possibly reordered) program and stats.
-    pub fn compile(&self, program: &Program, filter: &dyn Filter) -> (Program, CompileStats) {
+    /// scheduled. Returns the (possibly reordered) program and the
+    /// pass totals.
+    pub fn compile(&self, program: &Program, filter: &dyn Filter) -> (Program, FilteredPass) {
         self.compile_where(program, filter, |_| true, 1)
     }
 
@@ -171,8 +145,8 @@ impl<'m> CompileSession<'m> {
     /// sharded across `threads` scoped worker threads (`0` = one per
     /// available core, `1` = serial). Methods are compiled independently
     /// and reassembled in order, so the output program is identical to
-    /// the serial path; only the wall-clock stats channels vary.
-    pub fn compile_sharded(&self, program: &Program, filter: &dyn Filter, threads: usize) -> (Program, CompileStats) {
+    /// the serial path; only `pass_ns` varies.
+    pub fn compile_sharded(&self, program: &Program, filter: &dyn Filter, threads: usize) -> (Program, FilteredPass) {
         self.compile_where(program, filter, |_| true, threads)
     }
 
@@ -180,8 +154,9 @@ impl<'m> CompileSession<'m> {
     /// methods the profile marks hot (peak block execution count at least
     /// `hot_cutoff`) go through the optimizing path at all; cold methods
     /// are left baseline-compiled (unscheduled, and unfiltered — the
-    /// filter's cost is skipped too).
-    pub fn compile_adaptive(&self, program: &Program, filter: &dyn Filter, hot_cutoff: u64) -> (Program, CompileStats) {
+    /// filter's cost is skipped too, and their blocks count only towards
+    /// `total_blocks`).
+    pub fn compile_adaptive(&self, program: &Program, filter: &dyn Filter, hot_cutoff: u64) -> (Program, FilteredPass) {
         self.compile_where(
             program,
             filter,
@@ -190,69 +165,10 @@ impl<'m> CompileSession<'m> {
         )
     }
 
-    /// Compiles one (cloned) method in place, accumulating stats. The
-    /// scratch state (the session's pooled scheduler scratch, the
-    /// shard's outcome and permute buffer) is reused across every block,
-    /// so the steady-state pass allocates nothing per block.
-    #[allow(clippy::too_many_arguments)]
-    fn compile_method(
-        &self,
-        scheduler: &ListScheduler<'m>,
-        scratch: &mut SchedScratch<'m>,
-        outcome: &mut ScheduleOutcome,
-        permute_buf: &mut Vec<wts_ir::Inst>,
-        method: &mut wts_ir::Method,
-        filter: &CompiledFilter,
-        optimize: bool,
-        stats: &mut CompileStats,
-    ) {
-        for block in method.blocks_mut() {
-            stats.total_blocks += 1;
-            if !optimize {
-                continue;
-            }
-
-            let t0 = Instant::now();
-            let features = FeatureVector::extract_masked(block, filter.demand());
-            stats.feature_ns += t0.elapsed().as_nanos() as u64;
-
-            let t1 = Instant::now();
-            let insts = block.insts().len() as u64;
-            let (score, conditions) = filter.score_counted(features.as_slice());
-            let unit = UnitEconomics {
-                insts,
-                exec_count: block.exec_count(),
-                filter_work: conditions,
-                extraction_work: filter.extraction_work(insts),
-            };
-            let decision = self.decision.decide(score, &unit);
-            stats.filter_ns += t1.elapsed().as_nanos() as u64;
-
-            if decision {
-                let t2 = Instant::now();
-                scheduler.schedule_block_into(block, scratch, outcome);
-                // With the `verify` feature, the schedule is checked by
-                // wts-verify before it is applied (debug builds only).
-                #[cfg(all(feature = "verify", debug_assertions))]
-                {
-                    let diags = wts_verify::verify_unit(self.machine, block.insts(), false, outcome);
-                    assert!(
-                        diags.is_empty(),
-                        "the compile session produced an unverifiable schedule:\n{}",
-                        wts_verify::render(&diags)
-                    );
-                }
-                outcome.apply_in_place(block, permute_buf);
-                stats.sched_ns += t2.elapsed().as_nanos() as u64;
-                stats.scheduled_blocks += 1;
-            }
-        }
-    }
-
     /// Compiles `program` under the filter deployed at `key` in the
-    /// session's store, returning the program, the stats and the epoch
-    /// of the snapshot the whole compile ran against (one snapshot is
-    /// loaded up front, so a concurrent hot-swap never splits a
+    /// session's store, returning the program, the pass totals and the
+    /// epoch of the snapshot the whole compile ran against (one snapshot
+    /// is loaded up front, so a concurrent hot-swap never splits a
     /// compile across filter versions). Returns `None` when nothing is
     /// deployed under `key`.
     pub fn compile_stored(
@@ -260,10 +176,10 @@ impl<'m> CompileSession<'m> {
         program: &Program,
         key: &FilterKey,
         threads: usize,
-    ) -> Option<(Program, CompileStats, u64)> {
+    ) -> Option<(Program, FilteredPass, u64)> {
         let snapshot = self.store.get(key)?;
-        let (out, stats) = self.compile_snapshot(program, &snapshot, threads);
-        Some((out, stats, snapshot.epoch()))
+        let (out, totals) = self.compile_snapshot(program, &snapshot, threads);
+        Some((out, totals, snapshot.epoch()))
     }
 
     /// Compiles `program` under an explicit store snapshot — the
@@ -274,7 +190,7 @@ impl<'m> CompileSession<'m> {
         program: &Program,
         snapshot: &FilterSnapshot,
         threads: usize,
-    ) -> (Program, CompileStats) {
+    ) -> (Program, FilteredPass) {
         self.compile_engine(program, snapshot.compiled(), |_| true, threads)
     }
 
@@ -284,7 +200,7 @@ impl<'m> CompileSession<'m> {
         filter: &dyn Filter,
         optimize_method: impl Fn(&wts_ir::Method) -> bool + Sync,
         threads: usize,
-    ) -> (Program, CompileStats) {
+    ) -> (Program, FilteredPass) {
         // Lower the filter once; every shard shares the flat table. The
         // store path arrives pre-lowered (the snapshot carries its
         // engine) and joins at `compile_engine`.
@@ -293,64 +209,58 @@ impl<'m> CompileSession<'m> {
     }
 
     /// The compile body every entry point joins, with the filter already
-    /// lowered. Each shard schedules on a scratch borrowed from the
-    /// session's pool, so back-to-back compiles run on warm buffers.
+    /// lowered. Methods shard into contiguous chunks; each worker clones
+    /// its chunk and runs every block of every optimized method through
+    /// a [`UnitServer`] borrowed from the session's pool, applying each
+    /// schedule in place. The chunks are reassembled in method order, so
+    /// the result is identical whatever the thread count, and the pooled
+    /// state never affects output.
     fn compile_engine(
         &self,
         program: &Program,
         engine: &CompiledFilter,
         optimize_method: impl Fn(&wts_ir::Method) -> bool + Sync,
         threads: usize,
-    ) -> (Program, CompileStats) {
-        // Methods shard into contiguous chunks; each worker clones and
-        // compiles its chunk, and the chunks are reassembled in method
-        // order, so the result is identical whatever the thread count.
-        // Each shard borrows a warm scratch from the session's pool and
-        // returns it at the end; scratch state never affects output.
+    ) -> (Program, FilteredPass) {
         let shards = wts_core::parallel::shard_map(program.methods(), threads, |slice| {
-            let scheduler = ListScheduler::with_policy(self.machine, self.policy);
             let pooled = self.pool().pop();
-            let mut scratch = pooled.unwrap_or_else(|| SchedScratch::new(self.machine));
-            let mut outcome = ScheduleOutcome::default();
-            let mut permute_buf = Vec::new();
-            let mut stats = CompileStats::default();
+            let mut server = pooled.unwrap_or_else(|| UnitServer::new(self.machine, self.policy));
+            let mut totals = FilteredPass::default();
             let mut compiled = slice.to_vec();
             for method in &mut compiled {
-                let optimize = optimize_method(method);
-                self.compile_method(
-                    &scheduler,
-                    &mut scratch,
-                    &mut outcome,
-                    &mut permute_buf,
-                    method,
-                    engine,
-                    optimize,
-                    &mut stats,
-                );
+                if !optimize_method(method) {
+                    totals.total_blocks += method.blocks().len();
+                    continue;
+                }
+                for block in method.blocks_mut() {
+                    if server.run(&ScopeUnit::of_block(block), engine, &self.decision, &mut totals) {
+                        server.apply_in_place(block);
+                    }
+                }
             }
-            self.pool().push(scratch);
-            (compiled, stats)
+            self.pool().push(server);
+            (compiled, totals)
         });
 
         let mut out = Program::new(program.name());
-        let mut stats = CompileStats::default();
-        for (compiled, shard_stats) in shards {
+        let mut totals = FilteredPass::default();
+        for (compiled, shard_totals) in shards {
             for method in compiled {
                 out.push_method(method);
             }
-            stats.merge(shard_stats);
+            totals.merge(&shard_totals);
         }
-        (out, stats)
+        (out, totals)
     }
 
-    /// The scratch pool. Only pushes and pops run under the lock, so a
+    /// The server pool. Only pushes and pops run under the lock, so a
     /// compile that panicked elsewhere cannot leave it inconsistent.
-    fn pool(&self) -> std::sync::MutexGuard<'_, Vec<SchedScratch<'m>>> {
-        self.scratch_pool.lock().unwrap_or_else(PoisonError::into_inner)
+    fn pool(&self) -> std::sync::MutexGuard<'_, Vec<UnitServer<'m>>> {
+        self.server_pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Number of warm scratches the session holds between compiles.
-    fn pooled_scratches(&self) -> usize {
+    /// Number of warm servers the session holds between compiles.
+    fn pooled_servers(&self) -> usize {
         self.pool().len()
     }
 }
@@ -388,7 +298,7 @@ mod tests {
         let (out, stats) = CompileSession::new(&m).compile(p, &NeverSchedule);
         assert_eq!(&out, p);
         assert_eq!(stats.scheduled_blocks, 0);
-        assert_eq!(stats.sched_ns, 0);
+        assert_eq!(stats.sched_work, 0);
         assert_eq!(stats.total_blocks, p.block_count());
     }
 
@@ -417,7 +327,7 @@ mod tests {
         let (_, filtered) = session.compile(p, &SizeThresholdFilter::new(8));
         assert!(filtered.scheduled_blocks < ls.scheduled_blocks);
         assert!(filtered.scheduled_blocks > 0);
-        assert!(filtered.pass_ns() > 0);
+        assert!(filtered.pass_ns > 0);
     }
 
     #[test]
@@ -462,7 +372,7 @@ mod tests {
         let (out, stats) = CompileSession::new(&m).compile_adaptive(p, &AlwaysSchedule, u64::MAX);
         assert_eq!(&out, p);
         assert_eq!(stats.scheduled_blocks, 0);
-        assert_eq!(stats.pass_ns(), 0, "cold methods skip the whole pass");
+        assert_eq!(stats.pass_ns, 0, "cold methods skip the whole pass");
     }
 
     #[test]
@@ -610,11 +520,11 @@ mod tests {
             let (out, stats, _) = session.compile_stored(p, &key, 1).expect("deployed");
             assert_eq!((out, stats.scheduled_blocks), fresh_stored(&session, p, &key), "{}", p.name());
             // Every compile path draws on the same pool; always-schedule
-            // puts every block of every shape through the warm scratch.
+            // puts every block of every shape through the warm server.
             let fresh = CompileSession::new(&m).compile(p, &AlwaysSchedule).0;
             assert_eq!(session.compile(p, &AlwaysSchedule).0, fresh, "{}", p.name());
         }
-        assert_eq!(session.pooled_scratches(), 1, "serial compiles reuse one scratch");
+        assert_eq!(session.pooled_servers(), 1, "serial compiles reuse one server");
     }
 
     #[test]
@@ -645,14 +555,14 @@ mod tests {
                 }
             }
         });
-        assert!((1..=2).contains(&session.pooled_scratches()), "at most one scratch per concurrent caller");
+        assert!((1..=2).contains(&session.pooled_servers()), "at most one server per concurrent caller");
         let whole = programs.iter().fold(Program::new("all"), |mut all, p| {
             all.push_method(p.methods()[0].clone());
             all
         });
         let (serial, _) = CompileSession::new(&m).compile(&whole, &AlwaysSchedule);
         assert_eq!(session.compile_sharded(&whole, &AlwaysSchedule, 3).0, serial);
-        assert!(session.pooled_scratches() <= 3, "the pool never outgrows the widest compile");
+        assert!(session.pooled_servers() <= 3, "the pool never outgrows the widest compile");
     }
 
     #[test]
@@ -660,15 +570,65 @@ mod tests {
         let m = machine();
         let (session, key, programs) = pool_fixture(&m);
         session.compile_stored(&programs[1], &key, 1).expect("deployed");
-        assert_eq!(session.pooled_scratches(), 1);
+        assert_eq!(session.pooled_servers(), 1);
         let twin = session.clone();
         assert!(Arc::ptr_eq(twin.store(), session.store()), "clones share the store");
-        assert_eq!(twin.pooled_scratches(), 0, "clones do not share scratch");
-        assert!(format!("{twin:?}").contains("pooled_scratches: 0"));
+        assert_eq!(twin.pooled_servers(), 0, "clones do not share servers");
+        assert!(format!("{twin:?}").contains("pooled_servers: 0"));
         for p in &programs {
             assert_eq!(twin.compile_stored(p, &key, 1).map(|r| r.0), session.compile_stored(p, &key, 1).map(|r| r.0));
         }
-        assert_eq!((session.pooled_scratches(), twin.pooled_scratches()), (1, 1));
+        assert_eq!((session.pooled_servers(), twin.pooled_servers()), (1, 1));
+    }
+
+    /// The JIT runs the shared per-unit body, so a compile reports the
+    /// direct pass's work channels and applies exactly the served orders.
+    #[test]
+    fn compile_equals_the_direct_pass_and_applies_the_served_orders() {
+        use wts_core::{filtered_schedule_pass_with, TraceOptions};
+        let (jvm, fp) = (Suite::specjvm98(0.02), Suite::fp(0.02));
+        let programs = [jvm.benchmarks()[0].program(), fp.benchmarks()[0].program()];
+        let opts = TraceOptions { threads: 1, ..TraceOptions::default() };
+        for m in [MachineConfig::ppc7410(), MachineConfig::simple_scalar()] {
+            let run = wts_core::Experiment::new(m.clone())
+                .with_timing(wts_core::TimingMode::Deterministic)
+                .run(vec![programs[0].clone()]);
+            let filters: [Box<dyn Filter>; 4] = [
+                Box::new(AlwaysSchedule),
+                Box::new(NeverSchedule),
+                Box::new(SizeThresholdFilter::new(5)),
+                Box::new(wts_core::train_filter(run.all_traces(), &run.train_config(0))),
+            ];
+            let policies = [DecisionPolicy::HardThreshold, DecisionPolicy::expected_benefit(run.all_traces(), 0.05)];
+            for (filter, policy) in filters.iter().flat_map(|f| policies.iter().map(move |p| (f, p))) {
+                let compiled = filter.compile();
+                let session = CompileSession::new(&m).with_decision_policy(*policy);
+                for p in programs {
+                    let label = format!("{} {} {policy} {}", m.name(), compiled.name(), p.name());
+                    let (out, totals) = session.compile(p, filter.as_ref());
+                    let direct = filtered_schedule_pass_with(p, &m, &compiled, policy, &opts);
+                    assert_eq!(totals, FilteredPass { pass_ns: totals.pass_ns, ..direct }, "{label}");
+
+                    let mut server = UnitServer::new(&m, SchedulePolicy::CriticalPath);
+                    let mut served_totals = FilteredPass::default();
+                    for ((_, input), (_, output)) in p.iter_blocks().zip(out.iter_blocks()) {
+                        let served = server.serve_block(
+                            input.insts(),
+                            input.exec_count(),
+                            &compiled,
+                            policy,
+                            &mut served_totals,
+                        );
+                        let expected: Vec<_> = if served.decision {
+                            served.order.iter().map(|&i| input.insts()[i as usize]).collect()
+                        } else {
+                            input.insts().to_vec()
+                        };
+                        assert_eq!(output.insts(), &expected[..], "{label}: block {:?}", input.id());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

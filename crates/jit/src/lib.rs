@@ -14,9 +14,12 @@
 //!   reproduction is bit-stable;
 //! * [`Suite::specjvm98`] and [`Suite::fp`] wire up one spec per paper
 //!   benchmark (Tables 2 and 7);
-//! * [`CompileSession`] is the JIT scheduling pass: per block it extracts
-//!   features, consults a [`Filter`](wts_core::Filter), and (maybe)
-//!   schedules, with wall-clock timing of each stage.
+//! * [`CompileSession`] is the JIT scheduling pass: it runs every block
+//!   through `wts-core`'s per-unit body ([`UnitServer`](wts_core::UnitServer):
+//!   extract features, consult a [`Filter`](wts_core::Filter), maybe
+//!   schedule) and applies the selected schedules in place, reporting
+//!   the same [`FilteredPass`](wts_core::FilteredPass) totals as the
+//!   direct pass.
 //!
 //! # Examples
 //!
@@ -40,7 +43,7 @@ mod spec;
 mod suite;
 mod superblock;
 
-pub use compiler::{app_cycles, predicted_cycles, CompileSession, CompileStats};
+pub use compiler::{app_cycles, predicted_cycles, CompileSession};
 pub use rng::Xoshiro256;
 pub use spec::{BenchmarkSpec, OpMix};
 pub use suite::{Benchmark, Suite};

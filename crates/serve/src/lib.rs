@@ -13,13 +13,16 @@
 //! [`FilterStore`](wts_core::FilterStore) — epoch-tagged, without
 //! pausing serving.
 //!
-//! The serving fast path is [`wts_core::UnitServer`] — the *same*
-//! per-unit body as [`wts_core::filtered_schedule_pass_with`], so a
-//! batch's reported totals are bit-identical (work channels) to running
-//! the pass directly over the same methods. Backpressure is explicit:
-//! a bounded job queue, and a [`Response::Busy`] shed frame when it is
-//! full. Shutdown drains: accepted batches are answered and their
-//! observations absorbed before the threads join.
+//! The serving fast path is [`wts_core::UnitServer`] over the units of
+//! [`wts_core::for_each_scope_unit`]: the one per-unit body and the one
+//! scope dispatch that [`wts_core::filtered_schedule_pass_with`] and the
+//! `wts-jit` compile session also run. So served ≡ direct pass ≡ JIT
+//! holds by construction: a batch's reported totals are bit-identical
+//! (work channels) to running the pass directly over the same methods.
+//! Backpressure is explicit: a bounded job queue, and a
+//! [`Response::Busy`] shed frame when it is full. Shutdown drains:
+//! accepted batches are answered and their observations absorbed before
+//! the threads join.
 //!
 //! # Examples
 //!

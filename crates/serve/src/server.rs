@@ -41,10 +41,10 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use wts_core::{
-    train_filter, DecisionPolicy, FilterKey, FilterStore, FilteredPass, LearnerKind, TimingMode, TraceOptions,
-    TraceRecord, TrainConfig, UnitServer,
+    for_each_scope_unit, train_filter, DecisionPolicy, FilterKey, FilterStore, FilteredPass, LearnerKind, TimingMode,
+    TraceOptions, TraceRecord, TrainConfig, UnitServer,
 };
-use wts_ir::{form_superblocks, Method, ScopeKind};
+use wts_ir::Method;
 
 /// Full configuration of one serving instance.
 #[derive(Debug, Clone)]
@@ -446,29 +446,9 @@ fn worker_loop(
         let mut totals = FilteredPass::default();
         let mut units = Vec::new();
         for method in &job.methods {
-            match config.options.scope {
-                ScopeKind::Block => {
-                    for block in method.blocks() {
-                        units.push(unit_server.serve_block(
-                            block.insts(),
-                            block.exec_count(),
-                            snapshot.compiled(),
-                            &config.decision,
-                            &mut totals,
-                        ));
-                    }
-                }
-                ScopeKind::Superblock(ratio) => {
-                    for sb in form_superblocks(method, ratio) {
-                        units.push(unit_server.serve_superblock(
-                            &sb,
-                            snapshot.compiled(),
-                            &config.decision,
-                            &mut totals,
-                        ));
-                    }
-                }
-            }
+            for_each_scope_unit(method, config.options.scope, |unit| {
+                units.push(unit_server.serve(&unit, snapshot.compiled(), &config.decision, &mut totals));
+            });
         }
         counters.batches_served.fetch_add(1, Ordering::Relaxed);
         counters.units_served.fetch_add(totals.total_blocks as u64, Ordering::Relaxed);

@@ -50,7 +50,7 @@ fn main() {
             name,
             stats.scheduled_blocks,
             stats.total_blocks,
-            stats.pass_ns() as f64 / 1000.0,
+            stats.pass_ns as f64 / 1000.0,
             cycles,
             cycles as f64 / baseline,
         );
