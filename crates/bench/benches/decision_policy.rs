@@ -18,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wts_core::{DecisionPolicy, Experiment, FeatureBatch, Filter, TimingMode};
+use wts_core::{DecisionPolicy, Experiment, FeatureBatch, TimingMode};
 use wts_ir::Program;
 
 fn decision_policy(c: &mut Criterion) {

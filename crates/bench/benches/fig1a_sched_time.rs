@@ -9,12 +9,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wts_bench::BenchSetup;
-use wts_core::{collect_trace_with, AlwaysSchedule, TimingMode, TraceOptions};
+use wts_core::{collect_trace, CompiledFilter, TimingMode, TraceOptions};
 use wts_jit::CompileSession;
 
 fn fig1a(c: &mut Criterion) {
     let setup = BenchSetup::jvm98(0);
     let session = CompileSession::new(&setup.machine);
+    let always = CompiledFilter::always();
     let mut group = c.benchmark_group("fig1a_sched_time");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
@@ -24,14 +25,14 @@ fn fig1a(c: &mut Criterion) {
         let name = bench.name().to_string();
         group.bench_function(format!("{name}/LS"), |b| {
             b.iter(|| {
-                let (out, stats) = session.compile(black_box(bench.program()), &AlwaysSchedule);
+                let (out, stats) = session.compile(black_box(bench.program()), &always, 1);
                 black_box((out.block_count(), stats.pass_ns))
             });
         });
-        let filter = setup.filter_for(&name).clone();
+        let filter = setup.filter_for(&name).compile();
         group.bench_function(format!("{name}/LN_t0"), |b| {
             b.iter(|| {
-                let (out, stats) = session.compile(black_box(bench.program()), &filter);
+                let (out, stats) = session.compile(black_box(bench.program()), &filter, 1);
                 black_box((out.block_count(), stats.pass_ns))
             });
         });
@@ -54,9 +55,9 @@ fn trace_sharding(c: &mut Criterion) {
     let opts_four = TraceOptions { threads: 4, timing: TimingMode::Deterministic, ..Default::default() };
 
     for b in suite.benchmarks() {
-        let serial = collect_trace_with(b.program(), &machine, &opts_serial);
+        let serial = collect_trace(b.program(), &machine, &opts_serial);
         for opts in [&opts_auto, &opts_four] {
-            let sharded = collect_trace_with(b.program(), &machine, opts);
+            let sharded = collect_trace(b.program(), &machine, opts);
             assert_eq!(serial, sharded, "{}: sharded trace must be bit-identical", b.name());
         }
     }
@@ -70,7 +71,7 @@ fn trace_sharding(c: &mut Criterion) {
             bch.iter(|| {
                 let mut records = 0usize;
                 for b in suite.benchmarks() {
-                    records += collect_trace_with(black_box(b.program()), &machine, &opts).len();
+                    records += collect_trace(black_box(b.program()), &machine, &opts).len();
                 }
                 records
             });

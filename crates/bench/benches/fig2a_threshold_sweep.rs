@@ -7,13 +7,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wts_bench::{BenchSetup, BENCH_SCALE};
-use wts_core::{AlwaysSchedule, Filter};
+use wts_core::CompiledFilter;
 use wts_jit::{CompileSession, Suite};
 
-fn compile_suite(session: &CompileSession<'_>, suite: &Suite, filter: &dyn Filter) -> u64 {
+fn compile_suite(session: &CompileSession<'_>, suite: &Suite, filter: &CompiledFilter) -> u64 {
     let mut total = 0;
     for b in suite.benchmarks() {
-        let (_, stats) = session.compile(b.program(), filter);
+        let (_, stats) = session.compile(b.program(), filter, 1);
         total += stats.pass_ns;
     }
     total
@@ -30,8 +30,9 @@ fn fig2a(c: &mut Criterion) {
     {
         let setup = BenchSetup::jvm98(0);
         let session = CompileSession::new(&setup.machine);
+        let always = CompiledFilter::always();
         group.bench_function("LS", |b| {
-            b.iter(|| black_box(compile_suite(&session, &suite, &AlwaysSchedule)));
+            b.iter(|| black_box(compile_suite(&session, &suite, &always)));
         });
     }
 
@@ -39,7 +40,7 @@ fn fig2a(c: &mut Criterion) {
         let setup = BenchSetup::jvm98(t);
         let session = CompileSession::new(&setup.machine);
         // One representative filter per threshold: the compress fold.
-        let filter = setup.filter_for("compress").clone();
+        let filter = setup.filter_for("compress").compile();
         group.bench_function(format!("LN_t{t}"), |b| {
             b.iter(|| black_box(compile_suite(&session, &suite, &filter)));
         });

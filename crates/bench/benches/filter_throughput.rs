@@ -16,7 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wts_core::{Experiment, FeatureBatch, Filter, TimingMode};
+use wts_core::{Experiment, FeatureBatch, TimingMode};
 use wts_features::FeatureVector;
 use wts_ir::{BasicBlock, Program};
 
@@ -42,7 +42,7 @@ fn filter_throughput(c: &mut Criterion) {
         for block in &blocks {
             assert_eq!(
                 compiled.classify_block(block),
-                learned.should_schedule(&FeatureVector::extract(block)),
+                learned.rules().predict(FeatureVector::extract(block).as_slice()),
                 "{}: compiled filter diverged",
                 machine.name()
             );
@@ -53,7 +53,7 @@ fn filter_throughput(c: &mut Criterion) {
                 let mut ls = 0usize;
                 for block in &blocks {
                     let fv = FeatureVector::extract(black_box(block));
-                    if learned.should_schedule(&fv) {
+                    if learned.rules().predict(fv.as_slice()) {
                         ls += 1;
                     }
                 }

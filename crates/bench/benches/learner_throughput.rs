@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use wts_core::{build_dataset, collect_trace, Filter, LabelConfig, LearnedFilter, Learner, LearnerKind};
+use wts_core::{build_dataset, collect_trace, LabelConfig, LearnedFilter, Learner, LearnerKind, TraceOptions};
 use wts_features::FeatureVector;
 use wts_jit::Suite;
 use wts_machine::MachineConfig;
@@ -17,7 +17,7 @@ fn corpus(scale: f64) -> (Dataset, Vec<FeatureVector>) {
     let suite = Suite::specjvm98(scale);
     let mut traces = Vec::new();
     for b in suite.benchmarks() {
-        traces.extend(collect_trace(b.program(), &machine));
+        traces.extend(collect_trace(b.program(), &machine, &TraceOptions::default()));
     }
     let vectors = traces.iter().map(|r| r.features).collect();
     (build_dataset(&traces, LabelConfig::new(0)).0, vectors)

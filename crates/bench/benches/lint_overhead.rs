@@ -19,7 +19,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wts_core::{Experiment, Filter, LearnedFilter, TimingMode};
+use wts_core::{Experiment, LearnedFilter, TimingMode};
 use wts_ir::Program;
 use wts_verify::{
     check_serve_protocol, check_store_protocol, lint_model, prove_hard_threshold, ModelTable, ServeProtoConfig,

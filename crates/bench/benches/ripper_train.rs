@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use wts_core::{build_dataset, collect_trace, LabelConfig};
+use wts_core::{build_dataset, collect_trace, LabelConfig, TraceOptions};
 use wts_jit::Suite;
 use wts_machine::MachineConfig;
 use wts_ripper::{Dataset, RipperConfig};
@@ -14,7 +14,7 @@ fn corpus_dataset(scale: f64, t: u32) -> Dataset {
     let suite = Suite::specjvm98(scale);
     let mut traces = Vec::new();
     for b in suite.benchmarks() {
-        traces.extend(collect_trace(b.program(), &machine));
+        traces.extend(collect_trace(b.program(), &machine, &TraceOptions::default()));
     }
     build_dataset(&traces, LabelConfig::new(t)).0
 }

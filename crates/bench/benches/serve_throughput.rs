@@ -5,7 +5,7 @@
 //! filter:
 //!
 //! * **direct_pass** — the in-process baseline:
-//!   [`filtered_schedule_pass_with`] over every program, no socket;
+//!   [`filtered_schedule_pass`] over every program, no socket;
 //! * **single_client** — one blocking client round-tripping one
 //!   benchmark per batch through a live server;
 //! * **multi_client_batched** — four concurrent clients, each
@@ -22,8 +22,8 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wts_core::{
-    collect_trace_with, filtered_schedule_pass_with, train_filter, DecisionPolicy, LearnerKind, TimingMode,
-    TraceOptions, TrainConfig,
+    collect_trace, filtered_schedule_pass, train_filter, DecisionPolicy, LearnerKind, TimingMode, TraceOptions,
+    TrainConfig,
 };
 use wts_ir::Program;
 use wts_serve::{Response, ServeClient, ServeConfig, Server, ServerHandle};
@@ -31,7 +31,7 @@ use wts_serve::{Response, ServeClient, ServeConfig, Server, ServerHandle};
 const CLIENTS: usize = 4;
 
 fn bind_server(machine: &wts_machine::MachineConfig, programs: &[Program], opts: &TraceOptions) -> ServerHandle {
-    let seed: Vec<_> = programs.iter().flat_map(|p| collect_trace_with(p, machine, opts)).collect();
+    let seed: Vec<_> = programs.iter().flat_map(|p| collect_trace(p, machine, opts)).collect();
     let mut config = ServeConfig::new(machine.clone(), seed);
     config.learner = LearnerKind::Stump;
     config.retrain_every = 0; // serving cost, not retraining cost
@@ -72,7 +72,7 @@ fn serve_throughput(c: &mut Criterion) {
             b.iter(|| {
                 let mut scheduled = 0usize;
                 for program in &programs {
-                    let pass = filtered_schedule_pass_with(
+                    let pass = filtered_schedule_pass(
                         black_box(program),
                         &machine,
                         &compiled,
@@ -151,7 +151,7 @@ fn serve_throughput(c: &mut Criterion) {
     // Serving while a deployer thread hot-swaps as fast as it can.
     {
         let handle = bind_server(&machine, &programs, &opts);
-        let seed: Vec<_> = programs.iter().flat_map(|p| collect_trace_with(p, &machine, &opts)).collect();
+        let seed: Vec<_> = programs.iter().flat_map(|p| collect_trace(p, &machine, &opts)).collect();
         let swap_filter = train_filter(&seed, &TrainConfig::with_learner(10, LearnerKind::Stump));
         let stop = Arc::new(AtomicBool::new(false));
         let deployer = {

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use wts_core::{
-    collect_trace_with, filtered_schedule_pass, Filter, ScopeKind, SizeThresholdFilter, TimingMode, TraceOptions,
+    collect_trace, filtered_schedule_pass, CompiledFilter, DecisionPolicy, ScopeKind, TimingMode, TraceOptions,
 };
 use wts_ir::{form_superblocks, Program};
 use wts_jit::{superblock_gain, Suite};
@@ -83,7 +83,7 @@ fn scoped_collection(c: &mut Criterion) {
             b.iter(|| {
                 let mut records = 0usize;
                 for p in ps {
-                    records += collect_trace_with(black_box(p), &machine, &opts).len();
+                    records += collect_trace(black_box(p), &machine, &opts).len();
                 }
                 black_box(records)
             });
@@ -103,14 +103,16 @@ fn scoped_filtered_pass(c: &mut Criterion) {
 
     let machine = MachineConfig::ppc7410();
     let programs = fp_programs(0.05);
-    let compiled = SizeThresholdFilter::new(6).compile();
+    let compiled = CompiledFilter::size_threshold(6);
+    let hard = DecisionPolicy::HardThreshold;
     for (label, scope) in [("block", ScopeKind::Block), ("superblock", ScopeKind::Superblock(RATIO))] {
         let opts = TraceOptions { scope, timing: TimingMode::Deterministic, ..Default::default() };
         group.bench_with_input(BenchmarkId::new("filtered-pass", label), &programs, |b, ps| {
             b.iter(|| {
                 let mut scheduled = 0usize;
                 for p in ps {
-                    scheduled += filtered_schedule_pass(black_box(p), &machine, &compiled, &opts).scheduled_blocks;
+                    scheduled +=
+                        filtered_schedule_pass(black_box(p), &machine, &compiled, &hard, &opts).scheduled_blocks;
                 }
                 black_box(scheduled)
             });

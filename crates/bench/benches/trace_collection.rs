@@ -11,8 +11,8 @@
 //!   path the CSR graph / scratch-scheduler overhaul targets; the
 //!   per-iteration unit count is printed so `units/sec = count / time`
 //!   reads off the report.
-//! * **serialize/** — trace-file encode/decode throughput, text format
-//!   versus the binary `schedfilter-trace-bin-v1`.
+//! * **serialize/** — trace-file encode/decode throughput of the binary
+//!   `schedfilter-trace-bin-v1`.
 //!
 //! Per-PR summaries of these numbers are persisted as `BENCH_<n>.json`
 //! at the repo root (see README); run with `CRITERION_SUMMARY_JSON=path`
@@ -20,9 +20,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wts_core::{
-    collect_trace_with, read_trace, read_trace_binary, write_trace, write_trace_binary, TimingMode, TraceOptions,
-};
+use wts_core::{collect_trace, read_trace_binary, write_trace_binary, TimingMode, TraceOptions};
 use wts_ir::{Program, ScopeKind};
 
 fn trace_collection(c: &mut Criterion) {
@@ -43,7 +41,7 @@ fn trace_collection(c: &mut Criterion) {
         b.iter(|| {
             let mut records = 0usize;
             for p in &programs {
-                records += collect_trace_with(black_box(p), &machine, &serial).len();
+                records += collect_trace(black_box(p), &machine, &serial).len();
             }
             records
         });
@@ -52,22 +50,15 @@ fn trace_collection(c: &mut Criterion) {
         b.iter(|| {
             let mut records = 0usize;
             for p in &programs {
-                records += collect_trace_with(black_box(p), &machine, &superblock).len();
+                records += collect_trace(black_box(p), &machine, &superblock).len();
             }
             records
         });
     });
 
     // Serialization throughput over the whole collected corpus.
-    let records: Vec<_> = programs.iter().flat_map(|p| collect_trace_with(p, &machine, &serial)).collect();
+    let records: Vec<_> = programs.iter().flat_map(|p| collect_trace(p, &machine, &serial)).collect();
     eprintln!("# trace_collection: {} records per serialize iteration", records.len());
-    group.bench_function("serialize/text_write", |b| {
-        b.iter(|| write_trace(black_box(&records)).expect("generated names are clean").len());
-    });
-    let text = write_trace(&records).expect("generated names are clean");
-    group.bench_function("serialize/text_read", |b| {
-        b.iter(|| read_trace(black_box(&text)).expect("own output parses").len());
-    });
     group.bench_function("serialize/binary_write", |b| {
         b.iter(|| write_trace_binary(black_box(&records)).expect("generated records are finite").len());
     });

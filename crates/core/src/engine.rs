@@ -37,10 +37,10 @@
 //! # Examples
 //!
 //! ```
-//! use wts_core::{CompiledFilter, Filter, SizeThresholdFilter};
+//! use wts_core::CompiledFilter;
 //! use wts_features::{FeatureKind, FeatureMask};
 //!
-//! let compiled = SizeThresholdFilter::new(5).compile();
+//! let compiled = CompiledFilter::size_threshold(5);
 //! assert_eq!(compiled.demand(), FeatureMask::of([FeatureKind::BbLen]));
 //! assert_eq!(compiled.condition_count(), 1);
 //! let mut v = [0.0; FeatureKind::COUNT];
@@ -48,7 +48,6 @@
 //! assert!(compiled.decide(&v));
 //! ```
 
-use crate::filter::Filter;
 use crate::trace::TraceRecord;
 use std::fmt;
 use wts_features::{FeatureKind, FeatureMask, FeatureVector};
@@ -287,6 +286,12 @@ impl CompiledFilter {
         }
     }
 
+    /// Short name for reports (`LS`, `NS`, `size>=N`, or the trained
+    /// filter's `<learner>(t=<threshold>)`).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
     /// The features this filter's conditions read. Extraction only needs
     /// to materialize these ([`FeatureVector::extract_masked`]).
     pub fn demand(&self) -> FeatureMask {
@@ -416,9 +421,10 @@ impl CompiledFilter {
         (None, evaluated)
     }
 
-    /// Conditions evaluated for one feature vector (the
-    /// [`Filter::eval_work`] hook, on raw values).
-    pub fn eval_work_values(&self, values: &[f64]) -> u64 {
+    /// Conditions evaluated for one feature vector (dense Table 1
+    /// layout): the work [`sched_time_ratio`](crate::sched_time_ratio)
+    /// charges for the decision.
+    pub fn eval_work(&self, values: &[f64]) -> u64 {
         self.decide_counted(values).1
     }
 
@@ -451,24 +457,6 @@ impl CompiledFilter {
     #[inline]
     fn decide_row(&self, batch: &FeatureBatch, row: usize) -> bool {
         self.walk(|attr| batch.value(attr, row)).0.is_some()
-    }
-}
-
-impl Filter for CompiledFilter {
-    fn should_schedule(&self, features: &FeatureVector) -> bool {
-        self.decide(features.as_slice())
-    }
-
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn compile(&self) -> CompiledFilter {
-        self.clone()
-    }
-
-    fn eval_work(&self, features: &FeatureVector) -> u64 {
-        self.eval_work_values(features.as_slice())
     }
 }
 
@@ -540,7 +528,6 @@ impl FeatureBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AlwaysSchedule, LearnedFilter, NeverSchedule, SizeThresholdFilter};
     use wts_ripper::{Condition, Rule, RuleStats};
 
     fn fv(bb_len: f64, loads: f64, calls: f64) -> FeatureVector {
@@ -607,23 +594,8 @@ mod tests {
         let c = CompiledFilter::size_threshold(5);
         assert!(c.decide(fv(5.0, 0.0, 0.0).as_slice()));
         assert!(!c.decide(fv(4.0, 0.0, 0.0).as_slice()));
-        assert_eq!(c.eval_work_values(fv(4.0, 0.0, 0.0).as_slice()), 1);
+        assert_eq!(c.eval_work(fv(4.0, 0.0, 0.0).as_slice()), 1);
         assert_eq!(c.extraction_work(1000), 0, "bbLen is known without an instruction pass");
-    }
-
-    #[test]
-    fn trait_compile_hooks_agree_with_the_interpreted_filters() {
-        let learned = LearnedFilter::new(two_rule_set(), 20);
-        let compiled = learned.compile();
-        for v in [fv(8.0, 0.5, 0.9), fv(8.0, 0.1, 0.9), fv(3.0, 0.0, 0.05)] {
-            assert_eq!(compiled.should_schedule(&v), learned.should_schedule(&v));
-            assert_eq!(compiled.eval_work(&v), learned.eval_work(&v));
-        }
-        assert_eq!(compiled.name(), learned.name());
-        assert_eq!(AlwaysSchedule.compile().name(), "LS");
-        assert_eq!(NeverSchedule.compile().name(), "NS");
-        assert_eq!(SizeThresholdFilter::new(9).compile().name(), "size>=9");
-        assert_eq!(compiled.compile(), compiled, "recompiling is the identity");
     }
 
     #[test]

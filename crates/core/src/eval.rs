@@ -1,14 +1,16 @@
 //! Evaluation of filters along the paper's three axes: classification
 //! accuracy, scheduling (compile) time and application running time.
 //!
-//! Every function compiles the filter once ([`Filter::compile`]) and
-//! classifies through the [`CompiledFilter`](crate::CompiledFilter)
-//! engine — decisions are bit-identical to the interpreted path, and the
-//! work accounting is honest: per-condition (short-circuit aware) filter
-//! cost plus demand-masked extraction cost, instead of flat constants.
+//! Every function takes the deployed [`CompiledFilter`] — a trained
+//! filter is lowered with [`LearnedFilter::compile`](crate::LearnedFilter::compile),
+//! the fixed strategies are [`CompiledFilter::always`],
+//! [`CompiledFilter::never`] and [`CompiledFilter::size_threshold`] — so
+//! the decisions are the ones deployment makes, and the work accounting
+//! is honest: per-condition (short-circuit aware) filter cost plus
+//! demand-masked extraction cost, instead of flat constants.
 
 use crate::policy::DecisionPolicy;
-use crate::{Filter, LabelConfig, TraceRecord};
+use crate::{CompiledFilter, LabelConfig, TraceRecord};
 use std::time::Instant;
 use wts_ripper::ConfusionMatrix;
 
@@ -49,7 +51,7 @@ pub struct EvalTimes {
     pub always_work: u64,
     /// Work units the filter itself spent: conditions actually evaluated
     /// across all blocks, short-circuiting included
-    /// ([`Filter::eval_work`]).
+    /// ([`CompiledFilter::eval_work`]).
     pub filter_work: u64,
     /// Work units charged for demand-masked feature extraction — only
     /// the features the compiled filter reads are tallied
@@ -141,20 +143,18 @@ fn ratio(filtered: u64, always: u64) -> f64 {
     filtered as f64 / always as f64
 }
 
-/// The compiled filter's decision for every record: one lowering, then
-/// a straight walk over the records (per-benchmark traces are small;
-/// callers needing cross-core SoA classification use
-/// [`CompiledFilter::classify_batch`](crate::CompiledFilter::classify_batch)
-/// over a [`FeatureBatch`](crate::FeatureBatch) directly).
-fn decisions(traces: &[TraceRecord], filter: &dyn Filter) -> Vec<bool> {
-    let compiled = filter.compile();
-    traces.iter().map(|r| compiled.decide(r.features.as_slice())).collect()
+/// The filter's decision for every record: a straight walk over the
+/// records (per-benchmark traces are small; callers needing cross-core
+/// SoA classification use [`CompiledFilter::classify_batch`] over a
+/// [`FeatureBatch`](crate::FeatureBatch) directly).
+fn decisions<'a>(traces: &'a [TraceRecord], filter: &'a CompiledFilter) -> impl Iterator<Item = bool> + 'a {
+    traces.iter().map(|r| filter.decide(r.features.as_slice()))
 }
 
 /// Classification confusion of `filter` against the threshold-`t` labels
 /// of `traces` (Table 3). Dropped instances (benefit within `(0, t]`) are
 /// excluded, exactly as they are excluded from the paper's test sets.
-pub fn classification_matrix(traces: &[TraceRecord], filter: &dyn Filter, label: LabelConfig) -> ConfusionMatrix {
+pub fn classification_matrix(traces: &[TraceRecord], filter: &CompiledFilter, label: LabelConfig) -> ConfusionMatrix {
     let mut m = ConfusionMatrix::default();
     for (r, predicted) in traces.iter().zip(decisions(traces, filter)) {
         if let Some(actual) = label.label(r) {
@@ -165,7 +165,7 @@ pub fn classification_matrix(traces: &[TraceRecord], filter: &dyn Filter, label:
 }
 
 /// Run-time classification counts over *all* blocks (Table 6).
-pub fn runtime_classification(traces: &[TraceRecord], filter: &dyn Filter) -> ClassCounts {
+pub fn runtime_classification(traces: &[TraceRecord], filter: &CompiledFilter) -> ClassCounts {
     let mut c = ClassCounts::default();
     for predicted in decisions(traces, filter) {
         if predicted {
@@ -180,18 +180,18 @@ pub fn runtime_classification(traces: &[TraceRecord], filter: &dyn Filter) -> Cl
 /// Predicted (cheap-estimator) execution time under `filter`, as a
 /// percentage of the never-schedule time (Table 4: smaller is better,
 /// 100 = no change).
-pub fn predicted_time_ratio(traces: &[TraceRecord], filter: &dyn Filter) -> f64 {
+pub fn predicted_time_ratio(traces: &[TraceRecord], filter: &CompiledFilter) -> f64 {
     time_ratio(traces, filter, |r| (r.est_unsched, r.est_sched)) * 100.0
 }
 
 /// "Measured" (detailed-simulator) application running time under
 /// `filter`, as a fraction of the never-schedule time (Figures 1b/2b/3b:
 /// smaller than 1 is an improvement).
-pub fn app_time_ratio(traces: &[TraceRecord], filter: &dyn Filter) -> f64 {
+pub fn app_time_ratio(traces: &[TraceRecord], filter: &CompiledFilter) -> f64 {
     time_ratio(traces, filter, |r| (r.hw_unsched, r.hw_sched))
 }
 
-fn time_ratio(traces: &[TraceRecord], filter: &dyn Filter, cycles: impl Fn(&TraceRecord) -> (u64, u64)) -> f64 {
+fn time_ratio(traces: &[TraceRecord], filter: &CompiledFilter, cycles: impl Fn(&TraceRecord) -> (u64, u64)) -> f64 {
     let mut base = 0.0;
     let mut with = 0.0;
     for (r, scheduled) in traces.iter().zip(decisions(traces, filter)) {
@@ -210,32 +210,26 @@ fn time_ratio(traces: &[TraceRecord], filter: &dyn Filter, cycles: impl Fn(&Trac
 /// (Figures 1a/2a/3a). The filter's own evaluation is timed here and
 /// charged to the filtered strategy, as the paper charges it (§3.1).
 ///
-/// The filter is lowered once and evaluated through the compiled
-/// engine. The work channel charges what the deployed pass would
-/// actually do per block: demand-masked feature extraction (only the
-/// categories the rules read) plus the conditions evaluated until the
-/// decision short-circuits — so a one-condition rule set is cheaper
-/// than a forty-condition one, and a filter that reads two features is
-/// cheaper than one that reads twelve.
-pub fn sched_time_ratio(traces: &[TraceRecord], filter: &dyn Filter) -> EvalTimes {
-    sched_time_policy(traces, filter, &DecisionPolicy::HardThreshold)
-}
-
-/// [`sched_time_ratio`] with the schedule/skip call delegated to an
-/// explicit [`DecisionPolicy`]. Scoring rides the same short-circuit
-/// walk as the boolean decision, so under
-/// [`HardThreshold`](DecisionPolicy::HardThreshold) every channel —
-/// decisions, work, counts — is bit-identical to the legacy path; a
-/// cost-sensitive policy changes only which units are scheduled, and
-/// the [`benefit_cycles`](EvalTimes::benefit_cycles) /
+/// The work channel charges what the deployed pass would actually do
+/// per block: demand-masked feature extraction (only the categories the
+/// rules read) plus the conditions evaluated until the decision
+/// short-circuits — so a one-condition rule set is cheaper than a
+/// forty-condition one, and a filter that reads two features is cheaper
+/// than one that reads twelve.
+///
+/// The schedule/skip call is the `policy`'s. Scoring rides the same
+/// short-circuit walk as the boolean decision, so
+/// [`HardThreshold`](DecisionPolicy::HardThreshold) schedules exactly
+/// the units a rule fires on; a cost-sensitive policy changes only which
+/// units are scheduled, and the
+/// [`benefit_cycles`](EvalTimes::benefit_cycles) /
 /// [`net_cycles`](EvalTimes::net_cycles) channels report whether those
 /// calls were worth it.
-pub fn sched_time_policy(traces: &[TraceRecord], filter: &dyn Filter, policy: &DecisionPolicy) -> EvalTimes {
-    let compiled = filter.compile();
+pub fn sched_time_ratio(traces: &[TraceRecord], filter: &CompiledFilter, policy: &DecisionPolicy) -> EvalTimes {
     let mut out = EvalTimes { total_blocks: traces.len(), ..EvalTimes::default() };
     for r in traces {
         let t0 = Instant::now();
-        let (decision, unit) = policy.decide_unit(&compiled, &r.features, r.features.bb_len() as u64, r.exec_count);
+        let (decision, unit) = policy.decide_unit(filter, &r.features, r.features.bb_len() as u64, r.exec_count);
         let filter_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
         out.always_ns += r.sched_ns;
@@ -280,7 +274,6 @@ pub fn oracle_times(traces: &[TraceRecord], cycles_per_work: f64) -> EvalTimes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AlwaysSchedule, NeverSchedule, SizeThresholdFilter};
     use wts_features::{FeatureKind, FeatureVector};
     use wts_ir::{BlockId, MethodId};
 
@@ -322,10 +315,10 @@ mod tests {
     #[test]
     fn classification_against_labels() {
         let t = traces();
-        let m = classification_matrix(&t, &SizeThresholdFilter::new(5), LabelConfig::new(0));
+        let m = classification_matrix(&t, &CompiledFilter::size_threshold(5), LabelConfig::new(0));
         // labels: LS, NS, LS; filter predicts: LS, NS, LS.
         assert_eq!((m.tp, m.tn, m.fp, m.fn_), (2, 1, 0, 0));
-        let bad = classification_matrix(&t, &NeverSchedule, LabelConfig::new(0));
+        let bad = classification_matrix(&t, &CompiledFilter::never(), LabelConfig::new(0));
         assert_eq!(bad.fn_, 2);
     }
 
@@ -333,13 +326,13 @@ mod tests {
     fn dropped_instances_are_excluded() {
         // 10% improvement at t=20 is dropped.
         let t = vec![rec(8.0, 1, (100, 90), (100, 95))];
-        let m = classification_matrix(&t, &AlwaysSchedule, LabelConfig::new(20));
+        let m = classification_matrix(&t, &CompiledFilter::always(), LabelConfig::new(20));
         assert_eq!(m.total(), 0);
     }
 
     #[test]
     fn runtime_counts_cover_all_blocks() {
-        let c = runtime_classification(&traces(), &SizeThresholdFilter::new(5));
+        let c = runtime_classification(&traces(), &CompiledFilter::size_threshold(5));
         assert_eq!(c.ls, 2);
         assert_eq!(c.ns, 1);
         assert_eq!(c.total(), 3);
@@ -348,9 +341,9 @@ mod tests {
     #[test]
     fn predicted_ratio_bounds() {
         let t = traces();
-        let ls = predicted_time_ratio(&t, &AlwaysSchedule);
-        let ns = predicted_time_ratio(&t, &NeverSchedule);
-        let f = predicted_time_ratio(&t, &SizeThresholdFilter::new(5));
+        let ls = predicted_time_ratio(&t, &CompiledFilter::always());
+        let ns = predicted_time_ratio(&t, &CompiledFilter::never());
+        let f = predicted_time_ratio(&t, &CompiledFilter::size_threshold(5));
         assert_eq!(ns, 100.0);
         assert!(ls < 100.0);
         assert!(f >= ls && f <= ns, "filter lies between the fixed strategies here");
@@ -359,17 +352,17 @@ mod tests {
     #[test]
     fn app_ratio_weighted_by_exec_count() {
         let t = traces();
-        let ls = app_time_ratio(&t, &AlwaysSchedule);
+        let ls = app_time_ratio(&t, &CompiledFilter::always());
         // hot blocks: 100*(95 vs 100) and 100*(10 vs 10); cold 1*(48 vs 50).
         let expect = (100.0 * 95.0 + 100.0 * 10.0 + 48.0) / (100.0 * 100.0 + 100.0 * 10.0 + 50.0);
         assert!((ls - expect).abs() < 1e-9);
-        assert_eq!(app_time_ratio(&t, &NeverSchedule), 1.0);
+        assert_eq!(app_time_ratio(&t, &CompiledFilter::never()), 1.0);
     }
 
     #[test]
     fn sched_time_work_ratio_is_deterministic_and_sensible() {
         let t = traces();
-        let e = sched_time_ratio(&t, &SizeThresholdFilter::new(5));
+        let e = sched_time_ratio(&t, &CompiledFilter::size_threshold(5), &DecisionPolicy::HardThreshold);
         assert_eq!(e.total_blocks, 3);
         assert_eq!(e.scheduled_blocks, 2);
         // work: always = 150; the size filter reads only bbLen (free
@@ -381,7 +374,7 @@ mod tests {
         assert_eq!(e.filtered_work, 103);
         assert!((e.work_ratio() - 103.0 / 150.0).abs() < 1e-12);
         assert!((e.overhead_fraction() - 3.0 / 150.0).abs() < 1e-12);
-        let never = sched_time_ratio(&t, &NeverSchedule);
+        let never = sched_time_ratio(&t, &CompiledFilter::never(), &DecisionPolicy::HardThreshold);
         assert!(never.work_ratio() < e.work_ratio(), "scheduling nothing is cheapest");
         assert_eq!(never.scheduled_blocks, 0);
         assert_eq!(never.filtered_work, 0, "NS reads no features and evaluates no conditions");
@@ -392,12 +385,11 @@ mod tests {
         // A 1-condition set versus a 5-condition, wider-demand set that
         // reaches the same decisions: per-condition accounting must
         // separate them (the old flat FILTER_EVAL_WORK = 4 did not).
-        use crate::LearnedFilter;
         use wts_ripper::{Condition, Op, Rule, RuleSet};
         let attr_names: Vec<String> = FeatureKind::ALL.iter().map(|k| k.rule_name().to_string()).collect();
         let cond = |kind: FeatureKind, op, threshold| Condition { attr: kind.index(), op, threshold };
-        let small = LearnedFilter::new(
-            RuleSet::new(
+        let small = CompiledFilter::from_rule_set(
+            &RuleSet::new(
                 attr_names.clone(),
                 "list",
                 "orig",
@@ -405,10 +397,10 @@ mod tests {
                 vec![],
                 Default::default(),
             ),
-            0,
+            "small",
         );
-        let big = LearnedFilter::new(
-            RuleSet::new(
+        let big = CompiledFilter::from_rule_set(
+            &RuleSet::new(
                 attr_names,
                 "list",
                 "orig",
@@ -422,25 +414,25 @@ mod tests {
                 vec![],
                 Default::default(),
             ),
-            0,
+            "big",
         );
         let t = traces();
-        let es = sched_time_ratio(&t, &small);
-        let eb = sched_time_ratio(&t, &big);
+        let es = sched_time_ratio(&t, &small, &DecisionPolicy::HardThreshold);
+        let eb = sched_time_ratio(&t, &big, &DecisionPolicy::HardThreshold);
         assert_eq!(es.scheduled_blocks, eb.scheduled_blocks, "same decisions");
         assert!(eb.filter_work > es.filter_work, "more conditions evaluated: {} vs {}", eb.filter_work, es.filter_work);
         assert!(eb.feature_work > es.feature_work, "wider demand mask costs more extraction");
         assert!(eb.filtered_work > es.filtered_work, "bigger rule set must report strictly more filtered work");
         // And the counting is short-circuit aware: blocks failing the
         // first condition never pay for the rest.
-        assert_eq!(big.eval_work(&fv(2.0, 0.0)), 1, "bbLen >= 5 fails first, rest skipped");
-        assert_eq!(big.eval_work(&fv(9.0, 0.0)), 5, "all five conditions hold");
+        assert_eq!(big.eval_work(fv(2.0, 0.0).as_slice()), 1, "bbLen >= 5 fails first, rest skipped");
+        assert_eq!(big.eval_work(fv(9.0, 0.0).as_slice()), 5, "all five conditions hold");
     }
 
     #[test]
     fn accumulate_sums_all_channels() {
         let t = traces();
-        let a = sched_time_ratio(&t, &SizeThresholdFilter::new(5));
+        let a = sched_time_ratio(&t, &CompiledFilter::size_threshold(5), &DecisionPolicy::HardThreshold);
         let mut sum = a;
         sum.accumulate(&a);
         assert_eq!(sum.always_work, 2 * a.always_work);
@@ -454,12 +446,12 @@ mod tests {
         // Both channels empty: the strategies are indistinguishable, so
         // every ratio is 1.0 (not 0.0, which would read "filtering is
         // free") and the overhead is genuinely zero.
-        let e = sched_time_ratio(&[], &AlwaysSchedule);
+        let e = sched_time_ratio(&[], &CompiledFilter::always(), &DecisionPolicy::HardThreshold);
         assert_eq!(e.measured_ratio(), 1.0);
         assert_eq!(e.work_ratio(), 1.0);
         assert_eq!(e.overhead_fraction(), 0.0);
-        assert_eq!(app_time_ratio(&[], &AlwaysSchedule), 1.0);
-        assert_eq!(predicted_time_ratio(&[], &AlwaysSchedule), 100.0);
+        assert_eq!(app_time_ratio(&[], &CompiledFilter::always()), 1.0);
+        assert_eq!(predicted_time_ratio(&[], &CompiledFilter::always()), 100.0);
     }
 
     #[test]
@@ -512,30 +504,15 @@ mod tests {
     }
 
     #[test]
-    fn policy_hard_threshold_matches_the_legacy_path_channel_for_channel() {
-        let t = traces();
-        for filter in [&SizeThresholdFilter::new(5) as &dyn Filter, &AlwaysSchedule, &NeverSchedule] {
-            let legacy = sched_time_ratio(&t, filter);
-            let hard = sched_time_policy(&t, filter, &DecisionPolicy::HardThreshold);
-            assert_eq!(
-                (legacy.filtered_work, legacy.always_work, legacy.filter_work, legacy.feature_work),
-                (hard.filtered_work, hard.always_work, hard.filter_work, hard.feature_work)
-            );
-            assert_eq!(legacy.scheduled_blocks, hard.scheduled_blocks);
-            assert_eq!(legacy.benefit_cycles, hard.benefit_cycles);
-        }
-    }
-
-    #[test]
     fn benefit_cycles_weighs_scheduled_blocks_by_execution() {
         let t = traces();
-        let e = sched_time_ratio(&t, &SizeThresholdFilter::new(5));
+        let e = sched_time_ratio(&t, &CompiledFilter::size_threshold(5), &DecisionPolicy::HardThreshold);
         // Scheduled: the hot big block (100·(100−80)) and the cold one
         // (1·(50−40)); the small no-benefit block is skipped.
         assert_eq!(e.benefit_cycles, 100 * 20 + 10);
         assert!((e.net_cycles(0.0) - e.benefit_cycles as f64).abs() < 1e-12);
         assert!(e.net_cycles(1.0) < e.net_cycles(0.0), "pricing work in can only lower the net");
-        let ns = sched_time_ratio(&t, &NeverSchedule);
+        let ns = sched_time_ratio(&t, &CompiledFilter::never(), &DecisionPolicy::HardThreshold);
         assert_eq!(ns.benefit_cycles, 0);
         assert_eq!(ns.net_cycles(5.0), 0.0, "scheduling nothing and spending nothing nets zero");
     }
@@ -547,8 +524,8 @@ mod tests {
         // A generous operating point schedules the hot beneficial block
         // but skips the cold one (gain 10 < quadratic sched estimate).
         let policy = DecisionPolicy::ExpectedBenefit(BenefitModel { saved_per_inst: 2.0, cycles_per_work: 1.0 });
-        let e = sched_time_policy(&t, &AlwaysSchedule, &policy);
-        // AlwaysSchedule scores every unit at probability 1, so the
+        let e = sched_time_ratio(&t, &CompiledFilter::always(), &policy);
+        // LS scores every unit at probability 1, so the
         // policy keeps both hot blocks (it cannot see that one has no
         // benefit) but drops the cold one: gain 2·12·1 = 24 is under the
         // quadratic scheduling estimate for 12 instructions.
@@ -556,7 +533,7 @@ mod tests {
         assert_eq!(e.benefit_cycles, 100 * 20);
         // The hard policy under LS schedules everything, including the
         // units whose compile spend outweighs their benefit.
-        let hard = sched_time_policy(&t, &AlwaysSchedule, &DecisionPolicy::HardThreshold);
+        let hard = sched_time_ratio(&t, &CompiledFilter::always(), &DecisionPolicy::HardThreshold);
         assert_eq!(hard.scheduled_blocks, 3);
         assert!(e.net_cycles(1.0) > hard.net_cycles(1.0), "cost-sensitivity must beat schedule-everything here");
     }
@@ -571,8 +548,8 @@ mod tests {
         // (10 < 50) or the no-benefit one.
         assert_eq!(oracle.scheduled_blocks, 1);
         assert_eq!(oracle.benefit_cycles, 2000);
-        for filter in [&SizeThresholdFilter::new(5) as &dyn Filter, &AlwaysSchedule, &NeverSchedule] {
-            let e = sched_time_ratio(&t, filter);
+        for filter in [CompiledFilter::size_threshold(5), CompiledFilter::always(), CompiledFilter::never()] {
+            let e = sched_time_ratio(&t, &filter, &DecisionPolicy::HardThreshold);
             assert!(oracle.net_cycles(1.0) >= e.net_cycles(1.0), "{}", filter.name());
         }
     }
@@ -586,7 +563,7 @@ mod tests {
         let mut r = rec(0.0, 1, (0, 0), (0, 0));
         r.sched_ns = 0;
         r.sched_work = 0;
-        let e = sched_time_ratio(&[r], &SizeThresholdFilter::new(5));
+        let e = sched_time_ratio(&[r], &CompiledFilter::size_threshold(5), &DecisionPolicy::HardThreshold);
         assert_eq!(e.always_work, 0, "nothing to schedule");
         assert!(e.filtered_work > 0, "the filter still paid to decide");
         assert_eq!(e.work_ratio(), f64::INFINITY, "nonzero spend over zero scheduling work is not free");

@@ -48,16 +48,17 @@
 //! ```
 
 use crate::eval::{
-    app_time_ratio, classification_matrix, predicted_time_ratio, runtime_classification, sched_time_policy,
-    sched_time_ratio, ClassCounts, EvalTimes,
+    app_time_ratio, classification_matrix, predicted_time_ratio, runtime_classification, sched_time_ratio, ClassCounts,
+    EvalTimes,
 };
 use crate::label::{build_dataset, LabelConfig};
 use crate::learner::{Learner, LearnerKind};
 use crate::matrix::PortfolioEntry;
+use crate::policy::DecisionPolicy;
 use crate::store::{FilterKey, FilterStore};
-use crate::trace::{collect_trace_with, TimingMode, TraceOptions, TraceRecord};
+use crate::trace::{collect_trace, TimingMode, TraceOptions, TraceRecord};
 use crate::train::{train_loocv_sharded, TrainConfig};
-use crate::{Filter, LearnedFilter};
+use crate::{BinaryTraceError, CompiledFilter, LearnedFilter};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -221,7 +222,7 @@ impl Experiment {
     /// Stage 1 alone: the instrumented scheduling pass over one program,
     /// sharded across its methods.
     pub fn trace(&self, program: &Program) -> Vec<TraceRecord> {
-        collect_trace_with(program, &self.machine, &self.trace_options())
+        collect_trace(program, &self.machine, &self.trace_options())
     }
 
     /// Runs the trace stage over a whole suite and packages the result
@@ -234,10 +235,9 @@ impl Experiment {
 
     /// Rebuilds an [`ExperimentRun`] from a serialized trace corpus
     /// instead of re-tracing — the "ship training sets to end users"
-    /// workflow of footnote 4. The bytes can be either trace encoding
-    /// ([`read_trace_auto`](crate::read_trace_auto) dispatches on the
-    /// magic); records regroup onto `programs` by benchmark name, in
-    /// program order, exactly undoing
+    /// workflow of footnote 4. The bytes are a binary trace file
+    /// ([`read_trace_binary`](crate::read_trace_binary)); records regroup
+    /// onto `programs` by benchmark name, in program order, exactly undoing
     /// [`ExperimentRun::serialize_traces`].
     ///
     /// # Errors
@@ -247,7 +247,7 @@ impl Experiment {
     /// `programs` (an unknown benchmark, or records out of program
     /// order).
     pub fn run_from_serialized(&self, programs: Vec<Program>, bytes: &[u8]) -> Result<ExperimentRun, CorpusError> {
-        let records = crate::read_trace_auto(bytes).map_err(CorpusError::Read)?;
+        let records = crate::read_trace_binary(bytes).map_err(CorpusError::Read)?;
         let mut traces: Vec<Vec<TraceRecord>> = programs.iter().map(|_| Vec::new()).collect();
         let mut it = records.into_iter().peekable();
         for (slot, program) in traces.iter_mut().zip(&programs) {
@@ -310,8 +310,8 @@ impl Experiment {
 /// ([`Experiment::run_from_serialized`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CorpusError {
-    /// The bytes failed to parse in either trace encoding.
-    Read(crate::TraceReadError),
+    /// The bytes failed to parse as a binary trace file.
+    Read(BinaryTraceError),
     /// The parsed records do not line up with the supplied programs.
     Mismatch {
         /// Benchmark name of the first record that failed to place.
@@ -516,11 +516,12 @@ impl ExperimentRun {
         let mut conditions = 0usize;
         for (bench, filter) in filters.iter() {
             let tr = self.trace_for(bench);
-            let m = classification_matrix(tr, filter, label);
+            let compiled = filter.compile();
+            let m = classification_matrix(tr, &compiled, label);
             confusion.accumulate(&m);
-            pred.push(predicted_time_ratio(tr, filter));
-            app.push(app_time_ratio(tr, filter));
-            times.accumulate(&sched_time_ratio(tr, filter));
+            pred.push(predicted_time_ratio(tr, &compiled));
+            app.push(app_time_ratio(tr, &compiled));
+            times.accumulate(&sched_time_ratio(tr, &compiled, &DecisionPolicy::HardThreshold));
             conditions += filter.rules().condition_count();
         }
         PortfolioEntry {
@@ -536,38 +537,40 @@ impl ExperimentRun {
     /// Stage 4, Table 3: confusion of `bench`'s own LOOCV filter against
     /// its threshold-`t` labels.
     pub fn classification(&self, t: u32, bench: &str) -> ConfusionMatrix {
-        classification_matrix(self.trace_for(bench), &self.filter_for(t, bench), LabelConfig::new(t))
+        classification_matrix(self.trace_for(bench), &self.compiled_filter_for(t, bench), LabelConfig::new(t))
     }
 
     /// Stage 4, Table 4: predicted (cheap-estimator) execution time under
     /// `bench`'s LOOCV filter, percent of never-scheduling.
     pub fn predicted_time(&self, t: u32, bench: &str) -> f64 {
-        predicted_time_ratio(self.trace_for(bench), &self.filter_for(t, bench))
+        predicted_time_ratio(self.trace_for(bench), &self.compiled_filter_for(t, bench))
     }
 
     /// Stage 4, Figures 1b/2b/3b: measured application-time ratio under
     /// `bench`'s LOOCV filter (fraction of never-scheduling).
     pub fn app_time(&self, t: u32, bench: &str) -> f64 {
-        app_time_ratio(self.trace_for(bench), &self.filter_for(t, bench))
+        app_time_ratio(self.trace_for(bench), &self.compiled_filter_for(t, bench))
     }
 
     /// Figures 1b/2b/3b reference rows: application-time ratio of an
     /// arbitrary fixed strategy over one benchmark.
-    pub fn app_time_with(&self, bench: &str, filter: &dyn Filter) -> f64 {
+    pub fn app_time_with(&self, bench: &str, filter: &CompiledFilter) -> f64 {
         app_time_ratio(self.trace_for(bench), filter)
     }
 
     /// Stage 4, Figures 1a/2a/3a: scheduling-time measurement of
-    /// `bench`'s LOOCV filter versus always-scheduling.
-    pub fn sched_time(&self, t: u32, bench: &str) -> EvalTimes {
-        sched_time_ratio(self.trace_for(bench), &self.filter_for(t, bench))
+    /// `bench`'s LOOCV filter versus always-scheduling, with the
+    /// schedule/skip call delegated to `policy`
+    /// ([`DecisionPolicy::HardThreshold`] is the paper's).
+    pub fn sched_time(&self, t: u32, bench: &str, policy: &DecisionPolicy) -> EvalTimes {
+        sched_time_ratio(self.trace_for(bench), &self.compiled_filter_for(t, bench), policy)
     }
 
     /// The compiled engine form of `bench`'s LOOCV filter — flat
     /// condition table plus feature demand mask, ready for the deployed
     /// fast path ([`filtered_schedule_pass`](crate::filtered_schedule_pass))
     /// or batch classification.
-    pub fn compiled_filter_for(&self, t: u32, bench: &str) -> crate::CompiledFilter {
+    pub fn compiled_filter_for(&self, t: u32, bench: &str) -> CompiledFilter {
         self.filter_for(t, bench).compile()
     }
 
@@ -579,7 +582,7 @@ impl ExperimentRun {
     pub fn sched_time_total(&self, t: u32) -> EvalTimes {
         let mut total = EvalTimes::default();
         for bench in &self.names {
-            total.accumulate(&self.sched_time(t, bench));
+            total.accumulate(&self.sched_time(t, bench, &DecisionPolicy::HardThreshold));
         }
         total
     }
@@ -588,16 +591,10 @@ impl ExperimentRun {
     /// the savings rate comes from every *other* benchmark's traces,
     /// mirroring the LOOCV training protocol — the held-out fold never
     /// calibrates its own model, just as it never trains its own filter.
-    pub fn policy_for(&self, bench: &str, cycles_per_work: f64) -> crate::DecisionPolicy {
+    pub fn policy_for(&self, bench: &str, cycles_per_work: f64) -> DecisionPolicy {
         let i = self.index_of(bench);
         let others = self.traces.iter().enumerate().filter(|&(j, _)| j != i).flat_map(|(_, t)| t);
-        crate::DecisionPolicy::expected_benefit(others, cycles_per_work)
-    }
-
-    /// [`sched_time`](ExperimentRun::sched_time) with the schedule/skip
-    /// call delegated to an explicit [`DecisionPolicy`](crate::DecisionPolicy).
-    pub fn sched_time_with_policy(&self, t: u32, bench: &str, policy: &crate::DecisionPolicy) -> EvalTimes {
-        sched_time_policy(self.trace_for(bench), &self.filter_for(t, bench), policy)
+        DecisionPolicy::expected_benefit(others, cycles_per_work)
     }
 
     /// [`sched_time_total`](ExperimentRun::sched_time_total) under the
@@ -610,7 +607,7 @@ impl ExperimentRun {
         let mut total = EvalTimes::default();
         for bench in &self.names {
             let policy = self.policy_for(bench, cycles_per_work);
-            total.accumulate(&self.sched_time_with_policy(t, bench, &policy));
+            total.accumulate(&self.sched_time(t, bench, &policy));
         }
         total
     }
@@ -618,7 +615,7 @@ impl ExperimentRun {
     /// Stage 4, Table 6: run-time LS/NS classification counts of
     /// `bench`'s LOOCV filter over all its blocks.
     pub fn runtime_counts(&self, t: u32, bench: &str) -> ClassCounts {
-        runtime_classification(self.trace_for(bench), &self.filter_for(t, bench))
+        runtime_classification(self.trace_for(bench), &self.compiled_filter_for(t, bench))
     }
 
     /// Count of trace records labeled `LS` at threshold `t` (Table 5).
@@ -637,7 +634,6 @@ impl ExperimentRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AlwaysSchedule, NeverSchedule};
 
     /// The shared learnable three-benchmark suite, at six methods per
     /// program.
@@ -696,12 +692,12 @@ mod tests {
         let counts = r.runtime_counts(0, "alpha");
         assert_eq!(counts.total(), r.trace_for("alpha").len());
         assert!(r.app_time(0, "alpha") <= 1.0 + 1e-9);
-        assert_eq!(r.app_time_with("alpha", &NeverSchedule), 1.0);
+        assert_eq!(r.app_time_with("alpha", &CompiledFilter::never()), 1.0);
         // The OoO hardware stand-in recovers these blocks' stalls, so the
         // measured channel only guarantees "no worse"; the benefit shows
         // on the estimated (cheap, in-order) channel.
-        assert!(r.app_time_with("alpha", &AlwaysSchedule) <= 1.0);
-        assert!(predicted_time_ratio(r.trace_for("alpha"), &AlwaysSchedule) < 100.0);
+        assert!(r.app_time_with("alpha", &CompiledFilter::always()) <= 1.0);
+        assert!(predicted_time_ratio(r.trace_for("alpha"), &CompiledFilter::always()) < 100.0);
     }
 
     #[test]
@@ -762,10 +758,8 @@ mod tests {
         assert_eq!(reloaded.traces(), original.traces(), "per-benchmark grouping survives");
         // Downstream stages agree: same filters without re-tracing.
         assert_eq!(*reloaded.loocv_filters(10), *original.loocv_filters(10));
-        // The text encoding loads through the same entry point.
-        let text = crate::write_trace(original.all_traces()).unwrap();
-        let from_text = exp.run_from_serialized(suite(), text.as_bytes()).expect("text corpus reloads");
-        assert_eq!(from_text.all_traces(), original.all_traces());
+        // Re-serializing the reloaded run reproduces the file byte for byte.
+        assert_eq!(reloaded.serialize_traces().expect("reloaded corpus is finite"), bytes);
     }
 
     #[test]
@@ -791,7 +785,7 @@ mod tests {
             Err(e) => e,
             Ok(_) => panic!("garbage must be rejected"),
         };
-        assert!(matches!(err, CorpusError::Read(crate::TraceReadError::UnknownFormat)), "got {err:?}");
+        assert!(matches!(err, CorpusError::Read(BinaryTraceError::BadMagic)), "got {err:?}");
     }
 
     #[test]

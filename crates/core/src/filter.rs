@@ -1,117 +1,8 @@
-//! The filter abstraction and its implementations.
+//! The trained filter: an induced rule set plus its provenance.
 
 use crate::engine::CompiledFilter;
 use std::fmt;
-use wts_features::{FeatureKind, FeatureVector};
 use wts_ripper::RuleSet;
-
-/// A *filter* decides, from a block's static features alone, whether the
-/// scheduler should run on that block (the paper's L/N protocol chooses
-/// between List scheduling and No scheduling).
-///
-/// Filters are immutable once built, and `Send + Sync` so one filter can
-/// serve every shard of a parallel compile or trace collection.
-pub trait Filter: Send + Sync {
-    /// True when the block should be list-scheduled.
-    fn should_schedule(&self, features: &FeatureVector) -> bool;
-
-    /// Short name for reports.
-    fn name(&self) -> String;
-
-    /// Lowers this filter into the [`CompiledFilter`] engine: a flat
-    /// condition table plus the feature demand mask. Decisions are
-    /// bit-identical to [`should_schedule`](Filter::should_schedule).
-    fn compile(&self) -> CompiledFilter;
-
-    /// Work units (conditions actually evaluated, short-circuit aware)
-    /// this filter spends deciding `features` — the honest per-block
-    /// cost [`sched_time_ratio`](crate::sched_time_ratio) charges.
-    fn eval_work(&self, features: &FeatureVector) -> u64 {
-        self.compile().eval_work_values(features.as_slice())
-    }
-}
-
-/// The fixed `LS` strategy: schedule every block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AlwaysSchedule;
-
-impl Filter for AlwaysSchedule {
-    fn should_schedule(&self, _features: &FeatureVector) -> bool {
-        true
-    }
-
-    fn name(&self) -> String {
-        "LS".into()
-    }
-
-    fn compile(&self) -> CompiledFilter {
-        CompiledFilter::always()
-    }
-
-    fn eval_work(&self, _features: &FeatureVector) -> u64 {
-        0
-    }
-}
-
-/// The fixed `NS` strategy: never schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NeverSchedule;
-
-impl Filter for NeverSchedule {
-    fn should_schedule(&self, _features: &FeatureVector) -> bool {
-        false
-    }
-
-    fn name(&self) -> String {
-        "NS".into()
-    }
-
-    fn compile(&self) -> CompiledFilter {
-        CompiledFilter::never()
-    }
-
-    fn eval_work(&self, _features: &FeatureVector) -> u64 {
-        0
-    }
-}
-
-/// A hand-written baseline: schedule blocks of at least `min_len`
-/// instructions. The simplest plausible manual heuristic — tiny blocks
-/// have nothing to reorder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SizeThresholdFilter {
-    min_len: usize,
-}
-
-impl SizeThresholdFilter {
-    /// Schedule blocks with `bbLen >= min_len`.
-    pub fn new(min_len: usize) -> SizeThresholdFilter {
-        SizeThresholdFilter { min_len }
-    }
-
-    /// The size threshold.
-    pub fn min_len(&self) -> usize {
-        self.min_len
-    }
-}
-
-impl Filter for SizeThresholdFilter {
-    fn should_schedule(&self, features: &FeatureVector) -> bool {
-        features.get(FeatureKind::BbLen) >= self.min_len as f64
-    }
-
-    fn name(&self) -> String {
-        format!("size>={}", self.min_len)
-    }
-
-    fn compile(&self) -> CompiledFilter {
-        CompiledFilter::size_threshold(self.min_len)
-    }
-
-    fn eval_work(&self, _features: &FeatureVector) -> u64 {
-        1
-    }
-}
 
 /// A filter backed by an induced rule set — the paper's L/N filter when
 /// trained by RIPPER, or any other [`Learner`](crate::Learner) backend's
@@ -133,7 +24,7 @@ impl LearnedFilter {
     }
 
     /// Wraps a trained rule set, tagged with the inducing backend's name
-    /// (shown in [`name`](Filter::name) as `<learner>(t=<threshold>)`).
+    /// (shown in [`name`](LearnedFilter::name) as `<learner>(t=<threshold>)`).
     pub fn with_learner(rules: RuleSet, threshold_percent: u32, learner: impl Into<String>) -> LearnedFilter {
         LearnedFilter { rules, threshold_percent, learner: learner.into() }
     }
@@ -153,41 +44,16 @@ impl LearnedFilter {
     pub fn learner(&self) -> &str {
         &self.learner
     }
-}
 
-impl Filter for LearnedFilter {
-    fn should_schedule(&self, features: &FeatureVector) -> bool {
-        self.rules.predict(features.as_slice())
-    }
-
-    fn name(&self) -> String {
+    /// Short name for reports: `<learner>(t=<threshold>)`.
+    pub fn name(&self) -> String {
         format!("{}(t={})", self.learner, self.threshold_percent)
     }
 
-    fn compile(&self) -> CompiledFilter {
+    /// Lowers the rule set into the [`CompiledFilter`] engine that every
+    /// deployed decision runs through, tagged with [`name`](LearnedFilter::name).
+    pub fn compile(&self) -> CompiledFilter {
         CompiledFilter::from_rule_set(&self.rules, self.name())
-    }
-
-    /// Conditions evaluated by the interpreted walk — identical to the
-    /// compiled engine's count (both short-circuit per rule and stop at
-    /// the first firing rule), which the engine property suite pins.
-    fn eval_work(&self, features: &FeatureVector) -> u64 {
-        let values = features.as_slice();
-        let mut evaluated = 0u64;
-        for rule in self.rules.rules() {
-            let mut fired = true;
-            for c in rule.conditions() {
-                evaluated += 1;
-                if !c.matches(values) {
-                    fired = false;
-                    break;
-                }
-            }
-            if fired {
-                break;
-            }
-        }
-        evaluated
     }
 }
 
@@ -200,31 +66,8 @@ impl fmt::Display for LearnedFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wts_features::FeatureKind;
     use wts_ripper::{Condition, Op, Rule};
-
-    fn fv(bb_len: f64, loads: f64) -> FeatureVector {
-        let mut v = [0.0; FeatureKind::COUNT];
-        v[FeatureKind::BbLen.index()] = bb_len;
-        v[FeatureKind::Loads.index()] = loads;
-        FeatureVector::from_values(v)
-    }
-
-    #[test]
-    fn fixed_strategies() {
-        assert!(AlwaysSchedule.should_schedule(&fv(1.0, 0.0)));
-        assert!(!NeverSchedule.should_schedule(&fv(100.0, 1.0)));
-        assert_eq!(AlwaysSchedule.name(), "LS");
-        assert_eq!(NeverSchedule.name(), "NS");
-    }
-
-    #[test]
-    fn size_threshold() {
-        let f = SizeThresholdFilter::new(5);
-        assert!(!f.should_schedule(&fv(4.0, 0.0)));
-        assert!(f.should_schedule(&fv(5.0, 0.0)));
-        assert_eq!(f.name(), "size>=5");
-        assert_eq!(f.min_len(), 5);
-    }
 
     #[test]
     fn learned_filter_delegates_to_rules() {
@@ -241,9 +84,14 @@ mod tests {
             Default::default(),
         );
         let f = LearnedFilter::new(rules, 20);
-        assert!(f.should_schedule(&fv(8.0, 0.5)));
-        assert!(!f.should_schedule(&fv(8.0, 0.1)));
-        assert!(!f.should_schedule(&fv(3.0, 0.5)));
+        let compiled = f.compile();
+        for (bb_len, loads, expected) in [(8.0, 0.5, true), (8.0, 0.1, false), (3.0, 0.5, false)] {
+            let mut v = [0.0; FeatureKind::COUNT];
+            v[FeatureKind::BbLen.index()] = bb_len;
+            v[FeatureKind::Loads.index()] = loads;
+            assert_eq!(f.rules().predict(&v), expected);
+            assert_eq!(compiled.decide(&v), expected);
+        }
         assert_eq!(f.name(), "L/N(t=20)");
         assert_eq!(f.threshold_percent(), 20);
         assert_eq!(f.learner(), "L/N");

@@ -3,99 +3,27 @@
 //! The paper's pipeline writes "into a trace file raw data for forming
 //! instances" (§2.2) and contemplates shipping "tools to end users so
 //! that they could develop their own training sets and retrain"
-//! (footnote 4). This module is that interchange format, in two
-//! encodings that round-trip [`TraceRecord`]s exactly (wall-clock
-//! fields included, since they are data about the traced run):
-//!
-//! * a tab-separated, header-checked **text** file (`read_trace` /
-//!   `write_trace`) — the human-inspectable debug format, and
-//! * a length-prefixed little-endian **binary** file (`read_trace_binary`
-//!   / `write_trace_binary`) with fixed-stride records after the header,
-//!   built for large corpora: no float formatting or parsing, and the
-//!   record section can be walked (or mmapped) at a constant 224-byte
-//!   stride.
-//!
-//! [`read_trace_auto`] dispatches on the leading magic so callers never
-//! have to know which encoding a file uses.
+//! (footnote 4). This module is that interchange format: a
+//! length-prefixed little-endian binary file (`schedfilter-trace-bin-v1`,
+//! [`write_trace_binary`] / [`read_trace_binary`]) that round-trips
+//! [`TraceRecord`]s exactly, wall-clock fields included, since they are
+//! data about the traced run. Records are fixed-stride after the header,
+//! built for large corpora: no float formatting or parsing, and the
+//! record section can be walked (or mmapped) at a constant 224-byte
+//! stride.
 
 use crate::TraceRecord;
-use std::fmt::Write as _;
 use wts_features::{FeatureKind, FeatureVector};
 use wts_ir::{BlockId, MethodId};
 
-/// Format version tag written as the first header column. v2 appended
-/// the four trace-shape feature columns (`traceWidth`, `sideExits`,
-/// `specInsts`, `traceLen`) of the superblock scope; v1 files fail the
-/// magic check instead of silently mis-slotting features.
-const MAGIC: &str = "schedfilter-trace-v2";
-
-/// Every header column in order: the magic tag, the record key columns,
-/// the seventeen features (Table 1 + trace shape), then the cycle and
-/// timing channels.
-/// The reader validates the *full* list — a reordered or renamed column
-/// would otherwise silently permute features into the wrong slots.
-fn expected_columns() -> Vec<&'static str> {
-    let mut cols = vec![MAGIC, "benchmark", "method", "block", "exec"];
-    cols.extend(FeatureKind::ALL.iter().map(|k| k.rule_name()));
-    cols.extend([
-        "est_unsched",
-        "est_sched",
-        "hw_unsched",
-        "hw_sched",
-        "sched_ns",
-        "feature_ns",
-        "sched_work",
-        "feature_work",
-    ]);
-    cols
-}
-
-/// The exact header line [`write_trace`] emits.
-fn expected_header() -> String {
-    expected_columns().join("\t")
-}
-
-/// An error produced while reading a trace file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTraceError {
-    line: usize,
-    message: String,
-}
-
-impl ParseTraceError {
-    fn new(line: usize, message: impl Into<String>) -> ParseTraceError {
-        ParseTraceError { line, message: message.into() }
-    }
-
-    /// 1-based line number of the offending line (0 for the header).
-    pub fn line(&self) -> usize {
-        self.line
-    }
-}
-
-impl std::fmt::Display for ParseTraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for ParseTraceError {}
-
-/// An error produced while writing a trace file: a record that would
-/// corrupt the tab-separated format or silently change meaning when
-/// read back.
+/// An error produced while writing a trace file: a feature value that
+/// is NaN or ±infinity, so the record would silently change meaning
+/// when read back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceWriteError {
     benchmark: String,
-    kind: WriteErrorKind,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum WriteErrorKind {
-    /// The benchmark name contains `\t`, `\n` or `\r`.
-    BadName,
-    /// A feature value is NaN or ±infinity.
-    NonFinite { feature: &'static str, value: f64 },
+    feature: &'static str,
+    value: f64,
 }
 
 impl TraceWriteError {
@@ -107,189 +35,21 @@ impl TraceWriteError {
 
 impl std::fmt::Display for TraceWriteError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.kind {
-            WriteErrorKind::BadName => write!(
-                f,
-                "benchmark name {:?} contains a tab, newline or carriage return and would corrupt the \
-                 tab-separated trace format; rename the benchmark before tracing",
-                self.benchmark
-            ),
-            WriteErrorKind::NonFinite { feature, value } => write!(
-                f,
-                "benchmark {:?}: feature {feature} is {value}, which is not finite; every rule condition \
-                 on a non-finite value compares false, so the record would silently classify NS under any \
-                 learned filter — fix the extraction instead of serializing it",
-                self.benchmark
-            ),
-        }
+        write!(
+            f,
+            "benchmark {:?}: feature {} is {}, which is not finite; every rule condition on a non-finite value \
+             compares false, so the record would silently classify NS under any learned filter — fix the \
+             extraction instead of serializing it",
+            self.benchmark, self.feature, self.value
+        )
     }
 }
 
 impl std::error::Error for TraceWriteError {}
 
-/// Serializes records to the trace-file text format.
-///
-/// The first line is a header naming every column; one record per line
-/// follows, tab-separated. Feature values are printed with full
-/// precision (`{:?}` on `f64` round-trips exactly).
-///
-/// # Errors
-///
-/// Returns a [`TraceWriteError`] naming the offending benchmark when a
-/// record's benchmark name contains `\t`, `\n` or `\r` — written as-is
-/// those would silently split the line, and the reader would only fail
-/// much later with an opaque column-count error — or when a feature
-/// value is NaN or ±infinity, which would round-trip fine but silently
-/// classify NS under every learned filter (each condition on a
-/// non-finite value compares false).
-pub fn write_trace(records: &[TraceRecord]) -> Result<String, TraceWriteError> {
-    if let Some(r) = records.iter().find(|r| r.benchmark.contains(['\t', '\n', '\r'])) {
-        return Err(TraceWriteError { benchmark: r.benchmark.clone(), kind: WriteErrorKind::BadName });
-    }
-    for r in records {
-        for k in FeatureKind::ALL {
-            let value = r.features.get(k);
-            if !value.is_finite() {
-                return Err(TraceWriteError {
-                    benchmark: r.benchmark.clone(),
-                    kind: WriteErrorKind::NonFinite { feature: k.rule_name(), value },
-                });
-            }
-        }
-    }
-    let mut out = String::new();
-    out.push_str(&expected_header());
-    out.push('\n');
-    for r in records {
-        let _ = write!(out, "rec\t{}\t{}\t{}\t{}", r.benchmark, r.method.0, r.block.0, r.exec_count);
-        for k in FeatureKind::ALL {
-            let _ = write!(out, "\t{:?}", r.features.get(k));
-        }
-        let _ = writeln!(
-            out,
-            "\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            r.est_unsched,
-            r.est_sched,
-            r.hw_unsched,
-            r.hw_sched,
-            r.sched_ns,
-            r.feature_ns,
-            r.sched_work,
-            r.feature_work
-        );
-    }
-    Ok(out)
-}
-
-/// Parses a trace file written by [`write_trace`].
-///
-/// # Errors
-///
-/// Returns a [`ParseTraceError`] for a bad header (every column name is
-/// checked against the writer's layout — a reordered or renamed column
-/// would otherwise silently permute features), wrong column count,
-/// malformed field, out-of-range method/block id, or a non-finite
-/// feature value.
-pub fn read_trace(text: &str) -> Result<Vec<TraceRecord>, ParseTraceError> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or_else(|| ParseTraceError::new(0, "empty trace file"))?;
-    if !header.starts_with(MAGIC) {
-        return Err(ParseTraceError::new(0, format!("bad magic, expected '{MAGIC}'")));
-    }
-    let expected = expected_columns();
-    let header_cols: Vec<&str> = header.split('\t').collect();
-    for (i, (got, want)) in header_cols.iter().zip(&expected).enumerate() {
-        if got != want {
-            return Err(ParseTraceError::new(0, format!("header column {i}: expected '{want}', found '{got}'")));
-        }
-    }
-    if header_cols.len() != expected.len() {
-        return Err(ParseTraceError::new(
-            0,
-            format!("header has {} columns, expected {}", header_cols.len(), expected.len()),
-        ));
-    }
-    let expected_cols = expected.len();
-    let mut out = Vec::new();
-    for (idx, line) in lines {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let cols: Vec<&str> = line.split('\t').collect();
-        if cols.len() != expected_cols {
-            return Err(ParseTraceError::new(
-                lineno,
-                format!("expected {expected_cols} columns, found {}", cols.len()),
-            ));
-        }
-        if cols[0] != "rec" {
-            return Err(ParseTraceError::new(lineno, "record lines must start with 'rec'"));
-        }
-        let int = |s: &str, what: &str| {
-            s.parse::<u64>().map_err(|_| ParseTraceError::new(lineno, format!("bad {what}: '{s}'")))
-        };
-        // Ids are 32-bit; a wider value must not wrap into a
-        // valid-looking record.
-        let id = |s: &str, what: &str| {
-            let wide = int(s, what)?;
-            u32::try_from(wide)
-                .map_err(|_| ParseTraceError::new(lineno, format!("{what} {wide} out of range (max {})", u32::MAX)))
-        };
-        let mut values = [0.0f64; FeatureKind::COUNT];
-        for (k, slot) in values.iter_mut().enumerate() {
-            let s = cols[5 + k];
-            let v = s.parse::<f64>().map_err(|_| ParseTraceError::new(lineno, format!("bad feature value '{s}'")))?;
-            let kind = FeatureKind::ALL[k];
-            if !v.is_finite() {
-                return Err(ParseTraceError::new(
-                    lineno,
-                    format!(
-                        "non-finite feature {}: '{s}' (every rule condition on it would compare false)",
-                        kind.rule_name()
-                    ),
-                ));
-            }
-            // Range-check here so a hostile file surfaces as a named
-            // parse error; handing the raw value to
-            // `FeatureVector::from_values` would panic instead.
-            if kind.is_count() && v < 0.0 {
-                return Err(ParseTraceError::new(
-                    lineno,
-                    format!("feature {} is a count and cannot be negative: '{s}'", kind.rule_name()),
-                ));
-            }
-            if !kind.is_count() && !(0.0..=1.0).contains(&v) {
-                return Err(ParseTraceError::new(
-                    lineno,
-                    format!("feature {} is a fraction and must lie in [0,1]: '{s}'", kind.rule_name()),
-                ));
-            }
-            *slot = v;
-        }
-        let base = 5 + FeatureKind::COUNT;
-        out.push(TraceRecord {
-            benchmark: cols[1].to_string(),
-            method: MethodId(id(cols[2], "method id")?),
-            block: BlockId(id(cols[3], "block id")?),
-            exec_count: int(cols[4], "exec count")?,
-            features: FeatureVector::from_values(values),
-            est_unsched: int(cols[base], "est_unsched")?,
-            est_sched: int(cols[base + 1], "est_sched")?,
-            hw_unsched: int(cols[base + 2], "hw_unsched")?,
-            hw_sched: int(cols[base + 3], "hw_sched")?,
-            sched_ns: int(cols[base + 4], "sched_ns")?,
-            feature_ns: int(cols[base + 5], "feature_ns")?,
-            sched_work: int(cols[base + 6], "sched_work")?,
-            feature_work: int(cols[base + 7], "feature_work")?,
-        });
-    }
-    Ok(out)
-}
-
 /// Format magic opening every binary trace file (24 bytes, no
-/// terminator). v1 carries the same seventeen features and eight cycle /
-/// timing channels as the `schedfilter-trace-v2` text format.
+/// terminator). v1 carries the seventeen features (Table 1 plus the
+/// trace shape) and the eight cycle / timing channels.
 const BIN_MAGIC: &[u8; 24] = b"schedfilter-trace-bin-v1";
 
 /// Fixed byte size of one binary record: benchmark index, method id,
@@ -366,24 +126,20 @@ impl std::error::Error for BinaryTraceError {}
 /// ```
 ///
 /// Benchmark names are interned into the header table (first-appearance
-/// order) so records are fixed-stride. Unlike the text format, names
-/// containing tabs or newlines are fine — every string is
-/// length-prefixed.
+/// order) so records are fixed-stride. Every string is length-prefixed,
+/// so any UTF-8 name is fine.
 ///
 /// # Errors
 ///
 /// Returns a [`TraceWriteError`] when a feature value is NaN or
-/// ±infinity, for the same reason the text writer does: the record would
-/// round-trip but silently classify NS under every learned filter.
+/// ±infinity: the record would round-trip but silently classify NS under
+/// every learned filter.
 pub fn write_trace_binary(records: &[TraceRecord]) -> Result<Vec<u8>, TraceWriteError> {
     for r in records {
         for k in FeatureKind::ALL {
             let value = r.features.get(k);
             if !value.is_finite() {
-                return Err(TraceWriteError {
-                    benchmark: r.benchmark.clone(),
-                    kind: WriteErrorKind::NonFinite { feature: k.rule_name(), value },
-                });
+                return Err(TraceWriteError { benchmark: r.benchmark.clone(), feature: k.rule_name(), value });
             }
         }
     }
@@ -708,74 +464,6 @@ pub fn read_trace_binary(bytes: &[u8]) -> Result<Vec<TraceRecord>, BinaryTraceEr
     Ok(out)
 }
 
-/// An error from the format-dispatching [`read_trace_auto`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceReadError {
-    /// The input opened with the text magic but failed to parse.
-    Text(ParseTraceError),
-    /// The input opened with the binary magic but failed to parse.
-    Binary(BinaryTraceError),
-    /// The input starts with neither format's magic.
-    UnknownFormat,
-}
-
-impl std::fmt::Display for TraceReadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceReadError::Text(e) => write!(f, "{e}"),
-            TraceReadError::Binary(e) => write!(f, "{e}"),
-            TraceReadError::UnknownFormat => write!(
-                f,
-                "unrecognized trace file: expected it to open with '{MAGIC}' (text) or '{}' (binary)",
-                String::from_utf8_lossy(BIN_MAGIC)
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TraceReadError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TraceReadError::Text(e) => Some(e),
-            TraceReadError::Binary(e) => Some(e),
-            TraceReadError::UnknownFormat => None,
-        }
-    }
-}
-
-impl From<ParseTraceError> for TraceReadError {
-    fn from(e: ParseTraceError) -> TraceReadError {
-        TraceReadError::Text(e)
-    }
-}
-
-impl From<BinaryTraceError> for TraceReadError {
-    fn from(e: BinaryTraceError) -> TraceReadError {
-        TraceReadError::Binary(e)
-    }
-}
-
-/// Parses a trace file in either encoding, dispatching on the leading
-/// magic: [`read_trace_binary`] for `schedfilter-trace-bin-v1` input,
-/// [`read_trace`] for UTF-8 input opening with the text magic.
-///
-/// # Errors
-///
-/// Returns the dispatched reader's error, or
-/// [`TraceReadError::UnknownFormat`] when the input starts with neither
-/// magic.
-pub fn read_trace_auto(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceReadError> {
-    if bytes.starts_with(BIN_MAGIC) {
-        return Ok(read_trace_binary(bytes)?);
-    }
-    if let Ok(text) = std::str::from_utf8(bytes) {
-        if text.starts_with(MAGIC) {
-            return Ok(read_trace(text)?);
-        }
-    }
-    Err(TraceReadError::UnknownFormat)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,174 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_is_exact() {
-        let records = vec![record("compress", 100, 80), record("jess", 10, 10)];
-        let text = write_trace(&records).expect("plain names serialize");
-        let back = read_trace(&text).expect("own output must parse");
-        assert_eq!(back, records);
-    }
-
-    #[test]
-    fn empty_record_list_round_trips() {
-        let text = write_trace(&[]).unwrap();
-        assert_eq!(read_trace(&text).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn hostile_but_legal_names_round_trip() {
-        // Spaces, quotes, unicode, backslashes and separators other than
-        // tabs are all fine — the format only splits on '\t'.
-        for name in ["with space", "quo\"te", "naïve-β", r"back\slash", "semi;colon,comma"] {
-            let records = vec![record(name, 9, 7)];
-            let text = write_trace(&records).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(read_trace(&text).expect("parses"), records, "{name}");
-        }
-    }
-
-    #[test]
-    fn names_that_would_corrupt_the_format_are_rejected_by_name() {
-        for name in ["tab\tseparated", "new\nline", "carriage\rreturn"] {
-            let err = write_trace(&[record("ok", 5, 4), record(name, 5, 4)])
-                .expect_err("corrupting name must be rejected at write time");
-            assert_eq!(err.benchmark(), name);
-            assert!(err.to_string().contains("benchmark name"), "got: {err}");
-            // The message must identify the culprit (escaped, so it is
-            // printable even with the control character inside).
-            assert!(err.to_string().contains("tab") || !name.contains('\t'), "got: {err}");
-        }
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let err = read_trace("nonsense\n").unwrap_err();
-        assert!(err.to_string().contains("bad magic"));
-        assert_eq!(err.line(), 0);
-    }
-
-    #[test]
-    fn rejects_out_of_range_ids_instead_of_truncating() {
-        // 2^32 used to wrap to method/block id 0 via `as u32` — a
-        // valid-looking record with the wrong identity.
-        let good = write_trace(&[record("a", 5, 4)]).unwrap();
-        for (field, column_value) in [("method id", "\t3\t"), ("block id", "\t9\t")] {
-            let too_big = (u64::from(u32::MAX) + 1).to_string();
-            let bad = good.replacen(column_value, &format!("\t{too_big}\t"), 1);
-            assert_ne!(bad, good, "{field}: substitution must hit");
-            let err = read_trace(&bad).unwrap_err();
-            assert!(err.to_string().contains(field), "{field}: got {err}");
-            assert!(err.to_string().contains("out of range"), "{field}: got {err}");
-            assert_eq!(err.line(), 2, "{field}: the offending record line is named");
-        }
-        // The largest representable id still round-trips.
-        let mut boundary = record("a", 5, 4);
-        boundary.method = MethodId(u32::MAX);
-        boundary.block = BlockId(u32::MAX);
-        let text = write_trace(&[boundary.clone()]).unwrap();
-        assert_eq!(read_trace(&text).unwrap(), vec![boundary]);
-    }
-
-    #[test]
-    fn rejects_shuffled_or_renamed_header_columns() {
-        let good = write_trace(&[record("a", 5, 4)]).unwrap();
-        // Swap two feature columns: same names, wrong order — the old
-        // prefix-only magic check accepted this and permuted features.
-        let shuffled = good.replacen("\tbranches\tcalls\t", "\tcalls\tbranches\t", 1);
-        assert_ne!(shuffled, good);
-        let err = read_trace(&shuffled).unwrap_err();
-        assert_eq!(err.line(), 0, "header errors are line 0");
-        assert!(err.to_string().contains("expected 'branches', found 'calls'"), "got: {err}");
-
-        // Renamed column: the first mismatch is named with its position.
-        let renamed = good.replacen("\tloads\t", "\tld\t", 1);
-        let err = read_trace(&renamed).unwrap_err();
-        assert!(err.to_string().contains("expected 'loads', found 'ld'"), "got: {err}");
-
-        // A truncated header fails on the count.
-        let truncated = good.replacen("\tfeature_work\n", "\n", 1);
-        let err = read_trace(&truncated).unwrap_err();
-        assert!(err.to_string().contains("header has"), "got: {err}");
-    }
-
-    #[test]
-    fn rejects_non_finite_feature_values_on_read() {
-        let good = write_trace(&[record("a", 5, 4)]).unwrap();
-        // bbLen is 7.0 in the fixture; swap it for hostile values a bare
-        // f64 parse would happily accept.
-        for hostile in ["NaN", "inf", "-inf"] {
-            let bad = good.replacen("\t7.0\t", &format!("\t{hostile}\t"), 1);
-            assert_ne!(bad, good, "{hostile}: substitution must hit");
-            let err = read_trace(&bad).unwrap_err();
-            assert!(err.to_string().contains("non-finite feature bbLen"), "{hostile}: got {err}");
-            assert_eq!(err.line(), 2, "{hostile}: the offending line is named");
-        }
-    }
-
-    /// Regression (PR 5 review): a *finite* but out-of-range feature
-    /// value used to sail past the finiteness check straight into
-    /// `FeatureVector::from_values`, whose range assert aborted the
-    /// process — a hostile file must surface as a named parse error,
-    /// never a panic.
-    #[test]
-    fn rejects_out_of_range_feature_values_on_read() {
-        let good = write_trace(&[record("a", 5, 4)]).unwrap();
-        // The fixture's loads fraction is 1/3; a fraction above 1 (or
-        // below 0) is a named error.
-        for (hostile, what) in [("1.5", "[0,1]"), ("-0.25", "[0,1]")] {
-            let bad = good.replacen("\t0.3333333333333333\t", &format!("\t{hostile}\t"), 1);
-            assert_ne!(bad, good, "{hostile}: substitution must hit");
-            let err = read_trace(&bad).unwrap_err();
-            assert!(err.to_string().contains("feature loads is a fraction"), "{hostile}: got {err}");
-            assert!(err.to_string().contains(what), "{hostile}: got {err}");
-            assert_eq!(err.line(), 2);
-        }
-        // Counts (bbLen and the trace-shape features) reject negatives.
-        let bad = good.replacen("\t7.0\t", "\t-7.0\t", 1);
-        assert_ne!(bad, good);
-        let err = read_trace(&bad).unwrap_err();
-        assert!(err.to_string().contains("feature bbLen is a count"), "got {err}");
-    }
-
-    #[test]
-    fn rejects_non_finite_feature_values_on_write() {
-        // NaN and -inf cannot even be constructed through the validating
-        // `FeatureVector::from_values` API; `bbLen = +inf` can (it is
-        // only checked non-negative), so the writer must catch it before
-        // it round-trips into a record that silently classifies NS.
-        let mut r = record("photon", 5, 4);
-        let mut v = [0.0; FeatureKind::COUNT];
-        v[FeatureKind::BbLen.index()] = f64::INFINITY;
-        r.features = FeatureVector::from_values(v);
-        let err = write_trace(&[record("ok", 5, 4), r]).expect_err("non-finite feature must be rejected");
-        assert_eq!(err.benchmark(), "photon");
-        assert!(err.to_string().contains("feature bbLen"), "got: {err}");
-        assert!(err.to_string().contains("not finite"), "got: {err}");
-        assert!(!err.to_string().contains("tab"), "wrong error kind: {err}");
-    }
-
-    #[test]
-    fn rejects_wrong_column_count() {
-        let mut text = write_trace(&[record("a", 5, 4)]).unwrap();
-        text.push_str("rec\tonly\tthree\n");
-        let err = read_trace(&text).unwrap_err();
-        assert!(err.to_string().contains("columns"));
-        assert_eq!(err.line(), 3, "header is line 1, record line 2, bad line 3");
-    }
-
-    #[test]
-    fn rejects_malformed_numbers() {
-        let good = write_trace(&[record("a", 5, 4)]).unwrap();
-        let bad = good.replace("\t42\t", "\tforty-two\t");
-        assert!(read_trace(&bad).is_err());
-    }
-
-    #[test]
-    fn blank_lines_are_tolerated() {
-        let mut text = write_trace(&[record("a", 5, 4)]).unwrap();
-        text.push('\n');
-        assert_eq!(read_trace(&text).unwrap().len(), 1);
-    }
-
-    #[test]
     fn binary_round_trip_is_exact() {
         let records = vec![record("compress", 100, 80), record("jess", 10, 10), record("compress", 7, 7)];
         let bytes = write_trace_binary(&records).expect("finite features serialize");
@@ -987,8 +507,8 @@ mod tests {
     }
 
     #[test]
-    fn binary_accepts_names_the_text_format_cannot() {
-        // Length-prefixed strings make tabs and newlines legal here.
+    fn binary_accepts_any_utf8_name() {
+        // Length-prefixed strings make tabs and newlines legal.
         for name in ["tab\tseparated", "new\nline", "naïve-β"] {
             let records = vec![record(name, 9, 7)];
             let bytes = write_trace_binary(&records).unwrap();
@@ -1006,9 +526,6 @@ mod tests {
     #[test]
     fn binary_rejects_bad_magic() {
         assert_eq!(read_trace_binary(b"nonsense"), Err(BinaryTraceError::BadMagic));
-        // A text trace handed to the binary reader is a magic error too.
-        let text = write_trace(&[record("a", 5, 4)]).unwrap();
-        assert_eq!(read_trace_binary(text.as_bytes()), Err(BinaryTraceError::BadMagic));
     }
 
     #[test]
@@ -1106,21 +623,5 @@ mod tests {
         let err = write_trace_binary(&[r]).expect_err("non-finite feature must be rejected");
         assert_eq!(err.benchmark(), "photon");
         assert!(err.to_string().contains("not finite"), "got: {err}");
-    }
-
-    #[test]
-    fn auto_detect_dispatches_on_magic() {
-        let records = vec![record("compress", 100, 80)];
-        let text = write_trace(&records).unwrap();
-        let bin = write_trace_binary(&records).unwrap();
-        assert_eq!(read_trace_auto(text.as_bytes()).unwrap(), records);
-        assert_eq!(read_trace_auto(&bin).unwrap(), records);
-        // Neither magic: a named unknown-format error.
-        let err = read_trace_auto(b"something else entirely").unwrap_err();
-        assert_eq!(err, TraceReadError::UnknownFormat);
-        assert!(err.to_string().contains(MAGIC) && err.to_string().contains("bin-v1"), "got: {err}");
-        // Dispatched errors keep their diagnosis.
-        let err = read_trace_auto(&bin[..bin.len() - 1]).unwrap_err();
-        assert!(matches!(err, TraceReadError::Binary(BinaryTraceError::Truncated { .. })), "got {err:?}");
     }
 }

@@ -17,8 +17,8 @@
 //! * [`LearnerKind`] is the closed, cloneable configuration enum the
 //!   pipeline plumbing ([`TrainConfig`](crate::TrainConfig),
 //!   [`Experiment`](crate::Experiment)) carries: RIPPER, a one-feature
-//!   decision-stump sweep (the learned generalization of
-//!   [`SizeThresholdFilter`](crate::SizeThresholdFilter)), and a greedy
+//!   decision-stump sweep (the learned generalization of the
+//!   [`size_threshold`](crate::CompiledFilter::size_threshold) baseline), and a greedy
 //!   top-down decision tree with depth/leaf-support caps whose
 //!   positive-leaf paths lower to flat condition tables exactly like
 //!   RIPPER rules.
@@ -58,7 +58,7 @@ pub enum LearnerKind {
     /// A single learned threshold on a single feature — the best stump
     /// over all seventeen features by exhaustive sweep. The natural
     /// generalization of the hand-picked
-    /// [`SizeThresholdFilter`](crate::SizeThresholdFilter).
+    /// [`size_threshold`](crate::CompiledFilter::size_threshold) baseline.
     Stump,
     /// A greedy top-down entropy tree; positive-leaf paths lower to
     /// conjunctive rules.

@@ -25,9 +25,12 @@
 //!    run-time classification counts (Table 6), scheduling-time ratios
 //!    (Figures 1a/2a/3a) and application-time ratios (Figures 1b/2b/3b).
 //!
-//! Deployment is served by the compiled engine: [`CompiledFilter`]
-//! lowers any filter into a flat condition table with a feature demand
-//! mask, so classification runs over demand-masked extraction
+//! Deployment is served by the compiled engine. [`CompiledFilter`] is
+//! the one filter artifact every stage takes: a trained [`LearnedFilter`]
+//! lowers into it, and the fixed LS/NS strategies and the size-threshold
+//! baseline are built as one. It is a flat condition table with a
+//! feature demand mask, so classification runs over demand-masked
+//! extraction
 //! ([`wts_features::FeatureVector::extract_masked`]) and contiguous
 //! [`FeatureBatch`] columns, and every evaluation artifact charges the
 //! filter's *honest* cost — conditions actually evaluated plus masked
@@ -47,16 +50,15 @@
 //! # Examples
 //!
 //! ```
-//! use wts_core::{Filter, SizeThresholdFilter};
-//! use wts_features::FeatureVector;
+//! use wts_core::CompiledFilter;
 //! use wts_ir::{BasicBlock, Inst, Opcode, Reg};
 //!
 //! let mut b = BasicBlock::new(0);
 //! for i in 0..8u16 {
 //!     b.push(Inst::new(Opcode::Add).def(Reg::gpr(i + 1)).use_(Reg::gpr(0)).use_(Reg::gpr(0)));
 //! }
-//! let filter = SizeThresholdFilter::new(5);
-//! assert!(filter.should_schedule(&FeatureVector::extract(&b)));
+//! let filter = CompiledFilter::size_threshold(5);
+//! assert!(filter.classify_block(&b));
 //! ```
 
 mod engine;
@@ -78,22 +80,19 @@ mod train;
 pub use engine::{CompiledFilter, CompiledFilterError, FeatureBatch, FilterScore};
 pub use eval::{
     app_time_ratio, classification_matrix, oracle_times, predicted_time_ratio, runtime_classification,
-    sched_time_policy, sched_time_ratio, ClassCounts, EvalTimes,
+    sched_time_ratio, ClassCounts, EvalTimes,
 };
 pub use experiment::{CorpusError, Experiment, ExperimentRun, LoocvFilters};
-pub use filter::{AlwaysSchedule, Filter, LearnedFilter, NeverSchedule, SizeThresholdFilter};
-pub use io::{
-    read_trace, read_trace_auto, read_trace_binary, write_trace, write_trace_binary, BinCursor, BinaryTraceError,
-    ParseTraceError, TraceReadError, TraceWriteError,
-};
+pub use filter::LearnedFilter;
+pub use io::{read_trace_binary, write_trace_binary, BinCursor, BinaryTraceError, TraceWriteError};
 pub use label::{build_dataset, LabelConfig};
 pub use learner::{Learner, LearnerKind};
 pub use matrix::{CalibrationRow, ExperimentMatrix, MachinePortfolio, MatrixRun, PortfolioEntry};
 pub use policy::{BenefitModel, DecisionPolicy, UnitEconomics};
 pub use store::{FilterKey, FilterSnapshot, FilterStore};
 pub use trace::{
-    collect_method_trace, collect_trace, collect_trace_with, filtered_schedule_pass, filtered_schedule_pass_with,
-    for_each_scope_unit, FilteredPass, ScopeUnit, ServedUnit, TimingMode, TraceOptions, TraceRecord, UnitServer,
+    collect_method_trace, collect_trace, filtered_schedule_pass, for_each_scope_unit, FilteredPass, ScopeUnit,
+    ServedUnit, TimingMode, TraceOptions, TraceRecord, UnitServer,
 };
 pub use train::{train_filter, train_loocv, train_loocv_sharded, TrainConfig};
 // The scope axis: formation lives in `wts_ir`, the pipeline threads it.

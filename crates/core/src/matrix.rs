@@ -52,7 +52,7 @@ use crate::label::LabelConfig;
 use crate::learner::LearnerKind;
 use crate::policy::BenefitModel;
 use crate::trace::{collect_method_trace, TraceRecord};
-use crate::{EvalTimes, LearnedFilter};
+use crate::{CompiledFilter, EvalTimes, LearnedFilter};
 use wts_ir::Program;
 use wts_machine::MachineConfig;
 
@@ -249,7 +249,7 @@ impl MatrixRun {
     /// to the diagonal transfers well.
     pub fn transfer_errors(&self, t: u32) -> Vec<Vec<f64>> {
         let label = LabelConfig::new(t);
-        let filters: Vec<LearnedFilter> = self.runs.iter().map(|run| run.factory_filter(t)).collect();
+        let filters: Vec<CompiledFilter> = self.runs.iter().map(|run| run.factory_filter(t).compile()).collect();
         filters
             .iter()
             .map(|filter| {

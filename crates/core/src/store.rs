@@ -62,7 +62,7 @@
 
 use crate::experiment::LoocvFilters;
 use crate::learner::LearnerKind;
-use crate::{CompiledFilter, Filter, LearnedFilter};
+use crate::{CompiledFilter, LearnedFilter};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 use wts_ir::ScopeKind;

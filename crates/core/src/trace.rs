@@ -7,11 +7,11 @@
 //! policy, and list-schedule (speculatively for multi-block traces) only
 //! when they say to. Everything that schedules units joins these two:
 //!
-//! * trace collection ([`collect_trace_with`]) runs the body with a
+//! * trace collection ([`collect_trace`]) runs the body with a
 //!   record sink — every feature, every unit scheduled — and records
 //!   estimated ("simplified simulator") and measured ("hardware") cycles
 //!   for both orders, with configurable [`CostProvider`]s;
-//! * the deployed pass ([`filtered_schedule_pass_with`]), the `wts-serve`
+//! * the deployed pass ([`filtered_schedule_pass`]), the `wts-serve`
 //!   workers and the `wts-jit` compile session run it without one and
 //!   tally [`FilteredPass`] totals.
 //!
@@ -140,22 +140,17 @@ impl TraceOptions {
     }
 }
 
-/// Runs the instrumented scheduling pass over every block of `program`
-/// with the default CPS policy (serial; see [`collect_trace_with`] for
-/// sharding and estimator control).
-pub fn collect_trace(program: &Program, machine: &MachineConfig) -> Vec<TraceRecord> {
-    collect_trace_with(program, machine, &TraceOptions::default())
-}
-
-/// Runs the instrumented pass under full [`TraceOptions`] control,
-/// building the estimated/measured providers from their configured kinds.
+/// Runs the instrumented scheduling pass over every scope unit of
+/// `program` under `options`, building the estimated/measured providers
+/// from their configured kinds ([`TraceOptions::default`] is the
+/// paper's serial, block-scope CPS pass).
 ///
 /// With `options.threads != 1` the program's methods are sharded across
 /// scoped threads. Each method is traced independently and the shards are
 /// reassembled in method order, so the output is *identical* to the
 /// serial path — bit-for-bit under [`TimingMode::Deterministic`], and up
 /// to wall-clock jitter in the `*_ns` channels otherwise.
-pub fn collect_trace_with(program: &Program, machine: &MachineConfig, options: &TraceOptions) -> Vec<TraceRecord> {
+pub fn collect_trace(program: &Program, machine: &MachineConfig, options: &TraceOptions) -> Vec<TraceRecord> {
     let shards = crate::parallel::shard_map(program.methods(), options.threads, |slice| {
         trace_methods(program.name(), slice, machine, options)
     });
@@ -169,7 +164,7 @@ pub fn collect_trace_with(program: &Program, machine: &MachineConfig, options: &
 /// Traces a single method — the machines×methods sharding unit of the
 /// cross-machine [`ExperimentMatrix`](crate::ExperimentMatrix).
 ///
-/// Output is exactly the slice of [`collect_trace_with`]'s result that
+/// Output is exactly the slice of [`collect_trace`]'s result that
 /// covers `method`, so a matrix run reassembling per-method pieces in
 /// method order reproduces the per-program collector bit for bit (under
 /// [`TimingMode::Deterministic`]; up to wall-clock jitter otherwise).
@@ -371,27 +366,17 @@ impl FilteredPass {
 /// the JIT already does and stays outside the timed window, like the
 /// work-proxy rebuilds.
 ///
+/// The schedule/skip call is the `policy`'s: each unit is scored
+/// through the same short-circuit walk the boolean decision uses, and
+/// the calibrated score plus the unit's economics (size, profile weight,
+/// work already spent deciding) go to the policy.
+/// [`HardThreshold`](DecisionPolicy::HardThreshold) schedules exactly
+/// the units a rule fires on.
+///
 /// Methods shard across `options.threads` scoped workers exactly like
-/// [`collect_trace_with`]; the work-channel totals are identical for
-/// every thread count (only `pass_ns` jitters).
+/// [`collect_trace`]; the work-channel totals are identical for every
+/// thread count (only `pass_ns` jitters).
 pub fn filtered_schedule_pass(
-    program: &Program,
-    machine: &MachineConfig,
-    filter: &CompiledFilter,
-    options: &TraceOptions,
-) -> FilteredPass {
-    filtered_schedule_pass_with(program, machine, filter, &DecisionPolicy::HardThreshold, options)
-}
-
-/// [`filtered_schedule_pass`] with the schedule/skip call delegated to
-/// an explicit [`DecisionPolicy`]: the deployed
-/// loop scores each unit through the same short-circuit walk the
-/// boolean path uses and hands the calibrated score plus the unit's
-/// economics (size, profile weight, work already spent deciding) to the
-/// policy. Under
-/// [`HardThreshold`](DecisionPolicy::HardThreshold) the pass is
-/// bit-identical to [`filtered_schedule_pass`] on every work channel.
-pub fn filtered_schedule_pass_with(
     program: &Program,
     machine: &MachineConfig,
     filter: &CompiledFilter,
@@ -434,7 +419,7 @@ pub struct ServedUnit {
 /// The one per-unit body — extract → score → decide → schedule — with
 /// its warm per-worker state: the scheduler, its scratch buffers, the
 /// outcome it fills and the permuted-instruction buffer. Trace
-/// collection, [`filtered_schedule_pass_with`], the `wts-serve` workers
+/// collection, [`filtered_schedule_pass`], the `wts-serve` workers
 /// and the `wts-jit` compile session all run their units through it, so
 /// served ≡ direct pass ≡ JIT on every work channel by construction.
 /// One of these per worker thread keeps the hot loop allocation-free in
@@ -444,21 +429,22 @@ pub struct ServedUnit {
 /// # Examples
 ///
 /// ```
-/// use wts_core::{filtered_schedule_pass, DecisionPolicy, Filter, FilteredPass, SizeThresholdFilter};
+/// use wts_core::{filtered_schedule_pass, CompiledFilter, DecisionPolicy, FilteredPass};
 /// use wts_core::{TraceOptions, UnitServer};
 /// use wts_machine::MachineConfig;
 ///
 /// let program = &wts_core::testutil::learnable_suite(2)[0];
 /// let machine = MachineConfig::ppc7410();
-/// let filter = SizeThresholdFilter::new(4).compile();
+/// let filter = CompiledFilter::size_threshold(4);
+/// let policy = DecisionPolicy::HardThreshold;
 ///
 /// let mut server = UnitServer::new(&machine, wts_sched::SchedulePolicy::CriticalPath);
 /// let mut totals = FilteredPass::default();
 /// for (_, block) in program.iter_blocks() {
-///     server.serve_block(block.insts(), block.exec_count(), &filter, &DecisionPolicy::HardThreshold, &mut totals);
+///     server.serve_block(block.insts(), block.exec_count(), &filter, &policy, &mut totals);
 /// }
 ///
-/// let direct = filtered_schedule_pass(program, &machine, &filter, &TraceOptions { threads: 1, ..Default::default() });
+/// let direct = filtered_schedule_pass(program, &machine, &filter, &policy, &TraceOptions::default());
 /// assert_eq!(totals, FilteredPass { pass_ns: totals.pass_ns, ..direct });
 /// ```
 pub struct UnitServer<'m> {
@@ -645,7 +631,6 @@ fn nanos(d: std::time::Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Filter;
     use wts_ir::{BasicBlock, Inst, MemRef, MemSpace, Method, Opcode, Reg};
     use wts_machine::{CostModel, PipelineSim};
 
@@ -688,7 +673,7 @@ mod tests {
     #[test]
     fn one_record_per_block() {
         let machine = MachineConfig::ppc7410();
-        let t = collect_trace(&program(), &machine);
+        let t = collect_trace(&program(), &machine, &TraceOptions::default());
         assert_eq!(t.len(), 2);
         assert_eq!(t[0].benchmark, "trace-test");
         assert_eq!(t[0].exec_count, 10);
@@ -698,7 +683,7 @@ mod tests {
     #[test]
     fn estimates_are_consistent() {
         let machine = MachineConfig::ppc7410();
-        let t = collect_trace(&program(), &machine);
+        let t = collect_trace(&program(), &machine, &TraceOptions::default());
         for r in &t {
             assert!(r.est_sched <= r.est_unsched, "CPS never worsens the estimate");
             assert!(r.hw_unsched > 0 || r.features.bb_len() == 0);
@@ -713,8 +698,8 @@ mod tests {
     #[test]
     fn work_proxies_are_deterministic() {
         let machine = MachineConfig::ppc7410();
-        let a = collect_trace(&program(), &machine);
-        let b = collect_trace(&program(), &machine);
+        let a = collect_trace(&program(), &machine, &TraceOptions::default());
+        let b = collect_trace(&program(), &machine, &TraceOptions::default());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.sched_work, y.sched_work);
             assert_eq!(x.feature_work, y.feature_work);
@@ -726,7 +711,7 @@ mod tests {
     fn features_match_direct_extraction() {
         let machine = MachineConfig::ppc7410();
         let p = program();
-        let t = collect_trace(&p, &machine);
+        let t = collect_trace(&p, &machine, &TraceOptions::default());
         let direct = FeatureVector::extract(&p.methods()[0].blocks()[0]);
         assert_eq!(t[0].features, direct);
     }
@@ -737,7 +722,7 @@ mod tests {
         // scheduler itself reported before the provider refactor.
         let machine = MachineConfig::ppc7410();
         let p = program();
-        let t = collect_trace(&p, &machine);
+        let t = collect_trace(&p, &machine, &TraceOptions::default());
         let scheduler = ListScheduler::new(&machine);
         for (r, (_, block)) in t.iter().zip(p.iter_blocks()) {
             let outcome = scheduler.schedule_block(block);
@@ -754,7 +739,7 @@ mod tests {
         let p = program();
         let opts =
             TraceOptions { estimated: EstimatorKind::Detailed, measured: EstimatorKind::Cheap, ..Default::default() };
-        let t = collect_trace_with(&p, &machine, &opts);
+        let t = collect_trace(&p, &machine, &opts);
         let sim = PipelineSim::new(&machine);
         let cm = CostModel::new(&machine);
         for (r, (_, block)) in t.iter().zip(p.iter_blocks()) {
@@ -768,9 +753,9 @@ mod tests {
         let machine = MachineConfig::ppc7410();
         let p = wide_program(13);
         let serial =
-            collect_trace_with(&p, &machine, &TraceOptions { timing: TimingMode::Deterministic, ..Default::default() });
+            collect_trace(&p, &machine, &TraceOptions { timing: TimingMode::Deterministic, ..Default::default() });
         for threads in [2, 3, 8, 32] {
-            let sharded = collect_trace_with(
+            let sharded = collect_trace(
                 &p,
                 &machine,
                 &TraceOptions { threads, timing: TimingMode::Deterministic, ..Default::default() },
@@ -784,7 +769,7 @@ mod tests {
         let p = wide_program(5);
         let opts = TraceOptions { timing: TimingMode::Deterministic, ..Default::default() };
         for machine in wts_machine::registry() {
-            let whole = collect_trace_with(&p, &machine, &opts);
+            let whole = collect_trace(&p, &machine, &opts);
             let mut stitched = Vec::new();
             for method in p.methods() {
                 stitched.extend(collect_method_trace(p.name(), method, &machine, &opts));
@@ -796,7 +781,7 @@ mod tests {
     #[test]
     fn deterministic_timing_copies_work_proxies() {
         let machine = MachineConfig::ppc7410();
-        let t = collect_trace_with(
+        let t = collect_trace(
             &program(),
             &machine,
             &TraceOptions { timing: TimingMode::Deterministic, ..Default::default() },
@@ -812,13 +797,13 @@ mod tests {
         let machine = MachineConfig::ppc7410();
         let p = wide_program(6);
         let opts = TraceOptions { timing: TimingMode::Deterministic, ..Default::default() };
-        let ls = filtered_schedule_pass(&p, &machine, &crate::AlwaysSchedule.compile(), &opts);
+        let ls = filtered_schedule_pass(&p, &machine, &CompiledFilter::always(), &DecisionPolicy::HardThreshold, &opts);
         assert_eq!(ls.total_blocks, p.block_count());
         assert_eq!(ls.scheduled_blocks, p.block_count());
         assert_eq!(ls.conditions_evaluated + ls.extraction_work, 0, "LS consults nothing");
-        let trace = collect_trace_with(&p, &machine, &opts);
+        let trace = collect_trace(&p, &machine, &opts);
         assert_eq!(ls.sched_work, trace.iter().map(|r| r.sched_work).sum::<u64>(), "same work proxy as tracing");
-        let ns = filtered_schedule_pass(&p, &machine, &crate::NeverSchedule.compile(), &opts);
+        let ns = filtered_schedule_pass(&p, &machine, &CompiledFilter::never(), &DecisionPolicy::HardThreshold, &opts);
         assert_eq!(ns.scheduled_blocks, 0);
         assert_eq!(ns.sched_work, 0);
         assert_eq!(ns.overhead_fraction(), 0.0);
@@ -829,16 +814,22 @@ mod tests {
         let machine = MachineConfig::ppc7410();
         let p = wide_program(9);
         let opts = TraceOptions { timing: TimingMode::Deterministic, ..Default::default() };
-        let compiled = crate::SizeThresholdFilter::new(3).compile();
-        let serial = filtered_schedule_pass(&p, &machine, &compiled, &opts);
+        let compiled = CompiledFilter::size_threshold(3);
+        let serial = filtered_schedule_pass(&p, &machine, &compiled, &DecisionPolicy::HardThreshold, &opts);
         // Same decisions as classifying the collected trace.
-        let trace = collect_trace_with(&p, &machine, &opts);
-        let counts = crate::runtime_classification(&trace, &crate::SizeThresholdFilter::new(3));
+        let trace = collect_trace(&p, &machine, &opts);
+        let counts = crate::runtime_classification(&trace, &compiled);
         assert_eq!(serial.scheduled_blocks, counts.ls);
         assert_eq!(serial.conditions_evaluated, p.block_count() as u64, "one condition per block");
         // Work channels are thread-count invariant.
         for threads in [2, 4, 16] {
-            let sharded = filtered_schedule_pass(&p, &machine, &compiled, &TraceOptions { threads, ..opts });
+            let sharded = filtered_schedule_pass(
+                &p,
+                &machine,
+                &compiled,
+                &DecisionPolicy::HardThreshold,
+                &TraceOptions { threads, ..opts },
+            );
             assert_eq!(
                 (sharded.total_blocks, sharded.scheduled_blocks, sharded.conditions_evaluated),
                 (serial.total_blocks, serial.scheduled_blocks, serial.conditions_evaluated),
@@ -854,7 +845,7 @@ mod tests {
         let p = crate::testutil::mergeable_suite(2).remove(0);
         let opts =
             TraceOptions { scope: ScopeKind::Superblock(70), timing: TimingMode::Deterministic, ..Default::default() };
-        let t = collect_trace_with(&p, &machine, &opts);
+        let t = collect_trace(&p, &machine, &opts);
         // Each method forms one width-3 hot trace + one cold width-1 trace.
         assert_eq!(t.len(), 2 * 2);
         use wts_features::FeatureKind;
@@ -881,8 +872,8 @@ mod tests {
         let opts = TraceOptions { timing: TimingMode::Deterministic, ..Default::default() };
         let sb_opts = TraceOptions { scope: ScopeKind::Superblock(70), ..opts };
         for p in crate::testutil::mergeable_suite(4) {
-            let blocks = collect_trace_with(&p, &machine, &opts);
-            let traces = collect_trace_with(&p, &machine, &sb_opts);
+            let blocks = collect_trace(&p, &machine, &opts);
+            let traces = collect_trace(&p, &machine, &sb_opts);
             let block_cost: u64 = blocks.iter().map(|r| r.exec_count * r.est_sched).sum();
             let trace_cost: u64 = traces.iter().map(|r| r.exec_count * r.est_sched).sum();
             assert!(trace_cost <= block_cost, "{}: {trace_cost} vs {block_cost}", p.name());
@@ -895,9 +886,9 @@ mod tests {
         let p = wide_program(13);
         let base =
             TraceOptions { scope: ScopeKind::Superblock(70), timing: TimingMode::Deterministic, ..Default::default() };
-        let serial = collect_trace_with(&p, &machine, &base);
+        let serial = collect_trace(&p, &machine, &base);
         for threads in [2, 3, 8] {
-            let sharded = collect_trace_with(&p, &machine, &TraceOptions { threads, ..base });
+            let sharded = collect_trace(&p, &machine, &TraceOptions { threads, ..base });
             assert_eq!(serial, sharded, "{threads} threads");
         }
         // And the per-method pieces reassemble exactly, as the matrix
@@ -915,20 +906,26 @@ mod tests {
         let p = crate::testutil::mergeable_suite(4).remove(0);
         let opts =
             TraceOptions { scope: ScopeKind::Superblock(70), timing: TimingMode::Deterministic, ..Default::default() };
-        let ls = filtered_schedule_pass(&p, &machine, &crate::AlwaysSchedule.compile(), &opts);
-        let trace = collect_trace_with(&p, &machine, &opts);
+        let ls = filtered_schedule_pass(&p, &machine, &CompiledFilter::always(), &DecisionPolicy::HardThreshold, &opts);
+        let trace = collect_trace(&p, &machine, &opts);
         assert_eq!(ls.total_blocks, trace.len(), "units are traces, not blocks");
         assert_eq!(ls.scheduled_blocks, trace.len());
         assert_eq!(ls.sched_work, trace.iter().map(|r| r.sched_work).sum::<u64>(), "same speculative work proxy");
         // A size filter separates the fat merged traces from the cold
         // singletons, exactly as classifying the collected trace does.
-        let compiled = crate::SizeThresholdFilter::new(3).compile();
-        let counts = crate::runtime_classification(&trace, &crate::SizeThresholdFilter::new(3));
-        let filtered = filtered_schedule_pass(&p, &machine, &compiled, &opts);
+        let compiled = CompiledFilter::size_threshold(3);
+        let counts = crate::runtime_classification(&trace, &compiled);
+        let filtered = filtered_schedule_pass(&p, &machine, &compiled, &DecisionPolicy::HardThreshold, &opts);
         assert_eq!(filtered.scheduled_blocks, counts.ls);
         assert!(filtered.scheduled_blocks < filtered.total_blocks, "cold singleton traces are skipped");
         for threads in [2, 8] {
-            let sharded = filtered_schedule_pass(&p, &machine, &compiled, &TraceOptions { threads, ..opts });
+            let sharded = filtered_schedule_pass(
+                &p,
+                &machine,
+                &compiled,
+                &DecisionPolicy::HardThreshold,
+                &TraceOptions { threads, ..opts },
+            );
             assert_eq!(
                 (sharded.total_blocks, sharded.scheduled_blocks, sharded.sched_work, sharded.extraction_work),
                 (filtered.total_blocks, filtered.scheduled_blocks, filtered.sched_work, filtered.extraction_work),
@@ -940,12 +937,12 @@ mod tests {
     #[test]
     fn unit_server_totals_are_bit_identical_to_the_direct_pass() {
         let machine = MachineConfig::ppc7410();
-        let compiled = crate::SizeThresholdFilter::new(3).compile();
+        let compiled = CompiledFilter::size_threshold(3);
         let policy = crate::DecisionPolicy::HardThreshold;
         let opts = TraceOptions { timing: TimingMode::Deterministic, ..Default::default() };
         for p in crate::testutil::mergeable_suite(3) {
             // Block scope: one served unit per basic block.
-            let direct = filtered_schedule_pass_with(&p, &machine, &compiled, &policy, &opts);
+            let direct = filtered_schedule_pass(&p, &machine, &compiled, &policy, &opts);
             let mut server = UnitServer::new(&machine, opts.policy);
             let mut totals = FilteredPass::default();
             for (_, block) in p.iter_blocks() {
@@ -961,7 +958,7 @@ mod tests {
 
             // Superblock scope: one served unit per formed trace.
             let sb_opts = TraceOptions { scope: ScopeKind::Superblock(70), ..opts };
-            let direct = filtered_schedule_pass_with(&p, &machine, &compiled, &policy, &sb_opts);
+            let direct = filtered_schedule_pass(&p, &machine, &compiled, &policy, &sb_opts);
             let mut totals = FilteredPass::default();
             for method in p.methods() {
                 for sb in form_superblocks(method, 70) {
@@ -980,7 +977,7 @@ mod tests {
     #[test]
     fn served_units_carry_a_valid_permutation_or_nothing() {
         let machine = MachineConfig::ppc7410();
-        let compiled = crate::SizeThresholdFilter::new(3).compile();
+        let compiled = CompiledFilter::size_threshold(3);
         let policy = crate::DecisionPolicy::HardThreshold;
         let mut server = UnitServer::new(&machine, SchedulePolicy::CriticalPath);
         let mut totals = FilteredPass::default();
@@ -1013,7 +1010,7 @@ mod tests {
         assert!(opts.resolved_threads() >= 1);
         // And the collection still works.
         let machine = MachineConfig::ppc7410();
-        let t = collect_trace_with(&wide_program(4), &machine, &opts);
+        let t = collect_trace(&wide_program(4), &machine, &opts);
         assert_eq!(t.len(), 12);
     }
 }

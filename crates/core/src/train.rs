@@ -69,7 +69,6 @@ pub fn train_filter(traces: &[TraceRecord], config: &TrainConfig) -> LearnedFilt
     let filter = LearnedFilter::with_learner(rules, config.label.threshold_percent, config.filter_tag());
     #[cfg(all(feature = "verify", debug_assertions))]
     {
-        use crate::Filter;
         let compiled = filter.compile();
         let table = wts_verify::ModelTable::from_rule_set(filter.rules(), compiled.demand(), filter.name());
         let diags = wts_verify::lint_model(&table);
@@ -123,7 +122,6 @@ pub fn train_loocv_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Filter;
     use wts_features::{FeatureKind, FeatureVector};
     use wts_ir::{BlockId, MethodId};
 
@@ -174,8 +172,8 @@ mod tests {
         small[FeatureKind::BbLen.index()] = 2.0;
         small[FeatureKind::Loads.index()] = 0.05;
         small[FeatureKind::Integers.index()] = 0.5;
-        assert!(f.should_schedule(&FeatureVector::from_values(big)));
-        assert!(!f.should_schedule(&FeatureVector::from_values(small)));
+        assert!(f.rules().predict(&big));
+        assert!(!f.rules().predict(&small));
     }
 
     #[test]
@@ -216,8 +214,8 @@ mod tests {
         for learner in LearnerKind::portfolio() {
             let name = learner.name();
             let f = train_filter(&t, &TrainConfig::with_learner(0, learner));
-            assert!(f.should_schedule(&FeatureVector::from_values(big)), "{name}");
-            assert!(!f.should_schedule(&FeatureVector::from_values(small)), "{name}");
+            assert!(f.rules().predict(&big), "{name}");
+            assert!(!f.rules().predict(&small), "{name}");
         }
     }
 

@@ -4,10 +4,31 @@
 //! trained LOOCV fold across every registry machine.
 
 use proptest::prelude::*;
-use wts_core::{CompiledFilter, Experiment, FeatureBatch, Filter, LearnedFilter, Learner, LearnerKind, TimingMode};
+use wts_core::{CompiledFilter, Experiment, FeatureBatch, LearnedFilter, Learner, LearnerKind, TimingMode};
 use wts_features::{FeatureKind, FeatureMask, FeatureVector};
 use wts_ir::{BasicBlock, Inst, MemRef, MemSpace, Opcode, Program, Reg};
 use wts_ripper::{Condition, Dataset, Op, Rule, RuleSet, RuleStats};
+
+/// The interpreted reference walk of an ordered rule set: conditions
+/// evaluated, short-circuiting within each rule and stopping at the first
+/// rule that fires. The compiled engine's counted work must equal it.
+fn interpreted_work(rules: &RuleSet, values: &[f64]) -> u64 {
+    let mut evaluated = 0u64;
+    for rule in rules.rules() {
+        let mut fired = true;
+        for c in rule.conditions() {
+            evaluated += 1;
+            if !c.matches(values) {
+                fired = false;
+                break;
+            }
+        }
+        if fired {
+            break;
+        }
+    }
+    evaluated
+}
 
 fn arb_condition() -> impl Strategy<Value = Condition> {
     (0usize..FeatureKind::COUNT, prop::bool::ANY, 0u32..40).prop_map(|(attr, ge, t)| Condition {
@@ -88,10 +109,10 @@ proptest! {
     fn eval_work_agrees_between_interpreted_and_compiled(rs in arb_rule_set(), v in arb_vector()) {
         let learned = LearnedFilter::new(rs, 0);
         let compiled = learned.compile();
-        prop_assert_eq!(learned.eval_work(&v), compiled.eval_work(&v));
+        prop_assert_eq!(interpreted_work(learned.rules(), v.as_slice()), compiled.eval_work(v.as_slice()));
         // Work is bounded by the model size and by what a decision can
         // possibly cost.
-        prop_assert!(compiled.eval_work(&v) <= compiled.condition_count() as u64);
+        prop_assert!(compiled.eval_work(v.as_slice()) <= compiled.condition_count() as u64);
     }
 
     #[test]
@@ -116,8 +137,8 @@ proptest! {
             let compiled = learned.compile();
             for inst in data.instances() {
                 prop_assert_eq!(compiled.decide(&inst.values), rules.predict(&inst.values), "{}", kind.name());
-                prop_assert_eq!(compiled.eval_work(&FeatureVector::from_slice(&inst.values)),
-                                learned.eval_work(&FeatureVector::from_slice(&inst.values)), "{}", kind.name());
+                prop_assert_eq!(compiled.eval_work(&inst.values),
+                                interpreted_work(learned.rules(), &inst.values), "{}", kind.name());
             }
             for v in &probes {
                 prop_assert_eq!(compiled.decide(v.as_slice()), rules.predict(v.as_slice()), "{}", kind.name());
@@ -176,16 +197,20 @@ fn compiled_loocv_folds_match_interpreted_on_all_registry_machines() {
                 for r in run.all_traces() {
                     assert_eq!(
                         compiled.decide(r.features.as_slice()),
-                        learned.should_schedule(&r.features),
+                        learned.rules().predict(r.features.as_slice()),
                         "{}/{bench}/t={t}: decision mismatch on {}",
                         machine.name(),
                         r.features
                     );
-                    assert_eq!(compiled.eval_work(&r.features), learned.eval_work(&r.features));
+                    assert_eq!(
+                        compiled.eval_work(r.features.as_slice()),
+                        interpreted_work(learned.rules(), r.features.as_slice())
+                    );
                 }
                 // Batch decisions, across thread counts.
                 let batch = FeatureBatch::from_traces(run.all_traces());
-                let scalar: Vec<bool> = run.all_traces().iter().map(|r| learned.should_schedule(&r.features)).collect();
+                let scalar: Vec<bool> =
+                    run.all_traces().iter().map(|r| learned.rules().predict(r.features.as_slice())).collect();
                 for threads in [1, 4] {
                     assert_eq!(compiled.classify_batch(&batch, threads), scalar, "{}/{bench}", machine.name());
                 }
@@ -199,7 +224,7 @@ fn compiled_loocv_folds_match_interpreted_on_all_registry_machines() {
                         let masked = FeatureVector::extract_masked(block, demand);
                         assert_eq!(
                             compiled.decide(masked.as_slice()),
-                            learned.should_schedule(&full),
+                            learned.rules().predict(full.as_slice()),
                             "{}/{bench}: masked extraction changed a decision",
                             machine.name()
                         );
@@ -238,12 +263,15 @@ fn superblock_loocv_folds_pin_compiled_interpreted_native_on_all_registry_machin
                 for r in run.all_traces() {
                     assert_eq!(
                         compiled.decide(r.features.as_slice()),
-                        learned.should_schedule(&r.features),
+                        learned.rules().predict(r.features.as_slice()),
                         "{}/{}/{bench}: compiled vs interpreted",
                         machine.name(),
                         learner.name()
                     );
-                    assert_eq!(compiled.eval_work(&r.features), learned.eval_work(&r.features));
+                    assert_eq!(
+                        compiled.eval_work(r.features.as_slice()),
+                        interpreted_work(learned.rules(), r.features.as_slice())
+                    );
                 }
             }
         }
@@ -277,22 +305,29 @@ fn superblock_loocv_folds_pin_compiled_interpreted_native_on_all_registry_machin
     }
 }
 
-/// The fixed strategies and the size baseline also lower correctly —
-/// the engine serves every filter kind, not just learned ones.
+/// The fixed strategies and the size baseline are built straight into
+/// the engine: LS schedules everything and NS nothing, both for free;
+/// `size>=5` schedules exactly the blocks of at least five instructions
+/// for one condition each.
 #[test]
 fn fixed_and_baseline_filters_lower_faithfully() {
-    use wts_core::{AlwaysSchedule, NeverSchedule, SizeThresholdFilter};
     let machine = wts_machine::MachineConfig::ppc7410();
     let run = Experiment::new(machine).with_timing(TimingMode::Deterministic).run(suite());
-    let filters: Vec<Box<dyn Filter>> =
-        vec![Box::new(AlwaysSchedule), Box::new(NeverSchedule), Box::new(SizeThresholdFilter::new(5))];
-    for f in &filters {
-        let compiled = f.compile();
-        for r in run.all_traces() {
-            assert_eq!(compiled.decide(r.features.as_slice()), f.should_schedule(&r.features), "{}", f.name());
-            assert_eq!(compiled.eval_work(&r.features), f.eval_work(&r.features), "{}", f.name());
+    for r in run.all_traces() {
+        let v = r.features.as_slice();
+        let at_least_5 = r.features.get(FeatureKind::BbLen) >= 5.0;
+        for (compiled, decision, work) in [
+            (CompiledFilter::always(), true, 0),
+            (CompiledFilter::never(), false, 0),
+            (CompiledFilter::size_threshold(5), at_least_5, 1),
+        ] {
+            assert_eq!(compiled.decide(v), decision, "{}", compiled.name());
+            assert_eq!(compiled.eval_work(v), work, "{}", compiled.name());
         }
     }
+    assert_eq!(CompiledFilter::always().name(), "LS");
+    assert_eq!(CompiledFilter::never().name(), "NS");
+    assert_eq!(CompiledFilter::size_threshold(5).name(), "size>=5");
 }
 
 /// The masked work model never exceeds the full-extraction model, so

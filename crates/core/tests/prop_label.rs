@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use wts_core::{
-    app_time_ratio, build_dataset, predicted_time_ratio, runtime_classification, sched_time_ratio, AlwaysSchedule,
-    Filter, LabelConfig, NeverSchedule, SizeThresholdFilter, TraceRecord,
+    app_time_ratio, build_dataset, predicted_time_ratio, runtime_classification, sched_time_ratio, CompiledFilter,
+    DecisionPolicy, LabelConfig, TraceRecord,
 };
 use wts_features::{FeatureKind, FeatureVector};
 use wts_ir::{BlockId, MethodId};
@@ -61,29 +61,29 @@ proptest! {
     fn fixed_strategies_bound_every_filter(recs in prop::collection::vec(arb_record(), 1..60), min_len in 0usize..40) {
         // est_sched <= est_unsched in this corpus, so LS is optimal and NS
         // is pessimal; any filter lands between them.
-        let filter = SizeThresholdFilter::new(min_len);
+        let filter = CompiledFilter::size_threshold(min_len);
         let f = predicted_time_ratio(&recs, &filter);
-        let ls = predicted_time_ratio(&recs, &AlwaysSchedule);
-        let ns = predicted_time_ratio(&recs, &NeverSchedule);
+        let ls = predicted_time_ratio(&recs, &CompiledFilter::always());
+        let ns = predicted_time_ratio(&recs, &CompiledFilter::never());
         prop_assert!(ls <= f + 1e-9 && f <= ns + 1e-9, "{ls} <= {f} <= {ns}");
         let fa = app_time_ratio(&recs, &filter);
-        let lsa = app_time_ratio(&recs, &AlwaysSchedule);
+        let lsa = app_time_ratio(&recs, &CompiledFilter::always());
         prop_assert!(lsa <= fa + 1e-9 && fa <= 1.0 + 1e-9);
     }
 
     #[test]
     fn runtime_classification_partitions(recs in prop::collection::vec(arb_record(), 0..60), min_len in 0usize..40) {
-        let filter = SizeThresholdFilter::new(min_len);
-        let c = runtime_classification(&recs, &filter);
+        let c = runtime_classification(&recs, &CompiledFilter::size_threshold(min_len));
         prop_assert_eq!(c.total(), recs.len());
-        let ls_direct = recs.iter().filter(|r| filter.should_schedule(&r.features)).count();
+        let ls_direct = recs.iter().filter(|r| r.features.get(FeatureKind::BbLen) >= min_len as f64).count();
         prop_assert_eq!(c.ls, ls_direct);
     }
 
     #[test]
     fn sched_time_work_is_linear_in_decisions(recs in prop::collection::vec(arb_record(), 1..60)) {
-        let always = sched_time_ratio(&recs, &AlwaysSchedule);
-        let never = sched_time_ratio(&recs, &NeverSchedule);
+        let hard = DecisionPolicy::HardThreshold;
+        let always = sched_time_ratio(&recs, &CompiledFilter::always(), &hard);
+        let never = sched_time_ratio(&recs, &CompiledFilter::never(), &hard);
         prop_assert_eq!(always.scheduled_blocks, recs.len());
         prop_assert_eq!(never.scheduled_blocks, 0);
         prop_assert!(never.filtered_work < always.filtered_work);
@@ -96,7 +96,7 @@ proptest! {
         prop_assert_eq!(never.work_ratio(), 0.0);
         // A real filter pays per condition: its work sits strictly
         // between NS and LS-plus-overhead.
-        let sized = sched_time_ratio(&recs, &SizeThresholdFilter::new(20));
+        let sized = sched_time_ratio(&recs, &CompiledFilter::size_threshold(20), &hard);
         prop_assert_eq!(sized.filter_work, recs.len() as u64, "one condition per block");
         prop_assert!(sized.filtered_work > never.filtered_work);
         prop_assert!(sized.overhead_fraction() > 0.0);

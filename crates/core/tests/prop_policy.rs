@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use wts_core::{
-    filtered_schedule_pass, filtered_schedule_pass_with, DecisionPolicy, Experiment, FeatureBatch, Filter, Learner,
-    LearnerKind, ScopeKind, TimingMode, TraceOptions, UnitEconomics,
+    collect_trace, filtered_schedule_pass, CompiledFilter, DecisionPolicy, Experiment, FeatureBatch, FilteredPass,
+    Learner, LearnerKind, ScopeKind, TimingMode, TraceOptions, UnitEconomics,
 };
 use wts_features::{FeatureKind, FeatureVector};
 use wts_ripper::{Condition, Op, Rule, RuleSet, RuleStats};
@@ -89,20 +89,42 @@ proptest! {
     }
 }
 
+/// The boolean seam rebuilt from a deterministic trace of every unit: a
+/// unit is scheduled iff [`CompiledFilter::decide_counted`] fires on its
+/// recorded features, and pays the recorded scheduling work.
+fn boolean_pass(
+    program: &wts_ir::Program,
+    machine: &wts_machine::MachineConfig,
+    compiled: &CompiledFilter,
+    options: &TraceOptions,
+) -> FilteredPass {
+    let mut out = FilteredPass::default();
+    for r in collect_trace(program, machine, options) {
+        let (fired, work) = compiled.decide_counted(r.features.as_slice());
+        out.total_blocks += 1;
+        out.conditions_evaluated += work;
+        out.extraction_work += compiled.extraction_work(r.features.bb_len() as u64);
+        if fired {
+            out.scheduled_blocks += 1;
+            out.sched_work += r.sched_work;
+        }
+    }
+    out
+}
+
 /// One deterministic pass-channel comparison: the policy-aware pass
-/// under [`DecisionPolicy::HardThreshold`] against the legacy pass, on
+/// under [`DecisionPolicy::HardThreshold`] against the boolean seam, on
 /// every deterministic channel.
 fn assert_pass_pinned(
     program: &wts_ir::Program,
     machine: &wts_machine::MachineConfig,
-    filter: &dyn Filter,
+    compiled: &CompiledFilter,
     scope: ScopeKind,
     context: &str,
 ) {
     let options = TraceOptions { timing: TimingMode::Deterministic, scope, ..TraceOptions::default() };
-    let compiled = filter.compile();
-    let legacy = filtered_schedule_pass(program, machine, &compiled, &options);
-    let hard = filtered_schedule_pass_with(program, machine, &compiled, &DecisionPolicy::HardThreshold, &options);
+    let legacy = boolean_pass(program, machine, compiled, &options);
+    let hard = filtered_schedule_pass(program, machine, compiled, &DecisionPolicy::HardThreshold, &options);
     assert_eq!(legacy.total_blocks, hard.total_blocks, "{context}: total units");
     assert_eq!(legacy.scheduled_blocks, hard.scheduled_blocks, "{context}: scheduled units");
     assert_eq!(legacy.conditions_evaluated, hard.conditions_evaluated, "{context}: filter work");
@@ -136,7 +158,7 @@ fn hard_threshold_deployments_pin_the_boolean_seam_at_block_scope() {
                     assert_pass_pinned(
                         program,
                         &machine,
-                        learned,
+                        &compiled,
                         ScopeKind::Block,
                         &format!("{}/{}/{bench}/{}", machine.name(), learner.name(), program.name()),
                     );
@@ -165,11 +187,12 @@ fn hard_threshold_deployments_pin_the_boolean_seam_at_superblock_scope() {
         );
         for learner in LearnerKind::portfolio() {
             for (bench, learned) in run.loocv_filters_for(0, &learner).iter() {
+                let compiled = learned.compile();
                 for program in run.programs() {
                     assert_pass_pinned(
                         program,
                         &machine,
-                        learned,
+                        &compiled,
                         scope,
                         &format!("{}/{}/{bench}/{}", machine.name(), learner.name(), program.name()),
                     );
@@ -185,17 +208,17 @@ fn hard_threshold_deployments_pin_the_boolean_seam_at_superblock_scope() {
 /// graded policy is actually wired through the deployed pass).
 #[test]
 fn fixed_filters_stay_pinned_and_expected_benefit_reaches_the_pass() {
-    use wts_core::{AlwaysSchedule, BenefitModel, NeverSchedule, SizeThresholdFilter};
+    use wts_core::BenefitModel;
     let programs = wts_core::testutil::learnable_suite(3);
     let machine = wts_machine::MachineConfig::ppc7410();
-    for f in [&AlwaysSchedule as &dyn Filter, &NeverSchedule, &SizeThresholdFilter::new(5)] {
-        assert_pass_pinned(&programs[0], &machine, f, ScopeKind::Block, &f.name());
+    for f in [CompiledFilter::always(), CompiledFilter::never(), CompiledFilter::size_threshold(5)] {
+        assert_pass_pinned(&programs[0], &machine, &f, ScopeKind::Block, f.name());
     }
     let options = TraceOptions { timing: TimingMode::Deterministic, ..TraceOptions::default() };
-    let compiled = AlwaysSchedule.compile();
-    let hard = filtered_schedule_pass(&programs[0], &machine, &compiled, &options);
+    let compiled = CompiledFilter::always();
+    let hard = filtered_schedule_pass(&programs[0], &machine, &compiled, &DecisionPolicy::HardThreshold, &options);
     let stingy = DecisionPolicy::ExpectedBenefit(BenefitModel { saved_per_inst: 0.0, cycles_per_work: 1.0 });
-    let none = filtered_schedule_pass_with(&programs[0], &machine, &compiled, &stingy, &options);
+    let none = filtered_schedule_pass(&programs[0], &machine, &compiled, &stingy, &options);
     assert_eq!(none.scheduled_blocks, 0, "a zero-rate model schedules nothing");
     assert_eq!(none.total_blocks, hard.total_blocks);
     assert!(none.sched_work < hard.sched_work, "skipping everything must shed the scheduling work");

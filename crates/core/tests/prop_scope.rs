@@ -13,8 +13,8 @@
 
 use proptest::prelude::*;
 use wts_core::{
-    build_dataset, filtered_schedule_pass, for_each_scope_unit, AlwaysSchedule, Experiment, Filter, LabelConfig,
-    ScopeKind, SizeThresholdFilter, TimingMode, TraceOptions,
+    build_dataset, filtered_schedule_pass, for_each_scope_unit, CompiledFilter, DecisionPolicy, Experiment,
+    LabelConfig, ScopeKind, TimingMode, TraceOptions,
 };
 use wts_features::{FeatureKind, TraceShape};
 use wts_ir::{form_superblocks, BasicBlock, BlockId, Inst, MemRef, MemSpace, Method, Opcode, Program, Reg};
@@ -187,9 +187,10 @@ proptest! {
             // feature-reading filter alike.
             let opts = TraceOptions { timing: TimingMode::Deterministic, ..Default::default() };
             let sb_opts = TraceOptions { scope: ScopeKind::Superblock(100), ..opts };
-            for filter in [AlwaysSchedule.compile(), SizeThresholdFilter::new(3).compile()] {
-                let pa = filtered_schedule_pass(&p, &machine, &filter, &opts);
-                let pb = filtered_schedule_pass(&p, &machine, &filter, &sb_opts);
+            let hard = DecisionPolicy::HardThreshold;
+            for filter in [CompiledFilter::always(), CompiledFilter::size_threshold(3)] {
+                let pa = filtered_schedule_pass(&p, &machine, &filter, &hard, &opts);
+                let pb = filtered_schedule_pass(&p, &machine, &filter, &hard, &sb_opts);
                 prop_assert_eq!(
                     (pa.total_blocks, pa.scheduled_blocks, pa.conditions_evaluated, pa.extraction_work, pa.sched_work),
                     (pb.total_blocks, pb.scheduled_blocks, pb.conditions_evaluated, pb.extraction_work, pb.sched_work),

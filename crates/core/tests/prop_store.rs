@@ -21,6 +21,17 @@ fn filter_with_cut(cut: u32) -> LearnedFilter {
     LearnedFilter::new(RuleSet::new(attr_names, "list", "orig", vec![rule], vec![], RuleStats::default()), cut)
 }
 
+/// Raises its flag when dropped — also while unwinding, so a writer
+/// that panics mid-swap releases the readers polling the flag and the
+/// test fails instead of hanging.
+struct RaiseOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for RaiseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 fn probe_values(bb_len: u32) -> [f64; FeatureKind::COUNT] {
     let mut v = [0.0; FeatureKind::COUNT];
     v[FeatureKind::BbLen.index()] = bb_len as f64;
@@ -72,10 +83,12 @@ proptest! {
                     })
                 })
                 .collect();
-            for &cut in &cuts[1..] {
-                store.swap(key.clone(), filter_with_cut(cut));
+            {
+                let _done = RaiseOnDrop(&done);
+                for &cut in &cuts[1..] {
+                    store.swap(key.clone(), filter_with_cut(cut));
+                }
             }
-            done.store(true, Ordering::Release);
             readers.into_iter().map(|r| r.join().expect("reader panicked")).collect()
         });
 

@@ -4,7 +4,7 @@
 use crate::table::{f2, f3, Table};
 use crate::{Experiments, SuiteKind};
 use wts_core::{app_time_ratio, classification_matrix, predicted_time_ratio, train_filter, TrainConfig};
-use wts_core::{AlwaysSchedule, Experiment, Filter, LabelConfig};
+use wts_core::{CompiledFilter, Experiment, LabelConfig};
 use wts_jit::{app_cycles, superblock_gain, CompileSession};
 use wts_machine::MachineConfig;
 use wts_ripper::leave_one_group_out;
@@ -36,8 +36,9 @@ impl Experiments {
             let total = run.all_traces().len();
             let ls0 = run.ls_instances(0);
             let ls20 = run.ls_instances(20);
-            let pred: Vec<f64> = run.traces().iter().map(|tr| predicted_time_ratio(tr, &AlwaysSchedule)).collect();
-            let app: Vec<f64> = run.traces().iter().map(|tr| app_time_ratio(tr, &AlwaysSchedule)).collect();
+            let always = CompiledFilter::always();
+            let pred: Vec<f64> = run.traces().iter().map(|tr| predicted_time_ratio(tr, &always)).collect();
+            let app: Vec<f64> = run.traces().iter().map(|tr| app_time_ratio(tr, &always)).collect();
             let feat_ns: u64 = run.all_traces().iter().map(|r| r.feature_ns).sum::<u64>() / total as u64;
             let sched_ns: u64 = run.all_traces().iter().map(|r| r.sched_ns).sum::<u64>() / total as u64;
             t.push_row(vec![
@@ -110,8 +111,8 @@ impl Experiments {
             let mut app = Vec::new();
             for program in self.run(SuiteKind::Fp).programs() {
                 let traces = pipeline.trace(program);
-                pred.push(predicted_time_ratio(&traces, &AlwaysSchedule));
-                app.push(app_time_ratio(&traces, &AlwaysSchedule));
+                pred.push(predicted_time_ratio(&traces, &CompiledFilter::always()));
+                app.push(app_time_ratio(&traces, &CompiledFilter::always()));
             }
             t.push_row(vec![
                 pipeline.machine().name().to_string(),
@@ -140,8 +141,8 @@ impl Experiments {
             let mut app = Vec::new();
             for program in self.run(SuiteKind::Fp).programs() {
                 let traces = pipeline.trace(program);
-                pred.push(predicted_time_ratio(&traces, &AlwaysSchedule));
-                app.push(app_time_ratio(&traces, &AlwaysSchedule));
+                pred.push(predicted_time_ratio(&traces, &CompiledFilter::always()));
+                app.push(app_time_ratio(&traces, &CompiledFilter::always()));
             }
             t.push_row(vec![policy.to_string(), f2(geometric_mean(&pred)), f3(geometric_mean(&app))]);
         }
@@ -184,15 +185,14 @@ impl Experiments {
             vec!["Strategy".into(), "Scheduled".into(), "Pass µs".into(), "App/NS".into()],
         );
         let run = self.run(SuiteKind::Jvm98);
-        let filter = run.factory_filter(20);
+        let filter = run.factory_filter(20).compile();
+        let always = CompiledFilter::always();
         let session = CompileSession::new(self.machine());
 
         let mut rows: Vec<(String, usize, u64, f64)> = Vec::new();
-        for (label, adaptive, f) in [
-            ("LS everywhere", false, &AlwaysSchedule as &dyn Filter),
-            ("LS hot methods", true, &AlwaysSchedule as &dyn Filter),
-            ("L/N hot methods", true, &filter as &dyn Filter),
-        ] {
+        for (label, adaptive, f) in
+            [("LS everywhere", false, &always), ("LS hot methods", true, &always), ("L/N hot methods", true, &filter)]
+        {
             let mut scheduled = 0;
             let mut pass_ns = 0;
             let mut base = 0u64;
@@ -201,7 +201,7 @@ impl Experiments {
                 let (compiled, stats) = if adaptive {
                     session.compile_adaptive(program, f, hot_cutoff)
                 } else {
-                    session.compile(program, f)
+                    session.compile(program, f, 1)
                 };
                 scheduled += stats.scheduled_blocks;
                 pass_ns += stats.pass_ns;
@@ -227,9 +227,9 @@ impl Experiments {
             vec!["Benchmark".into(), "LOOCV".into(), "Self-trained".into()],
         );
         for name in run.names() {
-            let loocv = run.filter_for(t, name);
+            let loocv = run.compiled_filter_for(t, name);
             let own = run.trace_for(name);
-            let selftrained = train_filter(own, &TrainConfig::with_threshold(t));
+            let selftrained = train_filter(own, &TrainConfig::with_threshold(t)).compile();
             let e_loocv = classification_matrix(own, &loocv, LabelConfig::new(t)).error_percent();
             let e_self = classification_matrix(own, &selftrained, LabelConfig::new(t)).error_percent();
             table.push_row(vec![name.clone(), f2(e_loocv), f2(e_self)]);

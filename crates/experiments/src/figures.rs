@@ -3,7 +3,7 @@
 
 use crate::table::{f3, Table};
 use crate::{Experiments, SuiteKind, THRESHOLDS};
-use wts_core::AlwaysSchedule;
+use wts_core::{CompiledFilter, DecisionPolicy};
 use wts_ripper::geometric_mean;
 
 /// The (a)/(b) pair of one figure: scheduling time and application time.
@@ -38,8 +38,9 @@ impl Experiments {
         // for scheduling time; measured ratio for app time).
         let mut ls_row = vec!["LS".to_string()];
         let mut ls_ratios = Vec::new();
+        let always = CompiledFilter::always();
         for name in run.names() {
-            let r = run.app_time_with(name, &AlwaysSchedule);
+            let r = run.app_time_with(name, &always);
             ls_ratios.push(r);
             ls_row.push(f3(r));
         }
@@ -53,7 +54,7 @@ impl Experiments {
             let mut mratios = Vec::new();
             let mut aratios = Vec::new();
             for name in run.names() {
-                let times = run.sched_time(th, name);
+                let times = run.sched_time(th, name, &DecisionPolicy::HardThreshold);
                 let s = times.work_ratio();
                 sratios.push(s);
                 mratios.push(times.measured_ratio());

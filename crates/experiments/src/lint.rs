@@ -15,7 +15,7 @@
 
 use crate::table::Table;
 use crate::Experiments;
-use wts_core::{Filter, LearnedFilter, Learner, LearnerKind, MatrixRun};
+use wts_core::{LearnedFilter, Learner, LearnerKind, MatrixRun};
 use wts_verify::{
     check_serve_protocol, check_store_protocol, lint_model, prove_hard_threshold, render, Diagnostic, ModelTable,
     ServeProtoConfig, Severity, StoreProtoConfig,

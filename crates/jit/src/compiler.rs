@@ -1,28 +1,27 @@
 //! The JIT compile session: the deployed per-unit body applied in
 //! place.
 //!
-//! The filter is lowered once per compile ([`Filter::compile`]), and
-//! every block of every optimized method then runs through
-//! [`UnitServer::run`] — the same extract → score → decide → schedule
-//! body as trace collection, [`filtered_schedule_pass_with`] and the
-//! `wts-serve` workers. When the session's [`DecisionPolicy`] says
-//! schedule, the session reorders the block in place by the schedule
-//! the body just produced. So a compile's [`FilteredPass`] equals the
+//! Every entry point takes the deployed [`CompiledFilter`], and every
+//! block of every optimized method runs through [`UnitServer::run`] —
+//! the same extract → score → decide → schedule body as trace
+//! collection, [`filtered_schedule_pass`] and the `wts-serve` workers.
+//! When the session's [`DecisionPolicy`] says schedule, the session
+//! reorders the block in place by the schedule the body just produced. So a compile's [`FilteredPass`] equals the
 //! direct pass over the same program on every work channel, and the
 //! output program holds exactly the served orders, by construction.
 //! Under the default [`HardThreshold`](DecisionPolicy::HardThreshold)
-//! the decisions are bit-identical to the interpreted boolean filter;
+//! a block is scheduled exactly when a rule fires on it;
 //! an [`ExpectedBenefit`](DecisionPolicy::ExpectedBenefit) session
 //! weighs each block's calibrated probability and hotness against the
 //! compile spend instead. The session compiles at block scope.
 //!
-//! [`filtered_schedule_pass_with`]: wts_core::filtered_schedule_pass_with
+//! [`filtered_schedule_pass`]: wts_core::filtered_schedule_pass
 
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 use wts_core::{
-    CompiledFilter, DecisionPolicy, Filter, FilterKey, FilterSnapshot, FilterStore, FilteredPass, LearnedFilter,
-    ScopeUnit, UnitServer,
+    CompiledFilter, DecisionPolicy, FilterKey, FilterSnapshot, FilterStore, FilteredPass, LearnedFilter, ScopeUnit,
+    UnitServer,
 };
 use wts_ir::Program;
 use wts_machine::{CostModel, MachineConfig, PipelineSim};
@@ -137,16 +136,13 @@ impl<'m> CompileSession<'m> {
     /// extracted and the filter consulted; selected blocks are list
     /// scheduled. Returns the (possibly reordered) program and the
     /// pass totals.
-    pub fn compile(&self, program: &Program, filter: &dyn Filter) -> (Program, FilteredPass) {
-        self.compile_where(program, filter, |_| true, 1)
-    }
-
-    /// [`compile`](CompileSession::compile) with the program's methods
-    /// sharded across `threads` scoped worker threads (`0` = one per
-    /// available core, `1` = serial). Methods are compiled independently
-    /// and reassembled in order, so the output program is identical to
-    /// the serial path; only `pass_ns` varies.
-    pub fn compile_sharded(&self, program: &Program, filter: &dyn Filter, threads: usize) -> (Program, FilteredPass) {
+    ///
+    /// The program's methods shard across `threads` scoped worker
+    /// threads (`0` = one per available core, `1` = serial). Methods are
+    /// compiled independently and reassembled in order, so the output
+    /// program is identical for every thread count; only `pass_ns`
+    /// varies.
+    pub fn compile(&self, program: &Program, filter: &CompiledFilter, threads: usize) -> (Program, FilteredPass) {
         self.compile_where(program, filter, |_| true, threads)
     }
 
@@ -156,7 +152,12 @@ impl<'m> CompileSession<'m> {
     /// are left baseline-compiled (unscheduled, and unfiltered — the
     /// filter's cost is skipped too, and their blocks count only towards
     /// `total_blocks`).
-    pub fn compile_adaptive(&self, program: &Program, filter: &dyn Filter, hot_cutoff: u64) -> (Program, FilteredPass) {
+    pub fn compile_adaptive(
+        &self,
+        program: &Program,
+        filter: &CompiledFilter,
+        hot_cutoff: u64,
+    ) -> (Program, FilteredPass) {
         self.compile_where(
             program,
             filter,
@@ -191,34 +192,19 @@ impl<'m> CompileSession<'m> {
         snapshot: &FilterSnapshot,
         threads: usize,
     ) -> (Program, FilteredPass) {
-        self.compile_engine(program, snapshot.compiled(), |_| true, threads)
+        self.compile(program, snapshot.compiled(), threads)
     }
 
+    /// The compile body every entry point joins. Methods shard into
+    /// contiguous chunks; each worker clones its chunk and runs every
+    /// block of every optimized method through a [`UnitServer`] borrowed
+    /// from the session's pool, applying each schedule in place. The chunks are reassembled in method order, so
+    /// the result is identical whatever the thread count, and the pooled
+    /// state never affects output.
     fn compile_where(
         &self,
         program: &Program,
-        filter: &dyn Filter,
-        optimize_method: impl Fn(&wts_ir::Method) -> bool + Sync,
-        threads: usize,
-    ) -> (Program, FilteredPass) {
-        // Lower the filter once; every shard shares the flat table. The
-        // store path arrives pre-lowered (the snapshot carries its
-        // engine) and joins at `compile_engine`.
-        let engine = filter.compile();
-        self.compile_engine(program, &engine, optimize_method, threads)
-    }
-
-    /// The compile body every entry point joins, with the filter already
-    /// lowered. Methods shard into contiguous chunks; each worker clones
-    /// its chunk and runs every block of every optimized method through
-    /// a [`UnitServer`] borrowed from the session's pool, applying each
-    /// schedule in place. The chunks are reassembled in method order, so
-    /// the result is identical whatever the thread count, and the pooled
-    /// state never affects output.
-    fn compile_engine(
-        &self,
-        program: &Program,
-        engine: &CompiledFilter,
+        filter: &CompiledFilter,
         optimize_method: impl Fn(&wts_ir::Method) -> bool + Sync,
         threads: usize,
     ) -> (Program, FilteredPass) {
@@ -233,7 +219,7 @@ impl<'m> CompileSession<'m> {
                     continue;
                 }
                 for block in method.blocks_mut() {
-                    if server.run(&ScopeUnit::of_block(block), engine, &self.decision, &mut totals) {
+                    if server.run(&ScopeUnit::of_block(block), filter, &self.decision, &mut totals) {
                         server.apply_in_place(block);
                     }
                 }
@@ -284,7 +270,6 @@ pub fn predicted_cycles(program: &Program, machine: &MachineConfig) -> u64 {
 mod tests {
     use super::*;
     use crate::Suite;
-    use wts_core::{AlwaysSchedule, NeverSchedule, SizeThresholdFilter};
 
     fn machine() -> MachineConfig {
         MachineConfig::ppc7410()
@@ -295,7 +280,7 @@ mod tests {
         let m = machine();
         let suite = Suite::specjvm98(0.01);
         let p = suite.benchmarks()[0].program();
-        let (out, stats) = CompileSession::new(&m).compile(p, &NeverSchedule);
+        let (out, stats) = CompileSession::new(&m).compile(p, &CompiledFilter::never(), 1);
         assert_eq!(&out, p);
         assert_eq!(stats.scheduled_blocks, 0);
         assert_eq!(stats.sched_work, 0);
@@ -307,7 +292,7 @@ mod tests {
         let m = machine();
         let suite = Suite::fp(0.02);
         let p = suite.benchmarks()[0].program();
-        let (out, stats) = CompileSession::new(&m).compile(p, &AlwaysSchedule);
+        let (out, stats) = CompileSession::new(&m).compile(p, &CompiledFilter::always(), 1);
         assert_eq!(stats.scheduled_blocks, stats.total_blocks);
         out.validate().expect("scheduled program remains valid");
         // Predicted (cheap-model) time must not degrade; on an FP-heavy
@@ -323,8 +308,8 @@ mod tests {
         let suite = Suite::specjvm98(0.01);
         let p = suite.benchmarks()[1].program();
         let session = CompileSession::new(&m);
-        let (_, ls) = session.compile(p, &AlwaysSchedule);
-        let (_, filtered) = session.compile(p, &SizeThresholdFilter::new(8));
+        let (_, ls) = session.compile(p, &CompiledFilter::always(), 1);
+        let (_, filtered) = session.compile(p, &CompiledFilter::size_threshold(8), 1);
         assert!(filtered.scheduled_blocks < ls.scheduled_blocks);
         assert!(filtered.scheduled_blocks > 0);
         assert!(filtered.pass_ns > 0);
@@ -336,10 +321,10 @@ mod tests {
         let suite = Suite::specjvm98(0.02);
         let p = suite.benchmarks()[0].program();
         let session = CompileSession::new(&m);
-        let filter = SizeThresholdFilter::new(5);
-        let (serial, serial_stats) = session.compile(p, &filter);
+        let filter = CompiledFilter::size_threshold(5);
+        let (serial, serial_stats) = session.compile(p, &filter, 1);
         for threads in [0, 2, 5, 16] {
-            let (sharded, stats) = session.compile_sharded(p, &filter, threads);
+            let (sharded, stats) = session.compile(p, &filter, threads);
             assert_eq!(serial, sharded, "sharded compile ({threads} threads) must be identical");
             assert_eq!(stats.total_blocks, serial_stats.total_blocks);
             assert_eq!(stats.scheduled_blocks, serial_stats.scheduled_blocks);
@@ -352,8 +337,8 @@ mod tests {
         let suite = Suite::specjvm98(0.02);
         let p = suite.benchmarks()[0].program();
         let session = CompileSession::new(&m);
-        let (full, full_stats) = session.compile(p, &AlwaysSchedule);
-        let (adaptive, a_stats) = session.compile_adaptive(p, &AlwaysSchedule, 100);
+        let (full, full_stats) = session.compile(p, &CompiledFilter::always(), 1);
+        let (adaptive, a_stats) = session.compile_adaptive(p, &CompiledFilter::always(), 100);
         assert!(a_stats.scheduled_blocks < full_stats.scheduled_blocks);
         assert!(a_stats.scheduled_blocks > 0, "some methods must be hot");
         // Adaptive keeps part of the benefit at a fraction of the cost.
@@ -369,7 +354,7 @@ mod tests {
         let m = machine();
         let suite = Suite::specjvm98(0.01);
         let p = suite.benchmarks()[1].program();
-        let (out, stats) = CompileSession::new(&m).compile_adaptive(p, &AlwaysSchedule, u64::MAX);
+        let (out, stats) = CompileSession::new(&m).compile_adaptive(p, &CompiledFilter::always(), u64::MAX);
         assert_eq!(&out, p);
         assert_eq!(stats.scheduled_blocks, 0);
         assert_eq!(stats.pass_ns, 0, "cold methods skip the whole pass");
@@ -386,11 +371,11 @@ mod tests {
         let m = machine();
         let suite = Suite::specjvm98(0.02);
         let p = suite.benchmarks()[0].program();
-        let filter = SizeThresholdFilter::new(5);
+        let filter = CompiledFilter::size_threshold(5);
         let base = CompileSession::new(&m);
         let explicit = CompileSession::new(&m).with_decision_policy(DecisionPolicy::HardThreshold);
-        let (a, a_stats) = base.compile(p, &filter);
-        let (b, b_stats) = explicit.compile(p, &filter);
+        let (a, a_stats) = base.compile(p, &filter, 1);
+        let (b, b_stats) = explicit.compile(p, &filter, 1);
         assert_eq!(a, b, "an explicit hard policy must not change the output program");
         assert_eq!(a_stats.scheduled_blocks, b_stats.scheduled_blocks);
     }
@@ -404,15 +389,15 @@ mod tests {
         // blocks can justify the quadratic scheduling estimate.
         let model = wts_core::BenefitModel { saved_per_inst: 0.5, cycles_per_work: 50.0 };
         let eb = CompileSession::new(&m).with_decision_policy(DecisionPolicy::ExpectedBenefit(model));
-        let (out, stats) = eb.compile(p, &AlwaysSchedule);
-        let (_, hard) = CompileSession::new(&m).compile(p, &AlwaysSchedule);
+        let (out, stats) = eb.compile(p, &CompiledFilter::always(), 1);
+        let (_, hard) = CompileSession::new(&m).compile(p, &CompiledFilter::always(), 1);
         assert!(stats.scheduled_blocks < hard.scheduled_blocks, "cost-sensitivity must skip some blocks");
         assert!(stats.scheduled_blocks > 0, "hot blocks still pay");
         out.validate().expect("policy-filtered program remains valid");
         // The punitive extreme schedules nothing and is a no-op.
         let punitive = wts_core::BenefitModel { saved_per_inst: 0.0, cycles_per_work: 1.0 };
         let none = CompileSession::new(&m).with_decision_policy(DecisionPolicy::ExpectedBenefit(punitive));
-        let (unchanged, n_stats) = none.compile(p, &AlwaysSchedule);
+        let (unchanged, n_stats) = none.compile(p, &CompiledFilter::always(), 1);
         assert_eq!(&unchanged, p);
         assert_eq!(n_stats.scheduled_blocks, 0);
     }
@@ -432,7 +417,7 @@ mod tests {
         session.deploy(key.clone(), filter.clone());
         let (stored, stored_stats, epoch) = session.compile_stored(p, &key, 1).expect("deployed");
         assert_eq!(epoch, 1);
-        let (direct, direct_stats) = session.compile(p, &filter);
+        let (direct, direct_stats) = session.compile(p, &filter.compile(), 1);
         assert_eq!(stored, direct, "store-deployed compile must match the explicit-filter path");
         assert_eq!(stored_stats.scheduled_blocks, direct_stats.scheduled_blocks);
         // Hot-swapping bumps the epoch the next compile reports.
@@ -521,8 +506,8 @@ mod tests {
             assert_eq!((out, stats.scheduled_blocks), fresh_stored(&session, p, &key), "{}", p.name());
             // Every compile path draws on the same pool; always-schedule
             // puts every block of every shape through the warm server.
-            let fresh = CompileSession::new(&m).compile(p, &AlwaysSchedule).0;
-            assert_eq!(session.compile(p, &AlwaysSchedule).0, fresh, "{}", p.name());
+            let fresh = CompileSession::new(&m).compile(p, &CompiledFilter::always(), 1).0;
+            assert_eq!(session.compile(p, &CompiledFilter::always(), 1).0, fresh, "{}", p.name());
         }
         assert_eq!(session.pooled_servers(), 1, "serial compiles reuse one server");
     }
@@ -560,8 +545,8 @@ mod tests {
             all.push_method(p.methods()[0].clone());
             all
         });
-        let (serial, _) = CompileSession::new(&m).compile(&whole, &AlwaysSchedule);
-        assert_eq!(session.compile_sharded(&whole, &AlwaysSchedule, 3).0, serial);
+        let (serial, _) = CompileSession::new(&m).compile(&whole, &CompiledFilter::always(), 1);
+        assert_eq!(session.compile(&whole, &CompiledFilter::always(), 3).0, serial);
         assert!(session.pooled_servers() <= 3, "the pool never outgrows the widest compile");
     }
 
@@ -585,7 +570,7 @@ mod tests {
     /// direct pass's work channels and applies exactly the served orders.
     #[test]
     fn compile_equals_the_direct_pass_and_applies_the_served_orders() {
-        use wts_core::{filtered_schedule_pass_with, TraceOptions};
+        use wts_core::{filtered_schedule_pass, TraceOptions};
         let (jvm, fp) = (Suite::specjvm98(0.02), Suite::fp(0.02));
         let programs = [jvm.benchmarks()[0].program(), fp.benchmarks()[0].program()];
         let opts = TraceOptions { threads: 1, ..TraceOptions::default() };
@@ -593,32 +578,26 @@ mod tests {
             let run = wts_core::Experiment::new(m.clone())
                 .with_timing(wts_core::TimingMode::Deterministic)
                 .run(vec![programs[0].clone()]);
-            let filters: [Box<dyn Filter>; 4] = [
-                Box::new(AlwaysSchedule),
-                Box::new(NeverSchedule),
-                Box::new(SizeThresholdFilter::new(5)),
-                Box::new(wts_core::train_filter(run.all_traces(), &run.train_config(0))),
+            let filters = [
+                CompiledFilter::always(),
+                CompiledFilter::never(),
+                CompiledFilter::size_threshold(5),
+                wts_core::train_filter(run.all_traces(), &run.train_config(0)).compile(),
             ];
             let policies = [DecisionPolicy::HardThreshold, DecisionPolicy::expected_benefit(run.all_traces(), 0.05)];
-            for (filter, policy) in filters.iter().flat_map(|f| policies.iter().map(move |p| (f, p))) {
-                let compiled = filter.compile();
+            for (compiled, policy) in filters.iter().flat_map(|f| policies.iter().map(move |p| (f, p))) {
                 let session = CompileSession::new(&m).with_decision_policy(*policy);
                 for p in programs {
                     let label = format!("{} {} {policy} {}", m.name(), compiled.name(), p.name());
-                    let (out, totals) = session.compile(p, filter.as_ref());
-                    let direct = filtered_schedule_pass_with(p, &m, &compiled, policy, &opts);
+                    let (out, totals) = session.compile(p, compiled, 1);
+                    let direct = filtered_schedule_pass(p, &m, compiled, policy, &opts);
                     assert_eq!(totals, FilteredPass { pass_ns: totals.pass_ns, ..direct }, "{label}");
 
                     let mut server = UnitServer::new(&m, SchedulePolicy::CriticalPath);
                     let mut served_totals = FilteredPass::default();
                     for ((_, input), (_, output)) in p.iter_blocks().zip(out.iter_blocks()) {
-                        let served = server.serve_block(
-                            input.insts(),
-                            input.exec_count(),
-                            &compiled,
-                            policy,
-                            &mut served_totals,
-                        );
+                        let served =
+                            server.serve_block(input.insts(), input.exec_count(), compiled, policy, &mut served_totals);
                         let expected: Vec<_> = if served.decision {
                             served.order.iter().map(|&i| input.insts()[i as usize]).collect()
                         } else {

@@ -16,7 +16,7 @@
 //!   benchmark (Tables 2 and 7);
 //! * [`CompileSession`] is the JIT scheduling pass: it runs every block
 //!   through `wts-core`'s per-unit body ([`UnitServer`](wts_core::UnitServer):
-//!   extract features, consult a [`Filter`](wts_core::Filter), maybe
+//!   extract features, consult a [`CompiledFilter`](wts_core::CompiledFilter), maybe
 //!   schedule) and applies the selected schedules in place, reporting
 //!   the same [`FilteredPass`](wts_core::FilteredPass) totals as the
 //!   direct pass.
@@ -24,14 +24,14 @@
 //! # Examples
 //!
 //! ```
-//! use wts_core::AlwaysSchedule;
+//! use wts_core::CompiledFilter;
 //! use wts_jit::{CompileSession, Suite};
 //! use wts_machine::MachineConfig;
 //!
 //! let machine = MachineConfig::ppc7410();
 //! let suite = Suite::specjvm98(0.01); // 1% scale for a quick check
 //! let session = CompileSession::new(&machine);
-//! let (scheduled, stats) = session.compile(&suite.benchmarks()[0].program(), &AlwaysSchedule);
+//! let (scheduled, stats) = session.compile(&suite.benchmarks()[0].program(), &CompiledFilter::always(), 1);
 //! assert_eq!(stats.scheduled_blocks, stats.total_blocks);
 //! assert_eq!(scheduled.block_count(), stats.total_blocks);
 //! ```

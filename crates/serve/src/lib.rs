@@ -15,7 +15,7 @@
 //!
 //! The serving fast path is [`wts_core::UnitServer`] over the units of
 //! [`wts_core::for_each_scope_unit`]: the one per-unit body and the one
-//! scope dispatch that [`wts_core::filtered_schedule_pass_with`] and the
+//! scope dispatch that [`wts_core::filtered_schedule_pass`] and the
 //! `wts-jit` compile session also run. So served ≡ direct pass ≡ JIT
 //! holds by construction: a batch's reported totals are bit-identical
 //! (work channels) to running the pass directly over the same methods.
@@ -27,13 +27,13 @@
 //! # Examples
 //!
 //! ```
-//! use wts_core::collect_trace;
+//! use wts_core::{collect_trace, TraceOptions};
 //! use wts_machine::MachineConfig;
 //! use wts_serve::{Response, ServeClient, ServeConfig, Server};
 //!
 //! let machine = MachineConfig::ppc7410();
 //! let programs = wts_core::testutil::learnable_suite(2);
-//! let seed = programs.iter().flat_map(|p| collect_trace(p, &machine)).collect();
+//! let seed = programs.iter().flat_map(|p| collect_trace(p, &machine, &TraceOptions::default())).collect();
 //!
 //! let mut config = ServeConfig::new(machine, seed);
 //! config.learner = wts_core::LearnerKind::Stump;

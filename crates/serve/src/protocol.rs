@@ -75,7 +75,7 @@ pub struct BatchResult {
     /// hot swap.
     pub epoch: u64,
     /// The batch's pass totals, bit-identical (work channels) to running
-    /// [`wts_core::filtered_schedule_pass_with`] over the same methods.
+    /// [`wts_core::filtered_schedule_pass`] over the same methods.
     pub totals: FilteredPass,
     /// Per-unit outcomes, in method-then-unit order.
     pub units: Vec<ServedUnit>,

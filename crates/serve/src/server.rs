@@ -357,26 +357,34 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _)) => {
                 counters.connections.fetch_add(1, Ordering::Relaxed);
-                stream.set_nonblocking(false).expect("restore blocking mode");
-                // Frames go out as length prefix + payload; without
-                // nodelay, Nagle holds the payload for the delayed ACK
-                // and every round trip eats ~40ms.
-                let _ = stream.set_nodelay(true);
-                let registered = stream.try_clone().expect("clone connection for shutdown registry");
+                // A connection whose setup fails (the peer already reset
+                // it, or the descriptor table is full) is dropped alone.
+                let Ok((registered, writer)) = connection_handles(&stream) else { continue };
                 conns.lock().expect("connection registry poisoned").push(registered);
-                let writer = Arc::new(Mutex::new(stream.try_clone().expect("clone connection for writes")));
+                let writer = Arc::new(Mutex::new(writer));
                 let job_tx = job_tx.clone();
                 let counters = Arc::clone(counters);
                 let handle = std::thread::spawn(move || reader_loop(stream, &writer, &job_tx, queue_depth, &counters));
                 readers.lock().expect("reader registry poisoned").push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
+            // Nothing pending (`WouldBlock`), or a failure confined to one
+            // connection or to a moment (`ECONNABORTED`, `EMFILE`): back
+            // off and keep accepting. Only shutdown ends the loop.
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
+}
+
+/// Puts an accepted connection in blocking mode and clones it twice: one
+/// handle for the shutdown registry, one for the response writer.
+fn connection_handles(stream: &TcpStream) -> io::Result<(TcpStream, TcpStream)> {
+    stream.set_nonblocking(false)?;
+    // Frames go out as length prefix + payload; without nodelay, Nagle
+    // holds the payload for the delayed ACK and every round trip eats
+    // ~40ms.
+    let _ = stream.set_nodelay(true);
+    Ok((stream.try_clone()?, stream.try_clone()?))
 }
 
 fn respond(conn: &Mutex<TcpStream>, resp: &Response) {

@@ -7,7 +7,7 @@
 //! cargo run --release --example custom_machine
 //! ```
 
-use schedfilter::filters::{app_time_ratio, collect_trace, predicted_time_ratio, AlwaysSchedule};
+use schedfilter::filters::{app_time_ratio, collect_trace, predicted_time_ratio};
 use schedfilter::prelude::*;
 use schedfilter::ripper::geometric_mean;
 
@@ -32,9 +32,9 @@ fn main() {
         let mut pred = Vec::new();
         let mut app = Vec::new();
         for bench in suite.benchmarks() {
-            let traces = collect_trace(bench.program(), machine);
-            pred.push(predicted_time_ratio(&traces, &AlwaysSchedule));
-            app.push(app_time_ratio(&traces, &AlwaysSchedule));
+            let traces = collect_trace(bench.program(), machine, &TraceOptions::default());
+            pred.push(predicted_time_ratio(&traces, &CompiledFilter::always()));
+            app.push(app_time_ratio(&traces, &CompiledFilter::always()));
         }
         println!("{:<16} {:>13.2}% {:>14.3}", machine.name(), geometric_mean(&pred), geometric_mean(&app),);
     }

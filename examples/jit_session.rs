@@ -6,7 +6,7 @@
 //! cargo run --release --example jit_session [-- <scale>]
 //! ```
 
-use schedfilter::filters::{collect_trace, train_filter, Filter, TrainConfig};
+use schedfilter::filters::{collect_trace, train_filter, TrainConfig};
 use schedfilter::jit::{app_cycles, CompileSession};
 use schedfilter::prelude::*;
 
@@ -19,7 +19,7 @@ fn main() {
     let jvm98 = Suite::specjvm98(scale);
     let mut traces = Vec::new();
     for bench in jvm98.benchmarks() {
-        traces.extend(collect_trace(bench.program(), &machine));
+        traces.extend(collect_trace(bench.program(), &machine, &TraceOptions::default()));
     }
     let learned = train_filter(&traces, &TrainConfig::with_threshold(20));
 
@@ -34,16 +34,16 @@ fn main() {
     );
 
     let session = CompileSession::new(&machine);
-    let strategies: Vec<(&str, Box<dyn Filter>)> = vec![
-        ("NS (never schedule)", Box::new(schedfilter::filters::NeverSchedule)),
-        ("LS (always schedule)", Box::new(schedfilter::filters::AlwaysSchedule)),
-        ("L/N learned filter", Box::new(learned)),
+    let strategies = [
+        ("NS (never schedule)", CompiledFilter::never()),
+        ("LS (always schedule)", CompiledFilter::always()),
+        ("L/N learned filter", learned.compile()),
     ];
 
     println!("{:<22} {:>9} {:>12} {:>14} {:>12}", "strategy", "scheduled", "compile µs", "app cycles", "vs NS");
     let baseline = app_cycles(program, &machine) as f64;
     for (name, filter) in &strategies {
-        let (compiled, stats) = session.compile(program, filter.as_ref());
+        let (compiled, stats) = session.compile(program, filter, 1);
         let cycles = app_cycles(&compiled, &machine);
         println!(
             "{:<22} {:>4}/{:<4} {:>12.1} {:>14} {:>11.3}",

@@ -39,10 +39,12 @@ fn main() {
     let features = FeatureVector::extract(&block);
     println!("features: {features}");
 
-    // A trivial hand-written filter; learned filters come from
-    // `examples/train_filter.rs`.
-    let filter = SizeThresholdFilter::new(5);
-    println!("size>=5 filter says: {}", if filter.should_schedule(&features) { "schedule it" } else { "skip it" });
+    // A trivial hand-written filter, built straight into the engine that
+    // deploys every filter; learned filters come from
+    // `examples/train_filter.rs` and lower into the same engine.
+    let filter = CompiledFilter::size_threshold(5);
+    let verdict = if filter.decide(features.as_slice()) { "schedule it" } else { "skip it" };
+    println!("{} filter says: {verdict}", filter.name());
 
     // The detailed simulator standing in for real hardware.
     let hw = PipelineSim::new(&machine);

@@ -20,7 +20,7 @@ fn main() {
     let jvm98 = Suite::specjvm98(scale);
     let mut seed = Vec::new();
     for bench in jvm98.benchmarks() {
-        seed.extend(collect_trace(bench.program(), &machine));
+        seed.extend(collect_trace(bench.program(), &machine, &TraceOptions::default()));
     }
     println!("  {} trace records", seed.len());
 

@@ -8,9 +8,7 @@
 //! cargo run --release --example threshold_sweep [-- <scale>]
 //! ```
 
-use schedfilter::filters::{
-    collect_trace, oracle_times, sched_time_policy, sched_time_ratio, train_loocv, BenefitModel, TrainConfig,
-};
+use schedfilter::filters::{collect_trace, oracle_times, sched_time_ratio, train_loocv, BenefitModel, TrainConfig};
 use schedfilter::prelude::*;
 use schedfilter::ripper::geometric_mean;
 
@@ -27,13 +25,14 @@ fn main() {
     println!("tracing SPECjvm98-like suite at scale {scale}...");
     let mut traces = Vec::new();
     for bench in suite.benchmarks() {
-        traces.extend(collect_trace(bench.program(), &machine));
+        traces.extend(collect_trace(bench.program(), &machine, &TraceOptions::default()));
     }
     let own = |bench: &str| -> Vec<TraceRecord> { traces.iter().filter(|r| r.benchmark == bench).cloned().collect() };
 
     // One trained filter per fold, at one labeling threshold — the
     // sweep below never retrains, only re-prices work.
-    let folds = train_loocv(&traces, &TrainConfig::with_threshold(T));
+    let folds: Vec<(String, CompiledFilter)> =
+        train_loocv(&traces, &TrainConfig::with_threshold(T)).into_iter().map(|(b, f)| (b, f.compile())).collect();
 
     // First knob, briefly: the labeling threshold moves how much the
     // filter schedules at all.
@@ -43,8 +42,10 @@ fn main() {
         let config = TrainConfig::with_threshold(t);
         let ls_count = traces.iter().filter(|r| LabelConfig::new(t).label(r) == Some(true)).count();
         let fold_filters = train_loocv(&traces, &config);
-        let sched: Vec<f64> =
-            fold_filters.iter().map(|(bench, f)| sched_time_ratio(&own(bench), f).work_ratio()).collect();
+        let sched: Vec<f64> = fold_filters
+            .iter()
+            .map(|(bench, f)| sched_time_ratio(&own(bench), &f.compile(), &DecisionPolicy::HardThreshold).work_ratio())
+            .collect();
         println!("{t:>4} {ls_count:>10} {:>12.3}", geometric_mean(&sched));
     }
 
@@ -63,10 +64,10 @@ fn main() {
         let mut oracle = schedfilter::filters::EvalTimes::default();
         for (bench, filter) in &folds {
             let tr = own(bench);
-            hard.accumulate(&sched_time_ratio(&tr, filter));
+            hard.accumulate(&sched_time_ratio(&tr, filter, &DecisionPolicy::HardThreshold));
             let others: Vec<&TraceRecord> = traces.iter().filter(|r| &r.benchmark != bench).collect();
             let policy = DecisionPolicy::ExpectedBenefit(BenefitModel::calibrate(others, c));
-            eb.accumulate(&sched_time_policy(&tr, filter, &policy));
+            eb.accumulate(&sched_time_ratio(&tr, filter, &policy));
             oracle.accumulate(&oracle_times(&tr, c));
         }
         println!(

@@ -21,7 +21,7 @@ fn main() {
     println!("tracing (instrumented scheduling pass over every block)...");
     let mut traces = Vec::new();
     for bench in suite.benchmarks() {
-        traces.extend(collect_trace(bench.program(), &machine));
+        traces.extend(collect_trace(bench.program(), &machine, &TraceOptions::default()));
     }
     println!("  {} blocks traced", traces.len());
 
@@ -36,7 +36,7 @@ fn main() {
     println!("leave-one-benchmark-out error rates at t={threshold}%:");
     for (bench, filter) in train_loocv(&traces, &config) {
         let own: Vec<_> = traces.iter().filter(|r| r.benchmark == bench).cloned().collect();
-        let m = classification_matrix(&own, &filter, LabelConfig::new(threshold));
+        let m = classification_matrix(&own, &filter.compile(), LabelConfig::new(threshold));
         println!(
             "  {bench:<10} error {:>5.2}%  (predicts LS for {} of {} blocks)",
             m.error_percent(),

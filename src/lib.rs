@@ -46,9 +46,8 @@
 //! let outcome = ListScheduler::new(&machine).schedule_block(&b);
 //! assert!(outcome.cycles_after <= outcome.cycles_before);
 //!
-//! let fv = FeatureVector::extract(&b);
-//! let filter = SizeThresholdFilter::new(2);
-//! assert!(filter.should_schedule(&fv));
+//! let filter = CompiledFilter::size_threshold(2);
+//! assert!(filter.decide(FeatureVector::extract(&b).as_slice()));
 //! ```
 
 pub use wts_core as filters;
@@ -67,8 +66,8 @@ pub use wts_verify as verify;
 pub mod prelude {
     pub use wts_core::{
         BenefitModel, CompiledFilter, DecisionPolicy, Experiment, ExperimentMatrix, ExperimentRun, FeatureBatch,
-        Filter, FilterScore, LabelConfig, LearnedFilter, Learner, LearnerKind, MachinePortfolio, MatrixRun,
-        PortfolioEntry, ScopeKind, SizeThresholdFilter, TimingMode, TraceOptions, TraceRecord, UnitEconomics,
+        FilterScore, LabelConfig, LearnedFilter, Learner, LearnerKind, MachinePortfolio, MatrixRun, PortfolioEntry,
+        ScopeKind, TimingMode, TraceOptions, TraceRecord, UnitEconomics,
     };
     pub use wts_deps::DepGraph;
     pub use wts_features::{FeatureKind, FeatureMask, FeatureVector, TraceShape};

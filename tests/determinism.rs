@@ -2,7 +2,7 @@
 //! bit-stable run to run (and therefore across machines), which is what
 //! makes EXPERIMENTS.md's recorded numbers reproducible.
 
-use schedfilter::filters::{collect_trace, train_filter, TrainConfig};
+use schedfilter::filters::{collect_trace, train_filter, TraceOptions, TrainConfig};
 use schedfilter::prelude::*;
 
 #[test]
@@ -18,8 +18,8 @@ fn traces_are_deterministic_except_wall_clock() {
     let machine = MachineConfig::ppc7410();
     let suite = Suite::specjvm98(0.03);
     let p = suite.benchmarks()[0].program();
-    let a = collect_trace(p, &machine);
-    let b = collect_trace(p, &machine);
+    let a = collect_trace(p, &machine, &TraceOptions::default());
+    let b = collect_trace(p, &machine, &TraceOptions::default());
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.features, y.features);
@@ -39,7 +39,7 @@ fn trained_filters_are_deterministic() {
     let suite = Suite::specjvm98(0.03);
     let mut traces = Vec::new();
     for bench in suite.benchmarks() {
-        traces.extend(collect_trace(bench.program(), &machine));
+        traces.extend(collect_trace(bench.program(), &machine, &TraceOptions::default()));
     }
     let a = train_filter(&traces, &TrainConfig::with_threshold(10));
     let b = train_filter(&traces, &TrainConfig::with_threshold(10));

@@ -2,7 +2,6 @@
 //! compilation, speculative scheduling) through the facade crate.
 
 use schedfilter::deps::DepGraph;
-use schedfilter::filters::AlwaysSchedule;
 use schedfilter::jit::{app_cycles, form_superblocks, superblock_gain, CompileSession};
 use schedfilter::prelude::*;
 
@@ -56,9 +55,9 @@ fn adaptive_jit_with_filter_is_cheapest_configuration() {
     let program = suite.benchmarks()[0].program();
     let session = CompileSession::new(&machine);
 
-    let (_, full) = session.compile(program, &AlwaysSchedule);
-    let (_, hot_ls) = session.compile_adaptive(program, &AlwaysSchedule, 100);
-    let filter = SizeThresholdFilter::new(8);
+    let (_, full) = session.compile(program, &CompiledFilter::always(), 1);
+    let (_, hot_ls) = session.compile_adaptive(program, &CompiledFilter::always(), 100);
+    let filter = CompiledFilter::size_threshold(8);
     let (compiled, hot_ln) = session.compile_adaptive(program, &filter, 100);
 
     assert!(hot_ls.scheduled_blocks < full.scheduled_blocks);

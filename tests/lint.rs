@@ -10,8 +10,8 @@
 //! into a no-op fails here, not in production.
 
 use schedfilter::filters::{
-    collect_trace_with, train_filter, train_loocv, CompiledFilter, CompiledFilterError, Filter, LearnedFilter, Learner,
-    LearnerKind, ScopeKind, TimingMode, TraceOptions, TraceRecord, TrainConfig,
+    collect_trace, train_filter, train_loocv, CompiledFilter, CompiledFilterError, LearnedFilter, Learner, LearnerKind,
+    ScopeKind, TimingMode, TraceOptions, TraceRecord, TrainConfig,
 };
 use schedfilter::ripper::{Rule, RuleSet};
 use schedfilter::verify::{
@@ -23,7 +23,7 @@ use wts_machine::{registry, MachineConfig};
 
 fn corpus(machine: &MachineConfig, scope: ScopeKind) -> Vec<TraceRecord> {
     let opts = TraceOptions { timing: TimingMode::Deterministic, scope, ..TraceOptions::default() };
-    wts_core::testutil::learnable_suite(3).iter().flat_map(|p| collect_trace_with(p, machine, &opts)).collect()
+    wts_core::testutil::learnable_suite(3).iter().flat_map(|p| collect_trace(p, machine, &opts)).collect()
 }
 
 fn model_table(filter: &LearnedFilter, artifact: &str) -> ModelTable {

@@ -144,7 +144,7 @@ fn superblock_smoke_scope_scenario_on_every_machine() {
             for r in s.all_traces() {
                 assert_eq!(
                     compiled.decide(r.features.as_slice()),
-                    filter.should_schedule(&r.features),
+                    filter.rules().predict(r.features.as_slice()),
                     "{}/{bench}: compiled ≡ interpreted must hold at superblock scope",
                     machine.name()
                 );

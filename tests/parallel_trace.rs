@@ -4,9 +4,7 @@
 //! records, same order, and (under deterministic timing) byte-identical
 //! serialized output.
 
-use schedfilter::filters::{
-    collect_trace_with, write_trace, Experiment, SizeThresholdFilter, TimingMode, TraceOptions,
-};
+use schedfilter::filters::{collect_trace, write_trace_binary, Experiment, TimingMode, TraceOptions};
 use schedfilter::jit::CompileSession;
 use schedfilter::prelude::*;
 
@@ -21,9 +19,9 @@ fn sharded_traces_equal_serial_in_order() {
     let machine = MachineConfig::ppc7410();
     let suite = Suite::specjvm98(SCALE);
     for bench in suite.benchmarks() {
-        let serial = collect_trace_with(bench.program(), &machine, &serial_opts());
+        let serial = collect_trace(bench.program(), &machine, &serial_opts());
         for threads in [2, 3, 8] {
-            let sharded = collect_trace_with(bench.program(), &machine, &TraceOptions { threads, ..serial_opts() });
+            let sharded = collect_trace(bench.program(), &machine, &TraceOptions { threads, ..serial_opts() });
             assert_eq!(
                 serial,
                 sharded,
@@ -39,9 +37,9 @@ fn sharded_trace_files_are_byte_identical() {
     let machine = MachineConfig::ppc7410();
     let suite = Suite::fp(SCALE);
     let program = suite.benchmarks()[0].program();
-    let serial = write_trace(&collect_trace_with(program, &machine, &serial_opts())).unwrap();
+    let serial = write_trace_binary(&collect_trace(program, &machine, &serial_opts())).unwrap();
     let sharded =
-        write_trace(&collect_trace_with(program, &machine, &TraceOptions { threads: 4, ..serial_opts() })).unwrap();
+        write_trace_binary(&collect_trace(program, &machine, &TraceOptions { threads: 4, ..serial_opts() })).unwrap();
     assert_eq!(serial, sharded, "serialized trace files must be byte-identical");
 }
 
@@ -50,10 +48,10 @@ fn sharded_compile_sessions_equal_serial() {
     let machine = MachineConfig::ppc7410();
     let suite = Suite::fp(SCALE);
     let session = CompileSession::new(&machine);
-    let filter = SizeThresholdFilter::new(5);
+    let filter = CompiledFilter::size_threshold(5);
     for bench in suite.benchmarks() {
-        let (serial, serial_stats) = session.compile(bench.program(), &filter);
-        let (sharded, sharded_stats) = session.compile_sharded(bench.program(), &filter, 4);
+        let (serial, serial_stats) = session.compile(bench.program(), &filter, 1);
+        let (sharded, sharded_stats) = session.compile(bench.program(), &filter, 4);
         assert_eq!(serial, sharded, "{}: sharded compile must be identical", bench.name());
         assert_eq!(serial_stats.scheduled_blocks, sharded_stats.scheduled_blocks);
         assert_eq!(serial_stats.total_blocks, sharded_stats.total_blocks);
@@ -74,8 +72,8 @@ fn experiment_pipeline_is_thread_count_invariant() {
 
     assert_eq!(serial.all_traces(), sharded.all_traces(), "trace stage must be thread-count invariant");
     assert_eq!(
-        write_trace(serial.all_traces()).unwrap(),
-        write_trace(sharded.all_traces()).unwrap(),
+        write_trace_binary(serial.all_traces()).unwrap(),
+        write_trace_binary(sharded.all_traces()).unwrap(),
         "serialized corpus must be byte-identical"
     );
     // Fold-sharded training must induce the same rule sets.

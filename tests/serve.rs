@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wts_core::{
-    collect_trace_with, filtered_schedule_pass_with, train_filter, DecisionPolicy, LearnerKind, ScopeKind, TimingMode,
+    collect_trace, filtered_schedule_pass, train_filter, DecisionPolicy, LearnerKind, ScopeKind, TimingMode,
     TraceOptions, TraceRecord,
 };
 use wts_ir::Program;
@@ -17,7 +17,7 @@ fn options() -> TraceOptions {
 }
 
 fn corpus(programs: &[Program], machine: &MachineConfig, opts: &TraceOptions) -> Vec<TraceRecord> {
-    programs.iter().flat_map(|p| collect_trace_with(p, machine, opts)).collect()
+    programs.iter().flat_map(|p| collect_trace(p, machine, opts)).collect()
 }
 
 /// A stump-learner config over the given corpus: retraining is
@@ -50,13 +50,8 @@ fn server_schedules_bit_identical_to_direct_pass() {
         let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
         for (i, program) in programs.iter().enumerate() {
             let batch = expect_batch(client.request(i as u64, program.name(), program.methods()).expect("request"));
-            let direct = filtered_schedule_pass_with(
-                program,
-                &machine,
-                snapshot.compiled(),
-                &DecisionPolicy::HardThreshold,
-                &opts,
-            );
+            let direct =
+                filtered_schedule_pass(program, &machine, snapshot.compiled(), &DecisionPolicy::HardThreshold, &opts);
             assert_eq!(batch.epoch, snapshot.epoch());
             assert_eq!(
                 (batch.totals.total_blocks, batch.totals.scheduled_blocks, batch.totals.conditions_evaluated),
@@ -277,7 +272,7 @@ fn shutdown_persists_the_retrain_corpus_round_trip() {
     assert_eq!(report.retrain.records_persisted, expected, "seed + absorbed records persisted");
     let bytes = std::fs::read(&path).expect("persisted corpus exists");
     std::fs::remove_file(&path).ok();
-    let records = wts_core::read_trace_auto(&bytes).expect("round-trips through schedfilter-trace-bin-v1");
+    let records = wts_core::read_trace_binary(&bytes).expect("round-trips through schedfilter-trace-bin-v1");
     assert_eq!(records.len() as u64, expected);
     assert_eq!(&records[..seed.len()], &seed[..], "the seed prefix survives bit-exactly");
     // The persisted corpus is a working seed: a restarted instance
@@ -285,6 +280,46 @@ fn shutdown_persists_the_retrain_corpus_round_trip() {
     let restarted = Server::bind("127.0.0.1:0", stump_config(&machine, records, 0)).expect("rebind from corpus");
     assert_eq!(restarted.epoch(), 1);
     restarted.shutdown();
+}
+
+/// A peer that connects and resets at once (`SO_LINGER` 0) must not stop
+/// the accept loop: the next client is still served.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_reset_peer_does_not_stop_the_accept_loop() {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const std::ffi::c_void, len: u32) -> i32;
+    }
+    /// `struct linger` of `<sys/socket.h>`.
+    #[repr(C)]
+    struct Linger {
+        onoff: i32,
+        seconds: i32,
+    }
+    const SOL_SOCKET: i32 = 1;
+    const SO_LINGER: i32 = 13;
+
+    let machine = MachineConfig::ppc7410();
+    let programs = wts_core::testutil::learnable_suite(2);
+    let handle =
+        Server::bind("127.0.0.1:0", stump_config(&machine, corpus(&programs, &machine, &options()), 0)).expect("bind");
+    for _ in 0..3 {
+        let peer = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+        let linger = Linger { onoff: 1, seconds: 0 };
+        let len = u32::try_from(std::mem::size_of::<Linger>()).expect("struct linger fits u32");
+        // SAFETY: `peer` owns an open socket descriptor, and the option
+        // value points at a live `struct linger` of the length passed.
+        let rc = unsafe { setsockopt(peer.as_raw_fd(), SOL_SOCKET, SO_LINGER, (&linger as *const Linger).cast(), len) };
+        assert_eq!(rc, 0, "setsockopt(SO_LINGER)");
+        drop(peer); // closing with a zero linger sends RST
+    }
+    let mut client = ServeClient::connect(handle.local_addr()).expect("connect after the resets");
+    let batch = expect_batch(client.request(7, programs[0].name(), programs[0].methods()).expect("served"));
+    assert_eq!(batch.batch_id, 7);
+    drop(client);
+    let report = handle.shutdown();
+    assert_eq!(report.stats.batches_served, 1);
 }
 
 /// `ServerHandle` is self-describing enough to monitor externally.

@@ -88,10 +88,10 @@ fn hooks_fire_cleanly_across_the_whole_pipeline() {
 
     // The JIT compile session (drives filtered_schedule_pass-style
     // decisions through CompileSession::compile).
-    let filter = SizeThresholdFilter::new(1);
+    let filter = CompiledFilter::size_threshold(1);
     let session = CompileSession::new(&machine);
     for program in &programs {
-        let (compiled, stats) = session.compile(program, &filter);
+        let (compiled, stats) = session.compile(program, &filter, 1);
         assert_eq!(compiled.block_count(), program.block_count());
         assert!(stats.scheduled_blocks > 0);
     }
