@@ -1,9 +1,8 @@
 //! `verify_overhead`: what the wts-verify checker costs per block.
 //!
-//! The in-pipeline hooks are compiled behind `#[cfg(all(feature =
-//! "verify", debug_assertions))]`, so a release build — benches
-//! included — pays **zero** overhead whether or not the feature is
-//! enabled; `schedule_only` below *is* the shipping configuration.
+//! The in-pipeline hooks are compiled behind `#[cfg(debug_assertions)]`,
+//! so a release build — benches included — pays **zero** overhead;
+//! `schedule_only` below *is* the shipping configuration.
 //! The other rows price what the checks would cost if they ran:
 //!
 //! * **schedule_only** — list-schedule every FP-corpus block

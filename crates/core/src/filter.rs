@@ -57,6 +57,17 @@ impl LearnedFilter {
     }
 }
 
+/// The debug-build model lint shared by training and publication:
+/// `source`'s rules, with the demand mask of their lowered form
+/// `compiled`, must pass `wts-verify`'s lint, or this panics naming `name`.
+#[cfg(debug_assertions)]
+#[track_caller]
+pub(crate) fn assert_model_lints_clean(source: &LearnedFilter, compiled: &CompiledFilter, name: String) {
+    let table = wts_verify::ModelTable::from_rule_set(source.rules(), compiled.demand(), name.as_str());
+    let diags = wts_verify::lint_model(&table);
+    assert!(diags.is_empty(), "filter {name} failed the model lint:\n{}", wts_verify::render(&diags));
+}
+
 impl fmt::Display for LearnedFilter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.rules)

@@ -229,15 +229,16 @@ impl FilterStore {
     /// same key concurrently, the first publication wins and this call
     /// returns it — with a deterministic training pipeline both sides
     /// computed the same filter, so the loser only wasted the redundant
-    /// training run.
+    /// training run. In debug builds the trained model must pass the
+    /// `wts-verify` model lint before any reader can observe it.
     pub fn deployed_or_train(&self, key: FilterKey, train: impl FnOnce() -> LearnedFilter) -> Arc<FilterSnapshot> {
         if let Some(hit) = self.get(&key) {
             return hit;
         }
         let source = train();
         let compiled = source.compile();
-        #[cfg(all(feature = "verify", debug_assertions))]
-        verify_snapshot_model(&key, &source, &compiled);
+        #[cfg(debug_assertions)]
+        crate::filter::assert_model_lints_clean(&source, &compiled, key.to_string());
         let mut slots = self.deployed.write().expect("filter store poisoned");
         if let Some(raced) = slots.get(&key) {
             return Arc::clone(raced);
@@ -254,13 +255,18 @@ impl FilterStore {
     /// Compilation happens before the write lock is taken; the lock
     /// only covers the `BTreeMap` update. Readers holding the previous
     /// snapshot keep it alive through their own `Arc`.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when `filter` fails the `wts-verify` model lint
+    /// (for example a trivially constant rule set).
     pub fn swap(&self, key: FilterKey, filter: LearnedFilter) -> Arc<FilterSnapshot> {
         let compiled = filter.compile();
-        #[cfg(all(feature = "verify", debug_assertions))]
-        verify_snapshot_model(&key, &filter, &compiled);
+        #[cfg(debug_assertions)]
+        crate::filter::assert_model_lints_clean(&filter, &compiled, key.to_string());
         let mut slots = self.deployed.write().expect("filter store poisoned");
         let epoch = slots.get(&key).map_or(1, |old| old.epoch + 1);
-        #[cfg(all(feature = "verify", debug_assertions))]
+        #[cfg(debug_assertions)]
         if let Some(old) = slots.get(&key) {
             // The published sequence must be strictly monotone — the
             // invariant `check_store_protocol` proves over the modeled
@@ -308,16 +314,6 @@ impl FilterStore {
     pub fn keys(&self) -> Vec<FilterKey> {
         self.deployed.read().expect("filter store poisoned").keys().cloned().collect()
     }
-}
-
-/// The `verify`-feature debug hook on every store publication: the
-/// snapshot's model must pass the `wts-verify` lint before any reader
-/// can observe it, so an incoherent artifact never reaches traffic.
-#[cfg(all(feature = "verify", debug_assertions))]
-fn verify_snapshot_model(key: &FilterKey, source: &LearnedFilter, compiled: &CompiledFilter) {
-    let table = wts_verify::ModelTable::from_rule_set(source.rules(), compiled.demand(), key.to_string());
-    let diags = wts_verify::lint_model(&table);
-    assert!(diags.is_empty(), "filter published under {key} failed the model lint:\n{}", wts_verify::render(&diags));
 }
 
 impl Default for FilterStore {

@@ -21,8 +21,8 @@
 use crate::engine::CompiledFilter;
 use crate::policy::{DecisionPolicy, UnitEconomics};
 use std::time::Instant;
-use wts_features::{FeatureMask, FeatureVector, TraceShape};
-use wts_ir::{form_superblocks, BasicBlock, BlockId, Inst, Method, MethodId, Program, ScopeKind, Superblock};
+use wts_features::{for_each_scope_unit, FeatureMask, FeatureVector, ScopeUnit, TraceShape};
+use wts_ir::{BasicBlock, BlockId, Inst, Method, MethodId, Program, ScopeKind, Superblock};
 use wts_machine::{CostProvider, EstimatorKind, MachineConfig};
 use wts_sched::{ListScheduler, SchedScratch, ScheduleOutcome, SchedulePolicy};
 
@@ -223,62 +223,6 @@ struct RecordSink<'a> {
     measured: &'a dyn CostProvider,
     timing: TimingMode,
     out: Vec<TraceRecord>,
-}
-
-/// One scope unit: a basic block's instructions with the degenerate
-/// shape, or a formed superblock trace's concatenation with its real
-/// shape.
-#[derive(Debug, Clone, Copy)]
-pub struct ScopeUnit<'a> {
-    /// The instructions to decide on and (maybe) schedule.
-    pub insts: &'a [Inst],
-    /// The unit's shape ([`TraceShape::block`] for a basic block).
-    pub shape: TraceShape,
-    /// The block, or the trace's entry block.
-    pub block: BlockId,
-    /// Profile execution count (the trace weight at superblock scope).
-    pub exec_count: u64,
-}
-
-impl<'a> ScopeUnit<'a> {
-    /// A basic block as a unit.
-    pub fn of_block(block: &'a BasicBlock) -> ScopeUnit<'a> {
-        ScopeUnit {
-            insts: block.insts(),
-            shape: TraceShape::block(),
-            block: block.id(),
-            exec_count: block.exec_count(),
-        }
-    }
-
-    /// A formed superblock trace as a unit.
-    pub fn of_superblock(sb: &'a Superblock) -> ScopeUnit<'a> {
-        ScopeUnit {
-            insts: &sb.insts,
-            shape: TraceShape::of_trace(&sb.insts, u32::try_from(sb.width()).expect("trace widths fit u32")),
-            block: BlockId(sb.entry_id()),
-            exec_count: sb.exec_count,
-        }
-    }
-
-    /// True when the unit merged more than one block, which turns on the
-    /// speculative dependence graph.
-    fn speculative(&self) -> bool {
-        self.shape.width > 1
-    }
-}
-
-/// Visits every scope unit of `method` in order: its blocks at
-/// [`ScopeKind::Block`], its [`form_superblocks`] traces at
-/// [`ScopeKind::Superblock`]. A visitor rather than an iterator because
-/// superblock units borrow traces formed inside the call.
-pub fn for_each_scope_unit(method: &Method, scope: ScopeKind, mut visit: impl FnMut(ScopeUnit<'_>)) {
-    match scope {
-        ScopeKind::Block => method.blocks().iter().for_each(|b| visit(ScopeUnit::of_block(b))),
-        ScopeKind::Superblock(ratio) => {
-            form_superblocks(method, ratio).iter().for_each(|sb| visit(ScopeUnit::of_superblock(sb)));
-        }
-    }
 }
 
 /// Deterministic scheduling-work proxy for one scope unit: per-unit
@@ -572,10 +516,10 @@ impl<'m> UnitServer<'m> {
         }
         let t2 = Instant::now();
 
-        // With the `verify` feature, every unit scheduled here is checked
-        // by the independent wts-verify analyses (debug builds only; a
-        // release build with the feature on pays nothing).
-        #[cfg(all(feature = "verify", debug_assertions))]
+        // In debug builds every unit scheduled here is checked by the
+        // independent wts-verify analyses; release builds compile the
+        // check out.
+        #[cfg(debug_assertions)]
         if decision {
             let diags = wts_verify::verify_unit(self.scheduler.machine(), insts, unit.speculative(), &self.outcome);
             assert!(diags.is_empty(), "an unverifiable schedule:\n{}", wts_verify::render(&diags));
@@ -631,7 +575,7 @@ fn nanos(d: std::time::Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wts_ir::{BasicBlock, Inst, MemRef, MemSpace, Method, Opcode, Reg};
+    use wts_ir::{form_superblocks, BasicBlock, Inst, MemRef, MemSpace, Method, Opcode, Reg};
     use wts_machine::{CostModel, PipelineSim};
 
     fn program() -> Program {
@@ -749,32 +693,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_collection_matches_serial_exactly() {
-        let machine = MachineConfig::ppc7410();
+    fn sharded_and_per_method_collection_match_serial_exactly_at_both_scopes() {
         let p = wide_program(13);
-        let serial =
-            collect_trace(&p, &machine, &TraceOptions { timing: TimingMode::Deterministic, ..Default::default() });
-        for threads in [2, 3, 8, 32] {
-            let sharded = collect_trace(
-                &p,
-                &machine,
-                &TraceOptions { threads, timing: TimingMode::Deterministic, ..Default::default() },
-            );
-            assert_eq!(serial, sharded, "sharded ({threads} threads) trace must be bit-identical");
-        }
-    }
-
-    #[test]
-    fn method_trace_is_a_slice_of_the_program_trace() {
-        let p = wide_program(5);
-        let opts = TraceOptions { timing: TimingMode::Deterministic, ..Default::default() };
-        for machine in wts_machine::registry() {
-            let whole = collect_trace(&p, &machine, &opts);
-            let mut stitched = Vec::new();
-            for method in p.methods() {
-                stitched.extend(collect_method_trace(p.name(), method, &machine, &opts));
+        for scope in [ScopeKind::Block, ScopeKind::Superblock(70)] {
+            let base = TraceOptions { scope, timing: TimingMode::Deterministic, ..Default::default() };
+            for machine in wts_machine::registry() {
+                let serial = collect_trace(&p, &machine, &base);
+                for threads in [2, 3, 8, 32] {
+                    let sharded = collect_trace(&p, &machine, &TraceOptions { threads, ..base });
+                    assert_eq!(serial, sharded, "{} {scope}: {threads} threads", machine.name());
+                }
+                // The per-method pieces reassemble exactly, as the matrix
+                // sharding requires.
+                let stitched: Vec<TraceRecord> =
+                    p.methods().iter().flat_map(|m| collect_method_trace(p.name(), m, &machine, &base)).collect();
+                assert_eq!(serial, stitched, "{} {scope}: per-method pieces", machine.name());
             }
-            assert_eq!(whole, stitched, "{}: per-method pieces must reassemble exactly", machine.name());
         }
     }
 
@@ -793,49 +727,35 @@ mod tests {
     }
 
     #[test]
-    fn filtered_pass_extremes_match_the_fixed_strategies() {
+    fn filtered_pass_decides_per_unit_like_the_trace_and_shards_identically() {
         let machine = MachineConfig::ppc7410();
-        let p = wide_program(6);
-        let opts = TraceOptions { timing: TimingMode::Deterministic, ..Default::default() };
-        let ls = filtered_schedule_pass(&p, &machine, &CompiledFilter::always(), &DecisionPolicy::HardThreshold, &opts);
-        assert_eq!(ls.total_blocks, p.block_count());
-        assert_eq!(ls.scheduled_blocks, p.block_count());
-        assert_eq!(ls.conditions_evaluated + ls.extraction_work, 0, "LS consults nothing");
-        let trace = collect_trace(&p, &machine, &opts);
-        assert_eq!(ls.sched_work, trace.iter().map(|r| r.sched_work).sum::<u64>(), "same work proxy as tracing");
-        let ns = filtered_schedule_pass(&p, &machine, &CompiledFilter::never(), &DecisionPolicy::HardThreshold, &opts);
-        assert_eq!(ns.scheduled_blocks, 0);
-        assert_eq!(ns.sched_work, 0);
-        assert_eq!(ns.overhead_fraction(), 0.0);
-    }
-
-    #[test]
-    fn filtered_pass_agrees_with_trace_classification_and_shards_identically() {
-        let machine = MachineConfig::ppc7410();
-        let p = wide_program(9);
-        let opts = TraceOptions { timing: TimingMode::Deterministic, ..Default::default() };
-        let compiled = CompiledFilter::size_threshold(3);
-        let serial = filtered_schedule_pass(&p, &machine, &compiled, &DecisionPolicy::HardThreshold, &opts);
-        // Same decisions as classifying the collected trace.
-        let trace = collect_trace(&p, &machine, &opts);
-        let counts = crate::runtime_classification(&trace, &compiled);
-        assert_eq!(serial.scheduled_blocks, counts.ls);
-        assert_eq!(serial.conditions_evaluated, p.block_count() as u64, "one condition per block");
-        // Work channels are thread-count invariant.
-        for threads in [2, 4, 16] {
-            let sharded = filtered_schedule_pass(
-                &p,
-                &machine,
-                &compiled,
-                &DecisionPolicy::HardThreshold,
-                &TraceOptions { threads, ..opts },
-            );
-            assert_eq!(
-                (sharded.total_blocks, sharded.scheduled_blocks, sharded.conditions_evaluated),
-                (serial.total_blocks, serial.scheduled_blocks, serial.conditions_evaluated),
-                "{threads} threads"
-            );
-            assert_eq!((sharded.extraction_work, sharded.sched_work), (serial.extraction_work, serial.sched_work));
+        let hard = DecisionPolicy::HardThreshold;
+        let p = crate::testutil::mergeable_suite(4).remove(0);
+        for scope in [ScopeKind::Block, ScopeKind::Superblock(70)] {
+            let opts = TraceOptions { scope, timing: TimingMode::Deterministic, ..Default::default() };
+            let trace = collect_trace(&p, &machine, &opts);
+            // The fixed strategies: LS schedules every unit (a formed
+            // trace at superblock scope) and consults nothing; NS does
+            // no work at all.
+            let ls = filtered_schedule_pass(&p, &machine, &CompiledFilter::always(), &hard, &opts);
+            assert_eq!((ls.total_blocks, ls.scheduled_blocks), (trace.len(), trace.len()), "{scope}");
+            assert_eq!(ls.conditions_evaluated + ls.extraction_work, 0, "LS consults nothing");
+            assert_eq!(ls.sched_work, trace.iter().map(|r| r.sched_work).sum::<u64>(), "same work proxy as tracing");
+            let ns = filtered_schedule_pass(&p, &machine, &CompiledFilter::never(), &hard, &opts);
+            assert_eq!((ns.scheduled_blocks, ns.sched_work), (0, 0));
+            assert_eq!(ns.overhead_fraction(), 0.0);
+            // A size filter decides exactly as classifying the collected
+            // trace does, at one condition per unit, and its work channels
+            // are thread-count invariant.
+            let compiled = CompiledFilter::size_threshold(3);
+            let serial = filtered_schedule_pass(&p, &machine, &compiled, &hard, &opts);
+            assert_eq!(serial.scheduled_blocks, crate::runtime_classification(&trace, &compiled).ls, "{scope}");
+            assert!(serial.scheduled_blocks > 0 && serial.scheduled_blocks < serial.total_blocks, "{scope}");
+            assert_eq!(serial.conditions_evaluated, trace.len() as u64, "{scope}: one condition per unit");
+            for threads in [2, 4, 16] {
+                let sharded = filtered_schedule_pass(&p, &machine, &compiled, &hard, &TraceOptions { threads, ..opts });
+                assert_eq!(sharded, FilteredPass { pass_ns: sharded.pass_ns, ..serial }, "{scope}: {threads} threads");
+            }
         }
     }
 
@@ -877,60 +797,6 @@ mod tests {
             let block_cost: u64 = blocks.iter().map(|r| r.exec_count * r.est_sched).sum();
             let trace_cost: u64 = traces.iter().map(|r| r.exec_count * r.est_sched).sum();
             assert!(trace_cost <= block_cost, "{}: {trace_cost} vs {block_cost}", p.name());
-        }
-    }
-
-    #[test]
-    fn superblock_scope_sharded_collection_matches_serial_exactly() {
-        let machine = MachineConfig::ppc7410();
-        let p = wide_program(13);
-        let base =
-            TraceOptions { scope: ScopeKind::Superblock(70), timing: TimingMode::Deterministic, ..Default::default() };
-        let serial = collect_trace(&p, &machine, &base);
-        for threads in [2, 3, 8] {
-            let sharded = collect_trace(&p, &machine, &TraceOptions { threads, ..base });
-            assert_eq!(serial, sharded, "{threads} threads");
-        }
-        // And the per-method pieces reassemble exactly, as the matrix
-        // sharding requires.
-        let mut stitched = Vec::new();
-        for method in p.methods() {
-            stitched.extend(collect_method_trace(p.name(), method, &machine, &base));
-        }
-        assert_eq!(serial, stitched);
-    }
-
-    #[test]
-    fn filtered_pass_at_superblock_scope_decides_per_trace() {
-        let machine = MachineConfig::ppc7410();
-        let p = crate::testutil::mergeable_suite(4).remove(0);
-        let opts =
-            TraceOptions { scope: ScopeKind::Superblock(70), timing: TimingMode::Deterministic, ..Default::default() };
-        let ls = filtered_schedule_pass(&p, &machine, &CompiledFilter::always(), &DecisionPolicy::HardThreshold, &opts);
-        let trace = collect_trace(&p, &machine, &opts);
-        assert_eq!(ls.total_blocks, trace.len(), "units are traces, not blocks");
-        assert_eq!(ls.scheduled_blocks, trace.len());
-        assert_eq!(ls.sched_work, trace.iter().map(|r| r.sched_work).sum::<u64>(), "same speculative work proxy");
-        // A size filter separates the fat merged traces from the cold
-        // singletons, exactly as classifying the collected trace does.
-        let compiled = CompiledFilter::size_threshold(3);
-        let counts = crate::runtime_classification(&trace, &compiled);
-        let filtered = filtered_schedule_pass(&p, &machine, &compiled, &DecisionPolicy::HardThreshold, &opts);
-        assert_eq!(filtered.scheduled_blocks, counts.ls);
-        assert!(filtered.scheduled_blocks < filtered.total_blocks, "cold singleton traces are skipped");
-        for threads in [2, 8] {
-            let sharded = filtered_schedule_pass(
-                &p,
-                &machine,
-                &compiled,
-                &DecisionPolicy::HardThreshold,
-                &TraceOptions { threads, ..opts },
-            );
-            assert_eq!(
-                (sharded.total_blocks, sharded.scheduled_blocks, sharded.sched_work, sharded.extraction_work),
-                (filtered.total_blocks, filtered.scheduled_blocks, filtered.sched_work, filtered.extraction_work),
-                "{threads} threads"
-            );
         }
     }
 

@@ -58,27 +58,17 @@ impl TrainConfig {
 /// Trains a single filter on *all* the given traces ("at the factory",
 /// §3). Use [`train_loocv`] for the evaluation protocol.
 ///
-/// With the `verify` feature in a debug build, every trained artifact is
-/// run through the `wts-verify` model lint before it is returned — an
-/// incoherent rule set (shadowed rules, contradictory conjunctions,
-/// non-finite thresholds, demand-mask drift) panics here instead of
-/// misdeciding silently in production.
+/// In a debug build every trained artifact is run through the
+/// `wts-verify` model lint before it is returned — an incoherent rule
+/// set (shadowed rules, contradictory conjunctions, non-finite
+/// thresholds, demand-mask drift) panics here instead of misdeciding
+/// silently in production.
 pub fn train_filter(traces: &[TraceRecord], config: &TrainConfig) -> LearnedFilter {
     let (data, _) = build_dataset(traces, config.label);
     let rules = config.learner.fit(&data);
     let filter = LearnedFilter::with_learner(rules, config.label.threshold_percent, config.filter_tag());
-    #[cfg(all(feature = "verify", debug_assertions))]
-    {
-        let compiled = filter.compile();
-        let table = wts_verify::ModelTable::from_rule_set(filter.rules(), compiled.demand(), filter.name());
-        let diags = wts_verify::lint_model(&table);
-        assert!(
-            diags.is_empty(),
-            "train_filter produced an incoherent model for {}:\n{}",
-            filter.name(),
-            wts_verify::render(&diags)
-        );
-    }
+    #[cfg(debug_assertions)]
+    crate::filter::assert_model_lints_clean(&filter, &filter.compile(), filter.name());
     filter
 }
 

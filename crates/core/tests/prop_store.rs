@@ -13,7 +13,9 @@ use wts_ripper::{Condition, Op, Rule, RuleSet, RuleStats};
 
 /// A filter whose decision reveals which cut it was built with:
 /// schedule iff `bbLen >= cut`. The cut doubles as the filter's
-/// threshold tag, so source and engine can be cross-checked too.
+/// threshold tag, so source and engine can be cross-checked too. Cut 0
+/// accepts every block, a trivially constant filter the store refuses to
+/// publish in debug builds, so the properties draw cuts from 1.
 fn filter_with_cut(cut: u32) -> LearnedFilter {
     let attr_names: Vec<String> = FeatureKind::ALL.iter().map(|k| k.rule_name().to_string()).collect();
     let rule =
@@ -50,7 +52,7 @@ proptest! {
     /// produce a decision no single epoch explains.
     #[test]
     fn every_decision_is_attributable_to_exactly_one_epoch(
-        cuts in prop::collection::vec(0u32..60, 2..16),
+        cuts in prop::collection::vec(1u32..60, 2..16),
         probes in prop::collection::vec(0u32..60, 1..6),
     ) {
         let store = FilterStore::shared();
@@ -112,7 +114,7 @@ proptest! {
     /// always agree — swap never pairs epoch-tagged metadata with a
     /// stale engine.
     #[test]
-    fn snapshot_source_and_engine_are_the_same_filter(cuts in prop::collection::vec(0u32..60, 1..10)) {
+    fn snapshot_source_and_engine_are_the_same_filter(cuts in prop::collection::vec(1u32..60, 1..10)) {
         let store = FilterStore::new();
         let key = FilterKey::new("m", &LearnerKind::Stump, ScopeKind::Block, 0);
         for (i, &cut) in cuts.iter().enumerate() {
@@ -124,4 +126,15 @@ proptest! {
             }
         }
     }
+}
+
+/// The cut-0 filter (`bbLen >= 0`) schedules every block: the model lint
+/// calls it trivially constant, and a debug build's store refuses to
+/// publish it.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "failed the model lint")]
+fn publishing_a_trivially_constant_filter_is_rejected() {
+    let store = FilterStore::new();
+    store.swap(FilterKey::new("m", &LearnerKind::Stump, ScopeKind::Block, 0), filter_with_cut(0));
 }

@@ -19,6 +19,9 @@
 //! they degenerate cleanly at block scope (`width 1, 0, 0, bbLen`),
 //! keeping one feature vocabulary across both scopes (see
 //! [`TraceShape`] and [`FeatureVector::from_insts_shaped`]).
+//! [`for_each_scope_unit`] is the one scope dispatch: the scheduling
+//! pipeline and the independent checker both walk a method's units
+//! (blocks, or formed traces) through it, each a [`ScopeUnit`].
 //!
 //! Extraction is also *demand-driven*: a [`FeatureMask`] names the
 //! features a filter will actually read, and
@@ -44,7 +47,7 @@
 //! ```
 
 use std::fmt;
-use wts_ir::{BasicBlock, Category, Inst};
+use wts_ir::{form_superblocks, BasicBlock, BlockId, Category, Inst, Method, ScopeKind, Superblock};
 
 /// One of the thirteen features of Table 1, or one of the four
 /// trace-shape features of the superblock scope.
@@ -353,6 +356,66 @@ impl TraceShape {
             }
         }
         TraceShape { width, side_exits, spec_insts }
+    }
+}
+
+/// One scope unit: a basic block's instructions with the degenerate
+/// shape, or a formed superblock trace's concatenation with its real
+/// shape.
+#[derive(Debug, Clone, Copy)]
+pub struct ScopeUnit<'a> {
+    /// The instructions to decide on and (maybe) schedule.
+    pub insts: &'a [Inst],
+    /// The unit's shape ([`TraceShape::block`] for a basic block).
+    pub shape: TraceShape,
+    /// The block, or the trace's entry block.
+    pub block: BlockId,
+    /// Profile execution count (the trace weight at superblock scope).
+    pub exec_count: u64,
+}
+
+impl<'a> ScopeUnit<'a> {
+    /// A basic block as a unit.
+    #[inline]
+    pub fn of_block(block: &'a BasicBlock) -> ScopeUnit<'a> {
+        ScopeUnit {
+            insts: block.insts(),
+            shape: TraceShape::block(),
+            block: block.id(),
+            exec_count: block.exec_count(),
+        }
+    }
+
+    /// A formed superblock trace as a unit.
+    #[inline]
+    pub fn of_superblock(sb: &'a Superblock) -> ScopeUnit<'a> {
+        ScopeUnit {
+            insts: &sb.insts,
+            shape: TraceShape::of_trace(&sb.insts, u32::try_from(sb.width()).expect("trace widths fit u32")),
+            block: BlockId(sb.entry_id()),
+            exec_count: sb.exec_count,
+        }
+    }
+
+    /// True when the unit merged more than one block, which turns on the
+    /// speculative dependence graph.
+    #[inline]
+    pub fn speculative(&self) -> bool {
+        self.shape.width > 1
+    }
+}
+
+/// Visits every scope unit of `method` in order: its blocks at
+/// [`ScopeKind::Block`], its [`form_superblocks`] traces at
+/// [`ScopeKind::Superblock`]. A visitor rather than an iterator because
+/// superblock units borrow traces formed inside the call.
+#[inline]
+pub fn for_each_scope_unit(method: &Method, scope: ScopeKind, mut visit: impl FnMut(ScopeUnit<'_>)) {
+    match scope {
+        ScopeKind::Block => method.blocks().iter().for_each(|b| visit(ScopeUnit::of_block(b))),
+        ScopeKind::Superblock(ratio) => {
+            form_superblocks(method, ratio).iter().for_each(|sb| visit(ScopeUnit::of_superblock(sb)));
+        }
     }
 }
 

@@ -33,6 +33,7 @@
 
 use crate::protocol::{self, BatchResult, Response};
 use crate::retrain::{retrain_loop, RetrainReport};
+use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -217,7 +218,7 @@ impl Server {
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(Counters::default());
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<ConnRegistry> = Arc::default();
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.queue_depth);
         let (retrain_tx, retrain_rx) = mpsc::sync_channel::<(String, Vec<Method>)>(config.queue_depth);
@@ -278,7 +279,7 @@ pub struct ServerHandle {
     key: FilterKey,
     shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Arc<ConnRegistry>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     job_tx: Option<SyncSender<Job>>,
     acceptor: Option<JoinHandle<()>>,
@@ -325,7 +326,7 @@ impl ServerHandle {
         // Half-close the read side of every connection: readers see EOF
         // after the frame they are currently decoding, while responses
         // to already-queued batches still go out on the write side.
-        for conn in self.conns.lock().expect("connection registry poisoned").iter() {
+        for conn in self.conns.lock().expect("connection registry poisoned").values() {
             let _ = conn.shutdown(Shutdown::Read);
         }
         let readers = std::mem::take(&mut *self.readers.lock().expect("reader registry poisoned"));
@@ -344,11 +345,16 @@ impl ServerHandle {
     }
 }
 
+/// The open connections' shutdown handles, keyed by connection id. A
+/// reader removes its own entry when its peer goes away, so a closed
+/// connection's socket is released at once rather than at shutdown.
+type ConnRegistry = Mutex<HashMap<u64, TcpStream>>;
+
 fn accept_loop(
     listener: &TcpListener,
     shutdown: &AtomicBool,
     counters: &Arc<Counters>,
-    conns: &Mutex<Vec<TcpStream>>,
+    conns: &Arc<ConnRegistry>,
     readers: &Mutex<Vec<JoinHandle<()>>>,
     job_tx: &SyncSender<Job>,
     queue_depth: usize,
@@ -356,16 +362,28 @@ fn accept_loop(
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                counters.connections.fetch_add(1, Ordering::Relaxed);
+                let id = counters.connections.fetch_add(1, Ordering::Relaxed);
                 // A connection whose setup fails (the peer already reset
                 // it, or the descriptor table is full) is dropped alone.
                 let Ok((registered, writer)) = connection_handles(&stream) else { continue };
-                conns.lock().expect("connection registry poisoned").push(registered);
+                conns.lock().expect("connection registry poisoned").insert(id, registered);
                 let writer = Arc::new(Mutex::new(writer));
                 let job_tx = job_tx.clone();
                 let counters = Arc::clone(counters);
-                let handle = std::thread::spawn(move || reader_loop(stream, &writer, &job_tx, queue_depth, &counters));
-                readers.lock().expect("reader registry poisoned").push(handle);
+                let conns = Arc::clone(conns);
+                let handle = std::thread::spawn(move || {
+                    reader_loop(stream, &writer, &job_tx, queue_depth, &counters);
+                    conns.lock().expect("connection registry poisoned").remove(&id);
+                });
+                let mut readers = readers.lock().expect("reader registry poisoned");
+                // Join the readers whose connections already closed, so the
+                // registry holds only live ones however many clients come
+                // and go.
+                let (done, live): (Vec<_>, Vec<_>) =
+                    std::mem::take(&mut *readers).into_iter().partition(JoinHandle::is_finished);
+                done.into_iter().for_each(|reader| reader.join().expect("reader thread panicked"));
+                *readers = live;
+                readers.push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             // Nothing pending (`WouldBlock`), or a failure confined to one

@@ -145,7 +145,7 @@ impl UnitCtx {
 }
 
 /// Renders diagnostics one per line — the panic payload of the
-/// `verify`-feature hooks and the detail dump of `repro verify`.
+/// debug-build hooks and the detail dump of `repro verify`.
 pub fn render(diags: &[Diagnostic]) -> String {
     let mut s = String::new();
     for d in diags {

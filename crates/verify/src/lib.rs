@@ -49,8 +49,8 @@
 //!
 //! Everything reports through [`Diagnostic`] (severity, analysis,
 //! machine, method/unit location, prose explanation). [`verify_unit`]
-//! checks one scheduled unit — this is what the `verify` cargo feature's
-//! debug-assert hooks in `wts-core` and `wts-jit` call — and
+//! checks one scheduled unit — this is what `wts-core`'s debug-build
+//! hook calls on every unit its per-unit body schedules — and
 //! [`verify_program`] sweeps a whole program under a policy and scope,
 //! which `repro verify` runs over a generated corpus × every registry
 //! machine.

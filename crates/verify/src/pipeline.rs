@@ -6,7 +6,8 @@ use crate::diag::{Analysis, Diagnostic, Severity, UnitCtx};
 use crate::spec::check_speculation;
 use crate::timing::check_timing;
 use wts_deps::DepGraph;
-use wts_ir::{form_superblocks, Inst, Program, ScopeKind};
+use wts_features::for_each_scope_unit;
+use wts_ir::{Inst, Program, ScopeKind};
 use wts_machine::MachineConfig;
 use wts_sched::{
     verify_schedule_all_against, ListScheduler, SchedScratch, ScheduleOutcome, SchedulePolicy, VerifyError,
@@ -16,8 +17,8 @@ use wts_sched::{
 /// the oracle, the order against the graph, the timing claims against
 /// the re-simulation, and (for speculative traces) speculation safety.
 ///
-/// This is the entry point the `verify`-feature hooks call on every unit
-/// the pipeline schedules. An empty vector means the unit is clean.
+/// This is the entry point wts-core's debug-build hook calls on every
+/// unit the pipeline schedules. An empty vector means the unit is clean.
 pub fn verify_unit(
     machine: &MachineConfig,
     insts: &[Inst],
@@ -127,31 +128,18 @@ pub fn verify_program(
                 report.diagnostics.push(ctx.error(Analysis::Structure, e.to_string()));
             }
         }
-        match scope {
-            ScopeKind::Block => {
-                for block in method.blocks() {
-                    let ctx = UnitCtx::located(machine.name(), mid, block.id().0);
-                    scheduler.schedule_insts_into(block.insts(), &mut scratch, &mut outcome);
-                    report.units += 1;
-                    report.changed += usize::from(outcome.changed());
-                    report.diagnostics.extend(verify_unit_in(&ctx, machine, block.insts(), false, &outcome));
-                }
+        for_each_scope_unit(method, scope, |unit| {
+            let ctx = UnitCtx::located(machine.name(), mid, unit.block.0);
+            let speculative = unit.speculative();
+            if speculative {
+                scheduler.schedule_superblock_into(unit.insts, &mut scratch, &mut outcome);
+            } else {
+                scheduler.schedule_insts_into(unit.insts, &mut scratch, &mut outcome);
             }
-            ScopeKind::Superblock(ratio) => {
-                for sb in form_superblocks(method, ratio) {
-                    let ctx = UnitCtx::located(machine.name(), mid, sb.entry_id());
-                    let speculative = sb.width() > 1;
-                    if speculative {
-                        scheduler.schedule_superblock_into(&sb.insts, &mut scratch, &mut outcome);
-                    } else {
-                        scheduler.schedule_insts_into(&sb.insts, &mut scratch, &mut outcome);
-                    }
-                    report.units += 1;
-                    report.changed += usize::from(outcome.changed());
-                    report.diagnostics.extend(verify_unit_in(&ctx, machine, &sb.insts, speculative, &outcome));
-                }
-            }
-        }
+            report.units += 1;
+            report.changed += usize::from(outcome.changed());
+            report.diagnostics.extend(verify_unit_in(&ctx, machine, unit.insts, speculative, &outcome));
+        });
     }
     report
 }

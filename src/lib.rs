@@ -26,7 +26,7 @@
 //!   [`FilterStore`](filters::FilterStore) (crate `wts-serve`);
 //! * [`verify`] — the independent static checker: dependence soundness,
 //!   timing legality and speculation safety (crate `wts-verify`, with
-//!   debug-assert pipeline hooks behind the `verify` cargo feature);
+//!   pipeline hooks armed in every debug build);
 //! * [`experiments`] — regeneration of every table and figure.
 //!
 //! # Quick start

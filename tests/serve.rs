@@ -195,9 +195,9 @@ fn hot_swap_under_load_answers_every_batch_from_one_epoch() {
 }
 
 /// The full loop at realistic scale: a specjvm98-sized corpus served by
-/// a worker fleet under concurrent clients with online retraining. With
-/// `--features verify` (debug builds) every schedule the workers emit
-/// is also checked by wts-verify inside the serving fast path.
+/// a worker fleet under concurrent clients with online retraining. In a
+/// debug build every schedule the workers emit is also checked by
+/// wts-verify inside the serving fast path.
 #[test]
 #[ignore = "serve smoke test: realistic scale; CI runs it with -- --ignored"]
 fn serve_smoke_realistic_scale() {
@@ -320,6 +320,36 @@ fn a_reset_peer_does_not_stop_the_accept_loop() {
     drop(client);
     let report = handle.shutdown();
     assert_eq!(report.stats.batches_served, 1);
+}
+
+/// A client that hangs up releases its server-side socket while the
+/// server keeps running: after many one-request clients, no socket on
+/// the server's own port (so concurrent tests do not count) stays in
+/// `CLOSE_WAIT` — state `08` in `/proc/net/tcp`: peer closed, server
+/// never did.
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_sockets_before_shutdown() {
+    let close_wait_on = |port: u16| {
+        let local = format!(":{port:04X}");
+        let table = std::fs::read_to_string("/proc/net/tcp").expect("read /proc/net/tcp");
+        let rows = table.lines().skip(1).map(|row| row.split_whitespace().collect::<Vec<_>>());
+        rows.filter(|cols| cols[1].ends_with(&local) && cols[3] == "08").count()
+    };
+    let machine = MachineConfig::ppc7410();
+    let programs = wts_core::testutil::learnable_suite(2);
+    let handle =
+        Server::bind("127.0.0.1:0", stump_config(&machine, corpus(&programs, &machine, &options()), 0)).expect("bind");
+    for i in 0..40 {
+        let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+        expect_batch(client.request(i, programs[0].name(), programs[0].methods()).expect("served"));
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while close_wait_on(handle.local_addr().port()) > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    assert_eq!(close_wait_on(handle.local_addr().port()), 0, "closed connections still hold server sockets");
+    assert_eq!(handle.shutdown().stats.batches_served, 40);
 }
 
 /// `ServerHandle` is self-describing enough to monitor externally.

@@ -5,9 +5,9 @@
 //!
 //! The `#[ignore]`d smoke test in `tests/matrix.rs` runs the same sweep
 //! at realistic scale in CI; `tests/verify.rs` keeps a quick version in
-//! the always-on tier. Build with `--features verify` to additionally
-//! exercise the debug-assert hooks inside trace collection, the filtered
-//! deployment pass and the JIT compile session (the `hooks_*` test).
+//! the always-on tier. In a debug build the `hooks_*` test also
+//! exercises the checker hooks inside trace collection, the filtered
+//! deployment pass and the JIT compile session.
 
 use schedfilter::prelude::*;
 use schedfilter::verify::render;
@@ -67,11 +67,11 @@ fn degenerate_units_verify_cleanly() {
     assert!(verify_unit(&machine, &single, false, &outcome).is_empty());
 }
 
-/// With `--features verify` the hooks themselves run: trace collection,
-/// the filtered deployment pass and the JIT compile session each verify
+/// In a debug build the hooks themselves run: trace collection, the
+/// filtered deployment pass and the JIT compile session each verify
 /// every unit they schedule and panic on the first diagnostic. The test
-/// simply drives all three paths over a generated corpus.
-#[cfg(feature = "verify")]
+/// simply drives all three paths over a generated corpus (a release
+/// build compiles the hooks out, so there it only drives the paths).
 #[test]
 fn hooks_fire_cleanly_across_the_whole_pipeline() {
     let programs = generated_programs(0.01);
