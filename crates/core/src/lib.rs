@@ -91,8 +91,8 @@ pub use matrix::{CalibrationRow, ExperimentMatrix, MachinePortfolio, MatrixRun, 
 pub use policy::{BenefitModel, DecisionPolicy, UnitEconomics};
 pub use store::{FilterKey, FilterSnapshot, FilterStore};
 pub use trace::{
-    collect_method_trace, collect_trace, filtered_schedule_pass, FilteredPass, ServedUnit, TimingMode, TraceOptions,
-    TraceRecord, UnitServer,
+    collect_method_trace, collect_trace, filtered_schedule_pass, FilteredPass, ServedUnit, TimingMode, TraceCollector,
+    TraceOptions, TraceRecord, UnitServer,
 };
 pub use train::{train_filter, train_loocv, train_loocv_sharded, TrainConfig};
 // The scope axis: formation lives in `wts_ir`, the unit walk (shared

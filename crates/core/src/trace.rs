@@ -168,6 +168,8 @@ pub fn collect_trace(program: &Program, machine: &MachineConfig, options: &Trace
 /// covers `method`, so a matrix run reassembling per-method pieces in
 /// method order reproduces the per-program collector bit for bit (under
 /// [`TimingMode::Deterministic`]; up to wall-clock jitter otherwise).
+/// Callers tracing method after method should hold one
+/// [`TraceCollector`] instead.
 pub fn collect_method_trace(
     benchmark: &str,
     method: &Method,
@@ -177,39 +179,95 @@ pub fn collect_method_trace(
     trace_methods(benchmark, std::slice::from_ref(method), machine, options)
 }
 
-/// The per-shard collector: one warm [`UnitServer`] runs every scope unit
-/// of `methods`, in order, into one [`RecordSink`].
+/// The per-shard collector: one warm [`TraceCollector`] runs every scope
+/// unit of `methods`, in order.
 fn trace_methods(
     benchmark: &str,
     methods: &[Method],
     machine: &MachineConfig,
     options: &TraceOptions,
 ) -> Vec<TraceRecord> {
-    // The scheduler's own cost model *is* the cheap estimator (§2.2,
-    // footnote 3), so with the default kind the est_* channels reuse the
-    // cycle counts scheduling already computed instead of running two
-    // more cost-model passes per unit.
-    let estimated = match options.estimated {
-        EstimatorKind::Cheap => None,
-        kind => Some(kind.provider(machine)),
-    };
-    let measured = options.measured.provider(machine);
-    let mut sink = RecordSink {
-        benchmark,
-        method: MethodId(0),
-        estimated: estimated.as_deref(),
-        measured: measured.as_ref(),
-        timing: options.timing,
-        out: Vec::new(),
-    };
-    let mut server = UnitServer::new(machine, options.policy);
+    let mut collector = TraceCollector::new(machine, options);
+    let mut out = Vec::new();
     for method in methods {
-        sink.method = method.id();
-        for_each_scope_unit(method, options.scope, |unit| {
+        collector.collect_into(benchmark, method, &mut out);
+    }
+    out
+}
+
+/// A warm trace collector: one [`UnitServer`] (scheduler, scratch and
+/// permutation buffers) and the configured cost providers, built once and
+/// reused for every method it traces. [`collect_trace`] and
+/// [`collect_method_trace`] run through one of these, and a long-lived
+/// caller — the `wts-serve` retrainer, observing method after method —
+/// holds one for its lifetime, so its records equal the offline
+/// collector's by construction. `options.threads` is ignored: a collector
+/// is one serial shard.
+///
+/// # Examples
+///
+/// ```
+/// use wts_core::{collect_trace, TimingMode, TraceCollector, TraceOptions};
+/// use wts_machine::MachineConfig;
+///
+/// let program = &wts_core::testutil::learnable_suite(2)[0];
+/// let machine = MachineConfig::ppc7410();
+/// let options = TraceOptions { timing: TimingMode::Deterministic, ..TraceOptions::default() };
+///
+/// let mut collector = TraceCollector::new(&machine, &options);
+/// let mut records = Vec::new();
+/// for method in program.methods() {
+///     collector.collect_into(program.name(), method, &mut records);
+/// }
+/// assert_eq!(records, collect_trace(program, &machine, &options));
+/// ```
+pub struct TraceCollector<'m> {
+    server: UnitServer<'m>,
+    /// Provider of the `est_*` channels; `None` reuses the scheduler's
+    /// own cost-model output (the cheap estimator).
+    estimated: Option<Box<dyn CostProvider + 'm>>,
+    measured: Box<dyn CostProvider + 'm>,
+    scope: ScopeKind,
+    timing: TimingMode,
+}
+
+impl<'m> TraceCollector<'m> {
+    /// A collector for `machine` under `options`' scheduler policy,
+    /// scope, timing mode and providers.
+    pub fn new(machine: &'m MachineConfig, options: &TraceOptions) -> TraceCollector<'m> {
+        // The scheduler's own cost model *is* the cheap estimator (§2.2,
+        // footnote 3), so with the default kind the est_* channels reuse
+        // the cycle counts scheduling already computed instead of running
+        // two more cost-model passes per unit.
+        let estimated = match options.estimated {
+            EstimatorKind::Cheap => None,
+            kind => Some(kind.provider(machine)),
+        };
+        TraceCollector {
+            server: UnitServer::new(machine, options.policy),
+            estimated,
+            measured: options.measured.provider(machine),
+            scope: options.scope,
+            timing: options.timing,
+        }
+    }
+
+    /// Runs the instrumented pass over every scope unit of `method` and
+    /// appends one record per unit to `out`, in unit order.
+    pub fn collect_into(&mut self, benchmark: &str, method: &Method, out: &mut Vec<TraceRecord>) {
+        let mut sink = RecordSink {
+            benchmark,
+            method: method.id(),
+            estimated: self.estimated.as_deref(),
+            measured: self.measured.as_ref(),
+            timing: self.timing,
+            out,
+        };
+        let server = &mut self.server;
+        for_each_scope_unit(method, self.scope, |unit| {
             server.body(&unit, UnitMode::Record(&mut sink));
         });
     }
-    sink.out
 }
 
 /// Where trace collection's records go, and how their cycle and timing
@@ -222,7 +280,7 @@ struct RecordSink<'a> {
     estimated: Option<&'a dyn CostProvider>,
     measured: &'a dyn CostProvider,
     timing: TimingMode,
-    out: Vec<TraceRecord>,
+    out: &'a mut Vec<TraceRecord>,
 }
 
 /// Deterministic scheduling-work proxy for one scope unit: per-unit
@@ -708,6 +766,14 @@ mod tests {
                 let stitched: Vec<TraceRecord> =
                     p.methods().iter().flat_map(|m| collect_method_trace(p.name(), m, &machine, &base)).collect();
                 assert_eq!(serial, stitched, "{} {scope}: per-method pieces", machine.name());
+                // One warm collector reused across every method appends
+                // the same records.
+                let mut collector = TraceCollector::new(&machine, &base);
+                let mut warm = Vec::new();
+                for m in p.methods() {
+                    collector.collect_into(p.name(), m, &mut warm);
+                }
+                assert_eq!(serial, warm, "{} {scope}: one reused collector", machine.name());
             }
         }
     }

@@ -1,8 +1,8 @@
 //! The detailed out-of-order pipeline simulator (hardware stand-in).
 
 use crate::{FunctionalUnit, MachineConfig};
-use std::collections::HashMap;
-use wts_ir::{BasicBlock, Inst, Opcode, Reg, UnitClass};
+use std::cell::RefCell;
+use wts_ir::{BasicBlock, Inst, Opcode, RegTable, UnitClass};
 
 /// A more detailed simulator than [`CostModel`](crate::CostModel): it
 /// models a small out-of-order window (the 7410's limited dynamic
@@ -16,6 +16,24 @@ use wts_ir::{BasicBlock, Inst, Opcode, Reg, UnitClass};
 /// the stalls a bad order causes, measured improvements are smaller than
 /// predicted ones — the same gap the paper reports between Table 4 and its
 /// measured figures.
+///
+/// # Cost of a query
+///
+/// Each call runs on warm, hash-free scratch: the dependence scan writes
+/// flat CSR predecessor arrays, tracks every register's last def and
+/// readers in a dense [`RegTable`] over a shared reader pool, and keeps
+/// per-instruction completion cycles in a reused buffer. The scratch is
+/// private and per thread, so the simulator stays a `&self`, `Sync`
+/// [`CostProvider`](crate::CostProvider) and a steady-state query
+/// allocates nothing.
+///
+/// The clock is event-driven: a cycle that issues nothing jumps straight
+/// to the earliest cycle at which an in-window instruction's readiness
+/// can change — a blocking predecessor completing or a busy unit freeing.
+/// Readiness changes only at those cycles or when something issues, so
+/// every result equals the cycle-by-cycle loop's exactly; the
+/// `prop_pipeline_oracle` suite checks this against that loop on every
+/// registry machine.
 ///
 /// # Examples
 ///
@@ -33,95 +51,269 @@ pub struct PipelineSim<'m> {
     machine: &'m MachineConfig,
 }
 
-/// Dependence edges precomputed from program order.
-#[derive(Debug, Default, Clone)]
-struct SimDeps {
-    /// Predecessors whose *completion* must precede our issue.
-    completion: Vec<Vec<u32>>,
-    /// Predecessors whose *issue* must precede-or-equal our issue.
-    issue: Vec<Vec<u32>>,
+/// "No instruction" in the scan state, and "not issued yet" in
+/// [`SimScratch::done`] (no issued instruction completes at `u64::MAX`).
+const NONE: u32 = u32::MAX;
+const UNISSUED: u64 = u64::MAX;
+
+/// Per-register scan state: the last def of the register and the head of
+/// its list (in [`SimScratch::reader_pool`]) of readers since that def.
+#[derive(Clone, Copy, Default)]
+struct RegScan {
+    def: u32,
+    readers: u32,
+}
+
+impl RegScan {
+    /// A register the current sequence has not touched yet.
+    const UNTOUCHED: RegScan = RegScan { def: NONE, readers: NONE };
+}
+
+thread_local! {
+    /// The simulator's per-thread scratch, warm across every query the
+    /// thread makes.
+    static SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::default());
+}
+
+/// Reusable state of one simulation: the dependence scan's CSR output and
+/// work lists, and the issue loop's per-instruction constraints and
+/// completion cycles.
+#[derive(Default)]
+struct SimScratch {
+    /// Predecessors whose *completion* must precede our issue:
+    /// instruction `i`'s are `completion[completion_off[i]..completion_off[i + 1]]`.
+    completion_off: Vec<u32>,
+    completion: Vec<u32>,
+    /// Predecessors whose *issue* must precede-or-equal our issue, laid
+    /// out like `completion`.
+    issue_off: Vec<u32>,
+    issue: Vec<u32>,
+    regs: RegTable<RegScan>,
+    /// Linked-list pool behind the per-register reader lists:
+    /// `(reader index, next pool slot)`.
+    reader_pool: Vec<(u32, u32)>,
+    stores: Vec<u32>,
+    loads_since_store: Vec<u32>,
+    since_barrier: Vec<u32>,
+    /// What the issue loop reads of each instruction, looked up once.
+    slots: Vec<IssueSlot>,
+    /// Completion cycle of each instruction, [`UNISSUED`] until it issues.
+    done: Vec<u64>,
+}
+
+/// One instruction's issue constraints on the simulated machine.
+#[derive(Clone, Copy)]
+struct IssueSlot {
+    /// Issues against the branch budget rather than the non-branch one.
+    branch: bool,
+    /// Bit [`FunctionalUnit::index`] set for every unit that executes it.
+    units: u8,
+    latency: u64,
+    occupancy: u64,
 }
 
 fn is_serializing(op: Opcode) -> bool {
     matches!(op, Opcode::Sync | Opcode::Isync) || op.is_call()
 }
 
-fn scan_deps(insts: &[Inst]) -> SimDeps {
-    let n = insts.len();
-    let mut deps = SimDeps { completion: vec![Vec::new(); n], issue: vec![Vec::new(); n] };
-    let mut last_def: HashMap<Reg, u32> = HashMap::new();
-    let mut uses_since_def: HashMap<Reg, Vec<u32>> = HashMap::new();
-    let mut stores: Vec<u32> = Vec::new();
-    let mut loads_since_store: Vec<u32> = Vec::new();
-    let mut last_barrier: Option<u32> = None;
-    let mut since_barrier: Vec<u32> = Vec::new();
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("dependence lists stay far below u32::MAX entries")
+}
 
-    for (idx, inst) in insts.iter().enumerate() {
-        let i = u32::try_from(idx).expect("simulated blocks are far below u32::MAX insts");
-        let op = inst.opcode();
-        // True data dependences.
-        for u in inst.uses() {
-            if let Some(&d) = last_def.get(u) {
-                deps.completion[idx].push(d);
+impl SimScratch {
+    /// The dependence scan: records every instruction's completion and
+    /// issue predecessors, in program order.
+    fn scan_deps(&mut self, insts: &[Inst]) {
+        self.completion_off.clear();
+        self.completion.clear();
+        self.issue_off.clear();
+        self.issue.clear();
+        self.regs.clear();
+        self.reader_pool.clear();
+        self.stores.clear();
+        self.loads_since_store.clear();
+        self.since_barrier.clear();
+        self.completion_off.push(0);
+        self.issue_off.push(0);
+        let mut last_barrier: Option<u32> = None;
+
+        for (idx, inst) in insts.iter().enumerate() {
+            let i = u32::try_from(idx).expect("simulated blocks are far below u32::MAX insts");
+            let op = inst.opcode();
+            // True data dependences.
+            for &u in inst.uses() {
+                let scan = self.regs.get(u).unwrap_or(RegScan::UNTOUCHED);
+                if scan.def != NONE {
+                    self.completion.push(scan.def);
+                }
+                self.reader_pool.push((i, scan.readers));
+                self.regs.set(u, RegScan { readers: offset(self.reader_pool.len() - 1), ..scan });
             }
-            uses_since_def.entry(*u).or_default().push(i);
-        }
-        // Output and anti dependences on registers.
-        for d in inst.defs() {
-            if let Some(&p) = last_def.get(d) {
-                deps.issue[idx].push(p);
-            }
-            if let Some(readers) = uses_since_def.get(d) {
-                for &r in readers {
+            // Output and anti dependences on registers.
+            for &d in inst.defs() {
+                let scan = self.regs.get(d).unwrap_or(RegScan::UNTOUCHED);
+                if scan.def != NONE {
+                    self.issue.push(scan.def);
+                }
+                let mut cursor = scan.readers;
+                while cursor != NONE {
+                    let (r, next) = self.reader_pool[cursor as usize];
                     if r != i {
-                        deps.issue[idx].push(r);
+                        self.issue.push(r);
+                    }
+                    cursor = next;
+                }
+            }
+            // Memory ordering.
+            if let Some(m) = inst.mem_ref() {
+                for &s in &self.stores {
+                    let sm = insts[s as usize].mem_ref().expect("stores carry mem refs");
+                    if m.may_alias(sm) {
+                        self.completion.push(s);
+                    }
+                }
+                if op.is_store() {
+                    for &l in &self.loads_since_store {
+                        let lm = insts[l as usize].mem_ref().expect("loads carry mem refs");
+                        if m.may_alias(lm) {
+                            self.issue.push(l);
+                        }
                     }
                 }
             }
-        }
-        // Memory ordering.
-        if let Some(m) = inst.mem_ref() {
-            for &s in &stores {
-                let sm = insts[s as usize].mem_ref().expect("stores carry mem refs");
-                if m.may_alias(sm) {
-                    deps.completion[idx].push(s);
-                }
+            // Serializing instructions.
+            if let Some(b) = last_barrier {
+                self.completion.push(b);
+            }
+            if is_serializing(op) {
+                self.completion.extend_from_slice(&self.since_barrier);
+                last_barrier = Some(i);
+                self.since_barrier.clear();
+            } else {
+                self.since_barrier.push(i);
+            }
+            // Update write state last.
+            for &d in inst.defs() {
+                self.regs.set(d, RegScan { def: i, readers: NONE });
             }
             if op.is_store() {
-                for &l in &loads_since_store {
-                    let lm = insts[l as usize].mem_ref().expect("loads carry mem refs");
-                    if m.may_alias(lm) {
-                        deps.issue[idx].push(l);
-                    }
-                }
+                self.stores.push(i);
+                self.loads_since_store.clear();
+            } else if op.is_load() {
+                self.loads_since_store.push(i);
             }
-        }
-        // Serializing instructions.
-        if let Some(b) = last_barrier {
-            deps.completion[idx].push(b);
-        }
-        if is_serializing(op) {
-            for &p in &since_barrier {
-                deps.completion[idx].push(p);
-            }
-            last_barrier = Some(i);
-            since_barrier.clear();
-        } else {
-            since_barrier.push(i);
-        }
-        // Update write state last.
-        for d in inst.defs() {
-            last_def.insert(*d, i);
-            uses_since_def.insert(*d, Vec::new());
-        }
-        if op.is_store() {
-            stores.push(i);
-            loads_since_store.clear();
-        } else if op.is_load() {
-            loads_since_store.push(i);
+            self.completion_off.push(offset(self.completion.len()));
+            self.issue_off.push(offset(self.issue.len()));
         }
     }
-    deps
+
+    /// Simulates `insts` (non-empty) on `machine`; returns the cycle the
+    /// last instruction completes.
+    fn simulate(&mut self, machine: &MachineConfig, insts: &[Inst]) -> u64 {
+        self.scan_deps(insts);
+        let n = insts.len();
+        let lat = machine.latencies();
+        let window = machine.window();
+        self.slots.clear();
+        self.slots.extend(insts.iter().map(|inst| {
+            let op = inst.opcode();
+            IssueSlot {
+                branch: op.unit_class() == UnitClass::Branch,
+                units: machine.units_for(op.unit_class()).iter().fold(0, |mask, u| mask | 1 << u.index()),
+                latency: u64::from(lat.latency(op)),
+                occupancy: u64::from(lat.unit_occupancy(op)),
+            }
+        }));
+        self.done.clear();
+        self.done.resize(n, UNISSUED);
+        let done = &mut self.done;
+        let mut unit_free = [0u64; FunctionalUnit::COUNT];
+        let mut oldest = 0usize; // first unissued instruction
+        let mut cycle: u64 = 0;
+        let mut max_done: u64 = 0;
+
+        // Cap runaway loops: every instruction must issue within a bounded
+        // horizon (sum of all latencies plus the block length is a safe
+        // over-estimate).
+        let length = u64::try_from(n).expect("block length fits u64");
+        let horizon: u64 = insts.iter().map(|i| u64::from(lat.latency(i.opcode()))).sum::<u64>() + length + 64;
+
+        while oldest < n {
+            assert!(cycle <= horizon, "pipeline simulator failed to make progress");
+            let mut nonbranch_budget = machine.issue_width();
+            let mut branch_budget = machine.branch_width();
+            // The earliest later cycle at which a blocked candidate's
+            // readiness can change; only read when this cycle issues
+            // nothing, i.e. after one scan over an unchanged window.
+            let mut wake = UNISSUED;
+            let mut issued_any = false;
+            // The selector may look `window` instructions past the oldest
+            // unissued one; issuing the oldest slides the window within
+            // the same cycle (in-order front end, OoO selection).
+            let mut progress = true;
+            while progress && (nonbranch_budget > 0 || branch_budget > 0) && oldest < n {
+                progress = false;
+                let limit = (oldest + window).min(n);
+                for i in oldest..limit {
+                    if done[i] != UNISSUED {
+                        continue;
+                    }
+                    let slot = self.slots[i];
+                    let budget = if slot.branch { &mut branch_budget } else { &mut nonbranch_budget };
+                    if *budget == 0 {
+                        continue;
+                    }
+                    // An unissued predecessor reads as completing at
+                    // `UNISSUED`, after every cycle.
+                    let completion =
+                        &self.completion[self.completion_off[i] as usize..self.completion_off[i + 1] as usize];
+                    if let Some(&p) = completion.iter().find(|&&p| done[p as usize] > cycle) {
+                        wake = wake.min(done[p as usize]);
+                        continue;
+                    }
+                    let issue = &self.issue[self.issue_off[i] as usize..self.issue_off[i + 1] as usize];
+                    if issue.iter().any(|&p| done[p as usize] == UNISSUED) {
+                        continue;
+                    }
+                    // The first free capable unit, in index order.
+                    let mut free_unit = None;
+                    for (u, &free) in unit_free.iter().enumerate() {
+                        if slot.units & (1 << u) != 0 {
+                            if free <= cycle {
+                                free_unit = Some(u);
+                                break;
+                            }
+                            wake = wake.min(free);
+                        }
+                    }
+                    let Some(u) = free_unit else {
+                        continue;
+                    };
+                    let completes = cycle + slot.latency;
+                    done[i] = completes;
+                    max_done = max_done.max(completes);
+                    unit_free[u] = cycle + slot.occupancy;
+                    *budget -= 1;
+                    progress = true;
+                }
+                issued_any |= progress;
+                while oldest < n && done[oldest] != UNISSUED {
+                    oldest += 1;
+                }
+            }
+            // A cycle that issued nothing leaves the window and the unit
+            // state as they were, so nothing can issue before `wake`; with
+            // no wake-up in sight the progress assert fires.
+            cycle = if issued_any {
+                cycle + 1
+            } else if wake == UNISSUED {
+                horizon + 1
+            } else {
+                wake
+            };
+        }
+        max_done
+    }
 }
 
 impl<'m> PipelineSim<'m> {
@@ -142,73 +334,10 @@ impl<'m> PipelineSim<'m> {
 
     /// Simulated cycles for an explicit instruction sequence.
     pub fn sequence_cycles(&self, insts: &[Inst]) -> u64 {
-        let n = insts.len();
-        if n == 0 {
+        if insts.is_empty() {
             return 0;
         }
-        let deps = scan_deps(insts);
-        let lat = self.machine.latencies();
-        let window = self.machine.window();
-        let fetch_bw = (self.machine.issue_width() + self.machine.branch_width()) as usize;
-
-        let mut issue: Vec<Option<u64>> = vec![None; n];
-        let mut done: Vec<u64> = vec![0; n];
-        let mut unit_free = [0u64; FunctionalUnit::COUNT];
-        let mut oldest = 0usize; // first unissued instruction
-        let mut cycle: u64 = 0;
-        let mut max_done: u64 = 0;
-        let _ = fetch_bw;
-
-        // Cap runaway loops: every instruction must issue within a bounded
-        // horizon (sum of all latencies plus the block length is a safe
-        // over-estimate).
-        let horizon: u64 = insts.iter().map(|i| lat.latency(i.opcode()) as u64).sum::<u64>() + n as u64 + 64;
-
-        while oldest < n {
-            assert!(cycle <= horizon, "pipeline simulator failed to make progress");
-            let mut nonbranch_budget = self.machine.issue_width();
-            let mut branch_budget = self.machine.branch_width();
-            // The selector may look `window` instructions past the oldest
-            // unissued one; issuing the oldest slides the window within
-            // the same cycle (in-order front end, OoO selection).
-            let mut progress = true;
-            while progress && (nonbranch_budget > 0 || branch_budget > 0) && oldest < n {
-                progress = false;
-                let limit = (oldest + window).min(n);
-                for i in oldest..limit {
-                    if issue[i].is_some() {
-                        continue;
-                    }
-                    let op = insts[i].opcode();
-                    let is_branch_unit = op.unit_class() == UnitClass::Branch;
-                    let budget = if is_branch_unit { &mut branch_budget } else { &mut nonbranch_budget };
-                    if *budget == 0 {
-                        continue;
-                    }
-                    let ready =
-                        deps.completion[i].iter().all(|&p| issue[p as usize].is_some() && done[p as usize] <= cycle)
-                            && deps.issue[i].iter().all(|&p| issue[p as usize].is_some());
-                    if !ready {
-                        continue;
-                    }
-                    let units = self.machine.units_for(op.unit_class());
-                    let Some(u) = units.iter().find(|u| unit_free[u.index()] <= cycle) else {
-                        continue;
-                    };
-                    issue[i] = Some(cycle);
-                    done[i] = cycle + lat.latency(op) as u64;
-                    max_done = max_done.max(done[i]);
-                    unit_free[u.index()] = cycle + lat.unit_occupancy(op) as u64;
-                    *budget -= 1;
-                    progress = true;
-                }
-                while oldest < n && issue[oldest].is_some() {
-                    oldest += 1;
-                }
-            }
-            cycle += 1;
-        }
-        max_done
+        SCRATCH.with(|scratch| scratch.borrow_mut().simulate(self.machine, insts))
     }
 }
 
@@ -216,7 +345,7 @@ impl<'m> PipelineSim<'m> {
 mod tests {
     use super::*;
     use crate::CostModel;
-    use wts_ir::{MemRef, MemSpace};
+    use wts_ir::{MemRef, MemSpace, Reg};
 
     fn m() -> MachineConfig {
         MachineConfig::ppc7410()

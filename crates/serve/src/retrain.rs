@@ -3,16 +3,17 @@
 //! re-runs and hot-swaps the deployed filter.
 //!
 //! Observation happens *off* the hot path: the workers schedule against
-//! the compiled snapshot with no instrumentation, and this thread
-//! re-runs the full instrumented collector
-//! ([`collect_method_trace`]) over the same methods to produce the
-//! labeled records — exactly the ones the offline pipeline would have
-//! collected, so an online-retrained filter and an offline-trained one
-//! see the same training distribution.
+//! the compiled snapshot with no instrumentation, and this thread runs
+//! the served methods through one warm instrumented collector
+//! ([`TraceCollector`], held for the thread's lifetime) that appends
+//! straight into the corpus. Its records are exactly the ones the
+//! offline pipeline ([`collect_trace`](wts_core::collect_trace)) would
+//! have collected, so an online-retrained filter and an offline-trained
+//! one see the same training distribution.
 
 use crate::server::ServeConfig;
 use std::sync::mpsc::Receiver;
-use wts_core::{collect_method_trace, train_filter, write_trace_binary, FilterKey, FilterStore, TraceRecord};
+use wts_core::{train_filter, write_trace_binary, FilterKey, FilterStore, TraceCollector, TraceRecord};
 use wts_ir::Method;
 
 /// What the retraining thread did over the instance's lifetime.
@@ -34,25 +35,27 @@ pub struct RetrainReport {
 }
 
 /// Runs until every sender hangs up, then performs a final fold if any
-/// records are pending and returns the tally.
+/// records are pending and returns the tally. The corpus starts as
+/// `config`'s seed traces, moved in rather than copied.
 pub(crate) fn retrain_loop(
     rx: &Receiver<(String, Vec<Method>)>,
     store: &FilterStore,
     key: &FilterKey,
-    config: &ServeConfig,
+    mut config: ServeConfig,
 ) -> RetrainReport {
-    let options = config.options;
     let train_config = config.train_config();
-    let mut corpus: Vec<TraceRecord> = config.seed_traces.clone();
+    let mut corpus: Vec<TraceRecord> = std::mem::take(&mut config.seed_traces);
+    let mut collector = TraceCollector::new(&config.machine, &config.options);
     let mut pending = 0usize;
     let mut report = RetrainReport::default();
     while let Ok((benchmark, methods)) = rx.recv() {
+        let before = corpus.len();
         for method in &methods {
-            let records = collect_method_trace(&benchmark, method, &config.machine, &options);
-            report.records_absorbed += records.len() as u64;
-            pending += records.len();
-            corpus.extend(records);
+            collector.collect_into(&benchmark, method, &mut corpus);
         }
+        let absorbed = corpus.len() - before;
+        report.records_absorbed += absorbed as u64;
+        pending += absorbed;
         if config.retrain_every > 0 && pending >= config.retrain_every {
             fold(store, key, &train_config, &corpus, &mut report);
             pending = 0;

@@ -197,7 +197,7 @@ impl Server {
     /// [`CompileSession`](../../wts_jit/struct.CompileSession.html).
     pub fn bind_with_store(
         addr: impl ToSocketAddrs,
-        config: ServeConfig,
+        mut config: ServeConfig,
         store: Arc<FilterStore>,
     ) -> io::Result<ServerHandle> {
         if config.seed_traces.is_empty() {
@@ -211,6 +211,9 @@ impl Server {
         }
         let key = config.filter_key();
         store.deployed_or_train(key.clone(), || train_filter(&config.seed_traces, &config.train_config()));
+        // From here on only the retrainer reads the seed corpus: it moves
+        // there, and the workers clone a config without it.
+        let seed_traces = std::mem::take(&mut config.seed_traces);
 
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -238,9 +241,9 @@ impl Server {
 
         let retrainer = {
             let store = Arc::clone(&store);
-            let config = config.clone();
+            let config = ServeConfig { seed_traces, ..config.clone() };
             let key = key.clone();
-            std::thread::spawn(move || retrain_loop(&retrain_rx, &store, &key, &config))
+            std::thread::spawn(move || retrain_loop(&retrain_rx, &store, &key, config))
         };
 
         let acceptor = {

@@ -275,6 +275,16 @@ fn shutdown_persists_the_retrain_corpus_round_trip() {
     let records = wts_core::read_trace_binary(&bytes).expect("round-trips through schedfilter-trace-bin-v1");
     assert_eq!(records.len() as u64, expected);
     assert_eq!(&records[..seed.len()], &seed[..], "the seed prefix survives bit-exactly");
+    // The instance served exactly the programs its seed was collected
+    // from, so the online collector must have observed the seed again,
+    // every channel included. Two workers may hand their batches to the
+    // retrainer in either order, so compare program by program.
+    let observed = &records[seed.len()..];
+    for program in &programs {
+        let of = |rs: &[TraceRecord]| rs.iter().filter(|r| r.benchmark == program.name()).cloned().collect::<Vec<_>>();
+        assert_eq!(of(observed), of(&seed), "{}: online records equal the offline ones", program.name());
+    }
+    assert_eq!(observed.len(), seed.len());
     // The persisted corpus is a working seed: a restarted instance
     // trains its epoch-1 filter from it directly.
     let restarted = Server::bind("127.0.0.1:0", stump_config(&machine, records, 0)).expect("rebind from corpus");
