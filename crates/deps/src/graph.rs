@@ -78,21 +78,25 @@ impl DepGraph {
     }
 
     /// Number of instructions (nodes).
+    #[inline]
     pub fn len(&self) -> usize {
         self.n
     }
 
     /// True when the block was empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
 
     /// Predecessors of `i` (instructions that must come before it).
+    #[inline]
     pub fn preds(&self, i: usize) -> &[(u32, DepKind)] {
         &self.preds[self.pred_off[i] as usize..self.pred_off[i + 1] as usize]
     }
 
     /// Successors of `i` (instructions that must come after it).
+    #[inline]
     pub fn succs(&self, i: usize) -> &[(u32, DepKind)] {
         &self.succs[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
     }
@@ -113,6 +117,7 @@ impl DepGraph {
     }
 
     /// Total number of edges.
+    #[inline]
     pub fn edge_count(&self) -> usize {
         self.succs.len()
     }
@@ -238,6 +243,7 @@ impl GraphBuilder {
     /// Number of edges in the most recently built graph. Lets callers
     /// that only need the edge count (e.g. work-proxy accounting) avoid
     /// keeping the graph alive.
+    #[inline]
     pub fn last_edge_count(&self) -> usize {
         self.last_edges
     }
@@ -369,7 +375,15 @@ impl GraphBuilder {
             }
             if op.is_store() {
                 self.stores.push(i);
-                self.loads_since_store.clear();
+                // A store retires only the pending loads it covers: every
+                // later store that aliases one of those also aliases this
+                // store, so the path load -> this store -> later store
+                // orders it. Clearing the whole list would let a later
+                // store to an uncovered load's slot move above the load.
+                if let Some(m) = inst.mem_ref() {
+                    self.loads_since_store
+                        .retain(|&l| !m.covers(insts[l as usize].mem_ref().expect("loads carry mem refs")));
+                }
             } else if op.is_load() {
                 self.loads_since_store.push(i);
             }
@@ -504,6 +518,22 @@ mod tests {
     fn store_after_load_is_ordered() {
         let g = DepGraph::build(&[load(2, 0), store(1, 0)]);
         assert_eq!(g.edge_kind(0, 1), Some(DepKind::Memory));
+    }
+
+    /// Regression: every store used to retire every pending load, so the
+    /// second store to slot 1 got no edge from the load of slot 1 and
+    /// could be scheduled above it (`[2, 0, 1]` was accepted).
+    #[test]
+    fn a_store_to_another_slot_does_not_retire_a_pending_load() {
+        let insts = [load(1, 1), store(2, 2), store(3, 1)];
+        let g = DepGraph::build(&insts);
+        assert_eq!(g.edge_kind(0, 2), Some(DepKind::Memory), "load of slot 1 orders the store to slot 1");
+        assert!(!g.respects(&[2, 0, 1]));
+        assert!(!DepGraph::build_speculative(&insts).respects(&[2, 0, 1]));
+        // A covering store still retires the load: the later store is
+        // ordered through it.
+        let covered = DepGraph::build(&[load(1, 1), store(2, 1), store(3, 1)]);
+        assert!(!covered.has_edge(0, 2) && covered.has_edge(0, 1) && covered.has_edge(1, 2));
     }
 
     #[test]

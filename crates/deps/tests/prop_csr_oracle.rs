@@ -145,7 +145,13 @@ impl OracleBuilder {
             }
             if op.is_store() {
                 stores.push(i);
-                loads_since_store.clear();
+                // Only the loads this store covers leave the list.
+                if let Some(m) = inst.mem_ref() {
+                    loads_since_store.retain(|&l| {
+                        let lm = insts[l as usize].mem_ref().expect("loads carry mem refs");
+                        !(lm.space() == m.space() && (m.slot_id().is_none() || m.slot_id() == lm.slot_id()))
+                    });
+                }
             } else if op.is_load() {
                 loads_since_store.push(i);
             }

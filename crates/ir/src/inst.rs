@@ -51,16 +51,38 @@ impl MemRef {
     }
 
     /// The memory space accessed.
+    #[inline]
     pub fn space(self) -> MemSpace {
         self.space
     }
 
     /// The disambiguated slot, if known.
+    #[inline]
     pub fn slot_id(self) -> Option<u32> {
         self.slot
     }
 
+    /// True when every reference that may alias `other` may also alias
+    /// `self`: same space, and `self`'s slot is unknown or equal to
+    /// `other`'s. A store through `self` therefore orders every later
+    /// access that would have had to order after `other`.
+    ///
+    /// ```
+    /// use wts_ir::{MemRef, MemSpace};
+    /// let any = MemRef::unknown(MemSpace::Heap);
+    /// let one = MemRef::slot(MemSpace::Heap, 1);
+    /// assert!(any.covers(one) && any.covers(any) && one.covers(one));
+    /// assert!(!one.covers(any), "slot 2 aliases `any` but not slot 1");
+    /// assert!(!one.covers(MemRef::slot(MemSpace::Heap, 2)));
+    /// assert!(!any.covers(MemRef::slot(MemSpace::Stack, 1)));
+    /// ```
+    #[inline]
+    pub fn covers(self, other: MemRef) -> bool {
+        self.space == other.space && (self.slot.is_none() || self.slot == other.slot)
+    }
+
     /// Conservative may-alias test.
+    #[inline]
     pub fn may_alias(self, other: MemRef) -> bool {
         self.space == other.space
             && match (self.slot, other.slot) {
@@ -115,6 +137,7 @@ impl Hazards {
     }
 
     /// True when no hazard flag is set.
+    #[inline]
     pub fn is_none(self) -> bool {
         self.0 == 0
     }
@@ -205,16 +228,19 @@ impl RegList {
     }
 
     /// The live registers, in insertion order.
+    #[inline]
     pub fn as_slice(&self) -> &[Reg] {
         &self.regs[..self.len as usize]
     }
 
     /// Number of live registers.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len as usize
     }
 
     /// True when no register has been pushed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -228,6 +254,7 @@ impl Default for RegList {
 
 impl std::ops::Deref for RegList {
     type Target = [Reg];
+    #[inline]
     fn deref(&self) -> &[Reg] {
         self.as_slice()
     }
@@ -344,26 +371,31 @@ impl Inst {
     }
 
     /// The opcode.
+    #[inline]
     pub fn opcode(&self) -> Opcode {
         self.opcode
     }
 
     /// Registers written by this instruction.
+    #[inline]
     pub fn defs(&self) -> &[Reg] {
         self.defs.as_slice()
     }
 
     /// Registers read by this instruction.
+    #[inline]
     pub fn uses(&self) -> &[Reg] {
         self.uses.as_slice()
     }
 
     /// The memory reference, if this instruction accesses memory.
+    #[inline]
     pub fn mem_ref(&self) -> Option<MemRef> {
         self.mem
     }
 
     /// The hazard flags.
+    #[inline]
     pub fn hazards(&self) -> Hazards {
         self.hazards
     }
@@ -374,6 +406,7 @@ impl Inst {
     }
 
     /// True when this instruction carries any hazard flag.
+    #[inline]
     pub fn is_hazardous(&self) -> bool {
         !self.hazards.is_none()
     }

@@ -69,6 +69,7 @@ macro_rules! opcodes {
             pub const COUNT: usize = Opcode::ALL.len();
 
             /// Dense index of this opcode, usable for table lookups.
+            #[inline]
             pub fn index(self) -> usize {
                 self as usize
             }
@@ -79,10 +80,12 @@ macro_rules! opcodes {
             }
 
             /// The functional-unit class this opcode issues to.
+            #[inline]
             pub fn unit_class(self) -> UnitClass {
                 match self { $(Opcode::$name => UnitClass::$unit,)+ }
             }
 
+            #[inline]
             fn kind(self) -> OpKind {
                 match self { $(Opcode::$name => OpKind::$kind,)+ }
             }
@@ -236,62 +239,74 @@ opcodes! {
 
 impl Opcode {
     /// True for loads from memory.
+    #[inline]
     pub fn is_load(self) -> bool {
         self.kind() == OpKind::Load
     }
 
     /// True for stores to memory.
+    #[inline]
     pub fn is_store(self) -> bool {
         self.kind() == OpKind::Store
     }
 
     /// True for any memory access.
+    #[inline]
     pub fn is_memory(self) -> bool {
         self.is_load() || self.is_store()
     }
 
     /// True for non-call, non-return branches.
+    #[inline]
     pub fn is_branch(self) -> bool {
         self.kind() == OpKind::Branch
     }
 
     /// True for calls (`bl`, `bctrl`).
+    #[inline]
     pub fn is_call(self) -> bool {
         self.kind() == OpKind::Call
     }
 
     /// True for method returns (`blr`).
+    #[inline]
     pub fn is_return(self) -> bool {
         self.kind() == OpKind::Return
     }
 
     /// True for any control transfer (branch, call or return).
+    #[inline]
     pub fn is_control(self) -> bool {
         self.is_branch() || self.is_call() || self.is_return()
     }
 
     /// True when this opcode legally terminates a basic block.
+    #[inline]
     pub fn is_terminator(self) -> bool {
         self.is_branch() || self.is_return()
     }
 
     /// True for opcodes executing on an integer unit (simple or complex).
+    #[inline]
     pub fn is_integer_unit(self) -> bool {
         matches!(self.unit_class(), UnitClass::SimpleInt | UnitClass::ComplexInt)
     }
 
     /// True for opcodes executing on the floating-point unit.
+    #[inline]
     pub fn is_float_unit(self) -> bool {
         self.unit_class() == UnitClass::Float
     }
 
     /// True for opcodes executing on the system unit.
+    #[inline]
     pub fn is_system_unit(self) -> bool {
         self.unit_class() == UnitClass::System
     }
 
     /// True when the opcode writes memory or is otherwise a side effect the
     /// scheduler must never reorder relative to other side effects.
+    #[inline]
     pub fn has_side_effect(self) -> bool {
         self.is_store()
             || self.is_control()

@@ -94,11 +94,13 @@ impl Reg {
     }
 
     /// This register's class.
+    #[inline]
     pub fn class(self) -> RegClass {
         self.class
     }
 
     /// This register's index within its class.
+    #[inline]
     pub fn index(self) -> u16 {
         self.index
     }
@@ -109,6 +111,7 @@ impl Reg {
     /// (`index * 4 + class`), so the low registers that code actually
     /// uses in every class share the first few slots of a table such as
     /// [`RegTable`]; see [`Reg::dense_limit`].
+    #[inline]
     pub fn dense_key(self) -> usize {
         let class = match self.class {
             RegClass::Gpr => 0,

@@ -1,7 +1,46 @@
 //! Whole-machine descriptions.
 
 use crate::{FunctionalUnit, LatencyTable, UnitSet};
-use wts_ir::UnitClass;
+use wts_ir::{Opcode, UnitClass};
+
+/// One opcode's row of a machine's timing table: everything the issue
+/// models read about an opcode, resolved once per [`MachineConfig`] so a
+/// hot loop reads one row instead of re-deriving the unit class, opcode
+/// kind, latency and occupancy on every query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OpTiming {
+    /// Cycles from issue until the result is available.
+    pub(crate) latency: u32,
+    /// Cycles the functional unit stays busy after issue
+    /// ([`LatencyTable::unit_occupancy`]).
+    pub(crate) occupancy: u32,
+    /// The units able to execute the opcode.
+    pub(crate) units: UnitSet,
+    /// Issues against the branch width rather than the non-branch one
+    /// (the opcode's unit class is [`UnitClass::Branch`]).
+    pub(crate) branch: bool,
+    /// Serializing: syncs and calls wait for everything issued before
+    /// them, and everything after them waits for their completion.
+    pub(crate) serializing: bool,
+    /// A store: orders after earlier aliasing loads, not only stores.
+    pub(crate) store: bool,
+}
+
+/// Resolves every opcode's [`OpTiming`] row from a latency table and a
+/// class-indexed unit map.
+fn timing_table(latencies: &LatencyTable, unit_map: &[UnitSet; 6]) -> [OpTiming; Opcode::COUNT] {
+    std::array::from_fn(|i| {
+        let op = Opcode::ALL[i];
+        OpTiming {
+            latency: latencies.latency(op),
+            occupancy: latencies.unit_occupancy(op),
+            units: unit_map[class_index(op.unit_class())],
+            branch: op.unit_class() == UnitClass::Branch,
+            serializing: matches!(op, Opcode::Sync | Opcode::Isync) || op.is_call(),
+            store: op.is_store(),
+        }
+    })
+}
 
 /// A description of the modelled processor: functional units, issue rules,
 /// latencies and the out-of-order window used by [`PipelineSim`].
@@ -24,6 +63,9 @@ pub struct MachineConfig {
     window: usize,
     latencies: LatencyTable,
     unit_map: [UnitSet; 6],
+    /// Derived from `latencies` and `unit_map`; rebuilt wherever either
+    /// changes.
+    timing: [OpTiming; Opcode::COUNT],
 }
 
 impl MachineConfig {
@@ -56,7 +98,8 @@ impl MachineConfig {
         for class in UnitClass::ALL {
             assert!(!map[class_index(class)].is_empty(), "unit class {class} not mapped");
         }
-        MachineConfig { name: name.into(), issue_width, branch_width, window, latencies, unit_map: map }
+        let timing = timing_table(&latencies, &map);
+        MachineConfig { name: name.into(), issue_width, branch_width, window, latencies, unit_map: map, timing }
     }
 
     /// Starts a [`MachineBuilder`] with single-issue in-order defaults,
@@ -93,6 +136,7 @@ impl MachineConfig {
         let mut m = MachineConfig::ppc7410();
         m.name = "deep-fp".into();
         m.latencies = m.latencies.with_scaled_float(2);
+        m.timing = timing_table(&m.latencies, &m.unit_map);
         m
     }
 
@@ -143,33 +187,45 @@ impl MachineConfig {
     }
 
     /// Maximum non-branch instructions issued per cycle.
+    #[inline]
     pub fn issue_width(&self) -> u32 {
         self.issue_width
     }
 
     /// Maximum branch-unit instructions issued per cycle.
+    #[inline]
     pub fn branch_width(&self) -> u32 {
         self.branch_width
     }
 
     /// Out-of-order window depth used by the detailed simulator.
+    #[inline]
     pub fn window(&self) -> usize {
         self.window
     }
 
     /// The latency table.
+    #[inline]
     pub fn latencies(&self) -> &LatencyTable {
         &self.latencies
     }
 
     /// Units able to execute the given class.
+    #[inline]
     pub fn units_for(&self, class: UnitClass) -> UnitSet {
         self.unit_map[class_index(class)]
     }
 
     /// Convenience: latency of an opcode on this machine.
-    pub fn latency(&self, op: wts_ir::Opcode) -> u32 {
-        self.latencies.latency(op)
+    #[inline]
+    pub fn latency(&self, op: Opcode) -> u32 {
+        self.timing[op.index()].latency
+    }
+
+    /// The opcode's row of this machine's timing table.
+    #[inline]
+    pub(crate) fn timing(&self, op: Opcode) -> &OpTiming {
+        &self.timing[op.index()]
     }
 }
 
@@ -291,6 +347,7 @@ impl MachineBuilder {
     }
 }
 
+#[inline]
 fn class_index(c: UnitClass) -> usize {
     match c {
         UnitClass::SimpleInt => 0,

@@ -1,15 +1,8 @@
 //! The cheap in-order block-cost estimator (the paper's "simplified
 //! machine simulator") and its incremental issue state.
 
-use crate::{FunctionalUnit, MachineConfig};
-use wts_ir::{BasicBlock, Inst, MemRef, Opcode, RegTable, UnitClass};
-
-/// Serializing instructions: heavyweight barriers and calls. The in-order
-/// model makes everything after them wait for their completion and makes
-/// them wait for everything before them.
-fn is_serializing(op: Opcode) -> bool {
-    matches!(op, Opcode::Sync | Opcode::Isync) || op.is_call()
-}
+use crate::{FunctionalUnit, MachineConfig, OpTiming};
+use wts_ir::{BasicBlock, Inst, MemRef, RegTable};
 
 /// Incremental in-order machine state: instructions are issued one at a
 /// time and the state answers "when could this instruction start, given
@@ -25,6 +18,28 @@ fn is_serializing(op: Opcode) -> bool {
 /// read rather than a hash lookup, and [`reset`](IssueState::reset) is an
 /// epoch bump. A long-lived state (one per scheduler scratch) therefore
 /// replays block after block with no steady-state allocation.
+///
+/// Per-opcode facts (latency, unit occupancy, the units that execute it,
+/// whether it counts against the branch width, is serializing or is a
+/// store) come from the machine's timing table, one row per opcode,
+/// resolved once when the machine is built: every query and every issue
+/// reads one row.
+///
+/// The slot search is closed-form. Issue is in order, so an instruction
+/// never issues before the current cycle, and its slot is
+///
+/// 1. `c = max(data_ready, cur_cycle)`;
+/// 2. plus one when `c` is the current cycle and that cycle's branch or
+///    non-branch width is used up;
+/// 3. then `max(c, earliest unit_free among the opcode's units)`,
+///
+/// on the first of its units, in [`FunctionalUnit::ALL`] order, that is
+/// free by then. Steps 1 and 2 together are `max(data_ready, cur_cycle +
+/// full)`. A search stepping one cycle at a time from `max(data_ready,
+/// last issue)` stops at exactly this cycle, because the last issue cycle
+/// always equals the current cycle: every issue moves the current cycle
+/// up to its own cycle, and a reset zeroes both. So the state keeps no
+/// separate last-issue cycle.
 #[derive(Debug, Clone)]
 pub struct IssueState<'m> {
     machine: &'m MachineConfig,
@@ -35,7 +50,8 @@ pub struct IssueState<'m> {
     load_issued: Vec<(MemRef, u64)>,
     barrier_floor: u64,
     max_completion: u64,
-    last_issue: u64,
+    /// Cycle of the latest issue, which is also the earliest cycle the
+    /// next instruction may issue in.
     cur_cycle: u64,
     nonbranch_in_cycle: u32,
     branch_in_cycle: u32,
@@ -52,7 +68,6 @@ impl<'m> IssueState<'m> {
             load_issued: Vec::new(),
             barrier_floor: 0,
             max_completion: 0,
-            last_issue: 0,
             cur_cycle: 0,
             nonbranch_in_cycle: 0,
             branch_in_cycle: 0,
@@ -74,7 +89,6 @@ impl<'m> IssueState<'m> {
         self.load_issued.clear();
         self.barrier_floor = 0;
         self.max_completion = 0;
-        self.last_issue = 0;
         self.cur_cycle = 0;
         self.nonbranch_in_cycle = 0;
         self.branch_in_cycle = 0;
@@ -91,23 +105,31 @@ impl<'m> IssueState<'m> {
         self.completion_time()
     }
 
-    /// Cycle when `inst`'s data and ordering constraints are satisfied
-    /// (not yet accounting for issue slots or functional units).
-    fn ready_cycle(&self, inst: &Inst) -> u64 {
+    /// Cycle when `inst`'s data and ordering constraints are satisfied,
+    /// not yet accounting for issue width or functional units.
+    ///
+    /// It reads register readiness for `inst`'s uses, the aliasing
+    /// entries of the memory lists when `inst` accesses memory, and the
+    /// barrier and completion floors when it is serializing. So after
+    /// issuing `I` it can only have changed when `I` defines a register
+    /// `inst` uses, both access memory, or either is serializing: the
+    /// list scheduler caches it under exactly that rule
+    /// ([`moves_ready`](IssueState::moves_ready)).
+    pub fn data_ready(&self, inst: &Inst) -> u64 {
+        let row = self.machine.timing(inst.opcode());
         let mut ready = self.barrier_floor;
         for &u in inst.uses() {
             if let Some(t) = self.reg_ready.get(u) {
                 ready = ready.max(t);
             }
         }
-        let op = inst.opcode();
         if let Some(m) = inst.mem_ref() {
             for &(w, done) in &self.store_done {
                 if m.may_alias(w) {
                     ready = ready.max(done);
                 }
             }
-            if op.is_store() {
+            if row.store {
                 for &(r, issued) in &self.load_issued {
                     if m.may_alias(r) {
                         ready = ready.max(issued);
@@ -115,75 +137,112 @@ impl<'m> IssueState<'m> {
                 }
             }
         }
-        if is_serializing(op) {
+        if row.serializing {
             ready = ready.max(self.max_completion);
         }
         ready
     }
 
-    /// Finds the earliest `(cycle, unit)` at which `inst` could issue next.
-    fn find_slot(&self, inst: &Inst) -> (u64, FunctionalUnit) {
-        let op = inst.opcode();
-        let is_branch_unit = op.unit_class() == UnitClass::Branch;
-        let units = self.machine.units_for(op.unit_class());
-        let mut c = self.ready_cycle(inst).max(self.last_issue);
-        loop {
-            let width_ok = if c > self.cur_cycle {
-                true
-            } else if is_branch_unit {
-                self.branch_in_cycle < self.machine.branch_width()
-            } else {
-                self.nonbranch_in_cycle < self.machine.issue_width()
-            };
-            if width_ok {
-                if let Some(u) = units.iter().find(|u| self.unit_free[u.index()] <= c) {
-                    return (c, u);
-                }
-            }
-            c += 1;
+    /// True when issuing `issued` may have moved `candidate`'s
+    /// [`data_ready`](IssueState::data_ready) cycle: `issued` defines a
+    /// register `candidate` uses, both access memory, or either is
+    /// serializing. These are exactly the inputs `data_ready` reads, so a
+    /// cached value for which this is false after an issue is still
+    /// current.
+    #[inline]
+    pub fn moves_ready(&self, issued: &Inst, candidate: &Inst) -> bool {
+        self.machine.timing(issued.opcode()).serializing
+            || self.machine.timing(candidate.opcode()).serializing
+            || (issued.mem_ref().is_some() && candidate.mem_ref().is_some())
+            || issued.defs().iter().any(|d| candidate.uses().contains(d))
+    }
+
+    /// The closed-form slot search (see the type docs): the cycle at
+    /// which an instruction with timing `row` whose data is ready at
+    /// `ready` could issue next.
+    #[inline]
+    fn slot(&self, row: &OpTiming, ready: u64) -> u64 {
+        // `max(ready, cur_cycle)`, plus one when that is the current cycle
+        // and its width is used up, is `max(ready, cur_cycle + full)`.
+        let full = if row.branch {
+            self.branch_in_cycle >= self.machine.branch_width()
+        } else {
+            self.nonbranch_in_cycle >= self.machine.issue_width()
+        };
+        let mut units = row.units.bits();
+        let mut free = u64::MAX;
+        while units != 0 {
+            free = free.min(self.unit_free[units.trailing_zeros() as usize]);
+            units &= units - 1;
         }
+        ready.max(self.cur_cycle + u64::from(full)).max(free)
+    }
+
+    /// Earliest cycle at which `inst` could issue if it were chosen next,
+    /// given that its data is ready at `ready` (a
+    /// [`data_ready`](IssueState::data_ready) value still current for
+    /// this state).
+    #[inline]
+    pub fn slot_from(&self, inst: &Inst, ready: u64) -> u64 {
+        self.slot(self.machine.timing(inst.opcode()), ready)
     }
 
     /// Earliest cycle at which `inst` could issue if it were chosen next.
     pub fn earliest_issue(&self, inst: &Inst) -> u64 {
-        self.find_slot(inst).0
+        self.slot_from(inst, self.data_ready(inst))
     }
 
     /// Issues `inst` as the next instruction; returns its issue cycle.
     pub fn issue(&mut self, inst: &Inst) -> u64 {
-        let op = inst.opcode();
-        let (c, unit) = self.find_slot(inst);
+        let cycle = self.earliest_issue(inst);
+        self.issue_at(inst, cycle);
+        cycle
+    }
+
+    /// Issues `inst` as the next instruction at cycle `c`, which must be
+    /// its [`earliest_issue`](IssueState::earliest_issue) (a caller that
+    /// already computed the slot commits it without searching again).
+    pub fn issue_at(&mut self, inst: &Inst, c: u64) {
+        debug_assert_eq!(c, self.earliest_issue(inst), "issue_at must commit the earliest slot");
+        let row = self.machine.timing(inst.opcode());
         if c > self.cur_cycle {
             self.cur_cycle = c;
             self.nonbranch_in_cycle = 0;
             self.branch_in_cycle = 0;
         }
-        if op.unit_class() == UnitClass::Branch {
+        if row.branch {
             self.branch_in_cycle += 1;
         } else {
             self.nonbranch_in_cycle += 1;
         }
-        let lat = self.machine.latencies().latency(op) as u64;
-        let occupancy = self.machine.latencies().unit_occupancy(op) as u64;
-        self.unit_free[unit.index()] = c + occupancy;
-        self.last_issue = c;
-        let done = c + lat;
+        // The first of the opcode's units free by `c`; the slot search
+        // guarantees one.
+        let mut units = row.units.bits();
+        let unit = loop {
+            debug_assert!(units != 0, "the slot has a free unit");
+            let u = units.trailing_zeros() as usize;
+            if self.unit_free[u] <= c {
+                break u;
+            }
+            units &= units - 1;
+        };
+        self.unit_free[unit] = c + u64::from(row.occupancy);
+        let done = c + u64::from(row.latency);
         self.max_completion = self.max_completion.max(done);
         for &d in inst.defs() {
             self.reg_ready.set(d, done);
         }
         if let Some(m) = inst.mem_ref() {
-            if op.is_store() {
+            if row.store {
                 self.store_done.push((m, done));
                 self.load_issued.clear();
             } else {
                 self.load_issued.push((m, c));
             }
         }
-        if is_serializing(op) {
+        if row.serializing {
             self.barrier_floor = done;
         }
-        c
     }
 }
 
@@ -261,7 +320,7 @@ impl<'m> CostModel<'m> {
                     }
                 }
             }
-            let done = start + self.machine.latencies().latency(inst.opcode()) as u64;
+            let done = start + u64::from(self.machine.latency(inst.opcode()));
             for &d in inst.defs() {
                 def_done.set(d, done);
             }
@@ -279,7 +338,7 @@ impl<'m> CostModel<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wts_ir::{MemSpace, Reg};
+    use wts_ir::{MemSpace, Opcode, Reg};
 
     fn m() -> MachineConfig {
         MachineConfig::ppc7410()

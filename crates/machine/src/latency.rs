@@ -130,6 +130,7 @@ impl LatencyTable {
     }
 
     /// Latency of `op` in cycles (always at least 1).
+    #[inline]
     pub fn latency(&self, op: Opcode) -> u32 {
         self.latency[op.index()]
     }
@@ -146,6 +147,7 @@ impl LatencyTable {
     }
 
     /// True when `op` occupies its functional unit for its whole latency.
+    #[inline]
     pub fn is_non_pipelined(&self, op: Opcode) -> bool {
         self.non_pipelined[op.index()]
     }
@@ -156,6 +158,7 @@ impl LatencyTable {
     }
 
     /// Cycles the functional unit stays busy after `op` issues.
+    #[inline]
     pub fn unit_occupancy(&self, op: Opcode) -> u32 {
         if self.is_non_pipelined(op) {
             self.latency(op)

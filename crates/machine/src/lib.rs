@@ -51,6 +51,7 @@ mod provider;
 pub mod registry;
 mod unit;
 
+pub(crate) use config::OpTiming;
 pub use config::{MachineBuilder, MachineConfig};
 pub use cost::{CostModel, IssueState};
 pub use latency::LatencyTable;

@@ -1,8 +1,8 @@
 //! The detailed out-of-order pipeline simulator (hardware stand-in).
 
-use crate::{FunctionalUnit, MachineConfig};
+use crate::{FunctionalUnit, MachineConfig, OpTiming};
 use std::cell::RefCell;
-use wts_ir::{BasicBlock, Inst, Opcode, RegTable, UnitClass};
+use wts_ir::{BasicBlock, Inst, RegTable};
 
 /// A more detailed simulator than [`CostModel`](crate::CostModel): it
 /// models a small out-of-order window (the 7410's limited dynamic
@@ -96,24 +96,9 @@ struct SimScratch {
     loads_since_store: Vec<u32>,
     since_barrier: Vec<u32>,
     /// What the issue loop reads of each instruction, looked up once.
-    slots: Vec<IssueSlot>,
+    slots: Vec<OpTiming>,
     /// Completion cycle of each instruction, [`UNISSUED`] until it issues.
     done: Vec<u64>,
-}
-
-/// One instruction's issue constraints on the simulated machine.
-#[derive(Clone, Copy)]
-struct IssueSlot {
-    /// Issues against the branch budget rather than the non-branch one.
-    branch: bool,
-    /// Bit [`FunctionalUnit::index`] set for every unit that executes it.
-    units: u8,
-    latency: u64,
-    occupancy: u64,
-}
-
-fn is_serializing(op: Opcode) -> bool {
-    matches!(op, Opcode::Sync | Opcode::Isync) || op.is_call()
 }
 
 fn offset(len: usize) -> u32 {
@@ -123,7 +108,7 @@ fn offset(len: usize) -> u32 {
 impl SimScratch {
     /// The dependence scan: records every instruction's completion and
     /// issue predecessors, in program order.
-    fn scan_deps(&mut self, insts: &[Inst]) {
+    fn scan_deps(&mut self, machine: &MachineConfig, insts: &[Inst]) {
         self.completion_off.clear();
         self.completion.clear();
         self.issue_off.clear();
@@ -185,7 +170,7 @@ impl SimScratch {
             if let Some(b) = last_barrier {
                 self.completion.push(b);
             }
-            if is_serializing(op) {
+            if machine.timing(op).serializing {
                 self.completion.extend_from_slice(&self.since_barrier);
                 last_barrier = Some(i);
                 self.since_barrier.clear();
@@ -210,20 +195,11 @@ impl SimScratch {
     /// Simulates `insts` (non-empty) on `machine`; returns the cycle the
     /// last instruction completes.
     fn simulate(&mut self, machine: &MachineConfig, insts: &[Inst]) -> u64 {
-        self.scan_deps(insts);
+        self.scan_deps(machine, insts);
         let n = insts.len();
-        let lat = machine.latencies();
         let window = machine.window();
         self.slots.clear();
-        self.slots.extend(insts.iter().map(|inst| {
-            let op = inst.opcode();
-            IssueSlot {
-                branch: op.unit_class() == UnitClass::Branch,
-                units: machine.units_for(op.unit_class()).iter().fold(0, |mask, u| mask | 1 << u.index()),
-                latency: u64::from(lat.latency(op)),
-                occupancy: u64::from(lat.unit_occupancy(op)),
-            }
-        }));
+        self.slots.extend(insts.iter().map(|inst| *machine.timing(inst.opcode())));
         self.done.clear();
         self.done.resize(n, UNISSUED);
         let done = &mut self.done;
@@ -236,7 +212,7 @@ impl SimScratch {
         // horizon (sum of all latencies plus the block length is a safe
         // over-estimate).
         let length = u64::try_from(n).expect("block length fits u64");
-        let horizon: u64 = insts.iter().map(|i| u64::from(lat.latency(i.opcode()))).sum::<u64>() + length + 64;
+        let horizon: u64 = insts.iter().map(|i| u64::from(machine.latency(i.opcode()))).sum::<u64>() + length + 64;
 
         while oldest < n {
             assert!(cycle <= horizon, "pipeline simulator failed to make progress");
@@ -278,7 +254,7 @@ impl SimScratch {
                     // The first free capable unit, in index order.
                     let mut free_unit = None;
                     for (u, &free) in unit_free.iter().enumerate() {
-                        if slot.units & (1 << u) != 0 {
+                        if slot.units.bits() & (1 << u) != 0 {
                             if free <= cycle {
                                 free_unit = Some(u);
                                 break;
@@ -289,10 +265,10 @@ impl SimScratch {
                     let Some(u) = free_unit else {
                         continue;
                     };
-                    let completes = cycle + slot.latency;
+                    let completes = cycle + u64::from(slot.latency);
                     done[i] = completes;
                     max_done = max_done.max(completes);
-                    unit_free[u] = cycle + slot.occupancy;
+                    unit_free[u] = cycle + u64::from(slot.occupancy);
                     *budget -= 1;
                     progress = true;
                 }
@@ -345,7 +321,7 @@ impl<'m> PipelineSim<'m> {
 mod tests {
     use super::*;
     use crate::CostModel;
-    use wts_ir::{MemRef, MemSpace, Reg};
+    use wts_ir::{MemRef, MemSpace, Opcode, Reg};
 
     fn m() -> MachineConfig {
         MachineConfig::ppc7410()

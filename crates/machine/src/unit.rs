@@ -41,6 +41,7 @@ impl FunctionalUnit {
     pub const COUNT: usize = 6;
 
     /// Dense index for table lookups.
+    #[inline]
     pub fn index(self) -> usize {
         self as usize
     }
@@ -79,6 +80,7 @@ pub struct UnitSet(u8);
 
 impl UnitSet {
     /// The empty set.
+    #[inline]
     pub fn new() -> UnitSet {
         UnitSet(0)
     }
@@ -93,23 +95,34 @@ impl UnitSet {
     }
 
     /// Adds a unit.
+    #[inline]
     pub fn insert(&mut self, u: FunctionalUnit) {
         self.0 |= 1 << u.index();
     }
 
     /// Membership test.
+    #[inline]
     pub fn contains(self, u: FunctionalUnit) -> bool {
         self.0 & (1 << u.index()) != 0
     }
 
     /// Number of members.
+    #[inline]
     pub fn len(self) -> usize {
         self.0.count_ones() as usize
     }
 
     /// True when empty.
+    #[inline]
     pub fn is_empty(self) -> bool {
         self.0 == 0
+    }
+
+    /// The members as a bitmask: bit [`FunctionalUnit::index`] is set
+    /// for every member.
+    #[inline]
+    pub(crate) fn bits(self) -> u8 {
+        self.0
     }
 
     /// Iterates over members in index order.

@@ -12,6 +12,20 @@ use wts_machine::{IssueState, MachineConfig};
 /// labeling (via [`IssueState`]) to determine when each candidate could
 /// start, exactly as the paper's scheduler consults its block timing
 /// simulator while making decisions (§2.2, footnote 3).
+///
+/// The policies that key on the start cycle (`CriticalPath` and
+/// `EarliestStart`) cache each ready instruction's data-ready cycle
+/// ([`IssueState::data_ready`]): it is computed once when the
+/// instruction enters the ready list, and each pick's key is the cheap
+/// slot search from it ([`IssueState::slot_from`]). After an issue of
+/// `I`, a candidate `X`'s cached cycle is recomputed only when
+/// [`IssueState::moves_ready`] holds: `I` defines a register `X` uses,
+/// both access memory, or either is serializing. Those are exactly the
+/// inputs the data-ready cycle reads, so the cache never holds a stale
+/// value, whatever the dependence graph does or does not order. The
+/// winner is committed at the slot its key already found
+/// ([`IssueState::issue_at`]). `CriticalPathOnly` and `Random` never read
+/// a start cycle and issue through [`IssueState::issue`].
 #[derive(Debug, Clone)]
 pub struct ListScheduler<'m> {
     machine: &'m MachineConfig,
@@ -123,16 +137,41 @@ impl<'m> ListScheduler<'m> {
         scratch.ready.clear();
         scratch.ready.extend((0..n).filter(|&i| scratch.remaining_preds[i] == 0));
         scratch.state.reset();
+        // The policies whose key reads the start cycle cache each ready
+        // instruction's data-ready cycle.
+        let cached = matches!(self.policy, SchedulePolicy::CriticalPath | SchedulePolicy::EarliestStart);
+        let state = &mut scratch.state;
+        let data_ready = &mut scratch.data_ready;
+        data_ready.clear();
+        data_ready.resize(n, 0);
+        if cached {
+            for &i in &scratch.ready {
+                data_ready[i] = state.data_ready(&insts[i]);
+            }
+        }
 
-        while let Some(pos) = self.select(&scratch.ready, &scratch.cp, &scratch.state, insts, &mut rng) {
+        while let Some((pos, slot)) = self.select(&scratch.ready, &scratch.cp, data_ready, state, insts, &mut rng) {
             let chosen = scratch.ready.swap_remove(pos);
-            scratch.state.issue(&insts[chosen]);
+            let inst = &insts[chosen];
+            if cached {
+                state.issue_at(inst, slot);
+                for &x in &scratch.ready {
+                    if state.moves_ready(inst, &insts[x]) {
+                        data_ready[x] = state.data_ready(&insts[x]);
+                    }
+                }
+            } else {
+                state.issue(inst);
+            }
             out.order.push(chosen);
             for &(s, _) in scratch.graph.succs(chosen) {
                 let s = s as usize;
                 scratch.remaining_preds[s] -= 1;
                 if scratch.remaining_preds[s] == 0 {
                     scratch.ready.push(s);
+                    if cached {
+                        data_ready[s] = state.data_ready(&insts[s]);
+                    }
                 }
             }
         }
@@ -171,31 +210,34 @@ impl<'m> ListScheduler<'m> {
         }
     }
 
-    /// Picks the index *within `ready`* of the next instruction.
+    /// Picks the index *within `ready`* of the next instruction, with the
+    /// cycle it issues in when the policy keys on it (zero otherwise).
     fn select(
         &self,
         ready: &[usize],
         cp: &[u64],
+        data_ready: &[u64],
         state: &IssueState<'_>,
         insts: &[Inst],
         rng: &mut XorShift64,
-    ) -> Option<usize> {
+    ) -> Option<(usize, u64)> {
         if ready.is_empty() {
             return None;
         }
         let pick = match self.policy {
-            SchedulePolicy::Random(_) => rng.pick(ready.len()),
+            SchedulePolicy::Random(_) => (rng.pick(ready.len()), 0),
             SchedulePolicy::CriticalPath | SchedulePolicy::EarliestStart | SchedulePolicy::CriticalPathOnly => {
+                let key = |i: usize| self.key(i, cp, data_ready, state, insts);
                 let mut best = 0;
-                let mut best_key = self.key(ready[0], cp, state, insts);
+                let mut best_key = key(ready[0]);
                 for (k, &ki) in ready.iter().enumerate().skip(1) {
-                    let key = self.key(ki, cp, state, insts);
+                    let key = key(ki);
                     if key < best_key {
                         best = k;
                         best_key = key;
                     }
                 }
-                best
+                (best, best_key.0)
             }
         };
         Some(pick)
@@ -208,17 +250,19 @@ impl<'m> ListScheduler<'m> {
     /// the critical path; `CriticalPathOnly` ignores the start time. The
     /// critical path is kept as `Reverse<u64>` — latency-weighted paths
     /// are `u64` and a negated `as i64` cast would wrap on pathological
-    /// blocks, inverting the priority.
+    /// blocks, inverting the priority. The start is the slot search from
+    /// the cached data-ready cycle.
     fn key(
         &self,
         i: usize,
         cp: &[u64],
+        data_ready: &[u64],
         state: &IssueState<'_>,
         insts: &[Inst],
     ) -> (u64, std::cmp::Reverse<u64>, usize) {
         let start = match self.policy {
             SchedulePolicy::CriticalPathOnly => 0,
-            _ => state.earliest_issue(&insts[i]),
+            _ => state.slot_from(&insts[i], data_ready[i]),
         };
         let prio = match self.policy {
             SchedulePolicy::EarliestStart => 0,

@@ -8,12 +8,12 @@ use wts_machine::{IssueState, MachineConfig};
 /// One instance per thread that schedules, passed to the
 /// [`ListScheduler`](crate::ListScheduler) `*_into` entry points and
 /// reused across every block it schedules: the dependence-graph builder,
-/// the graph storage, the critical-path / ready / in-degree buffers and
-/// both machine-state simulators are all allocated once, so steady-state
-/// scheduling performs no heap allocation. Long-lived owners keep one
-/// warm across calls: a compile session pools one per concurrent shard
-/// and hands it to each compile, trace collection holds one per shard,
-/// and the serving path one per worker.
+/// the graph storage, the critical-path / ready / in-degree / data-ready
+/// buffers and both machine-state simulators are all allocated once, so
+/// steady-state scheduling performs no heap allocation. Long-lived
+/// owners keep one warm across calls: a compile session pools one per
+/// concurrent shard and hands it to each compile, trace collection holds
+/// one per shard, and the serving path one per worker.
 ///
 /// A scratch is tied to the machine it was created for (it embeds
 /// machine-state simulators); the scheduler debug-asserts that it is
@@ -41,6 +41,9 @@ pub struct SchedScratch<'m> {
     pub(crate) cp: Vec<u64>,
     pub(crate) remaining_preds: Vec<u32>,
     pub(crate) ready: Vec<usize>,
+    /// Cached data-ready cycle of each ready instruction, by instruction
+    /// index (the cycle-driven policies only).
+    pub(crate) data_ready: Vec<u64>,
     pub(crate) before_state: IssueState<'m>,
     pub(crate) state: IssueState<'m>,
     pub(crate) last_edges: usize,
@@ -56,6 +59,7 @@ impl<'m> SchedScratch<'m> {
             cp: Vec::new(),
             remaining_preds: Vec::new(),
             ready: Vec::new(),
+            data_ready: Vec::new(),
             before_state: IssueState::new(machine),
             state: IssueState::new(machine),
             last_edges: 0,

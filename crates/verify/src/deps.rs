@@ -82,8 +82,8 @@ pub fn oracle_edges(insts: &[Inst], speculative: bool) -> Vec<(usize, usize, Dep
         }
 
         // Memory: any access orders after every may-aliasing prior store;
-        // a store additionally orders after aliasing loads issued since
-        // the last store.
+        // a store additionally orders after aliasing loads no earlier
+        // store has covered.
         if let Some(m) = inst.mem_ref() {
             for &s in &stores {
                 if m.may_alias(insts[s].mem_ref().expect("stores carry memrefs")) {
@@ -152,7 +152,15 @@ pub fn oracle_edges(insts: &[Inst], speculative: bool) -> Vec<(usize, usize, Dep
         }
         if op.is_store() {
             stores.push(i);
-            loads_since_store.clear();
+            // A store retires only the loads it covers (same space, and
+            // its slot unknown or the load's): a later store aliasing
+            // such a load aliases this store too and orders through it.
+            if let Some(m) = inst.mem_ref() {
+                loads_since_store.retain(|&l| {
+                    let lm = insts[l].mem_ref().expect("loads carry memrefs");
+                    !(lm.space() == m.space() && (m.slot_id().is_none() || m.slot_id() == lm.slot_id()))
+                });
+            }
         } else if op.is_load() {
             loads_since_store.push(i);
         }
@@ -339,6 +347,25 @@ mod tests {
         assert!(edges.contains(&(1, 2, DepKind::Control)), "store stays below the exit: {edges:?}");
         // The two stores never alias and get no direct edge.
         assert!(!edges.iter().any(|&(f, t, _)| (f, t) == (0, 2)), "{edges:?}");
+    }
+
+    /// Regression: the oracle used to retire every pending load at any
+    /// store, sharing the production graph's defect, so a store hoisted
+    /// above an earlier load of its slot passed every check.
+    #[test]
+    fn oracle_orders_a_store_after_a_load_an_unrelated_store_does_not_cover() {
+        let heap = |slot| MemRef::slot(MemSpace::Heap, slot);
+        let insts = vec![
+            Inst::new(Opcode::Lwz).def(Reg::gpr(1)).mem(heap(1)),
+            Inst::new(Opcode::Stw).use_(Reg::gpr(2)).mem(heap(2)),
+            Inst::new(Opcode::Stw).use_(Reg::gpr(3)).mem(heap(1)),
+        ];
+        for speculative in [false, true] {
+            let edges = oracle_edges(&insts, speculative);
+            assert!(edges.contains(&(0, 2, DepKind::Memory)), "speculative={speculative}: {edges:?}");
+            let diags = clean(&insts, speculative);
+            assert!(diags.is_empty(), "speculative={speculative}:\n{}", crate::render(&diags));
+        }
     }
 
     #[test]
