@@ -50,19 +50,44 @@ impl LabelConfig {
 /// need the numeric order (fold sharding, group-indexed tables) must
 /// read the ids, not the map position.
 pub fn build_dataset(traces: &[TraceRecord], config: LabelConfig) -> (Dataset, BTreeMap<String, u32>) {
-    let mut groups: BTreeMap<String, u32> = BTreeMap::new();
+    let mut data = Dataset::new(attr_names(), POS_LABEL, NEG_LABEL);
+    let mut groups = BTreeMap::new();
+    label_into(&mut data, &mut groups, traces, config);
+    (data, groups)
+}
+
+/// Class names of every labelled dataset: `list` (schedule) and `orig`.
+pub(crate) const POS_LABEL: &str = "list";
+pub(crate) const NEG_LABEL: &str = "orig";
+
+/// The learner's attribute names: the full feature vocabulary, in
+/// [`FeatureKind::ALL`] order.
+pub(crate) fn attr_names() -> Vec<String> {
+    FeatureKind::ALL.iter().map(|k| k.rule_name().to_string()).collect()
+}
+
+/// Labels `traces` onto `data`, numbering benchmarks in `groups` in
+/// first-seen order — over every record, labelled or dropped, so a
+/// corpus labelled in pieces gets the ids it would get in one call.
+pub(crate) fn label_into(
+    data: &mut Dataset,
+    groups: &mut BTreeMap<String, u32>,
+    traces: &[TraceRecord],
+    config: LabelConfig,
+) {
     for r in traces {
-        let next = u32::try_from(groups.len()).expect("benchmark counts fit u32");
-        groups.entry(r.benchmark.clone()).or_insert(next);
-    }
-    let attr_names: Vec<String> = FeatureKind::ALL.iter().map(|k| k.rule_name().to_string()).collect();
-    let mut data = Dataset::new(attr_names, "list", "orig");
-    for r in traces {
+        let group = match groups.get(&r.benchmark) {
+            Some(&g) => g,
+            None => {
+                let g = u32::try_from(groups.len()).expect("benchmark counts fit u32");
+                groups.insert(r.benchmark.clone(), g);
+                g
+            }
+        };
         if let Some(positive) = config.label(r) {
-            data.push(r.features.as_slice().to_vec(), positive, groups[&r.benchmark]);
+            data.push(r.features.as_slice().to_vec(), positive, group);
         }
     }
-    (data, groups)
 }
 
 #[cfg(test)]

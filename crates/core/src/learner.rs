@@ -31,7 +31,7 @@
 //! [`LearnerKind::portfolio`]) so the cross-machine portfolio table
 //! picks it up.
 
-use wts_ripper::{Dataset, DecisionStump, RipperConfig, RuleSet, ShallowTree};
+use wts_ripper::{Dataset, RipperConfig, RuleSet, ShallowTree, StumpCounts};
 
 /// An induction backend: fits a labeled dataset into an ordered rule
 /// set, the common form every filter lowers to the compiled engine
@@ -107,9 +107,8 @@ impl LearnerKind {
 
 impl Learner for LearnerKind {
     fn fit(&self, data: &Dataset) -> RuleSet {
-        // The stump/tree backends lower through the same stats
-        // attribution RIPPER's finish pass uses, so their rules carry
-        // honest leaf class frequencies: each lowered rule's
+        // The stump/tree backends carry honest leaf class frequencies,
+        // as RIPPER's finish pass attributes them: each lowered rule's
         // (hits/misses) record is the training composition of the
         // instances it fires on first, and the default record is the
         // reject region's. The calibrated scores the compiled engine
@@ -120,11 +119,11 @@ impl Learner for LearnerKind {
         };
         match self {
             LearnerKind::Ripper(config) => config.fit(data),
-            // The sweeps need at least one instance; an empty fold
-            // lowers to the empty rule set (predict-all-negative),
-            // matching RIPPER's behaviour on no data.
-            LearnerKind::Stump if data.is_empty() => lowered(vec![]),
-            LearnerKind::Stump => lowered(DecisionStump::fit(data).to_rules()),
+            // The stump reads only per-value class counts, and reads its
+            // stats off them too; an empty fold lowers to the empty rule
+            // set (predict-all-negative), matching RIPPER on no data.
+            LearnerKind::Stump => StumpCounts::of(data).rule_set(),
+            // The tree sweep needs at least one instance.
             LearnerKind::Tree { .. } if data.is_empty() => lowered(vec![]),
             LearnerKind::Tree { max_depth, min_leaf } => {
                 lowered(ShallowTree::fit(data, *max_depth, *min_leaf).to_rules())
@@ -144,7 +143,7 @@ impl Learner for LearnerKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wts_ripper::Classifier;
+    use wts_ripper::{Classifier, DecisionStump};
 
     fn dataset() -> Dataset {
         let mut d = Dataset::new(vec!["x".into(), "y".into()], "list", "orig");

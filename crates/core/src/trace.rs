@@ -596,11 +596,22 @@ impl<'m> UnitServer<'m> {
                 totals.sched_work += sched_work;
             }
             UnitMode::Record(sink) => {
-                self.outcome.permute_into(insts, &mut self.scheduled);
+                // A schedule that keeps the original order is the same
+                // sequence, so its provider cycles are the unscheduled
+                // ones: no permute and no second simulation.
+                let reordered = self.outcome.changed();
+                if reordered {
+                    self.outcome.permute_into(insts, &mut self.scheduled);
+                }
+                let cycles = |p: &dyn CostProvider| {
+                    let before = p.sequence_cycles(insts);
+                    (before, if reordered { p.sequence_cycles(&self.scheduled) } else { before })
+                };
                 let (est_unsched, est_sched) = match sink.estimated {
                     None => (self.outcome.cycles_before, self.outcome.cycles_after),
-                    Some(p) => (p.sequence_cycles(insts), p.sequence_cycles(&self.scheduled)),
+                    Some(p) => cycles(p),
                 };
+                let (hw_unsched, hw_sched) = cycles(sink.measured);
                 let feature_work = insts.len() as u64;
                 let (sched_ns, feature_ns) = match sink.timing {
                     TimingMode::WallClock => (nanos(t2 - t1), nanos(t1 - t0)),
@@ -614,8 +625,8 @@ impl<'m> UnitServer<'m> {
                     features,
                     est_unsched,
                     est_sched,
-                    hw_unsched: sink.measured.sequence_cycles(insts),
-                    hw_sched: sink.measured.sequence_cycles(&self.scheduled),
+                    hw_unsched,
+                    hw_sched,
                     sched_ns,
                     feature_ns,
                     sched_work,

@@ -1,10 +1,12 @@
 //! Filter training: any [`Learner`] backend over labeled traces, with
 //! the paper's leave-one-benchmark-out protocol.
 
+use crate::label::{attr_names, label_into, NEG_LABEL, POS_LABEL};
 use crate::learner::{Learner, LearnerKind};
 use crate::{build_dataset, LabelConfig, LearnedFilter, TraceRecord};
+use std::collections::BTreeMap;
 use wts_ir::ScopeKind;
-use wts_ripper::{leave_one_group_out, RipperConfig};
+use wts_ripper::{leave_one_group_out, Dataset, RipperConfig, StumpCounts};
 
 /// Training configuration: labeling threshold + induction backend +
 /// scheduling scope.
@@ -56,20 +58,103 @@ impl TrainConfig {
 }
 
 /// Trains a single filter on *all* the given traces ("at the factory",
-/// §3). Use [`train_loocv`] for the evaluation protocol.
-///
-/// In a debug build every trained artifact is run through the
-/// `wts-verify` model lint before it is returned — an incoherent rule
-/// set (shadowed rules, contradictory conjunctions, non-finite
-/// thresholds, demand-mask drift) panics here instead of misdeciding
-/// silently in production.
+/// §3): a [`Trainer`] that absorbs them and fits once. Use
+/// [`train_loocv`] for the evaluation protocol.
 pub fn train_filter(traces: &[TraceRecord], config: &TrainConfig) -> LearnedFilter {
-    let (data, _) = build_dataset(traces, config.label);
-    let rules = config.learner.fit(&data);
-    let filter = LearnedFilter::with_learner(rules, config.label.threshold_percent, config.filter_tag());
-    #[cfg(debug_assertions)]
-    crate::filter::assert_model_lints_clean(&filter, &filter.compile(), filter.name());
-    filter
+    let mut trainer = Trainer::new(config);
+    trainer.absorb(traces);
+    trainer.fit()
+}
+
+/// Incremental filter training over a growing corpus.
+///
+/// Each record is labelled once, when it is absorbed, and only what the
+/// configured learner reads is kept: per-feature class counts for the
+/// stump ([`StumpCounts`], so a fit is set by the distinct feature
+/// values, however large the corpus grows), and the labelled
+/// [`Dataset`], grown in place, for RIPPER and the tree. A fit after
+/// absorbing any sequence of chunks is bit-identical to
+/// [`train_filter`] on their concatenation.
+///
+/// # Examples
+///
+/// ```
+/// use wts_core::{collect_trace, train_filter, LearnerKind, TraceOptions, TrainConfig, Trainer};
+/// use wts_machine::MachineConfig;
+///
+/// let machine = MachineConfig::ppc7410();
+/// let traces: Vec<_> = wts_core::testutil::learnable_suite(2)
+///     .iter()
+///     .flat_map(|p| collect_trace(p, &machine, &TraceOptions::default()))
+///     .collect();
+/// let config = TrainConfig::with_learner(0, LearnerKind::Stump);
+/// let mut trainer = Trainer::new(&config);
+/// for chunk in traces.chunks(7) {
+///     trainer.absorb(chunk);
+/// }
+/// assert_eq!(trainer.fit(), train_filter(&traces, &config));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Trainer {
+    config: TrainConfig,
+    absorbed: Absorbed,
+}
+
+/// What a [`Trainer`] keeps of the records it absorbed.
+#[derive(Debug, Clone)]
+enum Absorbed {
+    /// The stump reads only per-value class counts.
+    Counts(StumpCounts),
+    /// RIPPER and the tree read the labelled instances; `groups` numbers
+    /// benchmarks as [`build_dataset`] does.
+    Instances { data: Dataset, groups: BTreeMap<String, u32> },
+}
+
+impl Trainer {
+    /// A trainer with nothing absorbed yet.
+    pub fn new(config: &TrainConfig) -> Trainer {
+        let absorbed = match config.learner {
+            LearnerKind::Stump => Absorbed::Counts(StumpCounts::new(attr_names(), POS_LABEL, NEG_LABEL)),
+            _ => {
+                Absorbed::Instances { data: Dataset::new(attr_names(), POS_LABEL, NEG_LABEL), groups: BTreeMap::new() }
+            }
+        };
+        Trainer { config: config.clone(), absorbed }
+    }
+
+    /// Labels `traces` at the configured threshold and absorbs the
+    /// labelled ones, in order.
+    pub fn absorb(&mut self, traces: &[TraceRecord]) {
+        let label = self.config.label;
+        match &mut self.absorbed {
+            Absorbed::Counts(counts) => {
+                for r in traces {
+                    if let Some(positive) = label.label(r) {
+                        counts.push(r.features.as_slice(), positive);
+                    }
+                }
+            }
+            Absorbed::Instances { data, groups } => label_into(data, groups, traces, label),
+        }
+    }
+
+    /// Fits the configured learner on everything absorbed so far.
+    ///
+    /// In a debug build every trained artifact is run through the
+    /// `wts-verify` model lint before it is returned — an incoherent
+    /// rule set (shadowed rules, contradictory conjunctions, non-finite
+    /// thresholds, demand-mask drift) panics here instead of misdeciding
+    /// silently in production.
+    pub fn fit(&self) -> LearnedFilter {
+        let rules = match &self.absorbed {
+            Absorbed::Counts(counts) => counts.rule_set(),
+            Absorbed::Instances { data, .. } => self.config.learner.fit(data),
+        };
+        let filter = LearnedFilter::with_learner(rules, self.config.label.threshold_percent, self.config.filter_tag());
+        #[cfg(debug_assertions)]
+        crate::filter::assert_model_lints_clean(&filter, &filter.compile(), filter.name());
+        filter
+    }
 }
 
 /// Leave-one-benchmark-out cross-validation: for each benchmark in the

@@ -132,9 +132,12 @@ mod tests {
         let e = harness();
         let pair = e.fig2();
         // Every threshold's geometric-mean work ratio must be below 1.
+        // The last column is the wall-clock "Measured gm"; the work
+        // ratio's geometric mean is the one before it.
         let cols = pair.sched_time.headers().len();
+        assert_eq!(pair.sched_time.headers()[cols - 2], "Geo. mean");
         for row in 0..pair.sched_time.row_count() {
-            let v: f64 = pair.sched_time.cell(row, cols - 1).parse().unwrap();
+            let v: f64 = pair.sched_time.cell(row, cols - 2).parse().unwrap();
             assert!(v < 1.0, "filtered scheduling must beat always-scheduling, got {v}");
         }
     }

@@ -7,7 +7,8 @@
 //! tree (the method of Calder et al. and Monsifrot et al. in §5).
 
 use crate::data::Dataset;
-use crate::rule::{Condition, Op, Rule, RuleSet};
+use crate::rule::{Condition, Op, Rule, RuleSet, RuleStats};
+use std::collections::BTreeMap;
 
 /// The greatest `f64` strictly below `v` (identity on NaN and
 /// `NEG_INFINITY`). Local stand-in for `f64::next_down`, which is not
@@ -93,45 +94,10 @@ pub struct DecisionStump {
 }
 
 impl DecisionStump {
-    /// Fits the best stump by exhaustive threshold search.
+    /// Fits the best stump by exhaustive threshold search: the
+    /// [`StumpCounts`] sweep over `data`'s class counts.
     pub fn fit(data: &Dataset) -> DecisionStump {
-        let mut best =
-            DecisionStump { attr: 0, threshold: f64::NEG_INFINITY, ge_positive: data.positives() * 2 > data.len() };
-        let mut best_err = usize::MAX;
-        for attr in 0..data.attr_count() {
-            let mut col: Vec<(f64, bool)> = data.instances().iter().map(|i| (i.values[attr], i.positive)).collect();
-            col.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-            let total_pos = col.iter().filter(|e| e.1).count();
-            let total = col.len();
-            // For threshold = v (a data value), `>= v` covers the suffix.
-            let mut pos_before = 0usize;
-            let mut before = 0usize;
-            let mut j = 0;
-            while j < col.len() {
-                let v = col[j].0;
-                // Evaluate threshold at the start of this run.
-                let pos_suffix = total_pos - pos_before;
-                let suffix = total - before;
-                // Variant 1: ge_positive=true — errors: negatives in suffix + positives in prefix.
-                let err_true = (suffix - pos_suffix) + pos_before;
-                // Variant 2: ge_positive=false — complement.
-                let err_false = pos_suffix + (before - pos_before);
-                for (err, gep) in [(err_true, true), (err_false, false)] {
-                    if err < best_err {
-                        best_err = err;
-                        best = DecisionStump { attr, threshold: v, ge_positive: gep };
-                    }
-                }
-                while j < col.len() && col[j].0 == v {
-                    if col[j].1 {
-                        pos_before += 1;
-                    }
-                    before += 1;
-                    j += 1;
-                }
-            }
-        }
-        best
+        StumpCounts::of(data).fit()
     }
 
     /// The attribute tested.
@@ -142,6 +108,11 @@ impl DecisionStump {
     /// The threshold.
     pub fn threshold(&self) -> f64 {
         self.threshold
+    }
+
+    /// True when `value >= threshold` predicts the positive class.
+    pub fn ge_positive(&self) -> bool {
+        self.ge_positive
     }
 
     /// Lowers the stump to ordered-rule form: one rule whose single
@@ -171,6 +142,178 @@ impl Classifier for DecisionStump {
 
     fn name(&self) -> &'static str {
         "stump"
+    }
+}
+
+/// How many instances, and how many positives, share one attribute
+/// value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ValueCount {
+    /// The first value absorbed under this key: `-0.0` and `0.0` share
+    /// a key, and the one seen first is the threshold a stump reports,
+    /// as the first element of a run in a stable sort would be.
+    first: f64,
+    instances: usize,
+    positives: usize,
+}
+
+/// A labelled dataset reduced to what a [`DecisionStump`] reads: for
+/// each attribute, `value → (instances, positives)`.
+///
+/// A stump's error at a threshold depends only on how many instances
+/// and positives fall on either side of it, so the class counts per
+/// distinct value are a sufficient statistic. Instances are absorbed
+/// one at a time ([`push`](StumpCounts::push)), and a fit walks the
+/// distinct values in order without sorting or re-reading any instance
+/// — which is what lets a retraining loop fold a growing corpus at a
+/// cost set by its distinct values, not its size. The counts sit in
+/// ordered maps, not hash tables: the values come from served code, and
+/// an ordered map has no collisions for crafted values to force.
+///
+/// # Examples
+///
+/// ```
+/// use wts_ripper::{Classifier, StumpCounts};
+/// let mut counts = StumpCounts::new(vec!["x".into()], "LS", "NS");
+/// for i in 0..10 {
+///     counts.push(&[i as f64], i >= 6);
+/// }
+/// let stump = counts.fit();
+/// assert_eq!(stump.threshold(), 6.0);
+/// assert!(stump.predict(&[7.0]) && !stump.predict(&[2.0]));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct StumpCounts {
+    attr_names: Vec<String>,
+    pos_label: String,
+    neg_label: String,
+    /// Per attribute, the counts keyed by [`order_key`], so iteration is
+    /// ascending value order.
+    columns: Vec<BTreeMap<u64, ValueCount>>,
+    len: usize,
+    positives: usize,
+}
+
+/// A key whose unsigned order is the numeric order of finite `f64`s,
+/// with `-0.0` and `0.0` (which compare equal) on one key.
+fn order_key(v: f64) -> u64 {
+    let bits = if v == 0.0 { 0.0f64.to_bits() } else { v.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+impl StumpCounts {
+    /// Empty counts with the given attribute and class names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `attr_names` is empty.
+    pub fn new(attr_names: Vec<String>, pos_label: impl Into<String>, neg_label: impl Into<String>) -> StumpCounts {
+        assert!(!attr_names.is_empty(), "a dataset needs at least one attribute");
+        StumpCounts {
+            columns: vec![BTreeMap::new(); attr_names.len()],
+            attr_names,
+            pos_label: pos_label.into(),
+            neg_label: neg_label.into(),
+            len: 0,
+            positives: 0,
+        }
+    }
+
+    /// The counts of every instance of `data`, in instance order.
+    pub fn of(data: &Dataset) -> StumpCounts {
+        let mut counts = StumpCounts::new(data.attr_names().to_vec(), data.pos_label(), data.neg_label());
+        for inst in data.instances() {
+            counts.push(&inst.values, inst.positive);
+        }
+        counts
+    }
+
+    /// Absorbs one instance.
+    ///
+    /// # Panics
+    ///
+    /// As [`Dataset::push`]: the value count must match the attribute
+    /// count and every value must be finite.
+    pub fn push(&mut self, values: &[f64], positive: bool) {
+        assert_eq!(values.len(), self.attr_names.len(), "value/attribute count mismatch");
+        assert!(values.iter().all(|v| v.is_finite()), "feature values must be finite");
+        for (column, &v) in self.columns.iter_mut().zip(values) {
+            let count = column.entry(order_key(v)).or_insert(ValueCount { first: v, instances: 0, positives: 0 });
+            count.instances += 1;
+            count.positives += usize::from(positive);
+        }
+        self.len += 1;
+        self.positives += usize::from(positive);
+    }
+
+    /// The best stump, with the instances and positives that fall below
+    /// its threshold.
+    ///
+    /// Thresholds are the distinct values in ascending order per
+    /// attribute, attributes in index order, and at each threshold the
+    /// `>=`-positive orientation before its complement; only a strictly
+    /// smaller training error replaces the incumbent, so ties keep the
+    /// first candidate in that order.
+    fn sweep(&self) -> (DecisionStump, usize, usize) {
+        let mut best =
+            (DecisionStump { attr: 0, threshold: f64::NEG_INFINITY, ge_positive: self.positives * 2 > self.len }, 0, 0);
+        let mut best_err = usize::MAX;
+        for (attr, column) in self.columns.iter().enumerate() {
+            // For threshold = v, `>= v` covers every instance from v up.
+            let mut before = 0usize;
+            let mut pos_before = 0usize;
+            for count in column.values() {
+                let pos_suffix = self.positives - pos_before;
+                let suffix = self.len - before;
+                // `>=`-positive errs on the negatives at or above v and
+                // the positives below it; the complement on the rest.
+                let err_true = (suffix - pos_suffix) + pos_before;
+                let err_false = pos_suffix + (before - pos_before);
+                for (err, ge_positive) in [(err_true, true), (err_false, false)] {
+                    if err < best_err {
+                        best_err = err;
+                        best = (DecisionStump { attr, threshold: count.first, ge_positive }, before, pos_before);
+                    }
+                }
+                before += count.instances;
+                pos_before += count.positives;
+            }
+        }
+        best
+    }
+
+    /// Fits the best stump by exhaustive threshold search, in
+    /// O(distinct values).
+    pub fn fit(&self) -> DecisionStump {
+        self.sweep().0
+    }
+
+    /// The fitted stump lowered to an ordered rule set
+    /// ([`DecisionStump::to_rules`]) whose rule and default
+    /// [`RuleStats`] are the training composition of the instances it
+    /// fires on and of the rest — what
+    /// [`attribute_stats`](crate::attribute_stats) would charge over the
+    /// absorbed instances. No instances lower to the empty rule set
+    /// (predict-all-negative).
+    pub fn rule_set(&self) -> RuleSet {
+        let (rules, stats, default_stats) = if self.len == 0 {
+            (Vec::new(), Vec::new(), RuleStats::default())
+        } else {
+            let (stump, below, pos_below) = self.sweep();
+            let (neg_below, pos_above) = (below - pos_below, self.positives - pos_below);
+            let neg_above = (self.len - below) - pos_above;
+            let (fired, default_stats) = if stump.ge_positive {
+                (RuleStats { hits: pos_above, misses: neg_above }, RuleStats { hits: neg_below, misses: pos_below })
+            } else {
+                (RuleStats { hits: pos_below, misses: neg_below }, RuleStats { hits: neg_above, misses: pos_above })
+            };
+            (stump.to_rules(), vec![fired], default_stats)
+        };
+        RuleSet::new(self.attr_names.clone(), &self.pos_label, &self.neg_label, rules, stats, default_stats)
     }
 }
 

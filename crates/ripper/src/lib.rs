@@ -50,7 +50,7 @@ mod parse;
 mod ripper;
 mod rule;
 
-pub use baseline::{Classifier, DecisionStump, MajorityLearner, OneR, ShallowTree};
+pub use baseline::{Classifier, DecisionStump, MajorityLearner, OneR, ShallowTree, StumpCounts};
 pub use cv::{leave_one_group_out, GroupFold};
 pub use data::{Dataset, Instance};
 pub use metrics::{geometric_mean, ConfusionMatrix};

@@ -3,7 +3,7 @@
 
 use crate::protocol::{self, BatchResult, Response};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use wts_ir::Method;
 
@@ -16,7 +16,9 @@ use wts_ir::Method;
 /// requested one arrives.
 #[derive(Debug)]
 pub struct ServeClient {
-    stream: TcpStream,
+    /// The connection, buffered for reads; writes go to the socket
+    /// itself, one per frame.
+    stream: BufReader<TcpStream>,
     out_of_order: HashMap<u64, Response>,
 }
 
@@ -28,10 +30,10 @@ impl ServeClient {
     /// Propagates the connect error.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ServeClient> {
         let stream = TcpStream::connect(addr)?;
-        // Requests are a length prefix plus payload; Nagle would hold
-        // the payload for the server's delayed ACK on every batch.
+        // A request is one small write; Nagle could hold it for the
+        // server's delayed ACK on every batch.
         let _ = stream.set_nodelay(true);
-        Ok(ServeClient { stream, out_of_order: HashMap::new() })
+        Ok(ServeClient { stream: BufReader::new(stream), out_of_order: HashMap::new() })
     }
 
     /// Sends one batch request without waiting for the response.
@@ -40,7 +42,7 @@ impl ServeClient {
     ///
     /// Propagates the write error.
     pub fn send(&mut self, batch_id: u64, benchmark: &str, methods: &[Method]) -> io::Result<()> {
-        protocol::write_frame(&mut self.stream, &protocol::encode_batch_request(batch_id, benchmark, methods))
+        protocol::write_frame(self.stream.get_mut(), &protocol::encode_batch_request(batch_id, benchmark, methods))
     }
 
     /// Reads the next response frame, whichever batch it answers.

@@ -106,7 +106,8 @@ pub enum Response {
 // Frame transport
 // ---------------------------------------------------------------------
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame, prefix and payload in one
+/// `write_all`.
 ///
 /// # Errors
 ///
@@ -120,13 +121,19 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         ));
     }
     let len = u32::try_from(payload.len()).expect("checked against MAX_FRAME_BYTES above");
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    // One write per frame: under `TCP_NODELAY` a separate prefix write
+    // is a segment of its own, and a second wake-up for the receiver.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on a clean EOF at a
-/// frame boundary.
+/// frame boundary. Reads as many times as the reader needs, so wrap a
+/// socket in a [`BufReader`](std::io::BufReader) to take each frame in
+/// as few reads as it arrived in.
 ///
 /// # Errors
 ///
@@ -342,7 +349,9 @@ fn take_reg(cur: &mut BinCursor<'_>, section: &'static str) -> Result<Reg, Binar
     Ok(Reg::new(class, index))
 }
 
-fn take_regs(cur: &mut BinCursor<'_>, section: &'static str) -> Result<Vec<Reg>, BinaryTraceError> {
+/// Reads an operand list's register count, checked against the operand
+/// capacity before any register is read; the registers follow.
+fn take_reg_count(cur: &mut BinCursor<'_>, section: &'static str) -> Result<usize, BinaryTraceError> {
     let count = cur.u8(section)? as usize;
     if count > RegList::CAPACITY {
         return Err(hostile(
@@ -350,7 +359,7 @@ fn take_regs(cur: &mut BinCursor<'_>, section: &'static str) -> Result<Vec<Reg>,
             format!("{count} registers exceed the operand capacity of {}", RegList::CAPACITY),
         ));
     }
-    (0..count).map(|_| take_reg(cur, section)).collect()
+    Ok(count)
 }
 
 fn take_space(cur: &mut BinCursor<'_>, section: &'static str) -> Result<MemSpace, BinaryTraceError> {
@@ -376,12 +385,13 @@ fn take_inst(cur: &mut BinCursor<'_>) -> Result<Inst, BinaryTraceError> {
             hazards = hazards.union(flag);
         }
     }
+    // Registers go straight into the instruction's inline operand lists.
     let mut inst = Inst::new(op);
-    for r in take_regs(cur, SECTION)? {
-        inst = inst.def(r);
+    for _ in 0..take_reg_count(cur, SECTION)? {
+        inst = inst.def(take_reg(cur, SECTION)?);
     }
-    for r in take_regs(cur, SECTION)? {
-        inst = inst.use_(r);
+    for _ in 0..take_reg_count(cur, SECTION)? {
+        inst = inst.use_(take_reg(cur, SECTION)?);
     }
     inst = match cur.u8(SECTION)? {
         0 => inst,
@@ -626,5 +636,77 @@ mod tests {
 
         let torn = [3u8, 0];
         assert_eq!(read_frame(&mut &torn[..]).expect_err("torn header").kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_goes_out_in_one_write() {
+        let (benchmark, methods) = suite_methods();
+        let payloads = [
+            encode_batch_request(5, &benchmark, &methods),
+            encode_response(&Response::Busy { batch_id: 5, queue_depth: 8 }),
+            Vec::new(),
+        ];
+        let mut w = CountingWriter::default();
+        for payload in &payloads {
+            write_frame(&mut w, payload).expect("write");
+        }
+        let lens: Vec<usize> = payloads.iter().map(|p| 4 + p.len()).collect();
+        assert_eq!(w.writes, lens, "prefix and payload in one write per frame");
+        let mut r = &w.bytes[..];
+        for payload in &payloads {
+            assert_eq!(read_frame(&mut r).expect("frame").as_deref(), Some(&payload[..]));
+        }
+    }
+
+    /// A reader that hands out one byte per `read`.
+    struct ByteReader<'a>(&'a [u8]);
+
+    impl Read for ByteReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&b, rest)), Some(slot)) => {
+                    *slot = b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn frames_reassemble_from_one_byte_reads() {
+        let (benchmark, methods) = suite_methods();
+        let request = encode_batch_request(9, &benchmark, &methods);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &request).expect("write");
+        write_frame(&mut wire, b"z").expect("write");
+        let check = |r: &mut dyn Read| {
+            let frame = read_frame(&mut &mut *r).expect("frame 1").expect("not EOF");
+            assert_eq!(decode_batch_request(&frame).expect("decodes").methods, methods);
+            assert_eq!(read_frame(&mut &mut *r).expect("frame 2").as_deref(), Some(&b"z"[..]));
+            assert_eq!(read_frame(&mut &mut *r).expect("eof"), None, "clean EOF at a frame boundary");
+        };
+        check(&mut ByteReader(&wire));
+        check(&mut io::BufReader::with_capacity(3, ByteReader(&wire)));
     }
 }

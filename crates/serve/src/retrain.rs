@@ -5,15 +5,25 @@
 //! Observation happens *off* the hot path: the workers schedule against
 //! the compiled snapshot with no instrumentation, and this thread runs
 //! the served methods through one warm instrumented collector
-//! ([`TraceCollector`], held for the thread's lifetime) that appends
-//! straight into the corpus. Its records are exactly the ones the
-//! offline pipeline ([`collect_trace`](wts_core::collect_trace)) would
-//! have collected, so an online-retrained filter and an offline-trained
-//! one see the same training distribution.
+//! ([`TraceCollector`], held for the thread's lifetime) into one reused
+//! batch buffer. Its records are exactly the ones the offline pipeline
+//! ([`collect_trace`](wts_core::collect_trace)) would have collected, so
+//! an online-retrained filter and an offline-trained one see the same
+//! training distribution.
+//!
+//! Learning is incremental: the thread owns the [`Trainer`] that
+//! published epoch 1 from the seed corpus, absorbs each collected batch
+//! into it (labelled once, on arrival), and a fold is one
+//! [`Trainer::fit`] — bit-identical to
+//! [`train_filter`](wts_core::train_filter) over the seed plus every
+//! observation so far, at the cost of the learner's own state (for the
+//! stump, a sweep over the distinct feature values, however long the
+//! instance runs). The records themselves are kept only when
+//! [`ServeConfig::persist_corpus`] asks for them at shutdown.
 
 use crate::server::ServeConfig;
 use std::sync::mpsc::Receiver;
-use wts_core::{train_filter, write_trace_binary, FilterKey, FilterStore, TraceCollector, TraceRecord};
+use wts_core::{write_trace_binary, FilterKey, FilterStore, TraceCollector, TraceRecord, Trainer};
 use wts_ir::Method;
 
 /// What the retraining thread did over the instance's lifetime.
@@ -35,29 +45,36 @@ pub struct RetrainReport {
 }
 
 /// Runs until every sender hangs up, then performs a final fold if any
-/// records are pending and returns the tally. The corpus starts as
-/// `config`'s seed traces, moved in rather than copied.
+/// records are pending and returns the tally. `trainer` has absorbed
+/// `config`'s seed traces, which are kept (moved, not copied) only as
+/// the start of a corpus to persist.
 pub(crate) fn retrain_loop(
     rx: &Receiver<(String, Vec<Method>)>,
     store: &FilterStore,
     key: &FilterKey,
     mut config: ServeConfig,
+    mut trainer: Trainer,
 ) -> RetrainReport {
-    let train_config = config.train_config();
-    let mut corpus: Vec<TraceRecord> = std::mem::take(&mut config.seed_traces);
+    // Folds read only the trainer; the records are kept for `persist`.
+    let seed = std::mem::take(&mut config.seed_traces);
+    let mut corpus = config.persist_corpus.is_some().then_some(seed);
     let mut collector = TraceCollector::new(&config.machine, &config.options);
+    let mut batch: Vec<TraceRecord> = Vec::new();
     let mut pending = 0usize;
     let mut report = RetrainReport::default();
     while let Ok((benchmark, methods)) = rx.recv() {
-        let before = corpus.len();
+        batch.clear();
         for method in &methods {
-            collector.collect_into(&benchmark, method, &mut corpus);
+            collector.collect_into(&benchmark, method, &mut batch);
         }
-        let absorbed = corpus.len() - before;
-        report.records_absorbed += absorbed as u64;
-        pending += absorbed;
+        trainer.absorb(&batch);
+        report.records_absorbed += batch.len() as u64;
+        pending += batch.len();
+        if let Some(corpus) = &mut corpus {
+            corpus.append(&mut batch);
+        }
         if config.retrain_every > 0 && pending >= config.retrain_every {
-            fold(store, key, &train_config, &corpus, &mut report);
+            fold(store, key, &trainer, &mut report);
             pending = 0;
         }
     }
@@ -65,10 +82,10 @@ pub(crate) fn retrain_loop(
     // arrived since the last fold still deserve to influence the filter
     // a restarted instance would seed from.
     if config.retrain_every > 0 && pending > 0 {
-        fold(store, key, &train_config, &corpus, &mut report);
+        fold(store, key, &trainer, &mut report);
     }
-    if let Some(path) = &config.persist_corpus {
-        report.records_persisted = persist(path, &corpus);
+    if let (Some(path), Some(corpus)) = (&config.persist_corpus, &corpus) {
+        report.records_persisted = persist(path, corpus);
     }
     report
 }
@@ -94,14 +111,7 @@ fn persist(path: &std::path::Path, corpus: &[TraceRecord]) -> u64 {
     }
 }
 
-fn fold(
-    store: &FilterStore,
-    key: &FilterKey,
-    train_config: &wts_core::TrainConfig,
-    corpus: &[TraceRecord],
-    report: &mut RetrainReport,
-) {
-    let filter = train_filter(corpus, train_config);
-    report.last_epoch = store.swap(key.clone(), filter).epoch();
+fn fold(store: &FilterStore, key: &FilterKey, trainer: &Trainer, report: &mut RetrainReport) {
+    report.last_epoch = store.swap(key.clone(), trainer.fit()).epoch();
     report.retrains += 1;
 }

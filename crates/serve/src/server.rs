@@ -34,7 +34,7 @@
 use crate::protocol::{self, BatchResult, Response};
 use crate::retrain::{retrain_loop, RetrainReport};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -42,8 +42,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use wts_core::{
-    for_each_scope_unit, train_filter, DecisionPolicy, FilterKey, FilterStore, FilteredPass, LearnerKind, TimingMode,
-    TraceOptions, TraceRecord, TrainConfig, UnitServer,
+    for_each_scope_unit, DecisionPolicy, FilterKey, FilterStore, FilteredPass, LearnerKind, TimingMode, TraceOptions,
+    TraceRecord, TrainConfig, Trainer, UnitServer,
 };
 use wts_ir::Method;
 
@@ -210,9 +210,12 @@ impl Server {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "workers and queue_depth must both be at least 1"));
         }
         let key = config.filter_key();
-        store.deployed_or_train(key.clone(), || train_filter(&config.seed_traces, &config.train_config()));
-        // From here on only the retrainer reads the seed corpus: it moves
-        // there, and the workers clone a config without it.
+        let mut trainer = Trainer::new(&config.train_config());
+        trainer.absorb(&config.seed_traces);
+        store.deployed_or_train(key.clone(), || trainer.fit());
+        // From here on the retrainer folds from `trainer` and reads the
+        // seed records only to persist them: they move there, and the
+        // workers clone a config without them.
         let seed_traces = std::mem::take(&mut config.seed_traces);
 
         let listener = TcpListener::bind(addr)?;
@@ -243,7 +246,7 @@ impl Server {
             let store = Arc::clone(&store);
             let config = ServeConfig { seed_traces, ..config.clone() };
             let key = key.clone();
-            std::thread::spawn(move || retrain_loop(&retrain_rx, &store, &key, config))
+            std::thread::spawn(move || retrain_loop(&retrain_rx, &store, &key, config, trainer))
         };
 
         let acceptor = {
@@ -401,9 +404,8 @@ fn accept_loop(
 /// handle for the shutdown registry, one for the response writer.
 fn connection_handles(stream: &TcpStream) -> io::Result<(TcpStream, TcpStream)> {
     stream.set_nonblocking(false)?;
-    // Frames go out as length prefix + payload; without nodelay, Nagle
-    // holds the payload for the delayed ACK and every round trip eats
-    // ~40ms.
+    // A response is one small write; without nodelay, Nagle can hold it
+    // for the peer's delayed ACK and a round trip eats ~40ms.
     let _ = stream.set_nodelay(true);
     Ok((stream.try_clone()?, stream.try_clone()?))
 }
@@ -417,12 +419,15 @@ fn respond(conn: &Mutex<TcpStream>, resp: &Response) {
 }
 
 fn reader_loop(
-    mut stream: TcpStream,
+    stream: TcpStream,
     writer: &Arc<Mutex<TcpStream>>,
     job_tx: &SyncSender<Job>,
     queue_depth: usize,
     counters: &Counters,
 ) {
+    // Buffered, so a frame that arrived in one segment is taken in with
+    // one read rather than one for the prefix and one for the payload.
+    let mut stream = BufReader::new(stream);
     loop {
         let payload = match protocol::read_frame(&mut stream) {
             Ok(Some(payload)) => payload,

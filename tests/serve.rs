@@ -5,12 +5,17 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wts_core::{
-    collect_trace, filtered_schedule_pass, train_filter, DecisionPolicy, LearnerKind, ScopeKind, TimingMode,
-    TraceOptions, TraceRecord,
+    build_dataset, collect_trace, filtered_schedule_pass, train_filter, DecisionPolicy, LabelConfig, LearnerKind,
+    ScopeKind, TimingMode, TraceOptions, TraceRecord,
 };
 use wts_ir::Program;
 use wts_machine::MachineConfig;
 use wts_serve::{BatchResult, Response, ServeClient, ServeConfig, Server, ServerHandle};
+
+/// The sort-based stump fit the incremental folds replaced.
+#[allow(dead_code)]
+#[path = "../crates/ripper/tests/support/stump_oracle.rs"]
+mod stump_oracle;
 
 fn options() -> TraceOptions {
     TraceOptions { timing: TimingMode::Deterministic, ..TraceOptions::default() }
@@ -290,6 +295,51 @@ fn shutdown_persists_the_retrain_corpus_round_trip() {
     let restarted = Server::bind("127.0.0.1:0", stump_config(&machine, records, 0)).expect("rebind from corpus");
     assert_eq!(restarted.epoch(), 1);
     restarted.shutdown();
+}
+
+/// With Stump retraining on, every fold is an incremental fit over
+/// counts the retrainer absorbed batch by batch. The last filter it
+/// publishes must still be the sort-based stump over everything it saw:
+/// the persisted corpus (seed plus every observation), labelled whole.
+#[test]
+fn incremental_folds_publish_the_oracle_stump_of_the_persisted_corpus() {
+    let machine = MachineConfig::ppc7410();
+    let programs: Vec<Program> =
+        wts_jit::Suite::specjvm98(0.02).benchmarks().iter().map(|b| b.program().clone()).collect();
+    let opts = options();
+    // Seed from two benchmarks and serve them all, so the folds move the
+    // filter away from the seed's.
+    let seed = corpus(&programs[..2], &machine, &opts);
+    let path = std::env::temp_dir().join(format!("wts-serve-oracle-corpus-{}.bin", std::process::id()));
+    let mut config = stump_config(&machine, seed, 150);
+    config.threshold = 5;
+    config.persist_corpus = Some(path.clone());
+    let handle = Server::bind("127.0.0.1:0", config).expect("bind");
+    let (store, key) = (std::sync::Arc::clone(handle.store()), handle.key().clone());
+
+    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+    let mut id = 0;
+    for program in &programs {
+        for methods in program.methods().chunks(5) {
+            expect_batch(client.request_with_retry(id, program.name(), methods, 10).expect("request"));
+            id += 1;
+        }
+    }
+    drop(client);
+    let report = handle.shutdown();
+    assert!(report.retrain.retrains >= 3, "the cadence fired several times: {:?}", report.retrain);
+
+    let bytes = std::fs::read(&path).expect("persisted corpus exists");
+    std::fs::remove_file(&path).ok();
+    let records = wts_core::read_trace_binary(&bytes).expect("round-trips");
+    assert_eq!(records.len() as u64, report.retrain.records_persisted);
+    let published = store.get(&key).expect("the served key stays published");
+    assert_eq!(published.epoch(), report.retrain.last_epoch, "the last fold is the live filter");
+    let (data, _) = build_dataset(&records, LabelConfig::new(5));
+    let oracle = stump_oracle::rule_set(&data);
+    assert!(!oracle.is_empty(), "the corpus induces a stump");
+    assert_eq!(published.source().rules(), &oracle);
+    assert_eq!(stump_oracle::threshold_bits(published.source().rules()), stump_oracle::threshold_bits(&oracle));
 }
 
 /// A peer that connects and resets at once (`SO_LINGER` 0) must not stop
