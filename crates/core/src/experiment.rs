@@ -575,14 +575,19 @@ impl ExperimentRun {
     }
 
     /// Aggregate scheduling-time measurement of the threshold-`t` LOOCV
-    /// filters over *all* benchmarks — the per-machine row of the
-    /// filter-cost table: how much work the filters themselves add
-    /// (`filter_work` + `feature_work`) against the full always-schedule
-    /// cost.
-    pub fn sched_time_total(&self, t: u32) -> EvalTimes {
+    /// filters over *all* benchmarks, each benchmark deciding under
+    /// `policy(bench)` — the per-machine row of the filter-cost table
+    /// under [`DecisionPolicy::HardThreshold`]: how much work the filters
+    /// themselves add (`filter_work` + `feature_work`) against the full
+    /// always-schedule cost. Under
+    /// [`policy_for`](ExperimentRun::policy_for) each benchmark is
+    /// evaluated with a [`BenefitModel`](crate::BenefitModel) calibrated
+    /// on the other benchmarks' traces, so the aggregate is as honest as
+    /// the LOOCV error numbers.
+    pub fn sched_time_total(&self, t: u32, policy: impl Fn(&str) -> DecisionPolicy) -> EvalTimes {
         let mut total = EvalTimes::default();
         for bench in &self.names {
-            total.accumulate(&self.sched_time(t, bench, &DecisionPolicy::HardThreshold));
+            total.accumulate(&self.sched_time(t, bench, &policy(bench)));
         }
         total
     }
@@ -595,21 +600,6 @@ impl ExperimentRun {
         let i = self.index_of(bench);
         let others = self.traces.iter().enumerate().filter(|&(j, _)| j != i).flat_map(|(_, t)| t);
         DecisionPolicy::expected_benefit(others, cycles_per_work)
-    }
-
-    /// [`sched_time_total`](ExperimentRun::sched_time_total) under the
-    /// per-fold expected-benefit policy at operating point
-    /// `cycles_per_work`: each benchmark is evaluated with a
-    /// [`BenefitModel`](crate::BenefitModel) calibrated on the other
-    /// benchmarks' traces ([`policy_for`](ExperimentRun::policy_for)),
-    /// so the aggregate is as honest as the LOOCV error numbers.
-    pub fn sched_time_expected_benefit(&self, t: u32, cycles_per_work: f64) -> EvalTimes {
-        let mut total = EvalTimes::default();
-        for bench in &self.names {
-            let policy = self.policy_for(bench, cycles_per_work);
-            total.accumulate(&self.sched_time(t, bench, &policy));
-        }
-        total
     }
 
     /// Stage 4, Table 6: run-time LS/NS classification counts of

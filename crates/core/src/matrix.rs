@@ -50,7 +50,7 @@ use crate::eval::{classification_matrix, oracle_times};
 use crate::experiment::{Experiment, ExperimentRun};
 use crate::label::LabelConfig;
 use crate::learner::LearnerKind;
-use crate::policy::BenefitModel;
+use crate::policy::{BenefitModel, DecisionPolicy};
 use crate::trace::{collect_method_trace, TraceRecord};
 use crate::{CompiledFilter, EvalTimes, LearnedFilter};
 use wts_ir::Program;
@@ -270,7 +270,11 @@ impl MatrixRun {
     /// the headline number; the paper's premise is that it stays near
     /// zero on every target).
     pub fn filter_cost(&self, t: u32) -> Vec<(String, crate::EvalTimes)> {
-        self.machines.iter().zip(&self.runs).map(|(m, run)| (m.name().to_string(), run.sched_time_total(t))).collect()
+        self.machines
+            .iter()
+            .zip(&self.runs)
+            .map(|(m, run)| (m.name().to_string(), run.sched_time_total(t, |_| DecisionPolicy::HardThreshold)))
+            .collect()
     }
 
     /// Threshold sweep, side by side: for each machine, the LS instance
@@ -347,8 +351,8 @@ impl MatrixRun {
             .map(|(m, run)| CalibrationRow {
                 machine: m.name().to_string(),
                 model: BenefitModel::calibrate(run.all_traces(), cycles_per_work),
-                baseline: run.sched_time_total(t),
-                expected_benefit: run.sched_time_expected_benefit(t, cycles_per_work),
+                baseline: run.sched_time_total(t, |_| DecisionPolicy::HardThreshold),
+                expected_benefit: run.sched_time_total(t, |bench| run.policy_for(bench, cycles_per_work)),
                 oracle: oracle_times(run.all_traces(), cycles_per_work),
             })
             .collect()

@@ -3,31 +3,15 @@
 //! Storage is compressed sparse row (CSR): one flat edge array plus an
 //! offset table per direction, so a node's adjacency is a contiguous
 //! slice and traversal touches no per-node heap allocations. Graphs are
-//! produced by a reusable [`GraphBuilder`] whose scratch state — one
-//! dense, epoch-stamped per-register table and an edge list deduplicated
-//! as it is recorded — is allocated once and reused across blocks. The
-//! scan already emits edges grouped by target, so the predecessor array
-//! needs no sort and the successor array one counting sort.
+//! produced by a reusable [`GraphBuilder`] that drives `wts-machine`'s
+//! [`DepScan`] — the same scan that orders the pipeline simulator — and
+//! keeps of its edges an edge list deduplicated as it is recorded. The
+//! scan emits edges grouped by target, so the predecessor array needs no
+//! sort and the successor array one counting sort.
 
-use wts_ir::{Inst, Reg, RegTable};
-
-/// Why one instruction must stay ordered after another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum DepKind {
-    /// Read-after-write through a register.
-    True,
-    /// Write-after-read through a register.
-    Anti,
-    /// Write-after-write through a register.
-    Output,
-    /// Ordering between may-aliasing memory accesses.
-    Memory,
-    /// Ordering against a control transfer (branch, call, return).
-    Control,
-    /// Ordering against a hazardous instruction (PEI, GC point,
-    /// thread-switch point, yield point) that disallows reordering.
-    Hazard,
-}
+use wts_ir::Inst;
+pub use wts_machine::DepKind;
+use wts_machine::{Barrier, DepScan, DepSink};
 
 /// A dependence DAG over the instructions of one basic block.
 ///
@@ -64,7 +48,9 @@ impl DepGraph {
     /// Convenience for one-shot use; batch callers should reuse a
     /// [`GraphBuilder`] across blocks instead.
     pub fn build(insts: &[Inst]) -> DepGraph {
-        GraphBuilder::new().build(insts, false)
+        let mut g = DepGraph::empty();
+        GraphBuilder::new().build_into(insts, false, &mut g);
+        g
     }
 
     /// Builds a *speculative* DAG for superblock scheduling: branches
@@ -74,7 +60,9 @@ impl DepGraph {
     /// scheduling with compensation code (Fisher 1981), which the paper
     /// cites as the enabling technique and leaves as future work (§3.1).
     pub fn build_speculative(insts: &[Inst]) -> DepGraph {
-        GraphBuilder::new().build(insts, true)
+        let mut g = DepGraph::empty();
+        GraphBuilder::new().build_into(insts, true, &mut g);
+        g
     }
 
     /// Number of instructions (nodes).
@@ -153,27 +141,13 @@ impl DepGraph {
     }
 }
 
-/// Sentinel for "none" in the scan's `u32` index fields.
+/// Sentinel for "no target yet" in the per-source dedup marks.
 const NONE: u32 = u32::MAX;
 
-/// Per-register scan state: the last instruction that defined the
-/// register and the head/tail (in `reader_pool`) of the list of its uses
-/// since that def, in use order.
-#[derive(Clone, Copy, Default)]
-struct RegScan {
-    def: u32,
-    head: u32,
-    tail: u32,
-}
-
-impl RegScan {
-    /// A register the current block has not touched yet.
-    const UNTOUCHED: RegScan = RegScan { def: NONE, head: NONE, tail: NONE };
-}
-
-/// Reusable dependence-scan state.
+/// Reusable graph-building state: the shared [`DepScan`] plus the
+/// scan's sink.
 ///
-/// The scan visits one instruction at a time and records every edge
+/// The scan visits one instruction at a time and reports every edge
 /// *into* that instruction, so edges arrive grouped by target in
 /// discovery order — which is already the CSR predecessor array.
 /// Parallel edges are dropped as they are recorded: a per-source "last
@@ -182,11 +156,9 @@ impl RegScan {
 /// is laid out by one stable counting sort on the source, so no pass
 /// sorts by comparison or hashes.
 ///
-/// All scratch — the edge list and marks, the per-register last-def and
-/// reader table (a [`RegTable`], cleared per block by an epoch bump), the
-/// store/load/barrier work lists — is allocated once and reused, so
-/// building the graphs of a whole method performs no steady-state heap
-/// allocation.
+/// All scratch — the scan's register table and work lists, the edge list
+/// and marks — is allocated once and reused, so building the graphs of a
+/// whole method performs no steady-state heap allocation.
 ///
 /// # Examples
 ///
@@ -202,39 +174,55 @@ impl RegScan {
 /// assert_eq!(builder.last_edge_count(), graph.edge_count());
 /// ```
 pub struct GraphBuilder {
+    scan: DepScan,
     /// The current block's deduplicated edges as `(from, kind)`, grouped
     /// by target in discovery order; swapped into the graph as its
     /// predecessor array.
     preds: Vec<(u32, DepKind)>,
     /// Per-source last target recorded this block (`NONE` if none).
     marks: Vec<u32>,
-    /// Per-register last def and reader list.
-    regs: RegTable<RegScan>,
-    /// Linked-list pool backing the per-register reader lists:
-    /// `(reader index, next pool slot)`.
-    reader_pool: Vec<(u32, u32)>,
-    stores: Vec<u32>,
-    loads_since_store: Vec<u32>,
-    since_barrier: Vec<u32>,
     /// Per-source write cursors of the successor counting sort.
     cursor: Vec<u32>,
     last_edges: usize,
 }
 
+/// The builder's [`DepSink`]: deduplicates edges into the predecessor
+/// array and closes each target's slice.
+struct GraphSink<'a> {
+    preds: &'a mut Vec<(u32, DepKind)>,
+    marks: &'a mut [u32],
+    pred_off: &'a mut Vec<u32>,
+}
+
+impl DepSink for GraphSink<'_> {
+    /// Records `from -> to` unless that pair already has an edge (the
+    /// first kind recorded wins).
+    #[inline]
+    fn edge(&mut self, from: u32, to: u32, kind: DepKind) {
+        debug_assert!(from < to, "dependence edges must follow program order");
+        let mark = &mut self.marks[from as usize];
+        if *mark != to {
+            *mark = to;
+            self.preds.push((from, kind));
+        }
+    }
+
+    #[inline]
+    fn end_inst(&mut self, _: u32) {
+        self.pred_off.push(u32::try_from(self.preds.len()).expect("edge list outgrew u32 offsets"));
+    }
+}
+
 impl GraphBuilder {
     /// A fresh builder. Its buffers grow on demand (the register table
-    /// up to [`Reg::dense_limit`] entries) and are then reused across
-    /// blocks, so construction is cheap and steady-state builds allocate
-    /// nothing.
+    /// up to [`Reg::dense_limit`](wts_ir::Reg::dense_limit) entries) and
+    /// are then reused across blocks, so construction is cheap and
+    /// steady-state builds allocate nothing.
     pub fn new() -> GraphBuilder {
         GraphBuilder {
+            scan: DepScan::default(),
             preds: Vec::new(),
             marks: Vec::new(),
-            regs: RegTable::new(),
-            reader_pool: Vec::new(),
-            stores: Vec::new(),
-            loads_since_store: Vec::new(),
-            since_barrier: Vec::new(),
             cursor: Vec::new(),
             last_edges: 0,
         }
@@ -248,181 +236,39 @@ impl GraphBuilder {
         self.last_edges
     }
 
-    /// Builds into a fresh graph. Prefer [`GraphBuilder::build_into`]
-    /// when a graph buffer can be reused.
-    pub fn build(&mut self, insts: &[Inst], speculative: bool) -> DepGraph {
-        let mut g = DepGraph::empty();
-        self.build_into(insts, speculative, &mut g);
-        g
-    }
-
     /// Runs the dependence scan for one block's instructions, replacing
     /// `out`'s contents. `out`'s allocations are reused.
+    ///
+    /// Control transfers and hazardous instructions are full barriers. In
+    /// speculative mode plain branches (not calls or returns, which
+    /// clobber machine state) are branch barriers instead, so pure
+    /// register computation may cross a superblock's internal side exits.
     pub fn build_into(&mut self, insts: &[Inst], speculative: bool, out: &mut DepGraph) {
         let n = insts.len();
-        self.regs.clear();
         self.preds.clear();
         self.marks.clear();
         self.marks.resize(n, NONE);
-        self.reader_pool.clear();
-        self.stores.clear();
-        self.loads_since_store.clear();
-        self.since_barrier.clear();
         out.pred_off.clear();
         out.pred_off.push(0);
-        // Control transfers and hazardous instructions are reorder
-        // barriers: chain everything between consecutive barriers. In
-        // speculative mode, plain branches only order against
-        // side-effecting or hazardous instructions — pure register
-        // computation may cross a superblock's internal side exits.
-        let mut last_barrier: Option<u32> = None;
-        let mut last_branch: Option<u32> = None;
-
-        for (idx, inst) in insts.iter().enumerate() {
-            let i = u32::try_from(idx).expect("blocks are far below u32::MAX insts");
+        let classify = |inst: &Inst| {
             let op = inst.opcode();
-
-            for &u in inst.uses() {
-                let scan = self.regs.get(u).unwrap_or(RegScan::UNTOUCHED);
-                if scan.def != NONE {
-                    self.edge(scan.def, i, DepKind::True);
-                }
-                self.push_reader(u, scan, i);
-            }
-            for &d in inst.defs() {
-                let scan = self.regs.get(d).unwrap_or(RegScan::UNTOUCHED);
-                if scan.def != NONE {
-                    self.edge(scan.def, i, DepKind::Output);
-                }
-                // Walk the reader list in use order; no clone needed since
-                // the pool and the edge list are disjoint.
-                let mut cursor = scan.head;
-                while cursor != NONE {
-                    let (r, next) = self.reader_pool[cursor as usize];
-                    if r != i {
-                        self.edge(r, i, DepKind::Anti);
-                    }
-                    cursor = next;
-                }
-            }
-            if let Some(m) = inst.mem_ref() {
-                for k in 0..self.stores.len() {
-                    let s = self.stores[k];
-                    let sm = insts[s as usize].mem_ref().expect("stores carry mem refs");
-                    if m.may_alias(sm) {
-                        self.edge(s, i, DepKind::Memory);
-                    }
-                }
-                if op.is_store() {
-                    for k in 0..self.loads_since_store.len() {
-                        let l = self.loads_since_store[k];
-                        let lm = insts[l as usize].mem_ref().expect("loads carry mem refs");
-                        if m.may_alias(lm) {
-                            self.edge(l, i, DepKind::Memory);
-                        }
-                    }
-                }
-            }
-
-            // Speculative mode downgrades plain branches (not calls or
-            // returns, which clobber machine state) to side-effect-only
-            // barriers.
-            let is_full_barrier = if speculative {
-                op.is_call() || op.is_return() || inst.is_hazardous()
+            let full = if speculative { op.is_call() || op.is_return() } else { op.is_control() };
+            if speculative && op.is_branch() {
+                Barrier::Branch
+            } else if full || inst.is_hazardous() {
+                Barrier::Full
             } else {
-                op.is_control() || inst.is_hazardous()
-            };
-            let is_branch_barrier = speculative && op.is_branch();
-            let effectful = inst.opcode().has_side_effect() || inst.is_hazardous();
-
-            if let Some(b) = last_barrier {
-                let kind = if insts[b as usize].opcode().is_control() { DepKind::Control } else { DepKind::Hazard };
-                self.edge(b, i, kind);
+                Barrier::None
             }
-            if is_branch_barrier {
-                if let Some(br) = last_branch {
-                    self.edge(br, i, DepKind::Control);
-                }
-                for k in 0..self.since_barrier.len() {
-                    let p = self.since_barrier[k];
-                    let pi = &insts[p as usize];
-                    if pi.opcode().has_side_effect() || pi.is_hazardous() {
-                        self.edge(p, i, DepKind::Control);
-                    }
-                }
-                last_branch = Some(i);
-                self.since_barrier.push(i);
-            } else if is_full_barrier {
-                let kind = if op.is_control() { DepKind::Control } else { DepKind::Hazard };
-                for k in 0..self.since_barrier.len() {
-                    let p = self.since_barrier[k];
-                    self.edge(p, i, kind);
-                }
-                last_barrier = Some(i);
-                last_branch = None;
-                self.since_barrier.clear();
-            } else {
-                if effectful {
-                    if let Some(br) = last_branch {
-                        self.edge(br, i, DepKind::Control);
-                    }
-                }
-                self.since_barrier.push(i);
-            }
-
-            for &d in inst.defs() {
-                self.regs.set(d, RegScan { def: i, head: NONE, tail: NONE });
-            }
-            if op.is_store() {
-                self.stores.push(i);
-                // A store retires only the pending loads it covers: every
-                // later store that aliases one of those also aliases this
-                // store, so the path load -> this store -> later store
-                // orders it. Clearing the whole list would let a later
-                // store to an uncovered load's slot move above the load.
-                if let Some(m) = inst.mem_ref() {
-                    self.loads_since_store
-                        .retain(|&l| !m.covers(insts[l as usize].mem_ref().expect("loads carry mem refs")));
-                }
-            } else if op.is_load() {
-                self.loads_since_store.push(i);
-            }
-            out.pred_off.push(u32::try_from(self.preds.len()).expect("edge list outgrew u32 offsets"));
-        }
-        self.finish(n, out);
-    }
-
-    /// Appends `i` to `reg`'s reader list, whose current state is `scan`.
-    fn push_reader(&mut self, reg: Reg, scan: RegScan, i: u32) {
-        let slot = u32::try_from(self.reader_pool.len()).expect("reader pool outgrew u32 indices");
-        self.reader_pool.push((i, NONE));
-        let scan = if scan.head == NONE {
-            RegScan { head: slot, tail: slot, ..scan }
-        } else {
-            self.reader_pool[scan.tail as usize].1 = slot;
-            RegScan { tail: slot, ..scan }
         };
-        self.regs.set(reg, scan);
-    }
+        let mut sink = GraphSink { preds: &mut self.preds, marks: &mut self.marks, pred_off: &mut out.pred_off };
+        self.scan.scan(insts, classify, &mut sink);
 
-    /// Records `from -> to`, where `to` is the instruction being scanned,
-    /// unless that pair already has an edge (the first kind recorded
-    /// wins).
-    fn edge(&mut self, from: u32, to: u32, kind: DepKind) {
-        debug_assert!(from < to, "dependence edges must follow program order");
-        let mark = &mut self.marks[from as usize];
-        if *mark != to {
-            *mark = to;
-            self.preds.push((from, kind));
-        }
-    }
-
-    /// Lays the recorded edges out as CSR adjacency: the edge list *is*
-    /// the predecessor array (grouped by target, discovery order within a
-    /// target), and a stable counting sort on the source yields successor
-    /// slices in ascending target order — exactly the orders the old
-    /// nested-Vec representation produced by chronological pushes.
-    fn finish(&mut self, n: usize, out: &mut DepGraph) {
+        // The edge list *is* the predecessor array (grouped by target,
+        // discovery order within a target); a stable counting sort on the
+        // source yields successor slices in ascending target order —
+        // exactly the orders the old nested-Vec representation produced
+        // by chronological pushes.
         out.n = n;
         std::mem::swap(&mut self.preds, &mut out.preds);
 
@@ -458,7 +304,7 @@ impl Default for GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wts_ir::{Hazards, MemRef, MemSpace, Opcode};
+    use wts_ir::{Hazards, MemRef, MemSpace, Opcode, Reg};
 
     fn add(def: u16, a: u16, b: u16) -> Inst {
         Inst::new(Opcode::Add).def(Reg::gpr(def)).use_(Reg::gpr(a)).use_(Reg::gpr(b))

@@ -18,6 +18,10 @@
 //! evaluate pipeline consumes; [`EstimatorKind`] names a provider in
 //! configuration without borrowing a machine.
 //!
+//! [`DepScan`], the one dependence scan, orders `PipelineSim`'s window
+//! and builds `wts-deps`' graph: scheduler and hardware stand-in obey the
+//! same register, memory and barrier rules.
+//!
 //! The default target is [`MachineConfig::ppc7410`]: two dissimilar integer
 //! units, one each of float / branch / load-store / system, and an issue
 //! limit of two non-branch instructions plus one branch per cycle. It is
@@ -49,6 +53,7 @@ mod latency;
 mod pipeline;
 mod provider;
 pub mod registry;
+mod scan;
 mod unit;
 
 pub(crate) use config::OpTiming;
@@ -58,4 +63,5 @@ pub use latency::LatencyTable;
 pub use pipeline::PipelineSim;
 pub use provider::{CostProvider, EstimatorKind};
 pub use registry::{registry, registry_names, REGISTRY};
+pub use scan::{Barrier, DepKind, DepScan, DepSink};
 pub use unit::{FunctionalUnit, UnitSet};

@@ -1,8 +1,8 @@
 //! The detailed out-of-order pipeline simulator (hardware stand-in).
 
-use crate::{FunctionalUnit, MachineConfig, OpTiming};
+use crate::{Barrier, DepKind, DepScan, DepSink, FunctionalUnit, MachineConfig, OpTiming};
 use std::cell::RefCell;
-use wts_ir::{BasicBlock, Inst, RegTable};
+use wts_ir::{BasicBlock, Inst};
 
 /// A more detailed simulator than [`CostModel`](crate::CostModel): it
 /// models a small out-of-order window (the 7410's limited dynamic
@@ -19,13 +19,14 @@ use wts_ir::{BasicBlock, Inst, RegTable};
 ///
 /// # Cost of a query
 ///
-/// Each call runs on warm, hash-free scratch: the dependence scan writes
-/// flat CSR predecessor arrays, tracks every register's last def and
-/// readers in a dense [`RegTable`] over a shared reader pool, and keeps
-/// per-instruction completion cycles in a reused buffer. The scratch is
-/// private and per thread, so the simulator stays a `&self`, `Sync`
-/// [`CostProvider`](crate::CostProvider) and a steady-state query
-/// allocates nothing.
+/// Each call runs on warm, hash-free scratch. The window is ordered by
+/// [`DepScan`], the same scan that builds the scheduler's dependence
+/// graph, with serializing instructions as its only barriers; its edges
+/// land, undeduplicated, in flat CSR completion and issue predecessor
+/// arrays, and per-instruction completion cycles live in a reused
+/// buffer. The scratch is private and per thread, so the simulator stays
+/// a `&self`, `Sync` [`CostProvider`](crate::CostProvider) and a
+/// steady-state query allocates nothing.
 ///
 /// The clock is event-driven: a cycle that issues nothing jumps straight
 /// to the earliest cycle at which an in-window instruction's readiness
@@ -51,23 +52,9 @@ pub struct PipelineSim<'m> {
     machine: &'m MachineConfig,
 }
 
-/// "No instruction" in the scan state, and "not issued yet" in
-/// [`SimScratch::done`] (no issued instruction completes at `u64::MAX`).
-const NONE: u32 = u32::MAX;
+/// "Not issued yet" in [`SimScratch::done`] (no issued instruction
+/// completes at `u64::MAX`).
 const UNISSUED: u64 = u64::MAX;
-
-/// Per-register scan state: the last def of the register and the head of
-/// its list (in [`SimScratch::reader_pool`]) of readers since that def.
-#[derive(Clone, Copy, Default)]
-struct RegScan {
-    def: u32,
-    readers: u32,
-}
-
-impl RegScan {
-    /// A register the current sequence has not touched yet.
-    const UNTOUCHED: RegScan = RegScan { def: NONE, readers: NONE };
-}
 
 thread_local! {
     /// The simulator's per-thread scratch, warm across every query the
@@ -75,131 +62,79 @@ thread_local! {
     static SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::default());
 }
 
-/// Reusable state of one simulation: the dependence scan's CSR output and
-/// work lists, and the issue loop's per-instruction constraints and
-/// completion cycles.
+/// Reusable state of one simulation: the dependence scan and the
+/// predecessor arrays it fills, and the issue loop's per-instruction
+/// timing rows and completion cycles.
 #[derive(Default)]
 struct SimScratch {
-    /// Predecessors whose *completion* must precede our issue:
-    /// instruction `i`'s are `completion[completion_off[i]..completion_off[i + 1]]`.
-    completion_off: Vec<u32>,
-    completion: Vec<u32>,
-    /// Predecessors whose *issue* must precede-or-equal our issue, laid
-    /// out like `completion`.
-    issue_off: Vec<u32>,
-    issue: Vec<u32>,
-    regs: RegTable<RegScan>,
-    /// Linked-list pool behind the per-register reader lists:
-    /// `(reader index, next pool slot)`.
-    reader_pool: Vec<(u32, u32)>,
-    stores: Vec<u32>,
-    loads_since_store: Vec<u32>,
-    since_barrier: Vec<u32>,
+    scan: DepScan,
+    /// Every instruction's predecessors, CSR-style: instruction `i`'s are
+    /// `preds[pred_off[i]..pred_off[i + 1]]`, each flagged `true` when its
+    /// *completion* must precede our issue and `false` when only its
+    /// *issue* must precede-or-equal ours.
+    pred_off: Vec<u32>,
+    preds: Vec<(u32, bool)>,
     /// What the issue loop reads of each instruction, looked up once.
     slots: Vec<OpTiming>,
     /// Completion cycle of each instruction, [`UNISSUED`] until it issues.
     done: Vec<u64>,
 }
 
-fn offset(len: usize) -> u32 {
-    u32::try_from(len).expect("dependence lists stay far below u32::MAX entries")
+/// The simulator's [`DepSink`]: keeps every edge, without dedup (a
+/// completion edge must survive a weaker edge to the same pair), flagged
+/// by what it waits for. An instruction waits for a producer's result,
+/// an aliasing store's write or a barrier to complete; it need only
+/// issue no earlier than an instruction whose operand it overwrites or a
+/// load whose slot it stores to.
+struct SimSink<'a> {
+    slots: &'a [OpTiming],
+    pred_off: &'a mut Vec<u32>,
+    preds: &'a mut Vec<(u32, bool)>,
+    /// The last store scanned so far (`u32::MAX` before the first): a
+    /// load older than it is no longer pending under the old load rule,
+    /// which retired every pending load at any store.
+    last_store: u32,
 }
 
-impl SimScratch {
-    /// The dependence scan: records every instruction's completion and
-    /// issue predecessors, in program order.
-    fn scan_deps(&mut self, machine: &MachineConfig, insts: &[Inst]) {
-        self.completion_off.clear();
-        self.completion.clear();
-        self.issue_off.clear();
-        self.issue.clear();
-        self.regs.clear();
-        self.reader_pool.clear();
-        self.stores.clear();
-        self.loads_since_store.clear();
-        self.since_barrier.clear();
-        self.completion_off.push(0);
-        self.issue_off.push(0);
-        let mut last_barrier: Option<u32> = None;
-
-        for (idx, inst) in insts.iter().enumerate() {
-            let i = u32::try_from(idx).expect("simulated blocks are far below u32::MAX insts");
-            let op = inst.opcode();
-            // True data dependences.
-            for &u in inst.uses() {
-                let scan = self.regs.get(u).unwrap_or(RegScan::UNTOUCHED);
-                if scan.def != NONE {
-                    self.completion.push(scan.def);
-                }
-                self.reader_pool.push((i, scan.readers));
-                self.regs.set(u, RegScan { readers: offset(self.reader_pool.len() - 1), ..scan });
-            }
-            // Output and anti dependences on registers.
-            for &d in inst.defs() {
-                let scan = self.regs.get(d).unwrap_or(RegScan::UNTOUCHED);
-                if scan.def != NONE {
-                    self.issue.push(scan.def);
-                }
-                let mut cursor = scan.readers;
-                while cursor != NONE {
-                    let (r, next) = self.reader_pool[cursor as usize];
-                    if r != i {
-                        self.issue.push(r);
-                    }
-                    cursor = next;
-                }
-            }
-            // Memory ordering.
-            if let Some(m) = inst.mem_ref() {
-                for &s in &self.stores {
-                    let sm = insts[s as usize].mem_ref().expect("stores carry mem refs");
-                    if m.may_alias(sm) {
-                        self.completion.push(s);
-                    }
-                }
-                if op.is_store() {
-                    for &l in &self.loads_since_store {
-                        let lm = insts[l as usize].mem_ref().expect("loads carry mem refs");
-                        if m.may_alias(lm) {
-                            self.issue.push(l);
-                        }
-                    }
-                }
-            }
-            // Serializing instructions.
-            if let Some(b) = last_barrier {
-                self.completion.push(b);
-            }
-            if machine.timing(op).serializing {
-                self.completion.extend_from_slice(&self.since_barrier);
-                last_barrier = Some(i);
-                self.since_barrier.clear();
-            } else {
-                self.since_barrier.push(i);
-            }
-            // Update write state last.
-            for &d in inst.defs() {
-                self.regs.set(d, RegScan { def: i, readers: NONE });
-            }
-            if op.is_store() {
-                self.stores.push(i);
-                self.loads_since_store.clear();
-            } else if op.is_load() {
-                self.loads_since_store.push(i);
-            }
-            self.completion_off.push(offset(self.completion.len()));
-            self.issue_off.push(offset(self.issue.len()));
+impl DepSink for SimSink<'_> {
+    #[inline]
+    fn edge(&mut self, from: u32, _: u32, kind: DepKind) {
+        let completes = match kind {
+            DepKind::Anti | DepKind::Output => false,
+            DepKind::Memory => self.slots[from as usize].store,
+            DepKind::True | DepKind::Control | DepKind::Hazard => true,
+        };
+        if completes || kind != DepKind::Memory || self.last_store == u32::MAX || from > self.last_store {
+            self.preds.push((from, completes));
         }
     }
 
+    #[inline]
+    fn end_inst(&mut self, i: u32) {
+        if self.slots[i as usize].store {
+            self.last_store = i;
+        }
+        self.pred_off.push(u32::try_from(self.preds.len()).expect("predecessor list outgrew u32 offsets"));
+    }
+}
+
+impl SimScratch {
     /// Simulates `insts` (non-empty) on `machine`; returns the cycle the
     /// last instruction completes.
     fn simulate(&mut self, machine: &MachineConfig, insts: &[Inst]) -> u64 {
-        self.scan_deps(machine, insts);
-        let n = insts.len();
-        let window = machine.window();
         self.slots.clear();
         self.slots.extend(insts.iter().map(|inst| *machine.timing(inst.opcode())));
+        self.preds.clear();
+        self.pred_off.clear();
+        self.pred_off.push(0);
+        // Serializing instructions are the only barriers.
+        let classify =
+            |inst: &Inst| if machine.timing(inst.opcode()).serializing { Barrier::Full } else { Barrier::None };
+        let mut sink =
+            SimSink { slots: &self.slots, pred_off: &mut self.pred_off, preds: &mut self.preds, last_store: u32::MAX };
+        self.scan.scan(insts, classify, &mut sink);
+        let n = insts.len();
+        let window = machine.window();
         self.done.clear();
         self.done.resize(n, UNISSUED);
         let done = &mut self.done;
@@ -239,16 +174,13 @@ impl SimScratch {
                     if *budget == 0 {
                         continue;
                     }
-                    // An unissued predecessor reads as completing at
-                    // `UNISSUED`, after every cycle.
-                    let completion =
-                        &self.completion[self.completion_off[i] as usize..self.completion_off[i + 1] as usize];
-                    if let Some(&p) = completion.iter().find(|&&p| done[p as usize] > cycle) {
+                    // A completion predecessor blocks until it completes,
+                    // an issue predecessor while it is unissued (reading
+                    // as completing at `UNISSUED`, after every cycle).
+                    let preds = &self.preds[self.pred_off[i] as usize..self.pred_off[i + 1] as usize];
+                    let until = |completes: bool| if completes { cycle } else { UNISSUED - 1 };
+                    if let Some(&(p, _)) = preds.iter().find(|&&(p, completes)| done[p as usize] > until(completes)) {
                         wake = wake.min(done[p as usize]);
-                        continue;
-                    }
-                    let issue = &self.issue[self.issue_off[i] as usize..self.issue_off[i + 1] as usize];
-                    if issue.iter().any(|&p| done[p as usize] == UNISSUED) {
                         continue;
                     }
                     // The first free capable unit, in index order.
