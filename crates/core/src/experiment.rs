@@ -575,13 +575,12 @@ impl ExperimentRun {
     }
 
     /// Aggregate scheduling-time measurement of the threshold-`t` LOOCV
-    /// filters over *all* benchmarks, each benchmark deciding under
-    /// `policy(bench)` — the per-machine row of the filter-cost table
-    /// under [`DecisionPolicy::HardThreshold`]: how much work the filters
+    /// filters over *all* benchmarks, each deciding under
+    /// `policy(bench)`. Under [`DecisionPolicy::HardThreshold`] this is the
+    /// per-machine row of the filter-cost table: how much work the filters
     /// themselves add (`filter_work` + `feature_work`) against the full
-    /// always-schedule cost. Under
-    /// [`policy_for`](ExperimentRun::policy_for) each benchmark is
-    /// evaluated with a [`BenefitModel`](crate::BenefitModel) calibrated
+    /// always-schedule cost. Under [`policy_for`](ExperimentRun::policy_for)
+    /// each benchmark's [`BenefitModel`](crate::BenefitModel) is calibrated
     /// on the other benchmarks' traces, so the aggregate is as honest as
     /// the LOOCV error numbers.
     pub fn sched_time_total(&self, t: u32, policy: impl Fn(&str) -> DecisionPolicy) -> EvalTimes {

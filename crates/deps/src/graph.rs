@@ -10,8 +10,7 @@
 //! sort and the successor array one counting sort.
 
 use wts_ir::Inst;
-pub use wts_machine::DepKind;
-use wts_machine::{Barrier, DepScan, DepSink};
+use wts_machine::{Barrier, DepKind, DepScan, DepSink};
 
 /// A dependence DAG over the instructions of one basic block.
 ///
@@ -208,7 +207,7 @@ impl DepSink for GraphSink<'_> {
     }
 
     #[inline]
-    fn end_inst(&mut self, _: u32) {
+    fn end_inst(&mut self) {
         self.pred_off.push(u32::try_from(self.preds.len()).expect("edge list outgrew u32 offsets"));
     }
 }

@@ -8,9 +8,12 @@
 //! "disallow reordering" (paper Table 1), which we model conservatively as
 //! ordering barriers in the DAG.
 //!
-//! Note the division of labour: hazard constraints restrict the
-//! *scheduler* (they live here), while the machine simulators in
-//! `wts-machine` only model timing of a fixed order.
+//! The walk itself is `wts-machine`'s [`DepScan`](wts_machine::DepScan),
+//! which also orders the pipeline simulator. Note the division of labour:
+//! hazard constraints restrict the *scheduler* (its barrier classifier,
+//! here, makes them barriers), while the simulator, which only models the
+//! timing of a fixed order, bars reordering only across serializing
+//! instructions.
 //!
 //! # Examples
 //!
@@ -31,4 +34,5 @@ mod critical;
 mod graph;
 
 pub use critical::{critical_paths, critical_paths_into};
-pub use graph::{DepGraph, DepKind, GraphBuilder};
+pub use graph::{DepGraph, GraphBuilder};
+pub use wts_machine::DepKind;

@@ -21,10 +21,10 @@ use wts_ir::{BasicBlock, Inst};
 ///
 /// Each call runs on warm, hash-free scratch. The window is ordered by
 /// [`DepScan`], the same scan that builds the scheduler's dependence
-/// graph, with serializing instructions as its only barriers; its edges
-/// land, undeduplicated, in flat CSR completion and issue predecessor
-/// arrays, and per-instruction completion cycles live in a reused
-/// buffer. The scratch is private and per thread, so the simulator stays
+/// graph, with serializing instructions as its only barriers. Its edges
+/// land, undeduplicated and flagged as completion or issue constraints,
+/// in one flat CSR predecessor array, and per-instruction completion
+/// cycles live in a reused buffer. The scratch is private and per thread, so the simulator stays
 /// a `&self`, `Sync` [`CostProvider`](crate::CostProvider) and a
 /// steady-state query allocates nothing.
 ///
@@ -90,10 +90,6 @@ struct SimSink<'a> {
     slots: &'a [OpTiming],
     pred_off: &'a mut Vec<u32>,
     preds: &'a mut Vec<(u32, bool)>,
-    /// The last store scanned so far (`u32::MAX` before the first): a
-    /// load older than it is no longer pending under the old load rule,
-    /// which retired every pending load at any store.
-    last_store: u32,
 }
 
 impl DepSink for SimSink<'_> {
@@ -104,16 +100,11 @@ impl DepSink for SimSink<'_> {
             DepKind::Memory => self.slots[from as usize].store,
             DepKind::True | DepKind::Control | DepKind::Hazard => true,
         };
-        if completes || kind != DepKind::Memory || self.last_store == u32::MAX || from > self.last_store {
-            self.preds.push((from, completes));
-        }
+        self.preds.push((from, completes));
     }
 
     #[inline]
-    fn end_inst(&mut self, i: u32) {
-        if self.slots[i as usize].store {
-            self.last_store = i;
-        }
+    fn end_inst(&mut self) {
         self.pred_off.push(u32::try_from(self.preds.len()).expect("predecessor list outgrew u32 offsets"));
     }
 }
@@ -130,8 +121,7 @@ impl SimScratch {
         // Serializing instructions are the only barriers.
         let classify =
             |inst: &Inst| if machine.timing(inst.opcode()).serializing { Barrier::Full } else { Barrier::None };
-        let mut sink =
-            SimSink { slots: &self.slots, pred_off: &mut self.pred_off, preds: &mut self.preds, last_store: u32::MAX };
+        let mut sink = SimSink { slots: &self.slots, pred_off: &mut self.pred_off, preds: &mut self.preds };
         self.scan.scan(insts, classify, &mut sink);
         let n = insts.len();
         let window = machine.window();
@@ -351,6 +341,36 @@ mod tests {
         let ooo = PipelineSim::new(&mach).sequence_cycles(&seq);
         let ino = CostModel::new(&mach).sequence_cycles(&seq);
         assert_eq!(ooo, ino, "window=1 must match the in-order model");
+    }
+
+    /// Regression, shrunk from a `wide4` counterexample of the pipeline
+    /// oracle: `lfd [heap+0]; stw [heap+2]; stfd [heap+0]`. The store to
+    /// the other slot used to retire the pending load, so the store to its
+    /// slot could issue ahead of it, and adding that unrelated store made
+    /// the sequence *faster* (38 against 41 cycles on ppc7410, 29 against
+    /// 30 on wide4).
+    #[test]
+    fn a_store_to_another_slot_does_not_let_a_store_pass_a_pending_load() {
+        let heap = |slot| MemRef::slot(MemSpace::Heap, slot);
+        let with_other_store = [
+            Inst::new(Opcode::Fadd).def(Reg::fpr(0)).use_(Reg::fpr(1)).use_(Reg::fpr(0)),
+            Inst::new(Opcode::Fadd).def(Reg::fpr(1)).use_(Reg::fpr(0)).use_(Reg::fpr(1)),
+            Inst::new(Opcode::Lfd).def(Reg::fpr(1)).use_(Reg::gpr(2)).mem(heap(0)),
+            Inst::new(Opcode::Fdiv).def(Reg::fpr(2)).use_(Reg::fpr(3)).use_(Reg::fpr(3)),
+            Inst::new(Opcode::Stw).use_(Reg::gpr(2)).use_(Reg::gpr(0)).mem(heap(2)),
+            Inst::new(Opcode::Stfd).use_(Reg::fpr(0)).use_(Reg::gpr(1)).mem(heap(0)),
+            Inst::new(Opcode::Stw).use_(Reg::gpr(2)).use_(Reg::gpr(0)).mem(heap(0)),
+        ];
+        let mut without = with_other_store.to_vec();
+        without.remove(4);
+        for machine in crate::registry() {
+            let sim = PipelineSim::new(&machine);
+            assert!(
+                sim.sequence_cycles(&with_other_store) >= sim.sequence_cycles(&without),
+                "{}: an extra store must not speed the block up",
+                machine.name()
+            );
+        }
     }
 
     #[test]

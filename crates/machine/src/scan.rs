@@ -42,8 +42,8 @@ pub trait DepSink {
     /// the same or another kind; the first report is the strongest.
     fn edge(&mut self, from: u32, to: u32, kind: DepKind);
 
-    /// Every edge into `i` has been reported.
-    fn end_inst(&mut self, i: u32);
+    /// Every edge into the instruction being scanned has been reported.
+    fn end_inst(&mut self);
 }
 
 /// Sentinel for "none" in the scan's `u32` index fields.
@@ -195,7 +195,7 @@ impl DepScan {
             } else if op.is_load() {
                 self.pending_loads.push(i);
             }
-            sink.end_inst(i);
+            sink.end_inst();
         }
     }
 

@@ -14,6 +14,14 @@
 //! depth from 1 to 32; and with one thread's scratch reused across blocks
 //! of shrinking length, where stale predecessor, register or completion
 //! state from a longer block would show.
+//!
+//! The old loop is kept verbatim but for its load rule. It used to clear
+//! every pending load at any store, so a store could issue ahead of an
+//! earlier load of its slot when a store to another slot sat between
+//! them. The simulator now takes its ordering from the one dependence
+//! scan it shares with the scheduler's graph, where a store retires only
+//! the pending loads it covers, and the oracle's loop applies the same
+//! rule.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -103,7 +111,9 @@ fn scan_deps(insts: &[Inst]) -> SimDeps {
         }
         if op.is_store() {
             stores.push(i);
-            loads_since_store.clear();
+            // A store retires only the pending loads it covers.
+            let m = inst.mem_ref().expect("stores carry mem refs");
+            loads_since_store.retain(|&l| !m.covers(insts[l as usize].mem_ref().expect("loads carry mem refs")));
         } else if op.is_load() {
             loads_since_store.push(i);
         }
