@@ -16,13 +16,10 @@
 //!   features its conditions actually read (via
 //!   [`RuleSet::referenced_attrs`](wts_ripper::RuleSet::referenced_attrs)),
 //!   which drives demand-driven extraction
-//!   ([`FeatureVector::extract_masked`]) — induced rule sets typically
-//!   consult two or three of the seventeen features (Table 1 plus the
-//!   trace-shape features of the superblock scope).
-//! * [`FeatureBatch`] lays feature vectors out as contiguous
-//!   structure-of-arrays columns so batch classification
-//!   ([`CompiledFilter::classify_batch`]) streams each demanded column,
-//!   sharded across cores with [`shard_map`](crate::parallel::shard_map).
+//!   ([`FeatureVector::extract_masked`](wts_features::FeatureVector::extract_masked))
+//!   — induced rule sets typically consult two or three of the seventeen
+//!   features (Table 1 plus the trace-shape features of the superblock
+//!   scope).
 //! * Decision *work* is observable: [`CompiledFilter::decide_counted`]
 //!   reports the number of conditions actually evaluated before the
 //!   decision (short-circuit aware), which
@@ -48,10 +45,8 @@
 //! assert!(compiled.decide(&v));
 //! ```
 
-use crate::trace::TraceRecord;
 use std::fmt;
-use wts_features::{FeatureKind, FeatureMask, FeatureVector};
-use wts_ir::BasicBlock;
+use wts_features::{FeatureKind, FeatureMask};
 use wts_ripper::{Op, RuleSet};
 
 /// One lowered condition: `values[attr] <op> threshold`.
@@ -79,7 +74,7 @@ impl CompiledCond {
 /// order and each rule short-circuits on its first failing condition.
 /// The fixed strategies compile to degenerate tables (LS = one empty
 /// rule that always fires, NS = no rules), so one engine serves every
-/// filter kind in trace collection, evaluation and the benches.
+/// filter kind in trace collection, evaluation and serving.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledFilter {
     name: String,
@@ -293,7 +288,8 @@ impl CompiledFilter {
     }
 
     /// The features this filter's conditions read. Extraction only needs
-    /// to materialize these ([`FeatureVector::extract_masked`]).
+    /// to materialize these
+    /// ([`FeatureVector::extract_masked`](wts_features::FeatureVector::extract_masked)).
     pub fn demand(&self) -> FeatureMask {
         self.demand
     }
@@ -368,21 +364,6 @@ impl CompiledFilter {
         (self.score_of(fired), evaluated)
     }
 
-    /// Scores every row of a batch against the SoA columns, sharded like
-    /// [`classify_batch`](CompiledFilter::classify_batch); row `i`'s
-    /// `decision()` equals `classify_batch`'s row `i` for every thread
-    /// count.
-    pub fn score_batch(&self, batch: &FeatureBatch, threads: usize) -> Vec<FilterScore> {
-        let rows: Vec<u32> = (0..u32::try_from(batch.len()).expect("batch sizes fit u32")).collect();
-        let shards = crate::parallel::shard_map(&rows, threads, |slice| {
-            slice
-                .iter()
-                .map(|&row| self.score_of(self.walk(|attr| batch.value(attr, row as usize)).0))
-                .collect::<Vec<FilterScore>>()
-        });
-        shards.into_iter().flatten().collect()
-    }
-
     /// Resolves a walk's fired-rule index into the calibrated score.
     #[inline]
     fn score_of(&self, fired: Option<u32>) -> FilterScore {
@@ -394,12 +375,11 @@ impl CompiledFilter {
     }
 
     /// The one rule-table walk every path shares — boolean decisions,
-    /// counted work, calibrated scores, scalar and batch alike —
-    /// parameterized over how a feature value is fetched (dense slice or
-    /// SoA column) so the short-circuit and firing-order semantics
-    /// cannot diverge between any two of them. Returns the index of the
-    /// first rule that fired (the decision is its presence) and the
-    /// number of conditions evaluated.
+    /// counted work and calibrated scores — parameterized over how a
+    /// feature value is fetched, so the short-circuit and firing-order
+    /// semantics cannot diverge between any two of them. Returns the
+    /// index of the first rule that fired (the decision is its presence)
+    /// and the number of conditions evaluated.
     #[inline]
     fn walk(&self, mut value: impl FnMut(usize) -> f64) -> (Option<u32>, u64) {
         let mut evaluated = 0u64;
@@ -434,30 +414,6 @@ impl CompiledFilter {
     pub fn extraction_work(&self, bb_len: u64) -> u64 {
         self.demand.extraction_work(bb_len)
     }
-
-    /// Extracts exactly the demanded features of `block` and decides —
-    /// the deployed fast path: one masked pass, then the flat table.
-    pub fn classify_block(&self, block: &BasicBlock) -> bool {
-        self.decide(FeatureVector::extract_masked(block, self.demand).as_slice())
-    }
-
-    /// Classifies every row of a batch, sharding rows across `threads`
-    /// scoped workers (`0` = one per core, `1` = serial) with
-    /// [`shard_map`](crate::parallel::shard_map). Output order matches
-    /// the batch; the result is identical for every thread count.
-    pub fn classify_batch(&self, batch: &FeatureBatch, threads: usize) -> Vec<bool> {
-        let rows: Vec<u32> = (0..u32::try_from(batch.len()).expect("batch sizes fit u32")).collect();
-        let shards = crate::parallel::shard_map(&rows, threads, |slice| {
-            slice.iter().map(|&row| self.decide_row(batch, row as usize)).collect::<Vec<bool>>()
-        });
-        shards.into_iter().flatten().collect()
-    }
-
-    /// One row's decision against the SoA columns.
-    #[inline]
-    fn decide_row(&self, batch: &FeatureBatch, row: usize) -> bool {
-        self.walk(|attr| batch.value(attr, row)).0.is_some()
-    }
 }
 
 impl fmt::Display for CompiledFilter {
@@ -473,61 +429,10 @@ impl fmt::Display for CompiledFilter {
     }
 }
 
-/// Feature vectors in structure-of-arrays layout: one contiguous column
-/// per Table 1 feature, so batch classification streams only the
-/// demanded columns instead of striding through per-record structs.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FeatureBatch {
-    /// Column-major values: column `a` occupies `data[a*len .. (a+1)*len]`.
-    data: Vec<f64>,
-    len: usize,
-}
-
-impl FeatureBatch {
-    /// Packs feature vectors into columns.
-    pub fn from_vectors<'a>(vectors: impl IntoIterator<Item = &'a FeatureVector>) -> FeatureBatch {
-        let rows: Vec<&FeatureVector> = vectors.into_iter().collect();
-        let len = rows.len();
-        let mut data = vec![0.0; FeatureKind::COUNT * len];
-        for (row, fv) in rows.iter().enumerate() {
-            for (attr, &v) in fv.as_slice().iter().enumerate() {
-                data[attr * len + row] = v;
-            }
-        }
-        FeatureBatch { data, len }
-    }
-
-    /// Packs the feature vectors of a trace.
-    pub fn from_traces(traces: &[TraceRecord]) -> FeatureBatch {
-        FeatureBatch::from_vectors(traces.iter().map(|r| &r.features))
-    }
-
-    /// Number of rows (feature vectors).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the batch has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The value of feature `attr` in row `row`.
-    #[inline]
-    pub fn value(&self, attr: usize, row: usize) -> f64 {
-        self.data[attr * self.len + row]
-    }
-
-    /// One feature's contiguous column.
-    pub fn column(&self, kind: FeatureKind) -> &[f64] {
-        let a = kind.index();
-        &self.data[a * self.len..(a + 1) * self.len]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wts_features::FeatureVector;
     use wts_ripper::{Condition, Rule, RuleStats};
 
     fn fv(bb_len: f64, loads: f64, calls: f64) -> FeatureVector {
@@ -598,22 +503,6 @@ mod tests {
         assert_eq!(c.extraction_work(1000), 0, "bbLen is known without an instruction pass");
     }
 
-    #[test]
-    fn batch_layout_is_columnar_and_decisions_match_scalar() {
-        let vectors = [fv(8.0, 0.5, 0.9), fv(3.0, 0.9, 0.05), fv(8.0, 0.1, 0.9), fv(1.0, 0.0, 0.5)];
-        let batch = FeatureBatch::from_vectors(vectors.iter());
-        assert_eq!(batch.len(), 4);
-        assert_eq!(batch.column(FeatureKind::BbLen), &[8.0, 3.0, 8.0, 1.0]);
-        let compiled = CompiledFilter::from_rule_set(&two_rule_set(), "L/N");
-        for threads in [1, 2, 7] {
-            let decisions = compiled.classify_batch(&batch, threads);
-            let scalar: Vec<bool> = vectors.iter().map(|v| compiled.decide(v.as_slice())).collect();
-            assert_eq!(decisions, scalar, "{threads} threads");
-        }
-        assert!(FeatureBatch::from_traces(&[]).is_empty());
-        assert!(compiled.classify_batch(&FeatureBatch::default(), 4).is_empty());
-    }
-
     fn statted_rule_set() -> RuleSet {
         let attr_names: Vec<String> = FeatureKind::ALL.iter().map(|k| k.rule_name().to_string()).collect();
         RuleSet::new(
@@ -664,17 +553,6 @@ mod tests {
             assert_eq!(score.decision(), compiled.decide(v.as_slice()), "{v}");
             assert_eq!(work, compiled.decide_counted(v.as_slice()).1, "{v}");
             assert_eq!(compiled.score(v.as_slice()), score);
-        }
-        let batch = FeatureBatch::from_vectors(vectors.iter());
-        for threads in [1, 2, 7] {
-            let scores = compiled.score_batch(&batch, threads);
-            let decisions = compiled.classify_batch(&batch, threads);
-            assert_eq!(scores.len(), decisions.len());
-            for (s, d) in scores.iter().zip(&decisions) {
-                assert_eq!(s.decision(), *d, "{threads} threads");
-            }
-            let scalar: Vec<FilterScore> = vectors.iter().map(|v| compiled.score(v.as_slice())).collect();
-            assert_eq!(scores, scalar, "{threads} threads");
         }
     }
 

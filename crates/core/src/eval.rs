@@ -143,10 +143,7 @@ fn ratio(filtered: u64, always: u64) -> f64 {
     filtered as f64 / always as f64
 }
 
-/// The filter's decision for every record: a straight walk over the
-/// records (per-benchmark traces are small; callers needing cross-core
-/// SoA classification use [`CompiledFilter::classify_batch`] over a
-/// [`FeatureBatch`](crate::FeatureBatch) directly).
+/// The filter's decision for every record.
 fn decisions<'a>(traces: &'a [TraceRecord], filter: &'a CompiledFilter) -> impl Iterator<Item = bool> + 'a {
     traces.iter().map(|r| filter.decide(r.features.as_slice()))
 }

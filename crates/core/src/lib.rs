@@ -30,17 +30,16 @@
 //! lowers into it, and the fixed LS/NS strategies and the size-threshold
 //! baseline are built as one. It is a flat condition table with a
 //! feature demand mask, so classification runs over demand-masked
-//! extraction
-//! ([`wts_features::FeatureVector::extract_masked`]) and contiguous
-//! [`FeatureBatch`] columns, and every evaluation artifact charges the
-//! filter's *honest* cost — conditions actually evaluated plus masked
-//! extraction work — instead of flat constants.
+//! extraction ([`wts_features::FeatureVector::extract_masked`]), and
+//! every evaluation artifact charges the filter's *honest* cost —
+//! conditions actually evaluated plus masked extraction work — instead
+//! of flat constants.
 //!
 //! The free functions are the stages; [`Experiment`] is the pipeline.
 //! It owns the whole sequence — policy and estimator selection, sharded
 //! trace collection, threshold labeling, fold-parallel LOOCV training
 //! and every evaluation artifact — behind one configurable type, and is
-//! what the table/figure regenerators and benches are built on.
+//! what the table/figure regenerators are built on.
 //! [`ExperimentMatrix`] lifts the pipeline across the whole machine
 //! registry: one `Experiment` per machine model, sharded as a single
 //! machines×methods work list, with per-machine rule sets, a
@@ -51,6 +50,7 @@
 //!
 //! ```
 //! use wts_core::CompiledFilter;
+//! use wts_features::FeatureVector;
 //! use wts_ir::{BasicBlock, Inst, Opcode, Reg};
 //!
 //! let mut b = BasicBlock::new(0);
@@ -58,7 +58,7 @@
 //!     b.push(Inst::new(Opcode::Add).def(Reg::gpr(i + 1)).use_(Reg::gpr(0)).use_(Reg::gpr(0)));
 //! }
 //! let filter = CompiledFilter::size_threshold(5);
-//! assert!(filter.classify_block(&b));
+//! assert!(filter.decide(FeatureVector::extract_masked(&b, filter.demand()).as_slice()));
 //! ```
 
 mod engine;
@@ -77,7 +77,7 @@ pub mod testutil;
 mod trace;
 mod train;
 
-pub use engine::{CompiledFilter, CompiledFilterError, FeatureBatch, FilterScore};
+pub use engine::{CompiledFilter, CompiledFilterError, FilterScore};
 pub use eval::{
     app_time_ratio, classification_matrix, oracle_times, predicted_time_ratio, runtime_classification,
     sched_time_ratio, ClassCounts, EvalTimes,

@@ -1,10 +1,10 @@
 //! The compiled filter engine's correctness contract: bit-identical to
 //! the interpreted rule-set path — on random rule sets and feature
-//! vectors, through the batch API at any thread count, and on every
-//! trained LOOCV fold across every registry machine.
+//! vectors, and on every trained LOOCV fold across every registry
+//! machine.
 
 use proptest::prelude::*;
-use wts_core::{CompiledFilter, Experiment, FeatureBatch, LearnedFilter, Learner, LearnerKind, TimingMode};
+use wts_core::{CompiledFilter, Experiment, LearnedFilter, Learner, LearnerKind, TimingMode};
 use wts_features::{FeatureKind, FeatureMask, FeatureVector};
 use wts_ir::{BasicBlock, Inst, MemRef, MemSpace, Opcode, Program, Reg};
 use wts_ripper::{Condition, Dataset, Op, Rule, RuleSet, RuleStats};
@@ -95,17 +95,6 @@ proptest! {
     }
 
     #[test]
-    fn batch_classification_is_thread_invariant_and_matches_scalar(rs in arb_rule_set(),
-                                                                   vectors in prop::collection::vec(arb_vector(), 0..40),
-                                                                   threads in 1usize..8) {
-        let compiled = CompiledFilter::from_rule_set(&rs, "L/N");
-        let batch = FeatureBatch::from_vectors(vectors.iter());
-        let batched = compiled.classify_batch(&batch, threads);
-        let scalar: Vec<bool> = vectors.iter().map(|v| compiled.decide(v.as_slice())).collect();
-        prop_assert_eq!(batched, scalar);
-    }
-
-    #[test]
     fn eval_work_agrees_between_interpreted_and_compiled(rs in arb_rule_set(), v in arb_vector()) {
         let learned = LearnedFilter::new(rs, 0);
         let compiled = learned.compile();
@@ -170,7 +159,6 @@ proptest! {
             let full = FeatureVector::extract(&b);
             let masked = FeatureVector::extract_masked(&b, compiled.demand());
             prop_assert_eq!(compiled.decide(masked.as_slice()), compiled.decide(full.as_slice()));
-            prop_assert_eq!(compiled.classify_block(&b), compiled.decide(full.as_slice()));
         }
     }
 }
@@ -182,8 +170,8 @@ fn suite() -> Vec<Program> {
 
 /// The acceptance bar: on every registry machine, every trained LOOCV
 /// fold's compiled form is bit-identical to the interpreted filter — on
-/// every trace record, through the batch API, and with demand-masked
-/// extraction straight off the blocks.
+/// every trace record, and with demand-masked extraction straight off the
+/// blocks.
 #[test]
 fn compiled_loocv_folds_match_interpreted_on_all_registry_machines() {
     let programs = suite();
@@ -206,13 +194,6 @@ fn compiled_loocv_folds_match_interpreted_on_all_registry_machines() {
                         compiled.eval_work(r.features.as_slice()),
                         interpreted_work(learned.rules(), r.features.as_slice())
                     );
-                }
-                // Batch decisions, across thread counts.
-                let batch = FeatureBatch::from_traces(run.all_traces());
-                let scalar: Vec<bool> =
-                    run.all_traces().iter().map(|r| learned.rules().predict(r.features.as_slice())).collect();
-                for threads in [1, 4] {
-                    assert_eq!(compiled.classify_batch(&batch, threads), scalar, "{}/{bench}", machine.name());
                 }
                 // Demand-masked extraction straight off the IR agrees
                 // with full extraction + the interpreted filter.

@@ -1,13 +1,13 @@
 //! The decision layer's correctness contract: scoring is the boolean
 //! engine plus calibration — a [`HardThreshold`](DecisionPolicy) deployment
-//! is bit-identical to the legacy `decide` path on random tables, through
-//! the batch API, and on every trained LOOCV fold across every registry
-//! machine, learner backend, and scheduling scope.
+//! is bit-identical to the legacy `decide` path on random tables and on
+//! every trained LOOCV fold across every registry machine, learner
+//! backend, and scheduling scope.
 
 use proptest::prelude::*;
 use wts_core::{
-    collect_trace, filtered_schedule_pass, CompiledFilter, DecisionPolicy, Experiment, FeatureBatch, FilteredPass,
-    Learner, LearnerKind, ScopeKind, TimingMode, TraceOptions, UnitEconomics,
+    collect_trace, filtered_schedule_pass, CompiledFilter, DecisionPolicy, Experiment, FilteredPass, Learner,
+    LearnerKind, ScopeKind, TimingMode, TraceOptions, UnitEconomics,
 };
 use wts_features::{FeatureKind, FeatureVector};
 use wts_ripper::{Condition, Op, Rule, RuleSet, RuleStats};
@@ -73,20 +73,6 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&score.probability), "calibrated score out of range: {}", score.probability);
         }
     }
-
-    #[test]
-    fn score_batch_matches_scalar_at_any_thread_count(rs in arb_statted_rule_set(),
-                                                      vectors in prop::collection::vec(arb_vector(), 0..40),
-                                                      threads in 1usize..8) {
-        let compiled = wts_core::CompiledFilter::from_rule_set(&rs, "L/N");
-        let batch = FeatureBatch::from_vectors(vectors.iter());
-        let batched = compiled.score_batch(&batch, threads);
-        prop_assert_eq!(batched.len(), vectors.len());
-        for (s, v) in batched.iter().zip(&vectors) {
-            prop_assert_eq!(*s, compiled.score(v.as_slice()));
-            prop_assert_eq!(s.decision(), compiled.decide(v.as_slice()));
-        }
-    }
 }
 
 /// The boolean seam rebuilt from a deterministic trace of every unit: a
@@ -134,8 +120,8 @@ fn assert_pass_pinned(
 
 /// The acceptance bar: on every registry machine and every portfolio
 /// backend, a hard-threshold deployment of each block-scope LOOCV fold
-/// is bit-identical to the legacy boolean filter — per-record decisions,
-/// batch scores, and the deployed pass's work channels.
+/// is bit-identical to the legacy boolean filter — per-record decisions
+/// and the deployed pass's work channels.
 #[test]
 fn hard_threshold_deployments_pin_the_boolean_seam_at_block_scope() {
     let programs = wts_core::testutil::learnable_suite(5);
@@ -151,9 +137,6 @@ fn hard_threshold_deployments_pin_the_boolean_seam_at_block_scope() {
                     assert_eq!(work, score_work, "{}/{}/{bench}", machine.name(), learner.name());
                     assert!((0.0..=1.0).contains(&score.probability));
                 }
-                let batch = FeatureBatch::from_traces(run.all_traces());
-                let scored: Vec<bool> = compiled.score_batch(&batch, 4).iter().map(|s| s.decision()).collect();
-                assert_eq!(scored, compiled.classify_batch(&batch, 4), "{}/{}/{bench}", machine.name(), learner.name());
                 for program in run.programs() {
                     assert_pass_pinned(
                         program,

@@ -47,7 +47,6 @@ pub struct IssueState<'m> {
     reg_ready: RegTable<u64>,
     unit_free: [u64; FunctionalUnit::COUNT],
     store_done: Vec<(MemRef, u64)>,
-    load_issued: Vec<(MemRef, u64)>,
     barrier_floor: u64,
     max_completion: u64,
     /// Cycle of the latest issue, which is also the earliest cycle the
@@ -65,7 +64,6 @@ impl<'m> IssueState<'m> {
             reg_ready: RegTable::new(),
             unit_free: [0; FunctionalUnit::COUNT],
             store_done: Vec::new(),
-            load_issued: Vec::new(),
             barrier_floor: 0,
             max_completion: 0,
             cur_cycle: 0,
@@ -86,7 +84,6 @@ impl<'m> IssueState<'m> {
         self.reg_ready.clear();
         self.unit_free = [0; FunctionalUnit::COUNT];
         self.store_done.clear();
-        self.load_issued.clear();
         self.barrier_floor = 0;
         self.max_completion = 0;
         self.cur_cycle = 0;
@@ -109,12 +106,16 @@ impl<'m> IssueState<'m> {
     /// not yet accounting for issue width or functional units.
     ///
     /// It reads register readiness for `inst`'s uses, the aliasing
-    /// entries of the memory lists when `inst` accesses memory, and the
+    /// entries of the store list when `inst` accesses memory, and the
     /// barrier and completion floors when it is serializing. So after
     /// issuing `I` it can only have changed when `I` defines a register
-    /// `inst` uses, both access memory, or either is serializing: the
-    /// list scheduler caches it under exactly that rule
-    /// ([`moves_ready`](IssueState::moves_ready)).
+    /// `inst` uses, `I` is a store and `inst` accesses memory, or either
+    /// is serializing: the list scheduler caches it under exactly that
+    /// rule ([`moves_ready`](IssueState::moves_ready)).
+    ///
+    /// A store need not wait for earlier loads of its slot here: issue is
+    /// in order, so every slot is at or after the current cycle, which is
+    /// at or after every earlier load's issue cycle.
     pub fn data_ready(&self, inst: &Inst) -> u64 {
         let row = self.machine.timing(inst.opcode());
         let mut ready = self.barrier_floor;
@@ -129,13 +130,6 @@ impl<'m> IssueState<'m> {
                     ready = ready.max(done);
                 }
             }
-            if row.store {
-                for &(r, issued) in &self.load_issued {
-                    if m.may_alias(r) {
-                        ready = ready.max(issued);
-                    }
-                }
-            }
         }
         if row.serializing {
             ready = ready.max(self.max_completion);
@@ -145,15 +139,16 @@ impl<'m> IssueState<'m> {
 
     /// True when issuing `issued` may have moved `candidate`'s
     /// [`data_ready`](IssueState::data_ready) cycle: `issued` defines a
-    /// register `candidate` uses, both access memory, or either is
-    /// serializing. These are exactly the inputs `data_ready` reads, so a
-    /// cached value for which this is false after an issue is still
-    /// current.
+    /// register `candidate` uses, `issued` is a store and `candidate`
+    /// accesses memory, or either is serializing. These are exactly the
+    /// inputs `data_ready` reads, so a cached value for which this is
+    /// false after an issue is still current.
     #[inline]
     pub fn moves_ready(&self, issued: &Inst, candidate: &Inst) -> bool {
-        self.machine.timing(issued.opcode()).serializing
+        let issued_row = self.machine.timing(issued.opcode());
+        issued_row.serializing
             || self.machine.timing(candidate.opcode()).serializing
-            || (issued.mem_ref().is_some() && candidate.mem_ref().is_some())
+            || (issued_row.store && candidate.mem_ref().is_some())
             || issued.defs().iter().any(|d| candidate.uses().contains(d))
     }
 
@@ -235,9 +230,6 @@ impl<'m> IssueState<'m> {
         if let Some(m) = inst.mem_ref() {
             if row.store {
                 self.store_done.push((m, done));
-                self.load_issued.clear();
-            } else {
-                self.load_issued.push((m, c));
             }
         }
         if row.serializing {

@@ -7,10 +7,11 @@
 //! the one that can start soonest; ties go to the instruction with the
 //! longest latency-weighted critical path to the end of the block.
 //!
-//! Alternative [`SchedulePolicy`] values exist for the ablation benches:
-//! the filter technique should work with "any competent scheduler", and
-//! the policies let us check how the trained filters interact with the
-//! scheduler that produced their labels.
+//! Alternative [`SchedulePolicy`] values exist for the policy ablation
+//! (`repro policies`) and the checker sweep: the filter technique should
+//! work with "any competent scheduler", and the policies let us check how
+//! the trained filters interact with the scheduler that produced their
+//! labels.
 //!
 //! # Examples
 //!

@@ -20,10 +20,10 @@ use wts_machine::{IssueState, MachineConfig};
 /// slot search from it ([`IssueState::slot_from`]). After an issue of
 /// `I`, a candidate `X`'s cached cycle is recomputed only when
 /// [`IssueState::moves_ready`] holds: `I` defines a register `X` uses,
-/// both access memory, or either is serializing. Those are exactly the
-/// inputs the data-ready cycle reads, so the cache never holds a stale
-/// value, whatever the dependence graph does or does not order. The
-/// winner is committed at the slot its key already found
+/// `I` is a store and `X` accesses memory, or either is serializing.
+/// Those are exactly the inputs the data-ready cycle reads, so the cache
+/// never holds a stale value, whatever the dependence graph does or does
+/// not order. The winner is committed at the slot its key already found
 /// ([`IssueState::issue_at`]). `CriticalPathOnly` and `Random` never read
 /// a start cycle and issue through [`IssueState::issue`].
 #[derive(Debug, Clone)]

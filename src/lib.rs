@@ -65,9 +65,9 @@ pub use wts_verify as verify;
 /// Commonly used items, importable with one `use`.
 pub mod prelude {
     pub use wts_core::{
-        BenefitModel, CompiledFilter, DecisionPolicy, Experiment, ExperimentMatrix, ExperimentRun, FeatureBatch,
-        FilterScore, LabelConfig, LearnedFilter, Learner, LearnerKind, MachinePortfolio, MatrixRun, PortfolioEntry,
-        ScopeKind, TimingMode, TraceOptions, TraceRecord, UnitEconomics,
+        BenefitModel, CompiledFilter, DecisionPolicy, Experiment, ExperimentMatrix, ExperimentRun, FilterScore,
+        LabelConfig, LearnedFilter, Learner, LearnerKind, MachinePortfolio, MatrixRun, PortfolioEntry, ScopeKind,
+        TimingMode, TraceOptions, TraceRecord, UnitEconomics,
     };
     pub use wts_deps::DepGraph;
     pub use wts_features::{FeatureKind, FeatureMask, FeatureVector, TraceShape};

@@ -101,13 +101,26 @@ fn graceful_shutdown_loses_no_trace_records() {
             .map(|c| {
                 s.spawn(move || {
                     let mut client = ServeClient::connect(addr).expect("connect");
+                    let id = |i: usize| (c * programs.len() + i) as u64;
+                    // Odd clients pipeline: every batch goes out before
+                    // any response is read, and a shed one is re-requested.
+                    let pipelined = c % 2 == 1;
+                    if pipelined {
+                        for (i, program) in programs.iter().enumerate() {
+                            client.send(id(i), program.name(), program.methods()).expect("send");
+                        }
+                    }
                     let mut units = 0u64;
                     for (i, program) in programs.iter().enumerate() {
-                        let id = (c * programs.len() + i) as u64;
-                        let batch = expect_batch(
-                            client.request_with_retry(id, program.name(), program.methods(), 10).expect("request"),
-                        );
-                        assert_eq!(batch.batch_id, id);
+                        let answered = if pipelined {
+                            Some(client.recv_for(id(i)).expect("recv")).filter(|r| !matches!(r, Response::Busy { .. }))
+                        } else {
+                            None
+                        };
+                        let batch = expect_batch(answered.unwrap_or_else(|| {
+                            client.request_with_retry(id(i), program.name(), program.methods(), 10).expect("request")
+                        }));
+                        assert_eq!(batch.batch_id, id(i));
                         units += batch.totals.total_blocks as u64;
                     }
                     units
