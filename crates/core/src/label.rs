@@ -1,8 +1,9 @@
 //! Threshold labeling of trace records (the noise-reduction trick).
 
+use crate::trace::improvement;
 use crate::TraceRecord;
 use std::collections::BTreeMap;
-use wts_features::FeatureKind;
+use wts_features::{FeatureKind, FeatureVector};
 use wts_ripper::Dataset;
 
 /// Labeling configuration: the paper's threshold `t`, in percent.
@@ -26,7 +27,14 @@ impl LabelConfig {
     /// Labels one record: `Some(true)` = LS, `Some(false)` = NS, `None` =
     /// dropped (benefit within `(0, t]`%).
     pub fn label(&self, rec: &TraceRecord) -> Option<bool> {
-        let imp = rec.est_improvement();
+        self.label_cycles((rec.est_unsched, rec.est_sched))
+    }
+
+    /// Labels one unit from its estimated `(unsched, sched)` cycles — the
+    /// one formula behind [`label`](LabelConfig::label) and the
+    /// retrainer's label-only observations.
+    pub(crate) fn label_cycles(&self, (est_unsched, est_sched): (u64, u64)) -> Option<bool> {
+        let imp = improvement(est_unsched, est_sched);
         if imp <= 0.0 {
             return Some(false);
         }
@@ -52,7 +60,9 @@ impl LabelConfig {
 pub fn build_dataset(traces: &[TraceRecord], config: LabelConfig) -> (Dataset, BTreeMap<String, u32>) {
     let mut data = Dataset::new(attr_names(), POS_LABEL, NEG_LABEL);
     let mut groups = BTreeMap::new();
-    label_into(&mut data, &mut groups, traces, config);
+    for r in traces {
+        label_unit(&mut data, &mut groups, &r.benchmark, &r.features, (r.est_unsched, r.est_sched), config);
+    }
     (data, groups)
 }
 
@@ -66,27 +76,28 @@ pub(crate) fn attr_names() -> Vec<String> {
     FeatureKind::ALL.iter().map(|k| k.rule_name().to_string()).collect()
 }
 
-/// Labels `traces` onto `data`, numbering benchmarks in `groups` in
-/// first-seen order — over every record, labelled or dropped, so a
-/// corpus labelled in pieces gets the ids it would get in one call.
-pub(crate) fn label_into(
+/// Labels one unit onto `data` from its features and its estimated
+/// `(unsched, sched)` cycles, numbering `benchmark` in `groups` in
+/// first-seen order — labelled or dropped, so a corpus labelled in
+/// pieces gets the ids it would get in one call.
+pub(crate) fn label_unit(
     data: &mut Dataset,
     groups: &mut BTreeMap<String, u32>,
-    traces: &[TraceRecord],
+    benchmark: &str,
+    features: &FeatureVector,
+    est: (u64, u64),
     config: LabelConfig,
 ) {
-    for r in traces {
-        let group = match groups.get(&r.benchmark) {
-            Some(&g) => g,
-            None => {
-                let g = u32::try_from(groups.len()).expect("benchmark counts fit u32");
-                groups.insert(r.benchmark.clone(), g);
-                g
-            }
-        };
-        if let Some(positive) = config.label(r) {
-            data.push(r.features.as_slice().to_vec(), positive, group);
+    let group = match groups.get(benchmark) {
+        Some(&g) => g,
+        None => {
+            let g = u32::try_from(groups.len()).expect("benchmark counts fit u32");
+            groups.insert(benchmark.to_string(), g);
+            g
         }
+    };
+    if let Some(positive) = config.label_cycles(est) {
+        data.push(features.as_slice().to_vec(), positive, group);
     }
 }
 

@@ -11,6 +11,10 @@
 //!   record sink — every feature, every unit scheduled — and records
 //!   estimated ("simplified simulator") and measured ("hardware") cycles
 //!   for both orders, with configurable [`CostProvider`]s;
+//! * label-only observation ([`TraceCollector::observe_into`], the
+//!   `wts-serve` retrainer's path) runs it like trace collection but
+//!   hands a [`Trainer`] only what labelling reads: the features and the
+//!   estimated cycles;
 //! * the deployed pass ([`filtered_schedule_pass`]), the `wts-serve`
 //!   workers and the `wts-jit` compile session run it without one and
 //!   tally [`FilteredPass`] totals.
@@ -20,6 +24,7 @@
 
 use crate::engine::CompiledFilter;
 use crate::policy::{DecisionPolicy, UnitEconomics};
+use crate::Trainer;
 use std::time::Instant;
 use wts_features::{for_each_scope_unit, FeatureMask, FeatureVector, ScopeUnit, TraceShape};
 use wts_ir::{BasicBlock, BlockId, Inst, Method, MethodId, Program, ScopeKind, Superblock};
@@ -71,19 +76,22 @@ impl TraceRecord {
     /// Estimated improvement fraction under the cheap model
     /// (`0.10` = scheduling made the block 10% faster).
     pub fn est_improvement(&self) -> f64 {
-        if self.est_unsched == 0 {
-            return 0.0;
-        }
-        (self.est_unsched as f64 - self.est_sched as f64) / self.est_unsched as f64
+        improvement(self.est_unsched, self.est_sched)
     }
 
     /// Measured improvement fraction under the detailed model.
     pub fn hw_improvement(&self) -> f64 {
-        if self.hw_unsched == 0 {
-            return 0.0;
-        }
-        (self.hw_unsched as f64 - self.hw_sched as f64) / self.hw_unsched as f64
+        improvement(self.hw_unsched, self.hw_sched)
     }
+}
+
+/// The fraction of `before` cycles that scheduling saved (0 for an
+/// empty unit).
+pub(crate) fn improvement(before: u64, after: u64) -> f64 {
+    if before == 0 {
+        return 0.0;
+    }
+    (before as f64 - after as f64) / before as f64
 }
 
 /// How the per-block `*_ns` channels are filled in.
@@ -200,9 +208,10 @@ fn trace_methods(
 /// reused for every method it traces. [`collect_trace`] and
 /// [`collect_method_trace`] run through one of these, and a long-lived
 /// caller — the `wts-serve` retrainer, observing method after method —
-/// holds one for its lifetime, so its records equal the offline
-/// collector's by construction. `options.threads` is ignored: a collector
-/// is one serial shard.
+/// holds one for its lifetime, so what it records or
+/// [observes](TraceCollector::observe_into) equals the offline
+/// collector's by construction. `options.threads` is ignored: a
+/// collector is one serial shard.
 ///
 /// # Examples
 ///
@@ -268,6 +277,47 @@ impl<'m> TraceCollector<'m> {
             server.body(&unit, UnitMode::Record(&mut sink));
         });
     }
+
+    /// Runs every scope unit of `method` through the label-only pass and
+    /// hands each unit's features and estimated cycles to `trainer`, as
+    /// though the records [`collect_into`](TraceCollector::collect_into)
+    /// would append were [absorbed](Trainer::absorb) — but without the
+    /// measured provider, the records or their benchmark strings. Under
+    /// the cheap estimator the `est_*` cycles are the scheduler's own,
+    /// so nothing runs after the schedule. Returns the units observed.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wts_core::{collect_trace, train_filter, LearnerKind, TraceCollector, TraceOptions, TrainConfig, Trainer};
+    /// use wts_machine::MachineConfig;
+    ///
+    /// let program = &wts_core::testutil::learnable_suite(2)[0];
+    /// let machine = MachineConfig::ppc7410();
+    /// let options = TraceOptions::default();
+    /// let config = TrainConfig::with_learner(5, LearnerKind::Stump);
+    ///
+    /// let mut collector = TraceCollector::new(&machine, &options);
+    /// let mut trainer = Trainer::new(&config);
+    /// let mut observed = 0;
+    /// for method in program.methods() {
+    ///     observed += collector.observe_into(program.name(), method, &mut trainer);
+    /// }
+    ///
+    /// let records = collect_trace(program, &machine, &options);
+    /// assert_eq!(observed, records.len());
+    /// assert_eq!(trainer.fit(), train_filter(&records, &config));
+    /// ```
+    pub fn observe_into(&mut self, benchmark: &str, method: &Method, trainer: &mut Trainer) -> usize {
+        let mut sink = ObserveSink { benchmark, estimated: self.estimated.as_deref(), trainer };
+        let server = &mut self.server;
+        let mut units = 0;
+        for_each_scope_unit(method, self.scope, |unit| {
+            server.body(&unit, UnitMode::Observe(&mut sink));
+            units += 1;
+        });
+        units
+    }
 }
 
 /// Where trace collection's records go, and how their cycle and timing
@@ -281,6 +331,16 @@ struct RecordSink<'a> {
     measured: &'a dyn CostProvider,
     timing: TimingMode,
     out: &'a mut Vec<TraceRecord>,
+}
+
+/// Where the label-only pass's observations go: the retrainer's
+/// [`Trainer`], under one benchmark name.
+struct ObserveSink<'a> {
+    benchmark: &'a str,
+    /// Provider of the `est_*` cycles; `None` reuses the scheduler's own
+    /// cost-model output (the cheap estimator).
+    estimated: Option<&'a dyn CostProvider>,
+    trainer: &'a mut Trainer,
 }
 
 /// Deterministic scheduling-work proxy for one scope unit: per-unit
@@ -464,6 +524,10 @@ enum UnitMode<'a, 's> {
     /// Trace collection: extract every feature, schedule every unit and
     /// push its record.
     Record(&'a mut RecordSink<'s>),
+    /// Retraining observation: extract every feature, schedule every unit
+    /// and hand the trainer what labelling reads — the features and the
+    /// `est_*` cycles, nothing measured and no record.
+    Observe(&'a mut ObserveSink<'s>),
 }
 
 impl<'m> UnitServer<'m> {
@@ -553,7 +617,7 @@ impl<'m> UnitServer<'m> {
         let insts = unit.insts;
         let mask = match &mode {
             UnitMode::Deploy { filter, .. } => filter.demand(),
-            UnitMode::Record(_) => FeatureMask::ALL,
+            UnitMode::Record(_) | UnitMode::Observe(_) => FeatureMask::ALL,
         };
         let t0 = Instant::now();
         let features = FeatureVector::from_insts_shaped(insts, unit.shape, mask);
@@ -561,7 +625,7 @@ impl<'m> UnitServer<'m> {
             UnitMode::Deploy { filter, policy, .. } => {
                 policy.decide_unit(filter, &features, insts.len() as u64, unit.exec_count)
             }
-            UnitMode::Record(_) => (true, UnitEconomics::default()),
+            UnitMode::Record(_) | UnitMode::Observe(_) => (true, UnitEconomics::default()),
         };
         let t1 = Instant::now();
         if decision {
@@ -596,22 +660,12 @@ impl<'m> UnitServer<'m> {
                 totals.sched_work += sched_work;
             }
             UnitMode::Record(sink) => {
-                // A schedule that keeps the original order is the same
-                // sequence, so its provider cycles are the unscheduled
-                // ones: no permute and no second simulation.
-                let reordered = self.outcome.changed();
-                if reordered {
-                    self.outcome.permute_into(insts, &mut self.scheduled);
-                }
-                let cycles = |p: &dyn CostProvider| {
-                    let before = p.sequence_cycles(insts);
-                    (before, if reordered { p.sequence_cycles(&self.scheduled) } else { before })
-                };
+                let scheduled = reordered(&self.outcome, insts, &mut self.scheduled);
                 let (est_unsched, est_sched) = match sink.estimated {
                     None => (self.outcome.cycles_before, self.outcome.cycles_after),
-                    Some(p) => cycles(p),
+                    Some(p) => provider_cycles(p, insts, scheduled),
                 };
-                let (hw_unsched, hw_sched) = cycles(sink.measured);
+                let (hw_unsched, hw_sched) = provider_cycles(sink.measured, insts, scheduled);
                 let feature_work = insts.len() as u64;
                 let (sched_ns, feature_ns) = match sink.timing {
                     TimingMode::WallClock => (nanos(t2 - t1), nanos(t1 - t0)),
@@ -633,9 +687,36 @@ impl<'m> UnitServer<'m> {
                     feature_work,
                 });
             }
+            UnitMode::Observe(sink) => {
+                // Under the cheap estimator the labels read the
+                // scheduler's own cycles: no permute, no provider.
+                let est = match sink.estimated {
+                    None => (self.outcome.cycles_before, self.outcome.cycles_after),
+                    Some(p) => provider_cycles(p, insts, reordered(&self.outcome, insts, &mut self.scheduled)),
+                };
+                sink.trainer.observe(sink.benchmark, &features, est);
+            }
         }
         decision
     }
+}
+
+/// The scheduled order of `insts`, permuted into `buf`, or `None` when
+/// the schedule kept the original order — the same sequence, whose
+/// provider cycles are the unscheduled ones.
+fn reordered<'b>(outcome: &ScheduleOutcome, insts: &[Inst], buf: &'b mut Vec<Inst>) -> Option<&'b [Inst]> {
+    if !outcome.changed() {
+        return None;
+    }
+    outcome.permute_into(insts, buf);
+    Some(buf)
+}
+
+/// `provider`'s cycles for the original order and for the scheduled one
+/// ([`reordered`]'s output; `None` simulates only once).
+fn provider_cycles(provider: &dyn CostProvider, insts: &[Inst], scheduled: Option<&[Inst]>) -> (u64, u64) {
+    let before = provider.sequence_cycles(insts);
+    (before, scheduled.map_or(before, |s| provider.sequence_cycles(s)))
 }
 
 fn nanos(d: std::time::Duration) -> u64 {

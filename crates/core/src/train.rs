@@ -1,10 +1,11 @@
 //! Filter training: any [`Learner`] backend over labeled traces, with
 //! the paper's leave-one-benchmark-out protocol.
 
-use crate::label::{attr_names, label_into, NEG_LABEL, POS_LABEL};
+use crate::label::{attr_names, label_unit, NEG_LABEL, POS_LABEL};
 use crate::learner::{Learner, LearnerKind};
 use crate::{build_dataset, LabelConfig, LearnedFilter, TraceRecord};
 use std::collections::BTreeMap;
+use wts_features::FeatureVector;
 use wts_ir::ScopeKind;
 use wts_ripper::{leave_one_group_out, Dataset, RipperConfig, StumpCounts};
 
@@ -125,16 +126,25 @@ impl Trainer {
     /// Labels `traces` at the configured threshold and absorbs the
     /// labelled ones, in order.
     pub fn absorb(&mut self, traces: &[TraceRecord]) {
+        for r in traces {
+            self.observe(&r.benchmark, &r.features, (r.est_unsched, r.est_sched));
+        }
+    }
+
+    /// Labels one unit of `benchmark` from its features and estimated
+    /// `(unsched, sched)` cycles, and absorbs it when labelled — what
+    /// [`absorb`](Trainer::absorb) does per record, for a caller
+    /// ([`TraceCollector::observe_into`](crate::TraceCollector::observe_into))
+    /// that never builds one.
+    pub(crate) fn observe(&mut self, benchmark: &str, features: &FeatureVector, est: (u64, u64)) {
         let label = self.config.label;
         match &mut self.absorbed {
             Absorbed::Counts(counts) => {
-                for r in traces {
-                    if let Some(positive) = label.label(r) {
-                        counts.push(r.features.as_slice(), positive);
-                    }
+                if let Some(positive) = label.label_cycles(est) {
+                    counts.push(features.as_slice(), positive);
                 }
             }
-            Absorbed::Instances { data, groups } => label_into(data, groups, traces, label),
+            Absorbed::Instances { data, groups } => label_unit(data, groups, benchmark, features, est, label),
         }
     }
 

@@ -8,15 +8,20 @@
 //! scopes and at thresholds that keep, drop and relabel instances. The
 //! corpora are traced from generated programs on every registry
 //! machine, so the feature columns carry real ties and spreads.
+//!
+//! The retrainer's label-only path ([`TraceCollector::observe_into`])
+//! is held to the same bar: observing methods one at a time, it must
+//! fit, after every method, exactly the filter [`train_filter`] trains
+//! on the collected trace of the methods observed so far.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use wts_core::{
-    build_dataset, collect_trace, train_filter, LabelConfig, Learner, LearnerKind, TimingMode, TraceOptions,
-    TraceRecord, TrainConfig, Trainer,
+    build_dataset, collect_method_trace, collect_trace, train_filter, LabelConfig, Learner, LearnerKind, TimingMode,
+    TraceCollector, TraceOptions, TraceRecord, TrainConfig, Trainer,
 };
 use wts_ir::{BasicBlock, Inst, MemRef, MemSpace, Method, Opcode, Program, Reg, ScopeKind};
-use wts_machine::registry;
+use wts_machine::{registry, EstimatorKind, MachineConfig};
 
 /// A small deterministic generator.
 struct Lcg(u64);
@@ -111,6 +116,44 @@ fn check(corpus: &[TraceRecord], config: &TrainConfig, chunk_seed: u64) -> Resul
     Ok(())
 }
 
+/// Observes `programs`' methods round-robin — benchmarks interleave, so
+/// RIPPER's first-seen group ids are neither alphabetical nor
+/// contiguous — through one warm collector, and after every method
+/// compares the trainer's filter with [`train_filter`] over the records
+/// collected for the same methods.
+fn check_observed(
+    programs: &[Program],
+    machine: &MachineConfig,
+    options: &TraceOptions,
+    config: &TrainConfig,
+) -> Result<(), TestCaseError> {
+    let mut collector = TraceCollector::new(machine, options);
+    let mut trainer = Trainer::new(config);
+    let mut records = Vec::new();
+    let longest = programs.iter().map(|p| p.methods().len()).max().unwrap_or(0);
+    for i in 0..longest {
+        for program in programs {
+            let Some(method) = program.methods().get(i) else { continue };
+            let observed = collector.observe_into(program.name(), method, &mut trainer);
+            let collected = collect_method_trace(program.name(), method, machine, options);
+            prop_assert_eq!(observed, collected.len(), "one observation per scope unit");
+            records.extend(collected);
+            let (name, t) = (config.learner.name(), config.label.threshold_percent);
+            prop_assert_eq!(
+                trainer.fit(),
+                train_filter(&records, config),
+                "{} t={} {:?} after {} method {}",
+                name,
+                t,
+                options.estimated,
+                program.name(),
+                i
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -127,6 +170,32 @@ proptest! {
             for learner in LearnerKind::portfolio() {
                 let config = TrainConfig::with_learner(threshold, learner).with_scope(scope);
                 check(&corpus, &config, chunk_seed)?;
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn label_only_observation_equals_the_batch_fit_after_every_method(
+        machine in 0usize..6,
+        superblock in prop::bool::ANY,
+        seed in 0u64..1_000_000,
+    ) {
+        let scope = if superblock { ScopeKind::Superblock(70) } else { ScopeKind::Block };
+        let machine = &registry()[machine % registry().len()];
+        let mut rng = Lcg(seed);
+        let mut programs: Vec<Program> = ["p2", "p0", "p1"].iter().map(|n| program(n, 12, &mut rng)).collect();
+        programs.extend(wts_core::testutil::learnable_suite(2));
+        for estimated in [EstimatorKind::Cheap, EstimatorKind::Detailed] {
+            let options = TraceOptions { timing: TimingMode::Deterministic, scope, estimated, ..TraceOptions::default() };
+            for threshold in [0, 5, 20] {
+                for learner in LearnerKind::portfolio() {
+                    let config = TrainConfig::with_learner(threshold, learner).with_scope(scope);
+                    check_observed(&programs, machine, &options, &config)?;
+                }
             }
         }
     }

@@ -19,6 +19,8 @@ pub struct ServeClient {
     /// The connection, buffered for reads; writes go to the socket
     /// itself, one per frame.
     stream: BufReader<TcpStream>,
+    /// The response frame buffer, reused for every frame.
+    frame: Vec<u8>,
     out_of_order: HashMap<u64, Response>,
 }
 
@@ -33,7 +35,7 @@ impl ServeClient {
         // A request is one small write; Nagle could hold it for the
         // server's delayed ACK on every batch.
         let _ = stream.set_nodelay(true);
-        Ok(ServeClient { stream: BufReader::new(stream), out_of_order: HashMap::new() })
+        Ok(ServeClient { stream: BufReader::new(stream), frame: Vec::new(), out_of_order: HashMap::new() })
     }
 
     /// Sends one batch request without waiting for the response.
@@ -53,9 +55,10 @@ impl ServeClient {
     /// connection, [`io::ErrorKind::InvalidData`] on an undecodable
     /// frame, and any underlying I/O error otherwise.
     pub fn recv(&mut self) -> io::Result<Response> {
-        let payload = protocol::read_frame(&mut self.stream)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection"))?;
-        protocol::decode_response(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        if !protocol::read_frame_into(&mut self.stream, &mut self.frame)? {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection"));
+        }
+        protocol::decode_response(&self.frame).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
     /// Reads responses until `batch_id`'s arrives, buffering any other

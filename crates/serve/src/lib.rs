@@ -7,9 +7,11 @@
 //! TCP server that accepts length-prefixed binary batches of compilation
 //! units, schedules each against the currently deployed
 //! [`FilterSnapshot`](wts_core::FilterSnapshot), streams the schedules
-//! back, and feeds every served unit's observed trace record to a
-//! background retrainer that periodically folds the growing corpus into
-//! a new filter and hot-swaps it into the shared
+//! back, and feeds every served unit to a background retrainer. The
+//! retrainer observes each unit's features and estimated cycles
+//! (label-only, unless `ServeConfig::persist_corpus` asks for full trace
+//! records), periodically folds what it learned into a new filter and
+//! hot-swaps it into the shared
 //! [`FilterStore`](wts_core::FilterStore) — epoch-tagged, without
 //! pausing serving.
 //!
@@ -67,8 +69,8 @@ mod server;
 
 pub use client::ServeClient;
 pub use protocol::{
-    decode_batch_request, decode_response, encode_batch_request, encode_response, read_frame, write_frame,
-    BatchRequest, BatchResult, Response, MAX_FRAME_BYTES,
+    decode_batch_request, decode_response, encode_batch_request, encode_response, read_frame, read_frame_into,
+    write_frame, BatchRequest, BatchResult, Response, MAX_FRAME_BYTES,
 };
 pub use retrain::RetrainReport;
 pub use server::{ServeConfig, ServeReport, ServeStats, Server, ServerHandle};

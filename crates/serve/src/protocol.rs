@@ -131,6 +131,19 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on a clean EOF at a
+/// frame boundary. A fresh buffer per frame: a loop reading frame after
+/// frame should hold one buffer and call [`read_frame_into`].
+///
+/// # Errors
+///
+/// As [`read_frame_into`].
+pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
+}
+
+/// Reads one length-prefixed frame into `payload`, replacing its
+/// contents and reusing its allocation; `Ok(false)` on a clean EOF at a
 /// frame boundary. Reads as many times as the reader needs, so wrap a
 /// socket in a [`BufReader`](std::io::BufReader) to take each frame in
 /// as few reads as it arrived in.
@@ -139,13 +152,14 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 ///
 /// [`io::ErrorKind::UnexpectedEof`] when the stream ends mid-frame,
 /// [`io::ErrorKind::InvalidData`] when the length prefix exceeds
-/// [`MAX_FRAME_BYTES`], and any underlying I/O error otherwise.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+/// [`MAX_FRAME_BYTES`] (checked before `payload` grows), and any
+/// underlying I/O error otherwise.
+pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
     while filled < len_buf.len() {
         match r.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) if filled == 0 => return Ok(false),
             Ok(0) => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "stream ended inside a frame header")),
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -159,9 +173,10 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame claims {len} bytes, cap is {MAX_FRAME_BYTES}"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    payload.clear();
+    payload.resize(len, 0);
+    r.read_exact(payload)?;
+    Ok(true)
 }
 
 // ---------------------------------------------------------------------
@@ -464,7 +479,10 @@ pub fn decode_batch_request(payload: &[u8]) -> Result<BatchRequest, BinaryTraceE
     let method_count = cur.u32("batch header")?;
     // A method is at least id + name length + block count = 12 bytes.
     let method_count = checked_count(&cur, method_count, 12, "method table")?;
-    let methods = (0..method_count).map(|_| take_method(&mut cur)).collect::<Result<Vec<_>, _>>()?;
+    let mut methods = Vec::with_capacity(method_count);
+    for _ in 0..method_count {
+        methods.push(take_method(&mut cur)?);
+    }
     expect_drained(&cur)?;
     Ok(BatchRequest { batch_id, benchmark, methods })
 }
@@ -507,7 +525,14 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, BinaryTraceError> {
                 }
                 let order_len = cur.u32("unit order")?;
                 let order_len = checked_count(&cur, order_len, 4, "unit order")?;
-                let order = (0..order_len).map(|_| cur.u32("unit order")).collect::<Result<Vec<_>, _>>()?;
+                // Sized up front, like every table decoded here: a
+                // collect through `Result` cannot see the length and
+                // grows by doubling, and a client may keep what it
+                // decodes.
+                let mut order = Vec::with_capacity(order_len);
+                for _ in 0..order_len {
+                    order.push(cur.u32("unit order")?);
+                }
                 let cycles_before = cur.u64("unit cycles")?;
                 let cycles_after = cur.u64("unit cycles")?;
                 units.push(ServedUnit { decision, order, cycles_before, cycles_after });
@@ -588,6 +613,11 @@ mod tests {
         ] {
             let decoded = decode_response(&encode_response(&resp)).expect("round trip");
             assert_eq!(decoded, resp);
+            if let Response::Batch(b) = &decoded {
+                for unit in &b.units {
+                    assert_eq!(unit.order.capacity(), unit.order.len(), "a decoded order is sized exactly");
+                }
+            }
         }
     }
 
@@ -633,6 +663,9 @@ mod tests {
         let mut huge = Vec::from((u32::try_from(MAX_FRAME_BYTES).expect("cap fits u32") + 1).to_le_bytes());
         huge.extend_from_slice(b"xx");
         assert_eq!(read_frame(&mut &huge[..]).expect_err("cap").kind(), io::ErrorKind::InvalidData);
+        let mut buf = Vec::new();
+        assert_eq!(read_frame_into(&mut &huge[..], &mut buf).expect_err("cap").kind(), io::ErrorKind::InvalidData);
+        assert_eq!(buf.capacity(), 0, "the cap is checked before the buffer grows");
 
         let torn = [3u8, 0];
         assert_eq!(read_frame(&mut &torn[..]).expect_err("torn header").kind(), io::ErrorKind::UnexpectedEof);
@@ -708,5 +741,18 @@ mod tests {
         };
         check(&mut ByteReader(&wire));
         check(&mut io::BufReader::with_capacity(3, ByteReader(&wire)));
+
+        // One reused buffer: the short frame after the long one must
+        // come back exactly, with none of the long frame's bytes left.
+        let check_into = |r: &mut dyn Read| {
+            let mut buf = Vec::new();
+            assert!(read_frame_into(&mut &mut *r, &mut buf).expect("frame 1"), "not EOF");
+            assert_eq!(decode_batch_request(&buf).expect("decodes").methods, methods);
+            assert!(read_frame_into(&mut &mut *r, &mut buf).expect("frame 2"), "not EOF");
+            assert_eq!(buf, b"z", "no stale bytes from the longer frame");
+            assert!(!read_frame_into(&mut &mut *r, &mut buf).expect("eof"), "clean EOF at a frame boundary");
+        };
+        check_into(&mut ByteReader(&wire));
+        check_into(&mut io::BufReader::with_capacity(3, ByteReader(&wire)));
     }
 }

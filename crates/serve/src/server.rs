@@ -26,10 +26,10 @@
 //! connection's read side (in-flight responses still flow), join the
 //! readers, close the job queue so the workers finish every batch that
 //! was accepted, then close the retrain queue so the retrainer absorbs
-//! every served method and folds once more if records are pending. The
-//! [`ServeReport`] accounts for every unit: served units either became
-//! retrainer records or the batch was shed — nothing is lost or counted
-//! twice.
+//! every served method and folds once more if observations are pending.
+//! The [`ServeReport`] accounts for every unit: served units either
+//! became retrainer observations or the batch was shed — nothing is
+//! lost or counted twice.
 
 use crate::protocol::{self, BatchResult, Response};
 use crate::retrain::{retrain_loop, RetrainReport};
@@ -68,18 +68,21 @@ pub struct ServeConfig {
     /// [`Response::Busy`].
     pub queue_depth: usize,
     /// Retrain cadence: fold and hot-swap after this many newly observed
-    /// trace records. 0 disables retraining entirely — served batches
-    /// are not observed and the filter only changes via explicit
-    /// [`FilterStore::swap`].
+    /// units. Observations are label-only — features and estimated
+    /// cycles, no trace record — unless `persist_corpus` is set. 0
+    /// disables retraining entirely — served batches are not observed
+    /// and the filter only changes via explicit [`FilterStore::swap`].
     pub retrain_every: usize,
     /// The initial training corpus; the filter served at epoch 1 is
     /// trained from these before the listener opens.
     pub seed_traces: Vec<TraceRecord>,
-    /// When set, the retrainer writes its full corpus (seed traces plus
-    /// every absorbed observation) to this path in the
-    /// `schedfilter-trace-bin-v1` format as the last act of a graceful
-    /// shutdown, so a restarted instance can seed from exactly what this
-    /// one learned. `None` (the default) persists nothing.
+    /// When set, the retrainer observes served units as full
+    /// instrumented trace records (measured `hw_*` channels included)
+    /// and writes its corpus (seed traces plus every observed record) to
+    /// this path in the `schedfilter-trace-bin-v1` format as the last act
+    /// of a graceful shutdown, so a restarted instance can seed from
+    /// exactly what this one learned. `None` (the default) persists
+    /// nothing, and the retrainer observes label-only.
     pub persist_corpus: Option<std::path::PathBuf>,
 }
 
@@ -322,7 +325,7 @@ impl ServerHandle {
 
     /// Drains and stops the instance: no new connections, every
     /// accepted batch answered, every served method absorbed by the
-    /// retrainer (with a final fold when records are pending), all
+    /// retrainer (with a final fold when observations are pending), all
     /// threads joined.
     pub fn shutdown(mut self) -> ServeReport {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -428,12 +431,12 @@ fn reader_loop(
     // Buffered, so a frame that arrived in one segment is taken in with
     // one read rather than one for the prefix and one for the payload.
     let mut stream = BufReader::new(stream);
+    // One frame buffer for the connection's lifetime.
+    let mut payload = Vec::new();
     loop {
-        let payload = match protocol::read_frame(&mut stream) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return,
-            Err(_) => return,
-        };
+        if !matches!(protocol::read_frame_into(&mut stream, &mut payload), Ok(true)) {
+            return;
+        }
         let request = match protocol::decode_batch_request(&payload) {
             Ok(request) => request,
             Err(e) => {

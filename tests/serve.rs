@@ -5,8 +5,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wts_core::{
-    build_dataset, collect_trace, filtered_schedule_pass, train_filter, DecisionPolicy, LabelConfig, LearnerKind,
-    ScopeKind, TimingMode, TraceOptions, TraceRecord,
+    build_dataset, collect_trace, filtered_schedule_pass, train_filter, DecisionPolicy, LabelConfig, Learner,
+    LearnerKind, ScopeKind, TimingMode, TraceOptions, TraceRecord,
 };
 use wts_ir::Program;
 use wts_machine::MachineConfig;
@@ -353,6 +353,64 @@ fn incremental_folds_publish_the_oracle_stump_of_the_persisted_corpus() {
     assert!(!oracle.is_empty(), "the corpus induces a stump");
     assert_eq!(published.source().rules(), &oracle);
     assert_eq!(stump_oracle::threshold_bits(published.source().rules()), stump_oracle::threshold_bits(&oracle));
+}
+
+/// The retrainer observes label-only unless it must persist full
+/// records, and the two paths must fold the same filters. Two servers
+/// from one seed, one worker each, are fed the same batches by one
+/// sequential client; with a fold after every batch, each publishes the
+/// same filter at every epoch, for every learner.
+#[test]
+fn label_only_and_recorded_observation_publish_the_same_epochs() {
+    let machine = MachineConfig::ppc7410();
+    let programs: Vec<Program> =
+        wts_jit::Suite::specjvm98(0.02).benchmarks().iter().map(|b| b.program().clone()).collect();
+    let seed = corpus(&programs[..2], &machine, &options());
+    let path = std::env::temp_dir().join(format!("wts-serve-paths-corpus-{}.bin", std::process::id()));
+    for learner in LearnerKind::portfolio() {
+        let published = |persist: Option<std::path::PathBuf>| {
+            let mut config = stump_config(&machine, seed.clone(), 1);
+            config.learner = learner.clone();
+            config.threshold = 5;
+            config.workers = 1;
+            config.persist_corpus = persist;
+            let handle = Server::bind("127.0.0.1:0", config).expect("bind");
+            let source = |handle: &ServerHandle| handle.store().get(handle.key()).expect("published").source().clone();
+            let mut epochs = vec![source(&handle)];
+            let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+            for program in &programs {
+                for methods in program.methods().chunks(5) {
+                    let id = epochs.len() as u64;
+                    expect_batch(client.request_with_retry(id, program.name(), methods, 10).expect("request"));
+                    // Every batch folds once; the next is sent only after
+                    // its fold is published, so no epoch is missed.
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+                    while handle.epoch() <= id {
+                        assert!(std::time::Instant::now() < deadline, "epoch {} never published", id + 1);
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    assert_eq!(handle.epoch(), id + 1, "one fold per batch");
+                    epochs.push(source(&handle));
+                }
+            }
+            drop(client);
+            let report = handle.shutdown();
+            assert_eq!(report.retrain.records_absorbed, report.stats.units_served, "a lossless drain");
+            assert_eq!(report.retrain.last_epoch, epochs.len() as u64);
+            (epochs, report.retrain.records_persisted)
+        };
+        let (recorded, persisted) = published(Some(path.clone()));
+        std::fs::remove_file(&path).ok();
+        assert!(persisted > seed.len() as u64, "the recorded path kept its records");
+        let (label_only, none_persisted) = published(None);
+        assert_eq!(none_persisted, 0);
+        assert!(recorded.len() > 3, "several folds: {}", recorded.len());
+        assert_eq!(label_only.len(), recorded.len());
+        for (epoch, (a, b)) in label_only.iter().zip(&recorded).enumerate() {
+            assert_eq!(a, b, "{} epoch {}", learner.name(), epoch + 1);
+        }
+        assert_ne!(recorded.first(), recorded.last(), "{}: the folds moved the filter", learner.name());
+    }
 }
 
 /// A peer that connects and resets at once (`SO_LINGER` 0) must not stop
