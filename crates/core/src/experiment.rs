@@ -60,11 +60,12 @@ use crate::trace::{collect_trace, TimingMode, TraceOptions, TraceRecord};
 use crate::train::{train_loocv_sharded, TrainConfig};
 use crate::{BinaryTraceError, CompiledFilter, LearnedFilter};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 use wts_ir::{Program, ScopeKind};
 use wts_machine::{EstimatorKind, MachineConfig};
-use wts_ripper::{geometric_mean, ConfusionMatrix, Dataset, RipperConfig};
+use wts_ripper::{geometric_mean, ConfusionMatrix, Dataset};
 use wts_sched::SchedulePolicy;
 
 /// Name-sorted `(benchmark, filter)` pairs from one LOOCV training run.
@@ -81,14 +82,11 @@ pub type LoocvFilters = Arc<Vec<(String, LearnedFilter)>>;
 #[derive(Debug, Clone)]
 pub struct Experiment {
     machine: MachineConfig,
-    policy: SchedulePolicy,
     learner: LearnerKind,
-    trace_threads: usize,
+    /// The trace stage's options: policy, trace threads, timing,
+    /// estimators and scope.
+    trace: TraceOptions,
     train_threads: usize,
-    timing: TimingMode,
-    estimated: EstimatorKind,
-    measured: EstimatorKind,
-    scope: ScopeKind,
 }
 
 impl Experiment {
@@ -99,14 +97,9 @@ impl Experiment {
     pub fn new(machine: MachineConfig) -> Experiment {
         Experiment {
             machine,
-            policy: SchedulePolicy::CriticalPath,
             learner: LearnerKind::default(),
-            trace_threads: 0,
+            trace: TraceOptions { threads: 0, ..TraceOptions::default() },
             train_threads: 0,
-            timing: TimingMode::WallClock,
-            estimated: EstimatorKind::Cheap,
-            measured: EstimatorKind::Detailed,
-            scope: ScopeKind::Block,
         }
     }
 
@@ -121,13 +114,7 @@ impl Experiment {
 
     /// Selects the scheduler policy the instrumented pass runs.
     pub fn with_policy(mut self, policy: SchedulePolicy) -> Experiment {
-        self.policy = policy;
-        self
-    }
-
-    /// Overrides the RIPPER settings (and selects the RIPPER backend).
-    pub fn with_ripper(mut self, ripper: RipperConfig) -> Experiment {
-        self.learner = LearnerKind::Ripper(ripper);
+        self.trace.policy = policy;
         self
     }
 
@@ -143,7 +130,7 @@ impl Experiment {
     /// Sets the worker-thread count for tracing and LOOCV training
     /// (`0` = one per available core, `1` = fully serial).
     pub fn with_threads(mut self, threads: usize) -> Experiment {
-        self.trace_threads = threads;
+        self.trace.threads = threads;
         self.train_threads = threads;
         self
     }
@@ -153,29 +140,22 @@ impl Experiment {
     /// which matters when those channels feed published timing artifacts;
     /// the cycle-count channels are thread-count invariant either way.
     pub fn with_trace_threads(mut self, threads: usize) -> Experiment {
-        self.trace_threads = threads;
-        self
-    }
-
-    /// Sets the LOOCV-training worker count alone (no wall-clock channel
-    /// is involved in training, so sharding it is always safe).
-    pub fn with_train_threads(mut self, threads: usize) -> Experiment {
-        self.train_threads = threads;
+        self.trace.threads = threads;
         self
     }
 
     /// Switches the `*_ns` channels to the deterministic work proxies,
     /// making traces byte-identical run to run.
     pub fn with_timing(mut self, timing: TimingMode) -> Experiment {
-        self.timing = timing;
+        self.trace.timing = timing;
         self
     }
 
     /// Selects which provider supplies the estimated (labeling) and
     /// measured (hardware stand-in) cycle channels.
     pub fn with_estimators(mut self, estimated: EstimatorKind, measured: EstimatorKind) -> Experiment {
-        self.estimated = estimated;
-        self.measured = measured;
+        self.trace.estimated = estimated;
+        self.trace.measured = measured;
         self
     }
 
@@ -188,7 +168,7 @@ impl Experiment {
     /// [`filtered_schedule_pass`](crate::filtered_schedule_pass)
     /// decides per unit.
     pub fn with_scope(mut self, scope: ScopeKind) -> Experiment {
-        self.scope = scope;
+        self.trace.scope = scope;
         self
     }
 
@@ -199,24 +179,17 @@ impl Experiment {
 
     /// The scheduler policy the pipeline runs.
     pub fn policy(&self) -> SchedulePolicy {
-        self.policy
+        self.trace.policy
     }
 
     /// The scheduling scope the pipeline operates on.
     pub fn scope(&self) -> ScopeKind {
-        self.scope
+        self.trace.scope
     }
 
     /// The trace-stage options this configuration denotes.
     pub fn trace_options(&self) -> TraceOptions {
-        TraceOptions {
-            policy: self.policy,
-            threads: self.trace_threads,
-            timing: self.timing,
-            estimated: self.estimated,
-            measured: self.measured,
-            scope: self.scope,
-        }
+        self.trace
     }
 
     /// Stage 1 alone: the instrumented scheduling pass over one program,
@@ -230,7 +203,7 @@ impl Experiment {
     /// filters and every paper artifact derive on demand.
     pub fn run(&self, programs: Vec<Program>) -> ExperimentRun {
         let traces: Vec<Vec<TraceRecord>> = programs.iter().map(|p| self.trace(p)).collect();
-        self.run_precomputed(Rc::new(programs), traces)
+        self.run_precomputed_in(FilterStore::shared(), Rc::new(programs), traces)
     }
 
     /// Rebuilds an [`ExperimentRun`] from a serialized trace corpus
@@ -266,21 +239,15 @@ impl Experiment {
                 },
             });
         }
-        Ok(self.run_precomputed(Rc::new(programs), traces))
+        Ok(self.run_precomputed_in(FilterStore::shared(), Rc::new(programs), traces))
     }
 
     /// Packages already-collected per-program traces as an
-    /// [`ExperimentRun`] under this configuration, backed by a fresh
-    /// private [`FilterStore`]. The matrix runner shards trace
-    /// collection itself (over machines×methods) and hands the
-    /// reassembled pieces here; the shared `Rc` lets every per-machine
-    /// run borrow one corpus instead of deep-copying it.
-    pub(crate) fn run_precomputed(&self, programs: Rc<Vec<Program>>, traces: Vec<Vec<TraceRecord>>) -> ExperimentRun {
-        self.run_precomputed_in(FilterStore::shared(), programs, traces)
-    }
-
-    /// [`run_precomputed`](Experiment::run_precomputed) against a caller
-    /// supplied store. Runs sharing one store must differ in at least
+    /// [`ExperimentRun`] under this configuration, backed by `store`. The
+    /// matrix runner shards trace collection itself (over
+    /// machines×methods) and hands the reassembled pieces here; the
+    /// shared `Rc` lets every per-machine run borrow one corpus instead of
+    /// deep-copying it. Runs sharing one store must differ in at least
     /// one [`FilterKey`] component — the matrix qualifies because every
     /// per-machine run keys by its own machine name.
     pub(crate) fn run_precomputed_in(
@@ -291,18 +258,14 @@ impl Experiment {
     ) -> ExperimentRun {
         debug_assert_eq!(programs.len(), traces.len(), "one trace vector per program");
         let names: Vec<String> = programs.iter().map(|p| p.name().to_string()).collect();
-        let all_traces: Vec<TraceRecord> = traces.iter().flat_map(|t| t.iter().cloned()).collect();
-        ExperimentRun {
-            learner: self.learner.clone(),
-            scope: self.scope,
-            threads: self.train_threads,
-            machine_name: self.machine.name().to_string(),
-            names,
-            programs,
-            traces,
-            all_traces,
-            store,
+        let mut all_traces = Vec::with_capacity(traces.iter().map(Vec::len).sum());
+        let mut ranges = Vec::with_capacity(traces.len());
+        for trace in traces {
+            let start = all_traces.len();
+            all_traces.extend(trace);
+            ranges.push(start..all_traces.len());
         }
+        ExperimentRun { config: self.clone(), names, programs, all_traces, ranges, store }
     }
 }
 
@@ -347,14 +310,15 @@ impl std::error::Error for CorpusError {
 /// private caches, so the same filters the tables report are the ones
 /// a JIT session or a serving daemon deploys.
 pub struct ExperimentRun {
-    learner: LearnerKind,
-    scope: ScopeKind,
-    threads: usize,
-    machine_name: String,
+    /// The configuration the run was traced under (its learner, scope,
+    /// training threads and machine).
+    config: Experiment,
     names: Vec<String>,
     programs: Rc<Vec<Program>>,
-    traces: Vec<Vec<TraceRecord>>,
+    /// Every benchmark's records, concatenated in program order.
     all_traces: Vec<TraceRecord>,
+    /// Each benchmark's range of `all_traces`, parallel to `names`.
+    ranges: Vec<Range<usize>>,
     store: Arc<FilterStore>,
 }
 
@@ -370,8 +334,8 @@ impl ExperimentRun {
     }
 
     /// Per-benchmark traces, parallel to [`names`](ExperimentRun::names).
-    pub fn traces(&self) -> &[Vec<TraceRecord>] {
-        &self.traces
+    pub fn traces(&self) -> Vec<&[TraceRecord]> {
+        self.ranges.iter().map(|r| &self.all_traces[r.clone()]).collect()
     }
 
     /// All benchmarks' traces, concatenated in program order.
@@ -398,8 +362,7 @@ impl ExperimentRun {
     ///
     /// Panics if `bench` is not one of the run's benchmarks.
     pub fn trace_for(&self, bench: &str) -> &[TraceRecord] {
-        let i = self.index_of(bench);
-        &self.traces[i]
+        &self.all_traces[self.ranges[self.index_of(bench)].clone()]
     }
 
     fn index_of(&self, bench: &str) -> usize {
@@ -409,17 +372,21 @@ impl ExperimentRun {
     /// The train config this run uses at threshold `t`, with the run's
     /// configured backend and scope.
     pub fn train_config(&self, t: u32) -> TrainConfig {
-        TrainConfig { label: LabelConfig::new(t), learner: self.learner.clone(), scope: self.scope }
+        self.train_config_for(t, &self.config.learner)
     }
 
     /// The run's configured induction backend.
     pub fn learner(&self) -> &LearnerKind {
-        &self.learner
+        &self.config.learner
     }
 
     /// The scheduling scope this run's traces were collected at.
     pub fn scope(&self) -> ScopeKind {
-        self.scope
+        self.config.scope()
+    }
+
+    fn train_config_for(&self, t: u32, learner: &LearnerKind) -> TrainConfig {
+        TrainConfig { label: LabelConfig::new(t), learner: learner.clone(), scope: self.scope() }
     }
 
     /// Stage 2: the labeled RIPPER dataset at threshold `t`, grouped by
@@ -433,7 +400,7 @@ impl ExperimentRun {
     /// artifacts, trained with folds sharded across the configured
     /// worker threads.
     pub fn loocv_filters(&self, t: u32) -> LoocvFilters {
-        self.loocv_filters_for(t, &self.learner)
+        self.loocv_filters_for(t, &self.config.learner)
     }
 
     /// [`loocv_filters`](ExperimentRun::loocv_filters) under an explicit
@@ -441,9 +408,9 @@ impl ExperimentRun {
     /// the training stage re-runs, and each `(learner, threshold)` pair
     /// occupies its own [`FilterStore`] fold slot.
     pub fn loocv_filters_for(&self, t: u32, learner: &LearnerKind) -> LoocvFilters {
-        let config = TrainConfig { label: LabelConfig::new(t), learner: learner.clone(), scope: self.scope };
+        let config = self.train_config_for(t, learner);
         self.store.loocv_or_train(self.filter_key(t, learner), || {
-            train_loocv_sharded(&self.all_traces, &config, self.threads)
+            train_loocv_sharded(&self.all_traces, &config, self.config.train_threads)
         })
     }
 
@@ -467,14 +434,14 @@ impl ExperimentRun {
     /// transfer table queries it repeatedly; a retrainer may later
     /// [`swap`](FilterStore::swap) the same slot).
     pub fn factory_filter(&self, t: u32) -> LearnedFilter {
-        self.factory_filter_for(t, &self.learner)
+        self.factory_filter_for(t, &self.config.learner)
     }
 
     /// [`factory_filter`](ExperimentRun::factory_filter) under an
     /// explicit backend, published per `(machine, learner, scope,
     /// threshold)`.
     pub fn factory_filter_for(&self, t: u32, learner: &LearnerKind) -> LearnedFilter {
-        let config = TrainConfig { label: LabelConfig::new(t), learner: learner.clone(), scope: self.scope };
+        let config = self.train_config_for(t, learner);
         self.store
             .deployed_or_train(self.filter_key(t, learner), || crate::train_filter(&self.all_traces, &config))
             .source()
@@ -483,14 +450,14 @@ impl ExperimentRun {
 
     /// The machine name this run's filters are keyed under.
     pub fn machine_name(&self) -> &str {
-        &self.machine_name
+        self.config.machine.name()
     }
 
     /// The [`FilterKey`] this run files threshold-`t` filters of
     /// `learner` under: its machine, the backend's canonical tag, and
     /// the run's scope.
     pub fn filter_key(&self, t: u32, learner: &LearnerKind) -> FilterKey {
-        FilterKey::new(&self.machine_name, learner, self.scope, t)
+        FilterKey::new(self.machine_name(), learner, self.scope(), t)
     }
 
     /// The run's backing [`FilterStore`]. Each run gets a private store
@@ -597,7 +564,8 @@ impl ExperimentRun {
     /// calibrates its own model, just as it never trains its own filter.
     pub fn policy_for(&self, bench: &str, cycles_per_work: f64) -> DecisionPolicy {
         let i = self.index_of(bench);
-        let others = self.traces.iter().enumerate().filter(|&(j, _)| j != i).flat_map(|(_, t)| t);
+        let others =
+            self.ranges.iter().enumerate().filter(|&(j, _)| j != i).flat_map(|(_, r)| &self.all_traces[r.clone()]);
         DecisionPolicy::expected_benefit(others, cycles_per_work)
     }
 

@@ -78,11 +78,6 @@ impl TraceRecord {
     pub fn est_improvement(&self) -> f64 {
         improvement(self.est_unsched, self.est_sched)
     }
-
-    /// Measured improvement fraction under the detailed model.
-    pub fn hw_improvement(&self) -> f64 {
-        improvement(self.hw_unsched, self.hw_sched)
-    }
 }
 
 /// The fraction of `before` cycles that scheduling saved (0 for an
@@ -137,14 +132,6 @@ impl Default for TraceOptions {
             measured: EstimatorKind::Detailed,
             scope: ScopeKind::Block,
         }
-    }
-}
-
-impl TraceOptions {
-    /// Resolved worker count (`threads`, or the machine's parallelism
-    /// when `threads == 0`).
-    pub fn resolved_threads(&self) -> usize {
-        crate::parallel::resolve_threads(self.threads)
     }
 }
 
@@ -1031,7 +1018,7 @@ mod tests {
     #[test]
     fn zero_threads_resolves_to_available_parallelism() {
         let opts = TraceOptions { threads: 0, ..Default::default() };
-        assert!(opts.resolved_threads() >= 1);
+        assert!(crate::parallel::resolve_threads(opts.threads) >= 1);
         // And the collection still works.
         let machine = MachineConfig::ppc7410();
         let t = collect_trace(&wide_program(4), &machine, &opts);

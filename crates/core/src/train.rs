@@ -7,7 +7,7 @@ use crate::{build_dataset, LabelConfig, LearnedFilter, TraceRecord};
 use std::collections::BTreeMap;
 use wts_features::FeatureVector;
 use wts_ir::ScopeKind;
-use wts_ripper::{leave_one_group_out, Dataset, RipperConfig, StumpCounts};
+use wts_ripper::{leave_one_group_out, Dataset, StumpCounts};
 
 /// Training configuration: labeling threshold + induction backend +
 /// scheduling scope.
@@ -33,12 +33,6 @@ impl TrainConfig {
     /// A config with the given threshold and backend.
     pub fn with_learner(threshold_percent: u32, learner: LearnerKind) -> TrainConfig {
         TrainConfig { label: LabelConfig::new(threshold_percent), learner, ..Default::default() }
-    }
-
-    /// Overrides the RIPPER settings (and selects the RIPPER backend).
-    pub fn with_ripper(mut self, ripper: RipperConfig) -> TrainConfig {
-        self.learner = LearnerKind::Ripper(ripper);
-        self
     }
 
     /// Sets the scheduling scope the trained filter is tagged with.

@@ -7,7 +7,7 @@
 //! both scopes, every LOOCV fold plus the factory rule set — is lowered
 //! and run through the `wts-verify` model lint and the hard-threshold
 //! equivalence proof, and the `FilterStore` swap protocol and the
-//! `wts-serve` frame exchange are model-checked by bounded-exhaustive
+//! `wts-serve` serving core are model-checked by bounded-exhaustive
 //! state-space exploration. A healthy pipeline prints all-zero
 //! diagnostic columns and a `held` proof on every row; anything else is
 //! a bug in the learners, the lowering or the serving layer, and the
@@ -16,9 +16,9 @@
 use crate::table::Table;
 use crate::Experiments;
 use wts_core::{LearnedFilter, Learner, LearnerKind, MatrixRun};
+use wts_serve::{check_serve_protocol, ServeProtoConfig};
 use wts_verify::{
-    check_serve_protocol, check_store_protocol, lint_model, prove_hard_threshold, render, Diagnostic, ModelTable,
-    ServeProtoConfig, Severity, StoreProtoConfig,
+    check_store_protocol, lint_model, prove_hard_threshold, render, Diagnostic, ModelTable, Severity, StoreProtoConfig,
 };
 
 /// One machine's tally over every backend × scope × fold.

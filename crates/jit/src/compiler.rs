@@ -19,12 +19,9 @@
 
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
-use wts_core::{
-    CompiledFilter, DecisionPolicy, FilterKey, FilterSnapshot, FilterStore, FilteredPass, LearnedFilter, ScopeUnit,
-    UnitServer,
-};
+use wts_core::{CompiledFilter, DecisionPolicy, FilterKey, FilterStore, FilteredPass, ScopeUnit, UnitServer};
 use wts_ir::Program;
-use wts_machine::{CostModel, MachineConfig, PipelineSim};
+use wts_machine::{MachineConfig, PipelineSim};
 use wts_sched::SchedulePolicy;
 
 /// A JIT compile session: holds the machine, scheduling policy and a
@@ -123,15 +120,6 @@ impl<'m> CompileSession<'m> {
         &self.store
     }
 
-    /// Publishes (or hot-swaps) `filter` under `key` in the session's
-    /// store and returns the new epoch-tagged snapshot. Compiles in
-    /// flight against the previous snapshot finish under it; the next
-    /// [`compile_stored`](CompileSession::compile_stored) sees the new
-    /// epoch.
-    pub fn deploy(&self, key: FilterKey, filter: LearnedFilter) -> Arc<FilterSnapshot> {
-        self.store.swap(key, filter)
-    }
-
     /// Compiles `program` under `filter`: every block gets features
     /// extracted and the filter consulted; selected blocks are list
     /// scheduled. Returns the (possibly reordered) program and the
@@ -179,20 +167,8 @@ impl<'m> CompileSession<'m> {
         threads: usize,
     ) -> Option<(Program, FilteredPass, u64)> {
         let snapshot = self.store.get(key)?;
-        let (out, totals) = self.compile_snapshot(program, &snapshot, threads);
+        let (out, totals) = self.compile(program, snapshot.compiled(), threads);
         Some((out, totals, snapshot.epoch()))
-    }
-
-    /// Compiles `program` under an explicit store snapshot — the
-    /// serving path: the caller pins one epoch for a whole batch and
-    /// reports it alongside the schedules.
-    pub fn compile_snapshot(
-        &self,
-        program: &Program,
-        snapshot: &FilterSnapshot,
-        threads: usize,
-    ) -> (Program, FilteredPass) {
-        self.compile(program, snapshot.compiled(), threads)
     }
 
     /// The compile body every entry point joins. Methods shard into
@@ -259,13 +235,6 @@ pub fn app_cycles(program: &Program, machine: &MachineConfig) -> u64 {
     program.iter_blocks().map(|(_, b)| b.exec_count() * sim.block_cycles(b)).sum()
 }
 
-/// Weighted cycles under the cheap estimator (the paper's simulated
-/// metric of Table 4).
-pub fn predicted_cycles(program: &Program, machine: &MachineConfig) -> u64 {
-    let cm = CostModel::new(machine);
-    program.iter_blocks().map(|(_, b)| b.exec_count() * cm.block_cycles(b)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,7 +266,11 @@ mod tests {
         out.validate().expect("scheduled program remains valid");
         // Predicted (cheap-model) time must not degrade; on an FP-heavy
         // benchmark it should strictly improve.
-        assert!(predicted_cycles(&out, &m) < predicted_cycles(p, &m));
+        let predicted = |program: &Program| {
+            let cm = wts_machine::CostModel::new(&m);
+            program.iter_blocks().map(|(_, b)| b.exec_count() * cm.block_cycles(b)).sum::<u64>()
+        };
+        assert!(predicted(&out) < predicted(p));
         // The detailed machine should agree directionally.
         assert!(app_cycles(&out, &m) <= app_cycles(p, &m));
     }
@@ -414,14 +387,14 @@ mod tests {
         let filter = wts_core::train_filter(run.all_traces(), &run.train_config(0));
         let key = run.filter_key(0, run.learner());
         assert!(session.compile_stored(p, &key, 1).is_none(), "nothing deployed yet");
-        session.deploy(key.clone(), filter.clone());
+        session.store().swap(key.clone(), filter.clone());
         let (stored, stored_stats, epoch) = session.compile_stored(p, &key, 1).expect("deployed");
         assert_eq!(epoch, 1);
         let (direct, direct_stats) = session.compile(p, &filter.compile(), 1);
         assert_eq!(stored, direct, "store-deployed compile must match the explicit-filter path");
         assert_eq!(stored_stats.scheduled_blocks, direct_stats.scheduled_blocks);
         // Hot-swapping bumps the epoch the next compile reports.
-        session.deploy(key.clone(), filter);
+        session.store().swap(key.clone(), filter);
         let (_, _, epoch2) = session.compile_stored(p, &key, 1).expect("still deployed");
         assert_eq!(epoch2, 2);
     }
@@ -450,7 +423,7 @@ mod tests {
             .run(vec![jvm.benchmarks()[0].program().clone()]);
         let key = run.filter_key(0, run.learner());
         let session = CompileSession::new(m);
-        session.deploy(key.clone(), wts_core::train_filter(run.all_traces(), &run.train_config(0)));
+        session.store().swap(key.clone(), wts_core::train_filter(run.all_traces(), &run.train_config(0)));
 
         let slot = |k| MemRef::slot(MemSpace::Heap, k);
         let mut shapes = Method::new(900, "register_shapes");

@@ -43,7 +43,7 @@ mod spec;
 mod suite;
 mod superblock;
 
-pub use compiler::{app_cycles, predicted_cycles, CompileSession};
+pub use compiler::{app_cycles, CompileSession};
 pub use rng::Xoshiro256;
 pub use spec::{BenchmarkSpec, OpMix};
 pub use suite::{Benchmark, Suite};

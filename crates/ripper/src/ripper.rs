@@ -1,7 +1,7 @@
 //! The RIPPER training loop: IREP* + MDL stopping + optimization passes.
 
 use crate::data::{stratified_split, Dataset};
-use crate::grow::{coverage, grow_from, grow_rule, prune_metric, prune_rule, Cover};
+use crate::grow::{coverage, grow_from, grow_rule, prune_rule};
 use crate::mdl::{total_dl, DL_BUDGET};
 use crate::rule::{Rule, RuleSet};
 
@@ -227,24 +227,6 @@ impl<'d> Fit<'d> {
         let (g, p) = stratified_split(&insts, self.cfg.grow_fraction, self.cfg.seed ^ self.split_counter);
         (g.into_iter().map(|k| idx[k]).collect(), p.into_iter().map(|k| idx[k]).collect())
     }
-}
-
-/// Convenience: the IREP* pruning-phase worth of a whole rule set, used by
-/// tests to sanity-check monotonicity (exposed for the crate only).
-#[allow(dead_code)]
-pub(crate) fn ruleset_worth(rules: &[Rule], data: &Dataset, idx: &[u32]) -> f64 {
-    let mut c = Cover::default();
-    for &i in idx {
-        let inst = &data.instances()[i as usize];
-        if rules.iter().any(|r| r.matches(&inst.values)) {
-            if inst.positive {
-                c.p += 1;
-            } else {
-                c.n += 1;
-            }
-        }
-    }
-    prune_metric(c)
 }
 
 #[cfg(test)]

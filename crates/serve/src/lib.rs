@@ -21,7 +21,9 @@
 //! `wts-jit` compile session also run. So served ≡ direct pass ≡ JIT
 //! holds by construction: a batch's reported totals are bit-identical
 //! (work channels) to running the pass directly over the same methods.
-//! Backpressure is explicit: a bounded job queue, and a
+//! Every hand-off is a transition of one sans-IO [`ServeCore`], which
+//! the threads drive and [`check_serve_protocol`] model-checks.
+//! Backpressure is explicit: a bounded job FIFO, and a
 //! [`Response::Busy`] shed frame when it is full. Shutdown drains:
 //! accepted batches are answered and their observations absorbed before
 //! the threads join.
@@ -63,11 +65,13 @@
 #![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
 
 mod client;
+mod core;
 mod protocol;
 mod retrain;
 mod server;
 
 pub use client::ServeClient;
+pub use core::{check_serve_protocol, ServeCore, ServeProtoConfig, Take};
 pub use protocol::{
     decode_batch_request, decode_response, encode_batch_request, encode_response, read_frame, read_frame_into,
     write_frame, BatchRequest, BatchResult, Response, MAX_FRAME_BYTES,

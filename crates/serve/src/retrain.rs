@@ -2,22 +2,15 @@
 //! is observed, and every `retrain_every` observed units the learner
 //! re-runs and hot-swaps the deployed filter.
 //!
-//! Observation happens *off* the hot path: the workers schedule against
-//! the compiled snapshot with no instrumentation, and this thread runs
-//! the served methods through one warm collector ([`TraceCollector`],
-//! held for the thread's lifetime). Observations are label-only
-//! ([`TraceCollector::observe_into`]): each unit's features and
-//! estimated cycles go straight into the [`Trainer`], with no measured
-//! provider, no `TraceRecord` and, under the cheap estimator, nothing
-//! run after the schedule — a fold reads nothing else. Only when
+//! Observation happens *off* the hot path, through one warm
+//! [`TraceCollector`] held for the thread's lifetime, and is label-only
+//! ([`TraceCollector::observe_into`]): features and estimated cycles go
+//! straight into the [`Trainer`], with no measured provider and no
+//! `TraceRecord` — a fold reads nothing else. Only when
 //! [`ServeConfig::persist_corpus`] is set does the thread collect full
-//! instrumented records ([`TraceCollector::collect_into`], `hw_*`
-//! channels included) into one reused batch buffer, absorb them, and
-//! keep them for the file written at shutdown. Either way the trainer
-//! sees exactly the units the offline pipeline
-//! ([`collect_trace`](wts_core::collect_trace)) would have labelled, so
-//! an online-retrained filter and an offline-trained one see the same
-//! training distribution.
+//! records ([`TraceCollector::collect_into`]) and keep them for the file
+//! written at shutdown. Either way the trainer sees exactly the units
+//! [`collect_trace`](wts_core::collect_trace) would have labelled.
 //!
 //! Learning is incremental: the thread owns the [`Trainer`] that
 //! published epoch 1 from the seed corpus, labels each observed unit
@@ -27,10 +20,8 @@
 //! stump, a sweep over the distinct feature values, however long the
 //! instance runs).
 
-use crate::server::ServeConfig;
-use std::sync::mpsc::Receiver;
+use crate::server::{Hub, ServeConfig};
 use wts_core::{write_trace_binary, FilterKey, FilterStore, TraceCollector, TraceRecord, Trainer};
-use wts_ir::Method;
 
 /// What the retraining thread did over the instance's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,12 +41,12 @@ pub struct RetrainReport {
     pub records_persisted: u64,
 }
 
-/// Runs until every sender hangs up, then performs a final fold if any
-/// observations are pending and returns the tally. `trainer` has absorbed
-/// `config`'s seed traces, which are kept (moved, not copied) only as
-/// the start of a corpus to persist.
+/// Runs until the serving core closes the observation drain, then
+/// performs a final fold if any observations are pending and returns the
+/// tally. `trainer` has absorbed `config`'s seed traces, which are kept
+/// (moved, not copied) only as the start of a corpus to persist.
 pub(crate) fn retrain_loop(
-    rx: &Receiver<(String, Vec<Method>)>,
+    hub: &Hub,
     store: &FilterStore,
     key: &FilterKey,
     mut config: ServeConfig,
@@ -69,7 +60,7 @@ pub(crate) fn retrain_loop(
     let mut batch: Vec<TraceRecord> = Vec::new();
     let mut pending = 0usize;
     let mut report = RetrainReport::default();
-    while let Ok((benchmark, methods)) = rx.recv() {
+    while let Some((benchmark, methods)) = hub.next_observation() {
         let observed = match &mut corpus {
             None => methods.iter().map(|method| collector.observe_into(&benchmark, method, &mut trainer)).sum(),
             Some(corpus) => {
@@ -89,7 +80,7 @@ pub(crate) fn retrain_loop(
             pending = 0;
         }
     }
-    // The senders are gone: the queue is fully drained. Units observed
+    // The drain is closed: nothing more will be offered. Units observed
     // since the last fold still deserve to influence the filter
     // a restarted instance would seed from.
     if config.retrain_every > 0 && pending > 0 {

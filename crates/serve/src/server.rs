@@ -3,42 +3,43 @@
 //! blocking sockets.
 //!
 //! ```text
-//!                 ┌──────────┐   bounded sync_channel    ┌─────────┐
-//! client ──TCP──▶ │  reader   │ ──── try_send(Job) ────▶ │ worker  │──▶ response
-//!                 │ (1/conn)  │        │ full?           │ (×N)    │     frame
-//!                 └──────────┘        ▼                  └────┬────┘
-//!                               Busy frame (shed)             │ served methods
-//!                                                             ▼
-//!                                                       ┌───────────┐
-//!                                                       │ retrainer │─▶ FilterStore::swap
-//!                                                       └───────────┘     (epoch++)
+//!                 ┌──────────┐  admit   ┌─── Mutex<ServeCore> ───┐ take_job ┌────────┐
+//! client ──TCP──▶ │  reader  │ ───────▶ │ job FIFO               │ ───────▶ │ worker │──▶ response
+//!                 │ (1/conn) │          │ observation FIFO       │ ◀─────── │  (×N)  │     frame
+//!                 └──────────┘          └────────────────────────┘  offer   └────────┘
+//!                 shed: Busy frame                  │ take_observation
+//!                                                   ▼
+//!                                               retrainer ──▶ FilterStore::swap (epoch++)
 //! ```
 //!
-//! Each worker owns a [`UnitServer`] — per-thread scheduler scratch
-//! reused across every unit it serves — and loads **one**
+//! Every hand-off is a [`ServeCore`] transition — the core
+//! `check_serve_protocol` model-checks — and the threads only drive it:
+//! each holds the lock for one transition, never across decoding,
+//! scheduling, encoding, a socket write or a fold. Each worker owns a
+//! [`UnitServer`] — per-thread scheduler scratch reused across every
+//! unit it serves — and loads **one**
 //! [`FilterSnapshot`](wts_core::FilterSnapshot) per batch, so a batch is
 //! never split across a hot swap and its response carries the exact
-//! epoch that decided it. Backpressure is explicit: the job queue is a
-//! bounded [`sync_channel`], and a reader that finds it full sheds the
-//! batch with a [`Response::Busy`] frame instead of stalling the socket.
+//! epoch that decided it. Backpressure is explicit: the job FIFO is
+//! bounded, and a reader whose admit finds it full sheds the batch with
+//! a [`Response::Busy`] frame instead of stalling the socket.
 //!
 //! Shutdown is a drain, not a kill: stop accepting, half-close every
 //! connection's read side (in-flight responses still flow), join the
-//! readers, close the job queue so the workers finish every batch that
-//! was accepted, then close the retrain queue so the retrainer absorbs
-//! every served method and folds once more if observations are pending.
-//! The [`ServeReport`] accounts for every unit: served units either
-//! became retrainer observations or the batch was shed — nothing is
-//! lost or counted twice.
+//! readers, close the core so the workers finish every admitted batch
+//! and exit, and the retrainer absorbs every served method and folds
+//! once more if observations are pending. The [`ServeReport`] accounts
+//! for every unit: served units either became retrainer observations or
+//! the batch was shed — nothing is lost or counted twice.
 
+use crate::core::{ServeCore, Take};
 use crate::protocol::{self, BatchResult, Response};
 use crate::retrain::{retrain_loop, RetrainReport};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use wts_core::{
@@ -64,8 +65,8 @@ pub struct ServeConfig {
     pub threshold: u32,
     /// Scheduling worker threads.
     pub workers: usize,
-    /// Bound of the job queue; a full queue sheds with
-    /// [`Response::Busy`].
+    /// Bound of the job FIFO (and of the retrain hand-off); a full job
+    /// FIFO sheds with [`Response::Busy`].
     pub queue_depth: usize,
     /// Retrain cadence: fold and hot-swap after this many newly observed
     /// units. Observations are label-only — features and estimated
@@ -171,11 +172,89 @@ pub struct ServeReport {
 
 /// One unit of queued work: a decoded batch plus the connection to
 /// answer on.
+#[derive(Debug)]
 struct Job {
     batch_id: u64,
     benchmark: String,
     methods: Vec<Method>,
     conn: Arc<Mutex<TcpStream>>,
+}
+
+/// What a worker hands the retrainer: a served batch's benchmark and
+/// methods.
+pub(crate) type Observation = (String, Vec<Method>);
+
+/// The one [`ServeCore`] every thread of an instance drives, and the
+/// condvars they park on: a job was admitted or the core closed; an
+/// observation was offered or a worker exited; the observation FIFO has
+/// room again. A waker notifies after releasing the lock.
+#[derive(Debug)]
+pub(crate) struct Hub {
+    core: Mutex<ServeCore<Job, Observation>>,
+    jobs: Signal,
+    observations: Signal,
+    room: Signal,
+}
+
+impl Hub {
+    fn lock(&self) -> MutexGuard<'_, ServeCore<Job, Observation>> {
+        self.core.lock().expect("serving core poisoned")
+    }
+
+    /// Takes through `take`, waiting on `signal`; `None` once closed.
+    fn take<T>(&self, signal: &Signal, take: fn(&mut ServeCore<Job, Observation>) -> Take<T>) -> Option<T> {
+        let mut core = self.lock();
+        loop {
+            match take(&mut core) {
+                Take::Item(item) => return Some(item),
+                Take::Wait => core = signal.wait(core),
+                Take::Closed => return None,
+            }
+        }
+    }
+
+    /// Hands a served batch to the retrainer, waiting while the FIFO is
+    /// full: serving slows down instead of dropping observations.
+    fn offer(&self, mut observation: Observation) {
+        let mut core = self.lock();
+        while let Err(back) = core.offer(observation) {
+            observation = back;
+            core = self.room.wait(core);
+        }
+        drop(core);
+        self.observations.notify_one();
+    }
+
+    /// The next served batch; `None` once the drain is over.
+    pub(crate) fn next_observation(&self) -> Option<Observation> {
+        let observation = self.take(&self.observations, ServeCore::take_observation)?;
+        self.room.notify_one();
+        Some(observation)
+    }
+}
+
+/// A condvar that counts its waiters (under the core lock, so a notifier
+/// that took the lock after a waiter parked sees it): a transition
+/// nobody waits for makes no wake-up call.
+#[derive(Debug, Default)]
+struct Signal {
+    condvar: Condvar,
+    waiting: AtomicUsize,
+}
+
+impl Signal {
+    fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.waiting.fetch_add(1, Ordering::Relaxed);
+        let guard = self.condvar.wait(guard).expect("serving core poisoned");
+        self.waiting.fetch_sub(1, Ordering::Relaxed);
+        guard
+    }
+
+    fn notify_one(&self) {
+        if self.waiting.load(Ordering::Relaxed) > 0 {
+            self.condvar.notify_one();
+        }
+    }
 }
 
 /// The serving instance. [`Server::bind`] trains the initial filter,
@@ -229,27 +308,26 @@ impl Server {
         let counters = Arc::new(Counters::default());
         let conns: Arc<ConnRegistry> = Arc::default();
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.queue_depth);
-        let (retrain_tx, retrain_rx) = mpsc::sync_channel::<(String, Vec<Method>)>(config.queue_depth);
-        let job_rx = Arc::new(Mutex::new(job_rx));
+        let core = Mutex::new(ServeCore::new(config.queue_depth, config.workers));
+        let hub =
+            Arc::new(Hub { core, jobs: Signal::default(), observations: Signal::default(), room: Signal::default() });
 
         let mut workers = Vec::with_capacity(config.workers);
         for _ in 0..config.workers {
-            let rx = Arc::clone(&job_rx);
+            let hub = Arc::clone(&hub);
             let store = Arc::clone(&store);
             let counters = Arc::clone(&counters);
-            let retrain_tx = retrain_tx.clone();
             let config = config.clone();
             let key = key.clone();
-            workers.push(std::thread::spawn(move || worker_loop(&rx, &store, &key, &config, &counters, &retrain_tx)));
+            workers.push(std::thread::spawn(move || worker_loop(&hub, &store, &key, &config, &counters)));
         }
-        drop(retrain_tx);
 
         let retrainer = {
+            let hub = Arc::clone(&hub);
             let store = Arc::clone(&store);
             let config = ServeConfig { seed_traces, ..config.clone() };
             let key = key.clone();
-            std::thread::spawn(move || retrain_loop(&retrain_rx, &store, &key, config, trainer))
+            std::thread::spawn(move || retrain_loop(&hub, &store, &key, config, trainer))
         };
 
         let acceptor = {
@@ -257,10 +335,10 @@ impl Server {
             let counters = Arc::clone(&counters);
             let conns = Arc::clone(&conns);
             let readers = Arc::clone(&readers);
-            let job_tx = job_tx.clone();
+            let hub = Arc::clone(&hub);
             let queue_depth = config.queue_depth;
             std::thread::spawn(move || {
-                accept_loop(&listener, &shutdown, &counters, &conns, &readers, &job_tx, queue_depth);
+                accept_loop(&listener, &shutdown, &counters, &conns, &readers, &hub, queue_depth);
             })
         };
 
@@ -272,7 +350,7 @@ impl Server {
             counters,
             conns,
             readers,
-            job_tx: Some(job_tx),
+            hub,
             acceptor: Some(acceptor),
             workers,
             retrainer: Some(retrainer),
@@ -290,7 +368,7 @@ pub struct ServerHandle {
     counters: Arc<Counters>,
     conns: Arc<ConnRegistry>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    job_tx: Option<SyncSender<Job>>,
+    hub: Arc<Hub>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     retrainer: Option<JoinHandle<RetrainReport>>,
@@ -342,10 +420,11 @@ impl ServerHandle {
         for reader in readers {
             reader.join().expect("reader thread panicked");
         }
-        // Closing the job queue lets the workers drain what was accepted
-        // and then exit; their retrain senders drop with them, which in
-        // turn lets the retrainer drain, fold once more and report.
-        self.job_tx = None;
+        // Closing the core lets the workers drain what was admitted and
+        // then exit; once the last one has, the retrainer drains the
+        // observations, folds once more and reports.
+        self.hub.lock().close();
+        self.hub.jobs.condvar.notify_all();
         for worker in self.workers.drain(..) {
             worker.join().expect("worker thread panicked");
         }
@@ -365,7 +444,7 @@ fn accept_loop(
     counters: &Arc<Counters>,
     conns: &Arc<ConnRegistry>,
     readers: &Mutex<Vec<JoinHandle<()>>>,
-    job_tx: &SyncSender<Job>,
+    hub: &Arc<Hub>,
     queue_depth: usize,
 ) {
     while !shutdown.load(Ordering::SeqCst) {
@@ -377,11 +456,11 @@ fn accept_loop(
                 let Ok((registered, writer)) = connection_handles(&stream) else { continue };
                 conns.lock().expect("connection registry poisoned").insert(id, registered);
                 let writer = Arc::new(Mutex::new(writer));
-                let job_tx = job_tx.clone();
+                let hub = Arc::clone(hub);
                 let counters = Arc::clone(counters);
                 let conns = Arc::clone(conns);
                 let handle = std::thread::spawn(move || {
-                    reader_loop(stream, &writer, &job_tx, queue_depth, &counters);
+                    reader_loop(stream, &writer, &hub, queue_depth, &counters);
                     conns.lock().expect("connection registry poisoned").remove(&id);
                 });
                 let mut readers = readers.lock().expect("reader registry poisoned");
@@ -421,13 +500,7 @@ fn respond(conn: &Mutex<TcpStream>, resp: &Response) {
     let _ = protocol::write_frame(&mut *stream, &payload);
 }
 
-fn reader_loop(
-    stream: TcpStream,
-    writer: &Arc<Mutex<TcpStream>>,
-    job_tx: &SyncSender<Job>,
-    queue_depth: usize,
-    counters: &Counters,
-) {
+fn reader_loop(stream: TcpStream, writer: &Arc<Mutex<TcpStream>>, hub: &Hub, queue_depth: usize, counters: &Counters) {
     // Buffered, so a frame that arrived in one segment is taken in with
     // one read rather than one for the prefix and one for the payload.
     let mut stream = BufReader::new(stream);
@@ -451,32 +524,21 @@ fn reader_loop(
             methods: request.methods,
             conn: Arc::clone(writer),
         };
-        if let Err(TrySendError::Full(job)) = job_tx.try_send(job) {
+        let admitted = hub.lock().admit(job);
+        if let Err(job) = admitted {
             counters.batches_shed.fetch_add(1, Ordering::Relaxed);
             let depth = u32::try_from(queue_depth).unwrap_or(u32::MAX);
             respond(&job.conn, &Response::Busy { batch_id: job.batch_id, queue_depth: depth });
+        } else {
+            hub.jobs.notify_one();
         }
     }
 }
 
-fn worker_loop(
-    job_rx: &Mutex<Receiver<Job>>,
-    store: &FilterStore,
-    key: &FilterKey,
-    config: &ServeConfig,
-    counters: &Counters,
-    retrain_tx: &SyncSender<(String, Vec<Method>)>,
-) {
+fn worker_loop(hub: &Hub, store: &FilterStore, key: &FilterKey, config: &ServeConfig, counters: &Counters) {
     let machine = config.machine.clone();
     let mut unit_server = UnitServer::new(&machine, config.options.policy);
-    loop {
-        // Holding the lock across the blocking recv is fine: an idle
-        // worker parks here, and a woken one releases the lock the
-        // moment it owns a job.
-        let job = match job_rx.lock().expect("job queue poisoned").recv() {
-            Ok(job) => job,
-            Err(_) => return,
-        };
+    while let Some(job) = hub.take(&hub.jobs, ServeCore::take_job) {
         // One snapshot for the whole batch: every unit below is decided
         // by this epoch, no matter how many swaps land meanwhile.
         let snapshot = store.get(key).expect("the served key is published at bind time");
@@ -494,14 +556,14 @@ fn worker_loop(
             &job.conn,
             &Response::Batch(BatchResult { batch_id: job.batch_id, epoch: snapshot.epoch(), totals, units }),
         );
-        // Blocking send: when the retrainer falls behind, serving slows
-        // down instead of dropping observations. With retraining
+        // A blocking offer: when the retrainer falls behind, serving
+        // slows down instead of dropping observations. With retraining
         // disabled there is nothing to observe for, so the batch is not
-        // forwarded at all. The disconnect case (teardown) cannot
-        // happen before shutdown joins the workers, but is harmless to
-        // ignore.
+        // forwarded at all.
         if config.retrain_every > 0 {
-            let _ = retrain_tx.send((job.benchmark, job.methods));
+            hub.offer((job.benchmark, job.methods));
         }
     }
+    hub.lock().worker_exit();
+    hub.observations.notify_one();
 }

@@ -40,12 +40,10 @@
 //!   checks catch masks that diverge from what the condition table reads;
 //!   and [`prove_hard_threshold`] derives a domain-wide witness that
 //!   `decide ≡ score ≥ t` under a hard threshold.
-//! - **Protocol safety** ([`check_store_protocol`],
-//!   [`check_serve_protocol`]): the `FilterStore` epoch protocol and the
-//!   `wts-serve` frame exchange as typed state machines, explored by
-//!   bounded-exhaustive deterministic DFS over every interleaving —
-//!   proving epoch monotonicity, batch atomicity across hot swaps,
-//!   exactly-one-response per request id and drain losslessness.
+//! - **Protocol safety** ([`check_store_protocol`], [`Explorer`]): the
+//!   `FilterStore` epoch protocol explored by bounded-exhaustive DFS over
+//!   every interleaving — epoch monotonicity, batch atomicity across hot
+//!   swaps. `wts-serve` runs the same explorer over its serving core.
 //!
 //! Everything reports through [`Diagnostic`] (severity, analysis,
 //! machine, method/unit location, prose explanation). [`verify_unit`]
@@ -84,9 +82,6 @@ pub use deps::{check_dependences, oracle_edges};
 pub use diag::{render, Analysis, Diagnostic, Severity, UnitCtx};
 pub use model::{check_model, lint_model, prove_hard_threshold, LintCond, ModelTable, ThresholdProof};
 pub use pipeline::{verify_program, verify_unit, verify_unit_in, VerifyReport};
-pub use proto::{
-    check_serve_protocol, check_store_protocol, DrainModel, ProtoReport, ServeProtoConfig, ShedModel, SnapshotModel,
-    StoreProtoConfig, SwapModel,
-};
+pub use proto::{check_store_protocol, Explorer, ProtoReport, SnapshotModel, StoreProtoConfig, SwapModel};
 pub use spec::check_speculation;
 pub use timing::{check_timing, dependence_lower_bound, resimulate, IssueEvent};

@@ -1,32 +1,16 @@
-//! Protocol model checking: the `FilterStore` epoch protocol and the
-//! `wts-serve` frame exchange as explicit typed state machines, explored
-//! by bounded-exhaustive deterministic DFS over every interleaving.
-//!
-//! PR 9 established the serving invariants by *observation* — stress
-//! tests that watch a live server and assert nothing went wrong on the
-//! schedules the OS happened to produce. This module turns them into
-//! *checked models*: each protocol is a small state machine whose
-//! enabled transitions are enumerated in a fixed order and explored
-//! exhaustively (memoized on state, so the walk terminates), which
-//! covers every interleaving of the modeled actors, not just the ones a
-//! particular run exhibits. The checked invariants:
-//!
-//! * **epoch monotonicity** — every published store epoch is strictly
-//!   greater than its predecessor, and no swap increment is lost;
-//! * **batch atomicity** — a served batch's decisions are attributable
-//!   to exactly one snapshot epoch (no batch split across a hot swap);
-//! * **response uniqueness** — every request id receives exactly one
-//!   response (no orphans, no duplicates);
-//! * **drain losslessness** — a graceful shutdown absorbs every record
-//!   the workers produced into the retrainer.
-//!
-//! Each machine carries *model-fidelity knobs* ([`SwapModel`],
-//! [`SnapshotModel`], [`ShedModel`], [`DrainModel`]): the default value
-//! models what the implementation actually does and must check clean;
-//! the other value injects a classic bug (read-then-write swap,
-//! per-unit snapshot reload, internal retry after shedding, dropping
-//! pending records on shutdown) and must be caught. The mutation suite
-//! pins both directions.
+//! Protocol model checking: a deterministic DFS driver ([`Explorer`])
+//! that explores a small state machine over every interleaving of its
+//! actors — enabled transitions in a fixed order, memoized on state, so
+//! the walk terminates — and the `FilterStore` epoch protocol as one
+//! such machine. `wts_serve::check_serve_protocol` runs the same
+//! explorer over the server's own serving core. The store machine
+//! checks **epoch monotonicity** (every published epoch is strictly
+//! greater than its predecessor, no swap increment is lost) and **batch
+//! atomicity** (a served batch is decided by exactly one snapshot
+//! epoch). Its *model-fidelity knobs* ([`SwapModel`], [`SnapshotModel`])
+//! default to what the implementation does, which must check clean; the
+//! other value injects a classic bug (read-then-write swap, per-unit
+//! snapshot reload), which must be caught.
 
 use crate::diag::{Analysis, Diagnostic, UnitCtx};
 use std::collections::HashSet;
@@ -53,29 +37,6 @@ pub enum SnapshotModel {
     /// Reload per unit — a swap mid-batch splits the batch across
     /// epochs.
     PerUnit,
-}
-
-/// What happens when the request queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShedModel {
-    /// Respond `Busy` and drop the request — the client owns the retry.
-    #[default]
-    Reject,
-    /// Respond `Busy` but retry internally — the request is eventually
-    /// served too, producing a duplicate response for its id.
-    RejectAndRetry,
-}
-
-/// What a graceful shutdown does with records the retrainer has not yet
-/// absorbed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DrainModel {
-    /// Drain the channel and fold the remainder — what `retrain_loop`
-    /// does on disconnect.
-    #[default]
-    FoldRemainder,
-    /// Drop whatever is still queued — lossy shutdown.
-    DropPending,
 }
 
 /// Bound and shape of the store-protocol model.
@@ -111,36 +72,6 @@ impl Default for StoreProtoConfig {
     }
 }
 
-/// Bound and shape of the serve-protocol model.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeProtoConfig {
-    /// Client requests (distinct ids).
-    pub requests: usize,
-    /// Serving workers.
-    pub workers: usize,
-    /// Bounded queue depth; submissions beyond it shed.
-    pub queue_depth: usize,
-    /// Decided units per request.
-    pub units_per_request: usize,
-    /// Shedding model.
-    pub shed: ShedModel,
-    /// Shutdown model.
-    pub drain: DrainModel,
-}
-
-impl Default for ServeProtoConfig {
-    fn default() -> ServeProtoConfig {
-        ServeProtoConfig {
-            requests: 3,
-            workers: 2,
-            queue_depth: 1,
-            units_per_request: 2,
-            shed: ShedModel::default(),
-            drain: DrainModel::default(),
-        }
-    }
-}
-
 /// The outcome of one exhaustive protocol exploration.
 #[derive(Debug, Clone)]
 pub struct ProtoReport {
@@ -165,10 +96,10 @@ impl ProtoReport {
 /// backstop against accidentally unbounded configurations.
 const MAX_STATES: usize = 1 << 20;
 
-/// Deterministic DFS driver shared by both protocol machines: explores
+/// Deterministic DFS driver shared by the protocol machines: explores
 /// every interleaving (memoized on state), collecting deduplicated
-/// diagnostics.
-struct Explorer<S> {
+/// diagnostics under [`Analysis::Protocol`].
+pub struct Explorer<S> {
     seen: HashSet<S>,
     steps: usize,
     emitted: HashSet<String>,
@@ -178,7 +109,8 @@ struct Explorer<S> {
 }
 
 impl<S: Clone + Eq + Hash> Explorer<S> {
-    fn new(machine: &str) -> Explorer<S> {
+    /// An explorer whose diagnostics name `machine`.
+    pub fn new(machine: &str) -> Explorer<S> {
         Explorer {
             seen: HashSet::new(),
             steps: 0,
@@ -189,7 +121,8 @@ impl<S: Clone + Eq + Hash> Explorer<S> {
         }
     }
 
-    fn emit(&mut self, message: String) {
+    /// Records an invariant violation once, however many paths reach it.
+    pub fn emit(&mut self, message: String) {
         if self.emitted.insert(message.clone()) {
             self.diags.push(self.ctx.error(Analysis::Protocol, message));
         }
@@ -198,7 +131,7 @@ impl<S: Clone + Eq + Hash> Explorer<S> {
     /// Explores from `state`: `successors` enumerates enabled transitions
     /// in a fixed order (possibly emitting diagnostics), `terminal`
     /// checks end-state invariants when no transition is enabled.
-    fn run(
+    pub fn run(
         &mut self,
         state: S,
         successors: &impl Fn(&S, &mut Explorer<S>) -> Vec<S>,
@@ -225,7 +158,8 @@ impl<S: Clone + Eq + Hash> Explorer<S> {
         }
     }
 
-    fn report(self, machine: &str) -> ProtoReport {
+    /// The exploration's outcome under the machine name `machine`.
+    pub fn report(self, machine: &str) -> ProtoReport {
         ProtoReport {
             machine: machine.to_string(),
             states: self.seen.len(),
@@ -376,160 +310,6 @@ pub fn check_store_protocol(cfg: StoreProtoConfig) -> ProtoReport {
     ex.report(machine)
 }
 
-// ---------------------------------------------------------------------------
-// wts-serve frame exchange
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ReqSt {
-    /// Not yet submitted.
-    Pending,
-    /// Enqueued, waiting for a worker.
-    Queued,
-    /// Taken by a worker.
-    Serving,
-    /// Final: the client received a response.
-    Done,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ServeState {
-    reqs: Vec<ReqSt>,
-    /// Responses delivered per request id (saturating at 3 to bound the
-    /// state space; 2 already means "duplicate").
-    responses: Vec<u8>,
-    /// Queued request ids, in order.
-    queue: Vec<u8>,
-    /// Request id each worker is serving.
-    workers: Vec<Option<u8>>,
-    /// Result batches produced but not yet absorbed by the retrainer.
-    pending_batches: u8,
-    /// Units decided by workers / absorbed by the retrainer.
-    served_units: u8,
-    absorbed_units: u8,
-    /// Set once the drain step has run.
-    drained: bool,
-}
-
-/// Model-checks the `wts-serve` exchange: clients submitting requests
-/// into a bounded queue, workers serving and responding, the retrainer
-/// absorbing result records, and a graceful drain at shutdown. Proves
-/// exactly-one-response per request id and drain losslessness over
-/// every interleaving.
-pub fn check_serve_protocol(cfg: ServeProtoConfig) -> ProtoReport {
-    let machine = "wts-serve";
-    let units = u8::try_from(cfg.units_per_request).expect("units_per_request fits u8");
-    let init = ServeState {
-        reqs: vec![ReqSt::Pending; cfg.requests],
-        responses: vec![0; cfg.requests],
-        queue: Vec::new(),
-        workers: vec![None; cfg.workers],
-        pending_batches: 0,
-        served_units: 0,
-        absorbed_units: 0,
-        drained: false,
-    };
-
-    let respond = move |n: &mut ServeState, r: usize, ex: &mut Explorer<ServeState>, what: &str| {
-        n.responses[r] = n.responses[r].saturating_add(1);
-        if n.responses[r] > 1 {
-            ex.emit(format!("duplicate response for request id {r}: the client hears from the server twice ({what})"));
-        }
-    };
-
-    let successors = move |s: &ServeState, ex: &mut Explorer<ServeState>| {
-        let mut next = Vec::new();
-        // Clients submit pending requests.
-        for r in 0..s.reqs.len() {
-            if s.reqs[r] != ReqSt::Pending || s.drained {
-                continue;
-            }
-            let mut n = s.clone();
-            if s.queue.len() < cfg.queue_depth {
-                n.queue.push(u8::try_from(r).expect("request id fits u8"));
-                n.reqs[r] = ReqSt::Queued;
-            } else {
-                // Queue full: shed with a Busy response.
-                respond(&mut n, r, ex, "a second busy after shedding");
-                n.reqs[r] = match cfg.shed {
-                    ShedModel::Reject => ReqSt::Done,
-                    // Mutation: the server retries internally, so the
-                    // request stays eligible and will be answered again.
-                    ShedModel::RejectAndRetry => ReqSt::Pending,
-                };
-            }
-            next.push(n);
-        }
-        // Workers take and serve.
-        for w in 0..s.workers.len() {
-            match s.workers[w] {
-                None => {
-                    if let Some(&r) = s.queue.first() {
-                        let mut n = s.clone();
-                        n.queue.remove(0);
-                        n.workers[w] = Some(r);
-                        n.reqs[r as usize] = ReqSt::Serving;
-                        next.push(n);
-                    }
-                }
-                Some(r) => {
-                    let mut n = s.clone();
-                    n.served_units += units;
-                    n.pending_batches += 1;
-                    respond(&mut n, r as usize, ex, "a batch after an earlier response");
-                    n.workers[w] = None;
-                    n.reqs[r as usize] = ReqSt::Done;
-                    next.push(n);
-                }
-            }
-        }
-        // The retrainer absorbs produced batches.
-        if s.pending_batches > 0 {
-            let mut n = s.clone();
-            n.pending_batches -= 1;
-            n.absorbed_units += units;
-            next.push(n);
-        }
-        // Graceful shutdown: once every client is answered and the
-        // workers are idle, the drain step runs exactly once. It is
-        // enabled *concurrently* with the retrainer's absorb step —
-        // shutdown races absorption, which is exactly the window a
-        // lossy drain loses records in.
-        if !s.drained && s.reqs.iter().all(|&r| r == ReqSt::Done) && s.workers.iter().all(Option::is_none) {
-            let mut n = s.clone();
-            match cfg.drain {
-                DrainModel::FoldRemainder => {
-                    n.absorbed_units += n.pending_batches * units;
-                    n.pending_batches = 0;
-                }
-                DrainModel::DropPending => {
-                    n.pending_batches = 0;
-                }
-            }
-            n.drained = true;
-            next.push(n);
-        }
-        next
-    };
-    let terminal = move |s: &ServeState, ex: &mut Explorer<ServeState>| {
-        for (r, &count) in s.responses.iter().enumerate() {
-            if count == 0 {
-                ex.emit(format!("orphaned request id {r}: the client never hears back"));
-            }
-        }
-        if s.absorbed_units != s.served_units {
-            ex.emit(format!(
-                "drain lost records: the retrainer absorbed {} of {} served units at shutdown",
-                s.absorbed_units, s.served_units
-            ));
-        }
-    };
-
-    let mut ex = Explorer::new(machine);
-    ex.run(init, &successors, &terminal);
-    ex.report(machine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,35 +353,6 @@ mod tests {
         let report = check_store_protocol(cfg);
         assert!(
             !report.diagnostics.iter().any(|d| d.message.contains("batch split")),
-            "{}",
-            render(&report.diagnostics)
-        );
-    }
-
-    #[test]
-    fn serve_protocol_checks_clean_under_the_implemented_models() {
-        let report = check_serve_protocol(ServeProtoConfig::default());
-        assert!(report.is_clean(), "{}", render(&report.diagnostics));
-        assert!(report.states > 100, "exhaustive walk should visit many states, saw {}", report.states);
-    }
-
-    #[test]
-    fn internal_retry_after_shedding_duplicates_responses() {
-        let cfg = ServeProtoConfig { shed: ShedModel::RejectAndRetry, ..ServeProtoConfig::default() };
-        let report = check_serve_protocol(cfg);
-        assert!(
-            report.diagnostics.iter().any(|d| d.message.contains("duplicate response")),
-            "{}",
-            render(&report.diagnostics)
-        );
-    }
-
-    #[test]
-    fn dropping_pending_records_loses_the_drain() {
-        let cfg = ServeProtoConfig { drain: DrainModel::DropPending, ..ServeProtoConfig::default() };
-        let report = check_serve_protocol(cfg);
-        assert!(
-            report.diagnostics.iter().any(|d| d.message.contains("drain lost records")),
             "{}",
             render(&report.diagnostics)
         );

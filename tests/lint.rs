@@ -2,21 +2,22 @@
 //! pipeline can produce — any registry machine × any portfolio learner ×
 //! either scope, every LOOCV fold and the factory rule set — lints
 //! clean under the `wts-verify` model analysis and carries a
-//! hard-threshold equivalence proof, and the faithful serve/store
-//! protocol models check clean. The mutation tests are the teeth: each
-//! of the four defect classes (shadowed rule, demand-mask drift,
-//! non-finite threshold, epoch-regressing swap) is caught with its named
-//! diagnostic while the unmutated twin stays clean, so a lint that rots
-//! into a no-op fails here, not in production.
+//! hard-threshold equivalence proof, and the faithful store protocol
+//! model and the serving core check clean. The mutation tests are the
+//! teeth: each of the four defect classes (shadowed rule, demand-mask
+//! drift, non-finite threshold, epoch-regressing swap) is caught with its
+//! named diagnostic while the unmutated twin stays clean, so a lint that
+//! rots into a no-op fails here, not in production.
 
 use schedfilter::filters::{
     collect_trace, train_filter, train_loocv, CompiledFilter, CompiledFilterError, LearnedFilter, Learner, LearnerKind,
     ScopeKind, TimingMode, TraceOptions, TraceRecord, TrainConfig,
 };
 use schedfilter::ripper::{Rule, RuleSet};
+use schedfilter::serve::{check_serve_protocol, ServeProtoConfig};
 use schedfilter::verify::{
-    check_serve_protocol, check_store_protocol, lint_model, prove_hard_threshold, render, DrainModel, ModelTable,
-    ServeProtoConfig, ShedModel, SnapshotModel, StoreProtoConfig, SwapModel,
+    check_store_protocol, lint_model, prove_hard_threshold, render, ModelTable, SnapshotModel, StoreProtoConfig,
+    SwapModel,
 };
 use wts_features::FeatureMask;
 use wts_machine::{registry, MachineConfig};
@@ -168,10 +169,11 @@ fn mutation_epoch_regressing_swap_is_caught_and_the_twin_is_clean() {
     );
 }
 
-/// The remaining protocol knobs each produce their named diagnostic
-/// while the faithful defaults stay clean: a per-unit snapshot splits a
-/// batch across a swap, a retrying shed duplicates a response, and a
-/// drop-pending drain loses records the retrainer should have absorbed.
+/// The remaining store knob produces its named diagnostic — a per-unit
+/// snapshot splits a batch across a swap — while the serving core checks
+/// clean. The serve mutations (a re-admitted shed request, a close that
+/// drops pending observations) are perturbations of the core's actions
+/// and live beside it in `wts-serve`.
 #[test]
 fn mutation_protocol_knobs_each_fire_their_named_diagnostic() {
     let split = check_store_protocol(StoreProtoConfig { snapshot: SnapshotModel::PerUnit, ..Default::default() });
@@ -182,21 +184,8 @@ fn mutation_protocol_knobs_each_fire_their_named_diagnostic() {
     );
 
     let twin = check_serve_protocol(ServeProtoConfig::default());
-    assert!(twin.is_clean(), "the faithful serve model is clean:\n{}", render(&twin.diagnostics));
-
-    let dup = check_serve_protocol(ServeProtoConfig { shed: ShedModel::RejectAndRetry, ..Default::default() });
-    assert!(
-        dup.diagnostics.iter().any(|d| d.message.contains("duplicate response")),
-        "expected a duplicate response, got:\n{}",
-        render(&dup.diagnostics)
-    );
-
-    let lost = check_serve_protocol(ServeProtoConfig { drain: DrainModel::DropPending, ..Default::default() });
-    assert!(
-        lost.diagnostics.iter().any(|d| d.message.contains("drain lost records")),
-        "expected drain loss, got:\n{}",
-        render(&lost.diagnostics)
-    );
+    assert!(twin.is_clean(), "the serving core checks clean:\n{}", render(&twin.diagnostics));
+    assert!(twin.states > 100, "the explorer visited a real state space");
 }
 
 /// The CI-enabled `repro lint` smoke test: at realistic scale, the full

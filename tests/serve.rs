@@ -212,6 +212,50 @@ fn hot_swap_under_load_answers_every_batch_from_one_epoch() {
     assert_eq!(report.retrain.records_absorbed, report.stats.units_served);
 }
 
+/// The shed path on a live server: one worker and a job FIFO of one,
+/// and one client that pipelines whole programs faster than the worker
+/// schedules them. Every id is answered exactly once, with a batch or a
+/// `Busy`, the counters account for every batch, and the drain still
+/// absorbs exactly the served units.
+#[test]
+fn a_full_queue_sheds_and_every_batch_is_answered_once() {
+    let machine = MachineConfig::ppc7410();
+    let programs: Vec<Program> =
+        wts_jit::Suite::specjvm98(0.02).benchmarks().iter().map(|b| b.program().clone()).collect();
+    let mut config = stump_config(&machine, corpus(&programs[..2], &machine, &options()), 50);
+    config.workers = 1;
+    config.queue_depth = 1;
+    let handle = Server::bind("127.0.0.1:0", config).expect("bind");
+
+    let batches = 2 * programs.len();
+    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+    for (id, program) in programs.iter().cycle().take(batches).enumerate() {
+        client.send(id as u64, program.name(), program.methods()).expect("send");
+    }
+    let mut answers = vec![0usize; batches];
+    let mut shed = 0u64;
+    for _ in 0..batches {
+        let id = match client.recv().expect("recv") {
+            Response::Batch(batch) => batch.batch_id,
+            Response::Busy { batch_id, queue_depth } => {
+                assert_eq!(queue_depth, 1);
+                shed += 1;
+                batch_id
+            }
+            other => panic!("expected a batch or busy, got {other:?}"),
+        };
+        answers[id as usize] += 1;
+    }
+    drop(client);
+    assert!(answers.iter().all(|&n| n == 1), "every id answered exactly once: {answers:?}");
+
+    let report = handle.shutdown();
+    assert_eq!(report.stats.batches_served + report.stats.batches_shed, batches as u64);
+    assert_eq!(report.stats.batches_shed, shed);
+    assert!(shed > 0, "a single busy worker behind a FIFO of one sheds");
+    assert_eq!(report.retrain.records_absorbed, report.stats.units_served, "a lossless drain");
+}
+
 /// The full loop at realistic scale: a specjvm98-sized corpus served by
 /// a worker fleet under concurrent clients with online retraining. In a
 /// debug build every schedule the workers emit is also checked by
