@@ -304,28 +304,6 @@ impl CompiledFilter {
         self.conds.len()
     }
 
-    /// The conditions of rule `k` as `(attr, op, threshold)` triples —
-    /// read-only introspection for the model lint, which rebuilds the
-    /// table in its own plain-data shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn rule_conditions(&self, k: usize) -> impl Iterator<Item = (usize, Op, f64)> + '_ {
-        let start = if k == 0 { 0 } else { self.rule_ends[k - 1] as usize };
-        let end = self.rule_ends[k] as usize;
-        self.conds[start..end].iter().map(|c| (c.attr as usize, c.op, c.threshold))
-    }
-
-    /// The calibrated score emitted when rule `k` fires first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn rule_score(&self, k: usize) -> f64 {
-        self.scores[k]
-    }
-
     /// The calibrated score emitted when no rule fires.
     pub fn default_score(&self) -> f64 {
         self.default_score
@@ -664,15 +642,9 @@ mod tests {
     }
 
     #[test]
-    fn introspection_accessors_expose_the_lowered_table() {
+    fn default_score_is_the_rule_sets_default_confidence() {
         let rs = statted_rule_set();
         let compiled = CompiledFilter::from_rule_set(&rs, "L/N");
-        let r0: Vec<(usize, Op, f64)> = compiled.rule_conditions(0).collect();
-        assert_eq!(r0, vec![(FeatureKind::BbLen.index(), Op::Ge, 7.0), (FeatureKind::Loads.index(), Op::Ge, 0.3),]);
-        let r1: Vec<(usize, Op, f64)> = compiled.rule_conditions(1).collect();
-        assert_eq!(r1, vec![(FeatureKind::Calls.index(), Op::Le, 0.1)]);
-        assert!((compiled.rule_score(0) - rs.rule_confidence(0)).abs() < 1e-12);
-        assert!((compiled.rule_score(1) - rs.rule_confidence(1)).abs() < 1e-12);
         assert!((compiled.default_score() - rs.default_confidence()).abs() < 1e-12);
     }
 

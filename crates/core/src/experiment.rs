@@ -1,21 +1,15 @@
 //! The unified §2.2 pipeline: **trace → label → train → evaluate** as
-//! one composable, parallelizable unit.
-//!
-//! The seed wired these four stages by hand at every call site —
-//! [`collect_trace`](crate::collect_trace), then
-//! [`build_dataset`](crate::build_dataset), then
-//! [`train_filter`](crate::train_filter) /
-//! [`train_loocv`](crate::train_loocv), then the eval functions — and
-//! each of the table/figure regenerators re-plumbed the same steps.
-//! [`Experiment`] owns the sequence end to end:
+//! one composable, parallelizable unit. [`Experiment`] owns the sequence
+//! end to end, on one machine ([`Experiment::run`]) or on several
+//! ([`Experiment::run_on`]):
 //!
 //! 1. **Trace** maps to §2.2's instrumented scheduling pass: every block
 //!    of every benchmark program is feature-extracted and list-scheduled,
 //!    with cycle counts from a configurable pair of
 //!    [`CostProvider`](wts_machine::CostProvider)s (the "simplified
 //!    simulator" for labeling, the detailed model standing in for
-//!    hardware). Collection shards across methods with scoped threads
-//!    and is bit-identical to the serial path.
+//!    hardware). Collection shards the machines×programs×methods list
+//!    with scoped threads and is bit-identical to the serial path.
 //! 2. **Label** maps to §2.2's thresholding: an instance is `LS` when
 //!    scheduling improved the estimate by more than `t`%, `NS` when it
 //!    did not improve at all, and dropped in between (§4.4's
@@ -53,10 +47,10 @@ use crate::eval::{
 };
 use crate::label::{build_dataset, LabelConfig};
 use crate::learner::{Learner, LearnerKind};
-use crate::matrix::PortfolioEntry;
+use crate::matrix::{MatrixRun, PortfolioEntry};
 use crate::policy::DecisionPolicy;
 use crate::store::{FilterKey, FilterStore};
-use crate::trace::{collect_trace, TimingMode, TraceOptions, TraceRecord};
+use crate::trace::{collect_trace, trace_suite, SuiteTrace, TimingMode, TraceOptions, TraceRecord};
 use crate::train::{train_loocv_sharded, TrainConfig};
 use crate::{BinaryTraceError, CompiledFilter, LearnedFilter};
 use std::collections::BTreeMap;
@@ -70,7 +64,8 @@ use wts_sched::SchedulePolicy;
 
 /// Name-sorted `(benchmark, filter)` pairs from one LOOCV training run.
 /// `Arc`'d so a fold set published in the [`FilterStore`] can be shared
-/// across threads (a serving retrainer, the sharded matrix).
+/// across threads (a serving retrainer, the per-machine runs of a
+/// [`MatrixRun`]).
 pub type LoocvFilters = Arc<Vec<(String, LearnedFilter)>>;
 
 /// Configuration of the whole trace→label→train→evaluate pipeline.
@@ -103,15 +98,6 @@ impl Experiment {
         }
     }
 
-    /// Retargets the pipeline at a different machine, keeping every other
-    /// setting. The cross-machine [`ExperimentMatrix`](crate::ExperimentMatrix)
-    /// stamps one pipeline per registry machine out of a single template
-    /// this way.
-    pub fn with_machine(mut self, machine: MachineConfig) -> Experiment {
-        self.machine = machine;
-        self
-    }
-
     /// Selects the scheduler policy the instrumented pass runs.
     pub fn with_policy(mut self, policy: SchedulePolicy) -> Experiment {
         self.trace.policy = policy;
@@ -120,7 +106,7 @@ impl Experiment {
 
     /// Selects the induction backend the training stage runs (RIPPER by
     /// default). Per-learner artifacts ([`ExperimentRun::loocv_filters_for`],
-    /// [`MatrixRun::portfolio`](crate::MatrixRun::portfolio)) can query
+    /// [`MatrixRun::portfolio`]) can query
     /// other backends on the same run without re-tracing.
     pub fn with_learner(mut self, learner: LearnerKind) -> Experiment {
         self.learner = learner;
@@ -202,8 +188,49 @@ impl Experiment {
     /// as an [`ExperimentRun`], from which labeled datasets, trained
     /// filters and every paper artifact derive on demand.
     pub fn run(&self, programs: Vec<Program>) -> ExperimentRun {
-        let traces: Vec<Vec<TraceRecord>> = programs.iter().map(|p| self.trace(p)).collect();
-        self.run_precomputed_in(FilterStore::shared(), Rc::new(programs), traces)
+        self.run_on(vec![self.machine.clone()], programs).runs.pop().expect("one run per machine")
+    }
+
+    /// Runs this experiment's settings on each of `machines` in place of
+    /// its own machine: the cross-machine sweep. The suite is traced on
+    /// every machine through one sharded machines×programs×methods work
+    /// list, and each machine gets its own [`ExperimentRun`], so every
+    /// single-machine artifact stays available per machine. The runs
+    /// share one corpus and one [`FilterStore`]; their keys cannot
+    /// collide because each run keys by its own machine name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `machines` is empty.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wts_core::{Experiment, TimingMode};
+    /// use wts_machine::MachineConfig;
+    ///
+    /// let programs = wts_core::testutil::learnable_suite(2);
+    /// let machines = vec![MachineConfig::ppc7410(), MachineConfig::embedded()];
+    /// let sweep = Experiment::new(MachineConfig::ppc7410())
+    ///     .with_timing(TimingMode::Deterministic)
+    ///     .run_on(machines, programs.clone());
+    /// assert_eq!(sweep.machine_names(), ["ppc7410", "embedded"]);
+    /// let embedded = Experiment::new(MachineConfig::embedded()).with_timing(TimingMode::Deterministic).run(programs);
+    /// assert_eq!(sweep.run_for("embedded").all_traces(), embedded.all_traces());
+    /// ```
+    pub fn run_on(&self, machines: Vec<MachineConfig>, programs: Vec<Program>) -> MatrixRun {
+        assert!(!machines.is_empty(), "matrix needs at least one machine");
+        let traces = trace_suite(&machines, &programs, &self.trace);
+        let store = FilterStore::shared();
+        let programs = Rc::new(programs);
+        let runs = machines
+            .into_iter()
+            .zip(traces)
+            .map(|(machine, trace)| {
+                Experiment { machine, ..self.clone() }.package(Arc::clone(&store), Rc::clone(&programs), trace)
+            })
+            .collect();
+        MatrixRun { runs, store }
     }
 
     /// Rebuilds an [`ExperimentRun`] from a serialized trace corpus
@@ -221,17 +248,19 @@ impl Experiment {
     /// order).
     pub fn run_from_serialized(&self, programs: Vec<Program>, bytes: &[u8]) -> Result<ExperimentRun, CorpusError> {
         let records = crate::read_trace_binary(bytes).map_err(CorpusError::Read)?;
-        let mut traces: Vec<Vec<TraceRecord>> = programs.iter().map(|_| Vec::new()).collect();
-        let mut it = records.into_iter().peekable();
-        for (slot, program) in traces.iter_mut().zip(&programs) {
-            while it.peek().is_some_and(|r| r.benchmark == program.name()) {
-                slot.push(it.next().expect("peeked"));
+        let mut end = 0;
+        let mut ranges = Vec::with_capacity(programs.len());
+        for program in &programs {
+            let start = end;
+            while records.get(end).is_some_and(|r| r.benchmark == program.name()) {
+                end += 1;
             }
+            ranges.push(start..end);
         }
-        if let Some(r) = it.next() {
+        if let Some(r) = records.get(end) {
             let known = programs.iter().any(|p| p.name() == r.benchmark);
             return Err(CorpusError::Mismatch {
-                benchmark: r.benchmark,
+                benchmark: r.benchmark.clone(),
                 detail: if known {
                     "records are not grouped in program order".to_string()
                 } else {
@@ -239,33 +268,16 @@ impl Experiment {
                 },
             });
         }
-        Ok(self.run_precomputed_in(FilterStore::shared(), Rc::new(programs), traces))
+        Ok(self.clone().package(FilterStore::shared(), Rc::new(programs), SuiteTrace { records, ranges }))
     }
 
-    /// Packages already-collected per-program traces as an
-    /// [`ExperimentRun`] under this configuration, backed by `store`. The
-    /// matrix runner shards trace collection itself (over
-    /// machines×methods) and hands the reassembled pieces here; the
-    /// shared `Rc` lets every per-machine run borrow one corpus instead of
-    /// deep-copying it. Runs sharing one store must differ in at least
-    /// one [`FilterKey`] component — the matrix qualifies because every
-    /// per-machine run keys by its own machine name.
-    pub(crate) fn run_precomputed_in(
-        &self,
-        store: Arc<FilterStore>,
-        programs: Rc<Vec<Program>>,
-        traces: Vec<Vec<TraceRecord>>,
-    ) -> ExperimentRun {
-        debug_assert_eq!(programs.len(), traces.len(), "one trace vector per program");
-        let names: Vec<String> = programs.iter().map(|p| p.name().to_string()).collect();
-        let mut all_traces = Vec::with_capacity(traces.iter().map(Vec::len).sum());
-        let mut ranges = Vec::with_capacity(traces.len());
-        for trace in traces {
-            let start = all_traces.len();
-            all_traces.extend(trace);
-            ranges.push(start..all_traces.len());
-        }
-        ExperimentRun { config: self.clone(), names, programs, all_traces, ranges, store }
+    /// Packages one machine's traced suite as an [`ExperimentRun`] under
+    /// this configuration, backed by `store`. Runs sharing one store must
+    /// differ in at least one [`FilterKey`] component.
+    fn package(self, store: Arc<FilterStore>, programs: Rc<Vec<Program>>, trace: SuiteTrace) -> ExperimentRun {
+        debug_assert_eq!(programs.len(), trace.ranges.len(), "one range per program");
+        let names = programs.iter().map(|p| p.name().to_string()).collect();
+        ExperimentRun { config: self, names, programs, all_traces: trace.records, ranges: trace.ranges, store }
     }
 }
 
@@ -448,20 +460,20 @@ impl ExperimentRun {
             .clone()
     }
 
-    /// The machine name this run's filters are keyed under.
-    pub fn machine_name(&self) -> &str {
-        self.config.machine.name()
+    /// The machine this run traced on; its name keys the run's filters.
+    pub fn machine(&self) -> &MachineConfig {
+        &self.config.machine
     }
 
     /// The [`FilterKey`] this run files threshold-`t` filters of
     /// `learner` under: its machine, the backend's canonical tag, and
     /// the run's scope.
     pub fn filter_key(&self, t: u32, learner: &LearnerKind) -> FilterKey {
-        FilterKey::new(self.machine_name(), learner, self.scope(), t)
+        FilterKey::new(self.machine().name(), learner, self.scope(), t)
     }
 
-    /// The run's backing [`FilterStore`]. Each run gets a private store
-    /// by default; the cross-machine matrix shares one across its
+    /// The run's backing [`FilterStore`]. [`Experiment::run`] gives each
+    /// run a private store; [`Experiment::run_on`] shares one across its
     /// per-machine runs, and a serving daemon can deploy (and hot-swap)
     /// straight out of it.
     pub fn store(&self) -> &Arc<FilterStore> {
@@ -683,6 +695,43 @@ mod tests {
         let a = serial.loocv_filters(10);
         let b = sharded.loocv_filters(10);
         assert_eq!(*a, *b, "fold-sharded training must match serial training");
+    }
+
+    #[test]
+    fn every_entry_keeps_an_empty_programs_range_at_every_thread_count() {
+        let mut programs = suite();
+        programs.insert(1, Program::new("empty"));
+        let machines = [MachineConfig::ppc7410(), MachineConfig::embedded(), MachineConfig::wide4()];
+        for scope in [ScopeKind::Block, ScopeKind::Superblock(70)] {
+            let base =
+                Experiment::new(MachineConfig::ppc7410()).with_timing(TimingMode::Deterministic).with_scope(scope);
+            let serial = TraceOptions { threads: 1, ..base.trace_options() };
+            // Per machine: each program's own serial `collect_trace`.
+            let expected: Vec<Vec<Vec<TraceRecord>>> =
+                machines.iter().map(|m| programs.iter().map(|p| collect_trace(p, m, &serial)).collect()).collect();
+            let check = |run: &ExperimentRun, expect: &[Vec<TraceRecord>], what: &str| {
+                assert_eq!(run.names(), ["alpha", "empty", "beta", "gamma"], "{what}");
+                let traces = run.traces();
+                assert_eq!(traces.len(), run.names().len(), "{what}: traces() parallel to names()");
+                assert!(traces[1].is_empty(), "{what}: the empty program keeps an empty range");
+                for (got, want) in traces.iter().zip(expect) {
+                    assert_eq!(*got, want.as_slice(), "{what}");
+                }
+                assert_eq!(run.all_traces(), expect.concat().as_slice(), "{what}");
+            };
+            for threads in [1, 2, 3, 64, 0] {
+                let exp = base.clone().with_trace_threads(threads);
+                check(&exp.run(programs.clone()), &expected[0], &format!("run {scope} {threads} threads"));
+                for n in [1, machines.len()] {
+                    let sweep = exp.run_on(machines[..n].to_vec(), programs.clone());
+                    assert_eq!(sweep.runs().len(), n);
+                    for ((run, machine), expect) in sweep.runs().iter().zip(&machines).zip(&expected) {
+                        assert_eq!(run.machine().name(), machine.name());
+                        check(run, expect, &format!("run_on {} {scope} {threads} threads", machine.name()));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

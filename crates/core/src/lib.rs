@@ -40,9 +40,9 @@
 //! trace collection, threshold labeling, fold-parallel LOOCV training
 //! and every evaluation artifact — behind one configurable type, and is
 //! what the table/figure regenerators are built on.
-//! [`ExperimentMatrix`] lifts the pipeline across the whole machine
-//! registry: one `Experiment` per machine model, sharded as a single
-//! machines×methods work list, with per-machine rule sets, a
+//! [`Experiment::run_on`] lifts the pipeline across the whole machine
+//! registry: one [`ExperimentRun`] per machine model, traced as a single
+//! machines×programs×methods work list, with per-machine rule sets, a
 //! cross-machine transfer table and the learner portfolio
 //! ([`MatrixRun::portfolio`]) on top.
 //!
@@ -87,7 +87,7 @@ pub use filter::LearnedFilter;
 pub use io::{read_trace_binary, write_trace_binary, BinCursor, BinaryTraceError, TraceWriteError};
 pub use label::{build_dataset, LabelConfig};
 pub use learner::{Learner, LearnerKind};
-pub use matrix::{CalibrationRow, ExperimentMatrix, MachinePortfolio, MatrixRun, PortfolioEntry};
+pub use matrix::{CalibrationRow, MachinePortfolio, MatrixRun, PortfolioEntry};
 pub use policy::{BenefitModel, DecisionPolicy, UnitEconomics};
 pub use store::{FilterKey, FilterSnapshot, FilterStore};
 pub use trace::{

@@ -1,20 +1,13 @@
-//! The cross-machine experiment matrix: one full trace→label→train→
-//! evaluate [`Experiment`] per registered machine model, sharded as a
-//! single machines×methods work list.
+//! The cross-machine sweep's tables: one full trace→label→train→
+//! evaluate [`ExperimentRun`] per machine model, compared side by side.
 //!
 //! The paper argues induced filters are cheap to re-derive when the
 //! target machine changes (§4); checking that claim needs the *same*
 //! corpus pushed through the pipeline on several machine descriptions
-//! and the induced rule sets compared side by side. [`ExperimentMatrix`]
-//! owns that sweep:
+//! and the induced rule sets compared side by side.
+//! [`Experiment::run_on`](crate::Experiment::run_on) runs the sweep and
+//! returns a [`MatrixRun`]:
 //!
-//! * **Sharding.** The unit of work is one `(machine, method)` pair —
-//!   the whole cross product is flattened into one task list and pushed
-//!   through [`shard_map`](crate::parallel::shard_map), so a 6-machine
-//!   sweep saturates the cores even when one machine's corpus alone
-//!   would not. Pieces are reassembled positionally, which keeps the
-//!   sharded output bit-identical to running each machine serially
-//!   (under [`TimingMode::Deterministic`](crate::TimingMode)).
 //! * **Per-machine runs.** Each machine gets its own
 //!   [`ExperimentRun`], so every artifact the single-machine pipeline
 //!   offers (LOOCV filters, factory rule sets, threshold sweeps) is
@@ -22,11 +15,14 @@
 //! * **Transfer.** [`MatrixRun::transfer_errors`] trains a factory
 //!   filter on machine A's labels and scores it against machine B's —
 //!   the "does the rule set transfer?" table of the reproduction.
+//! * **Portfolio and calibration.** [`MatrixRun::portfolio`] and
+//!   [`MatrixRun::calibration`] compare learners and decision policies
+//!   on every machine.
 //!
 //! # Examples
 //!
 //! ```
-//! use wts_core::{ExperimentMatrix, TimingMode, Experiment};
+//! use wts_core::{Experiment, TimingMode};
 //! use wts_ir::{BasicBlock, Inst, MemRef, MemSpace, Method, Opcode, Program, Reg};
 //! use wts_machine::MachineConfig;
 //!
@@ -41,164 +37,28 @@
 //! p.push_method(m);
 //!
 //! let machines = vec![MachineConfig::ppc7410(), MachineConfig::embedded()];
-//! let matrix = ExperimentMatrix::new(machines).run(&[p]);
+//! let matrix = Experiment::new(MachineConfig::ppc7410()).run_on(machines, vec![p]);
 //! assert_eq!(matrix.machine_names(), ["ppc7410", "embedded"]);
 //! assert_eq!(matrix.run_for("embedded").all_traces().len(), 1);
 //! ```
 
 use crate::eval::{classification_matrix, oracle_times};
-use crate::experiment::{Experiment, ExperimentRun};
+use crate::experiment::ExperimentRun;
 use crate::label::LabelConfig;
 use crate::learner::LearnerKind;
 use crate::policy::{BenefitModel, DecisionPolicy};
-use crate::trace::{collect_method_trace, TraceRecord};
 use crate::{CompiledFilter, EvalTimes, LearnedFilter};
-use wts_ir::Program;
-use wts_machine::MachineConfig;
 
-/// Configuration of a cross-machine sweep: one pipeline template (policy,
-/// learner, timing, estimators) applied to every machine in the list.
-#[derive(Debug, Clone)]
-pub struct ExperimentMatrix {
-    template: Experiment,
-    machines: Vec<MachineConfig>,
-    threads: usize,
-}
-
-impl ExperimentMatrix {
-    /// A matrix over the given machines with the paper's default pipeline
-    /// settings and one worker per core.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `machines` is empty.
-    pub fn new(machines: Vec<MachineConfig>) -> ExperimentMatrix {
-        assert!(!machines.is_empty(), "matrix needs at least one machine");
-        let template = Experiment::new(machines[0].clone());
-        ExperimentMatrix { template, machines, threads: 0 }
-    }
-
-    /// A matrix over every machine in the
-    /// [`wts_machine::registry`](fn@wts_machine::registry) — the
-    /// standard cross-machine sweep.
-    pub fn over_registry() -> ExperimentMatrix {
-        ExperimentMatrix::new(wts_machine::registry())
-    }
-
-    /// Replaces the pipeline template (policy, learner settings, timing,
-    /// estimators, scope). The template's own machine is ignored — it
-    /// is restamped per matrix machine.
-    pub fn with_template(mut self, template: Experiment) -> ExperimentMatrix {
-        self.template = template;
-        self
-    }
-
-    /// Sets the scheduling scope on the template: the whole sweep then
-    /// traces, labels, trains and evaluates per basic block or per
-    /// formed superblock trace on every registry machine. This is the
-    /// scenario axis of the matrix — scopes multiply with
-    /// machines×learners×thresholds exactly as the machine registry
-    /// multiplied the hardware axis.
-    pub fn with_scope(mut self, scope: wts_ir::ScopeKind) -> ExperimentMatrix {
-        self.template = self.template.with_scope(scope);
-        self
-    }
-
-    /// The scheduling scope the sweep runs at.
-    pub fn scope(&self) -> wts_ir::ScopeKind {
-        self.template.scope()
-    }
-
-    /// Worker threads for the machines×methods sharding (`0` = one per
-    /// core, `1` = fully serial).
-    pub fn with_threads(mut self, threads: usize) -> ExperimentMatrix {
-        self.threads = threads;
-        self
-    }
-
-    /// The machines this matrix sweeps, in run order.
-    pub fn machines(&self) -> &[MachineConfig] {
-        &self.machines
-    }
-
-    /// Runs the full pipeline's trace stage for every machine over the
-    /// same programs, sharding the flattened machines×methods work list
-    /// across scoped worker threads, and packages one [`ExperimentRun`]
-    /// per machine. Label/train/evaluate stages stay lazy inside each
-    /// run, exactly as in the single-machine pipeline.
-    pub fn run(&self, programs: &[Program]) -> MatrixRun {
-        let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-        for mi in 0..self.machines.len() {
-            for (pi, p) in programs.iter().enumerate() {
-                for ki in 0..p.methods().len() {
-                    tasks.push((mi, pi, ki));
-                }
-            }
-        }
-        // Workers trace one method serially; all parallelism comes from
-        // sharding the outer machines×methods product.
-        let mut options = self.template.trace_options();
-        options.threads = 1;
-        let shards = crate::parallel::shard_map(&tasks, self.threads, |slice| {
-            slice
-                .iter()
-                .map(|&(mi, pi, ki)| {
-                    let p = &programs[pi];
-                    collect_method_trace(p.name(), &p.methods()[ki], &self.machines[mi], &options)
-                })
-                .collect::<Vec<_>>()
-        });
-        // Tasks were emitted machine-major, then program, then method;
-        // consuming the flattened pieces in the same order reassembles
-        // each machine's per-program traces positionally. Every run
-        // shares one Rc'd corpus rather than deep-copying it per machine,
-        // and one FilterStore — per-machine keys cannot collide because
-        // every run keys by its own machine name.
-        let shared: std::rc::Rc<Vec<Program>> = std::rc::Rc::new(programs.to_vec());
-        let store = crate::FilterStore::shared();
-        let mut pieces = shards.into_iter().flatten();
-        let runs: Vec<ExperimentRun> = self
-            .machines
-            .iter()
-            .map(|machine| {
-                let traces: Vec<Vec<TraceRecord>> = programs
-                    .iter()
-                    .map(|p| {
-                        let mut t = Vec::with_capacity(p.block_count());
-                        for _ in 0..p.methods().len() {
-                            t.extend(pieces.next().expect("one trace piece per task"));
-                        }
-                        t
-                    })
-                    .collect();
-                self.template.clone().with_machine(machine.clone()).run_precomputed_in(
-                    std::sync::Arc::clone(&store),
-                    shared.clone(),
-                    traces,
-                )
-            })
-            .collect();
-        MatrixRun { machines: self.machines.clone(), runs, scope: self.template.scope(), store }
-    }
-}
-
-/// The completed sweep: one [`ExperimentRun`] per machine, plus the
-/// cross-machine comparisons built on top of them. All per-machine
-/// filters live in one shared [`FilterStore`](crate::FilterStore),
-/// keyed by machine name.
+/// The completed sweep of [`Experiment::run_on`](crate::Experiment::run_on): one [`ExperimentRun`]
+/// per machine, in run order, plus the cross-machine comparisons built
+/// on top of them. All per-machine filters live in one shared
+/// [`FilterStore`](crate::FilterStore), keyed by machine name.
 pub struct MatrixRun {
-    machines: Vec<MachineConfig>,
-    runs: Vec<ExperimentRun>,
-    scope: wts_ir::ScopeKind,
-    store: std::sync::Arc<crate::FilterStore>,
+    pub(crate) runs: Vec<ExperimentRun>,
+    pub(crate) store: std::sync::Arc<crate::FilterStore>,
 }
 
 impl MatrixRun {
-    /// The machines, in run order.
-    pub fn machines(&self) -> &[MachineConfig] {
-        &self.machines
-    }
-
     /// The store every per-machine run publishes its filters into —
     /// the deployment surface a serving daemon or JIT session shares
     /// with the sweep.
@@ -206,17 +66,12 @@ impl MatrixRun {
         &self.store
     }
 
-    /// The scheduling scope every run in this sweep was traced at.
-    pub fn scope(&self) -> wts_ir::ScopeKind {
-        self.scope
-    }
-
     /// Machine names, in run order.
     pub fn machine_names(&self) -> Vec<&str> {
-        self.machines.iter().map(|m| m.name()).collect()
+        self.runs.iter().map(|run| run.machine().name()).collect()
     }
 
-    /// Per-machine pipeline runs, parallel to [`machines`](MatrixRun::machines).
+    /// Per-machine pipeline runs, in run order.
     pub fn runs(&self) -> &[ExperimentRun] {
         &self.runs
     }
@@ -227,19 +82,17 @@ impl MatrixRun {
     ///
     /// Panics if `machine` is not part of this matrix.
     pub fn run_for(&self, machine: &str) -> &ExperimentRun {
-        let i = self
-            .machines
+        self.runs
             .iter()
-            .position(|m| m.name() == machine)
-            .unwrap_or_else(|| panic!("no machine {machine} in this matrix"));
-        &self.runs[i]
+            .find(|run| run.machine().name() == machine)
+            .unwrap_or_else(|| panic!("no machine {machine} in this matrix"))
     }
 
     /// The per-machine induced rule sets: one factory filter (trained on
     /// the whole corpus, §3's "at the factory") per machine at threshold
     /// `t`, paired with the machine name.
     pub fn factory_filters(&self, t: u32) -> Vec<(String, LearnedFilter)> {
-        self.machines.iter().zip(&self.runs).map(|(m, run)| (m.name().to_string(), run.factory_filter(t))).collect()
+        self.runs.iter().map(|run| (run.machine().name().to_string(), run.factory_filter(t))).collect()
     }
 
     /// The transfer table: cell `[i][j]` is the classification error
@@ -270,20 +123,18 @@ impl MatrixRun {
     /// the headline number; the paper's premise is that it stays near
     /// zero on every target).
     pub fn filter_cost(&self, t: u32) -> Vec<(String, crate::EvalTimes)> {
-        self.machines
+        self.runs
             .iter()
-            .zip(&self.runs)
-            .map(|(m, run)| (m.name().to_string(), run.sched_time_total(t, |_| DecisionPolicy::HardThreshold)))
+            .map(|run| (run.machine().name().to_string(), run.sched_time_total(t, |_| DecisionPolicy::HardThreshold)))
             .collect()
     }
 
     /// Threshold sweep, side by side: for each machine, the LS instance
     /// count at every threshold in `thresholds` (Table 5, per machine).
     pub fn ls_sweep(&self, thresholds: &[u32]) -> Vec<(String, Vec<usize>)> {
-        self.machines
+        self.runs
             .iter()
-            .zip(&self.runs)
-            .map(|(m, run)| (m.name().to_string(), thresholds.iter().map(|&t| run.ls_instances(t)).collect()))
+            .map(|run| (run.machine().name().to_string(), thresholds.iter().map(|&t| run.ls_instances(t)).collect()))
             .collect()
     }
 
@@ -305,10 +156,9 @@ impl MatrixRun {
     /// Panics if `learners` is empty.
     pub fn portfolio(&self, t: u32, learners: &[LearnerKind], tolerance_percent: f64) -> Vec<MachinePortfolio> {
         assert!(!learners.is_empty(), "portfolio needs at least one learner");
-        self.machines
+        self.runs
             .iter()
-            .zip(&self.runs)
-            .map(|(m, run)| {
+            .map(|run| {
                 let entries: Vec<PortfolioEntry> = learners.iter().map(|l| run.learner_eval(t, l)).collect();
                 let best_error = entries.iter().map(|e| e.error_percent).fold(f64::INFINITY, f64::min);
                 let best = entries
@@ -318,7 +168,7 @@ impl MatrixRun {
                     .min_by_key(|(_, e)| e.overhead_work())
                     .map(|(i, _)| i)
                     .expect("at least one entry is within tolerance of the best");
-                MachinePortfolio { machine: m.name().to_string(), entries, best }
+                MachinePortfolio { machine: run.machine().name().to_string(), entries, best }
             })
             .collect()
     }
@@ -345,11 +195,10 @@ impl MatrixRun {
     /// operating point: estimator cycles recovered minus compile-time
     /// work priced in application cycles.
     pub fn calibration(&self, t: u32, cycles_per_work: f64) -> Vec<CalibrationRow> {
-        self.machines
+        self.runs
             .iter()
-            .zip(&self.runs)
-            .map(|(m, run)| CalibrationRow {
-                machine: m.name().to_string(),
+            .map(|run| CalibrationRow {
+                machine: run.machine().name().to_string(),
                 model: BenefitModel::calibrate(run.all_traces(), cycles_per_work),
                 baseline: run.sched_time_total(t, |_| DecisionPolicy::HardThreshold),
                 expected_benefit: run.sched_time_total(t, |bench| run.policy_for(bench, cycles_per_work)),
@@ -441,7 +290,9 @@ impl MachinePortfolio {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TimingMode;
+    use crate::{Experiment, TimingMode};
+    use wts_ir::Program;
+    use wts_machine::MachineConfig;
 
     /// The shared learnable three-benchmark suite, at five methods per
     /// program.
@@ -449,15 +300,18 @@ mod tests {
         crate::testutil::learnable_suite(5)
     }
 
-    fn deterministic() -> ExperimentMatrix {
-        ExperimentMatrix::over_registry().with_template(
-            Experiment::new(wts_machine::MachineConfig::ppc7410()).with_timing(TimingMode::Deterministic),
-        )
+    fn deterministic() -> Experiment {
+        Experiment::new(MachineConfig::ppc7410()).with_timing(TimingMode::Deterministic)
+    }
+
+    /// The registry sweep over [`suite`].
+    fn sweep() -> MatrixRun {
+        deterministic().run_on(wts_machine::registry(), suite())
     }
 
     #[test]
     fn one_run_per_registry_machine() {
-        let m = deterministic().run(&suite());
+        let m = sweep();
         assert_eq!(m.runs().len(), wts_machine::registry().len());
         assert_eq!(m.machine_names(), wts_machine::registry_names());
         for run in m.runs() {
@@ -469,7 +323,7 @@ mod tests {
     #[test]
     fn sharded_matrix_is_bit_identical_to_serial_per_machine_runs() {
         let programs = suite();
-        let sharded = deterministic().with_threads(7).run(&programs);
+        let sharded = deterministic().with_trace_threads(7).run_on(wts_machine::registry(), programs.clone());
         for machine in wts_machine::registry() {
             let serial = Experiment::new(machine.clone())
                 .with_threads(1)
@@ -486,7 +340,7 @@ mod tests {
 
     #[test]
     fn machines_disagree_on_cycle_counts_but_share_features() {
-        let m = deterministic().run(&suite());
+        let m = sweep();
         let ppc = m.run_for("ppc7410").all_traces();
         let emb = m.run_for("embedded").all_traces();
         assert!(
@@ -500,9 +354,9 @@ mod tests {
 
     #[test]
     fn factory_filters_and_sweep_cover_every_machine() {
-        let m = deterministic().run(&suite());
+        let m = sweep();
         let filters = m.factory_filters(0);
-        assert_eq!(filters.len(), m.machines().len());
+        assert_eq!(filters.len(), m.runs().len());
         for ((name, f), expect) in filters.iter().zip(m.machine_names()) {
             assert_eq!(name, expect);
             assert_eq!(f.threshold_percent(), 0);
@@ -516,13 +370,13 @@ mod tests {
 
     #[test]
     fn per_machine_runs_share_one_store_keyed_by_machine() {
-        let m = deterministic().run(&suite());
+        let m = sweep();
         for run in m.runs() {
             assert!(std::sync::Arc::ptr_eq(run.store(), m.store()), "every run publishes into the matrix store");
         }
         let _ = m.factory_filters(0);
         let keys = m.store().keys();
-        assert_eq!(keys.len(), m.machines().len(), "one deployed slot per machine");
+        assert_eq!(keys.len(), m.runs().len(), "one deployed slot per machine");
         let mut machines: Vec<&str> = keys.iter().map(|k| k.machine()).collect();
         machines.sort_unstable();
         let mut expect = m.machine_names();
@@ -532,8 +386,8 @@ mod tests {
 
     #[test]
     fn transfer_table_is_square_with_sane_errors() {
-        let m = deterministic().run(&suite());
-        let n = m.machines().len();
+        let m = sweep();
+        let n = m.runs().len();
         let errors = m.transfer_errors(0);
         assert_eq!(errors.len(), n);
         for row in &errors {
@@ -546,9 +400,9 @@ mod tests {
 
     #[test]
     fn filter_cost_reports_small_positive_overhead_per_machine() {
-        let m = deterministic().run(&suite());
+        let m = sweep();
         let costs = m.filter_cost(0);
-        assert_eq!(costs.len(), m.machines().len());
+        assert_eq!(costs.len(), m.runs().len());
         for ((name, times), expect) in costs.iter().zip(m.machine_names()) {
             assert_eq!(name, expect);
             assert_eq!(times.total_blocks, 3 * 5 * 3, "all benchmarks aggregated");
@@ -563,10 +417,10 @@ mod tests {
 
     #[test]
     fn portfolio_covers_every_machine_and_learner() {
-        let m = deterministic().run(&suite());
+        let m = sweep();
         let learners = LearnerKind::portfolio();
         let portfolio = m.portfolio(0, &learners, 2.0);
-        assert_eq!(portfolio.len(), m.machines().len());
+        assert_eq!(portfolio.len(), m.runs().len());
         for (mp, expect) in portfolio.iter().zip(m.machine_names()) {
             assert_eq!(mp.machine, expect);
             assert_eq!(mp.entries.len(), learners.len());
@@ -592,10 +446,10 @@ mod tests {
 
     #[test]
     fn calibration_brackets_every_policy_with_the_oracle() {
-        let m = deterministic().run(&suite());
+        let m = sweep();
         let c = 1.0;
         let rows = m.calibration(0, c);
-        assert_eq!(rows.len(), m.machines().len());
+        assert_eq!(rows.len(), m.runs().len());
         for (row, expect) in rows.iter().zip(m.machine_names()) {
             assert_eq!(row.machine, expect);
             assert_eq!(row.model.cycles_per_work, c);
@@ -620,7 +474,7 @@ mod tests {
 
     #[test]
     fn calibration_baseline_matches_the_filter_cost_table() {
-        let m = deterministic().run(&suite());
+        let m = sweep();
         let rows = m.calibration(0, 2.0);
         for ((name, cost), row) in m.filter_cost(0).iter().zip(&rows) {
             assert_eq!(name, &row.machine);
@@ -641,7 +495,7 @@ mod tests {
 
     #[test]
     fn portfolio_best_prefers_cheap_models_when_errors_tie() {
-        let m = deterministic().run(&suite());
+        let m = sweep();
         // With an absurd tolerance everything is eligible, so the pick
         // must be the globally cheapest backend.
         let portfolio = m.portfolio(0, &LearnerKind::portfolio(), 100.0);
@@ -654,18 +508,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one learner")]
     fn empty_portfolio_rejected() {
-        deterministic().run(&suite()).portfolio(0, &[], 1.0);
+        sweep().portfolio(0, &[], 1.0);
     }
 
     #[test]
     #[should_panic(expected = "no machine nope")]
     fn unknown_machine_panics() {
-        deterministic().run(&suite()).run_for("nope");
+        sweep().run_for("nope");
     }
 
     #[test]
     #[should_panic(expected = "at least one machine")]
     fn empty_machine_list_rejected() {
-        ExperimentMatrix::new(Vec::new());
+        deterministic().run_on(Vec::new(), suite());
     }
 }

@@ -1,9 +1,10 @@
 //! The one sharding scaffold every parallel stage shares.
 //!
-//! Trace collection shards over methods, LOOCV training over folds and
-//! the JIT compile session over methods again; all three use the same
-//! contiguous-chunk `std::thread::scope` pattern. Keeping it here means
-//! a future change (thread caps, panic policy) lands everywhere at once.
+//! Trace collection shards over machines×programs×methods, LOOCV
+//! training over folds and the JIT compile session over methods; all
+//! three use the same contiguous-chunk `std::thread::scope` pattern.
+//! Keeping it here means a future change (thread caps, panic policy)
+//! lands everywhere at once.
 
 /// Resolves a configured worker count: `0` means one worker per
 /// available core, anything else is taken literally.

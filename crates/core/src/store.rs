@@ -1,18 +1,13 @@
-//! The extracted filter lifecycle: a shared, concurrency-safe
-//! [`FilterStore`] keyed by `(machine, learner, scope, threshold)`.
+//! The filter lifecycle — train, compile, cache, deploy — in one
+//! shared, concurrency-safe [`FilterStore`] keyed by `(machine, learner,
+//! scope, threshold)`. Every [`ExperimentRun`](crate::ExperimentRun),
+//! the per-machine runs of a [`MatrixRun`](crate::MatrixRun), the JIT
+//! [`CompileSession`](../../wts_jit/struct.CompileSession.html) and the
+//! `wts-serve` daemon and retrainer deploy through it, so long-running
+//! threads can sit on top of the pipeline.
 //!
-//! Before this seam existed, the lifecycle of an induced filter —
-//! train, compile, cache, deploy — was smeared across three owners:
-//! [`ExperimentRun`](crate::ExperimentRun) kept private per-`(learner,
-//! threshold)` `RefCell` caches, [`ExperimentMatrix`](crate::ExperimentMatrix)
-//! duplicated them per machine, and the JIT
-//! [`CompileSession`](../../wts_jit/struct.CompileSession.html) compiled
-//! filters ad hoc at every call. None of those owners could hand a
-//! filter to another thread, so nothing long-running (a serving daemon,
-//! a background retrainer) could sit on top of the pipeline.
-//!
-//! The store fixes all of that with one rule: **a filter is published
-//! only as an immutable, epoch-tagged snapshot behind an `Arc`.**
+//! The store rests on one rule: **a filter is published only as an
+//! immutable, epoch-tagged snapshot behind an `Arc`.**
 //!
 //! * **Readers never block writers and never see torn state.** A reader
 //!   clones the `Arc<FilterSnapshot>` under a briefly-held read lock;

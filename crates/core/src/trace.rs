@@ -25,6 +25,7 @@
 use crate::engine::CompiledFilter;
 use crate::policy::{DecisionPolicy, UnitEconomics};
 use crate::Trainer;
+use std::ops::Range;
 use std::time::Instant;
 use wts_features::{for_each_scope_unit, FeatureMask, FeatureVector, ScopeUnit, TraceShape};
 use wts_ir::{BasicBlock, BlockId, Inst, Method, MethodId, Program, ScopeKind, Superblock};
@@ -146,56 +147,89 @@ impl Default for TraceOptions {
 /// serial path — bit-for-bit under [`TimingMode::Deterministic`], and up
 /// to wall-clock jitter in the `*_ns` channels otherwise.
 pub fn collect_trace(program: &Program, machine: &MachineConfig, options: &TraceOptions) -> Vec<TraceRecord> {
-    let shards = crate::parallel::shard_map(program.methods(), options.threads, |slice| {
-        trace_methods(program.name(), slice, machine, options)
-    });
-    let mut out = Vec::with_capacity(program.block_count());
-    for shard in shards {
-        out.extend(shard);
-    }
-    out
+    let mut traces = trace_suite(std::slice::from_ref(machine), std::slice::from_ref(program), options);
+    traces.pop().expect("one trace per machine").records
 }
 
-/// Traces a single method — the machines×methods sharding unit of the
-/// cross-machine [`ExperimentMatrix`](crate::ExperimentMatrix).
-///
-/// Output is exactly the slice of [`collect_trace`]'s result that
-/// covers `method`, so a matrix run reassembling per-method pieces in
-/// method order reproduces the per-program collector bit for bit (under
-/// [`TimingMode::Deterministic`]; up to wall-clock jitter otherwise).
-/// Callers tracing method after method should hold one
-/// [`TraceCollector`] instead.
+/// Traces a single method: exactly the slice of [`collect_trace`]'s
+/// result that covers `method`. Callers tracing method after method
+/// should hold one [`TraceCollector`] instead.
 pub fn collect_method_trace(
     benchmark: &str,
     method: &Method,
     machine: &MachineConfig,
     options: &TraceOptions,
 ) -> Vec<TraceRecord> {
-    trace_methods(benchmark, std::slice::from_ref(method), machine, options)
+    let mut out = Vec::new();
+    TraceCollector::new(machine, options).collect_into(benchmark, method, &mut out);
+    out
 }
 
-/// The per-shard collector: one warm [`TraceCollector`] runs every scope
-/// unit of `methods`, in order.
-fn trace_methods(
-    benchmark: &str,
-    methods: &[Method],
-    machine: &MachineConfig,
-    options: &TraceOptions,
-) -> Vec<TraceRecord> {
-    let mut collector = TraceCollector::new(machine, options);
-    let mut out = Vec::new();
-    for method in methods {
-        collector.collect_into(benchmark, method, &mut out);
+/// One machine's trace of a suite: every record in program order, and
+/// each program's range of them (empty for a program with no units).
+pub(crate) struct SuiteTrace {
+    pub(crate) records: Vec<TraceRecord>,
+    pub(crate) ranges: Vec<Range<usize>>,
+}
+
+/// The trace stage's one tracer: every method of every program on every
+/// machine, with the flattened machines×programs×methods list sharded
+/// across `options.threads` scoped workers. Each worker holds one warm
+/// [`TraceCollector`] per machine it meets. Shards are contiguous and
+/// reassembled in order, so each machine's [`SuiteTrace`] is identical
+/// to tracing its suite serially (up to wall-clock jitter in the `*_ns`
+/// channels outside [`TimingMode::Deterministic`]).
+pub(crate) fn trace_suite(machines: &[MachineConfig], programs: &[Program], options: &TraceOptions) -> Vec<SuiteTrace> {
+    let tasks: Vec<(usize, usize, &Method)> = (0..machines.len())
+        .flat_map(|mi| {
+            programs.iter().enumerate().flat_map(move |(pi, p)| p.methods().iter().map(move |m| (mi, pi, m)))
+        })
+        .collect();
+    let shards = crate::parallel::shard_map(&tasks, options.threads, |slice| {
+        let mut collectors: Vec<Option<TraceCollector>> = machines.iter().map(|_| None).collect();
+        // One piece per run of consecutive tasks on the same (machine, program).
+        let mut pieces: Vec<(usize, usize, Vec<TraceRecord>)> = Vec::new();
+        for &(mi, pi, method) in slice {
+            if pieces.last().is_none_or(|&(m, p, _)| (m, p) != (mi, pi)) {
+                pieces.push((mi, pi, Vec::new()));
+            }
+            let collector = collectors[mi].get_or_insert_with(|| TraceCollector::new(&machines[mi], options));
+            let out = &mut pieces.last_mut().expect("pushed above").2;
+            collector.collect_into(programs[pi].name(), method, out);
+        }
+        pieces
+    });
+    let capacity = programs.iter().map(Program::block_count).sum();
+    let mut records: Vec<Vec<TraceRecord>> = machines.iter().map(|_| Vec::with_capacity(capacity)).collect();
+    let mut lens = vec![vec![0; programs.len()]; machines.len()];
+    for (mi, pi, piece) in shards.into_iter().flatten() {
+        lens[mi][pi] += piece.len();
+        records[mi].extend(piece);
     }
-    out
+    records
+        .into_iter()
+        .zip(lens)
+        .map(|(records, lens)| {
+            let mut end = 0;
+            let ranges = lens
+                .iter()
+                .map(|len| {
+                    let start = end;
+                    end += len;
+                    start..end
+                })
+                .collect();
+            SuiteTrace { records, ranges }
+        })
+        .collect()
 }
 
 /// A warm trace collector: one [`UnitServer`] (scheduler, scratch and
 /// permutation buffers) and the configured cost providers, built once and
-/// reused for every method it traces. [`collect_trace`] and
-/// [`collect_method_trace`] run through one of these, and a long-lived
-/// caller — the `wts-serve` retrainer, observing method after method —
-/// holds one for its lifetime, so what it records or
+/// reused for every method it traces. Every trace-collecting entry runs
+/// through one of these, and a long-lived caller — the `wts-serve`
+/// retrainer, observing method after method — holds one for its
+/// lifetime, so what it records or
 /// [observes](TraceCollector::observe_into) equals the offline
 /// collector's by construction. `options.threads` is ignored: a
 /// collector is one serial shard.
@@ -840,8 +874,7 @@ mod tests {
                     let sharded = collect_trace(&p, &machine, &TraceOptions { threads, ..base });
                     assert_eq!(serial, sharded, "{} {scope}: {threads} threads", machine.name());
                 }
-                // The per-method pieces reassemble exactly, as the matrix
-                // sharding requires.
+                // The per-method pieces reassemble exactly.
                 let stitched: Vec<TraceRecord> =
                     p.methods().iter().flat_map(|m| collect_method_trace(p.name(), m, &machine, &base)).collect();
                 assert_eq!(serial, stitched, "{} {scope}: per-method pieces", machine.name());

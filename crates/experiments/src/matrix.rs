@@ -6,7 +6,7 @@
 
 use crate::table::{f2, f3, Table};
 use crate::{Experiments, SuiteKind, SUPERBLOCK_RATIO, THRESHOLDS};
-use wts_core::{Experiment, ExperimentMatrix, LearnerKind, MatrixRun, ScopeKind, TimingMode};
+use wts_core::{Experiment, LearnerKind, MatrixRun, ScopeKind, TimingMode};
 use wts_jit::{superblock_gain, SuperblockGain};
 
 /// The default error tolerance (percentage points) of the portfolio-best
@@ -26,8 +26,8 @@ pub const CALIBRATION_OPERATING_POINT: f64 = 1.0;
 
 impl Experiments {
     /// Runs the full pipeline for every registry machine over the FP
-    /// suite's programs, sharding the machines×methods product across
-    /// all cores. The result feeds [`cross_machine`] and
+    /// suite's programs, sharding the machines×programs×methods work
+    /// list across all cores. The result feeds [`cross_machine`] and
     /// [`machine_sweep`]; build it once and derive both tables.
     ///
     /// Deterministic timing keeps the sweep reproducible — no published
@@ -36,8 +36,9 @@ impl Experiments {
     /// [`cross_machine`]: Experiments::cross_machine
     /// [`machine_sweep`]: Experiments::machine_sweep
     pub fn matrix(&self) -> MatrixRun {
-        let template = Experiment::new(self.machine().clone()).with_timing(TimingMode::Deterministic);
-        ExperimentMatrix::over_registry().with_template(template).run(self.run(SuiteKind::Fp).programs())
+        Experiment::new(self.machine().clone())
+            .with_timing(TimingMode::Deterministic)
+            .run_on(wts_machine::registry(), self.run(SuiteKind::Fp).programs().to_vec())
     }
 
     /// The transfer table: train the t=`t` factory rule set on the row
@@ -182,10 +183,10 @@ impl Experiments {
     /// block-scope sweep) and feed both to
     /// [`superblock_scope`](Experiments::superblock_scope).
     pub fn superblock_matrix(&self) -> MatrixRun {
-        let template = Experiment::new(self.machine().clone())
+        Experiment::new(self.machine().clone())
             .with_timing(TimingMode::Deterministic)
-            .with_scope(ScopeKind::Superblock(SUPERBLOCK_RATIO));
-        ExperimentMatrix::over_registry().with_template(template).run(self.run(SuiteKind::Fp).programs())
+            .with_scope(ScopeKind::Superblock(SUPERBLOCK_RATIO))
+            .run_on(wts_machine::registry(), self.run(SuiteKind::Fp).programs().to_vec())
     }
 
     /// The `repro superblock` table: per registry machine, the paper's
@@ -219,8 +220,10 @@ impl Experiments {
             Table::new(format!("Scope scenario: block vs superblock (ratio {SUPERBLOCK_RATIO}%) per machine"), headers);
         let learner = LearnerKind::default();
         let programs = self.run(SuiteKind::Fp).programs();
-        for (machine, name) in block.machines().iter().zip(block.machine_names()) {
-            let b = block.run_for(name).learner_eval(t, &learner);
+        for run in block.runs() {
+            let machine = run.machine();
+            let name = machine.name();
+            let b = run.learner_eval(t, &learner);
             let s = superblock.run_for(name).learner_eval(t, &learner);
             let mut gain = SuperblockGain::default();
             for program in programs {
@@ -429,8 +432,8 @@ mod tests {
         let e = harness();
         let block = e.matrix();
         let sb = e.superblock_matrix();
-        assert_eq!(sb.scope(), ScopeKind::Superblock(SUPERBLOCK_RATIO));
         for name in registry_names() {
+            assert_eq!(sb.run_for(name).scope(), ScopeKind::Superblock(SUPERBLOCK_RATIO));
             let b = block.run_for(name).all_traces().len();
             let s = sb.run_for(name).all_traces().len();
             assert!(s < b, "{name}: superblock scope must merge units ({s} vs {b})");

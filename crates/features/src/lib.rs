@@ -156,12 +156,6 @@ impl FeatureKind {
         }
     }
 
-    /// The feature whose [`rule_name`](FeatureKind::rule_name) is `name`
-    /// — the inverse used when introspecting rule-set vocabularies.
-    pub fn from_rule_name(name: &str) -> Option<FeatureKind> {
-        FeatureKind::ALL.into_iter().find(|k| k.rule_name() == name)
-    }
-
     /// True for count-valued features (`bbLen` and the trace-shape
     /// features): non-negative but not bounded by `[0, 1]`.
     pub fn is_count(self) -> bool {
@@ -524,21 +518,6 @@ impl FeatureVector {
         FeatureVector { values }
     }
 
-    /// Builds a vector from a slice in [`FeatureKind::index`] order —
-    /// the layout dataset instances and rule attributes use — with the
-    /// same validation as [`from_values`](FeatureVector::from_values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is not exactly [`FeatureKind::COUNT`] long or
-    /// any value fails the range checks.
-    pub fn from_slice(values: &[f64]) -> FeatureVector {
-        let values: [f64; FeatureKind::COUNT] = values
-            .try_into()
-            .unwrap_or_else(|_| panic!("expected {} feature values, got {}", FeatureKind::COUNT, values.len()));
-        FeatureVector::from_values(values)
-    }
-
     /// Value of one feature.
     pub fn get(&self, kind: FeatureKind) -> f64 {
         self.values[kind.index()]
@@ -751,15 +730,6 @@ mod tests {
             Inst::new(Opcode::Bc).use_(Reg::cr(0)),
         ];
         assert_eq!(TraceShape::of_trace(&insts, 1), TraceShape::block());
-    }
-
-    #[test]
-    fn rule_name_round_trips() {
-        for kind in FeatureKind::ALL {
-            assert_eq!(FeatureKind::from_rule_name(kind.rule_name()), Some(kind));
-        }
-        assert_eq!(FeatureKind::from_rule_name("nonesuch"), None);
-        assert_eq!(FeatureKind::from_rule_name("traceWidth"), Some(FeatureKind::TraceWidth));
     }
 
     #[test]

@@ -71,12 +71,6 @@ impl Category {
         }
     }
 
-    /// True for the four hazard categories (unusual possible branches that
-    /// disallow reordering around them).
-    pub fn is_hazard(self) -> bool {
-        matches!(self, Category::Pei | Category::GcPoint | Category::ThreadSwitch | Category::Yield)
-    }
-
     fn bit(self) -> u16 {
         1 << (self as u16)
     }
@@ -201,12 +195,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 12, "rule names must be unique");
-    }
-
-    #[test]
-    fn hazards_are_the_last_four() {
-        let hazards: Vec<Category> = Category::ALL.iter().copied().filter(|c| c.is_hazard()).collect();
-        assert_eq!(hazards, vec![Category::Pei, Category::GcPoint, Category::ThreadSwitch, Category::Yield]);
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl ScopeKind {
             ScopeKind::Superblock(p) => Some(p),
         }
     }
-
-    /// True for the superblock scope.
-    pub fn is_superblock(self) -> bool {
-        matches!(self, ScopeKind::Superblock(_))
-    }
 }
 
 impl fmt::Display for ScopeKind {
@@ -318,8 +313,6 @@ mod tests {
         assert_eq!(ScopeKind::default(), ScopeKind::Block);
         assert_eq!(ScopeKind::Block.ratio_percent(), None);
         assert_eq!(ScopeKind::Superblock(70).ratio_percent(), Some(70));
-        assert!(ScopeKind::Superblock(70).is_superblock());
-        assert!(!ScopeKind::Block.is_superblock());
         assert_eq!(ScopeKind::Block.to_string(), "block");
         assert_eq!(ScopeKind::Superblock(70).to_string(), "superblock(r=70%)");
     }

@@ -4,8 +4,9 @@
 //! cheap to *re-derive* when the target machine changes. Testing that
 //! claim needs more than one target, so every machine model this
 //! reproduction knows about is registered here by name — the
-//! cross-machine [`ExperimentMatrix`] in `wts-core` and the `repro`
-//! binary enumerate the registry rather than hard-coding a config.
+//! cross-machine sweep [`Experiment::run_on`] in `wts-core` and the
+//! `repro` binary enumerate the registry rather than hard-coding a
+//! config.
 //!
 //! Adding a machine is two steps:
 //!
@@ -15,7 +16,7 @@
 //! 2. Add a `(name, constructor)` row to [`REGISTRY`].
 //!
 //! [`LatencyTable`]: crate::LatencyTable
-//! [`ExperimentMatrix`]: https://docs.rs/wts-core
+//! [`Experiment::run_on`]: https://docs.rs/wts-core
 //!
 //! # Examples
 //!

@@ -193,11 +193,6 @@ impl<'m> ListScheduler<'m> {
         out.cycles_after = cycles_after;
     }
 
-    /// Convenience: schedule and apply in one step.
-    pub fn reschedule(&self, block: &BasicBlock) -> BasicBlock {
-        self.schedule_block(block).apply(block)
-    }
-
     /// The seed of the rng this scheduler owns: the random policy's
     /// seed, or a fixed constant the deterministic policies never draw
     /// from. (The old design threaded an `Option<XorShift64>` and
@@ -395,7 +390,7 @@ mod tests {
     /// threaded rng for the random policy and panicked on any entry
     /// point that did not wire one through. The scheduler now owns its
     /// rng seed, so *every* public path — blocks, raw slices,
-    /// superblocks, reschedule — serves the random policy without
+    /// superblocks, applied orders — serves the random policy without
     /// panicking, deterministically per seed.
     #[test]
     fn random_policy_never_panics_on_any_entry_point() {
@@ -409,7 +404,7 @@ mod tests {
         let from_block = s.schedule_block(&b);
         let from_slice = s.schedule_insts(&insts);
         let from_superblock = s.schedule_superblock(&insts);
-        let rescheduled = s.reschedule(&b);
+        let rescheduled = s.schedule_block(&b).apply(&b);
         for out in [&from_block, &from_slice] {
             assert!(verify_schedule(&insts, &out.order).is_ok());
         }
@@ -522,20 +517,5 @@ mod tests {
                 assert_eq!(out, s.schedule_superblock(insts), "{policy} superblock diverged");
             }
         }
-    }
-
-    #[test]
-    fn reschedule_applies_order() {
-        let m = machine();
-        let s = ListScheduler::new(&m);
-        let mut b = BasicBlock::new(3);
-        for i in [load(1, 0), add(2, 1, 1), add(3, 8, 8)] {
-            b.push(i);
-        }
-        b.set_exec_count(77);
-        let nb = s.reschedule(&b);
-        assert_eq!(nb.len(), 3);
-        assert_eq!(nb.exec_count(), 77);
-        assert_eq!(nb.id(), b.id());
     }
 }

@@ -50,6 +50,11 @@
 //! assert!(filter.decide(FeatureVector::extract(&b).as_slice()));
 //! ```
 
+// README.md's `rust` blocks compile as doctests of this crate.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use wts_core as filters;
 pub use wts_deps as deps;
 pub use wts_experiments as experiments;
@@ -65,9 +70,9 @@ pub use wts_verify as verify;
 /// Commonly used items, importable with one `use`.
 pub mod prelude {
     pub use wts_core::{
-        BenefitModel, CompiledFilter, DecisionPolicy, Experiment, ExperimentMatrix, ExperimentRun, FilterScore,
-        LabelConfig, LearnedFilter, Learner, LearnerKind, MachinePortfolio, MatrixRun, PortfolioEntry, ScopeKind,
-        TimingMode, TraceOptions, TraceRecord, UnitEconomics,
+        BenefitModel, CompiledFilter, DecisionPolicy, Experiment, ExperimentRun, FilterScore, LabelConfig,
+        LearnedFilter, Learner, LearnerKind, MachinePortfolio, MatrixRun, PortfolioEntry, ScopeKind, TimingMode,
+        TraceOptions, TraceRecord, UnitEconomics,
     };
     pub use wts_deps::DepGraph;
     pub use wts_features::{FeatureKind, FeatureMask, FeatureVector, TraceShape};

@@ -11,15 +11,14 @@ fn generated_programs(scale: f64) -> Vec<Program> {
     Suite::fp(scale).benchmarks().iter().map(|b| b.program().clone()).collect()
 }
 
-fn deterministic_matrix() -> ExperimentMatrix {
-    ExperimentMatrix::over_registry()
-        .with_template(Experiment::new(MachineConfig::ppc7410()).with_timing(TimingMode::Deterministic))
+fn deterministic() -> Experiment {
+    Experiment::new(MachineConfig::ppc7410()).with_timing(TimingMode::Deterministic)
 }
 
 #[test]
 fn registry_sweep_produces_per_machine_rule_sets_and_transfer_table() {
     let programs = generated_programs(0.01);
-    let matrix = deterministic_matrix().run(&programs);
+    let matrix = deterministic().run_on(registry(), programs);
 
     let machines = registry();
     assert!(machines.len() >= 4, "acceptance: at least 4 registry machines");
@@ -46,7 +45,7 @@ fn registry_sweep_produces_per_machine_rule_sets_and_transfer_table() {
 #[test]
 fn sharded_matrix_matches_serial_per_machine_pipelines() {
     let programs = generated_programs(0.01);
-    let sharded = deterministic_matrix().with_threads(8).run(&programs);
+    let sharded = deterministic().with_trace_threads(8).run_on(registry(), programs.clone());
     for machine in registry() {
         let serial = Experiment::new(machine.clone())
             .with_threads(1)
@@ -71,7 +70,7 @@ fn sharded_matrix_matches_serial_per_machine_pipelines() {
 fn portfolio_smoke_every_backend_on_every_machine() {
     let tolerance = 2.0;
     let programs = generated_programs(0.05);
-    let matrix = deterministic_matrix().run(&programs);
+    let matrix = deterministic().run_on(registry(), programs);
     let learners = LearnerKind::portfolio();
     assert!(learners.len() >= 3, "acceptance: at least 3 backends in the portfolio");
 
@@ -121,9 +120,11 @@ fn portfolio_smoke_every_backend_on_every_machine() {
 #[ignore = "superblock smoke test: realistic scale; CI runs it with -- --ignored"]
 fn superblock_smoke_scope_scenario_on_every_machine() {
     let programs = generated_programs(0.05);
-    let block = deterministic_matrix().run(&programs);
-    let superblock = deterministic_matrix().with_scope(ScopeKind::Superblock(70)).run(&programs);
-    assert_eq!(superblock.scope(), ScopeKind::Superblock(70));
+    let block = deterministic().run_on(registry(), programs.clone());
+    let superblock = deterministic().with_scope(ScopeKind::Superblock(70)).run_on(registry(), programs.clone());
+    for run in superblock.runs() {
+        assert_eq!(run.scope(), ScopeKind::Superblock(70));
+    }
 
     for machine in registry() {
         let b = block.run_for(machine.name());
@@ -178,7 +179,7 @@ fn superblock_smoke_scope_scenario_on_every_machine() {
 fn calibration_smoke_policies_bracketed_by_the_oracle_on_every_machine() {
     let c = 1.0;
     let programs = generated_programs(0.05);
-    let matrix = deterministic_matrix().run(&programs);
+    let matrix = deterministic().run_on(registry(), programs);
     let rows = matrix.calibration(0, c);
     assert_eq!(rows.len(), registry().len(), "one calibration row per registry machine");
     let mut eb_wins = 0usize;
@@ -249,7 +250,7 @@ fn verify_smoke_zero_diagnostics_at_scale() {
 #[ignore = "matrix smoke test: realistic scale; CI runs it with -- --ignored"]
 fn matrix_smoke_registry_sweep_at_scale() {
     let programs = generated_programs(0.05);
-    let matrix = deterministic_matrix().run(&programs);
+    let matrix = deterministic().run_on(registry(), programs);
 
     let sweep = matrix.ls_sweep(&[0]);
     let ls_for = |name: &str| sweep.iter().find(|(n, _)| n == name).map(|(_, c)| c[0]).unwrap();
