@@ -295,18 +295,13 @@ impl CompiledFilter {
     }
 
     /// Number of rules in the table.
-    pub fn rule_count(&self) -> usize {
+    fn rule_count(&self) -> usize {
         self.rule_ends.len()
     }
 
     /// Total number of lowered conditions (model size).
     pub fn condition_count(&self) -> usize {
         self.conds.len()
-    }
-
-    /// The calibrated score emitted when no rule fires.
-    pub fn default_score(&self) -> f64 {
-        self.default_score
     }
 
     /// The decision for one feature vector (dense Table 1 layout).
@@ -513,7 +508,8 @@ mod tests {
         assert_eq!(s.fired, Some(1));
         assert!((s.probability - rs.rule_confidence(1)).abs() < 1e-12);
         assert!(s.probability < 0.5);
-        // Nothing fires: the reject region's residual positive rate.
+        // Nothing fires: the default score, the rule set's default
+        // confidence (the reject region's residual positive rate).
         let (s, _) = compiled.score_counted(fv(3.0, 0.0, 0.9).as_slice());
         assert_eq!(s.fired, None);
         assert!(!s.decision());
@@ -639,13 +635,6 @@ mod tests {
         assert_eq!(validate_table(&conds, &ends, &[0.9], 0.1), Ok(()));
         let err = CompiledFilterError::ScoreOutOfRange { rule: None, score: -0.5 };
         assert!(err.to_string().contains("default calibrated score -0.5"));
-    }
-
-    #[test]
-    fn default_score_is_the_rule_sets_default_confidence() {
-        let rs = statted_rule_set();
-        let compiled = CompiledFilter::from_rule_set(&rs, "L/N");
-        assert!((compiled.default_score() - rs.default_confidence()).abs() < 1e-12);
     }
 
     #[test]

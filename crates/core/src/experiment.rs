@@ -174,7 +174,7 @@ impl Experiment {
     }
 
     /// The trace-stage options this configuration denotes.
-    pub fn trace_options(&self) -> TraceOptions {
+    fn trace_options(&self) -> TraceOptions {
         self.trace
     }
 

@@ -74,7 +74,7 @@ impl BenefitModel {
     /// (`16 + 2·(n + edges) + n²`) with the dependence-edge count
     /// approximated as `2n`, since the real DAG is not built until the
     /// unit is already being scheduled.
-    pub fn estimated_sched_work(insts: u64) -> u64 {
+    fn estimated_sched_work(insts: u64) -> u64 {
         16 + 6 * insts + insts * insts
     }
 
@@ -82,7 +82,7 @@ impl BenefitModel {
     /// `P(improvement) × saved_per_inst × insts × exec_count` minus the
     /// compile spend (filter conditions + masked extraction + estimated
     /// scheduling work) priced at `cycles_per_work`.
-    pub fn expected_net(&self, probability: f64, unit: &UnitEconomics) -> f64 {
+    fn expected_net(&self, probability: f64, unit: &UnitEconomics) -> f64 {
         let gain = probability * self.saved_per_inst * unit.insts as f64 * unit.exec_count as f64;
         let work = unit.filter_work + unit.extraction_work + BenefitModel::estimated_sched_work(unit.insts);
         gain - self.cycles_per_work * work as f64

@@ -263,9 +263,10 @@ impl FilterStore {
         let epoch = slots.get(&key).map_or(1, |old| old.epoch + 1);
         #[cfg(debug_assertions)]
         if let Some(old) = slots.get(&key) {
-            // The published sequence must be strictly monotone — the
-            // invariant `check_store_protocol` proves over the modeled
-            // protocol, asserted here on the live one.
+            // The published sequence must be strictly monotone with no
+            // lost swap — the property `prop_store.rs` checks under
+            // concurrent writers and readers (also in release builds,
+            // where this assert is compiled out).
             assert!(epoch > old.epoch, "epoch regressed on swap of {key}: {epoch} after {}", old.epoch);
         }
         let snap = Arc::new(FilterSnapshot { key: key.clone(), epoch, source: filter, compiled });
@@ -409,38 +410,5 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.len(), 3, "one fold per benchmark");
         assert!(store.is_empty(), "fold sets are not deployed filters");
-    }
-
-    #[test]
-    fn concurrent_swaps_and_readers_agree_on_final_epoch() {
-        let traces = corpus();
-        let store = FilterStore::shared();
-        let k = key("m", 0);
-        let filter = train_filter(&traces, &TrainConfig::with_threshold(0));
-        store.swap(k.clone(), filter.clone());
-        let swaps_per_writer = 25u64;
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let store = Arc::clone(&store);
-                let k = k.clone();
-                let filter = filter.clone();
-                s.spawn(move || {
-                    for _ in 0..swaps_per_writer {
-                        store.swap(k.clone(), filter.clone());
-                    }
-                });
-            }
-            let store = Arc::clone(&store);
-            let k = k.clone();
-            s.spawn(move || {
-                let mut last = 0;
-                for _ in 0..200 {
-                    let snap = store.get(&k).expect("slot stays populated");
-                    assert!(snap.epoch() >= last, "epochs are monotonic under concurrent swaps");
-                    last = snap.epoch();
-                }
-            });
-        });
-        assert_eq!(store.epoch(&k), Some(1 + 2 * swaps_per_writer));
     }
 }

@@ -1,8 +1,11 @@
-//! The store's hot-swap atomicity contract: a snapshot is one coherent
-//! `(epoch, filter)` pair, so every decision made against it is
-//! attributable to exactly one epoch — under concurrent swaps there is
-//! no interleaving where a reader sees epoch `n` paired with epoch
-//! `m`'s rules.
+//! The store's hot-swap contract on the running `FilterStore`: a
+//! snapshot is one coherent `(epoch, filter)` pair, so every decision
+//! made against it is attributable to exactly one epoch — under
+//! concurrent swaps there is no interleaving where a reader sees epoch
+//! `n` paired with epoch `m`'s rules — and concurrent writers publish
+//! every epoch exactly once, in an order no reader sees fall. These are
+//! threaded properties, so run them in release builds too: the store's
+//! own epoch assert is compiled out there.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -107,6 +110,58 @@ proptest! {
                     epoch, cut, probe, decision
                 );
             }
+        }
+    }
+
+    /// Epoch monotonicity with no lost swap: `writers` threads each
+    /// publish `swaps` filters while two readers poll the slot. Over the
+    /// seed deploy at epoch 1, the epochs the writers' `swap` calls
+    /// return must be exactly `2..=1 + writers·swaps`, each once — a
+    /// duplicate is two writers publishing one epoch, a gap a lost swap
+    /// — and no reader's sequence of observed epochs may fall.
+    #[test]
+    fn concurrent_swaps_publish_every_epoch_once_and_readers_never_go_back(
+        writers in 2usize..5,
+        swaps in 1usize..32,
+        cut in 1u32..60,
+    ) {
+        let store = FilterStore::shared();
+        let key = FilterKey::new("m", &LearnerKind::Stump, ScopeKind::Block, 0);
+        store.swap(key.clone(), filter_with_cut(cut));
+        let done = AtomicBool::new(false);
+        let swap = || store.swap(key.clone(), filter_with_cut(cut)).epoch();
+
+        let (mut published, observed) = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut seen = Vec::new();
+                        loop {
+                            seen.push(store.get(&key).expect("slot stays populated").epoch());
+                            if done.load(Ordering::Acquire) {
+                                return seen;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let published: Vec<u64> = {
+                let _done = RaiseOnDrop(&done);
+                let handles: Vec<_> =
+                    (0..writers).map(|_| s.spawn(|| (0..swaps).map(|_| swap()).collect::<Vec<_>>())).collect();
+                handles.into_iter().flat_map(|h| h.join().expect("writer panicked")).collect()
+            };
+            let observed: Vec<Vec<u64>> = readers.into_iter().map(|r| r.join().expect("reader panicked")).collect();
+            (published, observed)
+        });
+
+        let last = 1 + (writers * swaps) as u64;
+        published.sort_unstable();
+        prop_assert_eq!(published, (2..=last).collect::<Vec<u64>>(), "every swap publishes its own epoch");
+        prop_assert_eq!(store.epoch(&key), Some(last));
+        for seen in &observed {
+            prop_assert!(seen.windows(2).all(|w| w[0] <= w[1]), "a reader saw the epoch fall: {:?}", seen);
+            prop_assert!(seen.iter().all(|e| (1..=last).contains(e)), "a reader saw an unpublished epoch: {:?}", seen);
         }
     }
 

@@ -94,7 +94,7 @@ impl DepGraph {
     }
 
     /// Kind of the edge `from -> to`, if present.
-    pub fn edge_kind(&self, from: usize, to: usize) -> Option<DepKind> {
+    fn edge_kind(&self, from: usize, to: usize) -> Option<DepKind> {
         // Successor slices are sorted by target, so binary search works;
         // adjacency lists are short enough that this is mostly about not
         // scanning the occasional barrier node's long list.

@@ -98,9 +98,11 @@ fn main() -> ExitCode {
         None
     };
 
-    // The registry sweep is the most expensive phase; `matrix` and
-    // `portfolio` both derive from one shared MatrixRun.
+    // The registry sweeps are the most expensive phase: `matrix`,
+    // `portfolio`, `superblock` and `lint` share one block-scope
+    // MatrixRun, and `superblock` and `lint` one superblock-scope run.
     let mut matrix_run: Option<wts_core::MatrixRun> = None;
+    let mut superblock_run: Option<wts_core::MatrixRun> = None;
 
     for a in &artifacts {
         match a.as_str() {
@@ -132,18 +134,23 @@ fn main() -> ExitCode {
                             eprintln!("# tracing the FP suite on every registry machine...");
                             e.matrix()
                         });
-                        eprintln!("# linting every machine x learner x scope filter and the protocol machines...");
-                        let sb = e.superblock_matrix();
-                        println!("{}", e.lint(m, &sb));
+                        let sb = superblock_run.get_or_insert_with(|| {
+                            eprintln!("# re-tracing at superblock scope on every registry machine...");
+                            e.superblock_matrix()
+                        });
+                        eprintln!("# linting every machine x learner x scope filter and the serving core...");
+                        println!("{}", e.lint(m, sb));
                     }
                     "superblock" => {
                         let m = matrix_run.get_or_insert_with(|| {
                             eprintln!("# tracing the FP suite on every registry machine...");
                             e.matrix()
                         });
-                        eprintln!("# re-tracing at superblock scope on every registry machine...");
-                        let sb = e.superblock_matrix();
-                        println!("{}", e.superblock_scope(m, &sb, 0));
+                        let sb = superblock_run.get_or_insert_with(|| {
+                            eprintln!("# re-tracing at superblock scope on every registry machine...");
+                            e.superblock_matrix()
+                        });
+                        println!("{}", e.superblock_scope(m, sb, 0));
                     }
                     "adaptive" => println!("{}", e.adaptive(100)),
                     "selftrain" => println!("{}", e.selftrain(20)),

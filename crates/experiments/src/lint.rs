@@ -6,20 +6,17 @@
 //! each registry machine × each [`LearnerKind::portfolio`] backend ×
 //! both scopes, every LOOCV fold plus the factory rule set — is lowered
 //! and run through the `wts-verify` model lint and the hard-threshold
-//! equivalence proof, and the `FilterStore` swap protocol and the
-//! `wts-serve` serving core are model-checked by bounded-exhaustive
-//! state-space exploration. A healthy pipeline prints all-zero
-//! diagnostic columns and a `held` proof on every row; anything else is
-//! a bug in the learners, the lowering or the serving layer, and the
-//! offending diagnostics are echoed to stderr.
+//! equivalence proof, and the `wts-serve` serving core is model-checked
+//! by bounded-exhaustive state-space exploration. A healthy pipeline
+//! prints all-zero diagnostic columns and a `held` proof on every row;
+//! anything else is a bug in the learners, the lowering or the serving
+//! layer, and the offending diagnostics are echoed to stderr.
 
 use crate::table::Table;
 use crate::Experiments;
 use wts_core::{LearnedFilter, Learner, LearnerKind, MatrixRun};
 use wts_serve::{check_serve_protocol, ServeProtoConfig};
-use wts_verify::{
-    check_store_protocol, lint_model, prove_hard_threshold, render, Diagnostic, ModelTable, Severity, StoreProtoConfig,
-};
+use wts_verify::{lint_model, prove_hard_threshold, render, Diagnostic, ModelTable, Severity};
 
 /// One machine's tally over every backend × scope × fold.
 #[derive(Default)]
@@ -53,9 +50,9 @@ impl Experiments {
     /// The `repro lint` table: one row per registry machine tallying the
     /// model lint over every pipeline-producible filter on that machine
     /// (both scope matrices, every portfolio backend, every t=0 LOOCV
-    /// fold plus the factory filter), followed by one row per protocol
-    /// state machine with the explored state count in the `linted`
-    /// column.
+    /// fold plus the factory filter), followed by one row for the
+    /// serving core's protocol check with the explored state count in
+    /// the `linted` column.
     ///
     /// # Panics
     ///
@@ -103,23 +100,20 @@ impl Experiments {
                 (row.errors + row.warnings).to_string(),
             ]);
         }
-        for report in
-            [check_store_protocol(StoreProtoConfig::default()), check_serve_protocol(ServeProtoConfig::default())]
-        {
-            if !report.is_clean() {
-                eprintln!("{}", render(&report.diagnostics));
-            }
-            let errors = report.diagnostics.iter().filter(|d| d.severity == Severity::Error).count();
-            let warnings = report.diagnostics.len() - errors;
-            table.push_row(vec![
-                report.machine.clone(),
-                report.states.to_string(),
-                errors.to_string(),
-                warnings.to_string(),
-                "-".into(),
-                report.diagnostics.len().to_string(),
-            ]);
+        let report = check_serve_protocol(ServeProtoConfig::default());
+        if !report.is_clean() {
+            eprintln!("{}", render(&report.diagnostics));
         }
+        let errors = report.diagnostics.iter().filter(|d| d.severity == Severity::Error).count();
+        let warnings = report.diagnostics.len() - errors;
+        table.push_row(vec![
+            report.machine.clone(),
+            report.states.to_string(),
+            errors.to_string(),
+            warnings.to_string(),
+            "-".into(),
+            report.diagnostics.len().to_string(),
+        ]);
         table
     }
 }
@@ -134,7 +128,7 @@ mod tests {
         let e = Experiments::new(0.02);
         let table = e.lint(&e.matrix(), &e.superblock_matrix());
         let machines = registry_names().len();
-        assert_eq!(table.row_count(), machines + 2, "one row per machine plus the two protocol machines");
+        assert_eq!(table.row_count(), machines + 1, "one row per machine plus the serving core");
         for row in 0..machines {
             assert_eq!(table.cell(row, 0), registry_names()[row]);
             let linted: usize = table.cell(row, 1).parse().unwrap();
@@ -144,11 +138,9 @@ mod tests {
             let proof = table.cell(row, 4);
             assert_eq!(proof, format!("{linted}/{linted}"), "{}: proof must hold everywhere", table.cell(row, 0));
         }
-        for (row, machine) in [(machines, "filter-store"), (machines + 1, "wts-serve")] {
-            assert_eq!(table.cell(row, 0), machine);
-            let states: usize = table.cell(row, 1).parse().unwrap();
-            assert!(states > 10, "{machine}: the explorer visited a real state space, got {states}");
-            assert_eq!(table.cell(row, 5), "0", "{machine}: protocol diagnostics on the faithful model");
-        }
+        assert_eq!(table.cell(machines, 0), "wts-serve");
+        let states: usize = table.cell(machines, 1).parse().unwrap();
+        assert!(states > 10, "wts-serve: the explorer visited a real state space, got {states}");
+        assert_eq!(table.cell(machines, 5), "0", "wts-serve: protocol diagnostics on the serving core");
     }
 }

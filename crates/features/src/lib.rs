@@ -441,7 +441,7 @@ impl FeatureVector {
 
     /// [`extract_masked`](FeatureVector::extract_masked) over a raw
     /// instruction slice, with the degenerate block shape.
-    pub fn from_insts_masked(insts: &[Inst], mask: FeatureMask) -> FeatureVector {
+    fn from_insts_masked(insts: &[Inst], mask: FeatureMask) -> FeatureVector {
         FeatureVector::from_insts_shaped(insts, TraceShape::block(), mask)
     }
 

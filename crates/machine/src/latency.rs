@@ -148,12 +148,12 @@ impl LatencyTable {
 
     /// True when `op` occupies its functional unit for its whole latency.
     #[inline]
-    pub fn is_non_pipelined(&self, op: Opcode) -> bool {
+    fn is_non_pipelined(&self, op: Opcode) -> bool {
         self.non_pipelined[op.index()]
     }
 
     /// Marks `op` (non-)pipelined.
-    pub fn set_non_pipelined(&mut self, op: Opcode, v: bool) {
+    fn set_non_pipelined(&mut self, op: Opcode, v: bool) {
         self.non_pipelined[op.index()] = v;
     }
 

@@ -16,7 +16,7 @@ pub const DL_BUDGET: f64 = 64.0;
 ///
 /// Returns 0 for the degenerate cases (`k == 0` or `k == n`); callers
 /// guarantee `k <= n`.
-pub fn log2_binomial(n: usize, k: usize) -> f64 {
+fn log2_binomial(n: usize, k: usize) -> f64 {
     debug_assert!(k <= n, "k must be at most n");
     let k = k.min(n - k.min(n));
     if k == 0 {
@@ -31,7 +31,7 @@ pub fn log2_binomial(n: usize, k: usize) -> f64 {
 
 /// Bits to transmit which `errors` elements of a `total`-element set are
 /// exceptional: the subset identity plus its cardinality.
-pub fn subset_dl(total: usize, errors: usize) -> f64 {
+fn subset_dl(total: usize, errors: usize) -> f64 {
     if total == 0 {
         return 0.0;
     }
@@ -41,7 +41,7 @@ pub fn subset_dl(total: usize, errors: usize) -> f64 {
 /// Bits to transmit the classification errors of a rule set that covers
 /// `covered` instances with `fp` false positives and leaves `uncovered`
 /// instances with `fn_` false negatives.
-pub fn data_dl(covered: usize, fp: usize, uncovered: usize, fn_: usize) -> f64 {
+fn data_dl(covered: usize, fp: usize, uncovered: usize, fn_: usize) -> f64 {
     subset_dl(covered, fp) + subset_dl(uncovered, fn_)
 }
 
@@ -51,7 +51,7 @@ pub fn data_dl(covered: usize, fp: usize, uncovered: usize, fn_: usize) -> f64 {
 /// Each condition costs the choice of attribute, a direction bit and an
 /// (approximate) threshold cost; the total is halved as in Cohen's scheme
 /// to account for the redundancy of condition orderings.
-pub fn theory_dl(conds: usize, attr_count: usize) -> f64 {
+fn theory_dl(conds: usize, attr_count: usize) -> f64 {
     if conds == 0 {
         return 0.0;
     }

@@ -46,8 +46,8 @@ pub enum Analysis {
     /// Model-artifact coherence: shadowed/contradictory rules, non-finite
     /// thresholds, out-of-range calibrated scores, demand-mask drift.
     Model,
-    /// Serve/store protocol safety: epoch monotonicity, batch atomicity
-    /// across hot swaps, response uniqueness, drain losslessness.
+    /// Serving protocol safety: every admitted request answered once,
+    /// a lossless drain, a shutdown that completes.
     Protocol,
 }
 

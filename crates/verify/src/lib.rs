@@ -40,10 +40,9 @@
 //!   checks catch masks that diverge from what the condition table reads;
 //!   and [`prove_hard_threshold`] derives a domain-wide witness that
 //!   `decide ≡ score ≥ t` under a hard threshold.
-//! - **Protocol safety** ([`check_store_protocol`], [`Explorer`]): the
-//!   `FilterStore` epoch protocol explored by bounded-exhaustive DFS over
-//!   every interleaving — epoch monotonicity, batch atomicity across hot
-//!   swaps. `wts-serve` runs the same explorer over its serving core.
+//! - **Protocol safety** ([`Explorer`], [`ProtoReport`]): a
+//!   bounded-exhaustive DFS over every interleaving of a protocol state
+//!   machine. `wts-serve` runs it over its own serving core.
 //!
 //! Everything reports through [`Diagnostic`] (severity, analysis,
 //! machine, method/unit location, prose explanation). [`verify_unit`]
@@ -82,6 +81,6 @@ pub use deps::{check_dependences, oracle_edges};
 pub use diag::{render, Analysis, Diagnostic, Severity, UnitCtx};
 pub use model::{check_model, lint_model, prove_hard_threshold, LintCond, ModelTable, ThresholdProof};
 pub use pipeline::{verify_program, verify_unit, verify_unit_in, VerifyReport};
-pub use proto::{check_store_protocol, Explorer, ProtoReport, SnapshotModel, StoreProtoConfig, SwapModel};
+pub use proto::{Explorer, ProtoReport};
 pub use spec::check_speculation;
 pub use timing::{check_timing, dependence_lower_bound, resimulate, IssueEvent};

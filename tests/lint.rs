@@ -2,23 +2,20 @@
 //! pipeline can produce — any registry machine × any portfolio learner ×
 //! either scope, every LOOCV fold and the factory rule set — lints
 //! clean under the `wts-verify` model analysis and carries a
-//! hard-threshold equivalence proof, and the faithful store protocol
-//! model and the serving core check clean. The mutation tests are the
-//! teeth: each of the four defect classes (shadowed rule, demand-mask
-//! drift, non-finite threshold, epoch-regressing swap) is caught with its
-//! named diagnostic while the unmutated twin stays clean, so a lint that
-//! rots into a no-op fails here, not in production.
+//! hard-threshold equivalence proof, and the serving core checks clean.
+//! The mutation tests are the teeth: each of the three model defect
+//! classes (shadowed rule, demand-mask drift, non-finite threshold) is
+//! caught with its named diagnostic while the unmutated twin stays
+//! clean, so a lint that rots into a no-op fails here, not in
+//! production. The fourth class, an epoch-regressing swap, is a threaded
+//! property on the running `FilterStore` (`wts-core`'s `prop_store.rs`).
 
 use schedfilter::filters::{
     collect_trace, train_filter, train_loocv, CompiledFilter, CompiledFilterError, LearnedFilter, Learner, LearnerKind,
     ScopeKind, TimingMode, TraceOptions, TraceRecord, TrainConfig,
 };
 use schedfilter::ripper::{Rule, RuleSet};
-use schedfilter::serve::{check_serve_protocol, ServeProtoConfig};
-use schedfilter::verify::{
-    check_store_protocol, lint_model, prove_hard_threshold, render, ModelTable, SnapshotModel, StoreProtoConfig,
-    SwapModel,
-};
+use schedfilter::verify::{lint_model, prove_hard_threshold, render, ModelTable};
 use wts_features::FeatureMask;
 use wts_machine::{registry, MachineConfig};
 
@@ -150,55 +147,18 @@ fn mutation_non_finite_threshold_is_caught_and_the_twin_is_clean() {
     );
 }
 
-/// Mutation class 4 — epoch-regressing swap: under the faithful atomic
-/// publication model the store protocol checks clean; under the
-/// read-then-write mutant two concurrent writers interleave into an
-/// epoch regression, and the model checker's exhaustive search finds
-/// the exact trace.
-#[test]
-fn mutation_epoch_regressing_swap_is_caught_and_the_twin_is_clean() {
-    let twin = check_store_protocol(StoreProtoConfig::default());
-    assert!(twin.is_clean(), "the atomic-swap model is clean:\n{}", render(&twin.diagnostics));
-    assert!(twin.states > 10, "the explorer visited a real state space");
-
-    let mutant = check_store_protocol(StoreProtoConfig { swap: SwapModel::ReadThenWrite, ..Default::default() });
-    assert!(
-        mutant.diagnostics.iter().any(|d| d.message.contains("regressed the epoch")),
-        "expected an epoch regression, got:\n{}",
-        render(&mutant.diagnostics)
-    );
-}
-
-/// The remaining store knob produces its named diagnostic — a per-unit
-/// snapshot splits a batch across a swap — while the serving core checks
-/// clean. The serve mutations (a re-admitted shed request, a close that
-/// drops pending observations) are perturbations of the core's actions
-/// and live beside it in `wts-serve`.
-#[test]
-fn mutation_protocol_knobs_each_fire_their_named_diagnostic() {
-    let split = check_store_protocol(StoreProtoConfig { snapshot: SnapshotModel::PerUnit, ..Default::default() });
-    assert!(
-        split.diagnostics.iter().any(|d| d.message.contains("batch split across a swap")),
-        "expected a batch split, got:\n{}",
-        render(&split.diagnostics)
-    );
-
-    let twin = check_serve_protocol(ServeProtoConfig::default());
-    assert!(twin.is_clean(), "the serving core checks clean:\n{}", render(&twin.diagnostics));
-    assert!(twin.states > 100, "the explorer visited a real state space");
-}
-
 /// The CI-enabled `repro lint` smoke test: at realistic scale, the full
 /// sweep — every registry machine × portfolio backend × scope fold,
-/// plus the two protocol machines — reports zero diagnostics with every
-/// equivalence proof held.
+/// plus the serving core's protocol check — reports zero diagnostics
+/// with every equivalence proof held.
 #[test]
 #[ignore = "lint smoke test: realistic scale; CI runs it with -- --ignored"]
 fn lint_smoke_all_clean_at_scale() {
     use schedfilter::experiments::Experiments;
     let e = Experiments::new(0.05);
     let table = e.lint(&e.matrix(), &e.superblock_matrix());
-    assert_eq!(table.row_count(), registry().len() + 2, "one row per machine plus the protocol machines");
+    assert_eq!(table.row_count(), registry().len() + 1, "one row per machine plus the serving core");
+    assert_eq!(table.cell(registry().len(), 0), "wts-serve");
     for row in 0..table.row_count() {
         let total: usize = table.cell(row, 5).parse().unwrap();
         assert_eq!(total, 0, "{}: {total} diagnostics at scale", table.cell(row, 0));

@@ -2,14 +2,18 @@
 //! pass behind a socket — bit-identical totals, lossless drains, and
 //! hot swaps that never split a batch across epochs.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wts_core::{
-    build_dataset, collect_trace, filtered_schedule_pass, train_filter, DecisionPolicy, LabelConfig, Learner,
-    LearnerKind, ScopeKind, TimingMode, TraceOptions, TraceRecord,
+    build_dataset, collect_trace, filtered_schedule_pass, for_each_scope_unit, train_filter, CompiledFilter,
+    DecisionPolicy, FilterSnapshot, FilteredPass, LabelConfig, LearnedFilter, Learner, LearnerKind, ScopeKind,
+    ServedUnit, TimingMode, TraceOptions, TraceRecord, UnitServer,
 };
-use wts_ir::Program;
+use wts_features::FeatureKind;
+use wts_ir::{Method, Program};
 use wts_machine::MachineConfig;
+use wts_ripper::{Condition, Op, Rule, RuleSet, RuleStats};
 use wts_serve::{BatchResult, Response, ServeClient, ServeConfig, Server, ServerHandle};
 
 /// The sort-based stump fit the incremental folds replaced.
@@ -145,37 +149,77 @@ fn graceful_shutdown_loses_no_trace_records() {
     assert_eq!(report.retrain.last_epoch, 1 + report.retrain.retrains, "every fold advanced the epoch once");
 }
 
+/// `methods` served by one warm `UnitServer` under `filter`, the way a
+/// worker serves a batch: the per-unit outcomes and the pass totals.
+fn serve_locally(config: &ServeConfig, methods: &[Method], filter: &CompiledFilter) -> (Vec<ServedUnit>, FilteredPass) {
+    let mut server = UnitServer::new(&config.machine, config.options.policy);
+    let mut totals = FilteredPass::default();
+    let mut units = Vec::new();
+    for method in methods {
+        for_each_scope_unit(method, config.options.scope, |unit| {
+            units.push(server.serve(&unit, filter, &config.decision, &mut totals));
+        });
+    }
+    (units, totals)
+}
+
+/// A hand-written filter that schedules every non-empty block.
+fn nonempty_blocks() -> LearnedFilter {
+    let attr_names = FeatureKind::ALL.iter().map(|k| k.rule_name().to_string()).collect();
+    let rule = Rule::from_conditions(vec![Condition { attr: FeatureKind::BbLen.index(), op: Op::Ge, threshold: 1.0 }]);
+    LearnedFilter::new(RuleSet::new(attr_names, "list", "orig", vec![rule], vec![], RuleStats::default()), 0)
+}
+
+/// Batch atomicity on the running server: a deployer alternates two
+/// filters that decide some served unit differently while the
+/// retrainer swaps on its own cadence. Every batch at an epoch the
+/// deployer published must be exactly what that epoch's filter decides
+/// for the whole batch, so a batch that mixed two snapshots fails here.
 #[test]
 fn hot_swap_under_load_answers_every_batch_from_one_epoch() {
     let machine = MachineConfig::ppc7410();
     let programs = wts_core::testutil::learnable_suite(3);
     let opts = options();
     let seed = corpus(&programs, &machine, &opts);
-    let swap_filter = train_filter(&seed, &wts_core::TrainConfig::with_learner(10, LearnerKind::Stump));
-    let handle = Server::bind("127.0.0.1:0", stump_config(&machine, seed, 25)).expect("bind");
+    let alternates =
+        [train_filter(&seed, &wts_core::TrainConfig::with_learner(10, LearnerKind::Stump)), nonempty_blocks()];
+    let config = stump_config(&machine, seed, 25);
+    let decisions = |filter: &LearnedFilter| -> Vec<bool> {
+        let compiled = filter.compile();
+        programs.iter().flat_map(|p| serve_locally(&config, p.methods(), &compiled).0).map(|u| u.decision).collect()
+    };
+    assert_ne!(decisions(&alternates[0]), decisions(&alternates[1]), "the alternated filters must disagree somewhere");
+    let handle = Server::bind("127.0.0.1:0", config.clone()).expect("bind");
 
     let stop = Arc::new(AtomicBool::new(false));
-    let epochs: Vec<u64> = std::thread::scope(|s| {
+    let (published, batches) = std::thread::scope(|s| {
         // A deployer thread hammers explicit swaps while the retrainer
         // also swaps on its own cadence.
         let deployer = {
             let store = Arc::clone(handle.store());
             let key = handle.key().clone();
             let stop = Arc::clone(&stop);
+            let alternates = &alternates;
             s.spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    store.swap(key.clone(), swap_filter.clone());
+                let mut published: BTreeMap<u64, Arc<FilterSnapshot>> = BTreeMap::new();
+                for filter in alternates.iter().cycle() {
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let snap = store.swap(key.clone(), filter.clone());
+                    published.insert(snap.epoch(), snap);
                     std::thread::yield_now();
                 }
+                published
             })
         };
         let addr = handle.local_addr();
         let programs = &programs;
-        let observed: Vec<u64> = (0..3usize)
+        let observed: Vec<(usize, BatchResult)> = (0..3usize)
             .map(|c| {
                 s.spawn(move || {
                     let mut client = ServeClient::connect(addr).expect("connect");
-                    let mut epochs = Vec::new();
+                    let mut batches = Vec::new();
                     for round in 0..5usize {
                         for (i, program) in programs.iter().enumerate() {
                             let id = (c * 1000 + round * 10 + i) as u64;
@@ -186,10 +230,10 @@ fn hot_swap_under_load_answers_every_batch_from_one_epoch() {
                             // was served, by exactly one epoch.
                             assert_eq!(batch.totals.total_blocks, program.block_count());
                             assert_eq!(batch.units.len(), program.block_count());
-                            epochs.push(batch.epoch);
+                            batches.push((i, batch));
                         }
                     }
-                    epochs
+                    batches
                 })
             })
             .collect::<Vec<_>>()
@@ -197,16 +241,30 @@ fn hot_swap_under_load_answers_every_batch_from_one_epoch() {
             .flat_map(|h| h.join().expect("client panicked"))
             .collect();
         stop.store(true, Ordering::Release);
-        deployer.join().expect("deployer panicked");
-        observed
+        (deployer.join().expect("deployer panicked"), observed)
     });
 
     let final_epoch = handle.epoch();
     let report = handle.shutdown();
-    assert_eq!(epochs.len(), 3 * 5 * programs.len());
-    let distinct: std::collections::BTreeSet<u64> = epochs.iter().copied().collect();
+    assert_eq!(batches.len(), 3 * 5 * programs.len());
+    let distinct: BTreeSet<u64> = batches.iter().map(|(_, b)| b.epoch).collect();
     assert!(distinct.len() >= 2, "swaps landed while serving: {distinct:?}");
-    assert!(epochs.iter().all(|&e| e >= 1 && e <= final_epoch), "every epoch is a published one");
+    assert!(batches.iter().all(|(_, b)| b.epoch >= 1 && b.epoch <= final_epoch), "every epoch is a published one");
+    let mut checked = 0;
+    for (i, batch) in &batches {
+        let Some(snap) = published.get(&batch.epoch) else { continue };
+        let (units, totals) = serve_locally(&config, programs[*i].methods(), snap.compiled());
+        assert_eq!(batch.units, units, "batch {} differs from epoch {}'s filter", batch.batch_id, batch.epoch);
+        assert_eq!(
+            batch.totals,
+            FilteredPass { pass_ns: batch.totals.pass_ns, ..totals },
+            "batch {} totals differ from epoch {}'s filter",
+            batch.batch_id,
+            batch.epoch
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "some batch was served at an epoch the deployer published");
     // The retrainer's final fold may bump past what clients observed,
     // but the drain still accounts for every record.
     assert_eq!(report.retrain.records_absorbed, report.stats.units_served);
