@@ -20,7 +20,7 @@
 //!   — induced rule sets typically consult two or three of the seventeen
 //!   features (Table 1 plus the trace-shape features of the superblock
 //!   scope).
-//! * Decision *work* is observable: [`CompiledFilter::decide_counted`]
+//! * Decision *work* is observable: [`CompiledFilter::score_counted`]
 //!   reports the number of conditions actually evaluated before the
 //!   decision (short-circuit aware), which
 //!   [`sched_time_ratio`](crate::sched_time_ratio) charges instead of a
@@ -307,61 +307,38 @@ impl CompiledFilter {
     /// The decision for one feature vector (dense Table 1 layout).
     #[inline]
     pub fn decide(&self, values: &[f64]) -> bool {
-        self.decide_counted(values).0
+        self.walk(values).0.is_some()
     }
 
-    /// The decision plus the number of conditions actually evaluated
-    /// before it was reached — the filter's honest per-block cost, with
-    /// short-circuiting accounted for.
-    #[inline]
-    pub fn decide_counted(&self, values: &[f64]) -> (bool, u64) {
-        let (fired, evaluated) = self.walk(|attr| values[attr]);
-        (fired.is_some(), evaluated)
-    }
-
-    /// The calibrated score for one feature vector.
-    #[inline]
-    pub fn score(&self, values: &[f64]) -> FilterScore {
-        self.score_counted(values).0
-    }
-
-    /// The calibrated score plus the conditions evaluated to reach it —
-    /// the same short-circuit walk as [`decide_counted`], so scoring
-    /// costs exactly what deciding costs; only the table lookup of the
-    /// firing rule's confidence is added.
-    ///
-    /// [`decide_counted`]: CompiledFilter::decide_counted
+    /// The calibrated score plus the number of conditions actually
+    /// evaluated to reach it — the filter's honest per-unit cost, with
+    /// short-circuiting accounted for. It is the same walk as
+    /// [`decide`](CompiledFilter::decide), so scoring costs exactly what
+    /// deciding costs; only the table lookup of the firing rule's
+    /// confidence is added.
     #[inline]
     pub fn score_counted(&self, values: &[f64]) -> (FilterScore, u64) {
-        let (fired, evaluated) = self.walk(|attr| values[attr]);
-        (self.score_of(fired), evaluated)
-    }
-
-    /// Resolves a walk's fired-rule index into the calibrated score.
-    #[inline]
-    fn score_of(&self, fired: Option<u32>) -> FilterScore {
+        let (fired, evaluated) = self.walk(values);
         let probability = match fired {
             Some(k) => self.scores[k as usize],
             None => self.default_score,
         };
-        FilterScore { fired, probability }
+        (FilterScore { fired, probability }, evaluated)
     }
 
-    /// The one rule-table walk every path shares — boolean decisions,
-    /// counted work and calibrated scores — parameterized over how a
-    /// feature value is fetched, so the short-circuit and firing-order
-    /// semantics cannot diverge between any two of them. Returns the
-    /// index of the first rule that fired (the decision is its presence)
-    /// and the number of conditions evaluated.
+    /// The one rule-table walk both queries share, so the short-circuit
+    /// and firing-order semantics cannot diverge between them. Returns
+    /// the index of the first rule that fired (the decision is its
+    /// presence) and the number of conditions evaluated.
     #[inline]
-    fn walk(&self, mut value: impl FnMut(usize) -> f64) -> (Option<u32>, u64) {
+    fn walk(&self, values: &[f64]) -> (Option<u32>, u64) {
         let mut evaluated = 0u64;
         let mut start = 0u32;
         for (k, &end) in self.rule_ends.iter().enumerate() {
             let mut fired = true;
             for cond in &self.conds[start as usize..end as usize] {
                 evaluated += 1;
-                if !cond.holds(value(cond.attr as usize)) {
+                if !cond.holds(values[cond.attr as usize]) {
                     fired = false;
                     break;
                 }
@@ -372,13 +349,6 @@ impl CompiledFilter {
             start = end;
         }
         (None, evaluated)
-    }
-
-    /// Conditions evaluated for one feature vector (dense Table 1
-    /// layout): the work [`sched_time_ratio`](crate::sched_time_ratio)
-    /// charges for the decision.
-    pub fn eval_work(&self, values: &[f64]) -> u64 {
-        self.decide_counted(values).1
     }
 
     /// Deterministic work proxy for demand-masked feature extraction on
@@ -416,6 +386,12 @@ mod tests {
         FeatureVector::from_values(v)
     }
 
+    /// The decision and the conditions evaluated to reach it.
+    fn decided(compiled: &CompiledFilter, v: FeatureVector) -> (bool, u64) {
+        let (score, evaluated) = compiled.score_counted(v.as_slice());
+        (score.decision(), evaluated)
+    }
+
     fn two_rule_set() -> RuleSet {
         let attr_names: Vec<String> = FeatureKind::ALL.iter().map(|k| k.rule_name().to_string()).collect();
         RuleSet::new(
@@ -450,20 +426,20 @@ mod tests {
     fn condition_counting_is_short_circuit_aware() {
         let compiled = CompiledFilter::from_rule_set(&two_rule_set(), "L/N");
         // Rule 1 fires on its 2 conditions: stop there.
-        assert_eq!(compiled.decide_counted(fv(8.0, 0.5, 0.9).as_slice()), (true, 2));
+        assert_eq!(decided(&compiled, fv(8.0, 0.5, 0.9)), (true, 2));
         // Rule 1 fails at its first condition; rule 2 fires: 1 + 1.
-        assert_eq!(compiled.decide_counted(fv(3.0, 0.9, 0.05).as_slice()), (true, 2));
+        assert_eq!(decided(&compiled, fv(3.0, 0.9, 0.05)), (true, 2));
         // Rule 1 fails at its second condition; rule 2 fails: 2 + 1.
-        assert_eq!(compiled.decide_counted(fv(8.0, 0.1, 0.9).as_slice()), (false, 3));
+        assert_eq!(decided(&compiled, fv(8.0, 0.1, 0.9)), (false, 3));
     }
 
     #[test]
     fn fixed_strategies_compile_to_degenerate_tables() {
         let always = CompiledFilter::always();
-        assert_eq!(always.decide_counted(fv(0.0, 0.0, 0.0).as_slice()), (true, 0));
+        assert_eq!(decided(&always, fv(0.0, 0.0, 0.0)), (true, 0));
         assert!(always.demand().is_empty());
         let never = CompiledFilter::never();
-        assert_eq!(never.decide_counted(fv(99.0, 1.0, 0.0).as_slice()), (false, 0));
+        assert_eq!(decided(&never, fv(99.0, 1.0, 0.0)), (false, 0));
         assert_eq!(never.extraction_work(1000), 0, "NS never touches the block");
     }
 
@@ -472,7 +448,7 @@ mod tests {
         let c = CompiledFilter::size_threshold(5);
         assert!(c.decide(fv(5.0, 0.0, 0.0).as_slice()));
         assert!(!c.decide(fv(4.0, 0.0, 0.0).as_slice()));
-        assert_eq!(c.eval_work(fv(4.0, 0.0, 0.0).as_slice()), 1);
+        assert_eq!(decided(&c, fv(4.0, 0.0, 0.0)), (false, 1));
         assert_eq!(c.extraction_work(1000), 0, "bbLen is known without an instruction pass");
     }
 
@@ -514,8 +490,8 @@ mod tests {
         assert_eq!(s.fired, None);
         assert!(!s.decision());
         assert!((s.probability - rs.default_confidence()).abs() < 1e-12);
-        // Work accounting is unchanged by scoring.
-        assert_eq!(n, compiled.decide_counted(fv(8.0, 0.5, 0.9).as_slice()).1);
+        // Rule 0 fires on its two conditions.
+        assert_eq!(n, 2);
     }
 
     #[test]
@@ -523,27 +499,25 @@ mod tests {
         let compiled = CompiledFilter::from_rule_set(&statted_rule_set(), "L/N");
         let vectors = [fv(8.0, 0.5, 0.9), fv(3.0, 0.9, 0.05), fv(8.0, 0.1, 0.9), fv(1.0, 0.0, 0.5)];
         for v in &vectors {
-            let (score, work) = compiled.score_counted(v.as_slice());
+            let (score, _) = compiled.score_counted(v.as_slice());
             assert_eq!(score.decision(), compiled.decide(v.as_slice()), "{v}");
-            assert_eq!(work, compiled.decide_counted(v.as_slice()).1, "{v}");
-            assert_eq!(compiled.score(v.as_slice()), score);
         }
     }
 
     #[test]
     fn degenerate_tables_score_their_beliefs() {
         let always = CompiledFilter::always();
-        let s = always.score(fv(0.0, 0.0, 0.0).as_slice());
+        let s = always.score_counted(fv(0.0, 0.0, 0.0).as_slice()).0;
         assert_eq!((s.fired, s.probability), (Some(0), 1.0));
         let never = CompiledFilter::never();
-        let s = never.score(fv(99.0, 1.0, 0.0).as_slice());
+        let s = never.score_counted(fv(99.0, 1.0, 0.0).as_slice()).0;
         assert_eq!((s.fired, s.probability), (None, 0.0));
         let size = CompiledFilter::size_threshold(5);
-        assert_eq!(size.score(fv(8.0, 0.0, 0.0).as_slice()).probability, 0.5);
-        assert_eq!(size.score(fv(3.0, 0.0, 0.0).as_slice()).probability, 0.5);
+        assert_eq!(size.score_counted(fv(8.0, 0.0, 0.0).as_slice()).0.probability, 0.5);
+        assert_eq!(size.score_counted(fv(3.0, 0.0, 0.0).as_slice()).0.probability, 0.5);
         // Un-statted rule sets fall back to the uninformed 0.5 too.
         let unstatted = CompiledFilter::from_rule_set(&two_rule_set(), "L/N");
-        assert_eq!(unstatted.score(fv(8.0, 0.5, 0.9).as_slice()).probability, 0.5);
+        assert_eq!(unstatted.score_counted(fv(8.0, 0.5, 0.9).as_slice()).0.probability, 0.5);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub struct EvalTimes {
     pub always_work: u64,
     /// Work units the filter itself spent: conditions actually evaluated
     /// across all blocks, short-circuiting included
-    /// ([`CompiledFilter::eval_work`]).
+    /// ([`CompiledFilter::score_counted`]).
     pub filter_work: u64,
     /// Work units charged for demand-masked feature extraction — only
     /// the features the compiled filter reads are tallied
@@ -422,8 +422,8 @@ mod tests {
         assert!(eb.filtered_work > es.filtered_work, "bigger rule set must report strictly more filtered work");
         // And the counting is short-circuit aware: blocks failing the
         // first condition never pay for the rest.
-        assert_eq!(big.eval_work(fv(2.0, 0.0).as_slice()), 1, "bbLen >= 5 fails first, rest skipped");
-        assert_eq!(big.eval_work(fv(9.0, 0.0).as_slice()), 5, "all five conditions hold");
+        assert_eq!(big.score_counted(fv(2.0, 0.0).as_slice()).1, 1, "bbLen >= 5 fails first, rest skipped");
+        assert_eq!(big.score_counted(fv(9.0, 0.0).as_slice()).1, 5, "all five conditions hold");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!
 //! 1. **Trace** maps to §2.2's instrumented scheduling pass: every block
 //!    of every benchmark program is feature-extracted and list-scheduled,
-//!    with cycle counts from a configurable pair of
-//!    [`CostProvider`](wts_machine::CostProvider)s (the "simplified
-//!    simulator" for labeling, the detailed model standing in for
+//!    with cycle counts from the scheduler's own cost model (the
+//!    "simplified simulator" for labeling) and from
+//!    [`PipelineSim`](wts_machine::PipelineSim) (standing in for
 //!    hardware). Collection shards the machines×programs×methods list
 //!    with scoped threads and is bit-identical to the serial path.
 //! 2. **Label** maps to §2.2's thresholding: an instance is `LS` when
@@ -58,7 +58,7 @@ use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 use wts_ir::{Program, ScopeKind};
-use wts_machine::{EstimatorKind, MachineConfig};
+use wts_machine::MachineConfig;
 use wts_ripper::{geometric_mean, ConfusionMatrix, Dataset};
 use wts_sched::SchedulePolicy;
 
@@ -78,16 +78,15 @@ pub type LoocvFilters = Arc<Vec<(String, LearnedFilter)>>;
 pub struct Experiment {
     machine: MachineConfig,
     learner: LearnerKind,
-    /// The trace stage's options: policy, trace threads, timing,
-    /// estimators and scope.
+    /// The trace stage's options: policy, trace threads, timing and
+    /// scope.
     trace: TraceOptions,
     train_threads: usize,
 }
 
 impl Experiment {
     /// A pipeline over `machine` with the paper's defaults: CPS
-    /// scheduling, cheap estimator for labels, detailed simulator as the
-    /// hardware stand-in, default RIPPER settings, one worker thread per
+    /// scheduling, default RIPPER settings, one worker thread per
     /// available core, wall-clock timing.
     pub fn new(machine: MachineConfig) -> Experiment {
         Experiment {
@@ -134,14 +133,6 @@ impl Experiment {
     /// making traces byte-identical run to run.
     pub fn with_timing(mut self, timing: TimingMode) -> Experiment {
         self.trace.timing = timing;
-        self
-    }
-
-    /// Selects which provider supplies the estimated (labeling) and
-    /// measured (hardware stand-in) cycle channels.
-    pub fn with_estimators(mut self, estimated: EstimatorKind, measured: EstimatorKind) -> Experiment {
-        self.trace.estimated = estimated;
-        self.trace.measured = measured;
         self
     }
 

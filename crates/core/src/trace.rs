@@ -9,8 +9,11 @@
 //!
 //! * trace collection ([`collect_trace`]) runs the body with a
 //!   record sink — every feature, every unit scheduled — and records
-//!   estimated ("simplified simulator") and measured ("hardware") cycles
-//!   for both orders, with configurable [`CostProvider`]s;
+//!   estimated and measured cycles for both orders. The two roles are
+//!   fixed (§2.2, footnote 3): `est_*` are the list scheduler's own
+//!   [`CostModel`](wts_machine::CostModel) cycles, the simplified
+//!   simulator it decides with, and `hw_*` are [`PipelineSim`]'s, the
+//!   hardware stand-in;
 //! * label-only observation ([`TraceCollector::observe_into`], the
 //!   `wts-serve` retrainer's path) runs it like trace collection but
 //!   hands a [`Trainer`] only what labelling reads: the features and the
@@ -29,7 +32,7 @@ use std::ops::Range;
 use std::time::Instant;
 use wts_features::{for_each_scope_unit, FeatureMask, FeatureVector, ScopeUnit, TraceShape};
 use wts_ir::{BasicBlock, BlockId, Inst, Method, MethodId, Program, ScopeKind, Superblock};
-use wts_machine::{CostProvider, EstimatorKind, MachineConfig};
+use wts_machine::{MachineConfig, PipelineSim};
 use wts_sched::{ListScheduler, SchedScratch, ScheduleOutcome, SchedulePolicy};
 
 /// One line of the paper's trace file, plus the extra ground-truth and
@@ -52,13 +55,13 @@ pub struct TraceRecord {
     pub exec_count: u64,
     /// The Table 1 features.
     pub features: FeatureVector,
-    /// Estimated-provider cycles of the original order (labeling input).
+    /// Cheap-model cycles of the original order (labeling input).
     pub est_unsched: u64,
-    /// Estimated-provider cycles after list scheduling (labeling input).
+    /// Cheap-model cycles after list scheduling (labeling input).
     pub est_sched: u64,
-    /// Measured-provider cycles of the original order ("hardware").
+    /// [`PipelineSim`] cycles of the original order ("hardware").
     pub hw_unsched: u64,
-    /// Measured-provider cycles after list scheduling ("hardware").
+    /// [`PipelineSim`] cycles after list scheduling ("hardware").
     pub hw_sched: u64,
     /// Wall-clock nanoseconds the scheduler spent on this block (or the
     /// deterministic work proxy under [`TimingMode::Deterministic`]).
@@ -114,10 +117,6 @@ pub struct TraceOptions {
     pub threads: usize,
     /// Wall-clock or deterministic `*_ns` channels.
     pub timing: TimingMode,
-    /// Provider of the "estimated" cycle channels (labeling input).
-    pub estimated: EstimatorKind,
-    /// Provider of the "measured" cycle channels (hardware stand-in).
-    pub measured: EstimatorKind,
     /// Scheduling scope: per basic block (the paper), or per formed
     /// superblock trace (the §3.1 extension).
     pub scope: ScopeKind,
@@ -129,17 +128,14 @@ impl Default for TraceOptions {
             policy: SchedulePolicy::CriticalPath,
             threads: 1,
             timing: TimingMode::WallClock,
-            estimated: EstimatorKind::Cheap,
-            measured: EstimatorKind::Detailed,
             scope: ScopeKind::Block,
         }
     }
 }
 
 /// Runs the instrumented scheduling pass over every scope unit of
-/// `program` under `options`, building the estimated/measured providers
-/// from their configured kinds ([`TraceOptions::default`] is the
-/// paper's serial, block-scope CPS pass).
+/// `program` under `options` ([`TraceOptions::default`] is the paper's
+/// serial, block-scope CPS pass).
 ///
 /// With `options.threads != 1` the program's methods are sharded across
 /// scoped threads. Each method is traced independently and the shards are
@@ -225,8 +221,8 @@ pub(crate) fn trace_suite(machines: &[MachineConfig], programs: &[Program], opti
 }
 
 /// A warm trace collector: one [`UnitServer`] (scheduler, scratch and
-/// permutation buffers) and the configured cost providers, built once and
-/// reused for every method it traces. Every trace-collecting entry runs
+/// permutation buffers) and the hardware stand-in, built once and reused
+/// for every method it traces. Every trace-collecting entry runs
 /// through one of these, and a long-lived caller — the `wts-serve`
 /// retrainer, observing method after method — holds one for its
 /// lifetime, so what it records or
@@ -253,30 +249,19 @@ pub(crate) fn trace_suite(machines: &[MachineConfig], programs: &[Program], opti
 /// ```
 pub struct TraceCollector<'m> {
     server: UnitServer<'m>,
-    /// Provider of the `est_*` channels; `None` reuses the scheduler's
-    /// own cost-model output (the cheap estimator).
-    estimated: Option<Box<dyn CostProvider + 'm>>,
-    measured: Box<dyn CostProvider + 'm>,
+    /// The `hw_*` channels' simulator.
+    measured: PipelineSim<'m>,
     scope: ScopeKind,
     timing: TimingMode,
 }
 
 impl<'m> TraceCollector<'m> {
     /// A collector for `machine` under `options`' scheduler policy,
-    /// scope, timing mode and providers.
+    /// scope and timing mode.
     pub fn new(machine: &'m MachineConfig, options: &TraceOptions) -> TraceCollector<'m> {
-        // The scheduler's own cost model *is* the cheap estimator (§2.2,
-        // footnote 3), so with the default kind the est_* channels reuse
-        // the cycle counts scheduling already computed instead of running
-        // two more cost-model passes per unit.
-        let estimated = match options.estimated {
-            EstimatorKind::Cheap => None,
-            kind => Some(kind.provider(machine)),
-        };
         TraceCollector {
             server: UnitServer::new(machine, options.policy),
-            estimated,
-            measured: options.measured.provider(machine),
+            measured: PipelineSim::new(machine),
             scope: options.scope,
             timing: options.timing,
         }
@@ -285,14 +270,8 @@ impl<'m> TraceCollector<'m> {
     /// Runs the instrumented pass over every scope unit of `method` and
     /// appends one record per unit to `out`, in unit order.
     pub fn collect_into(&mut self, benchmark: &str, method: &Method, out: &mut Vec<TraceRecord>) {
-        let mut sink = RecordSink {
-            benchmark,
-            method: method.id(),
-            estimated: self.estimated.as_deref(),
-            measured: self.measured.as_ref(),
-            timing: self.timing,
-            out,
-        };
+        let mut sink =
+            RecordSink { benchmark, method: method.id(), measured: &self.measured, timing: self.timing, out };
         let server = &mut self.server;
         for_each_scope_unit(method, self.scope, |unit| {
             server.body(&unit, UnitMode::Record(&mut sink));
@@ -303,9 +282,9 @@ impl<'m> TraceCollector<'m> {
     /// hands each unit's features and estimated cycles to `trainer`, as
     /// though the records [`collect_into`](TraceCollector::collect_into)
     /// would append were [absorbed](Trainer::absorb) — but without the
-    /// measured provider, the records or their benchmark strings. Under
-    /// the cheap estimator the `est_*` cycles are the scheduler's own,
-    /// so nothing runs after the schedule. Returns the units observed.
+    /// hardware stand-in, the records or their benchmark strings. The
+    /// `est_*` cycles are the scheduler's own, so nothing runs after the
+    /// schedule. Returns the units observed.
     ///
     /// # Examples
     ///
@@ -330,7 +309,7 @@ impl<'m> TraceCollector<'m> {
     /// assert_eq!(trainer.fit(), train_filter(&records, &config));
     /// ```
     pub fn observe_into(&mut self, benchmark: &str, method: &Method, trainer: &mut Trainer) -> usize {
-        let mut sink = ObserveSink { benchmark, estimated: self.estimated.as_deref(), trainer };
+        let mut sink = ObserveSink { benchmark, trainer };
         let server = &mut self.server;
         let mut units = 0;
         for_each_scope_unit(method, self.scope, |unit| {
@@ -346,10 +325,7 @@ impl<'m> TraceCollector<'m> {
 struct RecordSink<'a> {
     benchmark: &'a str,
     method: MethodId,
-    /// Provider of the `est_*` channels; `None` reuses the scheduler's
-    /// own cost-model output (the cheap estimator).
-    estimated: Option<&'a dyn CostProvider>,
-    measured: &'a dyn CostProvider,
+    measured: &'a PipelineSim<'a>,
     timing: TimingMode,
     out: &'a mut Vec<TraceRecord>,
 }
@@ -358,9 +334,6 @@ struct RecordSink<'a> {
 /// [`Trainer`], under one benchmark name.
 struct ObserveSink<'a> {
     benchmark: &'a str,
-    /// Provider of the `est_*` cycles; `None` reuses the scheduler's own
-    /// cost-model output (the cheap estimator).
-    estimated: Option<&'a dyn CostProvider>,
     trainer: &'a mut Trainer,
 }
 
@@ -629,8 +602,8 @@ impl<'m> UnitServer<'m> {
 
     /// The per-unit body. Timed: extraction and the decision (`t0..t1`),
     /// then scheduling (`t1..t2`) — exactly what a deployed pass runs.
-    /// Verification, the work proxies and the record's cost-provider
-    /// queries stay outside the window. A width-1 unit takes *exactly*
+    /// Verification, the work proxies and the record's simulator queries
+    /// stay outside the window. A width-1 unit takes *exactly*
     /// the block path — same scheduler entry point, same graph, same
     /// proxies — which is what pins degenerate superblock formation
     /// bit-identical to block scope.
@@ -681,12 +654,14 @@ impl<'m> UnitServer<'m> {
                 totals.sched_work += sched_work;
             }
             UnitMode::Record(sink) => {
-                let scheduled = reordered(&self.outcome, insts, &mut self.scheduled);
-                let (est_unsched, est_sched) = match sink.estimated {
-                    None => (self.outcome.cycles_before, self.outcome.cycles_after),
-                    Some(p) => provider_cycles(p, insts, scheduled),
+                let hw_unsched = sink.measured.sequence_cycles(insts);
+                // A kept order is the same sequence: simulate it once.
+                let hw_sched = if self.outcome.changed() {
+                    self.outcome.permute_into(insts, &mut self.scheduled);
+                    sink.measured.sequence_cycles(&self.scheduled)
+                } else {
+                    hw_unsched
                 };
-                let (hw_unsched, hw_sched) = provider_cycles(sink.measured, insts, scheduled);
                 let feature_work = insts.len() as u64;
                 let (sched_ns, feature_ns) = match sink.timing {
                     TimingMode::WallClock => (nanos(t2 - t1), nanos(t1 - t0)),
@@ -698,8 +673,8 @@ impl<'m> UnitServer<'m> {
                     block: unit.block,
                     exec_count: unit.exec_count,
                     features,
-                    est_unsched,
-                    est_sched,
+                    est_unsched: self.outcome.cycles_before,
+                    est_sched: self.outcome.cycles_after,
                     hw_unsched,
                     hw_sched,
                     sched_ns,
@@ -709,35 +684,17 @@ impl<'m> UnitServer<'m> {
                 });
             }
             UnitMode::Observe(sink) => {
-                // Under the cheap estimator the labels read the
-                // scheduler's own cycles: no permute, no provider.
-                let est = match sink.estimated {
-                    None => (self.outcome.cycles_before, self.outcome.cycles_after),
-                    Some(p) => provider_cycles(p, insts, reordered(&self.outcome, insts, &mut self.scheduled)),
-                };
-                sink.trainer.observe(sink.benchmark, &features, est);
+                // The labels read the scheduler's own cycles: no permute,
+                // no simulator.
+                sink.trainer.observe(
+                    sink.benchmark,
+                    &features,
+                    (self.outcome.cycles_before, self.outcome.cycles_after),
+                );
             }
         }
         decision
     }
-}
-
-/// The scheduled order of `insts`, permuted into `buf`, or `None` when
-/// the schedule kept the original order — the same sequence, whose
-/// provider cycles are the unscheduled ones.
-fn reordered<'b>(outcome: &ScheduleOutcome, insts: &[Inst], buf: &'b mut Vec<Inst>) -> Option<&'b [Inst]> {
-    if !outcome.changed() {
-        return None;
-    }
-    outcome.permute_into(insts, buf);
-    Some(buf)
-}
-
-/// `provider`'s cycles for the original order and for the scheduled one
-/// ([`reordered`]'s output; `None` simulates only once).
-fn provider_cycles(provider: &dyn CostProvider, insts: &[Inst], scheduled: Option<&[Inst]>) -> (u64, u64) {
-    let before = provider.sequence_cycles(insts);
-    (before, scheduled.map_or(before, |s| provider.sequence_cycles(s)))
 }
 
 fn nanos(d: std::time::Duration) -> u64 {
@@ -747,7 +704,6 @@ fn nanos(d: std::time::Duration) -> u64 {
 mod tests {
     use super::*;
     use wts_ir::{form_superblocks, BasicBlock, Inst, MemRef, MemSpace, Method, Opcode, Reg};
-    use wts_machine::{CostModel, PipelineSim};
 
     fn program() -> Program {
         let mut p = Program::new("trace-test");
@@ -833,8 +789,7 @@ mod tests {
 
     #[test]
     fn estimated_channels_match_scheduler_cost_model() {
-        // With the default Cheap estimator, est_* must equal what the
-        // scheduler itself reported before the provider refactor.
+        // est_* are what the scheduler itself reported.
         let machine = MachineConfig::ppc7410();
         let p = program();
         let t = collect_trace(&p, &machine, &TraceOptions::default());
@@ -847,20 +802,32 @@ mod tests {
     }
 
     #[test]
-    fn providers_are_swappable() {
-        // Labeling against the detailed model: est_* now come from the
-        // pipeline simulator instead of the cheap model.
-        let machine = MachineConfig::ppc7410();
-        let p = program();
-        let opts =
-            TraceOptions { estimated: EstimatorKind::Detailed, measured: EstimatorKind::Cheap, ..Default::default() };
-        let t = collect_trace(&p, &machine, &opts);
-        let sim = PipelineSim::new(&machine);
-        let cm = CostModel::new(&machine);
-        for (r, (_, block)) in t.iter().zip(p.iter_blocks()) {
-            assert_eq!(r.est_unsched, sim.block_cycles(block));
-            assert_eq!(r.hw_unsched, cm.block_cycles(block));
+    fn measured_channels_are_the_pipeline_sim_of_both_orders_at_both_scopes() {
+        let p = crate::testutil::mergeable_suite(2).remove(0);
+        let mut moved = 0;
+        for machine in wts_machine::registry() {
+            let scheduler = ListScheduler::new(&machine);
+            let sim = PipelineSim::new(&machine);
+            for scope in [ScopeKind::Block, ScopeKind::Superblock(70)] {
+                let t = collect_trace(&p, &machine, &TraceOptions { scope, ..Default::default() });
+                let mut expected = Vec::new();
+                for method in p.methods() {
+                    for_each_scope_unit(method, scope, |unit| {
+                        let outcome = if unit.speculative() {
+                            scheduler.schedule_superblock(unit.insts)
+                        } else {
+                            scheduler.schedule_insts(unit.insts)
+                        };
+                        let scheduled = outcome.permute(unit.insts);
+                        expected.push((sim.sequence_cycles(unit.insts), sim.sequence_cycles(&scheduled)));
+                    });
+                }
+                let measured: Vec<(u64, u64)> = t.iter().map(|r| (r.hw_unsched, r.hw_sched)).collect();
+                assert_eq!(measured, expected, "{} {scope}", machine.name());
+                moved += t.iter().filter(|r| r.hw_sched != r.hw_unsched).count();
+            }
         }
+        assert!(moved > 0, "some schedule moves the measured cycles");
     }
 
     #[test]

@@ -95,13 +95,13 @@ proptest! {
     }
 
     #[test]
-    fn eval_work_agrees_between_interpreted_and_compiled(rs in arb_rule_set(), v in arb_vector()) {
+    fn counted_work_agrees_between_interpreted_and_compiled(rs in arb_rule_set(), v in arb_vector()) {
         let learned = LearnedFilter::new(rs, 0);
         let compiled = learned.compile();
-        prop_assert_eq!(interpreted_work(learned.rules(), v.as_slice()), compiled.eval_work(v.as_slice()));
+        prop_assert_eq!(interpreted_work(learned.rules(), v.as_slice()), compiled.score_counted(v.as_slice()).1);
         // Work is bounded by the model size and by what a decision can
         // possibly cost.
-        prop_assert!(compiled.eval_work(v.as_slice()) <= compiled.condition_count() as u64);
+        prop_assert!(compiled.score_counted(v.as_slice()).1 <= compiled.condition_count() as u64);
     }
 
     #[test]
@@ -126,7 +126,7 @@ proptest! {
             let compiled = learned.compile();
             for inst in data.instances() {
                 prop_assert_eq!(compiled.decide(&inst.values), rules.predict(&inst.values), "{}", kind.name());
-                prop_assert_eq!(compiled.eval_work(&inst.values),
+                prop_assert_eq!(compiled.score_counted(&inst.values).1,
                                 interpreted_work(learned.rules(), &inst.values), "{}", kind.name());
             }
             for v in &probes {
@@ -191,7 +191,7 @@ fn compiled_loocv_folds_match_interpreted_on_all_registry_machines() {
                         r.features
                     );
                     assert_eq!(
-                        compiled.eval_work(r.features.as_slice()),
+                        compiled.score_counted(r.features.as_slice()).1,
                         interpreted_work(learned.rules(), r.features.as_slice())
                     );
                 }
@@ -250,7 +250,7 @@ fn superblock_loocv_folds_pin_compiled_interpreted_native_on_all_registry_machin
                         learner.name()
                     );
                     assert_eq!(
-                        compiled.eval_work(r.features.as_slice()),
+                        compiled.score_counted(r.features.as_slice()).1,
                         interpreted_work(learned.rules(), r.features.as_slice())
                     );
                 }
@@ -303,7 +303,7 @@ fn fixed_and_baseline_filters_lower_faithfully() {
             (CompiledFilter::size_threshold(5), at_least_5, 1),
         ] {
             assert_eq!(compiled.decide(v), decision, "{}", compiled.name());
-            assert_eq!(compiled.eval_work(v), work, "{}", compiled.name());
+            assert_eq!(compiled.score_counted(v).1, work, "{}", compiled.name());
         }
     }
     assert_eq!(CompiledFilter::always().name(), "LS");

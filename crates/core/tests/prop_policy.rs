@@ -62,11 +62,9 @@ proptest! {
         let compiled = wts_core::CompiledFilter::from_rule_set(&rs, "L/N");
         let hard = DecisionPolicy::HardThreshold;
         for v in &vectors {
-            let (decision, work) = compiled.decide_counted(v.as_slice());
-            let (score, score_work) = compiled.score_counted(v.as_slice());
-            prop_assert_eq!(work, score_work, "scoring rides the same short-circuit walk");
-            prop_assert_eq!(decision, score.decision());
-            prop_assert_eq!(decision, compiled.score(v.as_slice()).decision());
+            let decision = compiled.decide(v.as_slice());
+            let (score, work) = compiled.score_counted(v.as_slice());
+            prop_assert_eq!(decision, score.decision(), "scoring rides the same short-circuit walk");
             // The hard policy ignores the economics entirely.
             let unit = UnitEconomics { insts: 1, exec_count: u64::MAX, filter_work: work, extraction_work: 0 };
             prop_assert_eq!(decision, hard.decide(score, &unit));
@@ -76,7 +74,7 @@ proptest! {
 }
 
 /// The boolean seam rebuilt from a deterministic trace of every unit: a
-/// unit is scheduled iff [`CompiledFilter::decide_counted`] fires on its
+/// unit is scheduled iff [`CompiledFilter::decide`] fires on its
 /// recorded features, and pays the recorded scheduling work.
 fn boolean_pass(
     program: &wts_ir::Program,
@@ -86,11 +84,10 @@ fn boolean_pass(
 ) -> FilteredPass {
     let mut out = FilteredPass::default();
     for r in collect_trace(program, machine, options) {
-        let (fired, work) = compiled.decide_counted(r.features.as_slice());
         out.total_blocks += 1;
-        out.conditions_evaluated += work;
+        out.conditions_evaluated += compiled.score_counted(r.features.as_slice()).1;
         out.extraction_work += compiled.extraction_work(r.features.bb_len() as u64);
-        if fired {
+        if compiled.decide(r.features.as_slice()) {
             out.scheduled_blocks += 1;
             out.sched_work += r.sched_work;
         }
@@ -131,10 +128,9 @@ fn hard_threshold_deployments_pin_the_boolean_seam_at_block_scope() {
             for (bench, learned) in run.loocv_filters_for(0, &learner).iter() {
                 let compiled = learned.compile();
                 for r in run.all_traces() {
-                    let (decision, work) = compiled.decide_counted(r.features.as_slice());
-                    let (score, score_work) = compiled.score_counted(r.features.as_slice());
+                    let (score, _) = compiled.score_counted(r.features.as_slice());
+                    let decision = compiled.decide(r.features.as_slice());
                     assert_eq!(decision, score.decision(), "{}/{}/{bench}", machine.name(), learner.name());
-                    assert_eq!(work, score_work, "{}/{}/{bench}", machine.name(), learner.name());
                     assert!((0.0..=1.0).contains(&score.probability));
                 }
                 for program in run.programs() {

@@ -21,7 +21,7 @@ use wts_core::{
     TraceCollector, TraceOptions, TraceRecord, TrainConfig, Trainer,
 };
 use wts_ir::{BasicBlock, Inst, MemRef, MemSpace, Method, Opcode, Program, Reg, ScopeKind};
-use wts_machine::{registry, EstimatorKind, MachineConfig};
+use wts_machine::{registry, MachineConfig};
 
 /// A small deterministic generator.
 struct Lcg(u64);
@@ -142,10 +142,9 @@ fn check_observed(
             prop_assert_eq!(
                 trainer.fit(),
                 train_filter(&records, config),
-                "{} t={} {:?} after {} method {}",
+                "{} t={} after {} method {}",
                 name,
                 t,
-                options.estimated,
                 program.name(),
                 i
             );
@@ -189,13 +188,11 @@ proptest! {
         let mut rng = Lcg(seed);
         let mut programs: Vec<Program> = ["p2", "p0", "p1"].iter().map(|n| program(n, 12, &mut rng)).collect();
         programs.extend(wts_core::testutil::learnable_suite(2));
-        for estimated in [EstimatorKind::Cheap, EstimatorKind::Detailed] {
-            let options = TraceOptions { timing: TimingMode::Deterministic, scope, estimated, ..TraceOptions::default() };
-            for threshold in [0, 5, 20] {
-                for learner in LearnerKind::portfolio() {
-                    let config = TrainConfig::with_learner(threshold, learner).with_scope(scope);
-                    check_observed(&programs, machine, &options, &config)?;
-                }
+        let options = TraceOptions { timing: TimingMode::Deterministic, scope, ..TraceOptions::default() };
+        for threshold in [0, 5, 20] {
+            for learner in LearnerKind::portfolio() {
+                let config = TrainConfig::with_learner(threshold, learner).with_scope(scope);
+                check_observed(&programs, machine, &options, &config)?;
             }
         }
     }

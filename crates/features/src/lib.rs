@@ -551,50 +551,6 @@ impl fmt::Display for FeatureVector {
     }
 }
 
-/// Equal-width binner for continuous features, supporting the paper's
-/// advice to "bin continuous values" when it helps the learner (§2.1).
-///
-/// # Examples
-///
-/// ```
-/// use wts_features::Binner;
-/// let b = Binner::new(4);
-/// assert_eq!(b.bin(0.0), 0);
-/// assert_eq!(b.bin(0.30), 1);
-/// assert_eq!(b.bin(1.0), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Binner {
-    bins: u32,
-}
-
-impl Binner {
-    /// A binner with the given number of equal-width bins over `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero.
-    pub fn new(bins: u32) -> Binner {
-        assert!(bins >= 1, "need at least one bin");
-        Binner { bins }
-    }
-
-    /// The bin of `v` (values are clamped to `[0, 1]` first).
-    pub fn bin(&self, v: f64) -> u32 {
-        let v = v.clamp(0.0, 1.0);
-        // The clamp bounds the product to [0, bins], so the cast is
-        // non-negative and in range; the min handles v == 1.0.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let b = (v * f64::from(self.bins)) as u32;
-        b.min(self.bins - 1)
-    }
-
-    /// The midpoint of bin `b`, for mapping back to feature space.
-    pub fn midpoint(&self, b: u32) -> f64 {
-        (b.min(self.bins - 1) as f64 + 0.5) / self.bins as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,16 +746,6 @@ mod tests {
         assert_eq!(FeatureKind::BbLen.rule_name(), "bbLen");
         assert_eq!(FeatureKind::Calls.rule_name(), "calls");
         assert_eq!(FeatureKind::YieldPoints.rule_name(), "yieldpoints");
-    }
-
-    #[test]
-    fn binner_edges() {
-        let b = Binner::new(10);
-        assert_eq!(b.bin(-0.5), 0);
-        assert_eq!(b.bin(0.05), 0);
-        assert_eq!(b.bin(0.95), 9);
-        assert_eq!(b.bin(2.0), 9);
-        assert!((b.midpoint(0) - 0.05).abs() < 1e-12);
     }
 
     #[test]

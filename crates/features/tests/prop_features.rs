@@ -1,7 +1,7 @@
 //! Property-based tests for feature extraction.
 
 use proptest::prelude::*;
-use wts_features::{Binner, FeatureKind, FeatureMask, FeatureVector};
+use wts_features::{FeatureKind, FeatureMask, FeatureVector};
 use wts_ir::{BasicBlock, Hazards, Inst, MemRef, MemSpace, Opcode, Reg};
 
 fn arb_inst() -> impl Strategy<Value = Inst> {
@@ -120,15 +120,5 @@ proptest! {
         let bigger = mask.with(FeatureKind::ALL[extra]);
         prop_assert!(mask.extraction_work(bb_len) <= bigger.extraction_work(bb_len));
         prop_assert!(bigger.extraction_work(bb_len) <= FeatureMask::ALL.extraction_work(bb_len));
-    }
-
-    #[test]
-    fn binner_is_monotone(bins in 1u32..20, a in 0.0f64..1.0, b in 0.0f64..1.0) {
-        let binner = Binner::new(bins);
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(binner.bin(lo) <= binner.bin(hi));
-        prop_assert!(binner.bin(a) < bins);
-        let mid = binner.midpoint(binner.bin(a));
-        prop_assert!((0.0..=1.0).contains(&mid));
     }
 }

@@ -110,11 +110,6 @@ impl<'m> CompileSession<'m> {
         self.machine
     }
 
-    /// The session's decision policy.
-    pub fn decision_policy(&self) -> &DecisionPolicy {
-        &self.decision
-    }
-
     /// The session's filter store.
     pub fn store(&self) -> &Arc<FilterStore> {
         &self.store
@@ -336,7 +331,7 @@ mod tests {
     #[test]
     fn default_session_is_hard_threshold() {
         let m = machine();
-        assert_eq!(*CompileSession::new(&m).decision_policy(), DecisionPolicy::HardThreshold);
+        assert_eq!(CompileSession::new(&m).decision, DecisionPolicy::HardThreshold);
     }
 
     #[test]

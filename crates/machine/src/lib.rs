@@ -14,9 +14,9 @@
 //!   the gap between predicted (CostModel) and "measured" (PipelineSim)
 //!   improvements mirrors the paper's predicted-vs-measured gap.
 //!
-//! Both implement [`CostProvider`], the one interface the trace/label/
-//! evaluate pipeline consumes; [`EstimatorKind`] names a provider in
-//! configuration without borrowing a machine.
+//! The two roles are fixed: `wts-core`'s trace collection fills its
+//! estimated channels from the scheduler's own `CostModel` cycles and
+//! its measured channels from `PipelineSim`.
 //!
 //! [`DepScan`], the one dependence scan, orders `PipelineSim`'s window
 //! and builds `wts-deps`' graph: scheduler and hardware stand-in obey the
@@ -51,7 +51,6 @@ mod config;
 mod cost;
 mod latency;
 mod pipeline;
-mod provider;
 pub mod registry;
 mod scan;
 mod unit;
@@ -61,7 +60,6 @@ pub use config::{MachineBuilder, MachineConfig};
 pub use cost::{CostModel, IssueState};
 pub use latency::LatencyTable;
 pub use pipeline::PipelineSim;
-pub use provider::{CostProvider, EstimatorKind};
 pub use registry::{registry, registry_names, REGISTRY};
 pub use scan::{Barrier, DepKind, DepScan, DepSink};
 pub use unit::{FunctionalUnit, UnitSet};

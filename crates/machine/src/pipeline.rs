@@ -24,8 +24,8 @@ use wts_ir::{BasicBlock, Inst};
 /// graph, with serializing instructions as its only barriers. Its edges
 /// land, undeduplicated and flagged as completion or issue constraints,
 /// in one flat CSR predecessor array, and per-instruction completion
-/// cycles live in a reused buffer. The scratch is private and per thread, so the simulator stays
-/// a `&self`, `Sync` [`CostProvider`](crate::CostProvider) and a
+/// cycles live in a reused buffer. The scratch is private and per
+/// thread, so a query takes `&self`, the simulator is `Sync`, and a
 /// steady-state query allocates nothing.
 ///
 /// The clock is event-driven: a cycle that issues nothing jumps straight

@@ -42,4 +42,4 @@ pub use list::ListScheduler;
 pub use outcome::ScheduleOutcome;
 pub use policy::SchedulePolicy;
 pub use scratch::SchedScratch;
-pub use verify::{verify_schedule, verify_schedule_all, verify_schedule_all_against, VerifyError};
+pub use verify::{verify_schedule, VerifyError};

@@ -271,6 +271,7 @@ impl<'m> ListScheduler<'m> {
 mod tests {
     use super::*;
     use crate::verify_schedule;
+    use wts_deps::DepGraph;
     use wts_ir::{MemRef, MemSpace, Opcode, Reg};
 
     fn machine() -> MachineConfig {
@@ -304,7 +305,7 @@ mod tests {
         let insts = vec![load(1, 0), add(2, 1, 1), add(3, 8, 8), add(4, 9, 9)];
         let out = s.schedule_insts(&insts);
         assert!(out.cycles_after < out.cycles_before, "filler should hide the load stall");
-        assert!(verify_schedule(&insts, &out.order).is_ok());
+        assert!(verify_schedule(&DepGraph::build(&insts), &out.order).is_empty());
         // The dependent add must still come after the load.
         let pos = |i: usize| out.order.iter().position(|&x| x == i).unwrap();
         assert!(pos(1) > pos(0));
@@ -326,7 +327,7 @@ mod tests {
         ];
         for insts in cases {
             let out = s.schedule_insts(&insts);
-            assert!(verify_schedule(&insts, &out.order).is_ok());
+            assert!(verify_schedule(&DepGraph::build(&insts), &out.order).is_empty());
             // A competent scheduler should never pick an order the cost
             // model rates worse than the original.
             assert!(out.cycles_after <= out.cycles_before, "degraded: {insts:?}");
@@ -406,7 +407,7 @@ mod tests {
         let from_superblock = s.schedule_superblock(&insts);
         let rescheduled = s.schedule_block(&b).apply(&b);
         for out in [&from_block, &from_slice] {
-            assert!(verify_schedule(&insts, &out.order).is_ok());
+            assert!(verify_schedule(&DepGraph::build(&insts), &out.order).is_empty());
         }
         // The superblock order follows the *speculative* graph (it may
         // hoist across the side exit), so check it against that graph.
@@ -425,7 +426,7 @@ mod tests {
         let a = ListScheduler::with_policy(&m, SchedulePolicy::Random(11)).schedule_insts(&insts);
         let b = ListScheduler::with_policy(&m, SchedulePolicy::Random(11)).schedule_insts(&insts);
         assert_eq!(a.order, b.order);
-        assert!(verify_schedule(&insts, &a.order).is_ok());
+        assert!(verify_schedule(&DepGraph::build(&insts), &a.order).is_empty());
     }
 
     #[test]
@@ -440,7 +441,7 @@ mod tests {
             add(3, 7, 7),
         ];
         let out = s.schedule_insts(&insts);
-        assert!(verify_schedule(&insts, &out.order).is_ok());
+        assert!(verify_schedule(&DepGraph::build(&insts), &out.order).is_empty());
         let pos = |i: usize| out.order.iter().position(|&x| x == i).unwrap();
         assert!(pos(0) < pos(1) && pos(1) < pos(2) && pos(2) < pos(3) && pos(3) < pos(4));
     }

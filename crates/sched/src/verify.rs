@@ -2,7 +2,6 @@
 
 use std::fmt;
 use wts_deps::DepGraph;
-use wts_ir::Inst;
 
 /// Why a proposed order is not a legal schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,51 +45,13 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Checks that `order` is a dependence-respecting permutation of `insts`.
-///
-/// # Errors
-///
-/// Returns the first problem found: a length mismatch, a repeated or
-/// out-of-range index, or a violated dependence edge.
-pub fn verify_schedule(insts: &[Inst], order: &[usize]) -> Result<(), VerifyError> {
-    let n = insts.len();
-    if order.len() != n {
-        return Err(VerifyError::LengthMismatch { expected: n, got: order.len() });
-    }
-    let mut pos = vec![usize::MAX; n];
-    for (p, &i) in order.iter().enumerate() {
-        if i >= n || pos[i] != usize::MAX {
-            return Err(VerifyError::NotAPermutation { index: i });
-        }
-        pos[i] = p;
-    }
-    let graph = DepGraph::build(insts);
-    for to in 0..n {
-        for &(from, _) in graph.preds(to) {
-            if pos[from as usize] > pos[to] {
-                return Err(VerifyError::DependenceViolated { from: from as usize, to });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Like [`verify_schedule`], but collects *every* violation instead of
-/// stopping at the first: the length mismatch (if any), every repeated or
-/// out-of-range index, and every violated dependence edge. An empty vector
-/// means the order is a legal schedule.
-///
-/// Builds a non-speculative dependence graph internally; callers holding
-/// a graph (possibly speculative) should use [`verify_schedule_all_against`].
-pub fn verify_schedule_all(insts: &[Inst], order: &[usize]) -> Vec<VerifyError> {
-    verify_schedule_all_against(&DepGraph::build(insts), order)
-}
-
-/// Collects every violation of `order` against a prebuilt dependence
-/// graph. This is the entry point `wts-verify` reuses so the same
-/// permutation walk serves both the block graph and the speculative
-/// superblock graph.
-pub fn verify_schedule_all_against(graph: &DepGraph, order: &[usize]) -> Vec<VerifyError> {
+/// Checks that `order` is a dependence-respecting permutation of the
+/// instructions `graph` was built over, collecting *every* violation:
+/// the length mismatch (if any), every repeated or out-of-range index,
+/// and every violated dependence edge. An empty vector means the order
+/// is a legal schedule. The graph may be the block graph or the
+/// speculative superblock graph; `wts-verify` checks both through here.
+pub fn verify_schedule(graph: &DepGraph, order: &[usize]) -> Vec<VerifyError> {
     let n = graph.len();
     let mut errors = Vec::new();
     if order.len() != n {
@@ -123,36 +84,40 @@ pub fn verify_schedule_all_against(graph: &DepGraph, order: &[usize]) -> Vec<Ver
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wts_ir::{Opcode, Reg};
+    use wts_ir::{Inst, Opcode, Reg};
 
     fn add(def: u16, a: u16) -> Inst {
         Inst::new(Opcode::Add).def(Reg::gpr(def)).use_(Reg::gpr(a)).use_(Reg::gpr(a))
     }
 
+    fn check(insts: &[Inst], order: &[usize]) -> Vec<VerifyError> {
+        verify_schedule(&DepGraph::build(insts), order)
+    }
+
     #[test]
     fn accepts_identity_and_legal_swap() {
         let insts = vec![add(1, 9), add(2, 8)];
-        assert!(verify_schedule(&insts, &[0, 1]).is_ok());
-        assert!(verify_schedule(&insts, &[1, 0]).is_ok());
+        assert_eq!(check(&insts, &[0, 1]), []);
+        assert_eq!(check(&insts, &[1, 0]), []);
     }
 
     #[test]
     fn rejects_length_mismatch() {
         let insts = vec![add(1, 9)];
-        assert_eq!(verify_schedule(&insts, &[]), Err(VerifyError::LengthMismatch { expected: 1, got: 0 }));
+        assert_eq!(check(&insts, &[]), [VerifyError::LengthMismatch { expected: 1, got: 0 }]);
     }
 
     #[test]
     fn rejects_duplicates_and_out_of_range() {
         let insts = vec![add(1, 9), add(2, 8)];
-        assert_eq!(verify_schedule(&insts, &[0, 0]), Err(VerifyError::NotAPermutation { index: 0 }));
-        assert_eq!(verify_schedule(&insts, &[0, 5]), Err(VerifyError::NotAPermutation { index: 5 }));
+        assert_eq!(check(&insts, &[0, 0]), [VerifyError::NotAPermutation { index: 0 }]);
+        assert_eq!(check(&insts, &[0, 5]), [VerifyError::NotAPermutation { index: 5 }]);
     }
 
     #[test]
     fn rejects_dependence_violation() {
         let insts = vec![add(1, 9), add(2, 1)]; // 1 truly depends on 0
-        assert_eq!(verify_schedule(&insts, &[1, 0]), Err(VerifyError::DependenceViolated { from: 0, to: 1 }));
+        assert_eq!(check(&insts, &[1, 0]), [VerifyError::DependenceViolated { from: 0, to: 1 }]);
     }
 
     #[test]
@@ -165,35 +130,16 @@ mod tests {
     fn all_reports_every_violation_not_just_the_first() {
         // 1 depends on 0 and 3 depends on 2; reversing both pairs breaks both.
         let insts = vec![add(1, 9), add(2, 1), add(3, 8), add(4, 3)];
-        let errors = verify_schedule_all(&insts, &[1, 0, 3, 2]);
+        let errors = check(&insts, &[1, 0, 3, 2]);
         assert!(errors.contains(&VerifyError::DependenceViolated { from: 0, to: 1 }));
         assert!(errors.contains(&VerifyError::DependenceViolated { from: 2, to: 3 }));
         assert_eq!(errors.len(), 2);
     }
 
     #[test]
-    fn all_agrees_with_first_error_semantics() {
-        let cases: Vec<(Vec<Inst>, Vec<usize>)> = vec![
-            (vec![add(1, 9), add(2, 8)], vec![0, 1]),
-            (vec![add(1, 9), add(2, 8)], vec![1, 0]),
-            (vec![add(1, 9)], vec![]),
-            (vec![add(1, 9), add(2, 8)], vec![0, 0]),
-            (vec![add(1, 9), add(2, 8)], vec![0, 5]),
-            (vec![add(1, 9), add(2, 1)], vec![1, 0]),
-        ];
-        for (insts, order) in cases {
-            let all = verify_schedule_all(&insts, &order);
-            match verify_schedule(&insts, &order) {
-                Ok(()) => assert!(all.is_empty(), "{order:?}: all={all:?}"),
-                Err(e) => assert_eq!(all.first(), Some(&e), "{order:?}: first error must agree"),
-            }
-        }
-    }
-
-    #[test]
     fn all_collects_duplicate_indices_alongside_the_length_mismatch() {
         let insts = vec![add(1, 9), add(2, 8), add(3, 7)];
-        let errors = verify_schedule_all(&insts, &[0, 0]);
+        let errors = check(&insts, &[0, 0]);
         assert!(errors.contains(&VerifyError::LengthMismatch { expected: 3, got: 2 }));
         assert!(errors.contains(&VerifyError::NotAPermutation { index: 0 }));
     }

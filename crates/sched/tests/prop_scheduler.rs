@@ -3,6 +3,7 @@
 //! than the original order, for every policy.
 
 use proptest::prelude::*;
+use wts_deps::DepGraph;
 use wts_ir::{Hazards, Inst, MemRef, MemSpace, Opcode, Reg};
 use wts_machine::{registry, CostModel, MachineConfig};
 use wts_sched::{verify_schedule, ListScheduler, SchedScratch, ScheduleOutcome, SchedulePolicy};
@@ -66,7 +67,7 @@ proptest! {
         for policy in policies() {
             let out = ListScheduler::with_policy(&m, policy).schedule_insts(&insts);
             prop_assert!(
-                verify_schedule(&insts, &out.order).is_ok(),
+                verify_schedule(&DepGraph::build(&insts), &out.order).is_empty(),
                 "{}: illegal schedule {:?}",
                 policy,
                 out.order

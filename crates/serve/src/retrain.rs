@@ -5,7 +5,7 @@
 //! Observation happens *off* the hot path, through one warm
 //! [`TraceCollector`] held for the thread's lifetime, and is label-only
 //! ([`TraceCollector::observe_into`]): features and estimated cycles go
-//! straight into the [`Trainer`], with no measured provider and no
+//! straight into the [`Trainer`], with no measured simulation and no
 //! `TraceRecord` — a fold reads nothing else. Only when
 //! [`ServeConfig::persist_corpus`] is set does the thread collect full
 //! records ([`TraceCollector::collect_into`]) and keep them for the file

@@ -23,8 +23,10 @@
 //!   functional-unit occupancy) verifies every
 //!   [`wts_sched::ScheduleOutcome`]'s claimed cycle counts, audits the
 //!   derived issue events for producer-before-consumer, width and unit
-//!   capacity violations, and cross-checks both cost providers against
-//!   the latency-weighted dependence-chain lower bound.
+//!   capacity violations, and cross-checks both cost models — the cheap
+//!   [`wts_machine::CostModel`] and the hardware stand-in
+//!   [`wts_machine::PipelineSim`] — against the latency-weighted
+//!   dependence-chain lower bound.
 //! - **Speculation safety** ([`check_speculation`]): no store, call or
 //!   hazardous instruction crosses a side exit in a scheduled
 //!   superblock trace, and the trace's first control transfer keeps its

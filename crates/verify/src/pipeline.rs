@@ -9,9 +9,7 @@ use wts_deps::DepGraph;
 use wts_features::for_each_scope_unit;
 use wts_ir::{Inst, Program, ScopeKind};
 use wts_machine::MachineConfig;
-use wts_sched::{
-    verify_schedule_all_against, ListScheduler, SchedScratch, ScheduleOutcome, SchedulePolicy, VerifyError,
-};
+use wts_sched::{verify_schedule, ListScheduler, SchedScratch, ScheduleOutcome, SchedulePolicy, VerifyError};
 
 /// Verifies one scheduling unit end to end: the dependence graph against
 /// the oracle, the order against the graph, the timing claims against
@@ -43,7 +41,7 @@ pub fn verify_unit_in(
 
     // Schedule legality reuses the shared permutation walk, against the
     // same (possibly speculative) graph the scheduler used.
-    let order_errors = verify_schedule_all_against(&graph, &outcome.order);
+    let order_errors = verify_schedule(&graph, &outcome.order);
     let order_ok = order_errors.is_empty();
     let perm_ok = !order_errors
         .iter()

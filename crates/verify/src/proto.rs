@@ -16,8 +16,6 @@ pub struct ProtoReport {
     pub machine: String,
     /// Distinct states visited.
     pub states: usize,
-    /// Transitions taken (interleaving edges explored).
-    pub steps: usize,
     /// Invariant violations, one per violation class and location.
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -38,7 +36,6 @@ const MAX_STATES: usize = 1 << 20;
 /// diagnostics under [`Analysis::Protocol`].
 pub struct Explorer<S> {
     seen: HashSet<S>,
-    steps: usize,
     emitted: HashSet<String>,
     diags: Vec<Diagnostic>,
     ctx: UnitCtx,
@@ -50,7 +47,6 @@ impl<S: Clone + Eq + Hash> Explorer<S> {
     pub fn new(machine: &str) -> Explorer<S> {
         Explorer {
             seen: HashSet::new(),
-            steps: 0,
             emitted: HashSet::new(),
             diags: Vec::new(),
             ctx: UnitCtx::new(machine),
@@ -90,18 +86,12 @@ impl<S: Clone + Eq + Hash> Explorer<S> {
             return;
         }
         for s in next {
-            self.steps += 1;
             self.run(s, successors, terminal);
         }
     }
 
     /// The exploration's outcome under the machine name `machine`.
     pub fn report(self, machine: &str) -> ProtoReport {
-        ProtoReport {
-            machine: machine.to_string(),
-            states: self.seen.len(),
-            steps: self.steps,
-            diagnostics: self.diags,
-        }
+        ProtoReport { machine: machine.to_string(), states: self.seen.len(), diagnostics: self.diags }
     }
 }

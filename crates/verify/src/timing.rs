@@ -13,15 +13,16 @@
 //! original order, and the issue events themselves are audited — no
 //! consumer before its producer's latency elapses, no cycle over its
 //! issue or branch width, no functional unit holding two instructions at
-//! once. Finally both cost providers are cross-checked: the cheap
-//! estimator must agree with the re-simulation exactly, and neither
-//! provider may report a count below the latency-weighted dependence
-//! chain, which no machine of any width can beat.
+//! once. Finally both cost models are cross-checked: the cheap
+//! [`CostModel`] must agree with the re-simulation exactly, and neither it
+//! nor the hardware stand-in [`PipelineSim`] may report a count below the
+//! latency-weighted dependence chain, which no machine of any width can
+//! beat.
 
 use crate::diag::{Analysis, Diagnostic, UnitCtx};
 use std::collections::HashMap;
 use wts_ir::{Inst, MemRef, Opcode, Reg, UnitClass};
-use wts_machine::{EstimatorKind, FunctionalUnit, MachineConfig};
+use wts_machine::{CostModel, FunctionalUnit, MachineConfig, PipelineSim};
 use wts_sched::ScheduleOutcome;
 
 /// One instruction issue derived by the re-simulation.
@@ -133,7 +134,7 @@ pub fn resimulate(machine: &MachineConfig, insts: &[Inst]) -> (u64, Vec<IssueEve
 /// The latency-weighted dependence-chain lower bound: the longest chain
 /// of completions over true register flow and aliasing store ordering.
 /// No legal execution on any issue width can finish below it, so any
-/// cost provider reporting less has a broken model.
+/// cost model reporting less is broken.
 pub fn dependence_lower_bound(machine: &MachineConfig, insts: &[Inst]) -> u64 {
     let lat = machine.latencies();
     let mut reg_done: HashMap<Reg, u64> = HashMap::new();
@@ -302,7 +303,8 @@ fn audit_events(
     }
 }
 
-/// Cross-checks both cost providers against the re-simulation and the
+/// Cross-checks both cost models — the cheap [`CostModel`] and the
+/// hardware stand-in [`PipelineSim`] — against the re-simulation and the
 /// dependence-chain lower bound.
 fn cross_check_providers(
     ctx: &UnitCtx,
@@ -313,52 +315,32 @@ fn cross_check_providers(
     after: u64,
     out: &mut Vec<Diagnostic>,
 ) {
-    let bound_before = dependence_lower_bound(machine, insts);
-    let bound_after = dependence_lower_bound(machine, scheduled);
-    for kind in [EstimatorKind::Cheap, EstimatorKind::Detailed] {
-        let provider = kind.provider(machine);
-        let pb = provider.sequence_cycles(insts);
-        let pa = provider.sequence_cycles(scheduled);
-        if kind == EstimatorKind::Cheap {
-            // The cheap estimator *is* the in-order model; it must agree
-            // with the independent re-simulation cycle for cycle.
-            if pb != before {
+    let cheap = CostModel::new(machine);
+    let cheap = (cheap.sequence_cycles(insts), cheap.sequence_cycles(scheduled));
+    // The cheap estimator *is* the in-order model; it must agree with the
+    // independent re-simulation cycle for cycle.
+    for (order, got, want) in [("original", cheap.0, before), ("scheduled", cheap.1, after)] {
+        if got != want {
+            out.push(ctx.error(
+                Analysis::Timing,
+                format!("the cheap provider reports {got} cycles for the {order} order but re-simulation takes {want}"),
+            ));
+        }
+    }
+    let sim = PipelineSim::new(machine);
+    let pipeline = (sim.sequence_cycles(insts), sim.sequence_cycles(scheduled));
+    // No model may beat the latency-weighted dependence chain.
+    let bounds = (dependence_lower_bound(machine, insts), dependence_lower_bound(machine, scheduled));
+    for (name, (pb, pa)) in [("cheap", cheap), ("pipeline", pipeline)] {
+        for (order, got, bound) in [("original", pb, bounds.0), ("scheduled", pa, bounds.1)] {
+            if got < bound {
                 out.push(ctx.error(
                     Analysis::Timing,
                     format!(
-                        "the {} provider reports {pb} cycles for the original order but re-simulation takes {before}",
-                        provider.provider_name()
+                        "the {name} provider reports {got} cycles for the {order} order, below the dependence-chain lower bound {bound}"
                     ),
                 ));
             }
-            if pa != after {
-                out.push(ctx.error(
-                    Analysis::Timing,
-                    format!(
-                        "the {} provider reports {pa} cycles for the scheduled order but re-simulation takes {after}",
-                        provider.provider_name()
-                    ),
-                ));
-            }
-        }
-        // No provider may beat the latency-weighted dependence chain.
-        if pb < bound_before {
-            out.push(ctx.error(
-                Analysis::Timing,
-                format!(
-                    "the {} provider reports {pb} cycles for the original order, below the dependence-chain lower bound {bound_before}",
-                    provider.provider_name()
-                ),
-            ));
-        }
-        if pa < bound_after {
-            out.push(ctx.error(
-                Analysis::Timing,
-                format!(
-                    "the {} provider reports {pa} cycles for the scheduled order, below the dependence-chain lower bound {bound_after}",
-                    provider.provider_name()
-                ),
-            ));
         }
     }
 }
@@ -443,9 +425,10 @@ mod tests {
         let insts = mixed_block();
         for machine in machines() {
             let bound = dependence_lower_bound(&machine, &insts);
-            for kind in [EstimatorKind::Cheap, EstimatorKind::Detailed] {
-                let cycles = kind.provider(&machine).sequence_cycles(&insts);
-                assert!(cycles >= bound, "{} {kind}: {cycles} < bound {bound}", machine.name());
+            let cheap = CostModel::new(&machine).sequence_cycles(&insts);
+            let pipeline = PipelineSim::new(&machine).sequence_cycles(&insts);
+            for (name, cycles) in [("cheap", cheap), ("pipeline", pipeline)] {
+                assert!(cycles >= bound, "{} {name}: {cycles} < bound {bound}", machine.name());
             }
         }
     }

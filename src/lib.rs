@@ -78,9 +78,7 @@ pub mod prelude {
     pub use wts_features::{FeatureKind, FeatureMask, FeatureVector, TraceShape};
     pub use wts_ir::{BasicBlock, Category, Hazards, Inst, MemRef, MemSpace, Method, Opcode, Program, Reg};
     pub use wts_jit::{Benchmark, CompileSession, Suite};
-    pub use wts_machine::{
-        registry, CostModel, CostProvider, EstimatorKind, MachineBuilder, MachineConfig, PipelineSim,
-    };
+    pub use wts_machine::{registry, CostModel, MachineBuilder, MachineConfig, PipelineSim};
     pub use wts_ripper::{Dataset, RipperConfig, RuleSet};
     pub use wts_sched::{ListScheduler, SchedulePolicy};
     pub use wts_serve::{ServeClient, ServeConfig, Server};

@@ -177,6 +177,7 @@ fn nonempty_blocks() -> LearnedFilter {
 /// for the whole batch, so a batch that mixed two snapshots fails here.
 #[test]
 fn hot_swap_under_load_answers_every_batch_from_one_epoch() {
+    const ROUNDS: usize = 20;
     let machine = MachineConfig::ppc7410();
     let programs = wts_core::testutil::learnable_suite(3);
     let opts = options();
@@ -191,6 +192,9 @@ fn hot_swap_under_load_answers_every_batch_from_one_epoch() {
     assert_ne!(decisions(&alternates[0]), decisions(&alternates[1]), "the alternated filters must disagree somewhere");
     let handle = Server::bind("127.0.0.1:0", config.clone()).expect("bind");
 
+    // The deployer publishes once before the first request, so no batch
+    // is served at the seed epoch.
+    let first = handle.store().swap(handle.key().clone(), alternates[1].clone());
     let stop = Arc::new(AtomicBool::new(false));
     let (published, batches) = std::thread::scope(|s| {
         // A deployer thread hammers explicit swaps while the retrainer
@@ -201,7 +205,7 @@ fn hot_swap_under_load_answers_every_batch_from_one_epoch() {
             let stop = Arc::clone(&stop);
             let alternates = &alternates;
             s.spawn(move || {
-                let mut published: BTreeMap<u64, Arc<FilterSnapshot>> = BTreeMap::new();
+                let mut published: BTreeMap<u64, Arc<FilterSnapshot>> = BTreeMap::from([(first.epoch(), first)]);
                 for filter in alternates.iter().cycle() {
                     if stop.load(Ordering::Acquire) {
                         break;
@@ -220,7 +224,7 @@ fn hot_swap_under_load_answers_every_batch_from_one_epoch() {
                 s.spawn(move || {
                     let mut client = ServeClient::connect(addr).expect("connect");
                     let mut batches = Vec::new();
-                    for round in 0..5usize {
+                    for round in 0..ROUNDS {
                         for (i, program) in programs.iter().enumerate() {
                             let id = (c * 1000 + round * 10 + i) as u64;
                             let batch = expect_batch(
@@ -246,7 +250,7 @@ fn hot_swap_under_load_answers_every_batch_from_one_epoch() {
 
     let final_epoch = handle.epoch();
     let report = handle.shutdown();
-    assert_eq!(batches.len(), 3 * 5 * programs.len());
+    assert_eq!(batches.len(), 3 * ROUNDS * programs.len());
     let distinct: BTreeSet<u64> = batches.iter().map(|(_, b)| b.epoch).collect();
     assert!(distinct.len() >= 2, "swaps landed while serving: {distinct:?}");
     assert!(batches.iter().all(|(_, b)| b.epoch >= 1 && b.epoch <= final_epoch), "every epoch is a published one");
@@ -264,7 +268,9 @@ fn hot_swap_under_load_answers_every_batch_from_one_epoch() {
         );
         checked += 1;
     }
-    assert!(checked > 0, "some batch was served at an epoch the deployer published");
+    // Release runs on a 2-CPU host checked 41-180 of the 180 batches;
+    // the floor keeps a starved deployer from passing on a handful.
+    assert!(checked >= 20, "only {checked} batches were served at an epoch the deployer published");
     // The retrainer's final fold may bump past what clients observed,
     // but the drain still accounts for every record.
     assert_eq!(report.retrain.records_absorbed, report.stats.units_served);
