@@ -51,7 +51,7 @@ use crate::matrix::{MatrixRun, PortfolioEntry};
 use crate::policy::DecisionPolicy;
 use crate::store::{FilterKey, FilterStore};
 use crate::trace::{collect_trace, trace_suite, SuiteTrace, TimingMode, TraceOptions, TraceRecord};
-use crate::train::{train_loocv_sharded, TrainConfig};
+use crate::train::{train_loocv, TrainConfig};
 use crate::{BinaryTraceError, CompiledFilter, LearnedFilter};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -413,7 +413,7 @@ impl ExperimentRun {
     pub fn loocv_filters_for(&self, t: u32, learner: &LearnerKind) -> LoocvFilters {
         let config = self.train_config_for(t, learner);
         self.store.loocv_or_train(self.filter_key(t, learner), || {
-            train_loocv_sharded(&self.all_traces, &config, self.config.train_threads)
+            train_loocv(&self.all_traces, &config, self.config.train_threads)
         })
     }
 

@@ -94,7 +94,7 @@ pub use trace::{
     collect_method_trace, collect_trace, filtered_schedule_pass, FilteredPass, ServedUnit, TimingMode, TraceCollector,
     TraceOptions, TraceRecord, UnitServer,
 };
-pub use train::{train_filter, train_loocv, train_loocv_sharded, TrainConfig, Trainer};
+pub use train::{train_filter, train_loocv, TrainConfig, Trainer};
 // The scope axis: formation lives in `wts_ir`, the unit walk (shared
 // with the independent checker) in `wts_features`.
 pub use wts_features::{for_each_scope_unit, ScopeUnit};

@@ -405,7 +405,7 @@ mod tests {
         let traces = corpus();
         let store = FilterStore::new();
         let config = TrainConfig::with_threshold(0);
-        let a = store.loocv_or_train(key("m", 0), || crate::train_loocv_sharded(&traces, &config, 1));
+        let a = store.loocv_or_train(key("m", 0), || crate::train_loocv(&traces, &config, 1));
         let b = store.loocv_or_train(key("m", 0), || unreachable!("fold slot is warm"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.len(), 3, "one fold per benchmark");

@@ -166,20 +166,12 @@ impl Trainer {
 /// it with the held-out benchmark's name.
 ///
 /// Returns `(benchmark, filter)` pairs in benchmark-name order.
-pub fn train_loocv(traces: &[TraceRecord], config: &TrainConfig) -> Vec<(String, LearnedFilter)> {
-    train_loocv_sharded(traces, config, 1)
-}
-
-/// [`train_loocv`] with the independent folds sharded across `threads`
-/// scoped worker threads (`0` = one per available core, `1` = serial).
 ///
-/// Every [`Learner`] backend is deterministic and folds share nothing,
-/// so the result is identical to the serial path in every mode.
-pub fn train_loocv_sharded(
-    traces: &[TraceRecord],
-    config: &TrainConfig,
-    threads: usize,
-) -> Vec<(String, LearnedFilter)> {
+/// The independent folds shard across `threads` scoped worker threads
+/// (`0` = one per available core, `1` = serial). Every [`Learner`]
+/// backend is deterministic and folds share nothing, so the result is
+/// identical for every thread count.
+pub fn train_loocv(traces: &[TraceRecord], config: &TrainConfig, threads: usize) -> Vec<(String, LearnedFilter)> {
     let (data, groups) = build_dataset(traces, config.label);
     let mut by_id: Vec<(u32, String)> = groups.iter().map(|(n, &g)| (g, n.clone())).collect();
     by_id.sort_unstable();
@@ -257,7 +249,7 @@ mod tests {
 
     #[test]
     fn loocv_yields_one_filter_per_benchmark() {
-        let folds = train_loocv(&traces(), &TrainConfig::with_threshold(0));
+        let folds = train_loocv(&traces(), &TrainConfig::with_threshold(0), 1);
         let names: Vec<&str> = folds.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["alpha", "beta", "gamma"]);
         for (_, f) in &folds {
@@ -319,7 +311,7 @@ mod tests {
         assert_eq!(block.name(), "L/N(t=10)", "block scope keeps the paper's name");
         // Same traces, same labels: scope tagging never changes the rules.
         assert_eq!(sb.rules(), block.rules());
-        let folds = train_loocv(&t, &TrainConfig::with_threshold(0).with_scope(ScopeKind::Superblock(85)));
+        let folds = train_loocv(&t, &TrainConfig::with_threshold(0).with_scope(ScopeKind::Superblock(85)), 1);
         for (_, f) in &folds {
             assert_eq!(f.learner(), "L/N@sb85");
         }
@@ -330,8 +322,8 @@ mod tests {
         let t = traces();
         for learner in LearnerKind::portfolio() {
             let config = TrainConfig::with_learner(0, learner);
-            let serial = train_loocv_sharded(&t, &config, 1);
-            let sharded = train_loocv_sharded(&t, &config, 7);
+            let serial = train_loocv(&t, &config, 1);
+            let sharded = train_loocv(&t, &config, 7);
             assert_eq!(serial, sharded, "{}", config.learner.name());
         }
     }

@@ -5,15 +5,14 @@
 //! block of every optimized method runs through [`UnitServer::run`] —
 //! the same extract → score → decide → schedule body as trace
 //! collection, [`filtered_schedule_pass`] and the `wts-serve` workers.
-//! When the session's [`DecisionPolicy`] says schedule, the session
-//! reorders the block in place by the schedule the body just produced. So a compile's [`FilteredPass`] equals the
-//! direct pass over the same program on every work channel, and the
-//! output program holds exactly the served orders, by construction.
-//! Under the default [`HardThreshold`](DecisionPolicy::HardThreshold)
-//! a block is scheduled exactly when a rule fires on it;
-//! an [`ExpectedBenefit`](DecisionPolicy::ExpectedBenefit) session
-//! weighs each block's calibrated probability and hotness against the
-//! compile spend instead. The session compiles at block scope.
+//! The session runs the paper's deployed operating point: the CPS list
+//! scheduler, under [`HardThreshold`](DecisionPolicy::HardThreshold),
+//! so a block is scheduled exactly when a rule fires on it, and is then
+//! reordered in place by the schedule the body just produced. So a
+//! compile's [`FilteredPass`] equals the direct pass over the same
+//! program on every work channel, and the output program holds exactly
+//! the served orders, by construction. The session compiles at block
+//! scope.
 //!
 //! [`filtered_schedule_pass`]: wts_core::filtered_schedule_pass
 
@@ -24,9 +23,9 @@ use wts_ir::Program;
 use wts_machine::{MachineConfig, PipelineSim};
 use wts_sched::SchedulePolicy;
 
-/// A JIT compile session: holds the machine, scheduling policy and a
-/// [`FilterStore`], and compiles programs under a given filter — passed
-/// explicitly, or deployed (and hot-swappable) in the store.
+/// A JIT compile session: holds the machine and a [`FilterStore`], and
+/// compiles programs under a given filter — passed explicitly, or
+/// deployed (and hot-swappable) in the store.
 ///
 /// The session keeps its per-unit state warm between compiles: each
 /// shard of a compile takes a [`UnitServer`] (scheduler scratch, outcome
@@ -38,21 +37,13 @@ use wts_sched::SchedulePolicy;
 /// with an empty pool of its own.
 pub struct CompileSession<'m> {
     machine: &'m MachineConfig,
-    policy: SchedulePolicy,
-    decision: DecisionPolicy,
     store: Arc<FilterStore>,
     server_pool: Mutex<Vec<UnitServer<'m>>>,
 }
 
 impl Clone for CompileSession<'_> {
     fn clone(&self) -> Self {
-        CompileSession {
-            machine: self.machine,
-            policy: self.policy,
-            decision: self.decision,
-            store: Arc::clone(&self.store),
-            server_pool: Mutex::default(),
-        }
+        CompileSession { machine: self.machine, store: Arc::clone(&self.store), server_pool: Mutex::default() }
     }
 }
 
@@ -60,8 +51,6 @@ impl fmt::Debug for CompileSession<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompileSession")
             .field("machine", &self.machine)
-            .field("policy", &self.policy)
-            .field("decision", &self.decision)
             .field("store", &self.store)
             .field("pooled_servers", &self.pooled_servers())
             .finish()
@@ -69,31 +58,9 @@ impl fmt::Debug for CompileSession<'_> {
 }
 
 impl<'m> CompileSession<'m> {
-    /// A session with the default CPS scheduler, the hard-threshold
-    /// decision policy (the paper's operating point) and a fresh private
-    /// [`FilterStore`].
+    /// A session on `machine` with a fresh private [`FilterStore`].
     pub fn new(machine: &'m MachineConfig) -> CompileSession<'m> {
-        CompileSession::with_policy(machine, SchedulePolicy::CriticalPath)
-    }
-
-    /// A session with an explicit scheduling policy.
-    pub fn with_policy(machine: &'m MachineConfig, policy: SchedulePolicy) -> CompileSession<'m> {
-        CompileSession {
-            machine,
-            policy,
-            decision: DecisionPolicy::HardThreshold,
-            store: FilterStore::shared(),
-            server_pool: Mutex::default(),
-        }
-    }
-
-    /// Selects how the session turns filter scores into schedule/skip
-    /// calls. The default [`DecisionPolicy::HardThreshold`] reproduces
-    /// the boolean filter bit-for-bit; an expected-benefit policy makes
-    /// the compile cost-sensitive without retraining the filter.
-    pub fn with_decision_policy(mut self, decision: DecisionPolicy) -> CompileSession<'m> {
-        self.decision = decision;
-        self
+        CompileSession { machine, store: FilterStore::shared(), server_pool: Mutex::default() }
     }
 
     /// Re-seats the session on a shared [`FilterStore`] — typically the
@@ -181,7 +148,7 @@ impl<'m> CompileSession<'m> {
     ) -> (Program, FilteredPass) {
         let shards = wts_core::parallel::shard_map(program.methods(), threads, |slice| {
             let pooled = self.pool().pop();
-            let mut server = pooled.unwrap_or_else(|| UnitServer::new(self.machine, self.policy));
+            let mut server = pooled.unwrap_or_else(|| UnitServer::new(self.machine, SchedulePolicy::CriticalPath));
             let mut totals = FilteredPass::default();
             let mut compiled = slice.to_vec();
             for method in &mut compiled {
@@ -190,7 +157,7 @@ impl<'m> CompileSession<'m> {
                     continue;
                 }
                 for block in method.blocks_mut() {
-                    if server.run(&ScopeUnit::of_block(block), filter, &self.decision, &mut totals) {
+                    if server.run(&ScopeUnit::of_block(block), filter, &DecisionPolicy::HardThreshold, &mut totals) {
                         server.apply_in_place(block);
                     }
                 }
@@ -326,48 +293,6 @@ mod tests {
         assert_eq!(&out, p);
         assert_eq!(stats.scheduled_blocks, 0);
         assert_eq!(stats.pass_ns, 0, "cold methods skip the whole pass");
-    }
-
-    #[test]
-    fn default_session_is_hard_threshold() {
-        let m = machine();
-        assert_eq!(CompileSession::new(&m).decision, DecisionPolicy::HardThreshold);
-    }
-
-    #[test]
-    fn hard_threshold_session_is_bit_identical_to_the_boolean_seam() {
-        let m = machine();
-        let suite = Suite::specjvm98(0.02);
-        let p = suite.benchmarks()[0].program();
-        let filter = CompiledFilter::size_threshold(5);
-        let base = CompileSession::new(&m);
-        let explicit = CompileSession::new(&m).with_decision_policy(DecisionPolicy::HardThreshold);
-        let (a, a_stats) = base.compile(p, &filter, 1);
-        let (b, b_stats) = explicit.compile(p, &filter, 1);
-        assert_eq!(a, b, "an explicit hard policy must not change the output program");
-        assert_eq!(a_stats.scheduled_blocks, b_stats.scheduled_blocks);
-    }
-
-    #[test]
-    fn expected_benefit_session_skips_cold_blocks_a_rule_fired_on() {
-        let m = machine();
-        let suite = Suite::specjvm98(0.02);
-        let p = suite.benchmarks()[0].program();
-        // A stingy operating point with a modest savings rate: only hot
-        // blocks can justify the quadratic scheduling estimate.
-        let model = wts_core::BenefitModel { saved_per_inst: 0.5, cycles_per_work: 50.0 };
-        let eb = CompileSession::new(&m).with_decision_policy(DecisionPolicy::ExpectedBenefit(model));
-        let (out, stats) = eb.compile(p, &CompiledFilter::always(), 1);
-        let (_, hard) = CompileSession::new(&m).compile(p, &CompiledFilter::always(), 1);
-        assert!(stats.scheduled_blocks < hard.scheduled_blocks, "cost-sensitivity must skip some blocks");
-        assert!(stats.scheduled_blocks > 0, "hot blocks still pay");
-        out.validate().expect("policy-filtered program remains valid");
-        // The punitive extreme schedules nothing and is a no-op.
-        let punitive = wts_core::BenefitModel { saved_per_inst: 0.0, cycles_per_work: 1.0 };
-        let none = CompileSession::new(&m).with_decision_policy(DecisionPolicy::ExpectedBenefit(punitive));
-        let (unchanged, n_stats) = none.compile(p, &CompiledFilter::always(), 1);
-        assert_eq!(&unchanged, p);
-        assert_eq!(n_stats.scheduled_blocks, 0);
     }
 
     #[test]
@@ -552,11 +477,11 @@ mod tests {
                 CompiledFilter::size_threshold(5),
                 wts_core::train_filter(run.all_traces(), &run.train_config(0)).compile(),
             ];
-            let policies = [DecisionPolicy::HardThreshold, DecisionPolicy::expected_benefit(run.all_traces(), 0.05)];
-            for (compiled, policy) in filters.iter().flat_map(|f| policies.iter().map(move |p| (f, p))) {
-                let session = CompileSession::new(&m).with_decision_policy(*policy);
+            let policy = &DecisionPolicy::HardThreshold;
+            for compiled in &filters {
+                let session = CompileSession::new(&m);
                 for p in programs {
-                    let label = format!("{} {} {policy} {}", m.name(), compiled.name(), p.name());
+                    let label = format!("{} {} {}", m.name(), compiled.name(), p.name());
                     let (out, totals) = session.compile(p, compiled, 1);
                     let direct = filtered_schedule_pass(p, &m, compiled, policy, &opts);
                     assert_eq!(totals, FilteredPass { pass_ns: totals.pass_ns, ..direct }, "{label}");

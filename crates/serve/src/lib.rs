@@ -6,12 +6,13 @@
 //! retrain". This crate is that tool grown into a daemon: a std-only
 //! TCP server that accepts length-prefixed binary batches of compilation
 //! units, schedules each against the currently deployed
-//! [`FilterSnapshot`](wts_core::FilterSnapshot), streams the schedules
+//! [`FilterSnapshot`](wts_core::FilterSnapshot) at the paper's operating
+//! point ([`HardThreshold`](wts_core::DecisionPolicy::HardThreshold): a
+//! unit is scheduled exactly when a rule fires), streams the schedules
 //! back, and feeds every served unit to a background retrainer. The
 //! retrainer observes each unit's features and estimated cycles
-//! (label-only, unless `ServeConfig::persist_corpus` asks for full trace
-//! records), periodically folds what it learned into a new filter and
-//! hot-swaps it into the shared
+//! (label-only: no trace record is kept), periodically folds what it
+//! learned into a new filter and hot-swaps it into the shared
 //! [`FilterStore`](wts_core::FilterStore) — epoch-tagged, without
 //! pausing serving.
 //!

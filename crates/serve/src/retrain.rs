@@ -6,11 +6,9 @@
 //! [`TraceCollector`] held for the thread's lifetime, and is label-only
 //! ([`TraceCollector::observe_into`]): features and estimated cycles go
 //! straight into the [`Trainer`], with no measured simulation and no
-//! `TraceRecord` — a fold reads nothing else. Only when
-//! [`ServeConfig::persist_corpus`] is set does the thread collect full
-//! records ([`TraceCollector::collect_into`]) and keep them for the file
-//! written at shutdown. Either way the trainer sees exactly the units
-//! [`collect_trace`](wts_core::collect_trace) would have labelled.
+//! `TraceRecord` — a fold reads nothing else. The trainer sees exactly
+//! the units [`collect_trace`](wts_core::collect_trace) would have
+//! labelled.
 //!
 //! Learning is incremental: the thread owns the [`Trainer`] that
 //! published epoch 1 from the seed corpus, labels each observed unit
@@ -21,7 +19,7 @@
 //! instance runs).
 
 use crate::server::{Hub, ServeConfig};
-use wts_core::{write_trace_binary, FilterKey, FilterStore, TraceCollector, TraceRecord, Trainer};
+use wts_core::{FilterKey, FilterStore, TraceCollector, Trainer};
 
 /// What the retraining thread did over the instance's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,44 +33,24 @@ pub struct RetrainReport {
     /// Epoch of the last filter this thread published (0 when it never
     /// swapped).
     pub last_epoch: u64,
-    /// Corpus records written to `ServeConfig::persist_corpus` at
-    /// shutdown (seed traces plus absorbed observations). 0 when
-    /// persistence is not configured or the write failed.
-    pub records_persisted: u64,
 }
 
 /// Runs until the serving core closes the observation drain, then
 /// performs a final fold if any observations are pending and returns the
-/// tally. `trainer` has absorbed `config`'s seed traces, which are kept
-/// (moved, not copied) only as the start of a corpus to persist.
+/// tally. `trainer` has absorbed the seed traces.
 pub(crate) fn retrain_loop(
     hub: &Hub,
     store: &FilterStore,
     key: &FilterKey,
-    mut config: ServeConfig,
+    config: &ServeConfig,
     mut trainer: Trainer,
 ) -> RetrainReport {
-    // Folds read only the trainer; full records are collected and kept
-    // only for `persist`.
-    let seed = std::mem::take(&mut config.seed_traces);
-    let mut corpus = config.persist_corpus.is_some().then_some(seed);
     let mut collector = TraceCollector::new(&config.machine, &config.options);
-    let mut batch: Vec<TraceRecord> = Vec::new();
     let mut pending = 0usize;
     let mut report = RetrainReport::default();
     while let Some((benchmark, methods)) = hub.next_observation() {
-        let observed = match &mut corpus {
-            None => methods.iter().map(|method| collector.observe_into(&benchmark, method, &mut trainer)).sum(),
-            Some(corpus) => {
-                for method in &methods {
-                    collector.collect_into(&benchmark, method, &mut batch);
-                }
-                trainer.absorb(&batch);
-                let observed = batch.len();
-                corpus.append(&mut batch);
-                observed
-            }
-        };
+        let observed: usize =
+            methods.iter().map(|method| collector.observe_into(&benchmark, method, &mut trainer)).sum();
         report.records_absorbed += observed as u64;
         pending += observed;
         if config.retrain_every > 0 && pending >= config.retrain_every {
@@ -81,36 +59,11 @@ pub(crate) fn retrain_loop(
         }
     }
     // The drain is closed: nothing more will be offered. Units observed
-    // since the last fold still deserve to influence the filter
-    // a restarted instance would seed from.
+    // since the last fold still deserve to reach the published filter.
     if config.retrain_every > 0 && pending > 0 {
         fold(store, key, &trainer, &mut report);
     }
-    if let (Some(path), Some(corpus)) = (&config.persist_corpus, &corpus) {
-        report.records_persisted = persist(path, corpus);
-    }
     report
-}
-
-/// Writes the corpus to `path` in the `schedfilter-trace-bin-v1`
-/// format. Persistence is best-effort: a failed encode or write is
-/// reported on stderr and the drain still completes, because losing a
-/// seed corpus must never turn a clean shutdown into a panic.
-fn persist(path: &std::path::Path, corpus: &[TraceRecord]) -> u64 {
-    let bytes = match write_trace_binary(corpus) {
-        Ok(bytes) => bytes,
-        Err(e) => {
-            eprintln!("wts-serve: failed to encode the retrain corpus for {}: {e}", path.display());
-            return 0;
-        }
-    };
-    match std::fs::write(path, bytes) {
-        Ok(()) => corpus.len() as u64,
-        Err(e) => {
-            eprintln!("wts-serve: failed to persist the retrain corpus to {}: {e}", path.display());
-            0
-        }
-    }
 }
 
 fn fold(store: &FilterStore, key: &FilterKey, trainer: &Trainer, report: &mut RetrainReport) {

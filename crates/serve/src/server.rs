@@ -43,8 +43,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use wts_core::{
-    for_each_scope_unit, DecisionPolicy, FilterKey, FilterStore, FilteredPass, LearnerKind, TimingMode, TraceOptions,
-    TraceRecord, TrainConfig, Trainer, UnitServer,
+    for_each_scope_unit, DecisionPolicy, FilterKey, FilterStore, FilteredPass, LearnerKind, TraceOptions, TraceRecord,
+    TrainConfig, Trainer, UnitServer,
 };
 use wts_ir::Method;
 
@@ -53,12 +53,11 @@ use wts_ir::Method;
 pub struct ServeConfig {
     /// The machine model every unit is scheduled for.
     pub machine: wts_machine::MachineConfig,
-    /// Scheduler policy, scope and timing mode, shared by the serving
-    /// fast path and the retrainer's trace collection (`threads` is
-    /// ignored — parallelism comes from `workers`).
+    /// Scheduler policy and scope for the serving fast path and the
+    /// retrainer's observation. Serving reads only `policy` and `scope`:
+    /// parallelism comes from `workers`, and label-only observation
+    /// reads no clock.
     pub options: TraceOptions,
-    /// The schedule/skip decision layer.
-    pub decision: DecisionPolicy,
     /// Induction backend the retrainer re-runs on every fold.
     pub learner: LearnerKind,
     /// Labeling threshold (percent) for retraining.
@@ -70,40 +69,31 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Retrain cadence: fold and hot-swap after this many newly observed
     /// units. Observations are label-only — features and estimated
-    /// cycles, no trace record — unless `persist_corpus` is set. 0
-    /// disables retraining entirely — served batches are not observed
-    /// and the filter only changes via explicit [`FilterStore::swap`].
+    /// cycles, no trace record. 0 disables retraining entirely — served
+    /// batches are not observed and the filter only changes via explicit
+    /// [`FilterStore::swap`].
     pub retrain_every: usize,
     /// The initial training corpus; the filter served at epoch 1 is
-    /// trained from these before the listener opens.
+    /// trained from these before the listener opens, and the records
+    /// are dropped once the trainer has absorbed them.
     pub seed_traces: Vec<TraceRecord>,
-    /// When set, the retrainer observes served units as full
-    /// instrumented trace records (measured `hw_*` channels included)
-    /// and writes its corpus (seed traces plus every observed record) to
-    /// this path in the `schedfilter-trace-bin-v1` format as the last act
-    /// of a graceful shutdown, so a restarted instance can seed from
-    /// exactly what this one learned. `None` (the default) persists
-    /// nothing, and the retrainer observes label-only.
-    pub persist_corpus: Option<std::path::PathBuf>,
 }
 
 impl ServeConfig {
-    /// A config serving `machine` with the deployed-pass defaults:
-    /// deterministic timing, block scope, hard-threshold decisions, the
-    /// default learner at threshold 0, two workers, a queue bound of 64
-    /// and a retrain fold every 256 records.
+    /// A config serving `machine` with the deployed-pass defaults: the
+    /// CPS scheduler at block scope, the default learner at threshold 0,
+    /// two workers, a queue bound of 64 and a retrain fold every 256
+    /// records.
     pub fn new(machine: wts_machine::MachineConfig, seed_traces: Vec<TraceRecord>) -> ServeConfig {
         ServeConfig {
             machine,
-            options: TraceOptions { timing: TimingMode::Deterministic, ..TraceOptions::default() },
-            decision: DecisionPolicy::default(),
+            options: TraceOptions::default(),
             learner: LearnerKind::default(),
             threshold: 0,
             workers: 2,
             queue_depth: 64,
             retrain_every: 256,
             seed_traces,
-            persist_corpus: None,
         }
     }
 
@@ -295,10 +285,9 @@ impl Server {
         let mut trainer = Trainer::new(&config.train_config());
         trainer.absorb(&config.seed_traces);
         store.deployed_or_train(key.clone(), || trainer.fit());
-        // From here on the retrainer folds from `trainer` and reads the
-        // seed records only to persist them: they move there, and the
-        // workers clone a config without them.
-        let seed_traces = std::mem::take(&mut config.seed_traces);
+        // From here on the retrainer folds from `trainer`, so no thread
+        // needs the seed records.
+        config.seed_traces = Vec::new();
 
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -325,9 +314,9 @@ impl Server {
         let retrainer = {
             let hub = Arc::clone(&hub);
             let store = Arc::clone(&store);
-            let config = ServeConfig { seed_traces, ..config.clone() };
+            let config = config.clone();
             let key = key.clone();
-            std::thread::spawn(move || retrain_loop(&hub, &store, &key, config, trainer))
+            std::thread::spawn(move || retrain_loop(&hub, &store, &key, &config, trainer))
         };
 
         let acceptor = {
@@ -546,7 +535,7 @@ fn worker_loop(hub: &Hub, store: &FilterStore, key: &FilterKey, config: &ServeCo
         let mut units = Vec::new();
         for method in &job.methods {
             for_each_scope_unit(method, config.options.scope, |unit| {
-                units.push(unit_server.serve(&unit, snapshot.compiled(), &config.decision, &mut totals));
+                units.push(unit_server.serve(&unit, snapshot.compiled(), &DecisionPolicy::HardThreshold, &mut totals));
             });
         }
         counters.batches_served.fetch_add(1, Ordering::Relaxed);

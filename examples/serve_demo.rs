@@ -6,7 +6,7 @@
 //! cargo run --release --example serve_demo [-- <scale>]
 //! ```
 
-use schedfilter::filters::{collect_trace, LearnerKind, TimingMode, TraceOptions};
+use schedfilter::filters::{collect_trace, LearnerKind, TraceOptions};
 use schedfilter::prelude::*;
 use schedfilter::serve::Response;
 
@@ -25,7 +25,6 @@ fn main() {
     println!("  {} trace records", seed.len());
 
     let mut config = ServeConfig::new(machine, seed);
-    config.options = TraceOptions { timing: TimingMode::Deterministic, ..TraceOptions::default() };
     config.learner = LearnerKind::Stump; // retraining in microseconds
     config.retrain_every = 200;
     let handle = Server::bind("127.0.0.1:0", config).expect("bind");

@@ -32,7 +32,7 @@ fn main() {
     // One trained filter per fold, at one labeling threshold — the
     // sweep below never retrains, only re-prices work.
     let folds: Vec<(String, CompiledFilter)> =
-        train_loocv(&traces, &TrainConfig::with_threshold(T)).into_iter().map(|(b, f)| (b, f.compile())).collect();
+        train_loocv(&traces, &TrainConfig::with_threshold(T), 1).into_iter().map(|(b, f)| (b, f.compile())).collect();
 
     // First knob, briefly: the labeling threshold moves how much the
     // filter schedules at all.
@@ -41,7 +41,7 @@ fn main() {
     for t in (0..=50).step_by(25) {
         let config = TrainConfig::with_threshold(t);
         let ls_count = traces.iter().filter(|r| LabelConfig::new(t).label(r) == Some(true)).count();
-        let fold_filters = train_loocv(&traces, &config);
+        let fold_filters = train_loocv(&traces, &config, 1);
         let sched: Vec<f64> = fold_filters
             .iter()
             .map(|(bench, f)| sched_time_ratio(&own(bench), &f.compile(), &DecisionPolicy::HardThreshold).work_ratio())

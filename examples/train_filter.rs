@@ -34,7 +34,7 @@ fn main() {
 
     // The evaluation protocol: leave one benchmark out.
     println!("leave-one-benchmark-out error rates at t={threshold}%:");
-    for (bench, filter) in train_loocv(&traces, &config) {
+    for (bench, filter) in train_loocv(&traces, &config, 1) {
         let own: Vec<_> = traces.iter().filter(|r| r.benchmark == bench).cloned().collect();
         let m = classification_matrix(&own, &filter.compile(), LabelConfig::new(threshold));
         println!(

@@ -47,7 +47,7 @@ fn full_pipeline_produces_working_filter() {
 #[test]
 fn loocv_filters_generalize_to_held_out_benchmarks() {
     let traces = jvm98_traces();
-    let folds = train_loocv(&traces, &TrainConfig::with_threshold(0));
+    let folds = train_loocv(&traces, &TrainConfig::with_threshold(0), 1);
     assert_eq!(folds.len(), 7);
     for (bench, filter) in &folds {
         let own: Vec<TraceRecord> = traces.iter().filter(|r| &r.benchmark == bench).cloned().collect();

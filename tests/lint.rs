@@ -49,7 +49,7 @@ fn every_pipeline_producible_filter_lints_clean() {
                 let config = TrainConfig::with_learner(0, learner.clone()).with_scope(scope);
                 let tag = format!("{}/{scope:?}/{}", machine.name(), learner.name());
                 assert_clean(&train_filter(&traces, &config), &format!("{tag}/factory"));
-                for (bench, fold) in train_loocv(&traces, &config) {
+                for (bench, fold) in train_loocv(&traces, &config, 1) {
                     assert_clean(&fold, &format!("{tag}/{bench}"));
                     linted += 1;
                 }

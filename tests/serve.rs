@@ -6,9 +6,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wts_core::{
-    build_dataset, collect_trace, filtered_schedule_pass, for_each_scope_unit, train_filter, CompiledFilter,
-    DecisionPolicy, FilterSnapshot, FilteredPass, LabelConfig, LearnedFilter, Learner, LearnerKind, ScopeKind,
-    ServedUnit, TimingMode, TraceOptions, TraceRecord, UnitServer,
+    build_dataset, collect_method_trace, collect_trace, filtered_schedule_pass, for_each_scope_unit, train_filter,
+    CompiledFilter, DecisionPolicy, FilterSnapshot, FilteredPass, LabelConfig, LearnedFilter, Learner, LearnerKind,
+    ScopeKind, ServedUnit, TimingMode, TraceOptions, TraceRecord, UnitServer,
 };
 use wts_features::FeatureKind;
 use wts_ir::{Method, Program};
@@ -157,7 +157,7 @@ fn serve_locally(config: &ServeConfig, methods: &[Method], filter: &CompiledFilt
     let mut units = Vec::new();
     for method in methods {
         for_each_scope_unit(method, config.options.scope, |unit| {
-            units.push(server.serve(&unit, filter, &config.decision, &mut totals));
+            units.push(server.serve(&unit, filter, &DecisionPolicy::HardThreshold, &mut totals));
         });
     }
     (units, totals)
@@ -371,59 +371,14 @@ fn serve_smoke_realistic_scale() {
     assert_eq!(report.stats.protocol_errors, 0);
 }
 
-/// Graceful shutdown persists the retrainer's full corpus to the
-/// `schedfilter-trace-bin-v1` format, and it round-trips: the file
-/// reads back as exactly seed + absorbed records, ready to seed a
-/// restarted instance.
-#[test]
-fn shutdown_persists_the_retrain_corpus_round_trip() {
-    let machine = MachineConfig::ppc7410();
-    let programs = wts_core::testutil::learnable_suite(2);
-    let opts = options();
-    let seed = corpus(&programs, &machine, &opts);
-    let path = std::env::temp_dir().join(format!("wts-serve-corpus-{}.bin", std::process::id()));
-    let mut config = stump_config(&machine, seed.clone(), 40);
-    config.persist_corpus = Some(path.clone());
-    let handle = Server::bind("127.0.0.1:0", config).expect("bind");
-
-    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
-    for (i, program) in programs.iter().enumerate() {
-        expect_batch(client.request_with_retry(i as u64, program.name(), program.methods(), 10).expect("request"));
-    }
-    drop(client);
-    let report = handle.shutdown();
-
-    let expected = seed.len() as u64 + report.retrain.records_absorbed;
-    assert!(report.retrain.records_absorbed > 0, "the served batches were observed");
-    assert_eq!(report.retrain.records_persisted, expected, "seed + absorbed records persisted");
-    let bytes = std::fs::read(&path).expect("persisted corpus exists");
-    std::fs::remove_file(&path).ok();
-    let records = wts_core::read_trace_binary(&bytes).expect("round-trips through schedfilter-trace-bin-v1");
-    assert_eq!(records.len() as u64, expected);
-    assert_eq!(&records[..seed.len()], &seed[..], "the seed prefix survives bit-exactly");
-    // The instance served exactly the programs its seed was collected
-    // from, so the online collector must have observed the seed again,
-    // every channel included. Two workers may hand their batches to the
-    // retrainer in either order, so compare program by program.
-    let observed = &records[seed.len()..];
-    for program in &programs {
-        let of = |rs: &[TraceRecord]| rs.iter().filter(|r| r.benchmark == program.name()).cloned().collect::<Vec<_>>();
-        assert_eq!(of(observed), of(&seed), "{}: online records equal the offline ones", program.name());
-    }
-    assert_eq!(observed.len(), seed.len());
-    // The persisted corpus is a working seed: a restarted instance
-    // trains its epoch-1 filter from it directly.
-    let restarted = Server::bind("127.0.0.1:0", stump_config(&machine, records, 0)).expect("rebind from corpus");
-    assert_eq!(restarted.epoch(), 1);
-    restarted.shutdown();
-}
-
 /// With Stump retraining on, every fold is an incremental fit over
 /// counts the retrainer absorbed batch by batch. The last filter it
 /// publishes must still be the sort-based stump over everything it saw:
-/// the persisted corpus (seed plus every observation), labelled whole.
+/// the seed plus the trace of every served batch, collected offline in
+/// request order (one worker, so batches arrive in that order) and
+/// labelled whole.
 #[test]
-fn incremental_folds_publish_the_oracle_stump_of_the_persisted_corpus() {
+fn incremental_folds_publish_the_oracle_stump_of_the_served_corpus() {
     let machine = MachineConfig::ppc7410();
     let programs: Vec<Program> =
         wts_jit::Suite::specjvm98(0.02).benchmarks().iter().map(|b| b.program().clone()).collect();
@@ -431,29 +386,27 @@ fn incremental_folds_publish_the_oracle_stump_of_the_persisted_corpus() {
     // Seed from two benchmarks and serve them all, so the folds move the
     // filter away from the seed's.
     let seed = corpus(&programs[..2], &machine, &opts);
-    let path = std::env::temp_dir().join(format!("wts-serve-oracle-corpus-{}.bin", std::process::id()));
-    let mut config = stump_config(&machine, seed, 150);
+    let mut config = stump_config(&machine, seed.clone(), 150);
     config.threshold = 5;
-    config.persist_corpus = Some(path.clone());
+    config.workers = 1;
     let handle = Server::bind("127.0.0.1:0", config).expect("bind");
     let (store, key) = (std::sync::Arc::clone(handle.store()), handle.key().clone());
 
+    let mut records = seed;
     let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
     let mut id = 0;
     for program in &programs {
         for methods in program.methods().chunks(5) {
             expect_batch(client.request_with_retry(id, program.name(), methods, 10).expect("request"));
+            records.extend(methods.iter().flat_map(|m| collect_method_trace(program.name(), m, &machine, &opts)));
             id += 1;
         }
     }
     drop(client);
     let report = handle.shutdown();
     assert!(report.retrain.retrains >= 3, "the cadence fired several times: {:?}", report.retrain);
+    assert_eq!(report.retrain.records_absorbed, report.stats.units_served, "a lossless drain");
 
-    let bytes = std::fs::read(&path).expect("persisted corpus exists");
-    std::fs::remove_file(&path).ok();
-    let records = wts_core::read_trace_binary(&bytes).expect("round-trips");
-    assert_eq!(records.len() as u64, report.retrain.records_persisted);
     let published = store.get(&key).expect("the served key stays published");
     assert_eq!(published.epoch(), report.retrain.last_epoch, "the last fold is the live filter");
     let (data, _) = build_dataset(&records, LabelConfig::new(5));
@@ -463,61 +416,55 @@ fn incremental_folds_publish_the_oracle_stump_of_the_persisted_corpus() {
     assert_eq!(stump_oracle::threshold_bits(published.source().rules()), stump_oracle::threshold_bits(&oracle));
 }
 
-/// The retrainer observes label-only unless it must persist full
-/// records, and the two paths must fold the same filters. Two servers
-/// from one seed, one worker each, are fed the same batches by one
-/// sequential client; with a fold after every batch, each publishes the
-/// same filter at every epoch, for every learner.
+/// The retrainer observes label-only, and every filter it folds must be
+/// the one training on the recorded trace of the same units gives. One
+/// server per learner, with one worker and a fold after every batch, is
+/// fed by one sequential client that sends the next batch only after
+/// the last fold is published: epoch k+1 is `train_filter` over the seed
+/// plus the collected trace of batches 1..k in request order.
 #[test]
 fn label_only_and_recorded_observation_publish_the_same_epochs() {
     let machine = MachineConfig::ppc7410();
     let programs: Vec<Program> =
         wts_jit::Suite::specjvm98(0.02).benchmarks().iter().map(|b| b.program().clone()).collect();
-    let seed = corpus(&programs[..2], &machine, &options());
-    let path = std::env::temp_dir().join(format!("wts-serve-paths-corpus-{}.bin", std::process::id()));
+    let opts = options();
+    let seed = corpus(&programs[..2], &machine, &opts);
     for learner in LearnerKind::portfolio() {
-        let published = |persist: Option<std::path::PathBuf>| {
-            let mut config = stump_config(&machine, seed.clone(), 1);
-            config.learner = learner.clone();
-            config.threshold = 5;
-            config.workers = 1;
-            config.persist_corpus = persist;
-            let handle = Server::bind("127.0.0.1:0", config).expect("bind");
-            let source = |handle: &ServerHandle| handle.store().get(handle.key()).expect("published").source().clone();
-            let mut epochs = vec![source(&handle)];
-            let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
-            for program in &programs {
-                for methods in program.methods().chunks(5) {
-                    let id = epochs.len() as u64;
-                    expect_batch(client.request_with_retry(id, program.name(), methods, 10).expect("request"));
-                    // Every batch folds once; the next is sent only after
-                    // its fold is published, so no epoch is missed.
-                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-                    while handle.epoch() <= id {
-                        assert!(std::time::Instant::now() < deadline, "epoch {} never published", id + 1);
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                    assert_eq!(handle.epoch(), id + 1, "one fold per batch");
-                    epochs.push(source(&handle));
+        let mut config = stump_config(&machine, seed.clone(), 1);
+        config.learner = learner.clone();
+        config.threshold = 5;
+        config.workers = 1;
+        let train_config = config.train_config();
+        let handle = Server::bind("127.0.0.1:0", config).expect("bind");
+        let source = || handle.store().get(handle.key()).expect("published").source().clone();
+        let mut recorded = seed.clone();
+        let first = source();
+        assert_eq!(first, train_filter(&recorded, &train_config), "{} epoch 1", learner.name());
+        let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+        let mut batches = 0;
+        for program in &programs {
+            for methods in program.methods().chunks(5) {
+                batches += 1;
+                expect_batch(client.request_with_retry(batches, program.name(), methods, 10).expect("request"));
+                // Every batch folds once; the next is sent only after
+                // its fold is published, so no epoch is missed.
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+                while handle.epoch() <= batches {
+                    assert!(std::time::Instant::now() < deadline, "epoch {} never published", batches + 1);
+                    std::thread::sleep(std::time::Duration::from_millis(1));
                 }
+                assert_eq!(handle.epoch(), batches + 1, "one fold per batch");
+                recorded.extend(methods.iter().flat_map(|m| collect_method_trace(program.name(), m, &machine, &opts)));
+                let epoch = source();
+                assert_eq!(epoch, train_filter(&recorded, &train_config), "{} epoch {}", learner.name(), batches + 1);
             }
-            drop(client);
-            let report = handle.shutdown();
-            assert_eq!(report.retrain.records_absorbed, report.stats.units_served, "a lossless drain");
-            assert_eq!(report.retrain.last_epoch, epochs.len() as u64);
-            (epochs, report.retrain.records_persisted)
-        };
-        let (recorded, persisted) = published(Some(path.clone()));
-        std::fs::remove_file(&path).ok();
-        assert!(persisted > seed.len() as u64, "the recorded path kept its records");
-        let (label_only, none_persisted) = published(None);
-        assert_eq!(none_persisted, 0);
-        assert!(recorded.len() > 3, "several folds: {}", recorded.len());
-        assert_eq!(label_only.len(), recorded.len());
-        for (epoch, (a, b)) in label_only.iter().zip(&recorded).enumerate() {
-            assert_eq!(a, b, "{} epoch {}", learner.name(), epoch + 1);
         }
-        assert_ne!(recorded.first(), recorded.last(), "{}: the folds moved the filter", learner.name());
+        drop(client);
+        assert!(batches > 3, "several folds: {batches}");
+        assert_ne!(first, source(), "{}: the folds moved the filter", learner.name());
+        let report = handle.shutdown();
+        assert_eq!(report.retrain.records_absorbed, report.stats.units_served, "a lossless drain");
+        assert_eq!(report.retrain.last_epoch, batches + 1);
     }
 }
 
