@@ -53,6 +53,7 @@ use crate::store::{FilterKey, FilterStore};
 use crate::trace::{collect_trace, trace_suite, SuiteTrace, TimingMode, TraceOptions, TraceRecord};
 use crate::train::{train_loocv, TrainConfig};
 use crate::{BinaryTraceError, CompiledFilter, LearnedFilter};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::rc::Rc;
@@ -62,10 +63,10 @@ use wts_machine::MachineConfig;
 use wts_ripper::{geometric_mean, ConfusionMatrix, Dataset};
 use wts_sched::SchedulePolicy;
 
-/// Name-sorted `(benchmark, filter)` pairs from one LOOCV training run.
-/// `Arc`'d so a fold set published in the [`FilterStore`] can be shared
-/// across threads (a serving retrainer, the per-machine runs of a
-/// [`MatrixRun`]).
+/// Name-sorted `(benchmark, filter)` pairs from one LOOCV training run,
+/// cached per [`FilterKey`] on the [`ExperimentRun`] that trained them.
+/// `Arc`'d so a caller can keep a fold set, or hand it to another
+/// thread, without cloning the filters.
 pub type LoocvFilters = Arc<Vec<(String, LearnedFilter)>>;
 
 /// Configuration of the whole trace→label→train→evaluate pipeline.
@@ -268,7 +269,8 @@ impl Experiment {
     fn package(self, store: Arc<FilterStore>, programs: Rc<Vec<Program>>, trace: SuiteTrace) -> ExperimentRun {
         debug_assert_eq!(programs.len(), trace.ranges.len(), "one range per program");
         let names = programs.iter().map(|p| p.name().to_string()).collect();
-        ExperimentRun { config: self, names, programs, all_traces: trace.records, ranges: trace.ranges, store }
+        let SuiteTrace { records: all_traces, ranges } = trace;
+        ExperimentRun { config: self, names, programs, all_traces, ranges, store, folds: RefCell::default() }
     }
 }
 
@@ -308,10 +310,11 @@ impl std::error::Error for CorpusError {
 }
 
 /// The output of the trace stage plus lazily computed label / train /
-/// evaluate stages. Trained filters live in the run's [`FilterStore`]
+/// evaluate stages. Factory filters live in the run's [`FilterStore`]
 /// — keyed per `(machine, learner, scope, threshold)` — rather than in
-/// private caches, so the same filters the tables report are the ones
-/// a JIT session or a serving daemon deploys.
+/// a private cache, so the same filters the tables report are the ones
+/// a JIT session or a serving daemon deploys. LOOCV fold sets, which
+/// are evaluated but never deployed, are cached on the run itself.
 pub struct ExperimentRun {
     /// The configuration the run was traced under (its learner, scope,
     /// training threads and machine).
@@ -323,6 +326,9 @@ pub struct ExperimentRun {
     /// Each benchmark's range of `all_traces`, parallel to `names`.
     ranges: Vec<Range<usize>>,
     store: Arc<FilterStore>,
+    /// LOOCV fold sets trained so far, under the key of the filters
+    /// they were trained as.
+    folds: RefCell<BTreeMap<FilterKey, LoocvFilters>>,
 }
 
 impl ExperimentRun {
@@ -409,12 +415,16 @@ impl ExperimentRun {
     /// [`loocv_filters`](ExperimentRun::loocv_filters) under an explicit
     /// backend — the portfolio path: the traced corpus is shared, only
     /// the training stage re-runs, and each `(learner, threshold)` pair
-    /// occupies its own [`FilterStore`] fold slot.
+    /// is cached as its own fold set.
     pub fn loocv_filters_for(&self, t: u32, learner: &LearnerKind) -> LoocvFilters {
+        let key = self.filter_key(t, learner);
+        if let Some(hit) = self.folds.borrow().get(&key) {
+            return Arc::clone(hit);
+        }
         let config = self.train_config_for(t, learner);
-        self.store.loocv_or_train(self.filter_key(t, learner), || {
-            train_loocv(&self.all_traces, &config, self.config.train_threads)
-        })
+        let filters: LoocvFilters = Arc::new(train_loocv(&self.all_traces, &config, self.config.train_threads));
+        self.folds.borrow_mut().insert(key, Arc::clone(&filters));
+        filters
     }
 
     /// The filter trained for (i.e. *excluding*) the named benchmark.
@@ -423,12 +433,15 @@ impl ExperimentRun {
     ///
     /// Panics if `bench` is not one of the run's benchmarks.
     pub fn filter_for(&self, t: u32, bench: &str) -> LearnedFilter {
+        self.with_fold(t, bench, LearnedFilter::clone)
+    }
+
+    /// Applies `f` to `bench`'s threshold-`t` LOOCV filter in place.
+    fn with_fold<R>(&self, t: u32, bench: &str, f: impl FnOnce(&LearnedFilter) -> R) -> R {
         let filters = self.loocv_filters(t);
-        filters
-            .iter()
-            .find(|(n, _)| n == bench)
-            .map(|(_, f)| f.clone())
-            .unwrap_or_else(|| panic!("no filter for benchmark {bench}"))
+        let (_, filter) =
+            filters.iter().find(|(n, _)| n == bench).unwrap_or_else(|| panic!("no filter for benchmark {bench}"));
+        f(filter)
     }
 
     /// Stage 3 ("at the factory", §3): one filter trained on the whole
@@ -486,12 +499,12 @@ impl ExperimentRun {
         let mut conditions = 0usize;
         for (bench, filter) in filters.iter() {
             let tr = self.trace_for(bench);
-            let compiled = filter.compile();
-            let m = classification_matrix(tr, &compiled, label);
+            let compiled = filter.compiled();
+            let m = classification_matrix(tr, compiled, label);
             confusion.accumulate(&m);
-            pred.push(predicted_time_ratio(tr, &compiled));
-            app.push(app_time_ratio(tr, &compiled));
-            times.accumulate(&sched_time_ratio(tr, &compiled, &DecisionPolicy::HardThreshold));
+            pred.push(predicted_time_ratio(tr, compiled));
+            app.push(app_time_ratio(tr, compiled));
+            times.accumulate(&sched_time_ratio(tr, compiled, &DecisionPolicy::HardThreshold));
             conditions += filter.rules().condition_count();
         }
         PortfolioEntry {
@@ -507,19 +520,19 @@ impl ExperimentRun {
     /// Stage 4, Table 3: confusion of `bench`'s own LOOCV filter against
     /// its threshold-`t` labels.
     pub fn classification(&self, t: u32, bench: &str) -> ConfusionMatrix {
-        classification_matrix(self.trace_for(bench), &self.compiled_filter_for(t, bench), LabelConfig::new(t))
+        self.with_fold(t, bench, |f| classification_matrix(self.trace_for(bench), f.compiled(), LabelConfig::new(t)))
     }
 
     /// Stage 4, Table 4: predicted (cheap-estimator) execution time under
     /// `bench`'s LOOCV filter, percent of never-scheduling.
     pub fn predicted_time(&self, t: u32, bench: &str) -> f64 {
-        predicted_time_ratio(self.trace_for(bench), &self.compiled_filter_for(t, bench))
+        self.with_fold(t, bench, |f| predicted_time_ratio(self.trace_for(bench), f.compiled()))
     }
 
     /// Stage 4, Figures 1b/2b/3b: measured application-time ratio under
     /// `bench`'s LOOCV filter (fraction of never-scheduling).
     pub fn app_time(&self, t: u32, bench: &str) -> f64 {
-        app_time_ratio(self.trace_for(bench), &self.compiled_filter_for(t, bench))
+        self.with_fold(t, bench, |f| app_time_ratio(self.trace_for(bench), f.compiled()))
     }
 
     /// Figures 1b/2b/3b reference rows: application-time ratio of an
@@ -533,7 +546,7 @@ impl ExperimentRun {
     /// schedule/skip call delegated to `policy`
     /// ([`DecisionPolicy::HardThreshold`] is the paper's).
     pub fn sched_time(&self, t: u32, bench: &str, policy: &DecisionPolicy) -> EvalTimes {
-        sched_time_ratio(self.trace_for(bench), &self.compiled_filter_for(t, bench), policy)
+        self.with_fold(t, bench, |f| sched_time_ratio(self.trace_for(bench), f.compiled(), policy))
     }
 
     /// The compiled engine form of `bench`'s LOOCV filter — flat
@@ -541,7 +554,7 @@ impl ExperimentRun {
     /// fast path ([`filtered_schedule_pass`](crate::filtered_schedule_pass))
     /// or batch classification.
     pub fn compiled_filter_for(&self, t: u32, bench: &str) -> CompiledFilter {
-        self.filter_for(t, bench).compile()
+        self.with_fold(t, bench, |f| f.compiled().clone())
     }
 
     /// Aggregate scheduling-time measurement of the threshold-`t` LOOCV
@@ -553,7 +566,7 @@ impl ExperimentRun {
     /// each benchmark's [`BenefitModel`](crate::BenefitModel) is calibrated
     /// on the other benchmarks' traces, so the aggregate is as honest as
     /// the LOOCV error numbers.
-    pub fn sched_time_total(&self, t: u32, policy: impl Fn(&str) -> DecisionPolicy) -> EvalTimes {
+    pub(crate) fn sched_time_total(&self, t: u32, policy: impl Fn(&str) -> DecisionPolicy) -> EvalTimes {
         let mut total = EvalTimes::default();
         for bench in &self.names {
             total.accumulate(&self.sched_time(t, bench, &policy(bench)));
@@ -565,7 +578,7 @@ impl ExperimentRun {
     /// the savings rate comes from every *other* benchmark's traces,
     /// mirroring the LOOCV training protocol — the held-out fold never
     /// calibrates its own model, just as it never trains its own filter.
-    pub fn policy_for(&self, bench: &str, cycles_per_work: f64) -> DecisionPolicy {
+    pub(crate) fn policy_for(&self, bench: &str, cycles_per_work: f64) -> DecisionPolicy {
         let i = self.index_of(bench);
         let others =
             self.ranges.iter().enumerate().filter(|&(j, _)| j != i).flat_map(|(_, r)| &self.all_traces[r.clone()]);
@@ -575,7 +588,7 @@ impl ExperimentRun {
     /// Stage 4, Table 6: run-time LS/NS classification counts of
     /// `bench`'s LOOCV filter over all its blocks.
     pub fn runtime_counts(&self, t: u32, bench: &str) -> ClassCounts {
-        runtime_classification(self.trace_for(bench), &self.compiled_filter_for(t, bench))
+        self.with_fold(t, bench, |f| runtime_classification(self.trace_for(bench), f.compiled()))
     }
 
     /// Count of trace records labeled `LS` at threshold `t` (Table 5).
@@ -623,6 +636,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let names: Vec<&str> = a.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["alpha", "beta", "gamma"]);
+        assert!(r.store().keys().is_empty(), "fold sets are not deployed filters");
     }
 
     #[test]
@@ -634,7 +648,8 @@ mod tests {
         let snap = r.store().get(&key).expect("factory filter published");
         assert_eq!(snap.epoch(), 1, "first publication of this key");
         assert_eq!(*snap.source(), f);
-        assert_eq!(*snap.compiled(), f.compile(), "snapshot carries the lowered engine");
+        assert_eq!(*snap.compiled(), *f.compiled(), "snapshot carries the lowered engine");
+        assert!(std::ptr::eq(snap.compiled(), snap.source().compiled()), "the snapshot does not lower again");
         // A second request is a store hit, not a retrain.
         let again = r.factory_filter(0);
         assert_eq!(again, f);

@@ -7,11 +7,16 @@ use wts_ripper::RuleSet;
 /// A filter backed by an induced rule set — the paper's L/N filter when
 /// trained by RIPPER, or any other [`Learner`](crate::Learner) backend's
 /// model lowered to the same ordered-rule vocabulary.
+///
+/// The rule set is lowered once, when the filter is built, and the
+/// [`CompiledFilter`] table every deployed decision runs through
+/// travels with it: a trained filter is one artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LearnedFilter {
     rules: RuleSet,
     threshold_percent: u32,
     learner: String,
+    compiled: CompiledFilter,
 }
 
 impl LearnedFilter {
@@ -19,14 +24,28 @@ impl LearnedFilter {
     /// threshold it was trained at (for display only). The filter is
     /// tagged `L/N`, the paper's name for the RIPPER-induced filter; use
     /// [`with_learner`](LearnedFilter::with_learner) for other backends.
+    ///
+    /// # Panics
+    ///
+    /// As [`with_learner`](LearnedFilter::with_learner).
     pub fn new(rules: RuleSet, threshold_percent: u32) -> LearnedFilter {
         LearnedFilter::with_learner(rules, threshold_percent, "L/N")
     }
 
-    /// Wraps a trained rule set, tagged with the inducing backend's name
-    /// (shown in [`name`](LearnedFilter::name) as `<learner>(t=<threshold>)`).
+    /// Wraps a trained rule set, tagged with the inducing backend's name,
+    /// and lowers it into its [`CompiledFilter`] named
+    /// `<learner>(t=<threshold>)`.
+    ///
+    /// # Panics
+    ///
+    /// When the rule set does not lower: on any
+    /// [`CompiledFilterError`](crate::CompiledFilterError) of
+    /// [`CompiledFilter::from_rule_set`] (an unknown attribute, a
+    /// non-finite threshold or a calibrated score outside `[0, 1]`).
     pub fn with_learner(rules: RuleSet, threshold_percent: u32, learner: impl Into<String>) -> LearnedFilter {
-        LearnedFilter { rules, threshold_percent, learner: learner.into() }
+        let learner = learner.into();
+        let compiled = CompiledFilter::from_rule_set(&rules, format!("{learner}(t={threshold_percent})"));
+        LearnedFilter { rules, threshold_percent, learner, compiled }
     }
 
     /// The underlying rule set (e.g. for printing Figure 4).
@@ -46,24 +65,24 @@ impl LearnedFilter {
     }
 
     /// Short name for reports: `<learner>(t=<threshold>)`.
-    pub fn name(&self) -> String {
-        format!("{}(t={})", self.learner, self.threshold_percent)
+    pub fn name(&self) -> &str {
+        self.compiled.name()
     }
 
-    /// Lowers the rule set into the [`CompiledFilter`] engine that every
-    /// deployed decision runs through, tagged with [`name`](LearnedFilter::name).
-    pub fn compile(&self) -> CompiledFilter {
-        CompiledFilter::from_rule_set(&self.rules, self.name())
+    /// The lowered [`CompiledFilter`] engine that every deployed
+    /// decision runs through, tagged with [`name`](LearnedFilter::name).
+    pub fn compiled(&self) -> &CompiledFilter {
+        &self.compiled
     }
 }
 
 /// The debug-build model lint shared by training and publication:
-/// `source`'s rules, with the demand mask of their lowered form
-/// `compiled`, must pass `wts-verify`'s lint, or this panics naming `name`.
+/// `filter`'s rules, with the demand mask of their lowered form, must
+/// pass `wts-verify`'s lint, or this panics naming `name`.
 #[cfg(debug_assertions)]
 #[track_caller]
-pub(crate) fn assert_model_lints_clean(source: &LearnedFilter, compiled: &CompiledFilter, name: String) {
-    let table = wts_verify::ModelTable::from_rule_set(source.rules(), compiled.demand(), name.as_str());
+pub(crate) fn assert_model_lints_clean(filter: &LearnedFilter, name: &str) {
+    let table = wts_verify::ModelTable::from_rule_set(filter.rules(), filter.compiled().demand(), name);
     let diags = wts_verify::lint_model(&table);
     assert!(diags.is_empty(), "filter {name} failed the model lint:\n{}", wts_verify::render(&diags));
 }
@@ -95,7 +114,7 @@ mod tests {
             Default::default(),
         );
         let f = LearnedFilter::new(rules, 20);
-        let compiled = f.compile();
+        let compiled = f.compiled();
         for (bb_len, loads, expected) in [(8.0, 0.5, true), (8.0, 0.1, false), (3.0, 0.5, false)] {
             let mut v = [0.0; FeatureKind::COUNT];
             v[FeatureKind::BbLen.index()] = bb_len;
@@ -116,6 +135,6 @@ mod tests {
         let f = LearnedFilter::with_learner(rules, 10, "stump");
         assert_eq!(f.name(), "stump(t=10)");
         assert_eq!(f.learner(), "stump");
-        assert_eq!(f.compile().name(), "stump(t=10)", "the tag survives lowering");
+        assert_eq!(f.compiled().name(), "stump(t=10)", "the tag survives lowering");
     }
 }

@@ -204,7 +204,7 @@ pub fn write_trace_binary(records: &[TraceRecord]) -> Result<Vec<u8>, TraceWrite
 /// length prefixes validated before use, truncation reported at the
 /// offset where the claim broke down — shared by the trace reader and
 /// the `wts-serve` wire protocol. The fixed-width accessors all route
-/// through [`take_array`](BinCursor::take_array), so the bounds check
+/// through one private `take_array`, so the bounds check
 /// happens exactly once per read and the slice-to-array conversion is
 /// infallible by construction.
 #[derive(Debug)]
@@ -253,7 +253,7 @@ impl<'a> BinCursor<'a> {
     ///
     /// Returns [`BinaryTraceError::Truncated`] naming `section` when
     /// fewer than `N` bytes remain.
-    pub fn take_array<const N: usize>(&mut self, section: &'static str) -> Result<[u8; N], BinaryTraceError> {
+    fn take_array<const N: usize>(&mut self, section: &'static str) -> Result<[u8; N], BinaryTraceError> {
         let end = self
             .pos
             .checked_add(N)

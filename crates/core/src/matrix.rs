@@ -47,11 +47,11 @@ use crate::experiment::ExperimentRun;
 use crate::label::LabelConfig;
 use crate::learner::LearnerKind;
 use crate::policy::{BenefitModel, DecisionPolicy};
-use crate::{CompiledFilter, EvalTimes, LearnedFilter};
+use crate::{EvalTimes, LearnedFilter};
 
 /// The completed sweep of [`Experiment::run_on`](crate::Experiment::run_on): one [`ExperimentRun`]
 /// per machine, in run order, plus the cross-machine comparisons built
-/// on top of them. All per-machine filters live in one shared
+/// on top of them. All per-machine factory filters live in one shared
 /// [`FilterStore`](crate::FilterStore), keyed by machine name.
 pub struct MatrixRun {
     pub(crate) runs: Vec<ExperimentRun>,
@@ -102,13 +102,13 @@ impl MatrixRun {
     /// to the diagonal transfers well.
     pub fn transfer_errors(&self, t: u32) -> Vec<Vec<f64>> {
         let label = LabelConfig::new(t);
-        let filters: Vec<CompiledFilter> = self.runs.iter().map(|run| run.factory_filter(t).compile()).collect();
+        let filters: Vec<LearnedFilter> = self.runs.iter().map(|run| run.factory_filter(t)).collect();
         filters
             .iter()
             .map(|filter| {
                 self.runs
                     .iter()
-                    .map(|eval| classification_matrix(eval.all_traces(), filter, label).error_percent())
+                    .map(|eval| classification_matrix(eval.all_traces(), filter.compiled(), label).error_percent())
                     .collect()
             })
             .collect()

@@ -150,7 +150,7 @@ impl DecisionPolicy {
     /// the call and the economics it was made on (conditions evaluated,
     /// demand-masked extraction work).
     #[inline]
-    pub fn decide_unit(
+    pub(crate) fn decide_unit(
         &self,
         filter: &CompiledFilter,
         features: &FeatureVector,

@@ -1,4 +1,4 @@
-//! The filter lifecycle — train, compile, cache, deploy — in one
+//! The deployed filter lifecycle — train, publish, hot-swap — in one
 //! shared, concurrency-safe [`FilterStore`] keyed by `(machine, learner,
 //! scope, threshold)`. Every [`ExperimentRun`](crate::ExperimentRun),
 //! the per-machine runs of a [`MatrixRun`](crate::MatrixRun), the JIT
@@ -11,21 +11,19 @@
 //!
 //! * **Readers never block writers and never see torn state.** A reader
 //!   clones the `Arc<FilterSnapshot>` under a briefly-held read lock;
-//!   the snapshot carries the epoch, the source
-//!   [`LearnedFilter`](crate::LearnedFilter) and the lowered
-//!   [`CompiledFilter`](crate::CompiledFilter) as one allocation, so a
-//!   decision made against a snapshot is attributable to exactly one
-//!   epoch — there is no window where the epoch says `n` but the rules
-//!   are from `n+1`.
-//! * **Writers hot-swap atomically.** [`FilterStore::swap`] compiles the
-//!   retrained filter *outside* the lock, then replaces the slot's
-//!   `Arc` and bumps the per-key epoch in one write-locked map update.
-//!   In-flight readers keep their old snapshot alive through their own
-//!   `Arc` clone; new readers observe the new epoch.
+//!   the snapshot carries the epoch and the
+//!   [`LearnedFilter`](crate::LearnedFilter) — its rule set together
+//!   with the [`CompiledFilter`](crate::CompiledFilter) it was lowered
+//!   to when trained — as one allocation, so a decision made against a
+//!   snapshot is attributable to exactly one epoch — there is no window
+//!   where the epoch says `n` but the rules are from `n+1`.
+//! * **Writers hot-swap atomically.** [`FilterStore::swap`] replaces the
+//!   slot's `Arc` and bumps the per-key epoch in one write-locked map
+//!   update. In-flight readers keep their old snapshot alive through
+//!   their own `Arc` clone; new readers observe the new epoch.
 //! * **Training happens outside every lock.**
-//!   [`FilterStore::deployed_or_train`] and
-//!   [`FilterStore::loocv_or_train`] run the (expensive) training
-//!   closure unlocked and insert first-wins, so two racing trainers of
+//!   [`FilterStore::deployed_or_train`] runs the (expensive) training
+//!   closure unlocked and inserts first-wins, so two racing trainers of
 //!   a deterministic pipeline waste at most one redundant training run
 //!   and always agree on the published snapshot.
 //!
@@ -55,7 +53,6 @@
 //! assert_eq!(run.store().epoch(&key), Some(2));
 //! ```
 
-use crate::experiment::LoocvFilters;
 use crate::learner::LearnerKind;
 use crate::{CompiledFilter, LearnedFilter};
 use std::collections::BTreeMap;
@@ -66,10 +63,10 @@ use wts_ir::ScopeKind;
 /// for, which induction backend produced it, at which scheduling scope,
 /// and at which labeling threshold.
 ///
-/// Keys order machine-major (then learner, scope, threshold), so a
-/// sorted dump of a store groups each machine's filters together the
-/// way the cross-machine tables do.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Keys order machine-major (then learner, scope with blocks before
+/// superblocks by ratio, threshold), so a sorted dump of a store groups
+/// each machine's filters together the way the cross-machine tables do.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FilterKey {
     machine: String,
     learner: String,
@@ -89,46 +86,9 @@ impl FilterKey {
         &self.machine
     }
 
-    /// The induction-backend component (the learner's canonical cache
-    /// key, e.g. `Stump` or `Ripper(..)` with its settings).
-    pub fn learner(&self) -> &str {
-        &self.learner
-    }
-
-    /// The scheduling-scope component.
-    pub fn scope(&self) -> ScopeKind {
-        self.scope
-    }
-
     /// The labeling-threshold component (percent).
     pub fn threshold(&self) -> u32 {
         self.threshold
-    }
-
-    /// Scope as a totally ordered pair (`ScopeKind` itself carries no
-    /// `Ord`): blocks first, then superblock scopes by ratio.
-    fn scope_rank(&self) -> (u8, u32) {
-        match self.scope {
-            ScopeKind::Block => (0, 0),
-            ScopeKind::Superblock(ratio) => (1, ratio),
-        }
-    }
-}
-
-impl PartialOrd for FilterKey {
-    fn partial_cmp(&self, other: &FilterKey) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for FilterKey {
-    fn cmp(&self, other: &FilterKey) -> std::cmp::Ordering {
-        (&self.machine, &self.learner, self.scope_rank(), self.threshold).cmp(&(
-            &other.machine,
-            &other.learner,
-            other.scope_rank(),
-            other.threshold,
-        ))
     }
 }
 
@@ -144,58 +104,52 @@ impl std::fmt::Display for FilterKey {
 
 /// One published, immutable version of a deployed filter.
 ///
-/// The epoch, the source rule set and the lowered engine travel as one
-/// `Arc` allocation: whoever holds a snapshot holds a coherent
-/// `(epoch, filter)` pair no concurrent [`FilterStore::swap`] can tear.
+/// The epoch and the trained filter (its rule set and the engine it was
+/// lowered to) travel as one `Arc` allocation: whoever holds a snapshot
+/// holds a coherent `(epoch, filter)` pair no concurrent
+/// [`FilterStore::swap`] can tear.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FilterSnapshot {
-    key: FilterKey,
     epoch: u64,
     source: LearnedFilter,
-    compiled: CompiledFilter,
 }
 
 impl FilterSnapshot {
-    /// The key this snapshot is published under.
-    pub fn key(&self) -> &FilterKey {
-        &self.key
-    }
-
     /// The publication epoch: `1` for the first filter a key ever held,
     /// bumped by one on every [`FilterStore::swap`].
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// The induced rule-set filter this snapshot was compiled from.
+    /// The induced rule-set filter this snapshot publishes.
     pub fn source(&self) -> &LearnedFilter {
         &self.source
     }
 
-    /// The lowered engine form — what the deployed fast path and the
-    /// serving workers actually evaluate.
+    /// The source's lowered engine form — what the deployed fast path
+    /// and the serving workers actually evaluate.
     pub fn compiled(&self) -> &CompiledFilter {
-        &self.compiled
+        self.source.compiled()
     }
 }
 
-/// The shared filter registry: deployed snapshots plus LOOCV fold sets,
-/// keyed by [`FilterKey`].
+/// The shared filter registry: deployed snapshots keyed by
+/// [`FilterKey`].
 ///
 /// `Send + Sync`; share it as an `Arc<FilterStore>`
 /// ([`FilterStore::shared`]). The concurrency contract: readers
 /// ([`get`](FilterStore::get)) never block behind a
-/// [`swap`](FilterStore::swap) — training and compilation happen
-/// outside the lock, and a snapshot, once handed out, is immutable.
+/// [`swap`](FilterStore::swap) — training happens outside the lock,
+/// and a snapshot, once handed out, is immutable.
+#[derive(Debug, Default)]
 pub struct FilterStore {
     deployed: RwLock<BTreeMap<FilterKey, Arc<FilterSnapshot>>>,
-    folds: RwLock<BTreeMap<FilterKey, LoocvFilters>>,
 }
 
 impl FilterStore {
     /// An empty store.
     pub fn new() -> FilterStore {
-        FilterStore { deployed: RwLock::new(BTreeMap::new()), folds: RwLock::new(BTreeMap::new()) }
+        FilterStore::default()
     }
 
     /// An empty store behind an `Arc`, ready to hand to pipeline runs,
@@ -206,7 +160,7 @@ impl FilterStore {
 
     /// The currently deployed snapshot for `key`, if any. Readers pay
     /// one briefly-held read lock and one `Arc` clone; they never wait
-    /// on training or compilation.
+    /// on training.
     pub fn get(&self, key: &FilterKey) -> Option<Arc<FilterSnapshot>> {
         self.deployed.read().expect("filter store poisoned").get(key).cloned()
     }
@@ -231,14 +185,13 @@ impl FilterStore {
             return hit;
         }
         let source = train();
-        let compiled = source.compile();
         #[cfg(debug_assertions)]
-        crate::filter::assert_model_lints_clean(&source, &compiled, key.to_string());
+        crate::filter::assert_model_lints_clean(&source, &key.to_string());
         let mut slots = self.deployed.write().expect("filter store poisoned");
         if let Some(raced) = slots.get(&key) {
             return Arc::clone(raced);
         }
-        let snap = Arc::new(FilterSnapshot { key: key.clone(), epoch: 1, source, compiled });
+        let snap = Arc::new(FilterSnapshot { epoch: 1, source });
         slots.insert(key, Arc::clone(&snap));
         snap
     }
@@ -247,8 +200,8 @@ impl FilterStore {
     /// bumping the slot's epoch (to 1 when the slot was empty), and
     /// returns the new snapshot.
     ///
-    /// Compilation happens before the write lock is taken; the lock
-    /// only covers the `BTreeMap` update. Readers holding the previous
+    /// The filter was lowered when it was built, so the write lock only
+    /// covers the `BTreeMap` update. Readers holding the previous
     /// snapshot keep it alive through their own `Arc`.
     ///
     /// # Panics
@@ -256,9 +209,8 @@ impl FilterStore {
     /// In debug builds, when `filter` fails the `wts-verify` model lint
     /// (for example a trivially constant rule set).
     pub fn swap(&self, key: FilterKey, filter: LearnedFilter) -> Arc<FilterSnapshot> {
-        let compiled = filter.compile();
         #[cfg(debug_assertions)]
-        crate::filter::assert_model_lints_clean(&filter, &compiled, key.to_string());
+        crate::filter::assert_model_lints_clean(&filter, &key.to_string());
         let mut slots = self.deployed.write().expect("filter store poisoned");
         let epoch = slots.get(&key).map_or(1, |old| old.epoch + 1);
         #[cfg(debug_assertions)]
@@ -269,61 +221,14 @@ impl FilterStore {
             // where this assert is compiled out).
             assert!(epoch > old.epoch, "epoch regressed on swap of {key}: {epoch} after {}", old.epoch);
         }
-        let snap = Arc::new(FilterSnapshot { key: key.clone(), epoch, source: filter, compiled });
+        let snap = Arc::new(FilterSnapshot { epoch, source: filter });
         slots.insert(key, Arc::clone(&snap));
         snap
-    }
-
-    /// Returns `key`'s leave-one-benchmark-out fold set, training one if
-    /// the slot is empty. Same locking contract as
-    /// [`deployed_or_train`](FilterStore::deployed_or_train): `train`
-    /// runs unlocked, first publication wins.
-    ///
-    /// Fold sets are version-free (the evaluation protocol has no
-    /// hot-swap story); they live in the store so the whole filter
-    /// lifecycle has one owner.
-    pub fn loocv_or_train(&self, key: FilterKey, train: impl FnOnce() -> Vec<(String, LearnedFilter)>) -> LoocvFilters {
-        if let Some(hit) = self.folds.read().expect("filter store poisoned").get(&key) {
-            return Arc::clone(hit);
-        }
-        let filters: LoocvFilters = Arc::new(train());
-        let mut slots = self.folds.write().expect("filter store poisoned");
-        if let Some(raced) = slots.get(&key) {
-            return Arc::clone(raced);
-        }
-        slots.insert(key, Arc::clone(&filters));
-        filters
-    }
-
-    /// The number of deployed (single-filter) slots.
-    pub fn len(&self) -> usize {
-        self.deployed.read().expect("filter store poisoned").len()
-    }
-
-    /// True when no single filter has been deployed yet (LOOCV fold sets
-    /// do not count).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Every deployed key, in sorted (machine-major) order.
     pub fn keys(&self) -> Vec<FilterKey> {
         self.deployed.read().expect("filter store poisoned").keys().cloned().collect()
-    }
-}
-
-impl Default for FilterStore {
-    fn default() -> FilterStore {
-        FilterStore::new()
-    }
-}
-
-impl std::fmt::Debug for FilterStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FilterStore")
-            .field("deployed", &self.len())
-            .field("folds", &self.folds.read().expect("filter store poisoned").len())
-            .finish()
     }
 }
 
@@ -375,7 +280,6 @@ mod tests {
         assert_eq!(trained, 1);
         let b = store.deployed_or_train(key("m", 0), || unreachable!("slot is warm"));
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the published snapshot");
-        assert_eq!(store.len(), 1);
         assert_eq!(store.keys(), [key("m", 0)]);
     }
 
@@ -394,21 +298,9 @@ mod tests {
         // the swap still sees a coherent epoch-1 pair.
         assert_eq!(first.epoch(), 1);
         assert_eq!(second.source(), &retrained);
-        assert_eq!(second.compiled(), &retrained.compile());
+        assert_eq!(second.compiled(), retrained.compiled());
         // Swapping into an empty slot starts a fresh epoch sequence.
         let fresh = store.swap(key("other", 0), retrained);
         assert_eq!(fresh.epoch(), 1);
-    }
-
-    #[test]
-    fn loocv_slot_is_shared_and_first_wins() {
-        let traces = corpus();
-        let store = FilterStore::new();
-        let config = TrainConfig::with_threshold(0);
-        let a = store.loocv_or_train(key("m", 0), || crate::train_loocv(&traces, &config, 1));
-        let b = store.loocv_or_train(key("m", 0), || unreachable!("fold slot is warm"));
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.len(), 3, "one fold per benchmark");
-        assert!(store.is_empty(), "fold sets are not deployed filters");
     }
 }

@@ -156,7 +156,7 @@ impl Trainer {
         };
         let filter = LearnedFilter::with_learner(rules, self.config.label.threshold_percent, self.config.filter_tag());
         #[cfg(debug_assertions)]
-        crate::filter::assert_model_lints_clean(&filter, &filter.compile(), filter.name());
+        crate::filter::assert_model_lints_clean(&filter, filter.name());
         filter
     }
 }

@@ -97,7 +97,7 @@ proptest! {
     #[test]
     fn counted_work_agrees_between_interpreted_and_compiled(rs in arb_rule_set(), v in arb_vector()) {
         let learned = LearnedFilter::new(rs, 0);
-        let compiled = learned.compile();
+        let compiled = learned.compiled();
         prop_assert_eq!(interpreted_work(learned.rules(), v.as_slice()), compiled.score_counted(v.as_slice()).1);
         // Work is bounded by the model size and by what a decision can
         // possibly cost.
@@ -123,7 +123,7 @@ proptest! {
         for kind in LearnerKind::portfolio() {
             let rules = kind.fit(&data);
             let learned = LearnedFilter::with_learner(rules.clone(), 0, kind.filter_tag());
-            let compiled = learned.compile();
+            let compiled = learned.compiled();
             for inst in data.instances() {
                 prop_assert_eq!(compiled.decide(&inst.values), rules.predict(&inst.values), "{}", kind.name());
                 prop_assert_eq!(compiled.score_counted(&inst.values).1,
@@ -180,7 +180,7 @@ fn compiled_loocv_folds_match_interpreted_on_all_registry_machines() {
         for t in [0, 20] {
             for (bench, learned) in run.loocv_filters(t).iter() {
                 let compiled = run.compiled_filter_for(t, bench);
-                assert_eq!(compiled, learned.compile());
+                assert_eq!(compiled, *learned.compiled());
                 // Per-record decisions and work, interpreted vs compiled.
                 for r in run.all_traces() {
                     assert_eq!(
@@ -240,7 +240,7 @@ fn superblock_loocv_folds_pin_compiled_interpreted_native_on_all_registry_machin
         // Compiled vs interpreted, per trained fold filter.
         for learner in LearnerKind::portfolio() {
             for (bench, learned) in run.loocv_filters_for(0, &learner).iter() {
-                let compiled = learned.compile();
+                let compiled = learned.compiled();
                 for r in run.all_traces() {
                     assert_eq!(
                         compiled.decide(r.features.as_slice()),

@@ -126,7 +126,7 @@ fn hard_threshold_deployments_pin_the_boolean_seam_at_block_scope() {
         let run = Experiment::new(machine.clone()).with_timing(TimingMode::Deterministic).run(programs.clone());
         for learner in LearnerKind::portfolio() {
             for (bench, learned) in run.loocv_filters_for(0, &learner).iter() {
-                let compiled = learned.compile();
+                let compiled = learned.compiled();
                 for r in run.all_traces() {
                     let (score, _) = compiled.score_counted(r.features.as_slice());
                     let decision = compiled.decide(r.features.as_slice());
@@ -137,7 +137,7 @@ fn hard_threshold_deployments_pin_the_boolean_seam_at_block_scope() {
                     assert_pass_pinned(
                         program,
                         &machine,
-                        &compiled,
+                        compiled,
                         ScopeKind::Block,
                         &format!("{}/{}/{bench}/{}", machine.name(), learner.name(), program.name()),
                     );
@@ -166,12 +166,12 @@ fn hard_threshold_deployments_pin_the_boolean_seam_at_superblock_scope() {
         );
         for learner in LearnerKind::portfolio() {
             for (bench, learned) in run.loocv_filters_for(0, &learner).iter() {
-                let compiled = learned.compile();
+                let compiled = learned.compiled();
                 for program in run.programs() {
                     assert_pass_pinned(
                         program,
                         &machine,
-                        &compiled,
+                        compiled,
                         scope,
                         &format!("{}/{}/{bench}/{}", machine.name(), learner.name(), program.name()),
                     );

@@ -185,13 +185,14 @@ impl Experiments {
             vec!["Strategy".into(), "Scheduled".into(), "Pass µs".into(), "App/NS".into()],
         );
         let run = self.run(SuiteKind::Jvm98);
-        let filter = run.factory_filter(20).compile();
+        let factory = run.factory_filter(20);
+        let filter = factory.compiled();
         let always = CompiledFilter::always();
         let session = CompileSession::new(self.machine());
 
         let mut rows: Vec<(String, usize, u64, f64)> = Vec::new();
         for (label, adaptive, f) in
-            [("LS everywhere", false, &always), ("LS hot methods", true, &always), ("L/N hot methods", true, &filter)]
+            [("LS everywhere", false, &always), ("LS hot methods", true, &always), ("L/N hot methods", true, filter)]
         {
             let mut scheduled = 0;
             let mut pass_ns = 0;
@@ -229,9 +230,9 @@ impl Experiments {
         for name in run.names() {
             let loocv = run.compiled_filter_for(t, name);
             let own = run.trace_for(name);
-            let selftrained = train_filter(own, &TrainConfig::with_threshold(t)).compile();
+            let selftrained = train_filter(own, &TrainConfig::with_threshold(t));
             let e_loocv = classification_matrix(own, &loocv, LabelConfig::new(t)).error_percent();
-            let e_self = classification_matrix(own, &selftrained, LabelConfig::new(t)).error_percent();
+            let e_self = classification_matrix(own, selftrained.compiled(), LabelConfig::new(t)).error_percent();
             table.push_row(vec![name.clone(), f2(e_loocv), f2(e_self)]);
         }
         table

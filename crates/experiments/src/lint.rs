@@ -39,8 +39,7 @@ impl LintRow {
 /// Lints one trained filter exactly the way the `verify`-feature hook
 /// inside `train_filter` does, plus the threshold-equivalence proof.
 fn lint_filter(artifact: &str, filter: &LearnedFilter) -> (Vec<Diagnostic>, bool) {
-    let compiled = filter.compile();
-    let table = ModelTable::from_rule_set(filter.rules(), compiled.demand(), artifact);
+    let table = ModelTable::from_rule_set(filter.rules(), filter.compiled().demand(), artifact);
     let diags = lint_model(&table);
     let held = prove_hard_threshold(&table).holds();
     (diags, held)

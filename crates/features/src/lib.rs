@@ -219,7 +219,7 @@ impl fmt::Display for FeatureKind {
 /// assert!(m.contains(FeatureKind::Loads));
 /// assert!(!m.contains(FeatureKind::Calls));
 /// assert_eq!(m.count(), 2);
-/// assert_eq!(m.category_count(), 1, "bbLen needs no instruction pass");
+/// assert_eq!(FeatureMask::EMPTY.with(FeatureKind::BbLen).extraction_work(12), 0, "bbLen needs no instruction pass");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FeatureMask(u32);
@@ -266,7 +266,7 @@ impl FeatureMask {
     /// block already knows its length), and the trace-shape features are
     /// free too: the trace former tallies width, side exits and
     /// speculation candidates as byproducts of concatenation.
-    pub fn category_count(self) -> usize {
+    fn category_count(self) -> usize {
         self.kinds().filter(|k| k.category().is_some()).count()
     }
 
@@ -422,12 +422,7 @@ pub struct FeatureVector {
 impl FeatureVector {
     /// Extracts the features of `block` in a single pass.
     pub fn extract(block: &BasicBlock) -> FeatureVector {
-        FeatureVector::from_insts(block.insts())
-    }
-
-    /// Extracts the features of an instruction slice.
-    pub fn from_insts(insts: &[Inst]) -> FeatureVector {
-        FeatureVector::from_insts_masked(insts, FeatureMask::ALL)
+        FeatureVector::extract_masked(block, FeatureMask::ALL)
     }
 
     /// Demand-driven extraction: the features of `block` restricted to
@@ -436,13 +431,7 @@ impl FeatureVector {
     /// values as full extraction (same counts, same division); every
     /// other slot is left at `0.0`.
     pub fn extract_masked(block: &BasicBlock, mask: FeatureMask) -> FeatureVector {
-        FeatureVector::from_insts_masked(block.insts(), mask)
-    }
-
-    /// [`extract_masked`](FeatureVector::extract_masked) over a raw
-    /// instruction slice, with the degenerate block shape.
-    fn from_insts_masked(insts: &[Inst], mask: FeatureMask) -> FeatureVector {
-        FeatureVector::from_insts_shaped(insts, TraceShape::block(), mask)
+        FeatureVector::from_insts_shaped(block.insts(), TraceShape::block(), mask)
     }
 
     /// The fully general extraction: an instruction slice plus its
@@ -674,7 +663,7 @@ mod tests {
         // The Table 1 fractions are over the whole trace.
         assert_eq!(fv.get(FeatureKind::Branches), 2.0 / 6.0);
         // Shaped extraction with the block shape equals plain extraction.
-        let plain = FeatureVector::from_insts(&insts);
+        let plain = FeatureVector::extract(&block(insts.clone()));
         let shaped = FeatureVector::from_insts_shaped(&insts, TraceShape::block(), FeatureMask::ALL);
         assert_eq!(plain, shaped);
     }

@@ -81,12 +81,11 @@ proptest! {
     fn concatenation_averages_fractions(a in prop::collection::vec(arb_inst(), 1..10),
                                         b in prop::collection::vec(arb_inst(), 1..10)) {
         // extract(a ++ b) is the size-weighted average of extract(a), extract(b).
-        let fa = FeatureVector::from_insts(&a);
-        let fb = FeatureVector::from_insts(&b);
+        let (na, nb) = (a.len() as f64, b.len() as f64);
         let mut ab = a.clone();
         ab.extend(b.iter().cloned());
-        let fab = FeatureVector::from_insts(&ab);
-        let (na, nb) = (a.len() as f64, b.len() as f64);
+        let fab = FeatureVector::extract(&block(ab));
+        let (fa, fb) = (FeatureVector::extract(&block(a)), FeatureVector::extract(&block(b)));
         for k in FeatureKind::ALL {
             if k.is_count() {
                 continue;

@@ -112,7 +112,7 @@ impl Reg {
     /// uses in every class share the first few slots of a table such as
     /// [`RegTable`]; see [`Reg::dense_limit`].
     #[inline]
-    pub fn dense_key(self) -> usize {
+    fn dense_key(self) -> usize {
         let class = match self.class {
             RegClass::Gpr => 0,
             RegClass::Fpr => 1,
@@ -122,15 +122,15 @@ impl Reg {
         self.index as usize * 4 + class
     }
 
-    /// Exclusive upper bound on [`Reg::dense_key`] values (register
-    /// indices stay below 1024 in every class).
+    /// Exclusive upper bound on the dense register keys [`RegTable`]
+    /// uses (register indices stay below 1024 in every class).
     pub fn dense_limit() -> usize {
         4096
     }
 }
 
-/// A register-keyed map stored densely by [`Reg::dense_key`] and cleared
-/// in O(1).
+/// A register-keyed map stored densely by register (`index * 4 + class`,
+/// below [`Reg::dense_limit`]) and cleared in O(1).
 ///
 /// Every slot remembers the epoch it was written in, and
 /// [`clear`](RegTable::clear) bumps the table's epoch, so all earlier

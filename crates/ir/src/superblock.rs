@@ -54,7 +54,7 @@ use std::fmt;
 /// first merged into profile-hot traces by [`form_superblocks`] and the
 /// decision — extract features, consult the filter, maybe schedule
 /// (speculatively) — is made once per *trace*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum ScopeKind {
     /// Per-basic-block scheduling decisions (the paper's setting).
     #[default]

@@ -310,7 +310,7 @@ mod tests {
         session.store().swap(key.clone(), filter.clone());
         let (stored, stored_stats, epoch) = session.compile_stored(p, &key, 1).expect("deployed");
         assert_eq!(epoch, 1);
-        let (direct, direct_stats) = session.compile(p, &filter.compile(), 1);
+        let (direct, direct_stats) = session.compile(p, filter.compiled(), 1);
         assert_eq!(stored, direct, "store-deployed compile must match the explicit-filter path");
         assert_eq!(stored_stats.scheduled_blocks, direct_stats.scheduled_blocks);
         // Hot-swapping bumps the epoch the next compile reports.
@@ -475,7 +475,7 @@ mod tests {
                 CompiledFilter::always(),
                 CompiledFilter::never(),
                 CompiledFilter::size_threshold(5),
-                wts_core::train_filter(run.all_traces(), &run.train_config(0)).compile(),
+                wts_core::train_filter(run.all_traces(), &run.train_config(0)).compiled().clone(),
             ];
             let policy = &DecisionPolicy::HardThreshold;
             for compiled in &filters {

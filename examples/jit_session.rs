@@ -37,7 +37,7 @@ fn main() {
     let strategies = [
         ("NS (never schedule)", CompiledFilter::never()),
         ("LS (always schedule)", CompiledFilter::always()),
-        ("L/N learned filter", learned.compile()),
+        ("L/N learned filter", learned.compiled().clone()),
     ];
 
     println!("{:<22} {:>9} {:>12} {:>14} {:>12}", "strategy", "scheduled", "compile µs", "app cycles", "vs NS");

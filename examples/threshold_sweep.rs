@@ -31,8 +31,7 @@ fn main() {
 
     // One trained filter per fold, at one labeling threshold — the
     // sweep below never retrains, only re-prices work.
-    let folds: Vec<(String, CompiledFilter)> =
-        train_loocv(&traces, &TrainConfig::with_threshold(T), 1).into_iter().map(|(b, f)| (b, f.compile())).collect();
+    let folds = train_loocv(&traces, &TrainConfig::with_threshold(T), 1);
 
     // First knob, briefly: the labeling threshold moves how much the
     // filter schedules at all.
@@ -44,7 +43,7 @@ fn main() {
         let fold_filters = train_loocv(&traces, &config, 1);
         let sched: Vec<f64> = fold_filters
             .iter()
-            .map(|(bench, f)| sched_time_ratio(&own(bench), &f.compile(), &DecisionPolicy::HardThreshold).work_ratio())
+            .map(|(bench, f)| sched_time_ratio(&own(bench), f.compiled(), &DecisionPolicy::HardThreshold).work_ratio())
             .collect();
         println!("{t:>4} {ls_count:>10} {:>12.3}", geometric_mean(&sched));
     }
@@ -64,10 +63,10 @@ fn main() {
         let mut oracle = schedfilter::filters::EvalTimes::default();
         for (bench, filter) in &folds {
             let tr = own(bench);
-            hard.accumulate(&sched_time_ratio(&tr, filter, &DecisionPolicy::HardThreshold));
+            hard.accumulate(&sched_time_ratio(&tr, filter.compiled(), &DecisionPolicy::HardThreshold));
             let others: Vec<&TraceRecord> = traces.iter().filter(|r| &r.benchmark != bench).collect();
             let policy = DecisionPolicy::ExpectedBenefit(BenefitModel::calibrate(others, c));
-            eb.accumulate(&sched_time_ratio(&tr, filter, &policy));
+            eb.accumulate(&sched_time_ratio(&tr, filter.compiled(), &policy));
             oracle.accumulate(&oracle_times(&tr, c));
         }
         println!(

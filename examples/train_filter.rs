@@ -36,7 +36,7 @@ fn main() {
     println!("leave-one-benchmark-out error rates at t={threshold}%:");
     for (bench, filter) in train_loocv(&traces, &config, 1) {
         let own: Vec<_> = traces.iter().filter(|r| r.benchmark == bench).cloned().collect();
-        let m = classification_matrix(&own, &filter.compile(), LabelConfig::new(threshold));
+        let m = classification_matrix(&own, filter.compiled(), LabelConfig::new(threshold));
         println!(
             "  {bench:<10} error {:>5.2}%  (predicts LS for {} of {} blocks)",
             m.error_percent(),

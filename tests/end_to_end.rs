@@ -25,7 +25,7 @@ fn full_pipeline_produces_working_filter() {
     let traces = jvm98_traces();
     assert!(traces.len() > 500, "corpus too small: {}", traces.len());
 
-    let filter = train_filter(&traces, &TrainConfig::with_threshold(0)).compile();
+    let filter = train_filter(&traces, &TrainConfig::with_threshold(0)).compiled().clone();
     // The filter must beat the trivial strategies on the trade-off:
     // cheaper than LS, more effective than NS.
     let times = sched_time_ratio(&traces, &filter, &DecisionPolicy::HardThreshold);
@@ -51,7 +51,7 @@ fn loocv_filters_generalize_to_held_out_benchmarks() {
     assert_eq!(folds.len(), 7);
     for (bench, filter) in &folds {
         let own: Vec<TraceRecord> = traces.iter().filter(|r| &r.benchmark == bench).cloned().collect();
-        let m = classification_matrix(&own, &filter.compile(), LabelConfig::new(0));
+        let m = classification_matrix(&own, filter.compiled(), LabelConfig::new(0));
         assert!(m.total() > 0);
         assert!(m.error_percent() < 35.0, "{bench}: error {:.1}% is worse than near-trivial", m.error_percent());
     }
@@ -60,8 +60,8 @@ fn loocv_filters_generalize_to_held_out_benchmarks() {
 #[test]
 fn threshold_raises_efficiency_and_shrinks_ls_predictions() {
     let traces = jvm98_traces();
-    let f0 = train_filter(&traces, &TrainConfig::with_threshold(0)).compile();
-    let f40 = train_filter(&traces, &TrainConfig::with_threshold(40)).compile();
+    let f0 = train_filter(&traces, &TrainConfig::with_threshold(0)).compiled().clone();
+    let f40 = train_filter(&traces, &TrainConfig::with_threshold(40)).compiled().clone();
     let c0 = runtime_classification(&traces, &f0);
     let c40 = runtime_classification(&traces, &f40);
     assert!(c40.ls < c0.ls, "higher threshold should schedule fewer blocks ({} vs {})", c40.ls, c0.ls);
@@ -87,7 +87,7 @@ fn compile_session_agrees_with_trace_based_eval() {
     let suite = Suite::specjvm98(SCALE);
     let program = suite.benchmarks()[4].program(); // mpegaudio: schedulable
     let traces = collect_trace(program, &machine, &TraceOptions::default());
-    let filter = train_filter(&traces, &TrainConfig::with_threshold(0)).compile();
+    let filter = train_filter(&traces, &TrainConfig::with_threshold(0)).compiled().clone();
 
     let session = CompileSession::new(&machine);
     let (compiled, stats) = session.compile(program, &filter, 1);
@@ -120,7 +120,7 @@ fn factory_deployment_round_trip() {
     let listing = trained.rules().to_string();
     let attrs: Vec<String> = wts_features::FeatureKind::ALL.iter().map(|k| k.rule_name().to_string()).collect();
     let reloaded = LearnedFilter::new(parse_rule_set(&listing, &attrs).expect("listing parses"), 10);
-    let (trained, reloaded) = (trained.compile(), reloaded.compile());
+    let (trained, reloaded) = (trained.compiled(), reloaded.compiled());
     for r in &traces {
         assert_eq!(
             trained.decide(r.features.as_slice()),

@@ -25,8 +25,7 @@ fn corpus(machine: &MachineConfig, scope: ScopeKind) -> Vec<TraceRecord> {
 }
 
 fn model_table(filter: &LearnedFilter, artifact: &str) -> ModelTable {
-    let compiled = filter.compile();
-    ModelTable::from_rule_set(filter.rules(), compiled.demand(), artifact)
+    ModelTable::from_rule_set(filter.rules(), filter.compiled().demand(), artifact)
 }
 
 fn assert_clean(filter: &LearnedFilter, artifact: &str) {
@@ -139,8 +138,7 @@ fn mutation_non_finite_threshold_is_caught_and_the_twin_is_clean() {
     assert!(matches!(err, CompiledFilterError::NonFiniteThreshold { rule, .. } if rule == target), "{err}");
     assert!(err.to_string().contains("non-finite threshold"), "{err}");
 
-    let compiled = filter.compile();
-    let table = ModelTable::from_rule_set(&mutated, compiled.demand(), "nan-mutant");
+    let table = ModelTable::from_rule_set(&mutated, filter.compiled().demand(), "nan-mutant");
     assert!(
         lint_model(&table).iter().any(|d| d.message.contains("non-finite threshold")),
         "the model lint names the defect too"

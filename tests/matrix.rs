@@ -141,7 +141,7 @@ fn superblock_smoke_scope_scenario_on_every_machine() {
         );
         for (bench, filter) in s.loocv_filters(0).iter() {
             assert_eq!(filter.learner(), "L/N@sb70", "{}: scope tag missing", machine.name());
-            let compiled = filter.compile();
+            let compiled = filter.compiled();
             for r in s.all_traces() {
                 assert_eq!(
                     compiled.decide(r.features.as_slice()),
