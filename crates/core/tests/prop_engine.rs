@@ -3,11 +3,15 @@
 //! vectors, and on every trained LOOCV fold across every registry
 //! machine.
 
+#[path = "support/arb.rs"]
+mod arb;
+
+use arb::{arb_rule_set, arb_vector};
 use proptest::prelude::*;
 use wts_core::{CompiledFilter, Experiment, LearnedFilter, Learner, LearnerKind, TimingMode};
 use wts_features::{FeatureKind, FeatureMask, FeatureVector};
 use wts_ir::{BasicBlock, Inst, MemRef, MemSpace, Opcode, Program, Reg};
-use wts_ripper::{Condition, Dataset, Op, Rule, RuleSet, RuleStats};
+use wts_ripper::{Dataset, RuleSet};
 
 /// The interpreted reference walk of an ordered rule set: conditions
 /// evaluated, short-circuiting within each rule and stopping at the first
@@ -28,42 +32,6 @@ fn interpreted_work(rules: &RuleSet, values: &[f64]) -> u64 {
         }
     }
     evaluated
-}
-
-fn arb_condition() -> impl Strategy<Value = Condition> {
-    (0usize..FeatureKind::COUNT, prop::bool::ANY, 0u32..40).prop_map(|(attr, ge, t)| Condition {
-        attr,
-        op: if ge { Op::Ge } else { Op::Le },
-        // Thresholds straddle both the bbLen scale and the fraction
-        // scale so conditions on either kind of feature can go both ways.
-        threshold: t as f64 / 8.0,
-    })
-}
-
-fn arb_rule_set() -> impl Strategy<Value = RuleSet> {
-    prop::collection::vec(prop::collection::vec(arb_condition(), 0..5), 0..5).prop_map(|rules| {
-        let attr_names: Vec<String> = FeatureKind::ALL.iter().map(|k| k.rule_name().to_string()).collect();
-        RuleSet::new(
-            attr_names,
-            "list",
-            "orig",
-            rules.into_iter().map(Rule::from_conditions).collect(),
-            vec![],
-            RuleStats::default(),
-        )
-    })
-}
-
-fn arb_vector() -> impl Strategy<Value = FeatureVector> {
-    let fracs = prop::collection::vec(0u32..17, FeatureKind::CATEGORY_COUNT..FeatureKind::CATEGORY_COUNT + 1);
-    (0u32..200, fracs).prop_map(|(bb_len, fracs)| {
-        let mut v = [0.0; FeatureKind::COUNT];
-        v[FeatureKind::BbLen.index()] = bb_len as f64;
-        for (i, f) in fracs.iter().enumerate() {
-            v[i + 1] = *f as f64 / 16.0;
-        }
-        FeatureVector::from_values(v)
-    })
 }
 
 /// A random labeled dataset over the full feature vocabulary: the

@@ -4,60 +4,22 @@
 //! every trained LOOCV fold across every registry machine, learner
 //! backend, and scheduling scope.
 
+#[path = "support/arb.rs"]
+mod arb;
+
+use arb::{arb_rule_set, arb_vector};
 use proptest::prelude::*;
 use wts_core::{
     collect_trace, filtered_schedule_pass, CompiledFilter, DecisionPolicy, Experiment, FilteredPass, Learner,
     LearnerKind, ScopeKind, TimingMode, TraceOptions, UnitEconomics,
 };
-use wts_features::{FeatureKind, FeatureVector};
-use wts_ripper::{Condition, Op, Rule, RuleSet, RuleStats};
-
-fn arb_condition() -> impl Strategy<Value = Condition> {
-    (0usize..FeatureKind::COUNT, prop::bool::ANY, 0u32..40).prop_map(|(attr, ge, t)| Condition {
-        attr,
-        op: if ge { Op::Ge } else { Op::Le },
-        threshold: t as f64 / 8.0,
-    })
-}
-
-/// Random rule sets *with* random coverage statistics, so scores span
-/// the whole calibration range instead of sitting on the empty-stats
-/// default of one half.
-fn arb_statted_rule_set() -> impl Strategy<Value = RuleSet> {
-    // One (conditions, stats) pair per rule, so the stats vector always
-    // matches the rule count.
-    let rules = prop::collection::vec((prop::collection::vec(arb_condition(), 0..5), 0usize..500, 0usize..500), 0..5);
-    (rules, (0usize..500, 0usize..500)).prop_map(|(rules, default)| {
-        let attr_names: Vec<String> = FeatureKind::ALL.iter().map(|k| k.rule_name().to_string()).collect();
-        let stats = rules.iter().map(|&(_, hits, misses)| RuleStats { hits, misses }).collect();
-        RuleSet::new(
-            attr_names,
-            "list",
-            "orig",
-            rules.into_iter().map(|(conds, _, _)| Rule::from_conditions(conds)).collect(),
-            stats,
-            RuleStats { hits: default.0, misses: default.1 },
-        )
-    })
-}
-
-fn arb_vector() -> impl Strategy<Value = FeatureVector> {
-    let fracs = prop::collection::vec(0u32..17, FeatureKind::CATEGORY_COUNT..FeatureKind::CATEGORY_COUNT + 1);
-    (0u32..200, fracs).prop_map(|(bb_len, fracs)| {
-        let mut v = [0.0; FeatureKind::COUNT];
-        v[FeatureKind::BbLen.index()] = bb_len as f64;
-        for (i, f) in fracs.iter().enumerate() {
-            v[i + 1] = *f as f64 / 16.0;
-        }
-        FeatureVector::from_values(v)
-    })
-}
+use wts_features::FeatureKind;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn scoring_never_changes_the_decision_or_the_work(rs in arb_statted_rule_set(),
+    fn scoring_never_changes_the_decision_or_the_work(rs in arb_rule_set(),
                                                       vectors in prop::collection::vec(arb_vector(), 1..20)) {
         let compiled = wts_core::CompiledFilter::from_rule_set(&rs, "L/N");
         let hard = DecisionPolicy::HardThreshold;

@@ -18,10 +18,14 @@
 //! builder reused across blocks of shrinking length (where stale marks
 //! or register entries from a longer block would show).
 
+#[path = "../../ir/tests/support/arb.rs"]
+mod arb;
+
+use arb::arb_block;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use wts_deps::{DepGraph, DepKind, GraphBuilder};
-use wts_ir::{Hazards, Inst, MemRef, MemSpace, Opcode, Reg};
+use wts_ir::{Inst, Reg};
 
 /// The pre-CSR builder, verbatim in structure: nested adjacency vectors
 /// filled by chronological pushes, a hash set collapsing parallel edges
@@ -169,53 +173,6 @@ impl OracleGraph {
     }
 }
 
-/// Random block generator covering every dependence source: ALU chains,
-/// loads/stores with aliasing slots, FP, hazards, branches and calls
-/// (the barrier machinery the block-scope graphs never exercise matters
-/// for the speculative superblock mode).
-fn arb_insts(max: usize) -> impl Strategy<Value = Vec<Inst>> {
-    prop::collection::vec(
-        (0u8..10, 0u16..5, 0u16..5, 0u32..3).prop_map(|(kind, a, b, slot)| match kind {
-            0 | 1 => Inst::new(Opcode::Add).def(Reg::gpr(a + 8)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-            2 => Inst::new(Opcode::Lwz).def(Reg::gpr(a + 8)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Heap, slot)),
-            3 => Inst::new(Opcode::Stw).use_(Reg::gpr(a)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Heap, slot)),
-            4 => Inst::new(Opcode::Fadd).def(Reg::fpr(a + 1)).use_(Reg::fpr(b)).use_(Reg::fpr(a)),
-            5 => Inst::new(Opcode::NullCheck).use_(Reg::gpr(a)).hazard(Hazards::PEI),
-            6 => Inst::new(Opcode::Mr).def(Reg::gpr(a + 8)).use_(Reg::gpr(b)),
-            7 => Inst::new(Opcode::Bc).use_(Reg::cr(0)),
-            8 => Inst::new(Opcode::Bl).def(Reg::lr()),
-            _ => Inst::new(Opcode::Cmp).def(Reg::cr(0)).use_(Reg::gpr(a)).use_(Reg::gpr(b)),
-        }),
-        0..max,
-    )
-}
-
-/// Blocks that put several dependence kinds on one `(from, to)` pair:
-/// loads and stores of a few slots whose registers feed hazardous
-/// (barrier) memory ops, calls and returns that read computed registers,
-/// and link-register writes ahead of calls — register, memory and
-/// barrier edges all land on the same pairs, so only the first kind
-/// recorded may survive.
-fn arb_stacked(max: usize) -> impl Strategy<Value = Vec<Inst>> {
-    prop::collection::vec(
-        (0u8..9, 0u16..3, 0u16..3, 0u32..2).prop_map(|(kind, a, b, slot)| {
-            let heap = MemRef::slot(MemSpace::Heap, slot);
-            match kind {
-                0 => Inst::new(Opcode::Lwz).def(Reg::gpr(a + 8)).use_(Reg::gpr(b + 8)).mem(heap),
-                1 => Inst::new(Opcode::Stw).use_(Reg::gpr(a + 8)).use_(Reg::gpr(b + 8)).mem(heap),
-                2 => Inst::new(Opcode::Stw).use_(Reg::gpr(a + 8)).use_(Reg::gpr(b)).mem(heap).hazard(Hazards::PEI),
-                3 => Inst::new(Opcode::Lwz).def(Reg::gpr(a + 8)).use_(Reg::gpr(b + 8)).mem(heap).hazard(Hazards::PEI),
-                4 => Inst::new(Opcode::Bl).def(Reg::lr()).use_(Reg::gpr(a + 8)),
-                5 => Inst::new(Opcode::Mtspr).def(Reg::lr()).use_(Reg::gpr(a + 8)),
-                6 => Inst::new(Opcode::Cmp).def(Reg::cr(0)).use_(Reg::gpr(a + 8)).use_(Reg::gpr(b + 8)),
-                7 => Inst::new(Opcode::Bc).use_(Reg::cr(0)),
-                _ => Inst::new(Opcode::Add).def(Reg::gpr(a + 8)).use_(Reg::gpr(b + 8)).use_(Reg::lr()),
-            }
-        }),
-        0..max,
-    )
-}
-
 /// Asserts that `g` equals the oracle's graph for `insts`, slice for
 /// slice, and that the builder reported its edge count.
 fn assert_matches_oracle(g: &DepGraph, insts: &[Inst], speculative: bool) -> proptest::test_runner::TestCaseResult {
@@ -234,21 +191,17 @@ proptest! {
     /// Stacked dependence kinds: the first kind recorded for each pair
     /// survives, in the oracle's slice orders.
     #[test]
-    fn stacked_kinds_match_nested_oracle_exactly(insts in arb_stacked(20), spec_bit in 0u8..2) {
+    fn stacked_kinds_match_nested_oracle_exactly(insts in arb_block(20), spec_bit in 0u8..2) {
         let speculative = spec_bit == 1;
         let g = if speculative { DepGraph::build_speculative(&insts) } else { DepGraph::build(&insts) };
         assert_matches_oracle(&g, &insts, speculative)?;
     }
 
-    /// One builder over blocks of shrinking length, both generators and
-    /// both modes: every mark and register entry a longer block left
-    /// behind sits at an index the next block reuses.
+    /// One builder over blocks of shrinking length, in both modes: every
+    /// mark and register entry a longer block left behind sits at an
+    /// index the next block reuses.
     #[test]
-    fn reused_builder_on_shrinking_blocks_matches_nested_oracle(
-        stacked in prop::collection::vec(arb_stacked(24), 1..5),
-        plain in prop::collection::vec(arb_insts(24), 1..5),
-    ) {
-        let mut blocks: Vec<Vec<Inst>> = stacked.into_iter().chain(plain).collect();
+    fn reused_builder_on_shrinking_blocks_matches_nested_oracle(mut blocks in prop::collection::vec(arb_block(24), 2..9)) {
         blocks.sort_by_key(|b| std::cmp::Reverse(b.len()));
         let mut builder = GraphBuilder::new();
         let mut g = DepGraph::empty();
@@ -265,22 +218,16 @@ proptest! {
     /// adjacency *slice for slice* — same targets, same kinds, same
     /// order — in both builder modes.
     #[test]
-    fn csr_matches_nested_oracle_exactly(insts in arb_insts(24), spec_bit in 0u8..2) {
+    fn csr_matches_nested_oracle_exactly(insts in arb_block(24), spec_bit in 0u8..2) {
         let speculative = spec_bit == 1;
         let new = if speculative { DepGraph::build_speculative(&insts) } else { DepGraph::build(&insts) };
-        let old = OracleBuilder::new(insts.len(), speculative).run(&insts);
-        let old_edges: usize = old.succs.iter().map(Vec::len).sum();
-        prop_assert_eq!(new.edge_count(), old_edges, "edge sets must agree");
-        for i in 0..insts.len() {
-            prop_assert_eq!(new.succs(i), &old.succs[i][..], "succs slice of {} must match in order and kind", i);
-            prop_assert_eq!(new.preds(i), &old.preds[i][..], "preds slice of {} must match in order and kind", i);
-        }
+        assert_matches_oracle(&new, &insts, speculative)?;
     }
 
     /// `ready` is what the scheduler's loop consumes; it must agree with
     /// the oracle on arbitrary scheduled masks, not just reachable ones.
     #[test]
-    fn ready_matches_nested_oracle(insts in arb_insts(16), mask_seed in 0u64..u64::MAX) {
+    fn ready_matches_nested_oracle(insts in arb_block(16), mask_seed in 0u64..u64::MAX) {
         let new = DepGraph::build(&insts);
         let old = OracleBuilder::new(insts.len(), false).run(&insts);
         // A cheap deterministic mask stream (xorshift) over a few draws.
@@ -297,17 +244,13 @@ proptest! {
     /// A reused builder must agree with the oracle just like a one-shot
     /// build — scratch-state leaks between blocks would show up here.
     #[test]
-    fn reused_builder_matches_nested_oracle(blocks in prop::collection::vec(arb_insts(12), 1..5)) {
+    fn reused_builder_matches_nested_oracle(blocks in prop::collection::vec(arb_block(12), 1..5)) {
         let mut builder = GraphBuilder::new();
         let mut g = DepGraph::empty();
         for insts in &blocks {
             for &speculative in &[false, true] {
                 builder.build_into(insts, speculative, &mut g);
-                let old = OracleBuilder::new(insts.len(), speculative).run(insts);
-                for i in 0..insts.len() {
-                    prop_assert_eq!(g.succs(i), &old.succs[i][..]);
-                    prop_assert_eq!(g.preds(i), &old.preds[i][..]);
-                }
+                assert_matches_oracle(&g, insts, speculative)?;
                 prop_assert_eq!(builder.last_edge_count(), g.edge_count());
             }
         }

@@ -1,29 +1,20 @@
 //! Property-based tests for dependence-graph construction.
 
-use proptest::prelude::*;
-use wts_deps::{critical_paths, DepGraph};
-use wts_ir::{Hazards, Inst, MemRef, MemSpace, Opcode, Reg};
-use wts_machine::MachineConfig;
+#[path = "../../ir/tests/support/arb.rs"]
+mod arb;
 
-fn arb_insts(max: usize) -> impl Strategy<Value = Vec<Inst>> {
-    prop::collection::vec(
-        (0u8..7, 0u16..5, 0u16..5, 0u32..3).prop_map(|(kind, a, b, slot)| match kind {
-            0 | 1 => Inst::new(Opcode::Add).def(Reg::gpr(a + 8)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-            2 => Inst::new(Opcode::Lwz).def(Reg::gpr(a + 8)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Heap, slot)),
-            3 => Inst::new(Opcode::Stw).use_(Reg::gpr(a)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Heap, slot)),
-            4 => Inst::new(Opcode::Fadd).def(Reg::fpr(a + 1)).use_(Reg::fpr(b)).use_(Reg::fpr(a)),
-            5 => Inst::new(Opcode::NullCheck).use_(Reg::gpr(a)).hazard(Hazards::PEI),
-            _ => Inst::new(Opcode::Mr).def(Reg::gpr(a + 8)).use_(Reg::gpr(b)),
-        }),
-        0..max,
-    )
-}
+use arb::{arb_block, is_serializing};
+use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use wts_deps::{critical_paths, DepGraph, DepKind};
+use wts_ir::{Inst, Opcode};
+use wts_machine::{Barrier, DepScan, DepSink, MachineConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn edges_point_forward_only(insts in arb_insts(16)) {
+    fn edges_point_forward_only(insts in arb_block(16)) {
         let g = DepGraph::build(&insts);
         for i in 0..g.len() {
             for &(s, _) in g.succs(i) {
@@ -36,7 +27,7 @@ proptest! {
     }
 
     #[test]
-    fn preds_and_succs_are_mirror_images(insts in arb_insts(16)) {
+    fn preds_and_succs_are_mirror_images(insts in arb_block(16)) {
         let g = DepGraph::build(&insts);
         let mut from_succs = 0usize;
         for i in 0..g.len() {
@@ -49,14 +40,14 @@ proptest! {
     }
 
     #[test]
-    fn identity_order_always_respected(insts in arb_insts(16)) {
+    fn identity_order_always_respected(insts in arb_block(16)) {
         let g = DepGraph::build(&insts);
         let identity: Vec<usize> = (0..insts.len()).collect();
         prop_assert!(g.respects(&identity));
     }
 
     #[test]
-    fn topological_consumption_reaches_every_node(insts in arb_insts(16)) {
+    fn topological_consumption_reaches_every_node(insts in arb_block(16)) {
         let g = DepGraph::build(&insts);
         let mut scheduled = vec![false; g.len()];
         let mut placed = 0;
@@ -72,7 +63,7 @@ proptest! {
     }
 
     #[test]
-    fn critical_paths_decrease_along_edges(insts in arb_insts(16)) {
+    fn critical_paths_decrease_along_edges(insts in arb_block(16)) {
         let m = MachineConfig::ppc7410();
         let g = DepGraph::build(&insts);
         let cp = critical_paths(&g, &insts, &m);
@@ -85,7 +76,7 @@ proptest! {
     }
 
     #[test]
-    fn dependent_register_pairs_are_connected(insts in arb_insts(12)) {
+    fn dependent_register_pairs_are_connected(insts in arb_block(12)) {
         // For every pair (i, j), i < j, where j reads a register i writes
         // and no instruction between them rewrites it, an edge must exist.
         let g = DepGraph::build(&insts);
@@ -102,5 +93,49 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Every edge a dependence scan reports, repeats included.
+struct AllEdges(Vec<(u32, u32, DepKind)>);
+
+impl DepSink for AllEdges {
+    fn edge(&mut self, from: u32, to: u32, kind: DepKind) {
+        self.0.push((from, to, kind));
+    }
+
+    fn end_inst(&mut self) {}
+}
+
+/// True when the scan of `insts` reports two kinds for one pair.
+fn has_stacked_pair(insts: &[Inst]) -> bool {
+    let mut edges = AllEdges(Vec::new());
+    let classify = |i: &Inst| if i.opcode().is_control() || i.is_hazardous() { Barrier::Full } else { Barrier::None };
+    DepScan::default().scan(insts, classify, &mut edges);
+    edges.0.sort_unstable();
+    edges.0.dedup();
+    edges.0.windows(2).any(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+}
+
+/// The shared generator's self-check: 64 fixed-seed blocks of at most
+/// 12 instructions, the smallest draw any block suite makes, hold every
+/// class the suites rely on, so an edit to `arb_block` cannot silently
+/// drop one.
+#[test]
+fn shared_blocks_cover_every_class_the_suites_rely_on() {
+    let mut rng = TestRng::from_name(concat!(module_path!(), "::shared_blocks_cover_every_class_the_suites_rely_on"));
+    let strategy = arb_block(12);
+    let blocks: Vec<Vec<Inst>> = (0..64).map(|_| strategy.generate(&mut rng)).collect();
+    let any_inst = |pred: fn(&Inst) -> bool| blocks.iter().filter(|b| b.iter().any(pred)).count();
+    let classes = [
+        ("a pair with two dependence kinds", blocks.iter().filter(|b| has_stacked_pair(b)).count()),
+        ("a serializing op", any_inst(|i| is_serializing(i.opcode()))),
+        ("a divide", any_inst(|i| matches!(i.opcode(), Opcode::Divw | Opcode::Divwu | Opcode::Fdiv))),
+        ("a hazardous load or store", any_inst(|i| i.opcode().is_memory() && i.is_hazardous())),
+        ("a branch", any_inst(|i| i.opcode().is_branch())),
+        ("a call", any_inst(|i| i.opcode().is_call())),
+    ];
+    for (class, blocks_with) in classes {
+        assert!(blocks_with > 0, "no generated block holds {class}");
     }
 }

@@ -1,26 +1,12 @@
 //! Property-based tests for feature extraction.
 
+#[path = "../../ir/tests/support/arb.rs"]
+mod arb;
+
+use arb::arb_inst;
 use proptest::prelude::*;
 use wts_features::{FeatureKind, FeatureMask, FeatureVector};
-use wts_ir::{BasicBlock, Hazards, Inst, MemRef, MemSpace, Opcode, Reg};
-
-fn arb_inst() -> impl Strategy<Value = Inst> {
-    (prop::sample::select(Opcode::ALL.to_vec()), 0u16..8, 0u32..4, prop::bool::ANY).prop_map(|(op, r, slot, pei)| {
-        let mut inst = Inst::new(op);
-        if op.is_memory() {
-            inst = inst.mem(MemRef::slot(MemSpace::Heap, slot));
-            if op.is_load() {
-                inst = inst.def(Reg::gpr(r));
-            } else {
-                inst = inst.use_(Reg::gpr(r));
-            }
-        }
-        if pei {
-            inst = inst.hazard(Hazards::PEI);
-        }
-        inst
-    })
-}
+use wts_ir::{BasicBlock, Inst};
 
 fn block(insts: Vec<Inst>) -> BasicBlock {
     BasicBlock::from_insts(0, insts)

@@ -1,42 +1,15 @@
 //! Property-based tests for the IR: category algebra, block reordering
 //! and validation invariants.
 
+#[path = "support/arb.rs"]
+mod arb;
+
+use arb::arb_inst;
 use proptest::prelude::*;
-use wts_ir::{BasicBlock, Category, CategorySet, Hazards, Inst, MemRef, MemSpace, Opcode, Reg};
+use wts_ir::{BasicBlock, Category, CategorySet, Hazards, Inst};
 
 fn arb_category() -> impl Strategy<Value = Category> {
     prop::sample::select(Category::ALL.to_vec())
-}
-
-fn arb_opcode() -> impl Strategy<Value = Opcode> {
-    prop::sample::select(Opcode::ALL.to_vec())
-}
-
-fn arb_inst() -> impl Strategy<Value = Inst> {
-    (arb_opcode(), 0u16..8, 0u16..8, 0u32..4, prop::bool::ANY, prop::bool::ANY).prop_map(
-        |(op, def_idx, use_idx, slot, pei, unknown)| {
-            let mut inst = Inst::new(op);
-            if op.is_memory() {
-                let m = if unknown { MemRef::unknown(MemSpace::Heap) } else { MemRef::slot(MemSpace::Heap, slot) };
-                inst = inst.mem(m);
-                if op.is_load() {
-                    inst = inst.def(Reg::gpr(def_idx)).use_(Reg::gpr(use_idx + 8));
-                } else {
-                    inst = inst.use_(Reg::gpr(def_idx)).use_(Reg::gpr(use_idx + 8));
-                }
-            } else if !op.is_control() {
-                if op.is_float_unit() {
-                    inst = inst.def(Reg::fpr(def_idx)).use_(Reg::fpr(use_idx + 8));
-                } else {
-                    inst = inst.def(Reg::gpr(def_idx)).use_(Reg::gpr(use_idx + 8));
-                }
-            }
-            if pei {
-                inst = inst.hazard(Hazards::PEI);
-            }
-            inst
-        },
-    )
 }
 
 proptest! {

@@ -1,9 +1,9 @@
 //! Deterministic PRNG for workload generation.
 //!
 //! A hand-rolled xoshiro256** (seeded via SplitMix64) instead of the
-//! `rand` crate, so that generated corpora — and therefore every number in
-//! EXPERIMENTS.md — are bit-stable across `rand` major versions. See
-//! DESIGN.md §2 for the justification.
+//! `rand` crate, so that generated corpora — and every deterministic
+//! number `repro` prints — do not move with `rand`'s major versions;
+//! `tests/determinism.rs` checks that they are bit-stable run to run.
 
 /// xoshiro256** by Blackman & Vigna; state seeded with SplitMix64.
 #[derive(Debug, Clone, PartialEq, Eq)]

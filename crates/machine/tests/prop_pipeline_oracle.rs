@@ -23,9 +23,13 @@
 //! the pending loads it covers, and the oracle's loop applies the same
 //! rule.
 
+#[path = "../../ir/tests/support/arb.rs"]
+mod arb;
+
+use arb::{arb_block, is_serializing, leak_probes};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use wts_ir::{Inst, MemRef, MemSpace, Opcode, Reg, UnitClass};
+use wts_ir::{Inst, Opcode, Reg, UnitClass};
 use wts_machine::{FunctionalUnit, MachineConfig, PipelineSim};
 
 /// Dependence edges precomputed from program order.
@@ -35,10 +39,6 @@ struct SimDeps {
     completion: Vec<Vec<u32>>,
     /// Predecessors whose *issue* must precede-or-equal our issue.
     issue: Vec<Vec<u32>>,
-}
-
-fn is_serializing(op: Opcode) -> bool {
-    matches!(op, Opcode::Sync | Opcode::Isync) || op.is_call()
 }
 
 fn scan_deps(insts: &[Inst]) -> SimDeps {
@@ -204,63 +204,6 @@ fn with_window(machine: &MachineConfig, window: usize) -> MachineConfig {
     )
 }
 
-/// Generated bodies over a small register pool in every class, so
-/// dependences of every kind are dense: aliasing loads and stores (known
-/// and unknown slots in two spaces), `sync`/`isync`/`bl` barriers,
-/// conditional and unconditional branches, non-pipelined integer and FP
-/// divides, and CR/SPR traffic.
-fn arb_mixed_body(max: usize) -> impl Strategy<Value = Vec<Inst>> {
-    prop::collection::vec(
-        (0u8..16, 0u16..4, 0u16..4, 0u32..4).prop_map(|(kind, a, b, slot)| {
-            let space = if slot % 2 == 0 { MemSpace::Heap } else { MemSpace::Stack };
-            let mem = if slot == 3 { MemRef::unknown(space) } else { MemRef::slot(space, slot) };
-            match kind {
-                0 => Inst::new(Opcode::Add).def(Reg::gpr(a)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-                1 => Inst::new(Opcode::Mullw).def(Reg::gpr(a)).use_(Reg::gpr(b)).use_(Reg::gpr(b)),
-                2 => Inst::new(Opcode::Divw).def(Reg::gpr(a)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-                3 => Inst::new(Opcode::Fadd).def(Reg::fpr(a)).use_(Reg::fpr(b)).use_(Reg::fpr(a)),
-                4 => Inst::new(Opcode::Fdiv).def(Reg::fpr(a)).use_(Reg::fpr(b)).use_(Reg::fpr(b)),
-                5 => Inst::new(Opcode::Lwz).def(Reg::gpr(a)).use_(Reg::gpr(b)).mem(mem),
-                6 => Inst::new(Opcode::Lfd).def(Reg::fpr(a)).use_(Reg::gpr(b)).mem(mem),
-                7 => Inst::new(Opcode::Stw).use_(Reg::gpr(a)).use_(Reg::gpr(b)).mem(mem),
-                8 => Inst::new(Opcode::Stfd).use_(Reg::fpr(a)).use_(Reg::gpr(b)).mem(mem),
-                9 => Inst::new(Opcode::Cmp).def(Reg::cr(a)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-                10 => Inst::new(Opcode::Bc).use_(Reg::cr(b)),
-                11 => Inst::new(Opcode::Mtspr).def(Reg::spr(a)).use_(Reg::gpr(b)),
-                12 => Inst::new(Opcode::Mfspr).def(Reg::gpr(a)).use_(Reg::spr(b)),
-                13 => Inst::new(Opcode::Bl).def(Reg::lr()).use_(Reg::gpr(b)),
-                14 => Inst::new(if a % 2 == 0 { Opcode::Sync } else { Opcode::Isync }),
-                _ => Inst::new(Opcode::B),
-            }
-        }),
-        0..max,
-    )
-}
-
-/// Fixed blocks that lead every replay sequence (the same probes the
-/// cost model's reuse test replays): a store, a long FP def and a sync
-/// whose state must not survive into the next block, and a block that
-/// reads `f28` after an earlier block defined it.
-fn leak_probes() -> Vec<Vec<Inst>> {
-    let heap = MemRef::slot(MemSpace::Heap, 0);
-    vec![
-        vec![
-            Inst::new(Opcode::Stw).use_(Reg::gpr(1)).use_(Reg::gpr(2)).mem(heap),
-            Inst::new(Opcode::Fadd).def(Reg::fpr(1)).use_(Reg::fpr(0)).use_(Reg::fpr(0)),
-            Inst::new(Opcode::Sync),
-        ],
-        vec![
-            Inst::new(Opcode::Lwz).def(Reg::gpr(3)).use_(Reg::gpr(4)).mem(heap),
-            Inst::new(Opcode::Add).def(Reg::gpr(1)).use_(Reg::gpr(3)).use_(Reg::gpr(3)),
-        ],
-        vec![
-            Inst::new(Opcode::Lfd).def(Reg::fpr(28)).use_(Reg::gpr(1)).mem(MemRef::slot(MemSpace::Stack, 0)),
-            Inst::new(Opcode::Fdiv).def(Reg::fpr(28)).use_(Reg::fpr(28)).use_(Reg::fpr(28)),
-        ],
-        vec![Inst::new(Opcode::Fadd).def(Reg::fpr(1)).use_(Reg::fpr(28)).use_(Reg::fpr(2))],
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -268,7 +211,7 @@ proptest! {
     /// generated depth, simulates every generated body exactly like the
     /// cycle-by-cycle loop.
     #[test]
-    fn event_driven_sim_matches_the_cycle_by_cycle_loop(insts in arb_mixed_body(40), window in 1usize..=32) {
+    fn event_driven_sim_matches_the_cycle_by_cycle_loop(insts in arb_block(40), window in 1usize..=32) {
         for machine in wts_machine::registry() {
             for m in [with_window(&machine, window), machine] {
                 prop_assert_eq!(
@@ -284,7 +227,7 @@ proptest! {
     /// blocks of shrinking length, and every block still costs what a
     /// fresh cycle-by-cycle simulation says.
     #[test]
-    fn reused_scratch_replays_shrinking_blocks_exactly(mut blocks in prop::collection::vec(arb_mixed_body(40), 1..6)) {
+    fn reused_scratch_replays_shrinking_blocks_exactly(mut blocks in prop::collection::vec(arb_block(40), 1..6)) {
         blocks.sort_by_key(|b| std::cmp::Reverse(b.len()));
         for machine in wts_machine::registry() {
             let sim = PipelineSim::new(&machine);

@@ -2,70 +2,13 @@
 //! order sensitivity, and a long-lived issue state that must never leak
 //! one block's state into the next.
 
+#[path = "../../ir/tests/support/arb.rs"]
+mod arb;
+
+use arb::{arb_block, leak_probes};
 use proptest::prelude::*;
-use wts_ir::{Inst, MemRef, MemSpace, Opcode, Reg};
+use wts_ir::{Inst, Opcode, Reg};
 use wts_machine::{CostModel, IssueState, MachineConfig, PipelineSim};
-
-/// Straight-line instruction generator: ALU ops, loads, stores over a
-/// small register/slot pool (no control flow, so any order is legal
-/// timing-wise).
-fn arb_body(max: usize) -> impl Strategy<Value = Vec<Inst>> {
-    prop::collection::vec(
-        (0u8..6, 0u16..6, 0u16..6, 0u32..3).prop_map(|(kind, a, b, slot)| match kind {
-            0 => Inst::new(Opcode::Add).def(Reg::gpr(a + 10)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-            1 => Inst::new(Opcode::Mullw).def(Reg::gpr(a + 10)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-            2 => Inst::new(Opcode::Fadd).def(Reg::fpr(a + 1)).use_(Reg::fpr(b)).use_(Reg::fpr(a)),
-            3 => Inst::new(Opcode::Lwz).def(Reg::gpr(a + 10)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Heap, slot)),
-            4 => Inst::new(Opcode::Stw).use_(Reg::gpr(a)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Heap, slot)),
-            _ => Inst::new(Opcode::Lfd).def(Reg::fpr(a + 1)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Stack, slot)),
-        }),
-        0..max,
-    )
-}
-
-/// Blocks over a wider register file than [`arb_body`]: high FPRs,
-/// condition and special registers, so that consecutive blocks touch
-/// different slots of the issue state's register table.
-fn arb_reg_body(max: usize) -> impl Strategy<Value = Vec<Inst>> {
-    prop::collection::vec(
-        (0u8..7, 0u16..4, 0u16..4, 0u32..3).prop_map(|(kind, a, b, slot)| match kind {
-            0 => Inst::new(Opcode::Fadd).def(Reg::fpr(28 - a)).use_(Reg::fpr(28 - b)).use_(Reg::fpr(a)),
-            1 => Inst::new(Opcode::Cmp).def(Reg::cr(a)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-            2 => Inst::new(Opcode::Mtspr).def(Reg::spr(a)).use_(Reg::gpr(b)),
-            3 => Inst::new(Opcode::Mfspr).def(Reg::gpr(a + 10)).use_(Reg::spr(b)),
-            4 => {
-                Inst::new(Opcode::Lfd).def(Reg::fpr(28 - a)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Stack, slot))
-            }
-            5 => Inst::new(Opcode::Stw).use_(Reg::gpr(a)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Heap, slot)),
-            _ => Inst::new(Opcode::Divw).def(Reg::gpr(a + 10)).use_(Reg::gpr(b)).use_(Reg::gpr(a + 10)),
-        }),
-        0..max,
-    )
-}
-
-/// Fixed blocks that lead every replay sequence: a store, a long FP def
-/// and a sync whose state must not survive into the next block, and the
-/// epoch-leak case — block A defines `f28`, block B reads it without
-/// defining it, so B must see `f28` as ready at cycle 0.
-fn leak_probes() -> Vec<Vec<Inst>> {
-    let heap = MemRef::slot(MemSpace::Heap, 0);
-    vec![
-        vec![
-            Inst::new(Opcode::Stw).use_(Reg::gpr(1)).use_(Reg::gpr(2)).mem(heap),
-            Inst::new(Opcode::Fadd).def(Reg::fpr(1)).use_(Reg::fpr(0)).use_(Reg::fpr(0)),
-            Inst::new(Opcode::Sync),
-        ],
-        vec![
-            Inst::new(Opcode::Lwz).def(Reg::gpr(3)).use_(Reg::gpr(4)).mem(heap),
-            Inst::new(Opcode::Add).def(Reg::gpr(1)).use_(Reg::gpr(3)).use_(Reg::gpr(3)),
-        ],
-        vec![
-            Inst::new(Opcode::Lfd).def(Reg::fpr(28)).use_(Reg::gpr(1)).mem(MemRef::slot(MemSpace::Stack, 0)),
-            Inst::new(Opcode::Fdiv).def(Reg::fpr(28)).use_(Reg::fpr(28)).use_(Reg::fpr(28)),
-        ],
-        vec![Inst::new(Opcode::Fadd).def(Reg::fpr(1)).use_(Reg::fpr(28)).use_(Reg::fpr(2))],
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -75,7 +18,7 @@ proptest! {
     /// and through `reset` plus issue-by-issue commits, where every
     /// `earliest_issue` query must equal the cycle `issue` then commits.
     #[test]
-    fn reset_state_replays_like_fresh(blocks in prop::collection::vec(arb_reg_body(12), 1..6)) {
+    fn reset_state_replays_like_fresh(blocks in prop::collection::vec(arb_block(12), 1..6)) {
         let m = MachineConfig::ppc7410();
         let cm = CostModel::new(&m);
         let mut st = IssueState::new(&m);
@@ -92,7 +35,7 @@ proptest! {
     }
 
     #[test]
-    fn cost_is_at_least_dependence_height(insts in arb_body(16)) {
+    fn cost_is_at_least_dependence_height(insts in arb_block(16)) {
         let m = MachineConfig::ppc7410();
         let cm = CostModel::new(&m);
         let h = cm.dependence_height(&insts);
@@ -101,7 +44,7 @@ proptest! {
     }
 
     #[test]
-    fn cost_is_at_most_serial_sum(insts in arb_body(16)) {
+    fn cost_is_at_most_serial_sum(insts in arb_block(16)) {
         // No schedule can be slower than "one instruction at a time,
         // each waiting for everything before it to complete".
         let m = MachineConfig::ppc7410();
@@ -112,7 +55,7 @@ proptest! {
     }
 
     #[test]
-    fn adding_an_instruction_never_speeds_the_block_up(insts in arb_body(12)) {
+    fn adding_an_instruction_never_speeds_the_block_up(insts in arb_block(12)) {
         prop_assume!(!insts.is_empty());
         let m = MachineConfig::ppc7410();
         let cm = CostModel::new(&m);
@@ -139,7 +82,7 @@ proptest! {
     }
 
     #[test]
-    fn pipeline_window_one_matches_in_order(insts in arb_body(12)) {
+    fn pipeline_window_one_matches_in_order(insts in arb_block(12)) {
         let m = MachineConfig::simple_scalar();
         prop_assert_eq!(
             PipelineSim::new(&m).sequence_cycles(&insts),
@@ -148,7 +91,7 @@ proptest! {
     }
 
     #[test]
-    fn wider_window_never_hurts(insts in arb_body(14)) {
+    fn wider_window_never_hurts(insts in arb_block(14)) {
         // ppc7410 (window 8) vs the same machine fully in-order.
         let wide = MachineConfig::ppc7410();
         let ooo = PipelineSim::new(&wide).sequence_cycles(&insts);
@@ -157,7 +100,7 @@ proptest! {
     }
 
     #[test]
-    fn simulators_are_deterministic(insts in arb_body(14)) {
+    fn simulators_are_deterministic(insts in arb_block(14)) {
         let m = MachineConfig::ppc7410();
         let cm = CostModel::new(&m);
         let ps = PipelineSim::new(&m);

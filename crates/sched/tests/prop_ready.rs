@@ -6,37 +6,14 @@
 //! recomputed from scratch — on random instruction sequences, for every
 //! machine in the registry.
 
+#[path = "../../ir/tests/support/arb.rs"]
+mod arb;
+
+use arb::arb_block;
 use proptest::prelude::*;
 use wts_deps::DepGraph;
-use wts_ir::{Hazards, Inst, MemRef, MemSpace, Opcode, Reg};
 use wts_machine::registry;
 use wts_sched::{ListScheduler, SchedulePolicy};
-
-/// Blocks mixing ALU/memory/hazard/control instructions (same mix as the
-/// scheduler's own property tests).
-fn arb_block(max: usize) -> impl Strategy<Value = Vec<Inst>> {
-    prop::collection::vec(
-        (0u8..8, 0u16..6, 0u16..6, 0u32..3, prop::bool::ANY).prop_map(|(kind, a, b, slot, pei)| match kind {
-            0 | 1 => Inst::new(Opcode::Add).def(Reg::gpr(a + 10)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-            2 => Inst::new(Opcode::Fmul).def(Reg::fpr(a + 1)).use_(Reg::fpr(b)).use_(Reg::fpr(a)),
-            3 => {
-                let mut i = Inst::new(Opcode::Lwz)
-                    .def(Reg::gpr(a + 10))
-                    .use_(Reg::gpr(b))
-                    .mem(MemRef::slot(MemSpace::Heap, slot));
-                if pei {
-                    i = i.hazard(Hazards::PEI);
-                }
-                i
-            }
-            4 => Inst::new(Opcode::Stw).use_(Reg::gpr(a)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Heap, slot)),
-            5 => Inst::new(Opcode::Divw).def(Reg::gpr(a + 10)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-            6 => Inst::new(Opcode::Bc).use_(Reg::cr(0)),
-            _ => Inst::new(Opcode::YieldPoint).hazard(Hazards::YIELD | Hazards::GC_POINT),
-        }),
-        0..max,
-    )
-}
 
 /// Replays `order`, maintaining the scheduler's incremental bookkeeping
 /// (`remaining_preds` counters + an unordered ready list), and checks it

@@ -18,17 +18,17 @@
 //! the cache's invalidation rule exact on its own, since a complete
 //! dependence graph keeps most stale entries from ever being read.
 
+#[path = "../../ir/tests/support/arb.rs"]
+mod arb;
+
+use arb::{arb_block, is_serializing};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::cmp::Reverse;
 use wts_deps::{critical_paths, DepGraph};
-use wts_ir::{Inst, MemRef, MemSpace, Opcode, Reg, RegTable, UnitClass};
+use wts_ir::{Inst, MemRef, Opcode, Reg, RegTable, UnitClass};
 use wts_machine::{FunctionalUnit, IssueState, MachineConfig};
 use wts_sched::{ListScheduler, SchedScratch, ScheduleOutcome, SchedulePolicy};
-
-fn is_serializing(op: Opcode) -> bool {
-    matches!(op, Opcode::Sync | Opcode::Isync) || op.is_call()
-}
 
 /// The issue state as it was: per-query opcode derivations and a
 /// step-by-one slot search from the last issue cycle.
@@ -262,41 +262,6 @@ fn machines() -> Vec<MachineConfig> {
     all
 }
 
-/// Generated bodies over a small register pool in every class, so every
-/// input of the data-ready cycle is dense: aliasing loads and stores
-/// (known and unknown slots in two spaces), `sync`/`isync`/`bl`
-/// barriers, conditional and unconditional branches, non-pipelined
-/// integer and FP divides contending for one unit, and CR/SPR traffic.
-fn arb_mixed_body(max: usize) -> impl Strategy<Value = Vec<Inst>> {
-    prop::collection::vec(
-        (0u8..18, 0u16..4, 0u16..4, 0u32..4).prop_map(|(kind, a, b, slot)| {
-            let space = if slot % 2 == 0 { MemSpace::Heap } else { MemSpace::Stack };
-            let mem = if slot == 3 { MemRef::unknown(space) } else { MemRef::slot(space, slot) };
-            match kind {
-                0 => Inst::new(Opcode::Add).def(Reg::gpr(a)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-                1 => Inst::new(Opcode::Mullw).def(Reg::gpr(a)).use_(Reg::gpr(b)).use_(Reg::gpr(b)),
-                2 => Inst::new(Opcode::Divw).def(Reg::gpr(a)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-                3 => Inst::new(Opcode::Fadd).def(Reg::fpr(a)).use_(Reg::fpr(b)).use_(Reg::fpr(a)),
-                4 => Inst::new(Opcode::Fdiv).def(Reg::fpr(a)).use_(Reg::fpr(b)).use_(Reg::fpr(b)),
-                5 => Inst::new(Opcode::Lwz).def(Reg::gpr(a)).use_(Reg::gpr(b)).mem(mem),
-                6 => Inst::new(Opcode::Lfd).def(Reg::fpr(a)).use_(Reg::gpr(b)).mem(mem),
-                7 => Inst::new(Opcode::Stw).use_(Reg::gpr(a)).use_(Reg::gpr(b)).mem(mem),
-                8 => Inst::new(Opcode::Stfd).use_(Reg::fpr(a)).use_(Reg::gpr(b)).mem(mem),
-                9 => Inst::new(Opcode::Cmp).def(Reg::cr(a)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-                10 => Inst::new(Opcode::Bc).use_(Reg::cr(b)),
-                11 => Inst::new(Opcode::Mtspr).def(Reg::spr(a)).use_(Reg::gpr(b)),
-                12 => Inst::new(Opcode::Mfspr).def(Reg::gpr(a)).use_(Reg::spr(b)),
-                13 => Inst::new(Opcode::Bl).def(Reg::lr()).use_(Reg::gpr(b)),
-                14 => Inst::new(if a % 2 == 0 { Opcode::Sync } else { Opcode::Isync }),
-                15 => Inst::new(Opcode::Li).def(Reg::gpr(a + 4)).imm(i64::from(b)),
-                16 => Inst::new(Opcode::Fmul).def(Reg::fpr(a + 4)).use_(Reg::fpr(b)).use_(Reg::fpr(b)),
-                _ => Inst::new(Opcode::B),
-            }
-        }),
-        0..max,
-    )
-}
-
 /// Every entry point, policy and machine agrees with the old scheduler
 /// on `blocks`, scheduled in order through one reused scratch.
 fn check_blocks(blocks: &[Vec<Inst>]) -> Result<(), TestCaseError> {
@@ -333,14 +298,14 @@ proptest! {
 
     /// Every schedule equals the old scheduler's, outcome for outcome.
     #[test]
-    fn incremental_scheduler_matches_the_old_select_loop(insts in arb_mixed_body(36)) {
+    fn incremental_scheduler_matches_the_old_select_loop(insts in arb_block(36)) {
         check_blocks(std::slice::from_ref(&insts))?;
     }
 
     /// One scratch schedules generated blocks of shrinking length, and
     /// no cached cycle, graph or ready state leaks from a longer block.
     #[test]
-    fn reused_scratch_schedules_shrinking_blocks_exactly(mut blocks in prop::collection::vec(arb_mixed_body(36), 1..5)) {
+    fn reused_scratch_schedules_shrinking_blocks_exactly(mut blocks in prop::collection::vec(arb_block(36), 1..5)) {
         blocks.sort_by_key(|b| Reverse(b.len()));
         check_blocks(&blocks)?;
     }
@@ -349,7 +314,7 @@ proptest! {
     /// `earliest_issue` answer is the cycle `issue` commits, and both
     /// equal the old model's cycle for that instruction.
     #[test]
-    fn closed_form_slot_matches_the_step_by_one_search(insts in arb_mixed_body(48)) {
+    fn closed_form_slot_matches_the_step_by_one_search(insts in arb_block(48)) {
         for machine in machines() {
             let mut new = IssueState::new(&machine);
             let mut old = OldIssueState::new(&machine);
@@ -370,7 +335,7 @@ proptest! {
     /// `moves_ready` says it may have moved, and a slot found from a
     /// data-ready cycle is the state's earliest issue.
     #[test]
-    fn a_data_ready_cycle_moves_only_when_the_rule_says_so(insts in arb_mixed_body(24)) {
+    fn a_data_ready_cycle_moves_only_when_the_rule_says_so(insts in arb_block(24)) {
         for machine in machines() {
             let mut state = IssueState::new(&machine);
             for issued in &insts {

@@ -2,52 +2,15 @@
 //! dependence-respecting permutation that the cost model rates no worse
 //! than the original order, for every policy.
 
+#[path = "../../ir/tests/support/arb.rs"]
+mod arb;
+
+use arb::arb_block;
 use proptest::prelude::*;
 use wts_deps::DepGraph;
-use wts_ir::{Hazards, Inst, MemRef, MemSpace, Opcode, Reg};
+use wts_ir::Inst;
 use wts_machine::{registry, CostModel, MachineConfig};
 use wts_sched::{verify_schedule, ListScheduler, SchedScratch, ScheduleOutcome, SchedulePolicy};
-
-/// Blocks mixing ALU/memory/hazard/control instructions; a terminator, if
-/// generated, is forced to the end (as the IR requires).
-fn arb_block(max: usize) -> impl Strategy<Value = Vec<Inst>> {
-    let body = prop::collection::vec(
-        (0u8..8, 0u16..6, 0u16..6, 0u32..3, prop::bool::ANY).prop_map(|(kind, a, b, slot, pei)| match kind {
-            0 | 1 => Inst::new(Opcode::Add).def(Reg::gpr(a + 10)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-            2 => Inst::new(Opcode::Fmul).def(Reg::fpr(a + 1)).use_(Reg::fpr(b)).use_(Reg::fpr(a)),
-            3 => {
-                let mut i = Inst::new(Opcode::Lwz)
-                    .def(Reg::gpr(a + 10))
-                    .use_(Reg::gpr(b))
-                    .mem(MemRef::slot(MemSpace::Heap, slot));
-                if pei {
-                    i = i.hazard(Hazards::PEI);
-                }
-                i
-            }
-            4 => Inst::new(Opcode::Stw).use_(Reg::gpr(a)).use_(Reg::gpr(b)).mem(MemRef::slot(MemSpace::Heap, slot)),
-            5 => Inst::new(Opcode::Divw).def(Reg::gpr(a + 10)).use_(Reg::gpr(b)).use_(Reg::gpr(a)),
-            6 => Inst::new(Opcode::Bl).def(Reg::lr()).hazard(Hazards::GC_POINT),
-            _ => Inst::new(Opcode::YieldPoint).hazard(Hazards::YIELD | Hazards::GC_POINT),
-        }),
-        0..max,
-    );
-    (body, prop::option::of(prop::sample::select(vec![Opcode::B, Opcode::Bc, Opcode::Blr]))).prop_map(
-        |(mut insts, term)| {
-            if let Some(t) = term {
-                let mut inst = Inst::new(t);
-                if t == Opcode::Bc {
-                    inst = inst.use_(Reg::cr(0));
-                }
-                if t == Opcode::Blr {
-                    inst = inst.use_(Reg::lr());
-                }
-                insts.push(inst);
-            }
-            insts
-        },
-    )
-}
 
 fn policies() -> Vec<SchedulePolicy> {
     vec![

@@ -153,7 +153,9 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// [`io::ErrorKind::UnexpectedEof`] when the stream ends mid-frame,
 /// [`io::ErrorKind::InvalidData`] when the length prefix exceeds
 /// [`MAX_FRAME_BYTES`] (checked before `payload` grows), and any
-/// underlying I/O error otherwise.
+/// underlying I/O error otherwise. `payload` grows with the bytes that
+/// arrive, not with the prefix's claim, so a peer that sends a header
+/// and stalls holds no more memory than it sent.
 pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
@@ -166,7 +168,8 @@ pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<b
             Err(e) => return Err(e),
         }
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
+    let claim = u32::from_le_bytes(len_buf);
+    let len = claim as usize;
     if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -174,8 +177,10 @@ pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<b
         ));
     }
     payload.clear();
-    payload.resize(len, 0);
-    r.read_exact(payload)?;
+    r.take(u64::from(claim)).read_to_end(payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "stream ended inside a frame payload"));
+    }
     Ok(true)
 }
 
@@ -669,6 +674,13 @@ mod tests {
 
         let torn = [3u8, 0];
         assert_eq!(read_frame(&mut &torn[..]).expect_err("torn header").kind(), io::ErrorKind::UnexpectedEof);
+
+        // A claim at the cap followed by 10 bytes holds about 10 bytes.
+        let mut stalled = Vec::from(u32::try_from(MAX_FRAME_BYTES).expect("cap fits u32").to_le_bytes());
+        stalled.extend_from_slice(&[7; 10]);
+        let err = read_frame_into(&mut &stalled[..], &mut buf).expect_err("torn payload");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(buf.capacity() < 1 << 20, "{} bytes held after 10 arrived", buf.capacity());
     }
 
     /// A writer that records every `write` call it receives.

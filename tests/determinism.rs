@@ -1,6 +1,7 @@
 //! Determinism guarantees: the whole artifact-generation path is
-//! bit-stable run to run (and therefore across machines), which is what
-//! makes EXPERIMENTS.md's recorded numbers reproducible.
+//! bit-stable run to run (and therefore across machines). These tests
+//! are what pins it, and so what makes every table `repro` prints
+//! reproducible apart from its wall-clock columns.
 
 use schedfilter::filters::{collect_trace, train_filter, TraceOptions, TrainConfig};
 use schedfilter::prelude::*;
