@@ -11,7 +11,7 @@ use wts_machine::MachineConfig;
 ///
 /// Nodes contribute their own latency; edges contribute nothing. Since
 /// every edge goes from a lower to a higher index, a single reverse sweep
-/// suffices.
+/// over the successor rows suffices.
 ///
 /// # Panics
 ///
@@ -56,7 +56,7 @@ pub fn critical_paths_into(graph: &DepGraph, insts: &[Inst], machine: &MachineCo
     cp.resize(n, 0);
     for i in (0..n).rev() {
         let lat = machine.latency(insts[i].opcode()) as u64;
-        let best_succ = graph.succs(i).iter().map(|&(s, _)| cp[s as usize]).max().unwrap_or(0);
+        let best_succ = graph.succs(i).map(|s| cp[s]).max().unwrap_or(0);
         cp[i] = lat + best_succ;
     }
 }

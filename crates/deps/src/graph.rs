@@ -1,13 +1,14 @@
 //! The dependence graph itself.
 //!
-//! Storage is compressed sparse row (CSR): one flat edge array plus an
-//! offset table per direction, so a node's adjacency is a contiguous
-//! slice and traversal touches no per-node heap allocations. Graphs are
+//! Predecessors are stored compressed sparse row (CSR): one flat edge
+//! array plus an offset table, so a node's predecessors are a contiguous
+//! slice in the order the scan recorded them. Successors are one bit row
+//! per instruction, `⌈n/64⌉` words each, so a successor walk visits
+//! targets in ascending order and an edge test is one bit. Graphs are
 //! produced by a reusable [`GraphBuilder`] that drives `wts-machine`'s
-//! [`DepScan`] — the same scan that orders the pipeline simulator — and
-//! keeps of its edges an edge list deduplicated as it is recorded. The
+//! [`DepScan`] — the same scan that orders the pipeline simulator. The
 //! scan emits edges grouped by target, so the predecessor array needs no
-//! sort and the successor array one counting sort.
+//! sort, and the bit rows deduplicate edges as they are recorded.
 
 use wts_ir::Inst;
 use wts_machine::{Barrier, DepKind, DepScan, DepSink};
@@ -19,19 +20,24 @@ use wts_machine::{Barrier, DepKind, DepScan, DepSink};
 /// construction. Parallel edges of different kinds between the same pair
 /// are collapsed, keeping the first (strongest) kind recorded.
 ///
-/// Adjacency is stored CSR-style: `succs(i)` / `preds(i)` are slices of
-/// flat arrays indexed through offset tables. Successor lists are sorted
-/// by target; predecessor lists preserve discovery order (the order the
-/// dependence scan recorded them), which downstream consumers — notably
-/// the list scheduler's ready-queue insertion — rely on for bit-identical
-/// schedules.
+/// `preds(i)` is a slice of one flat `(source, kind)` array indexed
+/// through an offset table, in discovery order (the order the dependence
+/// scan recorded them). `succs(i)` walks row `i` of a successor bit
+/// matrix (`⌈n/64⌉` words per row) and yields targets in ascending
+/// order; the rows hold exactly the predecessor edges, mirrored, and the
+/// kinds live only in the predecessor array. Downstream consumers —
+/// notably the list scheduler's ready-list insertion — rely on both
+/// orders for bit-identical schedules.
 #[derive(Debug, Clone, Default)]
 pub struct DepGraph {
     n: usize,
+    /// Words per successor row.
+    words: usize,
     pred_off: Vec<u32>,
     preds: Vec<(u32, DepKind)>,
-    succ_off: Vec<u32>,
-    succs: Vec<(u32, DepKind)>,
+    /// Row `i` is `succ_rows[i * words..(i + 1) * words]`; bit `j` of it
+    /// is set when `i -> j` is an edge.
+    succ_rows: Vec<u64>,
 }
 
 impl DepGraph {
@@ -82,31 +88,27 @@ impl DepGraph {
         &self.preds[self.pred_off[i] as usize..self.pred_off[i + 1] as usize]
     }
 
-    /// Successors of `i` (instructions that must come after it).
+    /// Successors of `i` (instructions that must come after it), in
+    /// ascending order.
     #[inline]
-    pub fn succs(&self, i: usize) -> &[(u32, DepKind)] {
-        &self.succs[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
+    pub fn succs(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        // Every successor is above `i`, so the walk starts at the word
+        // that holds bit `i + 1`; the words before it are zero.
+        let first = (i + 1) / 64;
+        let words = &self.succ_rows[i * self.words + first..(i + 1) * self.words];
+        Bits { words, base: first * 64, cur: words.first().copied().unwrap_or(0) }
     }
 
     /// True when an edge `from -> to` exists (any kind).
+    #[inline]
     pub fn has_edge(&self, from: usize, to: usize) -> bool {
-        self.edge_kind(from, to).is_some()
-    }
-
-    /// Kind of the edge `from -> to`, if present.
-    fn edge_kind(&self, from: usize, to: usize) -> Option<DepKind> {
-        // Successor slices are sorted by target, so binary search works;
-        // adjacency lists are short enough that this is mostly about not
-        // scanning the occasional barrier node's long list.
-        let s = self.succs(from);
-        let to = u32::try_from(to).ok()?;
-        s.binary_search_by_key(&to, |&(t, _)| t).ok().map(|k| s[k].1)
+        from < self.n && to < self.n && self.succ_rows[from * self.words + to / 64] & (1 << (to % 64)) != 0
     }
 
     /// Total number of edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.succs.len()
+        self.preds.len()
     }
 
     /// True when `order` is a permutation of `0..len` that respects every
@@ -140,24 +142,46 @@ impl DepGraph {
     }
 }
 
-/// Sentinel for "no target yet" in the per-source dedup marks.
-const NONE: u32 = u32::MAX;
+/// The set bits of a successor row, lowest first.
+struct Bits<'a> {
+    /// The row's words from the current one on.
+    words: &'a [u64],
+    /// Bit index of `words[0]`'s lowest bit.
+    base: usize,
+    /// `words[0]` with the bits already yielded cleared.
+    cur: u64,
+}
+
+impl Iterator for Bits<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.cur == 0 {
+            self.words = self.words.get(1..).filter(|rest| !rest.is_empty())?;
+            self.base += 64;
+            self.cur = self.words[0];
+        }
+        let bit = self.cur.trailing_zeros() as usize;
+        self.cur &= self.cur - 1;
+        Some(self.base + bit)
+    }
+}
 
 /// Reusable graph-building state: the shared [`DepScan`] plus the
 /// scan's sink.
 ///
 /// The scan visits one instruction at a time and reports every edge
 /// *into* that instruction, so edges arrive grouped by target in
-/// discovery order — which is already the CSR predecessor array.
-/// Parallel edges are dropped as they are recorded: a per-source "last
-/// target" mark, cleared per block, keeps the first (strongest) kind of
-/// each `(from, to)` pair. At the end of the block the successor array
-/// is laid out by one stable counting sort on the source, so no pass
-/// sorts by comparison or hashes.
+/// discovery order — which is already the CSR predecessor array. Each
+/// recorded edge also sets its bit in the source's successor row, and
+/// that bit drops parallel edges as they arrive: a pair whose bit is
+/// already set keeps the first (strongest) kind. No pass sorts, counts
+/// or hashes.
 ///
-/// All scratch — the scan's register table and work lists, the edge list
-/// and marks — is allocated once and reused, so building the graphs of a
-/// whole method performs no steady-state heap allocation.
+/// All scratch — the scan's register table and work lists, and the
+/// graph's arrays — is allocated once and reused, so building the
+/// graphs of a whole method performs no steady-state heap allocation.
 ///
 /// # Examples
 ///
@@ -174,23 +198,16 @@ const NONE: u32 = u32::MAX;
 /// ```
 pub struct GraphBuilder {
     scan: DepScan,
-    /// The current block's deduplicated edges as `(from, kind)`, grouped
-    /// by target in discovery order; swapped into the graph as its
-    /// predecessor array.
-    preds: Vec<(u32, DepKind)>,
-    /// Per-source last target recorded this block (`NONE` if none).
-    marks: Vec<u32>,
-    /// Per-source write cursors of the successor counting sort.
-    cursor: Vec<u32>,
     last_edges: usize,
 }
 
-/// The builder's [`DepSink`]: deduplicates edges into the predecessor
-/// array and closes each target's slice.
+/// The builder's [`DepSink`]: records each new edge in the predecessor
+/// array and the successor rows, and closes each target's slice.
 struct GraphSink<'a> {
     preds: &'a mut Vec<(u32, DepKind)>,
-    marks: &'a mut [u32],
     pred_off: &'a mut Vec<u32>,
+    succ_rows: &'a mut [u64],
+    words: usize,
 }
 
 impl DepSink for GraphSink<'_> {
@@ -199,9 +216,11 @@ impl DepSink for GraphSink<'_> {
     #[inline]
     fn edge(&mut self, from: u32, to: u32, kind: DepKind) {
         debug_assert!(from < to, "dependence edges must follow program order");
-        let mark = &mut self.marks[from as usize];
-        if *mark != to {
-            *mark = to;
+        let (from_idx, to_idx) = (from as usize, to as usize);
+        let word = &mut self.succ_rows[from_idx * self.words + to_idx / 64];
+        let bit = 1 << (to_idx % 64);
+        if *word & bit == 0 {
+            *word |= bit;
             self.preds.push((from, kind));
         }
     }
@@ -218,13 +237,7 @@ impl GraphBuilder {
     /// are then reused across blocks, so construction is cheap and
     /// steady-state builds allocate nothing.
     pub fn new() -> GraphBuilder {
-        GraphBuilder {
-            scan: DepScan::default(),
-            preds: Vec::new(),
-            marks: Vec::new(),
-            cursor: Vec::new(),
-            last_edges: 0,
-        }
+        GraphBuilder { scan: DepScan::default(), last_edges: 0 }
     }
 
     /// Number of edges in the most recently built graph. Lets callers
@@ -244,11 +257,13 @@ impl GraphBuilder {
     /// register computation may cross a superblock's internal side exits.
     pub fn build_into(&mut self, insts: &[Inst], speculative: bool, out: &mut DepGraph) {
         let n = insts.len();
-        self.preds.clear();
-        self.marks.clear();
-        self.marks.resize(n, NONE);
+        out.n = n;
+        out.words = n.div_ceil(64);
+        out.preds.clear();
         out.pred_off.clear();
         out.pred_off.push(0);
+        out.succ_rows.clear();
+        out.succ_rows.resize(n * out.words, 0);
         let classify = |inst: &Inst| {
             let op = inst.opcode();
             let full = if speculative { op.is_call() || op.is_return() } else { op.is_control() };
@@ -260,36 +275,13 @@ impl GraphBuilder {
                 Barrier::None
             }
         };
-        let mut sink = GraphSink { preds: &mut self.preds, marks: &mut self.marks, pred_off: &mut out.pred_off };
+        let mut sink = GraphSink {
+            preds: &mut out.preds,
+            pred_off: &mut out.pred_off,
+            succ_rows: &mut out.succ_rows,
+            words: out.words,
+        };
         self.scan.scan(insts, classify, &mut sink);
-
-        // The edge list *is* the predecessor array (grouped by target,
-        // discovery order within a target); a stable counting sort on the
-        // source yields successor slices in ascending target order —
-        // exactly the orders the old nested-Vec representation produced
-        // by chronological pushes.
-        out.n = n;
-        std::mem::swap(&mut self.preds, &mut out.preds);
-
-        out.succ_off.clear();
-        out.succ_off.resize(n + 1, 0);
-        for &(from, _) in &out.preds {
-            out.succ_off[from as usize + 1] += 1;
-        }
-        for i in 0..n {
-            out.succ_off[i + 1] += out.succ_off[i];
-        }
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&out.succ_off[..n]);
-        out.succs.clear();
-        out.succs.resize(out.preds.len(), (0, DepKind::True));
-        for (to, range) in (0u32..).zip(out.pred_off.windows(2)) {
-            for &(from, kind) in &out.preds[range[0] as usize..range[1] as usize] {
-                let at = &mut self.cursor[from as usize];
-                out.succs[*at as usize] = (to, kind);
-                *at += 1;
-            }
-        }
         self.last_edges = out.preds.len();
     }
 }
@@ -304,6 +296,13 @@ impl Default for GraphBuilder {
 mod tests {
     use super::*;
     use wts_ir::{Hazards, MemRef, MemSpace, Opcode, Reg};
+
+    impl DepGraph {
+        /// Kind of the edge `from -> to`, if present.
+        fn edge_kind(&self, from: usize, to: usize) -> Option<DepKind> {
+            self.preds(to).iter().find(|&&(p, _)| p as usize == from).map(|&(_, kind)| kind)
+        }
+    }
 
     fn add(def: u16, a: u16, b: u16) -> Inst {
         Inst::new(Opcode::Add).def(Reg::gpr(def)).use_(Reg::gpr(a)).use_(Reg::gpr(b))
@@ -542,7 +541,7 @@ mod tests {
                 assert_eq!(g.edge_count(), fresh.edge_count());
                 for i in 0..block.len() {
                     assert_eq!(g.preds(i), fresh.preds(i));
-                    assert_eq!(g.succs(i), fresh.succs(i));
+                    assert!(g.succs(i).eq(fresh.succs(i)));
                 }
             }
         }

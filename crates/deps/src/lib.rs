@@ -15,6 +15,14 @@
 //! timing of a fixed order, bars reordering only across serializing
 //! instructions.
 //!
+//! A [`DepGraph`] keeps its predecessors as one flat CSR array of
+//! `(source, kind)` in scan order, and its successors as one bit row of
+//! `⌈n/64⌉` words per instruction: a successor walk yields targets in
+//! ascending order, [`DepGraph::has_edge`] is one bit test, and a graph
+//! of `n` instructions holds `n²/8` bytes of rows. Scheduling units are
+//! basic blocks and superblock traces of a few hundred instructions at
+//! most; the serving protocol caps a method at 8192.
+//!
 //! # Examples
 //!
 //! ```

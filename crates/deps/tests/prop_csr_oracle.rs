@@ -1,21 +1,24 @@
-//! CSR layout vs. the old nested-adjacency builder, as an executable
-//! oracle.
+//! The graph's layout vs. the old nested-adjacency builder, as an
+//! executable oracle.
 //!
 //! The dependence graph moved from per-node `Vec<Vec<(u32, DepKind)>>`
-//! adjacency (hash-set dedup, `readers.clone()` in the scan) to flat CSR
-//! arrays built by a reusable [`GraphBuilder`]. The builder drops
-//! parallel edges as it records them (a per-source "last target" mark,
-//! cleared per block, keeps the first kind), uses its recorded edge list
-//! as the predecessor array as is, and lays out successors by a stable
-//! counting sort on the source. Every consumer — most critically the list
-//! scheduler's ready-queue insertion under
+//! adjacency (hash-set dedup, `readers.clone()` in the scan) to a flat
+//! CSR predecessor array and one successor bit row per instruction,
+//! built by a reusable [`GraphBuilder`]. The builder uses its recorded
+//! edge list as the predecessor array as is, sets each edge's bit in its
+//! source's row, and drops an edge whose bit is already set (the first
+//! kind recorded wins). Every consumer — most critically the list
+//! scheduler's ready-list insertion under
 //! [`SchedulePolicy::Random`](wts_sched::SchedulePolicy) — relies on the
-//! *slice orders* being unchanged, not just the edge sets. This suite
-//! keeps a faithful reimplementation of the old builder and checks the
-//! new graph against it edge for edge, slice for slice, on random blocks,
-//! in both normal and speculative mode: blocks that stack several
+//! *orders* being unchanged, not just the edge sets. This suite keeps a
+//! faithful reimplementation of the old builder and checks the new graph
+//! against it edge for edge on random blocks, in both normal and
+//! speculative mode: each predecessor slice equal in order and kind, each
+//! successor row yielding the old successor list's targets in its order
+//! (the kinds live in the predecessor slices), and `has_edge` agreeing
+//! with the old edge set on every ordered pair. The blocks stack several
 //! dependence kinds on one pair (which kind survives the dedup), and one
-//! builder reused across blocks of shrinking length (where stale marks
+//! builder is reused across blocks of shrinking length (where stale bits
 //! or register entries from a longer block would show).
 
 #[path = "../../ir/tests/support/arb.rs"]
@@ -33,6 +36,7 @@ use wts_ir::{Inst, Reg};
 struct OracleGraph {
     preds: Vec<Vec<(u32, DepKind)>>,
     succs: Vec<Vec<(u32, DepKind)>>,
+    edges: HashMap<(u32, u32), ()>,
 }
 
 struct OracleBuilder {
@@ -160,7 +164,7 @@ impl OracleBuilder {
                 loads_since_store.push(i);
             }
         }
-        OracleGraph { preds: self.preds, succs: self.succs }
+        OracleGraph { preds: self.preds, succs: self.succs, edges: self.edge_set }
     }
 }
 
@@ -174,13 +178,22 @@ impl OracleGraph {
 }
 
 /// Asserts that `g` equals the oracle's graph for `insts`, slice for
-/// slice, and that the builder reported its edge count.
+/// slice and row for row, and that the builder reported its edge count.
 fn assert_matches_oracle(g: &DepGraph, insts: &[Inst], speculative: bool) -> proptest::test_runner::TestCaseResult {
     let old = OracleBuilder::new(insts.len(), speculative).run(insts);
     prop_assert_eq!(g.edge_count(), old.succs.iter().map(Vec::len).sum::<usize>());
     for i in 0..insts.len() {
-        prop_assert_eq!(g.succs(i), &old.succs[i][..], "succs slice of {} must match in order and kind", i);
+        let old_targets: Vec<usize> = old.succs[i].iter().map(|&(t, _)| t as usize).collect();
+        prop_assert_eq!(g.succs(i).collect::<Vec<_>>(), old_targets, "succs row of {} must match in order", i);
+        for &(t, kind) in &old.succs[i] {
+            let from = u32::try_from(i).expect("generated blocks fit u32 indices");
+            prop_assert!(g.preds(t as usize).contains(&(from, kind)), "edge {} -> {} must keep kind {:?}", i, t, kind);
+        }
         prop_assert_eq!(g.preds(i), &old.preds[i][..], "preds slice of {} must match in order and kind", i);
+        for j in 0..insts.len() {
+            let pair = (u32::try_from(i).expect("fits"), u32::try_from(j).expect("fits"));
+            prop_assert_eq!(g.has_edge(i, j), old.edges.contains_key(&pair), "has_edge({}, {})", i, j);
+        }
     }
     Ok(())
 }
@@ -198,7 +211,7 @@ proptest! {
     }
 
     /// One builder over blocks of shrinking length, in both modes: every
-    /// mark and register entry a longer block left behind sits at an
+    /// row bit and register entry a longer block left behind sits at an
     /// index the next block reuses.
     #[test]
     fn reused_builder_on_shrinking_blocks_matches_nested_oracle(mut blocks in prop::collection::vec(arb_block(24), 2..9)) {
@@ -214,8 +227,8 @@ proptest! {
         }
     }
 
-    /// The tentpole invariant: CSR adjacency equals the old nested
-    /// adjacency *slice for slice* — same targets, same kinds, same
+    /// The layout invariant: the predecessor slices and successor rows
+    /// equal the old nested adjacency — same targets, same kinds, same
     /// order — in both builder modes.
     #[test]
     fn csr_matches_nested_oracle_exactly(insts in arb_block(24), spec_bit in 0u8..2) {

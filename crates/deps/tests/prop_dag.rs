@@ -17,8 +17,8 @@ proptest! {
     fn edges_point_forward_only(insts in arb_block(16)) {
         let g = DepGraph::build(&insts);
         for i in 0..g.len() {
-            for &(s, _) in g.succs(i) {
-                prop_assert!((s as usize) > i, "edge {i} -> {s} goes backward");
+            for s in g.succs(i) {
+                prop_assert!(s > i, "edge {i} -> {s} goes backward");
             }
             for &(p, _) in g.preds(i) {
                 prop_assert!((p as usize) < i);
@@ -31,8 +31,8 @@ proptest! {
         let g = DepGraph::build(&insts);
         let mut from_succs = 0usize;
         for i in 0..g.len() {
-            for &(s, _) in g.succs(i) {
-                prop_assert!(g.preds(s as usize).iter().any(|&(p, _)| p as usize == i));
+            for s in g.succs(i) {
+                prop_assert!(g.preds(s).iter().any(|&(p, _)| p as usize == i));
                 from_succs += 1;
             }
         }
@@ -69,8 +69,8 @@ proptest! {
         let cp = critical_paths(&g, &insts, &m);
         for i in 0..g.len() {
             prop_assert!(cp[i] >= m.latency(insts[i].opcode()) as u64);
-            for &(s, _) in g.succs(i) {
-                prop_assert!(cp[i] > cp[s as usize], "cp must strictly decrease along an edge");
+            for s in g.succs(i) {
+                prop_assert!(cp[i] > cp[s], "cp must strictly decrease along an edge");
             }
         }
     }

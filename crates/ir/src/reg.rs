@@ -122,10 +122,16 @@ impl Reg {
         self.index as usize * 4 + class
     }
 
+    /// Exclusive upper bound on a register index in every class: the
+    /// dense tables ([`RegTable`]) cover only indices below it, so
+    /// decoders of untrusted input reject larger ones.
+    pub const INDEX_LIMIT: u16 = 1024;
+
     /// Exclusive upper bound on the dense register keys [`RegTable`]
-    /// uses (register indices stay below 1024 in every class).
+    /// uses (register indices stay below [`Reg::INDEX_LIMIT`] in every
+    /// class).
     pub fn dense_limit() -> usize {
-        4096
+        usize::from(Reg::INDEX_LIMIT) * 4
     }
 }
 

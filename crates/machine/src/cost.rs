@@ -106,12 +106,13 @@ impl<'m> IssueState<'m> {
     /// not yet accounting for issue width or functional units.
     ///
     /// It reads register readiness for `inst`'s uses, the aliasing
-    /// entries of the store list when `inst` accesses memory, and the
-    /// barrier and completion floors when it is serializing. So after
-    /// issuing `I` it can only have changed when `I` defines a register
-    /// `inst` uses, `I` is a store and `inst` accesses memory, or either
-    /// is serializing: the list scheduler caches it under exactly that
-    /// rule ([`moves_ready`](IssueState::moves_ready)).
+    /// entries of the store list when `inst` accesses memory, the barrier
+    /// floor, and the completion floor when `inst` is serializing. So
+    /// issuing `I` can only move it when `I` defines a register `inst`
+    /// uses, `I` is a store `inst` may alias, or either is serializing.
+    /// The list scheduler caches it for each ready candidate; its dependence
+    /// graph orders the first two cases, so only a serializing issue or
+    /// candidate refreshes the cache (see `wts-sched`'s `ListScheduler`).
     ///
     /// A store need not wait for earlier loads of its slot here: issue is
     /// in order, so every slot is at or after the current cycle, which is
@@ -137,26 +138,12 @@ impl<'m> IssueState<'m> {
         ready
     }
 
-    /// True when issuing `issued` may have moved `candidate`'s
-    /// [`data_ready`](IssueState::data_ready) cycle: `issued` defines a
-    /// register `candidate` uses, `issued` is a store and `candidate`
-    /// accesses memory, or either is serializing. These are exactly the
-    /// inputs `data_ready` reads, so a cached value for which this is
-    /// false after an issue is still current.
-    #[inline]
-    pub fn moves_ready(&self, issued: &Inst, candidate: &Inst) -> bool {
-        let issued_row = self.machine.timing(issued.opcode());
-        issued_row.serializing
-            || self.machine.timing(candidate.opcode()).serializing
-            || (issued_row.store && candidate.mem_ref().is_some())
-            || issued.defs().iter().any(|d| candidate.uses().contains(d))
-    }
-
     /// The closed-form slot search (see the type docs): the cycle at
     /// which an instruction with timing `row` whose data is ready at
-    /// `ready` could issue next.
+    /// `ready` (a [`data_ready`](IssueState::data_ready) value still
+    /// current for this state) could issue next.
     #[inline]
-    fn slot(&self, row: &OpTiming, ready: u64) -> u64 {
+    pub fn slot(&self, row: &OpTiming, ready: u64) -> u64 {
         // `max(ready, cur_cycle)`, plus one when that is the current cycle
         // and its width is used up, is `max(ready, cur_cycle + full)`.
         let full = if row.branch {
@@ -173,18 +160,9 @@ impl<'m> IssueState<'m> {
         ready.max(self.cur_cycle + u64::from(full)).max(free)
     }
 
-    /// Earliest cycle at which `inst` could issue if it were chosen next,
-    /// given that its data is ready at `ready` (a
-    /// [`data_ready`](IssueState::data_ready) value still current for
-    /// this state).
-    #[inline]
-    pub fn slot_from(&self, inst: &Inst, ready: u64) -> u64 {
-        self.slot(self.machine.timing(inst.opcode()), ready)
-    }
-
     /// Earliest cycle at which `inst` could issue if it were chosen next.
     pub fn earliest_issue(&self, inst: &Inst) -> u64 {
-        self.slot_from(inst, self.data_ready(inst))
+        self.slot(self.machine.timing(inst.opcode()), self.data_ready(inst))
     }
 
     /// Issues `inst` as the next instruction; returns its issue cycle.

@@ -55,8 +55,7 @@ pub mod registry;
 mod scan;
 mod unit;
 
-pub(crate) use config::OpTiming;
-pub use config::{MachineBuilder, MachineConfig};
+pub use config::{MachineBuilder, MachineConfig, OpTiming};
 pub use cost::{CostModel, IssueState};
 pub use latency::LatencyTable;
 pub use pipeline::PipelineSim;

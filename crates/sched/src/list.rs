@@ -4,7 +4,7 @@ use crate::policy::XorShift64;
 use crate::{SchedScratch, ScheduleOutcome, SchedulePolicy};
 use wts_deps::critical_paths_into;
 use wts_ir::{BasicBlock, Inst};
-use wts_machine::{IssueState, MachineConfig};
+use wts_machine::{IssueState, MachineConfig, OpTiming};
 
 /// List scheduler over basic blocks.
 ///
@@ -13,19 +13,43 @@ use wts_machine::{IssueState, MachineConfig};
 /// start, exactly as the paper's scheduler consults its block timing
 /// simulator while making decisions (§2.2, footnote 3).
 ///
-/// The policies that key on the start cycle (`CriticalPath` and
-/// `EarliestStart`) cache each ready instruction's data-ready cycle
-/// ([`IssueState::data_ready`]): it is computed once when the
-/// instruction enters the ready list, and each pick's key is the cheap
-/// slot search from it ([`IssueState::slot_from`]). After an issue of
-/// `I`, a candidate `X`'s cached cycle is recomputed only when
-/// [`IssueState::moves_ready`] holds: `I` defines a register `X` uses,
-/// `I` is a store and `X` accesses memory, or either is serializing.
-/// Those are exactly the inputs the data-ready cycle reads, so the cache
-/// never holds a stale value, whatever the dependence graph does or does
-/// not order. The winner is committed at the slot its key already found
-/// ([`IssueState::issue_at`]). `CriticalPathOnly` and `Random` never read
-/// a start cycle and issue through [`IssueState::issue`].
+/// Each ready instruction is one record in a contiguous ready list: its
+/// index, its critical path, its timing-table row ([`OpTiming`]) and,
+/// under the policies that key on the start cycle (`CriticalPath` and
+/// `EarliestStart`), its cached data-ready cycle
+/// ([`IssueState::data_ready`]). The cycle is computed when the
+/// instruction enters the ready list, each pick's key is the cheap slot
+/// search from it ([`IssueState::slot`]), and the winner is committed at
+/// the slot its key already found ([`IssueState::issue_at`]).
+/// `CriticalPathOnly` and `Random` never read a start cycle and issue
+/// through [`IssueState::issue`].
+///
+/// **The cache rule.** After an issue of `I`, a ready candidate `X`'s
+/// cached cycle is recomputed only when `I` or `X` is serializing. The
+/// data-ready cycle reads `X`'s registers' ready cycles, the aliasing
+/// stores' completions, the barrier floor and, for a serializing `X`,
+/// the completion floor; an issue of `I` moves the first when `I`
+/// defines a register `X` uses, the second when `I` is a store `X` may
+/// alias, the barrier floor when `I` is serializing, and the completion
+/// floor always. The first two cannot happen while both are ready: `I`
+/// and `X` were ready together, so neither reaches the other in the
+/// dependence graph, yet the graph orders every such pair.
+///
+/// * **Registers.** If `I` precedes `X` in the block, `X`'s use gets a
+///   true edge from the last def of the register before it, and that def
+///   is `I` or follows `I` through output edges. If `X` precedes `I`,
+///   `I`'s def gets an anti edge from every reader since the previous
+///   def, and an earlier reader reaches that def through anti and output
+///   edges.
+/// * **Memory.** A store has an edge to every later access it may alias.
+///   A load has an edge to every later store it may alias, unless an
+///   intervening store covers the load; then the load reaches that store,
+///   and the covering store reaches every later store that aliases the
+///   load (covering implies it aliases that store too).
+///
+/// Register and memory edges are the same in speculative graphs, which
+/// relax only barriers. A debug build checks every cached cycle against a
+/// fresh one at every pick.
 #[derive(Debug, Clone)]
 pub struct ListScheduler<'m> {
     machine: &'m MachineConfig,
@@ -130,48 +154,50 @@ impl<'m> ListScheduler<'m> {
         // deterministic policies simply never draw from it.
         let mut rng = XorShift64::new(self.rng_seed());
 
-        scratch.remaining_preds.clear();
-        scratch
-            .remaining_preds
-            .extend((0..n).map(|i| u32::try_from(scratch.graph.preds(i).len()).expect("pred lists fit u32")));
-        scratch.ready.clear();
-        scratch.ready.extend((0..n).filter(|&i| scratch.remaining_preds[i] == 0));
+        let graph = &scratch.graph;
+        let remaining_preds = &mut scratch.remaining_preds;
+        remaining_preds.clear();
+        remaining_preds.extend((0..n).map(|i| u32::try_from(graph.preds(i).len()).expect("pred lists fit u32")));
         scratch.state.reset();
+        let state = &mut scratch.state;
         // The policies whose key reads the start cycle cache each ready
         // instruction's data-ready cycle.
         let cached = matches!(self.policy, SchedulePolicy::CriticalPath | SchedulePolicy::EarliestStart);
-        let state = &mut scratch.state;
-        let data_ready = &mut scratch.data_ready;
-        data_ready.clear();
-        data_ready.resize(n, 0);
-        if cached {
-            for &i in &scratch.ready {
-                data_ready[i] = state.data_ready(&insts[i]);
-            }
-        }
+        let cp = &scratch.cp;
+        let candidate = |i: usize, state: &IssueState<'_>| Candidate {
+            idx: u32::try_from(i).expect("scheduled units fit u32 indices"),
+            row: *self.machine.timing(insts[i].opcode()),
+            cp: cp[i],
+            data_ready: if cached { state.data_ready(&insts[i]) } else { 0 },
+        };
+        let ready = &mut scratch.ready;
+        ready.clear();
+        ready.extend((0..n).filter(|&i| remaining_preds[i] == 0).map(|i| candidate(i, state)));
 
-        while let Some((pos, slot)) = self.select(&scratch.ready, &scratch.cp, data_ready, state, insts, &mut rng) {
-            let chosen = scratch.ready.swap_remove(pos);
-            let inst = &insts[chosen];
+        loop {
+            debug_assert!(
+                !cached || ready.iter().all(|c| c.data_ready == state.data_ready(&insts[c.idx as usize])),
+                "a ready candidate's cached data-ready cycle is stale"
+            );
+            let Some((pos, slot)) = self.select(ready, state, &mut rng) else { break };
+            let chosen = ready.swap_remove(pos);
+            let chosen_idx = chosen.idx as usize;
+            let inst = &insts[chosen_idx];
             if cached {
                 state.issue_at(inst, slot);
-                for &x in &scratch.ready {
-                    if state.moves_ready(inst, &insts[x]) {
-                        data_ready[x] = state.data_ready(&insts[x]);
-                    }
+                // The cache rule (see the type docs): only a serializing
+                // issue or candidate can have moved a cached cycle.
+                for c in ready.iter_mut().filter(|c| chosen.row.serializing() || c.row.serializing()) {
+                    c.data_ready = state.data_ready(&insts[c.idx as usize]);
                 }
             } else {
                 state.issue(inst);
             }
-            out.order.push(chosen);
-            for &(s, _) in scratch.graph.succs(chosen) {
-                let s = s as usize;
-                scratch.remaining_preds[s] -= 1;
-                if scratch.remaining_preds[s] == 0 {
-                    scratch.ready.push(s);
-                    if cached {
-                        data_ready[s] = state.data_ready(&insts[s]);
-                    }
+            out.order.push(chosen_idx);
+            for s in graph.succs(chosen_idx) {
+                remaining_preds[s] -= 1;
+                if remaining_preds[s] == 0 {
+                    ready.push(candidate(s, state));
                 }
             }
         }
@@ -205,28 +231,17 @@ impl<'m> ListScheduler<'m> {
         }
     }
 
-    /// Picks the index *within `ready`* of the next instruction, with the
-    /// cycle it issues in when the policy keys on it (zero otherwise).
-    fn select(
-        &self,
-        ready: &[usize],
-        cp: &[u64],
-        data_ready: &[u64],
-        state: &IssueState<'_>,
-        insts: &[Inst],
-        rng: &mut XorShift64,
-    ) -> Option<(usize, u64)> {
-        if ready.is_empty() {
-            return None;
-        }
+    /// Picks the position *within `ready`* of the next instruction, with
+    /// the cycle it issues in when the policy keys on it (zero otherwise).
+    fn select(&self, ready: &[Candidate], state: &IssueState<'_>, rng: &mut XorShift64) -> Option<(usize, u64)> {
+        let first = ready.first()?;
         let pick = match self.policy {
             SchedulePolicy::Random(_) => (rng.pick(ready.len()), 0),
             SchedulePolicy::CriticalPath | SchedulePolicy::EarliestStart | SchedulePolicy::CriticalPathOnly => {
-                let key = |i: usize| self.key(i, cp, data_ready, state, insts);
                 let mut best = 0;
-                let mut best_key = key(ready[0]);
-                for (k, &ki) in ready.iter().enumerate().skip(1) {
-                    let key = key(ki);
+                let mut best_key = self.key(first, state);
+                for (k, c) in ready.iter().enumerate().skip(1) {
+                    let key = self.key(c, state);
                     if key < best_key {
                         best = k;
                         best_key = key;
@@ -247,24 +262,34 @@ impl<'m> ListScheduler<'m> {
     /// are `u64` and a negated `as i64` cast would wrap on pathological
     /// blocks, inverting the priority. The start is the slot search from
     /// the cached data-ready cycle.
-    fn key(
-        &self,
-        i: usize,
-        cp: &[u64],
-        data_ready: &[u64],
-        state: &IssueState<'_>,
-        insts: &[Inst],
-    ) -> (u64, std::cmp::Reverse<u64>, usize) {
+    #[inline]
+    fn key(&self, c: &Candidate, state: &IssueState<'_>) -> (u64, std::cmp::Reverse<u64>, u32) {
         let start = match self.policy {
             SchedulePolicy::CriticalPathOnly => 0,
-            _ => state.slot_from(&insts[i], data_ready[i]),
+            _ => state.slot(&c.row, c.data_ready),
         };
         let prio = match self.policy {
             SchedulePolicy::EarliestStart => 0,
-            _ => cp[i],
+            _ => c.cp,
         };
-        (start, std::cmp::Reverse(prio), i)
+        (start, std::cmp::Reverse(prio), c.idx)
     }
+}
+
+/// One ready instruction: everything a pick reads about it, so `select`
+/// scans one contiguous array.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate {
+    /// Index in the unit's original order.
+    idx: u32,
+    /// The opcode's timing-table row (the slot search's units and width
+    /// class, and whether it is serializing).
+    row: OpTiming,
+    /// Latency-weighted critical path to the end of the unit.
+    cp: u64,
+    /// Cached data-ready cycle (the cycle-keyed policies only; zero
+    /// otherwise).
+    data_ready: u64,
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Reusable scheduling buffers.
 
+use crate::list::Candidate;
 use wts_deps::{DepGraph, GraphBuilder};
 use wts_machine::{IssueState, MachineConfig};
 
@@ -8,7 +9,7 @@ use wts_machine::{IssueState, MachineConfig};
 /// One instance per thread that schedules, passed to the
 /// [`ListScheduler`](crate::ListScheduler) `*_into` entry points and
 /// reused across every block it schedules: the dependence-graph builder,
-/// the graph storage, the critical-path / ready / in-degree / data-ready
+/// the graph storage, the critical-path / ready-record / in-degree
 /// buffers and both machine-state simulators are all allocated once, so
 /// steady-state scheduling performs no heap allocation. Long-lived
 /// owners keep one warm across calls: a compile session pools one per
@@ -40,10 +41,8 @@ pub struct SchedScratch<'m> {
     pub(crate) graph: DepGraph,
     pub(crate) cp: Vec<u64>,
     pub(crate) remaining_preds: Vec<u32>,
-    pub(crate) ready: Vec<usize>,
-    /// Cached data-ready cycle of each ready instruction, by instruction
-    /// index (the cycle-driven policies only).
-    pub(crate) data_ready: Vec<u64>,
+    /// The ready list, one record per candidate.
+    pub(crate) ready: Vec<Candidate>,
     pub(crate) before_state: IssueState<'m>,
     pub(crate) state: IssueState<'m>,
     pub(crate) last_edges: usize,
@@ -59,7 +58,6 @@ impl<'m> SchedScratch<'m> {
             cp: Vec::new(),
             remaining_preds: Vec::new(),
             ready: Vec::new(),
-            data_ready: Vec::new(),
             before_state: IssueState::new(machine),
             state: IssueState::new(machine),
             last_edges: 0,

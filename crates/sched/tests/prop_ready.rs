@@ -37,8 +37,7 @@ fn check_replay(graph: &DepGraph, order: &[usize]) -> Result<(), String> {
         };
         ready.swap_remove(pos);
         scheduled[chosen] = true;
-        for &(s, _) in graph.succs(chosen) {
-            let s = s as usize;
+        for s in graph.succs(chosen) {
             remaining_preds[s] -= 1;
             if remaining_preds[s] == 0 {
                 ready.push(s);

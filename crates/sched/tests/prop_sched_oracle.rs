@@ -15,8 +15,9 @@
 //! superblock `*_into` entry points with one scratch reused across
 //! blocks of shrinking length; equal `replay` costs; every
 //! `earliest_issue` answer equal to the cycle `issue` then commits; and
-//! the cache's invalidation rule exact on its own, since a complete
-//! dependence graph keeps most stale entries from ever being read.
+//! the cache rule on its own terms: at every select of both caching
+//! policies, every ready candidate's cached data-ready cycle equals a
+//! fresh one.
 
 #[path = "../../ir/tests/support/arb.rs"]
 mod arb;
@@ -226,8 +227,7 @@ fn old_schedule(machine: &MachineConfig, policy: SchedulePolicy, insts: &[Inst],
         let chosen = ready.swap_remove(pos);
         state.issue(&insts[chosen]);
         order.push(chosen);
-        for &(s, _) in graph.succs(chosen) {
-            let s = s as usize;
+        for s in graph.succs(chosen) {
             remaining[s] -= 1;
             if remaining[s] == 0 {
                 ready.push(s);
@@ -293,6 +293,75 @@ fn check_blocks(blocks: &[Vec<Inst>]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Replays the list scheduler's loop over the real dependence graph and
+/// issue state under the cache rule: a ready candidate's data-ready cycle
+/// is cached when it enters the ready list and recomputed only when the
+/// issued instruction or the candidate is serializing. At every select,
+/// each cached cycle must equal a fresh [`IssueState::data_ready`]. The
+/// replay picks by the scheduler's key, so its outcome must equal the
+/// scheduler's: the selects checked are the ones the scheduler made.
+fn check_cache_rule(
+    machine: &MachineConfig,
+    policy: SchedulePolicy,
+    insts: &[Inst],
+    speculative: bool,
+) -> Result<(), TestCaseError> {
+    let n = insts.len();
+    let graph = if speculative { DepGraph::build_speculative(insts) } else { DepGraph::build(insts) };
+    let cp = critical_paths(&graph, insts, machine);
+    let serializing = |i: usize| machine.timing(insts[i].opcode()).serializing();
+    let mut state = IssueState::new(machine);
+    let mut remaining: Vec<usize> = (0..n).map(|i| graph.preds(i).len()).collect();
+    let mut ready: Vec<(usize, u64)> =
+        (0..n).filter(|&i| remaining[i] == 0).map(|i| (i, state.data_ready(&insts[i]))).collect();
+    let mut order = Vec::with_capacity(n);
+    while !ready.is_empty() {
+        for &(x, cached) in &ready {
+            prop_assert_eq!(
+                cached,
+                state.data_ready(&insts[x]),
+                "{} {} speculative={}: stale cycle of {} ({:?}) after {:?}",
+                machine.name(),
+                policy,
+                speculative,
+                x,
+                insts[x],
+                order
+            );
+        }
+        let key = |&(i, cached): &(usize, u64)| {
+            let prio = if policy == SchedulePolicy::EarliestStart { 0 } else { cp[i] };
+            (state.slot(machine.timing(insts[i].opcode()), cached), Reverse(prio), i)
+        };
+        let pos = (0..ready.len()).min_by_key(|&k| key(&ready[k])).expect("ready is not empty");
+        let (chosen, _) = ready.swap_remove(pos);
+        state.issue(&insts[chosen]);
+        for (x, cached) in &mut ready {
+            if serializing(chosen) || serializing(*x) {
+                *cached = state.data_ready(&insts[*x]);
+            }
+        }
+        order.push(chosen);
+        for s in graph.succs(chosen) {
+            remaining[s] -= 1;
+            if remaining[s] == 0 {
+                ready.push((s, state.data_ready(&insts[s])));
+            }
+        }
+    }
+    let before = IssueState::new(machine).replay(insts);
+    let after = state.completion_time();
+    let replayed = if after > before || n <= 1 {
+        ScheduleOutcome { order: (0..n).collect(), cycles_before: before, cycles_after: before }
+    } else {
+        ScheduleOutcome { order, cycles_before: before, cycles_after: after }
+    };
+    let s = ListScheduler::with_policy(machine, policy);
+    let scheduled = if speculative { s.schedule_superblock(insts) } else { s.schedule_insts(insts) };
+    prop_assert_eq!(scheduled, replayed, "{} {} speculative={}", machine.name(), policy, speculative);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
@@ -329,32 +398,15 @@ proptest! {
         }
     }
 
-    /// The invalidation rule on its own terms, with no dependence graph
-    /// to hide a gap: after any prefix, issuing any instruction leaves
-    /// every instruction's data-ready cycle where it was unless
-    /// `moves_ready` says it may have moved, and a slot found from a
-    /// data-ready cycle is the state's earliest issue.
+    /// The cache rule on its own terms, at every select of both caching
+    /// policies, on every machine and in both scopes.
     #[test]
-    fn a_data_ready_cycle_moves_only_when_the_rule_says_so(insts in arb_block(24)) {
+    fn every_cached_data_ready_cycle_is_fresh_at_every_select(insts in arb_block(24)) {
         for machine in machines() {
-            let mut state = IssueState::new(&machine);
-            for issued in &insts {
-                for x in &insts {
-                    prop_assert_eq!(state.slot_from(x, state.data_ready(x)), state.earliest_issue(x));
-                    let mut after = state.clone();
-                    after.issue(issued);
-                    if !state.moves_ready(issued, x) {
-                        prop_assert_eq!(
-                            after.data_ready(x),
-                            state.data_ready(x),
-                            "{}: issuing {:?} moved {:?}",
-                            machine.name(),
-                            issued,
-                            x
-                        );
-                    }
+            for policy in [SchedulePolicy::CriticalPath, SchedulePolicy::EarliestStart] {
+                for speculative in [false, true] {
+                    check_cache_rule(&machine, policy, &insts, speculative)?;
                 }
-                state.issue(issued);
             }
         }
     }

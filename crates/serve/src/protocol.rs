@@ -34,17 +34,27 @@
 //!            u8 imm flag   · i64 when set
 //! ```
 //!
-//! and a served unit is `u8 decision`, then — only when scheduled —
+//! with at most 8192 instructions per method over all its blocks, and a
+//! register index below [`Reg::INDEX_LIMIT`]; a served unit is
+//! `u8 decision`, then — only when scheduled —
 //! `u32 order length · u32 × order · u64 cycles before · u64 cycles
 //! after`. A skipped unit is the single decision byte.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use wts_core::{BinCursor, BinaryTraceError, FilteredPass, ServedUnit};
 use wts_ir::{BasicBlock, Hazards, Inst, MemRef, MemSpace, Method, Opcode, Reg, RegClass, RegList};
 
 /// Hard cap on one frame's payload: larger length prefixes are rejected
 /// before any allocation.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// Cap on one method's instructions, over all its blocks. Any unit the
+/// server schedules (a block, or a superblock trace of consecutive
+/// blocks) lies inside one method, and its dependence graph holds one
+/// successor bit row per instruction, so the cap bounds a graph at
+/// 8 MiB. The generated suites' largest method has a few hundred
+/// instructions.
+const MAX_METHOD_INSTS: usize = 8192;
 
 const KIND_BATCH_REQUEST: u8 = 1;
 const KIND_BATCH_RESULT: u8 = 2;
@@ -106,13 +116,14 @@ pub enum Response {
 // Frame transport
 // ---------------------------------------------------------------------
 
-/// Writes one length-prefixed frame, prefix and payload in one
-/// `write_all`.
+/// Writes one length-prefixed frame, prefix and payload in one vectored
+/// write where the writer takes it whole.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error; rejects payloads over
-/// [`MAX_FRAME_BYTES`] with [`io::ErrorKind::InvalidInput`].
+/// [`MAX_FRAME_BYTES`] with [`io::ErrorKind::InvalidInput`], and a
+/// writer that accepts zero bytes with [`io::ErrorKind::WriteZero`].
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(io::Error::new(
@@ -121,12 +132,20 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         ));
     }
     let len = u32::try_from(payload.len()).expect("checked against MAX_FRAME_BYTES above");
-    // One write per frame: under `TCP_NODELAY` a separate prefix write
-    // is a segment of its own, and a second wake-up for the receiver.
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+    // One write per frame, without copying the payload behind its
+    // prefix: under `TCP_NODELAY` a separate prefix write is a segment of
+    // its own, and a second wake-up for the receiver.
+    let header = len.to_le_bytes();
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "the writer took no bytes of the frame")),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -366,6 +385,12 @@ fn take_reg(cur: &mut BinCursor<'_>, section: &'static str) -> Result<Reg, Binar
     let index = cur.u16(section)?;
     let class =
         *RegClass::ALL.get(class).ok_or_else(|| hostile(section, format!("register class {class} out of range")))?;
+    // The scan and issue tables are dense over register indices; a
+    // larger index would panic a debug build and grow every table that
+    // sees it for the thread's life.
+    if index >= Reg::INDEX_LIMIT {
+        return Err(hostile(section, format!("register index {index} is not below {}", Reg::INDEX_LIMIT)));
+    }
     Ok(Reg::new(class, index))
 }
 
@@ -441,6 +466,7 @@ fn take_method(cur: &mut BinCursor<'_>) -> Result<Method, BinaryTraceError> {
     // A block is at least id + exec count + inst count = 16 bytes.
     let block_count = checked_count(cur, block_count, 16, "block table")?;
     let mut method = Method::new(id, name);
+    let mut method_insts = 0usize;
     for _ in 0..block_count {
         let block_id = cur.u32("block")?;
         let exec_count = cur.u64("block")?;
@@ -448,6 +474,13 @@ fn take_method(cur: &mut BinCursor<'_>) -> Result<Method, BinaryTraceError> {
         // The smallest instruction is opcode + hazards + two empty
         // operand lists + mem tag + imm flag = 7 bytes.
         let inst_count = checked_count(cur, inst_count, 7, "instruction table")?;
+        method_insts += inst_count;
+        if method_insts > MAX_METHOD_INSTS {
+            return Err(hostile(
+                "instruction table",
+                format!("method {id} holds more than {MAX_METHOD_INSTS} instructions"),
+            ));
+        }
         let mut insts = Vec::with_capacity(inst_count);
         for _ in 0..inst_count {
             insts.push(take_inst(cur)?);
@@ -697,9 +730,96 @@ mod tests {
             Ok(buf.len())
         }
 
+        /// Takes every slice whole, as one call (a socket's `writev`).
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let total = bufs.iter().map(|b| b.len()).sum();
+            self.writes.push(total);
+            for b in bufs {
+                self.bytes.extend_from_slice(b);
+            }
+            Ok(total)
+        }
+
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    /// A writer that accepts one byte per call, vectored or not.
+    #[derive(Default)]
+    struct ByteWriter(Vec<u8>);
+
+    impl Write for ByteWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            match buf.first() {
+                Some(&b) => {
+                    self.0.push(b);
+                    Ok(1)
+                }
+                None => Ok(0),
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frames_survive_a_writer_that_takes_one_byte_per_call() {
+        let (benchmark, methods) = suite_methods();
+        let payloads = [encode_batch_request(5, &benchmark, &methods), b"z".to_vec(), Vec::new()];
+        let mut one_byte = ByteWriter::default();
+        let mut whole = Vec::new();
+        for payload in &payloads {
+            write_frame(&mut one_byte, payload).expect("write");
+            whole.extend_from_slice(&u32::try_from(payload.len()).expect("fits").to_le_bytes());
+            whole.extend_from_slice(payload);
+        }
+        assert_eq!(one_byte.0, whole, "the wire bytes are the prefix, then the payload, frame after frame");
+        let mut r = &one_byte.0[..];
+        for payload in &payloads {
+            assert_eq!(read_frame(&mut r).expect("frame").as_deref(), Some(&payload[..]));
+        }
+    }
+
+    #[test]
+    fn a_method_past_the_instruction_cap_is_hostile() {
+        let add = Inst::new(Opcode::Add).def(Reg::gpr(1)).use_(Reg::gpr(2));
+        let method = |sizes: &[usize]| {
+            let mut m = Method::new(4, "long");
+            for (id, &n) in (0u32..).zip(sizes) {
+                m.push_block(BasicBlock::from_insts(id, vec![add; n]));
+            }
+            m
+        };
+        let at_cap = method(&[MAX_METHOD_INSTS - 1, 1]);
+        let payload = encode_batch_request(1, "b", std::slice::from_ref(&at_cap));
+        assert_eq!(decode_batch_request(&payload).expect("at the cap").methods, vec![at_cap]);
+        for sizes in [&[MAX_METHOD_INSTS + 1][..], &[MAX_METHOD_INSTS, 1], &[1, 2, MAX_METHOD_INSTS]] {
+            let err = decode_batch_request(&encode_batch_request(1, "b", &[method(sizes)])).expect_err("past the cap");
+            assert!(matches!(err, BinaryTraceError::HostileHeader { .. }), "{err}");
+            assert!(err.to_string().contains("more than 8192 instructions"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_register_index_beyond_the_dense_tables_is_hostile() {
+        for reg in [Reg::gpr(Reg::INDEX_LIMIT), Reg::fpr(60000), Reg::spr(u16::MAX)] {
+            for inst in [Inst::new(Opcode::Add).def(reg), Inst::new(Opcode::Add).def(Reg::gpr(1)).use_(reg)] {
+                let mut method = Method::new(1, "wide");
+                method.push_block(BasicBlock::from_insts(0, vec![inst]));
+                let err = decode_batch_request(&encode_batch_request(1, "b", &[method])).expect_err("hostile index");
+                assert!(matches!(err, BinaryTraceError::HostileHeader { .. }), "{err}");
+                assert!(err.to_string().contains("register index"), "{err}");
+            }
+        }
+        let mut method = Method::new(1, "widest legal");
+        let top = Reg::INDEX_LIMIT - 1;
+        method
+            .push_block(BasicBlock::from_insts(0, vec![Inst::new(Opcode::Add).def(Reg::cr(top)).use_(Reg::spr(top))]));
+        let payload = encode_batch_request(1, "b", std::slice::from_ref(&method));
+        assert_eq!(decode_batch_request(&payload).expect("legal").methods, vec![method]);
     }
 
     #[test]

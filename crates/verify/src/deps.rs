@@ -5,12 +5,13 @@
 //! instruction's def/use/memref sets and the barrier rules documented in
 //! `wts-deps` — using deliberately naive data structures (hash maps and
 //! growable vectors, no dense tables, no epoch reuse, no CSR packing, no
-//! sort-dedup). [`check_dependences`] then demands that the production
+//! bit rows). [`check_dependences`] then demands that the production
 //! [`DepGraph`] has *exactly* the oracle's edges: a missing edge is an
 //! unsoundness error (an illegal reordering would go undetected), an
 //! extra edge is a lost-parallelism warning, and a kind disagreement is a
-//! warning. The CSR encoding itself is audited for internal consistency
-//! (successors mirror predecessors, edges point forward, counts agree).
+//! warning. The graph's encoding itself is audited for internal
+//! consistency (the successor bit rows mirror the predecessor lists,
+//! edges point forward, counts agree).
 
 use crate::diag::{Analysis, Diagnostic, UnitCtx};
 use std::collections::{HashMap, HashSet};
@@ -34,7 +35,7 @@ fn kind_name(kind: DepKind) -> &'static str {
 /// Edges are returned as `(from, to, kind)` with `from < to`, in the
 /// chronological order they are first established — when two rules
 /// produce an edge between the same pair, the first kind wins, matching
-/// the graph builder's sort-dedup contract.
+/// the graph builder's dedup contract.
 pub fn oracle_edges(insts: &[Inst], speculative: bool) -> Vec<(usize, usize, DepKind)> {
     let mut edges: Vec<(usize, usize, DepKind)> = Vec::new();
     let mut seen: HashSet<(usize, usize)> = HashSet::new();
@@ -169,18 +170,18 @@ pub fn oracle_edges(insts: &[Inst], speculative: bool) -> Vec<(usize, usize, Dep
 }
 
 /// Collects the production graph's edges as `(from, to, kind)` from the
-/// successor lists.
+/// predecessor lists (the kinds live only there).
 fn graph_edges(graph: &DepGraph) -> Vec<(usize, usize, DepKind)> {
     let mut edges = Vec::new();
-    for from in 0..graph.len() {
-        for &(to, kind) in graph.succs(from) {
-            edges.push((from, to as usize, kind));
+    for to in 0..graph.len() {
+        for &(from, kind) in graph.preds(to) {
+            edges.push((from as usize, to, kind));
         }
     }
     edges
 }
 
-/// Checks `graph` against the oracle and the CSR invariants, appending
+/// Checks `graph` against the oracle and the encoding invariants, appending
 /// diagnostics to `out`.
 pub fn check_dependences(
     ctx: &UnitCtx,
@@ -247,51 +248,51 @@ pub fn check_dependences(
     check_csr_consistency(ctx, graph, out);
 }
 
-/// Audits the CSR encoding itself: edges point strictly forward,
-/// successor lists are sorted (the binary-search contract of
-/// `DepGraph::has_edge`), and the predecessor lists mirror the successor
-/// lists edge for edge.
+/// Audits the graph's encoding itself: predecessor edges point strictly
+/// forward and name each source once, the successor rows mirror the
+/// predecessor lists edge for edge, ascending, and the edge count agrees.
 fn check_csr_consistency(ctx: &UnitCtx, graph: &DepGraph, out: &mut Vec<Diagnostic>) {
     let n = graph.len();
-    let mut succ_edges: HashSet<(usize, usize, DepKind)> = HashSet::new();
-    for from in 0..n {
-        let succs = graph.succs(from);
-        for w in succs.windows(2) {
-            if w[0].0 >= w[1].0 {
-                out.push(ctx.error(
-                    Analysis::Dependence,
-                    format!("successor list of {from} is not sorted by target ({} before {})", w[0].0, w[1].0),
-                ));
-            }
-        }
-        for &(to, kind) in succs {
-            let to = to as usize;
-            if to <= from || to >= n {
+    let mut pred_edges: HashSet<(usize, usize)> = HashSet::new();
+    let mut pred_count = 0usize;
+    for to in 0..n {
+        for &(from, _) in graph.preds(to) {
+            pred_count += 1;
+            let from = from as usize;
+            if from >= to {
                 out.push(ctx.error(
                     Analysis::Dependence,
                     format!("edge {from} -> {to} does not point strictly forward inside the unit"),
                 ));
-            } else {
-                succ_edges.insert((from, to, kind));
+            } else if !pred_edges.insert((from, to)) {
+                out.push(ctx.error(Analysis::Dependence, format!("predecessor list of {to} names {from} twice")));
             }
         }
     }
-    let mut pred_count = 0usize;
-    for to in 0..n {
-        for &(from, kind) in graph.preds(to) {
-            pred_count += 1;
-            if !succ_edges.remove(&(from as usize, to, kind)) {
+    for from in 0..n {
+        let mut last = None;
+        for to in graph.succs(from) {
+            if last.is_some_and(|prev| prev >= to) {
                 out.push(ctx.error(
                     Analysis::Dependence,
-                    format!("predecessor edge {from} -> {to} has no mirror in the successor lists"),
+                    format!("successor row of {from} is not ascending ({} before {to})", last.unwrap_or(to)),
+                ));
+            }
+            last = Some(to);
+            if !pred_edges.remove(&(from, to)) {
+                out.push(ctx.error(
+                    Analysis::Dependence,
+                    format!("successor edge {from} -> {to} has no mirror in the predecessor lists"),
                 ));
             }
         }
     }
-    for (from, to, _) in succ_edges {
+    let mut unmirrored: Vec<(usize, usize)> = pred_edges.into_iter().collect();
+    unmirrored.sort_unstable();
+    for (from, to) in unmirrored {
         out.push(ctx.error(
             Analysis::Dependence,
-            format!("successor edge {from} -> {to} has no mirror in the predecessor lists"),
+            format!("predecessor edge {from} -> {to} has no mirror in the successor rows"),
         ));
     }
     if pred_count != graph.edge_count() {

@@ -13,10 +13,11 @@
 //! - **Dependence soundness/completeness** ([`oracle_edges`],
 //!   [`check_dependences`]): a deliberately simple O(n²) oracle
 //!   re-derives every true/anti/output/memory/control/hazard edge from
-//!   def/use/memref sets and demands the CSR [`wts_deps::DepGraph`] has
+//!   def/use/memref sets and demands the [`wts_deps::DepGraph`] has
 //!   exactly those edges — a missing edge is unsound (error), an extra
 //!   edge is lost parallelism (warning) — plus a consistency audit of
-//!   the CSR encoding itself.
+//!   the graph's encoding itself (the successor bit rows mirror the
+//!   predecessor lists).
 //! - **Timing legality** ([`resimulate`], [`check_timing`]): an
 //!   independent in-order re-simulation against the
 //!   [`wts_machine::MachineConfig`] (latencies, issue/branch width,

@@ -561,3 +561,31 @@ fn handle_reports_address_key_and_stats() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     handle.shutdown();
 }
+
+/// A register index beyond the dense register tables is a hostile
+/// request: it is answered with an error frame instead of reaching a
+/// worker (whose tables would panic in a debug build, or grow for the
+/// thread's life in a release one), and the server keeps serving.
+#[test]
+fn a_register_index_beyond_the_tables_is_refused_and_serving_continues() {
+    let machine = MachineConfig::ppc7410();
+    let programs = wts_core::testutil::learnable_suite(2);
+    let handle =
+        Server::bind("127.0.0.1:0", stump_config(&machine, corpus(&programs, &machine, &options()), 0)).expect("bind");
+    let mut wide = Method::new(9, "wide");
+    let insts = vec![
+        wts_ir::Inst::new(wts_ir::Opcode::Li).def(wts_ir::Reg::gpr(60000)).imm(1),
+        wts_ir::Inst::new(wts_ir::Opcode::Add).def(wts_ir::Reg::gpr(2)).use_(wts_ir::Reg::gpr(60000)),
+    ];
+    wide.push_block(wts_ir::BasicBlock::from_insts(0, insts));
+    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+    match client.request(1, "hostile", &[wide]).expect("an answer, not a hang-up") {
+        Response::Error { detail } => assert!(detail.contains("register index 60000"), "{detail}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    let mut client = ServeClient::connect(handle.local_addr()).expect("connect again");
+    let batch = expect_batch(client.request(2, programs[0].name(), programs[0].methods()).expect("served"));
+    assert_eq!(batch.batch_id, 2);
+    drop(client);
+    assert_eq!(handle.shutdown().stats.batches_served, 1);
+}
