@@ -272,10 +272,10 @@ fn check_csr_consistency(ctx: &UnitCtx, graph: &DepGraph, out: &mut Vec<Diagnost
     for from in 0..n {
         let mut last = None;
         for to in graph.succs(from) {
-            if last.is_some_and(|prev| prev >= to) {
+            if let Some(prev) = last.filter(|&prev| prev >= to) {
                 out.push(ctx.error(
                     Analysis::Dependence,
-                    format!("successor row of {from} is not ascending ({} before {to})", last.unwrap_or(to)),
+                    format!("successor row of {from} is not ascending ({prev} before {to})"),
                 ));
             }
             last = Some(to);
