@@ -304,6 +304,14 @@ impl Opcode {
         self.unit_class() == UnitClass::System
     }
 
+    /// True for syncs and calls, which serialize issue: they wait for
+    /// everything issued before them, and everything issued after them
+    /// waits for their completion.
+    #[inline]
+    pub fn is_serializing(self) -> bool {
+        matches!(self, Opcode::Sync | Opcode::Isync) || self.is_call()
+    }
+
     /// True when the opcode writes memory or is otherwise a side effect the
     /// scheduler must never reorder relative to other side effects.
     #[inline]

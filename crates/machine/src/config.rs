@@ -7,13 +7,8 @@ use wts_ir::{Opcode, UnitClass};
 /// models read about an opcode, resolved once per [`MachineConfig`] so a
 /// hot loop reads one row instead of re-deriving the unit class, opcode
 /// kind, latency and occupancy on every query.
-///
-/// A caller that queries one instruction many times keeps a copy of its
-/// row ([`MachineConfig::timing`]) and hands it to
-/// [`IssueState::slot`](crate::IssueState::slot); the list scheduler
-/// stores one in each ready candidate's record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpTiming {
+pub(crate) struct OpTiming {
     /// Cycles from issue until the result is available.
     pub(crate) latency: u32,
     /// Cycles the functional unit stays busy after issue
@@ -41,7 +36,7 @@ fn timing_table(latencies: &LatencyTable, unit_map: &[UnitSet; 6]) -> [OpTiming;
             occupancy: latencies.unit_occupancy(op),
             units: unit_map[class_index(op.unit_class())],
             branch: op.unit_class() == UnitClass::Branch,
-            serializing: matches!(op, Opcode::Sync | Opcode::Isync) || op.is_call(),
+            serializing: op.is_serializing(),
             store: op.is_store(),
         }
     })
@@ -229,18 +224,8 @@ impl MachineConfig {
 
     /// The opcode's row of this machine's timing table.
     #[inline]
-    pub fn timing(&self, op: Opcode) -> &OpTiming {
+    pub(crate) fn timing(&self, op: Opcode) -> &OpTiming {
         &self.timing[op.index()]
-    }
-}
-
-impl OpTiming {
-    /// Serializing (syncs and calls): the opcode waits for everything
-    /// issued before it, and everything issued after it waits for its
-    /// completion.
-    #[inline]
-    pub fn serializing(&self) -> bool {
-        self.serializing
     }
 }
 

@@ -140,10 +140,9 @@ impl<'m> IssueState<'m> {
 
     /// The closed-form slot search (see the type docs): the cycle at
     /// which an instruction with timing `row` whose data is ready at
-    /// `ready` (a [`data_ready`](IssueState::data_ready) value still
-    /// current for this state) could issue next.
+    /// `ready` could issue next.
     #[inline]
-    pub fn slot(&self, row: &OpTiming, ready: u64) -> u64 {
+    fn slot(&self, row: &OpTiming, ready: u64) -> u64 {
         // `max(ready, cur_cycle)`, plus one when that is the current cycle
         // and its width is used up, is `max(ready, cur_cycle + full)`.
         let full = if row.branch {
@@ -160,9 +159,18 @@ impl<'m> IssueState<'m> {
         ready.max(self.cur_cycle + u64::from(full)).max(free)
     }
 
+    /// Earliest cycle at which `inst` could issue if it were chosen next,
+    /// given that its data is ready at `ready` (a
+    /// [`data_ready`](IssueState::data_ready) value still current for
+    /// this state).
+    #[inline]
+    pub fn slot_from(&self, inst: &Inst, ready: u64) -> u64 {
+        self.slot(self.machine.timing(inst.opcode()), ready)
+    }
+
     /// Earliest cycle at which `inst` could issue if it were chosen next.
     pub fn earliest_issue(&self, inst: &Inst) -> u64 {
-        self.slot(self.machine.timing(inst.opcode()), self.data_ready(inst))
+        self.slot_from(inst, self.data_ready(inst))
     }
 
     /// Issues `inst` as the next instruction; returns its issue cycle.

@@ -55,7 +55,8 @@ pub mod registry;
 mod scan;
 mod unit;
 
-pub use config::{MachineBuilder, MachineConfig, OpTiming};
+pub(crate) use config::OpTiming;
+pub use config::{MachineBuilder, MachineConfig};
 pub use cost::{CostModel, IssueState};
 pub use latency::LatencyTable;
 pub use pipeline::PipelineSim;

@@ -4,7 +4,7 @@ use crate::policy::XorShift64;
 use crate::{SchedScratch, ScheduleOutcome, SchedulePolicy};
 use wts_deps::critical_paths_into;
 use wts_ir::{BasicBlock, Inst};
-use wts_machine::{IssueState, MachineConfig, OpTiming};
+use wts_machine::{IssueState, MachineConfig};
 
 /// List scheduler over basic blocks.
 ///
@@ -14,12 +14,12 @@ use wts_machine::{IssueState, MachineConfig, OpTiming};
 /// simulator while making decisions (§2.2, footnote 3).
 ///
 /// Each ready instruction is one record in a contiguous ready list: its
-/// index, its critical path, its timing-table row ([`OpTiming`]) and,
-/// under the policies that key on the start cycle (`CriticalPath` and
+/// index, whether it is serializing, its critical path and, under the
+/// policies that key on the start cycle (`CriticalPath` and
 /// `EarliestStart`), its cached data-ready cycle
 /// ([`IssueState::data_ready`]). The cycle is computed when the
 /// instruction enters the ready list, each pick's key is the cheap slot
-/// search from it ([`IssueState::slot`]), and the winner is committed at
+/// search from it ([`IssueState::slot_from`]), and the winner is committed at
 /// the slot its key already found ([`IssueState::issue_at`]).
 /// `CriticalPathOnly` and `Random` never read a start cycle and issue
 /// through [`IssueState::issue`].
@@ -48,8 +48,11 @@ use wts_machine::{IssueState, MachineConfig, OpTiming};
 ///   load (covering implies it aliases that store too).
 ///
 /// Register and memory edges are the same in speculative graphs, which
-/// relax only barriers. A debug build checks every cached cycle against a
-/// fresh one at every pick.
+/// relax only barriers. The proof assumes validated IR
+/// ([`BasicBlock::validate`]): a memory reference on exactly the loads
+/// and stores, since the graph orders no later store after a non-memory
+/// instruction that carries one. A debug build checks every cached cycle
+/// against a fresh one at every pick.
 #[derive(Debug, Clone)]
 pub struct ListScheduler<'m> {
     machine: &'m MachineConfig,
@@ -166,7 +169,7 @@ impl<'m> ListScheduler<'m> {
         let cp = &scratch.cp;
         let candidate = |i: usize, state: &IssueState<'_>| Candidate {
             idx: u32::try_from(i).expect("scheduled units fit u32 indices"),
-            row: *self.machine.timing(insts[i].opcode()),
+            serializing: insts[i].opcode().is_serializing(),
             cp: cp[i],
             data_ready: if cached { state.data_ready(&insts[i]) } else { 0 },
         };
@@ -179,7 +182,7 @@ impl<'m> ListScheduler<'m> {
                 !cached || ready.iter().all(|c| c.data_ready == state.data_ready(&insts[c.idx as usize])),
                 "a ready candidate's cached data-ready cycle is stale"
             );
-            let Some((pos, slot)) = self.select(ready, state, &mut rng) else { break };
+            let Some((pos, slot)) = self.select(ready, insts, state, &mut rng) else { break };
             let chosen = ready.swap_remove(pos);
             let chosen_idx = chosen.idx as usize;
             let inst = &insts[chosen_idx];
@@ -187,7 +190,7 @@ impl<'m> ListScheduler<'m> {
                 state.issue_at(inst, slot);
                 // The cache rule (see the type docs): only a serializing
                 // issue or candidate can have moved a cached cycle.
-                for c in ready.iter_mut().filter(|c| chosen.row.serializing() || c.row.serializing()) {
+                for c in ready.iter_mut().filter(|c| chosen.serializing || c.serializing) {
                     c.data_ready = state.data_ready(&insts[c.idx as usize]);
                 }
             } else {
@@ -233,15 +236,21 @@ impl<'m> ListScheduler<'m> {
 
     /// Picks the position *within `ready`* of the next instruction, with
     /// the cycle it issues in when the policy keys on it (zero otherwise).
-    fn select(&self, ready: &[Candidate], state: &IssueState<'_>, rng: &mut XorShift64) -> Option<(usize, u64)> {
+    fn select(
+        &self,
+        ready: &[Candidate],
+        insts: &[Inst],
+        state: &IssueState<'_>,
+        rng: &mut XorShift64,
+    ) -> Option<(usize, u64)> {
         let first = ready.first()?;
         let pick = match self.policy {
             SchedulePolicy::Random(_) => (rng.pick(ready.len()), 0),
             SchedulePolicy::CriticalPath | SchedulePolicy::EarliestStart | SchedulePolicy::CriticalPathOnly => {
                 let mut best = 0;
-                let mut best_key = self.key(first, state);
+                let mut best_key = self.key(first, insts, state);
                 for (k, c) in ready.iter().enumerate().skip(1) {
-                    let key = self.key(c, state);
+                    let key = self.key(c, insts, state);
                     if key < best_key {
                         best = k;
                         best_key = key;
@@ -263,10 +272,10 @@ impl<'m> ListScheduler<'m> {
     /// blocks, inverting the priority. The start is the slot search from
     /// the cached data-ready cycle.
     #[inline]
-    fn key(&self, c: &Candidate, state: &IssueState<'_>) -> (u64, std::cmp::Reverse<u64>, u32) {
+    fn key(&self, c: &Candidate, insts: &[Inst], state: &IssueState<'_>) -> (u64, std::cmp::Reverse<u64>, u32) {
         let start = match self.policy {
             SchedulePolicy::CriticalPathOnly => 0,
-            _ => state.slot(&c.row, c.data_ready),
+            _ => state.slot_from(&insts[c.idx as usize], c.data_ready),
         };
         let prio = match self.policy {
             SchedulePolicy::EarliestStart => 0,
@@ -282,9 +291,9 @@ impl<'m> ListScheduler<'m> {
 pub(crate) struct Candidate {
     /// Index in the unit's original order.
     idx: u32,
-    /// The opcode's timing-table row (the slot search's units and width
-    /// class, and whether it is serializing).
-    row: OpTiming,
+    /// A sync or call ([`Opcode::is_serializing`](wts_ir::Opcode::is_serializing)):
+    /// its issue, or its own cached cycle, is what the cache rule refreshes.
+    serializing: bool,
     /// Latency-weighted critical path to the end of the unit.
     cp: u64,
     /// Cached data-ready cycle (the cycle-keyed policies only; zero

@@ -309,7 +309,7 @@ fn check_cache_rule(
     let n = insts.len();
     let graph = if speculative { DepGraph::build_speculative(insts) } else { DepGraph::build(insts) };
     let cp = critical_paths(&graph, insts, machine);
-    let serializing = |i: usize| machine.timing(insts[i].opcode()).serializing();
+    let serializing = |i: usize| is_serializing(insts[i].opcode());
     let mut state = IssueState::new(machine);
     let mut remaining: Vec<usize> = (0..n).map(|i| graph.preds(i).len()).collect();
     let mut ready: Vec<(usize, u64)> =
@@ -331,7 +331,7 @@ fn check_cache_rule(
         }
         let key = |&(i, cached): &(usize, u64)| {
             let prio = if policy == SchedulePolicy::EarliestStart { 0 } else { cp[i] };
-            (state.slot(machine.timing(insts[i].opcode()), cached), Reverse(prio), i)
+            (state.slot_from(&insts[i], cached), Reverse(prio), i)
         };
         let pos = (0..ready.len()).min_by_key(|&k| key(&ready[k])).expect("ready is not empty");
         let (chosen, _) = ready.swap_remove(pos);

@@ -34,8 +34,9 @@
 //!            u8 imm flag   · i64 when set
 //! ```
 //!
-//! with at most 8192 instructions per method over all its blocks, and a
-//! register index below [`Reg::INDEX_LIMIT`]; a served unit is
+//! with at most 8192 instructions per method over all its blocks, a
+//! register index below [`Reg::INDEX_LIMIT`], and a memory reference on
+//! exactly the loads and stores; a served unit is
 //! `u8 decision`, then — only when scheduled —
 //! `u32 order length · u32 × order · u64 cycles before · u64 cycles
 //! after`. A skipped unit is the single decision byte.
@@ -447,6 +448,14 @@ fn take_inst(cur: &mut BinCursor<'_>) -> Result<Inst, BinaryTraceError> {
         2 => inst.mem(MemRef::unknown(take_space(cur, SECTION)?)),
         n => return Err(hostile(SECTION, format!("memory tag {n} out of range"))),
     };
+    // The dependence scan and the issue model read a memory reference on
+    // exactly the loads and stores (the IR's `validate` rule); any other
+    // pairing panics the scan or lets the scheduler issue a unit against
+    // a stale store completion.
+    if op.is_memory() != inst.mem_ref().is_some() {
+        let has = if op.is_memory() { "no" } else { "a" };
+        return Err(hostile(SECTION, format!("opcode {op} with {has} memory reference")));
+    }
     if !hazards.is_none() {
         inst = inst.hazard(hazards);
     }
@@ -504,8 +513,10 @@ fn expect_drained(cur: &BinCursor<'_>) -> Result<(), BinaryTraceError> {
 /// # Errors
 ///
 /// [`BinaryTraceError`] naming the malformed section: wrong kind tag,
-/// truncation, an out-of-range opcode/register/space/tag, a length
-/// prefix larger than the bytes present, or trailing bytes.
+/// truncation, an out-of-range opcode/register/space/tag, a memory
+/// reference on an opcode that is not a load or store (or a load or
+/// store without one), an over-long method, a length prefix larger than
+/// the bytes present, or trailing bytes.
 pub fn decode_batch_request(payload: &[u8]) -> Result<BatchRequest, BinaryTraceError> {
     let mut cur = BinCursor::new(payload);
     let kind = cur.u8("frame kind")?;
@@ -820,6 +831,24 @@ mod tests {
             .push_block(BasicBlock::from_insts(0, vec![Inst::new(Opcode::Add).def(Reg::cr(top)).use_(Reg::spr(top))]));
         let payload = encode_batch_request(1, "b", std::slice::from_ref(&method));
         assert_eq!(decode_batch_request(&payload).expect("legal").methods, vec![method]);
+    }
+
+    #[test]
+    fn a_memory_reference_on_the_wrong_opcode_is_hostile() {
+        let heap = MemRef::slot(MemSpace::Heap, 0);
+        let cases = [
+            (Inst::new(Opcode::Add).def(Reg::gpr(1)).use_(Reg::gpr(2)).mem(heap), "with a memory reference"),
+            (Inst::new(Opcode::Stw).use_(Reg::gpr(1)).use_(Reg::gpr(2)), "with no memory reference"),
+            (Inst::new(Opcode::Lwz).def(Reg::gpr(1)).use_(Reg::gpr(2)), "with no memory reference"),
+        ];
+        for (inst, detail) in cases {
+            let mut method = Method::new(1, "mismatched");
+            let store = Inst::new(Opcode::Stw).use_(Reg::gpr(3)).use_(Reg::gpr(4)).mem(heap);
+            method.push_block(BasicBlock::from_insts(0, vec![inst, store]));
+            let err = decode_batch_request(&encode_batch_request(1, "b", &[method])).expect_err("hostile mem ref");
+            assert!(matches!(err, BinaryTraceError::HostileHeader { .. }), "{err}");
+            assert!(err.to_string().contains(detail), "{err}");
+        }
     }
 
     #[test]

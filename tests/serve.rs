@@ -589,3 +589,33 @@ fn a_register_index_beyond_the_tables_is_refused_and_serving_continues() {
     drop(client);
     assert_eq!(handle.shutdown().stats.batches_served, 1);
 }
+
+/// A memory reference on an ALU opcode is a hostile request: the
+/// dependence graph orders no later store after it, so a worker would
+/// schedule it against a stale store completion. It is answered with an
+/// error frame, and the server keeps serving.
+#[test]
+fn a_memory_reference_on_an_alu_opcode_is_refused_and_serving_continues() {
+    use wts_ir::{Inst, MemRef, MemSpace, Opcode, Reg};
+    let machine = MachineConfig::ppc7410();
+    let programs = wts_core::testutil::learnable_suite(2);
+    let handle =
+        Server::bind("127.0.0.1:0", stump_config(&machine, corpus(&programs, &machine, &options()), 0)).expect("bind");
+    let heap = MemRef::slot(MemSpace::Heap, 0);
+    let mut tagged = Method::new(9, "tagged");
+    let insts = vec![
+        Inst::new(Opcode::Add).def(Reg::gpr(1)).use_(Reg::gpr(2)).use_(Reg::gpr(3)).mem(heap),
+        Inst::new(Opcode::Stw).use_(Reg::gpr(4)).use_(Reg::gpr(5)).mem(heap),
+    ];
+    tagged.push_block(wts_ir::BasicBlock::from_insts(0, insts));
+    let mut client = ServeClient::connect(handle.local_addr()).expect("connect");
+    match client.request(1, "hostile", &[tagged]).expect("an answer, not a hang-up") {
+        Response::Error { detail } => assert!(detail.contains("with a memory reference"), "{detail}"),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    let mut client = ServeClient::connect(handle.local_addr()).expect("connect again");
+    let batch = expect_batch(client.request(2, programs[0].name(), programs[0].methods()).expect("served"));
+    assert_eq!(batch.batch_id, 2);
+    drop(client);
+    assert_eq!(handle.shutdown().stats.batches_served, 1);
+}
