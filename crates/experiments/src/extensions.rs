@@ -1,8 +1,8 @@
 //! Extension experiments: calibration, learner comparison, machine
-//! sensitivity and scheduler-policy ablations (DESIGN.md §5).
+//! sensitivity and scheduler-policy ablations (README.md, "Extensions").
 
 use crate::table::{f2, f3, Table};
-use crate::{Experiments, SuiteKind};
+use crate::{Experiments, SuiteKind, BEST_THRESHOLD};
 use wts_core::{app_time_ratio, classification_matrix, predicted_time_ratio, train_filter, TrainConfig};
 use wts_core::{CompiledFilter, Experiment, LabelConfig};
 use wts_jit::{app_cycles, superblock_gain, CompileSession};
@@ -12,6 +12,10 @@ use wts_ripper::{
     geometric_mean, Classifier, ConfusionMatrix, DecisionStump, MajorityLearner, OneR, RipperConfig, ShallowTree,
 };
 use wts_sched::SchedulePolicy;
+
+/// The adaptive JIT's hotness cutoff: methods whose profile count
+/// exceeds it take the optimizing path.
+const HOT_CUTOFF: u64 = 100;
 
 impl Experiments {
     /// Corpus calibration statistics, used to verify the synthetic suites
@@ -30,7 +34,8 @@ impl Experiments {
                 "feat ns/blk".into(),
                 "sched ns/blk".into(),
             ],
-        );
+        )
+        .with_wall_clock(&["feat ns/blk", "sched ns/blk"]);
         for kind in [SuiteKind::Jvm98, SuiteKind::Fp] {
             let run = self.run(kind);
             let total = run.all_traces().len();
@@ -58,9 +63,10 @@ impl Experiments {
         t
     }
 
-    /// Learner comparison at a given threshold: RIPPER versus the
-    /// baselines, leave-one-benchmark-out, geometric-mean error rate.
-    pub fn learners(&self, t: u32) -> Table {
+    /// Learner comparison at the paper's best threshold: RIPPER versus
+    /// the baselines, leave-one-benchmark-out, geometric-mean error rate.
+    pub fn learners(&self) -> Table {
+        let t = BEST_THRESHOLD;
         let (dataset, _) = self.run(SuiteKind::Jvm98).dataset(t);
         let folds = leave_one_group_out(&dataset);
 
@@ -70,7 +76,7 @@ impl Experiments {
         );
         let mut per_learner: Vec<(&str, Vec<f64>)> = vec![
             ("ripper", Vec::new()),
-            ("tree(d=4)", Vec::new()),
+            ("tree(d=4,leaf=16)", Vec::new()),
             ("one-r", Vec::new()),
             ("stump", Vec::new()),
             ("majority", Vec::new()),
@@ -177,15 +183,18 @@ impl Experiments {
     }
 
     /// Adaptive-JIT extension (paper §3.1): apply the optimizing path —
-    /// and therefore the filter — only to profile-hot methods. Filters
-    /// still save most scheduling effort inside the optimized subset.
-    pub fn adaptive(&self, hot_cutoff: u64) -> Table {
+    /// and therefore the filter — only to methods profiled hotter than
+    /// `HOT_CUTOFF`. Filters still save most scheduling effort inside
+    /// the optimized subset.
+    pub fn adaptive(&self) -> Table {
+        let hot_cutoff = HOT_CUTOFF;
         let mut t = Table::new(
             format!("Extension: adaptive JIT (hot methods only, cutoff {hot_cutoff})"),
             vec!["Strategy".into(), "Scheduled".into(), "Pass µs".into(), "App/NS".into()],
-        );
+        )
+        .with_wall_clock(&["Pass µs"]);
         let run = self.run(SuiteKind::Jvm98);
-        let factory = run.factory_filter(20);
+        let factory = run.factory_filter(BEST_THRESHOLD);
         let filter = factory.compiled();
         let always = CompiledFilter::always();
         let session = CompileSession::new(self.machine());
@@ -220,8 +229,10 @@ impl Experiments {
     /// User-retraining extension (paper footnote 4): training on a
     /// program's own blocks and testing on that same program gives "a
     /// kind of upper bound on how much improvement you could get by
-    /// retraining". Compares self-trained against leave-one-out filters.
-    pub fn selftrain(&self, t: u32) -> Table {
+    /// retraining". Compares self-trained against leave-one-out filters
+    /// at the paper's best threshold.
+    pub fn selftrain(&self) -> Table {
+        let t = BEST_THRESHOLD;
         let run = self.run(SuiteKind::Jvm98);
         let mut table = Table::new(
             format!("Extension: self-training upper bound at t={t} (error %)"),
@@ -264,7 +275,7 @@ mod tests {
     #[test]
     fn adaptive_schedules_fewer_blocks() {
         let e = harness();
-        let t = e.adaptive(100);
+        let t = e.adaptive();
         let full: usize = t.cell(0, 1).parse().unwrap();
         let hot_ls: usize = t.cell(1, 1).parse().unwrap();
         let hot_ln: usize = t.cell(2, 1).parse().unwrap();
@@ -275,7 +286,7 @@ mod tests {
     #[test]
     fn selftraining_is_at_least_competitive() {
         let e = harness();
-        let t = e.selftrain(20);
+        let t = e.selftrain();
         let mut loocv = Vec::new();
         let mut selft = Vec::new();
         for row in 0..t.row_count() {
@@ -301,7 +312,7 @@ mod tests {
     #[test]
     fn learners_table_includes_ripper_and_majority() {
         let e = harness();
-        let t = e.learners(20);
+        let t = e.learners();
         assert_eq!(t.row_count(), 5);
         assert_eq!(t.cell(0, 0), "ripper");
         let ripper_err: f64 = t.cell(0, 1).parse().unwrap();

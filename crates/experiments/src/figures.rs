@@ -2,7 +2,7 @@
 //! as views over the suite [`ExperimentRun`](wts_core::ExperimentRun)s.
 
 use crate::table::{f3, Table};
-use crate::{Experiments, SuiteKind, THRESHOLDS};
+use crate::{Experiments, SuiteKind, BEST_THRESHOLD, THRESHOLDS};
 use wts_core::{CompiledFilter, DecisionPolicy};
 use wts_ripper::geometric_mean;
 
@@ -31,7 +31,7 @@ impl Experiments {
 
         let mut sched_headers = headers.clone();
         sched_headers.push("Measured gm".into());
-        let mut sched = Table::new(title_a, sched_headers);
+        let mut sched = Table::new(title_a, sched_headers).with_wall_clock(&["Measured gm"]);
         let mut app = Table::new(title_b, headers);
 
         // Reference row: the fixed LS strategy (ratio 1.0 by definition
@@ -107,13 +107,17 @@ impl Experiments {
     pub fn fig4(&self) -> String {
         let run = self.run(SuiteKind::Jvm98);
         let held_out = &run.names()[0];
-        let filter = run.filter_for(20, held_out);
-        format!("Figure 4: Induced heuristic (trained on SPECjvm98 minus {held_out}, t=20)\n{}", filter.rules())
+        let filter = run.filter_for(BEST_THRESHOLD, held_out);
+        format!(
+            "Figure 4: Induced heuristic (trained on SPECjvm98 minus {held_out}, t={BEST_THRESHOLD})\n{}",
+            filter.rules()
+        )
     }
 
-    /// Trains one filter on the *whole* jvm98 corpus at threshold `t` and
-    /// renders it (the "at the factory" deliverable).
-    pub fn factory_filter(&self, t: u32) -> String {
+    /// Trains one filter on the *whole* jvm98 corpus at the paper's best
+    /// threshold and renders it (the "at the factory" deliverable).
+    pub fn factory_filter(&self) -> String {
+        let t = BEST_THRESHOLD;
         let filter = self.run(SuiteKind::Jvm98).factory_filter(t);
         format!("Factory filter (all SPECjvm98, t={t})\n{}", filter.rules())
     }

@@ -20,13 +20,14 @@ mod extensions;
 mod figures;
 mod lint;
 mod matrix;
+mod render;
 mod serve;
 mod statics;
 mod table;
 mod tables;
 mod verify;
 
-pub use matrix::{CALIBRATION_OPERATING_POINT, PORTFOLIO_TOLERANCE};
+pub use render::{render, ALL_ARTIFACTS, ON_REQUEST};
 pub use serve::ServeLoad;
 pub use statics::{table1, table2, table7};
 pub use table::Table;
@@ -37,6 +38,15 @@ use wts_machine::MachineConfig;
 
 /// The threshold sweep of the paper: 0..=50 percent in steps of 5.
 pub const THRESHOLDS: [u32; 11] = [0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50];
+
+/// The threshold of the single-threshold jvm98 extensions (`learners`,
+/// `selftrain`, `adaptive`'s filter, `factory`) and of Figure 4: the
+/// paper's best, t=20.
+const BEST_THRESHOLD: u32 = 20;
+
+/// The threshold of the registry-sweep tables (`matrix`, `portfolio`,
+/// `superblock`): t=0, where every unit that gains at all is `LS`.
+const SWEEP_THRESHOLD: u32 = 0;
 
 /// The superblock formation ratio (percent) every scope artifact uses:
 /// a successor within `0.70×..1/0.70×` of the trace entry's count

@@ -5,24 +5,23 @@
 //! filter be retrained per target (paper §4)?
 
 use crate::table::{f2, f3, Table};
-use crate::{Experiments, SuiteKind, SUPERBLOCK_RATIO, THRESHOLDS};
+use crate::{Experiments, SuiteKind, SUPERBLOCK_RATIO, SWEEP_THRESHOLD, THRESHOLDS};
 use wts_core::{Experiment, LearnerKind, MatrixRun, ScopeKind, TimingMode};
 use wts_jit::{superblock_gain, SuperblockGain};
 
-/// The default error tolerance (percentage points) of the portfolio-best
-/// pick: a backend whose LOOCV error is within this many points of the
+/// The error tolerance (percentage points) of the portfolio-best pick: a backend whose LOOCV error is within this many points of the
 /// machine's best error is eligible, and the cheapest eligible backend
 /// (by its own filter + extraction work) wins. Two points is well inside
 /// the paper's run-to-run noise on the small suites, so the pick never
 /// trades real accuracy for overhead savings.
-pub const PORTFOLIO_TOLERANCE: f64 = 2.0;
+const PORTFOLIO_TOLERANCE: f64 = 2.0;
 
-/// The default operating point of the calibration table: one unit of
+/// The operating point of the calibration table: one unit of
 /// compile-time work (filter conditions, masked extraction, scheduling
 /// proxy) priced at one application cycle. A JIT under compile-time
 /// pressure would deploy a higher value; `repro`'s tables use this
 /// neutral point so the policies are compared on the same footing.
-pub const CALIBRATION_OPERATING_POINT: f64 = 1.0;
+const CALIBRATION_OPERATING_POINT: f64 = 1.0;
 
 impl Experiments {
     /// Runs the full pipeline for every registry machine over the FP
@@ -41,11 +40,12 @@ impl Experiments {
             .run_on(wts_machine::registry(), self.run(SuiteKind::Fp).programs().to_vec())
     }
 
-    /// The transfer table: train the t=`t` factory rule set on the row
+    /// The transfer table: train the t=0 factory rule set on the row
     /// machine's labels, score it on the column machine's labels. The
     /// diagonal is self-error; a large off-diagonal excess is the
     /// paper's case for re-deriving the filter per target machine.
-    pub fn cross_machine(&self, matrix: &MatrixRun, t: u32) -> Table {
+    pub fn cross_machine(&self, matrix: &MatrixRun) -> Table {
+        let t = SWEEP_THRESHOLD;
         let names = matrix.machine_names();
         let mut headers = vec![format!("Train\\Eval (t={t})")];
         headers.extend(names.iter().map(|n| n.to_string()));
@@ -59,14 +59,15 @@ impl Experiments {
     }
 
     /// The filter-cost table: per registry machine, the honest overhead
-    /// of the threshold-`t` LOOCV filters — conditions actually
+    /// of the t=0 LOOCV filters — conditions actually
     /// evaluated (short-circuit aware) and demand-masked extraction
     /// work — as absolute work units and as a fraction of the machine's
     /// full always-schedule cost. The paper's premise (and Chmiela's and
     /// Streeter's, for selectors in general) is that this fraction stays
     /// near zero on every target; this table is where the reproduction
     /// shows it.
-    pub fn filter_overhead(&self, matrix: &MatrixRun, t: u32) -> Table {
+    pub fn filter_overhead(&self, matrix: &MatrixRun) -> Table {
+        let t = SWEEP_THRESHOLD;
         let headers = vec![
             format!("Machine (t={t})"),
             "Filter work".into(),
@@ -93,14 +94,14 @@ impl Experiments {
     /// [`LearnerKind::portfolio`] backend's aggregate LOOCV
     /// classification error, geometric-mean predicted/app time ratios,
     /// lowered model size, and honest filter + extraction overhead (the
-    /// PR 3 work accounting) at threshold `t` — followed by one
+    /// work accounting) at t=0 — followed by one
     /// `best=<learner>` row per machine repeating the portfolio-best
-    /// pick: the cheapest backend within `tolerance_percent` points of
-    /// the machine's best error (the Streeter/Chmiela selection rule —
+    /// pick: the cheapest backend within `PORTFOLIO_TOLERANCE` (two) points
+    /// of the machine's best error (the Streeter/Chmiela selection rule —
     /// accuracy buys nothing once errors are indistinguishable, so
-    /// minimize selector spend). Use [`PORTFOLIO_TOLERANCE`] unless an
-    /// experiment sweeps the tolerance itself.
-    pub fn portfolio(&self, matrix: &MatrixRun, t: u32, tolerance_percent: f64) -> Table {
+    /// minimize selector spend).
+    pub fn portfolio(&self, matrix: &MatrixRun) -> Table {
+        let (t, tolerance_percent) = (SWEEP_THRESHOLD, PORTFOLIO_TOLERANCE);
         let headers = vec![
             format!("Machine (t={t})"),
             "Learner".into(),
@@ -125,11 +126,10 @@ impl Experiments {
         table
     }
 
-    /// The calibration table: per registry machine, the threshold-`t`
-    /// LOOCV filters evaluated under both decision policies, bracketed
+    /// The calibration table: per registry machine, the t=0 LOOCV filters evaluated under both decision policies, bracketed
     /// by the per-unit oracle. Columns are expected net application
     /// cycles ([`EvalTimes::net_cycles`](wts_core::EvalTimes::net_cycles)
-    /// at `cycles_per_work`) and scheduled-unit counts for:
+    /// at `CALIBRATION_OPERATING_POINT`, one cycle per work unit) and scheduled-unit counts for:
     ///
     /// * **hard** — the paper's fixed operating point (schedule iff a
     ///   rule fired), bit-identical to the boolean seam;
@@ -143,7 +143,8 @@ impl Experiments {
     /// The `Δ(eb−hard)` column is the headline: where it is positive,
     /// cost-sensitive decisions recover cycles the fixed threshold
     /// leaves on the table — without retraining anything.
-    pub fn calibration(&self, matrix: &MatrixRun, t: u32, cycles_per_work: f64) -> Table {
+    pub fn calibration(&self, matrix: &MatrixRun) -> Table {
+        let (t, cycles_per_work) = (SWEEP_THRESHOLD, CALIBRATION_OPERATING_POINT);
         let headers = vec![
             format!("Machine (t={t}, c={cycles_per_work})"),
             "Rate".into(),
@@ -203,7 +204,8 @@ impl Experiments {
     /// # Panics
     ///
     /// Panics if the two matrices cover different machine lists.
-    pub fn superblock_scope(&self, block: &MatrixRun, superblock: &MatrixRun, t: u32) -> Table {
+    pub fn superblock_scope(&self, block: &MatrixRun, superblock: &MatrixRun) -> Table {
+        let t = SWEEP_THRESHOLD;
         assert_eq!(block.machine_names(), superblock.machine_names(), "matrices must sweep the same registry");
         let headers = vec![
             format!("Machine (t={t})"),
@@ -295,7 +297,7 @@ mod tests {
     fn cross_machine_table_is_square_over_the_registry() {
         let e = harness();
         let m = e.matrix();
-        let t = e.cross_machine(&m, 0);
+        let t = e.cross_machine(&m);
         let n = registry_names().len();
         assert_eq!(t.row_count(), n);
         assert_eq!(t.headers().len(), n + 1);
@@ -326,7 +328,7 @@ mod tests {
     fn filter_overhead_table_shows_small_fractions_everywhere() {
         let e = harness();
         let m = e.matrix();
-        let t = e.filter_overhead(&m, 0);
+        let t = e.filter_overhead(&m);
         assert_eq!(t.row_count(), registry_names().len());
         for row in 0..t.row_count() {
             assert_eq!(t.cell(row, 0), registry_names()[row]);
@@ -341,7 +343,7 @@ mod tests {
     fn portfolio_table_covers_every_machine_and_backend() {
         let e = harness();
         let m = e.matrix();
-        let t = e.portfolio(&m, 0, PORTFOLIO_TOLERANCE);
+        let t = e.portfolio(&m);
         let learners = LearnerKind::portfolio();
         let rows_per_machine = learners.len() + 1; // backends + the best= summary row
         assert_eq!(t.row_count(), registry_names().len() * rows_per_machine);
@@ -365,7 +367,7 @@ mod tests {
     fn portfolio_best_rows_repeat_an_existing_entry() {
         let e = harness();
         let m = e.matrix();
-        let t = e.portfolio(&m, 0, PORTFOLIO_TOLERANCE);
+        let t = e.portfolio(&m);
         let rows_per_machine = LearnerKind::portfolio().len() + 1;
         for i in 0..registry_names().len() {
             let base = i * rows_per_machine;
@@ -383,7 +385,7 @@ mod tests {
     fn calibration_table_brackets_policies_and_pays_off_somewhere() {
         let e = harness();
         let m = e.matrix();
-        let t = e.calibration(&m, 0, CALIBRATION_OPERATING_POINT);
+        let t = e.calibration(&m);
         assert_eq!(t.row_count(), registry_names().len());
         let mut eb_wins = 0usize;
         for row in 0..t.row_count() {
@@ -409,7 +411,7 @@ mod tests {
         let e = harness();
         let block = e.matrix();
         let sb = e.superblock_matrix();
-        let t = e.superblock_scope(&block, &sb, 0);
+        let t = e.superblock_scope(&block, &sb);
         assert_eq!(t.row_count(), registry_names().len());
         for row in 0..t.row_count() {
             assert_eq!(t.cell(row, 0), registry_names()[row]);

@@ -307,6 +307,7 @@ mod tests {
     use crate::verify_schedule;
     use wts_deps::DepGraph;
     use wts_ir::{MemRef, MemSpace, Opcode, Reg};
+    use wts_machine::CostModel;
 
     fn machine() -> MachineConfig {
         MachineConfig::ppc7410()
@@ -366,6 +367,28 @@ mod tests {
             // model rates worse than the original.
             assert!(out.cycles_after <= out.cycles_before, "degraded: {insts:?}");
         }
+    }
+
+    #[test]
+    fn a_serializing_candidate_waits_for_the_issue_beside_it() {
+        // fdiv, sync and add are independent, so all three are ready at
+        // once. CPS issues the fdiv first; that moves the sync's
+        // data-ready cycle to the fdiv's completion, because a sync waits
+        // for everything issued before it. With the sync's cached cycle
+        // refreshed, the add, ready at once, goes next and the sync last.
+        // A stale cycle would let the sync's longer critical path win the
+        // tie at the early slot and issue it before the fdiv completes.
+        let m = machine();
+        let insts = vec![
+            Inst::new(Opcode::Fdiv).def(Reg::fpr(1)).use_(Reg::fpr(2)).use_(Reg::fpr(3)),
+            Inst::new(Opcode::Sync),
+            add(1, 8, 9),
+        ];
+        let out = ListScheduler::new(&m).schedule_insts(&insts);
+        assert_eq!(out.order, vec![0, 2, 1]);
+        let ordered: Vec<Inst> = out.order.iter().map(|&i| insts[i].clone()).collect();
+        assert_eq!(out.cycles_after, CostModel::new(&m).sequence_cycles(&ordered), "cycles_after is the order's cost");
+        assert!(out.cycles_after < out.cycles_before);
     }
 
     #[test]
