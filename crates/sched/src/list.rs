@@ -386,7 +386,7 @@ mod tests {
         ];
         let out = ListScheduler::new(&m).schedule_insts(&insts);
         assert_eq!(out.order, vec![0, 2, 1]);
-        let ordered: Vec<Inst> = out.order.iter().map(|&i| insts[i].clone()).collect();
+        let ordered: Vec<Inst> = out.order.iter().map(|&i| insts[i]).collect();
         assert_eq!(out.cycles_after, CostModel::new(&m).sequence_cycles(&ordered), "cycles_after is the order's cost");
         assert!(out.cycles_after < out.cycles_before);
     }
