@@ -395,7 +395,7 @@ impl ExperimentRun {
     }
 
     fn train_config_for(&self, t: u32, learner: &LearnerKind) -> TrainConfig {
-        TrainConfig { label: LabelConfig::new(t), learner: learner.clone(), scope: self.scope() }
+        TrainConfig { label: LabelConfig::new(t), learner: *learner, scope: self.scope() }
     }
 
     /// Stage 2: the labeled RIPPER dataset at threshold `t`, grouped by

@@ -14,14 +14,13 @@
 //!   ([`CompiledFilter`](crate::CompiledFilter)) lowers, so every
 //!   backend inherits the pinned compiled≡interpreted property and the
 //!   honest per-condition work accounting for free.
-//! * [`LearnerKind`] is the closed, cloneable configuration enum the
-//!   pipeline plumbing ([`TrainConfig`](crate::TrainConfig),
+//! * [`LearnerKind`] is the closed, `Copy` enum the pipeline plumbing ([`TrainConfig`](crate::TrainConfig),
 //!   [`Experiment`](crate::Experiment)) carries: RIPPER, a one-feature
 //!   decision-stump sweep (the learned generalization of the
 //!   [`size_threshold`](crate::CompiledFilter::size_threshold) baseline), and a greedy
-//!   top-down decision tree with depth/leaf-support caps whose
-//!   positive-leaf paths lower to flat condition tables exactly like
-//!   RIPPER rules.
+//!   top-down decision tree capped at depth 4 and 8 instances per leaf,
+//!   whose positive-leaf paths lower to flat condition tables exactly
+//!   like RIPPER rules.
 //!
 //! Adding a backend means producing a `RuleSet` whose `predict` is
 //! bit-identical to the native model on finite inputs — strict
@@ -31,7 +30,15 @@
 //! [`LearnerKind::portfolio`]) so the cross-machine portfolio table
 //! picks it up.
 
-use wts_ripper::{Dataset, RipperConfig, RuleSet, ShallowTree, StumpCounts};
+use wts_ripper::{Dataset, RuleSet, ShallowTree, StumpCounts};
+
+/// The tree backend's depth cap: at most this many splits on any
+/// root-to-leaf path.
+const TREE_MAX_DEPTH: usize = 4;
+
+/// The tree backend's leaf-support cap: at least this many training
+/// instances per leaf.
+const TREE_MIN_LEAF: usize = 8;
 
 /// An induction backend: fits a labeled dataset into an ordered rule
 /// set, the common form every filter lowers to the compiled engine
@@ -50,42 +57,31 @@ pub trait Learner: Send + Sync {
     fn name(&self) -> String;
 }
 
-/// The built-in induction backends, as cloneable pipeline configuration.
-#[derive(Debug, Clone, PartialEq)]
+/// The built-in induction backends.
+///
+/// The variants order as their names do (`ripper` < `stump` < `tree`),
+/// so a [`FilterKey`](crate::FilterKey) sorts by learner name.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LearnerKind {
-    /// RIPPER rule induction (the paper's learner).
-    Ripper(RipperConfig),
+    /// RIPPER rule induction at Cohen's settings (the paper's learner).
+    #[default]
+    Ripper,
     /// A single learned threshold on a single feature — the best stump
     /// over all seventeen features by exhaustive sweep. The natural
     /// generalization of the hand-picked
     /// [`size_threshold`](crate::CompiledFilter::size_threshold) baseline.
     Stump,
-    /// A greedy top-down entropy tree; positive-leaf paths lower to
-    /// conjunctive rules.
-    Tree {
-        /// Maximum number of splits on any root-to-leaf path.
-        max_depth: usize,
-        /// Minimum instances per leaf (leaf-support cap).
-        min_leaf: usize,
-    },
-}
-
-impl Default for LearnerKind {
-    fn default() -> LearnerKind {
-        LearnerKind::Ripper(RipperConfig::default())
-    }
+    /// A greedy top-down entropy tree, depth 4 with at least 8
+    /// instances per leaf; positive-leaf paths lower to conjunctive
+    /// rules.
+    Tree,
 }
 
 impl LearnerKind {
-    /// The default tree backend: depth 4, at least 8 instances per leaf.
-    pub fn tree() -> LearnerKind {
-        LearnerKind::Tree { max_depth: 4, min_leaf: 8 }
-    }
-
     /// The standard portfolio the cross-machine comparison sweeps:
     /// RIPPER, the stump and the capped tree, in report order.
     pub fn portfolio() -> Vec<LearnerKind> {
-        vec![LearnerKind::default(), LearnerKind::Stump, LearnerKind::tree()]
+        vec![LearnerKind::Ripper, LearnerKind::Stump, LearnerKind::Tree]
     }
 
     /// The tag a trained filter displays: `L/N` (the paper's name) for
@@ -94,14 +90,9 @@ impl LearnerKind {
     /// name the portfolio alternatives.
     pub fn filter_tag(&self) -> String {
         match self {
-            LearnerKind::Ripper(_) => "L/N".into(),
+            LearnerKind::Ripper => "L/N".into(),
             other => other.name(),
         }
-    }
-
-    /// A cache key unique per configuration (not just per variant).
-    pub(crate) fn cache_key(&self) -> String {
-        format!("{self:?}")
     }
 }
 
@@ -118,24 +109,22 @@ impl Learner for LearnerKind {
             RuleSet::new(data.attr_names().to_vec(), data.pos_label(), data.neg_label(), rules, stats, default_stats)
         };
         match self {
-            LearnerKind::Ripper(config) => config.fit(data),
+            LearnerKind::Ripper => RuleSet::fit(data),
             // The stump reads only per-value class counts, and reads its
             // stats off them too; an empty fold lowers to the empty rule
             // set (predict-all-negative), matching RIPPER on no data.
             LearnerKind::Stump => StumpCounts::of(data).rule_set(),
             // The tree sweep needs at least one instance.
-            LearnerKind::Tree { .. } if data.is_empty() => lowered(vec![]),
-            LearnerKind::Tree { max_depth, min_leaf } => {
-                lowered(ShallowTree::fit(data, *max_depth, *min_leaf).to_rules())
-            }
+            LearnerKind::Tree if data.is_empty() => lowered(vec![]),
+            LearnerKind::Tree => lowered(ShallowTree::fit(data, TREE_MAX_DEPTH, TREE_MIN_LEAF).to_rules()),
         }
     }
 
     fn name(&self) -> String {
         match self {
-            LearnerKind::Ripper(_) => "ripper".into(),
+            LearnerKind::Ripper => "ripper".into(),
             LearnerKind::Stump => "stump".into(),
-            LearnerKind::Tree { max_depth, .. } => format!("tree(d={max_depth})"),
+            LearnerKind::Tree => format!("tree(d={TREE_MAX_DEPTH})"),
         }
     }
 }
@@ -181,7 +170,7 @@ mod tests {
     fn tree_rule_set_matches_native_tree() {
         let d = dataset();
         let native = ShallowTree::fit(&d, 4, 8);
-        let rules = LearnerKind::tree().fit(&d);
+        let rules = LearnerKind::Tree.fit(&d);
         for inst in d.instances() {
             assert_eq!(rules.predict(&inst.values), native.predict(&inst.values));
         }
@@ -190,7 +179,7 @@ mod tests {
     #[test]
     fn empty_folds_yield_the_empty_rule_set() {
         let d = Dataset::new(vec!["x".into()], "list", "orig");
-        for kind in [LearnerKind::Stump, LearnerKind::tree()] {
+        for kind in [LearnerKind::Stump, LearnerKind::Tree] {
             let rules = kind.fit(&d);
             assert!(rules.is_empty(), "{}: empty data must not invent rules", kind.name());
             assert!(!rules.predict(&[5.0]));
@@ -200,7 +189,7 @@ mod tests {
     #[test]
     fn stump_and_tree_rules_carry_leaf_class_frequencies() {
         let d = dataset();
-        for kind in [LearnerKind::Stump, LearnerKind::tree()] {
+        for kind in [LearnerKind::Stump, LearnerKind::Tree] {
             let rules = kind.fit(&d);
             assert!(!rules.is_empty(), "{}: the separable dataset must induce rules", kind.name());
             let fired: usize = rules.stats().iter().map(|s| s.hits + s.misses).sum();
@@ -221,19 +210,20 @@ mod tests {
         assert_eq!(LearnerKind::default().name(), "ripper");
         assert_eq!(LearnerKind::default().filter_tag(), "L/N");
         assert_eq!(LearnerKind::Stump.filter_tag(), "stump");
-        assert_eq!(LearnerKind::tree().name(), "tree(d=4)");
-        let keys: Vec<String> = LearnerKind::portfolio().iter().map(|k| k.cache_key()).collect();
-        let mut unique = keys.clone();
-        unique.sort();
-        unique.dedup();
-        assert_eq!(unique.len(), keys.len(), "cache keys must be distinct");
+        assert_eq!(LearnerKind::Tree.name(), "tree(d=4)");
+        // The variants sort as their names do, so sorted store dumps keep
+        // the order the learner names gave them.
+        let names: Vec<String> = LearnerKind::portfolio().iter().map(|k| k.name()).collect();
+        let mut sorted = LearnerKind::portfolio();
+        sorted.sort();
+        assert_eq!(sorted.iter().map(|k| k.name()).collect::<Vec<_>>(), names);
     }
 
     #[test]
     fn portfolio_covers_three_backends_with_ripper_first() {
         let p = LearnerKind::portfolio();
         assert_eq!(p.len(), 3);
-        assert!(matches!(p[0], LearnerKind::Ripper(_)));
+        assert_eq!(p[0], LearnerKind::Ripper);
         assert!(p.contains(&LearnerKind::Stump));
     }
 }

@@ -53,7 +53,7 @@
 //! assert_eq!(run.store().epoch(&key), Some(2));
 //! ```
 
-use crate::learner::LearnerKind;
+use crate::learner::{Learner, LearnerKind};
 use crate::{CompiledFilter, LearnedFilter};
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
@@ -69,7 +69,7 @@ use wts_ir::ScopeKind;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FilterKey {
     machine: String,
-    learner: String,
+    learner: LearnerKind,
     scope: ScopeKind,
     threshold: u32,
 }
@@ -78,7 +78,7 @@ impl FilterKey {
     /// A key for `machine`'s filter induced by `learner` at `scope` and
     /// labeling threshold `threshold` (percent).
     pub fn new(machine: &str, learner: &LearnerKind, scope: ScopeKind, threshold: u32) -> FilterKey {
-        FilterKey { machine: machine.to_string(), learner: learner.cache_key(), scope, threshold }
+        FilterKey { machine: machine.to_string(), learner: *learner, scope, threshold }
     }
 
     /// The machine name component.
@@ -98,7 +98,7 @@ impl std::fmt::Display for FilterKey {
             ScopeKind::Block => "block".to_string(),
             ScopeKind::Superblock(r) => format!("sb{r}"),
         };
-        write!(f, "{}/{}/{}/t{}", self.machine, self.learner, scope, self.threshold)
+        write!(f, "{}/{}/{}/t{}", self.machine, self.learner.name(), scope, self.threshold)
     }
 }
 

@@ -295,7 +295,7 @@ mod tests {
         let t = traces();
         let stump = train_filter(&t, &TrainConfig::with_learner(10, LearnerKind::Stump));
         assert_eq!(stump.name(), "stump(t=10)");
-        let tree = train_filter(&t, &TrainConfig::with_learner(10, LearnerKind::tree()));
+        let tree = train_filter(&t, &TrainConfig::with_learner(10, LearnerKind::Tree));
         assert_eq!(tree.name(), "tree(d=4)(t=10)");
         let ripper = train_filter(&t, &TrainConfig::with_threshold(10));
         assert_eq!(ripper.name(), "L/N(t=10)", "the paper's artifact keeps its name");

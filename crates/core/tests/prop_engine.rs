@@ -193,7 +193,7 @@ fn compiled_loocv_folds_match_interpreted_on_all_registry_machines() {
 /// fold, trace-shape features included.
 #[test]
 fn superblock_loocv_folds_pin_compiled_interpreted_native_on_all_registry_machines() {
-    use wts_ripper::{leave_one_group_out, Classifier, DecisionStump, RipperConfig, ShallowTree};
+    use wts_ripper::{leave_one_group_out, Classifier, DecisionStump, RuleSet, ShallowTree};
     let programs = wts_core::testutil::mergeable_suite(4);
     for machine in wts_machine::registry() {
         let run = Experiment::new(machine.clone())
@@ -228,9 +228,9 @@ fn superblock_loocv_folds_pin_compiled_interpreted_native_on_all_registry_machin
         let (data, _) = run.dataset(0);
         for fold in leave_one_group_out(&data) {
             let probes = fold.train.instances().iter().chain(fold.test.instances());
-            let ripper_rules = RipperConfig::default().fit(&fold.train);
+            let ripper_rules = RuleSet::fit(&fold.train);
             let stump_rules = LearnerKind::Stump.fit(&fold.train);
-            let tree_rules = LearnerKind::tree().fit(&fold.train);
+            let tree_rules = LearnerKind::Tree.fit(&fold.train);
             let native_stump = (!fold.train.is_empty()).then(|| DecisionStump::fit(&fold.train));
             let native_tree = (!fold.train.is_empty()).then(|| ShallowTree::fit(&fold.train, 4, 8));
             for inst in probes {

@@ -9,7 +9,7 @@ use wts_jit::{app_cycles, superblock_gain, CompileSession};
 use wts_machine::MachineConfig;
 use wts_ripper::leave_one_group_out;
 use wts_ripper::{
-    geometric_mean, Classifier, ConfusionMatrix, DecisionStump, MajorityLearner, OneR, RipperConfig, ShallowTree,
+    geometric_mean, Classifier, ConfusionMatrix, DecisionStump, MajorityLearner, OneR, RuleSet, ShallowTree,
 };
 use wts_sched::SchedulePolicy;
 
@@ -83,9 +83,9 @@ impl Experiments {
         ];
         for fold in &folds {
             let models: Vec<Box<dyn Classifier>> = vec![
-                Box::new(RipperConfig::default().fit(&fold.train)),
+                Box::new(RuleSet::fit(&fold.train)),
                 Box::new(ShallowTree::fit(&fold.train, 4, 16)),
-                Box::new(OneR::fit(&fold.train, 10)),
+                Box::new(OneR::fit(&fold.train)),
                 Box::new(DecisionStump::fit(&fold.train)),
                 Box::new(MajorityLearner::fit(&fold.train)),
             ];

@@ -317,7 +317,7 @@ impl StumpCounts {
     }
 }
 
-/// 1R (Holte 1993): discretize each attribute into up-to-`bins` intervals,
+/// 1R (Holte 1993): discretize each attribute into up to ten intervals,
 /// pick the single attribute whose interval-majority predictions have the
 /// lowest training error.
 #[derive(Debug, Clone, PartialEq)]
@@ -330,19 +330,19 @@ pub struct OneR {
 }
 
 impl OneR {
-    /// Fits 1R with the given number of equal-frequency bins per attribute.
+    /// Fits 1R with ten equal-frequency bins per attribute.
     ///
     /// # Panics
     ///
-    /// Panics if `bins` is zero or `data` is empty.
-    pub fn fit(data: &Dataset, bins: usize) -> OneR {
-        assert!(bins >= 1, "need at least one bin");
+    /// Panics if `data` is empty.
+    pub fn fit(data: &Dataset) -> OneR {
+        const BINS: usize = 10;
         assert!(!data.is_empty(), "cannot fit 1R on an empty dataset");
         let mut best: Option<(usize, OneR)> = None;
         for attr in 0..data.attr_count() {
             let mut col: Vec<(f64, bool)> = data.instances().iter().map(|i| (i.values[attr], i.positive)).collect();
             col.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-            let per = (col.len() / bins).max(1);
+            let per = (col.len() / BINS).max(1);
             let mut bounds = Vec::new();
             let mut predictions = Vec::new();
             let mut errors = 0usize;
@@ -581,7 +581,7 @@ mod tests {
     #[test]
     fn one_r_matches_simple_rule() {
         let d = linear_dataset();
-        let m = OneR::fit(&d, 10);
+        let m = OneR::fit(&d);
         assert_eq!(m.attr(), 0);
         assert!(m.predict(&[0.95, 0.5]));
         assert!(!m.predict(&[0.05, 0.5]));
@@ -706,7 +706,7 @@ mod tests {
         let d = linear_dataset();
         assert_eq!(MajorityLearner::fit(&d).name(), "majority");
         assert_eq!(DecisionStump::fit(&d).name(), "stump");
-        assert_eq!(OneR::fit(&d, 4).name(), "one-r");
+        assert_eq!(OneR::fit(&d).name(), "one-r");
         assert_eq!(ShallowTree::fit(&d, 2, 2).name(), "tree");
     }
 }

@@ -147,40 +147,35 @@ impl fmt::Display for Dataset {
     }
 }
 
-/// Deterministic stratified split of instance indices into a grow set and
-/// a prune set with approximately `grow_fraction` of each class in the
-/// grow set. `seed` makes the shuffle reproducible.
-pub(crate) fn stratified_split(instances: &[Instance], grow_fraction: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
-    debug_assert!((0.0..=1.0).contains(&grow_fraction));
-    let mut pos: Vec<usize> = Vec::new();
-    let mut neg: Vec<usize> = Vec::new();
-    for (i, inst) in instances.iter().enumerate() {
-        if inst.positive {
-            pos.push(i);
-        } else {
-            neg.push(i);
-        }
-    }
+/// The share of each class RIPPER grows rules on; the rest prunes them
+/// (Cohen's 2/3).
+const GROW_FRACTION: f64 = 2.0 / 3.0;
+
+/// Deterministic stratified split of the instance indices `idx` into a
+/// grow set and a prune set holding [`GROW_FRACTION`] of each class,
+/// rounded; `positive` labels an index. `seed` makes the shuffle
+/// reproducible.
+pub(crate) fn stratified_split(idx: &[u32], positive: impl Fn(u32) -> bool, seed: u64) -> (Vec<u32>, Vec<u32>) {
+    let (mut pos, mut neg): (Vec<u32>, Vec<u32>) = idx.iter().partition(|&&i| positive(i));
     let mut rng = SplitMix64::new(seed);
     shuffle(&mut pos, &mut rng);
     shuffle(&mut neg, &mut rng);
     let mut grow = Vec::new();
     let mut prune = Vec::new();
     for class in [pos, neg] {
-        // `grow_fraction` is validated into (0, 1) by the caller, so the
-        // product is finite, non-negative and at most `class.len()`; the
-        // rounding must stay bit-identical to keep every trained filter
-        // reproducible, so the cast is kept and justified rather than
-        // rewritten in integer arithmetic.
+        // The product is finite, non-negative and at most `class.len()`;
+        // the rounding must stay bit-identical to keep every trained
+        // filter reproducible, so the cast is kept and justified rather
+        // than rewritten in integer arithmetic.
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let cut = ((class.len() as f64) * grow_fraction).round() as usize;
-        grow.extend_from_slice(&class[..cut.min(class.len())]);
-        prune.extend_from_slice(&class[cut.min(class.len())..]);
+        let cut = ((class.len() as f64) * GROW_FRACTION).round() as usize;
+        grow.extend_from_slice(&class[..cut]);
+        prune.extend_from_slice(&class[cut..]);
     }
     (grow, prune)
 }
 
-fn shuffle(v: &mut [usize], rng: &mut SplitMix64) {
+fn shuffle(v: &mut [u32], rng: &mut SplitMix64) {
     for i in (1..v.len()).rev() {
         let j = usize::try_from(rng.next() % (i as u64 + 1)).expect("residue mod a usize fits usize");
         v.swap(i, j);
@@ -256,14 +251,20 @@ mod tests {
         assert_eq!(f.attr_names(), d.attr_names());
     }
 
+    /// `stratified_split` over every instance of `d`.
+    fn split(d: &Dataset, seed: u64) -> (Vec<u32>, Vec<u32>) {
+        let idx: Vec<u32> = (0..u32::try_from(d.len()).expect("small test sets")).collect();
+        stratified_split(&idx, |i| d.instances()[i as usize].positive, seed)
+    }
+
     #[test]
     fn stratified_split_preserves_class_ratio() {
         let d = dataset(30, 90);
-        let (grow, prune) = stratified_split(d.instances(), 2.0 / 3.0, 7);
+        let (grow, prune) = split(&d, 7);
         assert_eq!(grow.len() + prune.len(), 120);
-        let grow_pos = grow.iter().filter(|&&i| d.instances()[i].positive).count();
+        let grow_pos = grow.iter().filter(|&&i| d.instances()[i as usize].positive).count();
         assert_eq!(grow_pos, 20, "two thirds of the 30 positives");
-        let prune_pos = prune.iter().filter(|&&i| d.instances()[i].positive).count();
+        let prune_pos = prune.iter().filter(|&&i| d.instances()[i as usize].positive).count();
         assert_eq!(prune_pos, 10);
     }
 
@@ -272,7 +273,7 @@ mod tests {
         // `round(1 * 2/3) == 1`: a one-instance class contributes nothing
         // to the prune set — the empty-prune-set case prune_rule guards.
         let d = dataset(1, 1);
-        let (grow, prune) = stratified_split(d.instances(), 2.0 / 3.0, 9);
+        let (grow, prune) = split(&d, 9);
         assert_eq!(grow.len(), 2);
         assert!(prune.is_empty());
     }
@@ -280,11 +281,9 @@ mod tests {
     #[test]
     fn stratified_split_is_deterministic() {
         let d = dataset(10, 10);
-        let a = stratified_split(d.instances(), 0.5, 3);
-        let b = stratified_split(d.instances(), 0.5, 3);
-        assert_eq!(a, b);
-        let c = stratified_split(d.instances(), 0.5, 4);
-        assert_ne!(a, c, "different seeds should differ (overwhelmingly)");
+        let a = split(&d, 3);
+        assert_eq!(a, split(&d, 3));
+        assert_ne!(a, split(&d, 4), "different seeds should differ (overwhelmingly)");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * **Optimization**: each rule is reconsidered against a *replacement*
 //!   (re-grown from scratch) and a *revision* (greedily extended), keeping
 //!   whichever gives the smallest description length, then residual
-//!   positives are covered by another IREP* round. The pass runs `k`
-//!   times (default 2, like the original).
+//!   positives are covered by another IREP* round. The pass runs twice
+//!   (`k = 2`, like the original).
 //!
 //! Baseline learners (majority class, 1R, decision stump, a small
 //! depth-limited decision tree) and evaluation utilities (confusion
@@ -27,7 +27,7 @@
 //! # Examples
 //!
 //! ```
-//! use wts_ripper::{Dataset, RipperConfig};
+//! use wts_ripper::{Dataset, RuleSet};
 //!
 //! // y = x0 > 0.5, with a redundant second attribute.
 //! let mut d = Dataset::new(vec!["x0".into(), "x1".into()], "pos", "neg");
@@ -35,7 +35,7 @@
 //!     let x0 = (i % 100) as f64 / 100.0;
 //!     d.push(vec![x0, 0.3], x0 > 0.5, 0);
 //! }
-//! let model = RipperConfig::default().fit(&d);
+//! let model = RuleSet::fit(&d);
 //! assert!(model.predict(&[0.9, 0.3]));
 //! assert!(!model.predict(&[0.1, 0.3]));
 //! ```
@@ -55,5 +55,4 @@ pub use cv::{leave_one_group_out, GroupFold};
 pub use data::{Dataset, Instance};
 pub use metrics::{geometric_mean, ConfusionMatrix};
 pub use parse::{parse_rule_set, ParseRuleSetError};
-pub use ripper::RipperConfig;
 pub use rule::{attribute_stats, Condition, Op, Rule, RuleSet, RuleStats};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use wts_ripper::{
-    geometric_mean, Classifier, ConfusionMatrix, Dataset, DecisionStump, MajorityLearner, RipperConfig, Rule,
+    geometric_mean, Classifier, ConfusionMatrix, Dataset, DecisionStump, MajorityLearner, Rule, RuleSet,
     ShallowTree,
 };
 
@@ -34,7 +34,7 @@ proptest! {
 
     #[test]
     fn ripper_never_panics_and_always_classifies((data, _cut) in arb_threshold_dataset()) {
-        let model = RipperConfig::default().fit(&data);
+        let model = RuleSet::fit(&data);
         for inst in data.instances() {
             let _ = model.predict(&inst.values);
         }
@@ -45,7 +45,7 @@ proptest! {
     #[test]
     fn ripper_beats_or_matches_majority((data, _cut) in arb_threshold_dataset()) {
         prop_assume!(data.positives() > 5 && data.negatives() > 5);
-        let ripper = RipperConfig::default().fit(&data);
+        let ripper = RuleSet::fit(&data);
         let majority = MajorityLearner::fit(&data);
         let em = ConfusionMatrix::evaluate(&ripper, &data).error_percent();
         let mm = {
@@ -61,7 +61,7 @@ proptest! {
     #[test]
     fn ripper_training_error_tracks_noise_floor((data, _cut) in arb_threshold_dataset()) {
         prop_assume!(data.positives() > 10 && data.negatives() > 10);
-        let model = RipperConfig::default().fit(&data);
+        let model = RuleSet::fit(&data);
         let err = ConfusionMatrix::evaluate(&model, &data).error_percent();
         // Noise is at most 10%; a correct learner stays within a modest
         // multiple of it on training data.
@@ -113,7 +113,7 @@ proptest! {
 
     #[test]
     fn rules_fire_consistently_with_prediction((data, _cut) in arb_threshold_dataset()) {
-        let model = RipperConfig::default().fit(&data);
+        let model = RuleSet::fit(&data);
         for inst in data.instances().iter().take(50) {
             let fired = model.firing_rule(&inst.values);
             prop_assert_eq!(fired.is_some(), model.predict(&inst.values));

@@ -104,7 +104,7 @@ impl ServeConfig {
 
     /// The training configuration the retrainer folds with.
     pub fn train_config(&self) -> TrainConfig {
-        TrainConfig::with_learner(self.threshold, self.learner.clone()).with_scope(self.options.scope)
+        TrainConfig::with_learner(self.threshold, self.learner).with_scope(self.options.scope)
     }
 }
 

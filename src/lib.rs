@@ -79,7 +79,7 @@ pub mod prelude {
     pub use wts_ir::{BasicBlock, Category, Hazards, Inst, MemRef, MemSpace, Method, Opcode, Program, Reg};
     pub use wts_jit::{Benchmark, CompileSession, Suite};
     pub use wts_machine::{registry, CostModel, MachineBuilder, MachineConfig, PipelineSim};
-    pub use wts_ripper::{Dataset, RipperConfig, RuleSet};
+    pub use wts_ripper::{Dataset, RuleSet};
     pub use wts_sched::{ListScheduler, SchedulePolicy};
     pub use wts_serve::{ServeClient, ServeConfig, Server};
     pub use wts_verify::{verify_program, verify_unit, Diagnostic, VerifyReport};

@@ -45,7 +45,7 @@ fn every_pipeline_producible_filter_lints_clean() {
         for scope in [ScopeKind::Block, ScopeKind::Superblock(70)] {
             let traces = corpus(&machine, scope);
             for learner in LearnerKind::portfolio() {
-                let config = TrainConfig::with_learner(0, learner.clone()).with_scope(scope);
+                let config = TrainConfig::with_learner(0, learner).with_scope(scope);
                 let tag = format!("{}/{scope:?}/{}", machine.name(), learner.name());
                 assert_clean(&train_filter(&traces, &config), &format!("{tag}/factory"));
                 for (bench, fold) in train_loocv(&traces, &config, 1) {

@@ -435,7 +435,7 @@ fn label_only_and_recorded_observation_publish_the_same_epochs() {
     let seed = corpus(&programs[..2], &machine, &opts);
     for learner in LearnerKind::portfolio() {
         let mut config = stump_config(&machine, seed.clone(), 1);
-        config.learner = learner.clone();
+        config.learner = learner;
         config.threshold = 5;
         config.workers = 1;
         let train_config = config.train_config();
