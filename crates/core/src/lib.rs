@@ -95,7 +95,3 @@ pub use trace::{
     TraceOptions, TraceRecord, UnitServer,
 };
 pub use train::{train_filter, train_loocv, TrainConfig, Trainer};
-// The scope axis: formation lives in `wts_ir`, the unit walk (shared
-// with the independent checker) in `wts_features`.
-pub use wts_features::{for_each_scope_unit, ScopeUnit};
-pub use wts_ir::{form_superblocks, ScopeKind, Superblock};

@@ -198,7 +198,7 @@ fn superblock_loocv_folds_pin_compiled_interpreted_native_on_all_registry_machin
     for machine in wts_machine::registry() {
         let run = Experiment::new(machine.clone())
             .with_timing(TimingMode::Deterministic)
-            .with_scope(wts_core::ScopeKind::Superblock(70))
+            .with_scope(wts_ir::ScopeKind::Superblock(70))
             .run(programs.clone());
         assert!(
             run.all_traces().iter().any(|r| r.features.get(FeatureKind::TraceWidth) > 1.0),

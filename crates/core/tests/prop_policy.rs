@@ -11,9 +11,10 @@ use arb::{arb_rule_set, arb_vector};
 use proptest::prelude::*;
 use wts_core::{
     collect_trace, filtered_schedule_pass, CompiledFilter, DecisionPolicy, Experiment, FilteredPass, Learner,
-    LearnerKind, ScopeKind, TimingMode, TraceOptions, UnitEconomics,
+    LearnerKind, TimingMode, TraceOptions, UnitEconomics,
 };
 use wts_features::FeatureKind;
+use wts_ir::ScopeKind;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]

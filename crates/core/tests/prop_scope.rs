@@ -13,10 +13,12 @@
 
 use proptest::prelude::*;
 use wts_core::{
-    build_dataset, filtered_schedule_pass, for_each_scope_unit, CompiledFilter, DecisionPolicy, Experiment,
-    LabelConfig, ScopeKind, TimingMode, TraceOptions,
+    build_dataset, filtered_schedule_pass, CompiledFilter, DecisionPolicy, Experiment, LabelConfig, TimingMode,
+    TraceOptions,
 };
+use wts_features::for_each_scope_unit;
 use wts_features::{FeatureKind, TraceShape};
+use wts_ir::ScopeKind;
 use wts_ir::{form_superblocks, BasicBlock, BlockId, Inst, MemRef, MemSpace, Method, Opcode, Program, Reg};
 
 /// One generated block body: a few instructions from a small pool, with

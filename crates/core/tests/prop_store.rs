@@ -10,8 +10,9 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use wts_core::{FilterKey, FilterStore, LearnedFilter, LearnerKind, ScopeKind};
+use wts_core::{FilterKey, FilterStore, LearnedFilter, LearnerKind};
 use wts_features::FeatureKind;
+use wts_ir::ScopeKind;
 use wts_ripper::{Condition, Op, Rule, RuleSet, RuleStats};
 
 /// A filter whose decision reveals which cut it was built with:

@@ -6,7 +6,8 @@
 
 use crate::table::{f2, f3, Table};
 use crate::{Experiments, SuiteKind, SUPERBLOCK_RATIO, SWEEP_THRESHOLD, THRESHOLDS};
-use wts_core::{Experiment, LearnerKind, MatrixRun, ScopeKind, TimingMode};
+use wts_core::{Experiment, LearnerKind, MatrixRun, TimingMode};
+use wts_ir::ScopeKind;
 use wts_jit::{superblock_gain, SuperblockGain};
 
 /// The error tolerance (percentage points) of the portfolio-best pick: a backend whose LOOCV error is within this many points of the

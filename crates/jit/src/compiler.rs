@@ -18,7 +18,8 @@
 
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
-use wts_core::{CompiledFilter, DecisionPolicy, FilterKey, FilterStore, FilteredPass, ScopeUnit, UnitServer};
+use wts_core::{CompiledFilter, DecisionPolicy, FilterKey, FilterStore, FilteredPass, UnitServer};
+use wts_features::ScopeUnit;
 use wts_ir::Program;
 use wts_machine::{MachineConfig, PipelineSim};
 use wts_sched::SchedulePolicy;

@@ -47,4 +47,4 @@ pub use compiler::{app_cycles, CompileSession};
 pub use rng::Xoshiro256;
 pub use spec::{BenchmarkSpec, OpMix};
 pub use suite::{Benchmark, Suite};
-pub use superblock::{form_superblocks, superblock_gain, ScopeKind, Superblock, SuperblockGain};
+pub use superblock::{superblock_gain, SuperblockGain};

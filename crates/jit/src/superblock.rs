@@ -4,8 +4,8 @@
 //! The paper investigated superblock scheduling and reports it adds only
 //! 1–2% over local scheduling in their setting, deferring the
 //! combination with filters to future work (§3.1, footnote 6).
-//! *Formation* now lives in [`wts_ir::superblock`] (re-exported here),
-//! where the whole pipeline can reach it; this module keeps the
+//! *Formation* lives in [`wts_ir::superblock`], where the whole
+//! pipeline can reach it; this module keeps the
 //! gain-measurement harness: three treatments of a program's traces —
 //! no scheduling, local per-block scheduling, speculative superblock
 //! scheduling — weighted by profile counts.
@@ -14,8 +14,7 @@ use std::collections::HashMap;
 use wts_machine::{IssueState, MachineConfig};
 use wts_sched::{ListScheduler, SchedScratch, ScheduleOutcome};
 
-use wts_ir::Program;
-pub use wts_ir::{form_superblocks, ScopeKind, Superblock};
+use wts_ir::{form_superblocks, Program};
 
 /// Cycle totals comparing three treatments of a program's superblock
 /// traces, weighted by trace execution counts: no scheduling, local

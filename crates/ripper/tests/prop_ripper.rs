@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use wts_ripper::{
-    geometric_mean, Classifier, ConfusionMatrix, Dataset, DecisionStump, MajorityLearner, Rule, RuleSet,
-    ShallowTree,
+    geometric_mean, Classifier, ConfusionMatrix, Dataset, DecisionStump, MajorityLearner, Rule, RuleSet, ShallowTree,
 };
 
 /// A dataset whose label is a threshold on attribute 0, with optional

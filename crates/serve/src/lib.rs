@@ -17,7 +17,7 @@
 //! pausing serving.
 //!
 //! The serving fast path is [`wts_core::UnitServer`] over the units of
-//! [`wts_core::for_each_scope_unit`]: the one per-unit body and the one
+//! [`wts_features::for_each_scope_unit`]: the one per-unit body and the one
 //! scope dispatch that [`wts_core::filtered_schedule_pass`] and the
 //! `wts-jit` compile session also run. So served ≡ direct pass ≡ JIT
 //! holds by construction: a batch's reported totals are bit-identical

@@ -43,9 +43,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use wts_core::{
-    for_each_scope_unit, DecisionPolicy, FilterKey, FilterStore, FilteredPass, LearnerKind, TraceOptions, TraceRecord,
-    TrainConfig, Trainer, UnitServer,
+    DecisionPolicy, FilterKey, FilterStore, FilteredPass, LearnerKind, TraceOptions, TraceRecord, TrainConfig, Trainer,
+    UnitServer,
 };
+use wts_features::for_each_scope_unit;
 use wts_ir::Method;
 
 /// Full configuration of one serving instance.

@@ -6,7 +6,8 @@
 //! cargo run --release --example superblocks [-- <scale>]
 //! ```
 
-use schedfilter::jit::{form_superblocks, superblock_gain};
+use schedfilter::ir::form_superblocks;
+use schedfilter::jit::superblock_gain;
 use schedfilter::prelude::*;
 
 fn main() {

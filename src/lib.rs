@@ -71,12 +71,12 @@ pub use wts_verify as verify;
 pub mod prelude {
     pub use wts_core::{
         BenefitModel, CompiledFilter, DecisionPolicy, Experiment, ExperimentRun, FilterScore, LabelConfig,
-        LearnedFilter, Learner, LearnerKind, MachinePortfolio, MatrixRun, PortfolioEntry, ScopeKind, TimingMode,
-        TraceOptions, TraceRecord, UnitEconomics,
+        LearnedFilter, Learner, LearnerKind, MachinePortfolio, MatrixRun, PortfolioEntry, TimingMode, TraceOptions,
+        TraceRecord, UnitEconomics,
     };
     pub use wts_deps::DepGraph;
     pub use wts_features::{FeatureKind, FeatureMask, FeatureVector, TraceShape};
-    pub use wts_ir::{BasicBlock, Category, Hazards, Inst, MemRef, MemSpace, Method, Opcode, Program, Reg};
+    pub use wts_ir::{BasicBlock, Category, Hazards, Inst, MemRef, MemSpace, Method, Opcode, Program, Reg, ScopeKind};
     pub use wts_jit::{Benchmark, CompileSession, Suite};
     pub use wts_machine::{registry, CostModel, MachineBuilder, MachineConfig, PipelineSim};
     pub use wts_ripper::{Dataset, RuleSet};

@@ -2,7 +2,8 @@
 //! compilation, speculative scheduling) through the facade crate.
 
 use schedfilter::deps::DepGraph;
-use schedfilter::jit::{app_cycles, form_superblocks, superblock_gain, CompileSession};
+use schedfilter::ir::form_superblocks;
+use schedfilter::jit::{app_cycles, superblock_gain, CompileSession};
 use schedfilter::prelude::*;
 
 #[test]

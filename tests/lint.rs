@@ -12,8 +12,9 @@
 
 use schedfilter::filters::{
     collect_trace, train_filter, train_loocv, CompiledFilter, CompiledFilterError, LearnedFilter, Learner, LearnerKind,
-    ScopeKind, TimingMode, TraceOptions, TraceRecord, TrainConfig,
+    TimingMode, TraceOptions, TraceRecord, TrainConfig,
 };
+use schedfilter::ir::ScopeKind;
 use schedfilter::ripper::{Rule, RuleSet};
 use schedfilter::verify::{lint_model, prove_hard_threshold, render, ModelTable};
 use wts_features::FeatureMask;

@@ -6,12 +6,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wts_core::{
-    build_dataset, collect_method_trace, collect_trace, filtered_schedule_pass, for_each_scope_unit, train_filter,
-    CompiledFilter, DecisionPolicy, FilterSnapshot, FilteredPass, LabelConfig, LearnedFilter, Learner, LearnerKind,
-    ScopeKind, ServedUnit, TimingMode, TraceOptions, TraceRecord, UnitServer,
+    build_dataset, collect_method_trace, collect_trace, filtered_schedule_pass, train_filter, CompiledFilter,
+    DecisionPolicy, FilterSnapshot, FilteredPass, LabelConfig, LearnedFilter, Learner, LearnerKind, ServedUnit,
+    TimingMode, TraceOptions, TraceRecord, UnitServer,
 };
-use wts_features::FeatureKind;
-use wts_ir::{Method, Program};
+use wts_features::{for_each_scope_unit, FeatureKind};
+use wts_ir::{Method, Program, ScopeKind};
 use wts_machine::MachineConfig;
 use wts_ripper::{Condition, Op, Rule, RuleSet, RuleStats};
 use wts_serve::{BatchResult, Response, ServeClient, ServeConfig, Server, ServerHandle};
