@@ -262,7 +262,7 @@ mod tests {
         let display: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
         assert_eq!(
             display,
-            ["a/Stump/block/t0", "a/Stump/block/t10", "a/Stump/sb50/t0", "a/Stump/sb70/t0", "b/Stump/block/t0"]
+            ["a/stump/block/t0", "a/stump/block/t10", "a/stump/sb50/t0", "a/stump/sb70/t0", "b/stump/block/t0"]
         );
     }
 

@@ -43,13 +43,7 @@ impl Table {
             return None;
         }
         let keep = |cells: &[String]| -> Vec<String> {
-            cells
-                .iter()
-                .zip(&self.clock)
-                .enumerate()
-                .filter(|&(i, (_, &c))| i == 0 || c)
-                .map(|(_, (s, _))| s.clone())
-                .collect()
+            cells.iter().enumerate().filter(|&(i, _)| i == 0 || self.clock[i]).map(|(_, s)| s.clone()).collect()
         };
         let mut t = Table::new(format!("{} (wall clock)", self.title), keep(&self.headers));
         for row in &self.rows {
@@ -167,7 +161,7 @@ mod tests {
         assert_eq!(t.cell(0, 1), "12345", "the reading stays a cell");
         assert_eq!(t.to_string(), "== demo ==\na  b\n----\nx  y\n");
         let clock = t.wall_clock().expect("one column is marked");
-        assert_eq!(clock.to_string(), "== demo (wall clock) ==\na     ms\n---------\nx  12345\n");
+        assert_eq!(clock.to_string(), "== demo (wall clock) ==\na     ms\n--------\nx  12345\n");
         assert!(Table::new("plain", vec!["a".into()]).wall_clock().is_none());
     }
 

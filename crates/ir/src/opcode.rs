@@ -288,7 +288,7 @@ impl Opcode {
 
     /// True for opcodes executing on an integer unit (simple or complex).
     #[inline]
-    pub fn is_integer_unit(self) -> bool {
+    pub(crate) fn is_integer_unit(self) -> bool {
         matches!(self.unit_class(), UnitClass::SimpleInt | UnitClass::ComplexInt)
     }
 

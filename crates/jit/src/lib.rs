@@ -3,7 +3,8 @@
 //! The paper's corpus is SPECjvm98 plus a floating-point-heavy suite,
 //! compiled by Jikes RVM on a PowerPC 7410. Neither the benchmarks nor
 //! the VM are available here, so this crate builds the closest synthetic
-//! equivalent (see DESIGN.md §2):
+//! equivalent (README.md, "The pipeline"; `repro calibrate` checks its
+//! shape against the paper's):
 //!
 //! * [`BenchmarkSpec`] describes a program's *population of basic blocks*
 //!   — instruction-category mix, block-size distribution, dependence

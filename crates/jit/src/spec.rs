@@ -83,8 +83,10 @@ impl OpMix {
 /// Everything needed to generate one synthetic benchmark program.
 ///
 /// The fields control the joint distribution of (features, scheduling
-/// benefit) the learner sees; DESIGN.md §2 explains why matching that
-/// distribution is the right substitution for the unavailable SPECjvm98.
+/// benefit) the learner sees; matching that distribution is the
+/// substitution for the unavailable SPECjvm98, and `repro calibrate`
+/// (pinned in `tests/golden/`) compares the generated corpus with the
+/// paper's shape.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkSpec {
     /// Benchmark name (as it appears in the paper's tables).

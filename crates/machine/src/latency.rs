@@ -169,7 +169,7 @@ impl LatencyTable {
 
     /// Returns a copy with every floating-point latency multiplied by
     /// `factor` (used by the `deep_fp` ablation machine).
-    pub fn with_scaled_float(&self, factor: u32) -> LatencyTable {
+    pub(crate) fn with_scaled_float(&self, factor: u32) -> LatencyTable {
         let mut t = self.clone();
         for &op in Opcode::ALL {
             if op.is_float_unit() {

@@ -64,7 +64,7 @@ const THRESHOLD_BITS: f64 = 8.0;
 
 /// Total description length of a rule set summarized by its per-rule
 /// condition counts and its training errors.
-pub fn total_dl(
+pub(crate) fn total_dl(
     rule_cond_counts: &[usize],
     attr_count: usize,
     covered: usize,

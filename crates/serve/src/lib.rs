@@ -74,8 +74,8 @@ mod server;
 pub use client::ServeClient;
 pub use core::{check_serve_protocol, ServeCore, ServeProtoConfig, Take};
 pub use protocol::{
-    decode_batch_request, decode_response, encode_batch_request, encode_response, read_frame, read_frame_into,
-    write_frame, BatchRequest, BatchResult, Response, MAX_FRAME_BYTES,
+    decode_batch_request, decode_response, encode_batch_request, encode_response, read_frame, write_frame,
+    BatchRequest, BatchResult, Response, MAX_FRAME_BYTES,
 };
 pub use retrain::RetrainReport;
 pub use server::{ServeConfig, ServeReport, ServeStats, Server, ServerHandle};

@@ -176,7 +176,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 /// underlying I/O error otherwise. `payload` grows with the bytes that
 /// arrive, not with the prefix's claim, so a peer that sends a header
 /// and stalls holds no more memory than it sent.
-pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
+pub(crate) fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
     while filled < len_buf.len() {

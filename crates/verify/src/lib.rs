@@ -18,7 +18,7 @@
 //!   edge is lost parallelism (warning) — plus a consistency audit of
 //!   the graph's encoding itself (the successor bit rows mirror the
 //!   predecessor lists).
-//! - **Timing legality** ([`resimulate`], [`check_timing`]): an
+//! - **Timing legality** ([`resimulate`], `check_timing`): an
 //!   independent in-order re-simulation against the
 //!   [`wts_machine::MachineConfig`] (latencies, issue/branch width,
 //!   functional-unit occupancy) verifies every
@@ -28,7 +28,7 @@
 //!   [`wts_machine::CostModel`] and the hardware stand-in
 //!   [`wts_machine::PipelineSim`] — against the latency-weighted
 //!   dependence-chain lower bound.
-//! - **Speculation safety** ([`check_speculation`]): no store, call or
+//! - **Speculation safety** (`check_speculation`): no store, call or
 //!   hazardous instruction crosses a side exit in a scheduled
 //!   superblock trace, and the trace's first control transfer keeps its
 //!   identity.
@@ -82,8 +82,7 @@ mod timing;
 
 pub use deps::{check_dependences, oracle_edges};
 pub use diag::{render, Analysis, Diagnostic, Severity, UnitCtx};
-pub use model::{check_model, lint_model, prove_hard_threshold, LintCond, ModelTable, ThresholdProof};
-pub use pipeline::{verify_program, verify_unit, verify_unit_in, VerifyReport};
+pub use model::{lint_model, prove_hard_threshold, LintCond, ModelTable, ThresholdProof};
+pub use pipeline::{verify_program, verify_unit, VerifyReport};
 pub use proto::{Explorer, ProtoReport};
-pub use spec::check_speculation;
-pub use timing::{check_timing, dependence_lower_bound, resimulate, IssueEvent};
+pub use timing::{resimulate, IssueEvent};

@@ -239,7 +239,7 @@ impl Reachability {
 }
 
 /// Appends model-coherence diagnostics for `table` to `out`.
-pub fn check_model(ctx: &UnitCtx, table: &ModelTable, out: &mut Vec<Diagnostic>) {
+fn check_model(ctx: &UnitCtx, table: &ModelTable, out: &mut Vec<Diagnostic>) {
     // Score-table shape first: per-rule score checks below index by rule.
     if table.scores.len() != table.rules.len() {
         out.push(ctx.error(

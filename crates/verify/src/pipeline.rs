@@ -28,7 +28,7 @@ pub fn verify_unit(
 }
 
 /// [`verify_unit`] with an explicit location context (program sweeps).
-pub fn verify_unit_in(
+pub(crate) fn verify_unit_in(
     ctx: &UnitCtx,
     machine: &MachineConfig,
     insts: &[Inst],

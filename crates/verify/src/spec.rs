@@ -22,7 +22,7 @@ fn is_effectful(inst: &Inst) -> bool {
 /// Checks that `order` (a valid permutation of `insts`) preserves the
 /// position of every side-effecting instruction relative to every side
 /// exit, and the identity of the first control transfer.
-pub fn check_speculation(ctx: &UnitCtx, insts: &[Inst], order: &[usize], out: &mut Vec<Diagnostic>) {
+pub(crate) fn check_speculation(ctx: &UnitCtx, insts: &[Inst], order: &[usize], out: &mut Vec<Diagnostic>) {
     let n = insts.len();
     if order.len() != n {
         return; // not a permutation: the schedule-legality walk reports it

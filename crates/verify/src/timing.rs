@@ -135,7 +135,7 @@ pub fn resimulate(machine: &MachineConfig, insts: &[Inst]) -> (u64, Vec<IssueEve
 /// of completions over true register flow and aliasing store ordering.
 /// No legal execution on any issue width can finish below it, so any
 /// cost model reporting less is broken.
-pub fn dependence_lower_bound(machine: &MachineConfig, insts: &[Inst]) -> u64 {
+pub(crate) fn dependence_lower_bound(machine: &MachineConfig, insts: &[Inst]) -> u64 {
     let lat = machine.latencies();
     let mut reg_done: HashMap<Reg, u64> = HashMap::new();
     let mut store_chain: Vec<(MemRef, u64)> = Vec::new();
@@ -172,7 +172,7 @@ pub fn dependence_lower_bound(machine: &MachineConfig, insts: &[Inst]) -> u64 {
 /// Verifies `outcome`'s timing claims for a unit whose original
 /// instructions are `insts`. The order must already be a valid
 /// permutation (the schedule-legality walk runs first).
-pub fn check_timing(
+pub(crate) fn check_timing(
     ctx: &UnitCtx,
     machine: &MachineConfig,
     insts: &[Inst],
