@@ -9,8 +9,9 @@
 //! is honest: per-condition (short-circuit aware) filter cost plus
 //! demand-masked extraction cost, instead of flat constants.
 
-use crate::policy::DecisionPolicy;
-use crate::{CompiledFilter, LabelConfig, TraceRecord};
+use crate::policy::{DecisionPolicy, UnitEconomics};
+use crate::trace::nanos;
+use crate::{CompiledFilter, FilteredPass, LabelConfig, TraceRecord};
 use std::time::Instant;
 use wts_ripper::ConfusionMatrix;
 
@@ -35,7 +36,9 @@ impl ClassCounts {
 /// (Figures 1a/2a/3a).
 ///
 /// Per the paper (§3.1), filter cost — feature extraction plus heuristic
-/// evaluation — is charged to scheduling time.
+/// evaluation — is charged to scheduling time. The deterministic work
+/// the filtered strategy spends is [`pass`](EvalTimes::pass), tallied
+/// exactly as the deployed pass tallies it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalTimes {
     /// Wall-clock ns under the filter policy: features + filter for every
@@ -43,24 +46,14 @@ pub struct EvalTimes {
     pub filtered_ns: u64,
     /// Wall-clock ns of scheduling every block (the LS strategy).
     pub always_ns: u64,
-    /// Deterministic work-unit analogue of `filtered_ns` (stable across
-    /// runs; used by tests). Sum of `filter_work`, `feature_work` and
-    /// the selected blocks' scheduling work.
-    pub filtered_work: u64,
-    /// Deterministic work-unit analogue of `always_ns`.
+    /// Deterministic work of scheduling every block (the LS strategy).
     pub always_work: u64,
-    /// Work units the filter itself spent: conditions actually evaluated
-    /// across all blocks, short-circuiting included
-    /// ([`CompiledFilter::score_counted`]).
-    pub filter_work: u64,
-    /// Work units charged for demand-masked feature extraction — only
-    /// the features the compiled filter reads are tallied
-    /// ([`FeatureMask::extraction_work`](wts_features::FeatureMask::extraction_work)).
-    pub feature_work: u64,
-    /// Blocks the filter selected for scheduling.
-    pub scheduled_blocks: usize,
-    /// Total blocks.
-    pub total_blocks: usize,
+    /// The filtered strategy's work account: units seen and scheduled,
+    /// conditions evaluated (short-circuit aware), demand-masked
+    /// extraction work and the selected units' scheduling work — the
+    /// totals [`filtered_schedule_pass`](crate::filtered_schedule_pass)
+    /// reports for the same units.
+    pub pass: FilteredPass,
     /// Estimator cycles the selected blocks' scheduling recovers at run
     /// time, execution-weighted: `Σ exec · (est_unsched − est_sched)`
     /// over the scheduled blocks. Signed, because a scheduling decision
@@ -84,11 +77,23 @@ impl EvalTimes {
         ratio(self.filtered_ns, self.always_ns)
     }
 
+    /// Deterministic work-unit analogue of `filtered_ns`: extraction,
+    /// filter conditions and the selected blocks' scheduling work.
+    pub fn filtered_work(&self) -> u64 {
+        self.filter_overhead() + self.pass.sched_work
+    }
+
     /// Deterministic work-unit ratio (same quantity, stable across
     /// runs), with the same zero-denominator convention as
     /// [`measured_ratio`](EvalTimes::measured_ratio).
     pub fn work_ratio(&self) -> f64 {
-        ratio(self.filtered_work, self.always_work)
+        ratio(self.filtered_work(), self.always_work)
+    }
+
+    /// The filter's own work: conditions evaluated plus demand-masked
+    /// extraction.
+    pub(crate) fn filter_overhead(&self) -> u64 {
+        self.pass.conditions_evaluated + self.pass.extraction_work
     }
 
     /// The filter's own overhead — extraction plus rule evaluation — as
@@ -99,7 +104,7 @@ impl EvalTimes {
     /// scheduling to do reports `+∞`, mirroring the
     /// [`work_ratio`](EvalTimes::work_ratio) convention.
     pub fn overhead_fraction(&self) -> f64 {
-        let overhead = self.filter_work + self.feature_work;
+        let overhead = self.filter_overhead();
         if self.always_work == 0 {
             return if overhead == 0 { 0.0 } else { f64::INFINITY };
         }
@@ -115,7 +120,7 @@ impl EvalTimes {
     /// [`BenefitModel`](crate::BenefitModel) deploys with. The
     /// calibration table compares policies on exactly this number.
     pub fn net_cycles(&self, cycles_per_work: f64) -> f64 {
-        self.benefit_cycles as f64 - cycles_per_work * self.filtered_work as f64
+        self.benefit_cycles as f64 - cycles_per_work * self.filtered_work() as f64
     }
 
     /// Accumulates another benchmark's measurement into this one (used
@@ -123,13 +128,22 @@ impl EvalTimes {
     pub fn accumulate(&mut self, other: &EvalTimes) {
         self.filtered_ns += other.filtered_ns;
         self.always_ns += other.always_ns;
-        self.filtered_work += other.filtered_work;
         self.always_work += other.always_work;
-        self.filter_work += other.filter_work;
-        self.feature_work += other.feature_work;
-        self.scheduled_blocks += other.scheduled_blocks;
-        self.total_blocks += other.total_blocks;
+        self.pass.merge(&other.pass);
         self.benefit_cycles += other.benefit_cycles;
+    }
+
+    /// Charges one record under a decision made on `economics`: the
+    /// always-schedule channels, the pass tally, and — when scheduled —
+    /// the record's scheduling time and execution-weighted benefit.
+    fn charge(&mut self, r: &TraceRecord, economics: &UnitEconomics, scheduled: bool) {
+        self.always_ns += r.sched_ns;
+        self.always_work += r.sched_work;
+        self.pass.tally(economics, scheduled, r.sched_work);
+        if scheduled {
+            self.filtered_ns += r.sched_ns;
+            self.benefit_cycles += r.exec_count as i64 * (r.est_unsched as i64 - r.est_sched as i64);
+        }
     }
 }
 
@@ -223,24 +237,12 @@ fn time_ratio(traces: &[TraceRecord], filter: &CompiledFilter, cycles: impl Fn(&
 /// [`net_cycles`](EvalTimes::net_cycles) channels report whether those
 /// calls were worth it.
 pub fn sched_time_ratio(traces: &[TraceRecord], filter: &CompiledFilter, policy: &DecisionPolicy) -> EvalTimes {
-    let mut out = EvalTimes { total_blocks: traces.len(), ..EvalTimes::default() };
+    let mut out = EvalTimes::default();
     for r in traces {
         let t0 = Instant::now();
         let (decision, unit) = policy.decide_unit(filter, &r.features, r.features.bb_len() as u64, r.exec_count);
-        let filter_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-
-        out.always_ns += r.sched_ns;
-        out.always_work += r.sched_work;
-        out.filtered_ns += r.feature_ns + filter_ns;
-        out.filter_work += unit.filter_work;
-        out.feature_work += unit.extraction_work;
-        out.filtered_work += unit.extraction_work + unit.filter_work;
-        if decision {
-            out.scheduled_blocks += 1;
-            out.filtered_ns += r.sched_ns;
-            out.filtered_work += r.sched_work;
-            out.benefit_cycles += r.exec_count as i64 * (r.est_unsched as i64 - r.est_sched as i64);
-        }
+        out.filtered_ns += r.feature_ns + nanos(t0.elapsed());
+        out.charge(r, &unit, decision);
     }
     out
 }
@@ -253,17 +255,10 @@ pub fn sched_time_ratio(traces: &[TraceRecord], filter: &CompiledFilter, policy:
 /// non-deployable upper bound on [`EvalTimes::net_cycles`] any policy
 /// over these traces can reach.
 pub fn oracle_times(traces: &[TraceRecord], cycles_per_work: f64) -> EvalTimes {
-    let mut out = EvalTimes { total_blocks: traces.len(), ..EvalTimes::default() };
+    let mut out = EvalTimes::default();
     for r in traces {
         let benefit = r.exec_count as i64 * (r.est_unsched as i64 - r.est_sched as i64);
-        out.always_ns += r.sched_ns;
-        out.always_work += r.sched_work;
-        if benefit as f64 > cycles_per_work * r.sched_work as f64 {
-            out.scheduled_blocks += 1;
-            out.filtered_ns += r.sched_ns;
-            out.filtered_work += r.sched_work;
-            out.benefit_cycles += benefit;
-        }
+        out.charge(r, &UnitEconomics::default(), benefit as f64 > cycles_per_work * r.sched_work as f64);
     }
     out
 }
@@ -299,6 +294,17 @@ mod tests {
             sched_work: 50,
             feature_work: 10,
         }
+    }
+
+    /// A pass that spent `conditions` on the filter and `sched_work` on
+    /// scheduling.
+    fn work(conditions: u64, sched_work: u64) -> FilteredPass {
+        FilteredPass { conditions_evaluated: conditions, sched_work, ..FilteredPass::default() }
+    }
+
+    /// A pass over `total` units that scheduled `scheduled` of them.
+    fn units(total: usize, scheduled: usize) -> FilteredPass {
+        FilteredPass { total_blocks: total, scheduled_blocks: scheduled, ..FilteredPass::default() }
     }
 
     fn traces() -> Vec<TraceRecord> {
@@ -360,21 +366,21 @@ mod tests {
     fn sched_time_work_ratio_is_deterministic_and_sensible() {
         let t = traces();
         let e = sched_time_ratio(&t, &CompiledFilter::size_threshold(5), &DecisionPolicy::HardThreshold);
-        assert_eq!(e.total_blocks, 3);
-        assert_eq!(e.scheduled_blocks, 2);
+        assert_eq!(e.pass.total_blocks, 3);
+        assert_eq!(e.pass.scheduled_blocks, 2);
         // work: always = 150; the size filter reads only bbLen (free
         // extraction) and evaluates one condition per block, so
         // filtered = 3*(0+1) + 2*50 = 103.
         assert_eq!(e.always_work, 150);
-        assert_eq!(e.filter_work, 3);
-        assert_eq!(e.feature_work, 0);
-        assert_eq!(e.filtered_work, 103);
+        assert_eq!(e.pass.conditions_evaluated, 3);
+        assert_eq!(e.pass.extraction_work, 0);
+        assert_eq!(e.filtered_work(), 103);
         assert!((e.work_ratio() - 103.0 / 150.0).abs() < 1e-12);
         assert!((e.overhead_fraction() - 3.0 / 150.0).abs() < 1e-12);
         let never = sched_time_ratio(&t, &CompiledFilter::never(), &DecisionPolicy::HardThreshold);
         assert!(never.work_ratio() < e.work_ratio(), "scheduling nothing is cheapest");
-        assert_eq!(never.scheduled_blocks, 0);
-        assert_eq!(never.filtered_work, 0, "NS reads no features and evaluates no conditions");
+        assert_eq!(never.pass.scheduled_blocks, 0);
+        assert_eq!(never.filtered_work(), 0, "NS reads no features and evaluates no conditions");
     }
 
     #[test]
@@ -416,10 +422,10 @@ mod tests {
         let t = traces();
         let es = sched_time_ratio(&t, &small, &DecisionPolicy::HardThreshold);
         let eb = sched_time_ratio(&t, &big, &DecisionPolicy::HardThreshold);
-        assert_eq!(es.scheduled_blocks, eb.scheduled_blocks, "same decisions");
-        assert!(eb.filter_work > es.filter_work, "more conditions evaluated: {} vs {}", eb.filter_work, es.filter_work);
-        assert!(eb.feature_work > es.feature_work, "wider demand mask costs more extraction");
-        assert!(eb.filtered_work > es.filtered_work, "bigger rule set must report strictly more filtered work");
+        assert_eq!(es.pass.scheduled_blocks, eb.pass.scheduled_blocks, "same decisions");
+        assert!(eb.pass.conditions_evaluated > es.pass.conditions_evaluated, "{:?} vs {:?}", eb.pass, es.pass);
+        assert!(eb.pass.extraction_work > es.pass.extraction_work, "wider demand mask costs more extraction");
+        assert!(eb.filtered_work() > es.filtered_work(), "bigger rule set must report strictly more filtered work");
         // And the counting is short-circuit aware: blocks failing the
         // first condition never pay for the rest.
         assert_eq!(big.score_counted(fv(2.0, 0.0).as_slice()).1, 1, "bbLen >= 5 fails first, rest skipped");
@@ -433,8 +439,8 @@ mod tests {
         let mut sum = a;
         sum.accumulate(&a);
         assert_eq!(sum.always_work, 2 * a.always_work);
-        assert_eq!(sum.filter_work, 2 * a.filter_work);
-        assert_eq!(sum.total_blocks, 2 * a.total_blocks);
+        assert_eq!(sum.pass.conditions_evaluated, 2 * a.pass.conditions_evaluated);
+        assert_eq!(sum.pass.total_blocks, 2 * a.pass.total_blocks);
         assert!((sum.work_ratio() - a.work_ratio()).abs() < 1e-12, "ratios are scale-invariant");
     }
 
@@ -458,10 +464,10 @@ mod tests {
         let zero = EvalTimes::default();
         assert_eq!(zero.work_ratio(), 1.0);
         assert_eq!(zero.measured_ratio(), 1.0);
-        let spent = EvalTimes { filtered_work: 7, filtered_ns: 7, ..EvalTimes::default() };
+        let spent = EvalTimes { filtered_ns: 7, pass: work(7, 0), ..EvalTimes::default() };
         assert_eq!(spent.work_ratio(), f64::INFINITY);
         assert_eq!(spent.measured_ratio(), f64::INFINITY);
-        let normal = EvalTimes { filtered_work: 50, always_work: 100, ..EvalTimes::default() };
+        let normal = EvalTimes { always_work: 100, pass: work(0, 50), ..EvalTimes::default() };
         assert_eq!(normal.work_ratio(), 0.5);
     }
 
@@ -472,14 +478,14 @@ mod tests {
         // must charge the stranded spend against the real denominator —
         // finite again, and strictly worse than the normal benchmark
         // alone.
-        let stranded = EvalTimes { filtered_work: 10, filter_work: 10, ..EvalTimes::default() };
+        let stranded = EvalTimes { pass: work(10, 0), ..EvalTimes::default() };
         assert_eq!(stranded.work_ratio(), f64::INFINITY);
         assert_eq!(stranded.overhead_fraction(), f64::INFINITY);
-        let normal = EvalTimes { filtered_work: 50, always_work: 100, filter_work: 5, ..EvalTimes::default() };
+        let normal = EvalTimes { always_work: 100, pass: work(5, 45), ..EvalTimes::default() };
         let mut sum = normal;
         sum.accumulate(&stranded);
         assert_eq!(sum.always_work, 100);
-        assert_eq!(sum.filtered_work, 60);
+        assert_eq!(sum.filtered_work(), 60);
         assert!((sum.work_ratio() - 0.6).abs() < 1e-12);
         assert!(sum.work_ratio() > normal.work_ratio());
         assert!((sum.overhead_fraction() - 0.15).abs() < 1e-12);
@@ -491,13 +497,13 @@ mod tests {
 
     #[test]
     fn accumulate_sums_benefit_and_counts() {
-        let a = EvalTimes { benefit_cycles: 40, scheduled_blocks: 2, total_blocks: 3, ..EvalTimes::default() };
-        let b = EvalTimes { benefit_cycles: -15, scheduled_blocks: 1, total_blocks: 4, ..EvalTimes::default() };
+        let a = EvalTimes { benefit_cycles: 40, pass: units(3, 2), ..EvalTimes::default() };
+        let b = EvalTimes { benefit_cycles: -15, pass: units(4, 1), ..EvalTimes::default() };
         let mut sum = a;
         sum.accumulate(&b);
         assert_eq!(sum.benefit_cycles, 25);
-        assert_eq!(sum.scheduled_blocks, 3);
-        assert_eq!(sum.total_blocks, 7);
+        assert_eq!(sum.pass.scheduled_blocks, 3);
+        assert_eq!(sum.pass.total_blocks, 7);
     }
 
     #[test]
@@ -526,12 +532,12 @@ mod tests {
         // policy keeps both hot blocks (it cannot see that one has no
         // benefit) but drops the cold one: gain 2·12·1 = 24 is under the
         // quadratic scheduling estimate for 12 instructions.
-        assert_eq!(e.scheduled_blocks, 2, "the cold block is not worth its spend");
+        assert_eq!(e.pass.scheduled_blocks, 2, "the cold block is not worth its spend");
         assert_eq!(e.benefit_cycles, 100 * 20);
         // The hard policy under LS schedules everything, including the
         // units whose compile spend outweighs their benefit.
         let hard = sched_time_ratio(&t, &CompiledFilter::always(), &DecisionPolicy::HardThreshold);
-        assert_eq!(hard.scheduled_blocks, 3);
+        assert_eq!(hard.pass.scheduled_blocks, 3);
         assert!(e.net_cycles(1.0) > hard.net_cycles(1.0), "cost-sensitivity must beat schedule-everything here");
     }
 
@@ -539,11 +545,11 @@ mod tests {
     fn oracle_is_an_upper_bound_and_charges_no_filter() {
         let t = traces();
         let oracle = oracle_times(&t, 1.0);
-        assert_eq!(oracle.filter_work + oracle.feature_work, 0, "the oracle needs no filter");
-        assert_eq!(oracle.total_blocks, 3);
+        assert_eq!(oracle.filter_overhead(), 0, "the oracle needs no filter");
+        assert_eq!(oracle.pass.total_blocks, 3);
         // Schedules the hot block (2000 > 50) but not the cold one
         // (10 < 50) or the no-benefit one.
-        assert_eq!(oracle.scheduled_blocks, 1);
+        assert_eq!(oracle.pass.scheduled_blocks, 1);
         assert_eq!(oracle.benefit_cycles, 2000);
         for filter in [CompiledFilter::size_threshold(5), CompiledFilter::always(), CompiledFilter::never()] {
             let e = sched_time_ratio(&t, &filter, &DecisionPolicy::HardThreshold);
@@ -562,7 +568,7 @@ mod tests {
         r.sched_work = 0;
         let e = sched_time_ratio(&[r], &CompiledFilter::size_threshold(5), &DecisionPolicy::HardThreshold);
         assert_eq!(e.always_work, 0, "nothing to schedule");
-        assert!(e.filtered_work > 0, "the filter still paid to decide");
+        assert!(e.filtered_work() > 0, "the filter still paid to decide");
         assert_eq!(e.work_ratio(), f64::INFINITY, "nonzero spend over zero scheduling work is not free");
         assert_eq!(e.measured_ratio(), f64::INFINITY);
         assert_eq!(e.overhead_fraction(), f64::INFINITY);

@@ -78,7 +78,6 @@ pub type LoocvFilters = Arc<Vec<(String, LearnedFilter)>>;
 #[derive(Debug, Clone)]
 pub struct Experiment {
     machine: MachineConfig,
-    learner: LearnerKind,
     /// The trace stage's options: policy, trace threads, timing and
     /// scope.
     trace: TraceOptions,
@@ -90,26 +89,12 @@ impl Experiment {
     /// scheduling, default RIPPER settings, one worker thread per
     /// available core, wall-clock timing.
     pub fn new(machine: MachineConfig) -> Experiment {
-        Experiment {
-            machine,
-            learner: LearnerKind::default(),
-            trace: TraceOptions { threads: 0, ..TraceOptions::default() },
-            train_threads: 0,
-        }
+        Experiment { machine, trace: TraceOptions { threads: 0, ..TraceOptions::default() }, train_threads: 0 }
     }
 
     /// Selects the scheduler policy the instrumented pass runs.
     pub fn with_policy(mut self, policy: SchedulePolicy) -> Experiment {
         self.trace.policy = policy;
-        self
-    }
-
-    /// Selects the induction backend the training stage runs (RIPPER by
-    /// default). Per-learner artifacts ([`ExperimentRun::loocv_filters_for`],
-    /// [`MatrixRun::portfolio`]) can query
-    /// other backends on the same run without re-tracing.
-    pub fn with_learner(mut self, learner: LearnerKind) -> Experiment {
-        self.learner = learner;
         self
     }
 
@@ -316,8 +301,8 @@ impl std::error::Error for CorpusError {
 /// a JIT session or a serving daemon deploys. LOOCV fold sets, which
 /// are evaluated but never deployed, are cached on the run itself.
 pub struct ExperimentRun {
-    /// The configuration the run was traced under (its learner, scope,
-    /// training threads and machine).
+    /// The configuration the run was traced under (its scope, training
+    /// threads and machine).
     config: Experiment,
     names: Vec<String>,
     programs: Rc<Vec<Program>>,
@@ -378,15 +363,16 @@ impl ExperimentRun {
         self.names.iter().position(|n| n == bench).unwrap_or_else(|| panic!("no benchmark {bench} in this run"))
     }
 
-    /// The train config this run uses at threshold `t`, with the run's
-    /// configured backend and scope.
+    /// The train config this run uses at threshold `t`, with RIPPER and
+    /// the run's scope.
     pub fn train_config(&self, t: u32) -> TrainConfig {
-        self.train_config_for(t, &self.config.learner)
+        self.train_config_for(t, self.learner())
     }
 
-    /// The run's configured induction backend.
+    /// The induction backend of the run's own artifacts: RIPPER, the
+    /// paper's learner. The `*_for` entries take any other backend.
     pub fn learner(&self) -> &LearnerKind {
-        &self.config.learner
+        &LearnerKind::Ripper
     }
 
     /// The scheduling scope this run's traces were collected at.
@@ -404,12 +390,11 @@ impl ExperimentRun {
         build_dataset(&self.all_traces, LabelConfig::new(t))
     }
 
-    /// Stage 3 (evaluation protocol): leave-one-benchmark-out filters at
-    /// threshold `t` under the run's configured backend, cached across
-    /// artifacts, trained with folds sharded across the configured
-    /// worker threads.
+    /// Stage 3 (evaluation protocol): leave-one-benchmark-out RIPPER
+    /// filters at threshold `t`, cached across artifacts, trained with
+    /// folds sharded across the configured worker threads.
     pub fn loocv_filters(&self, t: u32) -> LoocvFilters {
-        self.loocv_filters_for(t, &self.config.learner)
+        self.loocv_filters_for(t, self.learner())
     }
 
     /// [`loocv_filters`](ExperimentRun::loocv_filters) under an explicit
@@ -444,13 +429,13 @@ impl ExperimentRun {
         f(filter)
     }
 
-    /// Stage 3 ("at the factory", §3): one filter trained on the whole
-    /// corpus at threshold `t` under the run's configured backend,
-    /// published in the run's [`FilterStore`] (the cross-machine
+    /// Stage 3 ("at the factory", §3): one RIPPER filter trained on the
+    /// whole corpus at threshold `t`, published in the run's
+    /// [`FilterStore`] (the cross-machine
     /// transfer table queries it repeatedly; a retrainer may later
     /// [`swap`](FilterStore::swap) the same slot).
     pub fn factory_filter(&self, t: u32) -> LearnedFilter {
-        self.factory_filter_for(t, &self.config.learner)
+        self.factory_filter_for(t, self.learner())
     }
 
     /// [`factory_filter`](ExperimentRun::factory_filter) under an
@@ -561,7 +546,7 @@ impl ExperimentRun {
     /// filters over *all* benchmarks, each deciding under
     /// `policy(bench)`. Under [`DecisionPolicy::HardThreshold`] this is the
     /// per-machine row of the filter-cost table: how much work the filters
-    /// themselves add (`filter_work` + `feature_work`) against the full
+    /// themselves add (conditions plus extraction work) against the full
     /// always-schedule cost. Under [`policy_for`](ExperimentRun::policy_for)
     /// each benchmark's [`BenefitModel`](crate::BenefitModel) is calibrated
     /// on the other benchmarks' traces, so the aggregate is as honest as

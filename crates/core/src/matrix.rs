@@ -262,7 +262,7 @@ impl PortfolioEntry {
     /// demand-masked extraction work — the quantity the portfolio-best
     /// rule minimizes.
     pub fn overhead_work(&self) -> u64 {
-        self.times.filter_work + self.times.feature_work
+        self.times.filter_overhead()
     }
 }
 
@@ -405,7 +405,7 @@ mod tests {
         assert_eq!(costs.len(), m.runs().len());
         for ((name, times), expect) in costs.iter().zip(m.machine_names()) {
             assert_eq!(name, expect);
-            assert_eq!(times.total_blocks, 3 * 5 * 3, "all benchmarks aggregated");
+            assert_eq!(times.pass.total_blocks, 3 * 5 * 3, "all benchmarks aggregated");
             assert!(times.always_work > 0);
             let overhead = times.overhead_fraction();
             assert!(
@@ -430,7 +430,7 @@ mod tests {
                 assert!((0.0..=100.0).contains(&e.error_percent), "{}: error {}", e.learner, e.error_percent);
                 assert!(e.predicted_percent > 0.0 && e.predicted_percent <= 101.0, "{}", e.learner);
                 assert!(e.app_ratio > 0.0 && e.app_ratio <= 1.0 + 1e-9, "{}", e.learner);
-                assert!(e.times.total_blocks > 0);
+                assert!(e.times.pass.total_blocks > 0);
             }
             // The pick is within tolerance of the best error and no
             // eligible entry is cheaper.
@@ -455,9 +455,9 @@ mod tests {
             assert_eq!(row.model.cycles_per_work, c);
             assert!(row.model.saved_per_inst >= 0.0);
             for times in [&row.baseline, &row.expected_benefit, &row.oracle] {
-                assert_eq!(times.total_blocks, 3 * 5 * 3, "{}: all benchmarks aggregated", row.machine);
+                assert_eq!(times.pass.total_blocks, 3 * 5 * 3, "{}: all benchmarks aggregated", row.machine);
             }
-            assert_eq!(row.oracle.filter_work + row.oracle.feature_work, 0, "the oracle runs no filter");
+            assert_eq!(row.oracle.filter_overhead(), 0, "the oracle runs no filter");
             // The oracle sees the true per-unit channels; no deployable
             // policy over the same traces can net more.
             let bound = row.oracle.net_cycles(c);
@@ -482,13 +482,9 @@ mod tests {
             // wall-clock and excluded).
             let b = &row.baseline;
             assert_eq!(
-                (cost.filtered_work, cost.always_work, cost.filter_work, cost.feature_work),
-                (b.filtered_work, b.always_work, b.filter_work, b.feature_work),
+                (cost.pass, cost.always_work, cost.benefit_cycles),
+                (b.pass, b.always_work, b.benefit_cycles),
                 "{name}: the hard-policy row is the legacy aggregate"
-            );
-            assert_eq!(
-                (cost.scheduled_blocks, cost.total_blocks, cost.benefit_cycles),
-                (b.scheduled_blocks, b.total_blocks, b.benefit_cycles)
             );
         }
     }

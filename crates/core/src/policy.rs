@@ -25,7 +25,7 @@
 //! [`BenefitModel::cycles_per_work`].
 
 use crate::engine::{CompiledFilter, FilterScore};
-use crate::trace::TraceRecord;
+use crate::trace::{sched_work_proxy, TraceRecord};
 use std::fmt;
 use wts_features::FeatureVector;
 
@@ -70,12 +70,11 @@ impl BenefitModel {
     }
 
     /// Deployable estimate of the scheduler's work on a unit of `insts`
-    /// instructions: the deterministic scheduling proxy
-    /// (`16 + 2·(n + edges) + n²`) with the dependence-edge count
-    /// approximated as `2n`, since the real DAG is not built until the
-    /// unit is already being scheduled.
+    /// instructions: the deterministic scheduling proxy with the
+    /// dependence-edge count approximated as `2n`, since the real DAG is
+    /// not built until the unit is already being scheduled.
     fn estimated_sched_work(insts: u64) -> u64 {
-        16 + 6 * insts + insts * insts
+        sched_work_proxy(insts, 2 * insts)
     }
 
     /// Expected net application cycles of scheduling this unit:

@@ -345,13 +345,17 @@ struct ObserveSink<'a> {
 /// ([`SchedScratch::last_edge_count`] — the speculative graph for
 /// multi-block traces), so the proxy charges real work without
 /// rebuilding the graph a second time.
-fn sched_work_proxy(n: usize, edges: usize) -> u64 {
-    (16 + 2 * (n + edges) + n * n) as u64
+pub(crate) fn sched_work_proxy(n: u64, edges: u64) -> u64 {
+    16 + 2 * (n + edges) + n * n
 }
 
 /// Deterministic totals of one production-style *filtered* scheduling
 /// pass ([`filtered_schedule_pass`]): what the deployed compiler would
-/// actually spend with a compiled filter installed.
+/// actually spend with a compiled filter installed. This is the one §3.1
+/// work account: the deployed pass, the served batches and the offline
+/// replay ([`EvalTimes::pass`](crate::EvalTimes::pass)) all tally it per
+/// unit the same way, so it holds no wall-clock channel and is equal,
+/// field for field, wherever the same units are decided.
 ///
 /// The *unit* is the configured scope: basic blocks at
 /// [`ScopeKind::Block`], formed superblock traces at
@@ -372,13 +376,6 @@ pub struct FilteredPass {
     /// Scheduling work of the selected blocks (same proxy as
     /// [`TraceRecord::sched_work`]).
     pub sched_work: u64,
-    /// Summed per-worker busy nanoseconds in the pass's hot loop
-    /// (extraction + decision + scheduling; bookkeeping excluded).
-    /// Under sharding this is aggregate CPU time across workers, *not*
-    /// wall-clock — run with `threads: 1` to measure the serial pass,
-    /// and never compare this channel across thread counts. It jitters
-    /// run to run, unlike the work channels.
-    pub pass_ns: u64,
 }
 
 impl FilteredPass {
@@ -389,26 +386,18 @@ impl FilteredPass {
         self.conditions_evaluated += other.conditions_evaluated;
         self.extraction_work += other.extraction_work;
         self.sched_work += other.sched_work;
-        self.pass_ns += other.pass_ns;
     }
 
-    /// The share of this pass's *total* work spent on the filter itself
-    /// (extraction + conditions, against extraction + conditions +
-    /// scheduling). A pass that filtered hard but scheduled nothing
-    /// correctly reads as 1.0 — all filter, no payoff — and 0.0 means
-    /// the pass did no filter work at all (the fixed strategies).
-    ///
-    /// Note the denominator differs from
-    /// [`EvalTimes::overhead_fraction`](crate::EvalTimes::overhead_fraction),
-    /// which compares against the filter-independent always-schedule
-    /// work of a collected trace; this type only observes the work the
-    /// pass actually performed.
-    pub fn overhead_fraction(&self) -> f64 {
-        let overhead = self.conditions_evaluated + self.extraction_work;
-        if overhead == 0 {
-            return 0.0;
+    /// Charges one decided unit: the decision's conditions and
+    /// extraction work, and `sched_work` when it was scheduled.
+    pub(crate) fn tally(&mut self, economics: &UnitEconomics, scheduled: bool, sched_work: u64) {
+        self.total_blocks += 1;
+        self.conditions_evaluated += economics.filter_work;
+        self.extraction_work += economics.extraction_work;
+        if scheduled {
+            self.scheduled_blocks += 1;
+            self.sched_work += sched_work;
         }
-        overhead as f64 / (overhead + self.sched_work) as f64
     }
 }
 
@@ -430,8 +419,7 @@ impl FilteredPass {
 /// the units a rule fires on.
 ///
 /// Methods shard across `options.threads` scoped workers exactly like
-/// [`collect_trace`]; the work-channel totals are identical for every
-/// thread count (only `pass_ns` jitters).
+/// [`collect_trace`]; the totals are identical for every thread count.
 pub fn filtered_schedule_pass(
     program: &Program,
     machine: &MachineConfig,
@@ -477,7 +465,7 @@ pub struct ServedUnit {
 /// outcome it fills and the permuted-instruction buffer. Trace
 /// collection, [`filtered_schedule_pass`], the `wts-serve` workers
 /// and the `wts-jit` compile session all run their units through it, so
-/// served ≡ direct pass ≡ JIT on every work channel by construction.
+/// served ≡ direct pass ≡ JIT by construction.
 /// One of these per worker thread keeps the hot loop allocation-free in
 /// steady state (nothing is allocated per unit except a served unit's
 /// returned permutation).
@@ -501,7 +489,7 @@ pub struct ServedUnit {
 /// }
 ///
 /// let direct = filtered_schedule_pass(program, &machine, &filter, &policy, &TraceOptions::default());
-/// assert_eq!(totals, FilteredPass { pass_ns: totals.pass_ns, ..direct });
+/// assert_eq!(totals, direct);
 /// ```
 pub struct UnitServer<'m> {
     scheduler: ListScheduler<'m>,
@@ -600,10 +588,11 @@ impl<'m> UnitServer<'m> {
         self.outcome.apply_in_place(block, &mut self.scheduled);
     }
 
-    /// The per-unit body. Timed: extraction and the decision (`t0..t1`),
-    /// then scheduling (`t1..t2`) — exactly what a deployed pass runs.
-    /// Verification, the work proxies and the record's simulator queries
-    /// stay outside the window. A width-1 unit takes *exactly*
+    /// The per-unit body. Only a [`TimingMode::WallClock`] record reads
+    /// the clock: extraction and the decision (`t0..t1`), then scheduling
+    /// (`t1..t2`) — exactly what a deployed pass runs. Verification, the
+    /// work proxies and the record's simulator queries stay outside the
+    /// window. A width-1 unit takes *exactly*
     /// the block path — same scheduler entry point, same graph, same
     /// proxies — which is what pins degenerate superblock formation
     /// bit-identical to block scope.
@@ -613,7 +602,9 @@ impl<'m> UnitServer<'m> {
             UnitMode::Deploy { filter, .. } => filter.demand(),
             UnitMode::Record(_) | UnitMode::Observe(_) => FeatureMask::ALL,
         };
-        let t0 = Instant::now();
+        let clock = matches!(&mode, UnitMode::Record(sink) if sink.timing == TimingMode::WallClock);
+        let stamp = || clock.then(Instant::now);
+        let t0 = stamp();
         let features = FeatureVector::from_insts_shaped(insts, unit.shape, mask);
         let (decision, economics) = match &mode {
             UnitMode::Deploy { filter, policy, .. } => {
@@ -621,7 +612,7 @@ impl<'m> UnitServer<'m> {
             }
             UnitMode::Record(_) | UnitMode::Observe(_) => (true, UnitEconomics::default()),
         };
-        let t1 = Instant::now();
+        let t1 = stamp();
         if decision {
             if unit.speculative() {
                 self.scheduler.schedule_superblock_into(insts, &mut self.scratch, &mut self.outcome);
@@ -630,7 +621,7 @@ impl<'m> UnitServer<'m> {
             }
             std::hint::black_box(&self.outcome);
         }
-        let t2 = Instant::now();
+        let t2 = stamp();
 
         // In debug builds every unit scheduled here is checked by the
         // independent wts-verify analyses; release builds compile the
@@ -643,16 +634,10 @@ impl<'m> UnitServer<'m> {
 
         // The work proxy reads the edge count off the graph the scheduler
         // just built.
-        let sched_work = if decision { sched_work_proxy(insts.len(), self.scratch.last_edge_count()) } else { 0 };
+        let sched_work =
+            if decision { sched_work_proxy(insts.len() as u64, self.scratch.last_edge_count() as u64) } else { 0 };
         match mode {
-            UnitMode::Deploy { totals, .. } => {
-                totals.pass_ns += nanos(t2 - t0);
-                totals.total_blocks += 1;
-                totals.conditions_evaluated += economics.filter_work;
-                totals.extraction_work += economics.extraction_work;
-                totals.scheduled_blocks += usize::from(decision);
-                totals.sched_work += sched_work;
-            }
+            UnitMode::Deploy { totals, .. } => totals.tally(&economics, decision, sched_work),
             UnitMode::Record(sink) => {
                 let hw_unsched = sink.measured.sequence_cycles(insts);
                 // A kept order is the same sequence: simulate it once.
@@ -663,9 +648,9 @@ impl<'m> UnitServer<'m> {
                     hw_unsched
                 };
                 let feature_work = insts.len() as u64;
-                let (sched_ns, feature_ns) = match sink.timing {
-                    TimingMode::WallClock => (nanos(t2 - t1), nanos(t1 - t0)),
-                    TimingMode::Deterministic => (sched_work, feature_work),
+                let (sched_ns, feature_ns) = match (t0, t1, t2) {
+                    (Some(t0), Some(t1), Some(t2)) => (nanos(t2 - t1), nanos(t1 - t0)),
+                    _ => (sched_work, feature_work),
                 };
                 sink.out.push(TraceRecord {
                     benchmark: sink.benchmark.to_string(),
@@ -697,7 +682,7 @@ impl<'m> UnitServer<'m> {
     }
 }
 
-fn nanos(d: std::time::Duration) -> u64 {
+pub(crate) fn nanos(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 #[cfg(test)]
@@ -887,8 +872,7 @@ mod tests {
             assert_eq!(ls.conditions_evaluated + ls.extraction_work, 0, "LS consults nothing");
             assert_eq!(ls.sched_work, trace.iter().map(|r| r.sched_work).sum::<u64>(), "same work proxy as tracing");
             let ns = filtered_schedule_pass(&p, &machine, &CompiledFilter::never(), &hard, &opts);
-            assert_eq!((ns.scheduled_blocks, ns.sched_work), (0, 0));
-            assert_eq!(ns.overhead_fraction(), 0.0);
+            assert_eq!(ns, FilteredPass { total_blocks: trace.len(), ..FilteredPass::default() }, "{scope}");
             // A size filter decides exactly as classifying the collected
             // trace does, at one condition per unit, and its work channels
             // are thread-count invariant.
@@ -899,7 +883,7 @@ mod tests {
             assert_eq!(serial.conditions_evaluated, trace.len() as u64, "{scope}: one condition per unit");
             for threads in [2, 4, 16] {
                 let sharded = filtered_schedule_pass(&p, &machine, &compiled, &hard, &TraceOptions { threads, ..opts });
-                assert_eq!(sharded, FilteredPass { pass_ns: sharded.pass_ns, ..serial }, "{scope}: {threads} threads");
+                assert_eq!(sharded, serial, "{scope}: {threads} threads");
             }
         }
     }
@@ -959,13 +943,7 @@ mod tests {
             for (_, block) in p.iter_blocks() {
                 server.serve_block(block.insts(), block.exec_count(), &compiled, &policy, &mut totals);
             }
-            assert_eq!(
-                (totals.total_blocks, totals.scheduled_blocks, totals.conditions_evaluated),
-                (direct.total_blocks, direct.scheduled_blocks, direct.conditions_evaluated),
-                "{}",
-                p.name()
-            );
-            assert_eq!((totals.extraction_work, totals.sched_work), (direct.extraction_work, direct.sched_work));
+            assert_eq!(totals, direct, "{}", p.name());
 
             // Superblock scope: one served unit per formed trace.
             let sb_opts = TraceOptions { scope: ScopeKind::Superblock(70), ..opts };
@@ -976,12 +954,7 @@ mod tests {
                     server.serve_superblock(&sb, &compiled, &policy, &mut totals);
                 }
             }
-            assert_eq!(
-                (totals.total_blocks, totals.scheduled_blocks, totals.extraction_work, totals.sched_work),
-                (direct.total_blocks, direct.scheduled_blocks, direct.extraction_work, direct.sched_work),
-                "{} at superblock scope",
-                p.name()
-            );
+            assert_eq!(totals, direct, "{} at superblock scope", p.name());
         }
     }
 

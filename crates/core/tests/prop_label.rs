@@ -84,21 +84,21 @@ proptest! {
         let hard = DecisionPolicy::HardThreshold;
         let always = sched_time_ratio(&recs, &CompiledFilter::always(), &hard);
         let never = sched_time_ratio(&recs, &CompiledFilter::never(), &hard);
-        prop_assert_eq!(always.scheduled_blocks, recs.len());
-        prop_assert_eq!(never.scheduled_blocks, 0);
-        prop_assert!(never.filtered_work < always.filtered_work);
+        prop_assert_eq!(always.pass.scheduled_blocks, recs.len());
+        prop_assert_eq!(never.pass.scheduled_blocks, 0);
+        prop_assert!(never.filtered_work() < always.filtered_work());
         // The fixed strategies consult no features and evaluate no
         // conditions, so their honest work is exactly the scheduling
         // they trigger: all of it (LS) or none of it (NS).
-        prop_assert_eq!(always.filter_work + always.feature_work, 0);
+        prop_assert_eq!(always.pass.conditions_evaluated + always.pass.extraction_work, 0);
         prop_assert!((always.work_ratio() - 1.0).abs() < 1e-12);
-        prop_assert_eq!(never.filtered_work, 0);
+        prop_assert_eq!(never.filtered_work(), 0);
         prop_assert_eq!(never.work_ratio(), 0.0);
         // A real filter pays per condition: its work sits strictly
         // between NS and LS-plus-overhead.
         let sized = sched_time_ratio(&recs, &CompiledFilter::size_threshold(20), &hard);
-        prop_assert_eq!(sized.filter_work, recs.len() as u64, "one condition per block");
-        prop_assert!(sized.filtered_work > never.filtered_work);
+        prop_assert_eq!(sized.pass.conditions_evaluated, recs.len() as u64, "one condition per block");
+        prop_assert!(sized.filtered_work() > never.filtered_work());
         prop_assert!(sized.overhead_fraction() > 0.0);
     }
 

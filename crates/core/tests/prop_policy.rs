@@ -10,8 +10,8 @@ mod arb;
 use arb::{arb_rule_set, arb_vector};
 use proptest::prelude::*;
 use wts_core::{
-    collect_trace, filtered_schedule_pass, CompiledFilter, DecisionPolicy, Experiment, FilteredPass, Learner,
-    LearnerKind, TimingMode, TraceOptions, UnitEconomics,
+    collect_trace, filtered_schedule_pass, sched_time_ratio, CompiledFilter, DecisionPolicy, Experiment, FilteredPass,
+    Learner, LearnerKind, TimingMode, TraceOptions, UnitEconomics,
 };
 use wts_features::FeatureKind;
 use wts_ir::ScopeKind;
@@ -58,9 +58,9 @@ fn boolean_pass(
     out
 }
 
-/// One deterministic pass-channel comparison: the policy-aware pass
-/// under [`DecisionPolicy::HardThreshold`] against the boolean seam, on
-/// every deterministic channel.
+/// One pass comparison: the policy-aware pass under
+/// [`DecisionPolicy::HardThreshold`] against the boolean seam, as whole
+/// values.
 fn assert_pass_pinned(
     program: &wts_ir::Program,
     machine: &wts_machine::MachineConfig,
@@ -71,11 +71,7 @@ fn assert_pass_pinned(
     let options = TraceOptions { timing: TimingMode::Deterministic, scope, ..TraceOptions::default() };
     let legacy = boolean_pass(program, machine, compiled, &options);
     let hard = filtered_schedule_pass(program, machine, compiled, &DecisionPolicy::HardThreshold, &options);
-    assert_eq!(legacy.total_blocks, hard.total_blocks, "{context}: total units");
-    assert_eq!(legacy.scheduled_blocks, hard.scheduled_blocks, "{context}: scheduled units");
-    assert_eq!(legacy.conditions_evaluated, hard.conditions_evaluated, "{context}: filter work");
-    assert_eq!(legacy.extraction_work, hard.extraction_work, "{context}: extraction work");
-    assert_eq!(legacy.sched_work, hard.sched_work, "{context}: scheduling work");
+    assert_eq!(legacy, hard, "{context}");
 }
 
 /// The acceptance bar: on every registry machine and every portfolio
@@ -164,4 +160,41 @@ fn fixed_filters_stay_pinned_and_expected_benefit_reaches_the_pass() {
     assert_eq!(none.scheduled_blocks, 0, "a zero-rate model schedules nothing");
     assert_eq!(none.total_blocks, hard.total_blocks);
     assert!(none.sched_work < hard.sched_work, "skipping everything must shed the scheduling work");
+}
+
+/// Offline ≡ deployed: replaying a collected trace through
+/// [`sched_time_ratio`] tallies exactly the [`FilteredPass`] that
+/// [`filtered_schedule_pass`] reports for the same program — every
+/// channel, for learned LOOCV filters at both scopes, under the hard
+/// policy and a calibrated expected-benefit policy.
+#[test]
+fn the_offline_replay_tallies_the_deployed_pass() {
+    let machine = wts_machine::MachineConfig::ppc7410();
+    let mut graded = 0;
+    for (scope, programs) in [
+        (ScopeKind::Block, wts_core::testutil::learnable_suite(4)),
+        (ScopeKind::Superblock(70), wts_core::testutil::mergeable_suite(4)),
+    ] {
+        let options = TraceOptions { timing: TimingMode::Deterministic, scope, ..TraceOptions::default() };
+        let run = Experiment::new(machine.clone())
+            .with_timing(TimingMode::Deterministic)
+            .with_scope(scope)
+            .run(programs.clone());
+        let eb = DecisionPolicy::expected_benefit(run.all_traces(), 1.0);
+        for learner in [LearnerKind::Ripper, LearnerKind::Stump] {
+            for (bench, learned) in run.loocv_filters_for(0, &learner).iter() {
+                for program in run.programs() {
+                    let trace = collect_trace(program, &machine, &options);
+                    let [hard, soft] = [DecisionPolicy::HardThreshold, eb].map(|policy| {
+                        let deployed = filtered_schedule_pass(program, &machine, learned.compiled(), &policy, &options);
+                        let offline = sched_time_ratio(&trace, learned.compiled(), &policy).pass;
+                        assert_eq!(offline, deployed, "{scope}/{}/{bench}/{}/{policy}", learner.name(), program.name());
+                        deployed
+                    });
+                    graded += usize::from(hard != soft);
+                }
+            }
+        }
+    }
+    assert!(graded > 0, "the expected-benefit policy must change some pass, or it was not exercised");
 }

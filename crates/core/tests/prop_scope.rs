@@ -193,11 +193,7 @@ proptest! {
             for filter in [CompiledFilter::always(), CompiledFilter::size_threshold(3)] {
                 let pa = filtered_schedule_pass(&p, &machine, &filter, &hard, &opts);
                 let pb = filtered_schedule_pass(&p, &machine, &filter, &hard, &sb_opts);
-                prop_assert_eq!(
-                    (pa.total_blocks, pa.scheduled_blocks, pa.conditions_evaluated, pa.extraction_work, pa.sched_work),
-                    (pb.total_blocks, pb.scheduled_blocks, pb.conditions_evaluated, pb.extraction_work, pb.sched_work),
-                    "{}/{}: deployed pass diverged", machine.name(), filter.name()
-                );
+                prop_assert_eq!(pa, pb, "{}/{}: deployed pass diverged", machine.name(), filter.name());
             }
         }
     }

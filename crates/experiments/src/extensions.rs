@@ -3,6 +3,7 @@
 
 use crate::table::{f2, f3, Table};
 use crate::{Experiments, SuiteKind, BEST_THRESHOLD};
+use std::time::Instant;
 use wts_core::{app_time_ratio, classification_matrix, predicted_time_ratio, train_filter, TrainConfig};
 use wts_core::{CompiledFilter, Experiment, LabelConfig};
 use wts_jit::{app_cycles, superblock_gain, CompileSession};
@@ -199,7 +200,7 @@ impl Experiments {
         let always = CompiledFilter::always();
         let session = CompileSession::new(self.machine());
 
-        let mut rows: Vec<(String, usize, u64, f64)> = Vec::new();
+        let mut rows: Vec<(String, usize, u128, f64)> = Vec::new();
         for (label, adaptive, f) in
             [("LS everywhere", false, &always), ("LS hot methods", true, &always), ("L/N hot methods", true, filter)]
         {
@@ -208,13 +209,14 @@ impl Experiments {
             let mut base = 0u64;
             let mut cycles = 0u64;
             for program in run.programs() {
+                let start = Instant::now();
                 let (compiled, stats) = if adaptive {
                     session.compile_adaptive(program, f, hot_cutoff)
                 } else {
                     session.compile(program, f, 1)
                 };
+                pass_ns += start.elapsed().as_nanos();
                 scheduled += stats.scheduled_blocks;
-                pass_ns += stats.pass_ns;
                 base += app_cycles(program, self.machine());
                 cycles += app_cycles(&compiled, self.machine());
             }

@@ -81,8 +81,8 @@ impl Experiments {
         for (name, times) in matrix.filter_cost(t) {
             table.push_row(vec![
                 name,
-                times.filter_work.to_string(),
-                times.feature_work.to_string(),
+                times.pass.conditions_evaluated.to_string(),
+                times.pass.extraction_work.to_string(),
                 times.always_work.to_string(),
                 f2(times.overhead_fraction() * 100.0),
                 f2(times.work_ratio()),
@@ -169,9 +169,9 @@ impl Experiments {
                 format!("{eb:.0}"),
                 format!("{:.0}", row.oracle.net_cycles(cycles_per_work)),
                 format!("{:.0}", eb - hard),
-                row.baseline.scheduled_blocks.to_string(),
-                row.expected_benefit.scheduled_blocks.to_string(),
-                row.oracle.scheduled_blocks.to_string(),
+                row.baseline.pass.scheduled_blocks.to_string(),
+                row.expected_benefit.pass.scheduled_blocks.to_string(),
+                row.oracle.pass.scheduled_blocks.to_string(),
             ]);
         }
         table

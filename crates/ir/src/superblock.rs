@@ -65,16 +65,6 @@ pub enum ScopeKind {
     Superblock(u32),
 }
 
-impl ScopeKind {
-    /// The formation ratio in percent, `None` at block scope.
-    pub fn ratio_percent(self) -> Option<u32> {
-        match self {
-            ScopeKind::Block => None,
-            ScopeKind::Superblock(p) => Some(p),
-        }
-    }
-}
-
 impl fmt::Display for ScopeKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -311,8 +301,6 @@ mod tests {
     #[test]
     fn scope_kind_accessors() {
         assert_eq!(ScopeKind::default(), ScopeKind::Block);
-        assert_eq!(ScopeKind::Block.ratio_percent(), None);
-        assert_eq!(ScopeKind::Superblock(70).ratio_percent(), Some(70));
         assert_eq!(ScopeKind::Block.to_string(), "block");
         assert_eq!(ScopeKind::Superblock(70).to_string(), "superblock(r=70%)");
     }

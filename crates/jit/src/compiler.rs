@@ -10,7 +10,7 @@
 //! so a block is scheduled exactly when a rule fires on it, and is then
 //! reordered in place by the schedule the body just produced. So a
 //! compile's [`FilteredPass`] equals the direct pass over the same
-//! program on every work channel, and the output program holds exactly
+//! program, and the output program holds exactly
 //! the served orders, by construction. The session compiles at block
 //! scope.
 //!
@@ -91,8 +91,7 @@ impl<'m> CompileSession<'m> {
     /// The program's methods shard across `threads` scoped worker
     /// threads (`0` = one per available core, `1` = serial). Methods are
     /// compiled independently and reassembled in order, so the output
-    /// program is identical for every thread count; only `pass_ns`
-    /// varies.
+    /// program and the totals are identical for every thread count.
     pub fn compile(&self, program: &Program, filter: &CompiledFilter, threads: usize) -> (Program, FilteredPass) {
         self.compile_where(program, filter, |_| true, threads)
     }
@@ -248,7 +247,8 @@ mod tests {
         let (_, filtered) = session.compile(p, &CompiledFilter::size_threshold(8), 1);
         assert!(filtered.scheduled_blocks < ls.scheduled_blocks);
         assert!(filtered.scheduled_blocks > 0);
-        assert!(filtered.pass_ns > 0);
+        assert!(filtered.sched_work < ls.sched_work, "skipped blocks shed their scheduling work");
+        assert!(filtered.conditions_evaluated > ls.conditions_evaluated, "the filter pays to decide");
     }
 
     #[test]
@@ -262,8 +262,7 @@ mod tests {
         for threads in [0, 2, 5, 16] {
             let (sharded, stats) = session.compile(p, &filter, threads);
             assert_eq!(serial, sharded, "sharded compile ({threads} threads) must be identical");
-            assert_eq!(stats.total_blocks, serial_stats.total_blocks);
-            assert_eq!(stats.scheduled_blocks, serial_stats.scheduled_blocks);
+            assert_eq!(stats, serial_stats, "{threads} threads");
         }
     }
 
@@ -292,8 +291,8 @@ mod tests {
         let p = suite.benchmarks()[1].program();
         let (out, stats) = CompileSession::new(&m).compile_adaptive(p, &CompiledFilter::always(), u64::MAX);
         assert_eq!(&out, p);
-        assert_eq!(stats.scheduled_blocks, 0);
-        assert_eq!(stats.pass_ns, 0, "cold methods skip the whole pass");
+        let untouched = FilteredPass { total_blocks: p.block_count(), ..FilteredPass::default() };
+        assert_eq!(stats, untouched, "cold methods skip the whole pass");
     }
 
     #[test]
@@ -461,7 +460,7 @@ mod tests {
     }
 
     /// The JIT runs the shared per-unit body, so a compile reports the
-    /// direct pass's work channels and applies exactly the served orders.
+    /// direct pass's totals and applies exactly the served orders.
     #[test]
     fn compile_equals_the_direct_pass_and_applies_the_served_orders() {
         use wts_core::{filtered_schedule_pass, TraceOptions};
@@ -485,7 +484,7 @@ mod tests {
                     let label = format!("{} {} {}", m.name(), compiled.name(), p.name());
                     let (out, totals) = session.compile(p, compiled, 1);
                     let direct = filtered_schedule_pass(p, &m, compiled, policy, &opts);
-                    assert_eq!(totals, FilteredPass { pass_ns: totals.pass_ns, ..direct }, "{label}");
+                    assert_eq!(totals, direct, "{label}");
 
                     let mut server = UnitServer::new(&m, SchedulePolicy::CriticalPath);
                     let mut served_totals = FilteredPass::default();

@@ -21,12 +21,9 @@
 //! # Examples
 //!
 //! ```
-//! use wts_machine::{registry, MachineConfig};
+//! use wts_machine::registry;
 //!
 //! assert!(registry().len() >= 6);
-//! let m = MachineConfig::by_name("wide4").unwrap();
-//! assert_eq!(m.issue_width(), 4);
-//! assert!(MachineConfig::by_name("nonesuch").is_none());
 //! ```
 
 use crate::MachineConfig;
@@ -35,8 +32,8 @@ use crate::MachineConfig;
 pub type MachineEntry = (&'static str, fn() -> MachineConfig);
 
 /// Every registered machine, as `(name, constructor)` rows. The name in
-/// each row equals `constructor().name()`; [`registry_names`] and
-/// [`MachineConfig::by_name`] key off it without building configs.
+/// each row equals `constructor().name()`; [`registry_names`] keys off
+/// it without building configs.
 pub const REGISTRY: [MachineEntry; 6] = [
     ("ppc7410", MachineConfig::ppc7410),
     ("simple-scalar", MachineConfig::simple_scalar),
@@ -55,13 +52,6 @@ pub fn registry() -> Vec<MachineConfig> {
 /// The registered machine names, in registry order.
 pub fn registry_names() -> Vec<&'static str> {
     REGISTRY.iter().map(|(name, _)| *name).collect()
-}
-
-impl MachineConfig {
-    /// Builds the registered machine with the given name, if any.
-    pub fn by_name(name: &str) -> Option<MachineConfig> {
-        REGISTRY.iter().find(|(n, _)| *n == name).map(|(_, build)| build())
-    }
 }
 
 #[cfg(test)]
@@ -83,15 +73,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), REGISTRY.len());
-    }
-
-    #[test]
-    fn by_name_roundtrips() {
-        for name in registry_names() {
-            let m = MachineConfig::by_name(name).expect("registered name must resolve");
-            assert_eq!(m.name(), name);
-        }
-        assert!(MachineConfig::by_name("not-a-machine").is_none());
     }
 
     #[test]

@@ -120,16 +120,6 @@ impl Dataset {
             neg_label: self.neg_label.clone(),
         }
     }
-
-    /// An empty dataset with the same schema.
-    pub fn like(&self) -> Dataset {
-        Dataset {
-            attr_names: self.attr_names.clone(),
-            instances: Vec::new(),
-            pos_label: self.pos_label.clone(),
-            neg_label: self.neg_label.clone(),
-        }
-    }
 }
 
 impl fmt::Display for Dataset {

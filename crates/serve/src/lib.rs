@@ -21,7 +21,7 @@
 //! scope dispatch that [`wts_core::filtered_schedule_pass`] and the
 //! `wts-jit` compile session also run. So served ≡ direct pass ≡ JIT
 //! holds by construction: a batch's reported totals are bit-identical
-//! (work channels) to running the pass directly over the same methods.
+//! to running the pass directly over the same methods.
 //! Every hand-off is a transition of one sans-IO [`ServeCore`], which
 //! the threads drive and [`check_serve_protocol`] model-checks.
 //! Backpressure is explicit: a bounded job FIFO, and a

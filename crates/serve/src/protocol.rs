@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! 1  batch request   u64 batch id · str benchmark · u32 method count · methods
-//! 2  batch result    u64 batch id · u64 filter epoch · 6 × u64 pass totals
+//! 2  batch result    u64 batch id · u64 filter epoch · 5 × u64 pass totals
 //!                    · u32 unit count · units
 //! 3  busy (shed)     u64 batch id · u32 queue depth
 //! 4  error           str detail
@@ -85,7 +85,7 @@ pub struct BatchResult {
     /// in this batch was decided by — a batch is never split across a
     /// hot swap.
     pub epoch: u64,
-    /// The batch's pass totals, bit-identical (work channels) to running
+    /// The batch's pass totals, bit-identical to running
     /// [`wts_core::filtered_schedule_pass`] over the same methods.
     pub totals: FilteredPass,
     /// Per-unit outcomes, in method-then-unit order.
@@ -150,13 +150,14 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one length-prefixed frame; `Ok(None)` on a clean EOF at a
-/// frame boundary. A fresh buffer per frame: a loop reading frame after
-/// frame should hold one buffer and call [`read_frame_into`].
+/// Reads one length-prefixed frame into a fresh buffer; `Ok(None)` on a
+/// clean EOF at a frame boundary.
 ///
 /// # Errors
 ///
-/// As [`read_frame_into`].
+/// [`io::ErrorKind::UnexpectedEof`] when the stream ends mid-frame,
+/// [`io::ErrorKind::InvalidData`] when the length prefix exceeds
+/// [`MAX_FRAME_BYTES`], and any error of the reader.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut payload = Vec::new();
     Ok(read_frame_into(r, &mut payload)?.then_some(payload))
@@ -317,7 +318,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 batch.totals.conditions_evaluated,
                 batch.totals.extraction_work,
                 batch.totals.sched_work,
-                batch.totals.pass_ns,
             ] {
                 out.extend_from_slice(&v.to_le_bytes());
             }
@@ -557,7 +557,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, BinaryTraceError> {
                 conditions_evaluated: cur.u64("pass totals")?,
                 extraction_work: cur.u64("pass totals")?,
                 sched_work: cur.u64("pass totals")?,
-                pass_ns: cur.u64("pass totals")?,
             };
             let unit_count = cur.u32("unit table")?;
             let unit_count = checked_count(&cur, unit_count, 1, "unit table")?;
@@ -648,7 +647,6 @@ mod tests {
                 conditions_evaluated: 9,
                 extraction_work: 70,
                 sched_work: 431,
-                pass_ns: 12345,
             },
             units: vec![
                 ServedUnit { decision: true, order: vec![2, 0, 1], cycles_before: 9, cycles_after: 7 },

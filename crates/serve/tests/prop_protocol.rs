@@ -45,8 +45,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
         |(order, cycles_before, cycles_after)| ServedUnit { decision: true, order, cycles_before, cycles_after },
     );
     let units = prop::collection::vec(prop::option::of(unit), 0..6);
-    let totals =
-        (0usize..usize::MAX, 0usize..usize::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX);
+    let totals = (0usize..usize::MAX, 0usize..usize::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX);
     (0u8..3, 0u64..u64::MAX, 0u32..=u32::MAX, totals, units).prop_map(|(kind, id, depth, t, units)| match kind {
         0 => Response::Batch(BatchResult {
             batch_id: id,
@@ -57,7 +56,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 conditions_evaluated: t.2,
                 extraction_work: t.3,
                 sched_work: t.4,
-                pass_ns: t.5,
             },
             units: units.into_iter().map(Option::unwrap_or_default).collect(),
         }),

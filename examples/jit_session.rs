@@ -9,6 +9,7 @@
 use schedfilter::filters::{collect_trace, train_filter, TrainConfig};
 use schedfilter::jit::{app_cycles, CompileSession};
 use schedfilter::prelude::*;
+use std::time::Instant;
 
 fn main() {
     let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0.2);
@@ -43,14 +44,16 @@ fn main() {
     println!("{:<22} {:>9} {:>12} {:>14} {:>12}", "strategy", "scheduled", "compile µs", "app cycles", "vs NS");
     let baseline = app_cycles(program, &machine) as f64;
     for (name, filter) in &strategies {
+        let start = Instant::now();
         let (compiled, stats) = session.compile(program, filter, 1);
+        let compile_us = start.elapsed().as_secs_f64() * 1e6;
         let cycles = app_cycles(&compiled, &machine);
         println!(
             "{:<22} {:>4}/{:<4} {:>12.1} {:>14} {:>11.3}",
             name,
             stats.scheduled_blocks,
             stats.total_blocks,
-            stats.pass_ns as f64 / 1000.0,
+            compile_us,
             cycles,
             cycles as f64 / baseline,
         );

@@ -72,8 +72,8 @@ fn main() {
         println!(
             "{c:>8.2} {:>8} {:>6}/{:<3} {:>14.0} {:>14.0} {:>14.0}",
             "eb",
-            eb.scheduled_blocks,
-            eb.total_blocks,
+            eb.pass.scheduled_blocks,
+            eb.pass.total_blocks,
             eb.net_cycles(c),
             hard.net_cycles(c),
             oracle.net_cycles(c),

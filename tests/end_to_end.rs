@@ -30,7 +30,7 @@ fn full_pipeline_produces_working_filter() {
     // cheaper than LS, more effective than NS.
     let times = sched_time_ratio(&traces, &filter, &DecisionPolicy::HardThreshold);
     assert!(times.work_ratio() < 1.0, "filter must reduce scheduling work");
-    assert!(times.scheduled_blocks > 0, "filter must schedule something");
+    assert!(times.pass.scheduled_blocks > 0, "filter must schedule something");
 
     let app_f = app_time_ratio(&traces, &filter);
     let app_ls = app_time_ratio(&traces, &CompiledFilter::always());

@@ -185,13 +185,18 @@ fn calibration_smoke_policies_bracketed_by_the_oracle_on_every_machine() {
     let mut eb_wins = 0usize;
     for row in &rows {
         assert!(row.model.saved_per_inst > 0.0, "{}: scheduling never helps?", row.machine);
-        assert_eq!(row.oracle.filter_work + row.oracle.feature_work, 0, "{}: the oracle runs no filter", row.machine);
+        assert_eq!(
+            row.oracle.pass.conditions_evaluated + row.oracle.pass.extraction_work,
+            0,
+            "{}: the oracle runs no filter",
+            row.machine
+        );
         let bound = row.oracle.net_cycles(c);
         assert!(bound > 0.0, "{}: even the oracle nets nothing", row.machine);
         assert!(row.baseline.net_cycles(c) <= bound + 1e-9, "{}: hard policy beats the oracle", row.machine);
         assert!(row.expected_benefit.net_cycles(c) <= bound + 1e-9, "{}: eb policy beats the oracle", row.machine);
         assert!(
-            row.baseline.scheduled_blocks > 0 && row.expected_benefit.scheduled_blocks > 0,
+            row.baseline.pass.scheduled_blocks > 0 && row.expected_benefit.pass.scheduled_blocks > 0,
             "{}: both policies must schedule something",
             row.machine
         );

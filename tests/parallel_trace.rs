@@ -53,8 +53,7 @@ fn sharded_compile_sessions_equal_serial() {
         let (serial, serial_stats) = session.compile(bench.program(), &filter, 1);
         let (sharded, sharded_stats) = session.compile(bench.program(), &filter, 4);
         assert_eq!(serial, sharded, "{}: sharded compile must be identical", bench.name());
-        assert_eq!(serial_stats.scheduled_blocks, sharded_stats.scheduled_blocks);
-        assert_eq!(serial_stats.total_blocks, sharded_stats.total_blocks);
+        assert_eq!(serial_stats, sharded_stats, "{}: sharded totals must be identical", bench.name());
     }
 }
 

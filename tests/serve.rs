@@ -14,7 +14,10 @@ use wts_features::{for_each_scope_unit, FeatureKind};
 use wts_ir::{Method, Program, ScopeKind};
 use wts_machine::MachineConfig;
 use wts_ripper::{Condition, Op, Rule, RuleSet, RuleStats};
-use wts_serve::{BatchResult, Response, ServeClient, ServeConfig, Server, ServerHandle};
+use wts_serve::{
+    decode_response, encode_batch_request, read_frame, write_frame, BatchResult, Response, ServeClient, ServeConfig,
+    Server, ServerHandle,
+};
 
 /// The sort-based stump fit the incremental folds replaced.
 #[allow(dead_code)]
@@ -62,18 +65,7 @@ fn server_schedules_bit_identical_to_direct_pass() {
             let direct =
                 filtered_schedule_pass(program, &machine, snapshot.compiled(), &DecisionPolicy::HardThreshold, &opts);
             assert_eq!(batch.epoch, snapshot.epoch());
-            assert_eq!(
-                (batch.totals.total_blocks, batch.totals.scheduled_blocks, batch.totals.conditions_evaluated),
-                (direct.total_blocks, direct.scheduled_blocks, direct.conditions_evaluated),
-                "{}/{scope:?}",
-                program.name()
-            );
-            assert_eq!(
-                (batch.totals.extraction_work, batch.totals.sched_work),
-                (direct.extraction_work, direct.sched_work),
-                "{}/{scope:?}",
-                program.name()
-            );
+            assert_eq!(batch.totals, direct, "{}/{scope:?}", program.name());
             assert_eq!(batch.units.len(), direct.total_blocks, "one served unit per scope unit");
             assert_eq!(batch.units.iter().filter(|u| u.decision).count(), direct.scheduled_blocks);
             for unit in batch.units.iter().filter(|u| u.decision) {
@@ -87,6 +79,29 @@ fn server_schedules_bit_identical_to_direct_pass() {
         assert_eq!(report.stats.batches_served, programs.len() as u64);
         assert_eq!(report.retrain.retrains, 0, "retraining was disabled");
     }
+}
+
+/// With retraining off, a served frame depends only on its request: two
+/// identical requests on one connection get byte-identical batch-result
+/// frames, totals included.
+#[test]
+fn identical_requests_get_byte_identical_batch_frames() {
+    let machine = MachineConfig::ppc7410();
+    let programs = wts_core::testutil::learnable_suite(2);
+    let handle =
+        Server::bind("127.0.0.1:0", stump_config(&machine, corpus(&programs, &machine, &options()), 0)).expect("bind");
+    let mut peer = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
+    let request = encode_batch_request(7, programs[0].name(), programs[0].methods());
+    let mut frames = Vec::new();
+    for _ in 0..2 {
+        write_frame(&mut peer, &request).expect("send");
+        frames.push(read_frame(&mut peer).expect("receive").expect("a frame before close"));
+    }
+    let batch = expect_batch(decode_response(&frames[0]).expect("decode"));
+    assert!(batch.totals.scheduled_blocks > 0, "the frame carries real work");
+    assert_eq!(frames[0], frames[1], "identical requests, identical frames");
+    drop(peer);
+    assert_eq!(handle.shutdown().stats.batches_served, 2);
 }
 
 #[test]
@@ -263,13 +278,7 @@ fn hot_swap_under_load_answers_every_batch_from_one_epoch() {
         let Some(snap) = published.get(&batch.epoch) else { continue };
         let (units, totals) = serve_locally(&config, programs[*i].methods(), snap.compiled());
         assert_eq!(batch.units, units, "batch {} differs from epoch {}'s filter", batch.batch_id, batch.epoch);
-        assert_eq!(
-            batch.totals,
-            FilteredPass { pass_ns: batch.totals.pass_ns, ..totals },
-            "batch {} totals differ from epoch {}'s filter",
-            batch.batch_id,
-            batch.epoch
-        );
+        assert_eq!(batch.totals, totals, "batch {} totals differ from epoch {}'s filter", batch.batch_id, batch.epoch);
         checked += 1;
     }
     // 45 release runs on a 2-CPU host checked 37-180 of the 180 batches;
