@@ -592,10 +592,9 @@ impl<'m> UnitServer<'m> {
     /// the clock: extraction and the decision (`t0..t1`), then scheduling
     /// (`t1..t2`) — exactly what a deployed pass runs. Verification, the
     /// work proxies and the record's simulator queries stay outside the
-    /// window. A width-1 unit takes *exactly*
-    /// the block path — same scheduler entry point, same graph, same
-    /// proxies — which is what pins degenerate superblock formation
-    /// bit-identical to block scope.
+    /// window. A width-1 unit takes *exactly* the block path — same
+    /// scheduler entry point, same graph, same proxies — which is what
+    /// pins degenerate superblock formation bit-identical to block scope.
     fn body(&mut self, unit: &ScopeUnit<'_>, mode: UnitMode<'_, '_>) -> bool {
         let insts = unit.insts;
         let mask = match &mode {

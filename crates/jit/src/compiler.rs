@@ -10,9 +10,8 @@
 //! so a block is scheduled exactly when a rule fires on it, and is then
 //! reordered in place by the schedule the body just produced. So a
 //! compile's [`FilteredPass`] equals the direct pass over the same
-//! program, and the output program holds exactly
-//! the served orders, by construction. The session compiles at block
-//! scope.
+//! program, and the output program holds exactly the served orders, by
+//! construction. The session compiles at block scope.
 //!
 //! [`filtered_schedule_pass`]: wts_core::filtered_schedule_pass
 
